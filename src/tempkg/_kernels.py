@@ -1,125 +1,34 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels, written as whole-array numpy operations.
 
-Backend selection: set ``TEMPKG_NUMBA=0`` in the environment to force the
-numpy path (useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``). When numba is unavailable the numpy path is
-used silently.
+Each kernel works in place on its first argument. Their cost on the real call
+mix is reported per kernel by ``python3 perfbench/run.py --workload <w> --trace 1``.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("TEMPKG_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _flag not in ("0", "false", "no", "off")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _WANT_NUMBA and _HAVE_NUMBA
-BACKEND = "numba" if USE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
-# --- scatter-add ------------------------------------------------------------
-# Row-wise accumulate: out[index[e]] += src[e]. np.add.at handles repeated
-# indices correctly but is slow; the jitted loop accumulates in the same
-# element order, so both paths agree bitwise.
-
-def scatter_add_rows_numpy(out, index, src):
+def scatter_add_rows(out, index, src):
+    """Row-wise accumulate out[index[e]] += src[e]; repeated indices add up."""
     np.add.at(out, index, src)
     return out
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _scatter_add_rows_nb(out, index, src):
-        for e in range(index.shape[0]):
-            i = index[e]
-            for j in range(src.shape[1]):
-                out[i, j] += src[e, j]
-        return out
-
-    def scatter_add_rows_numba(out, index, src):
-        return _scatter_add_rows_nb(out, index, src)
-
-else:
-    scatter_add_rows_numba = None
-
-
-# --- exponential-decay accumulation -----------------------------------------
-# scores[ent[i]] += exp(-sigma * |t - time[i]|), the inner loop of the
-# decay-rule baseline.
-
-def decay_accumulate_numpy(scores, entities, times, t, sigma):
+def decay_accumulate(scores, entities, times, t, sigma):
+    """scores[entities[i]] += exp(-sigma * |t - times[i]|), the inner loop of
+    the decay-rule baseline."""
     w = np.exp(-sigma * np.abs(t - times).astype(np.float64))
     np.add.at(scores, entities, w)
     return scores
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _decay_accumulate_nb(scores, entities, times, t, sigma):
-        for i in range(entities.shape[0]):
-            d = t - times[i]
-            if d < 0:
-                d = -d
-            scores[entities[i]] += np.exp(-sigma * d)
-        return scores
-
-    def decay_accumulate_numba(scores, entities, times, t, sigma):
-        return _decay_accumulate_nb(
-            scores, entities, times.astype(np.int64), np.int64(t), np.float64(sigma)
-        )
-
-else:
-    decay_accumulate_numba = None
-
-
-# --- fused Adam update -------------------------------------------------------
-# In-place moment update and parameter step. bc1/bc2 are the bias-correction
-# denominators 1 - beta^t, computed once per step by the caller.
-
-def adam_update_numpy(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):
+def adam_update(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):
+    """In-place moment update and parameter step. bc1/bc2 are the
+    bias-correction denominators 1 - beta^t, computed once per step by the
+    caller."""
     m *= beta1
     m += (1.0 - beta1) * grad
     v *= beta2
     v += (1.0 - beta2) * grad * grad
     param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _adam_update_nb(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):
-        for i in range(param.shape[0]):
-            g = grad[i]
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-            param[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
-
-    def adam_update_numba(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):
-        _adam_update_nb(
-            param.reshape(-1), np.ascontiguousarray(grad).reshape(-1),
-            m.reshape(-1), v.reshape(-1),
-            lr, beta1, beta2, eps, bc1, bc2,
-        )
-
-else:
-    adam_update_numba = None
-
-
-if USE_NUMBA:
-    scatter_add_rows = scatter_add_rows_numba
-    decay_accumulate = decay_accumulate_numba
-    adam_update = adam_update_numba
-else:
-    scatter_add_rows = scatter_add_rows_numpy
-    decay_accumulate = decay_accumulate_numpy
-    adam_update = adam_update_numpy

@@ -15,14 +15,13 @@ import sys
 import numpy as np
 
 from . import evaluation as ev
-from . import heterogeneity as het
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config
-from .data import load_dataset, write_dataset
+from .data import SPLIT_NAMES, active_entities, load_dataset, write_dataset
 from .model import TempModel, init_params
 from .synth import generate_synthetic
 from .ted import TedConfig, TedModel
-from .train import filter_index_for, train
+from .train import filter_index_for, tpf_table, train
 
 log = logging.getLogger("tempkg")
 
@@ -71,14 +70,6 @@ def _dataset_of(config: RunConfig):
                         config.dataset.time_granularity)
 
 
-def _tpf_table(config: RunConfig, dataset):
-    if config.eval.tpf_window == "trailing":
-        policy = het.WindowPolicy("trailing", config.eval.tpf_trailing_width)
-    else:
-        policy = het.WindowPolicy(config.eval.tpf_window)
-    return het.compute_tpf(dataset, policy)
-
-
 def cmd_train(args) -> int:
     config = _load_run(args)
     dataset = _dataset_of(config)
@@ -108,7 +99,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"checkpoint tensor '{name}' has shape "
                               f"{params[name].shape}, config implies {arr.shape}")
     model = TempModel(config.model, dataset, params)
-    tpf = _tpf_table(config, dataset)
+    tpf = tpf_table(config, dataset)
     filter_index = filter_index_for(config, dataset)
     report = ev.evaluate(dataset, args.split, model.snapshot_scorer(tpf),
                          filter_index, tpf)
@@ -172,14 +163,9 @@ def cmd_stats(args) -> int:
     ev.atomic_write(os.path.join(args.out, "stats.csv"), "\n".join(summary) + "\n")
 
     # per-step activity over the union of splits, with a trailing-15 lookback
-    active_sets = []
-    for t in range(dataset.step_count):
-        entities: set[int] = set()
-        for split in ("train", "valid", "test"):
-            snap = dataset.splits[split][t]
-            if len(snap):
-                entities.update(np.unique(snap.triples[:, [0, 2]]).tolist())
-        active_sets.append(entities)
+    active_sets = [set().union(*(active_entities(dataset.splits[split][t])
+                                 for split in SPLIT_NAMES))
+                   for t in range(dataset.step_count)]
     lines = ["step,active_entities,active_with_recent_history,avg_occurrences_last15"]
     for t, entities in enumerate(active_sets):
         lo = max(0, t - 15)

@@ -129,10 +129,6 @@ class TrueTripleIndex:
     def subjects_for(self, r: int, o: int, t: int) -> np.ndarray:
         return self._subjects.get((r, o, t), self._empty)
 
-    def contains(self, s: int, r: int, o: int, t: int) -> bool:
-        arr = self._objects.get((s, r, t))
-        return arr is not None and o in arr
-
 
 def build_true_index(dataset: TkgDataset, splits=("train",)) -> TrueTripleIndex:
     return TrueTripleIndex(dataset, splits)

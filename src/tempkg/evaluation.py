@@ -69,13 +69,38 @@ def rank_query(scores: np.ndarray, true_entity: int, filtered: np.ndarray) -> in
     """Pessimistic filtered rank of the true entity within a score vector.
 
     ``filtered`` holds candidate ids to drop; the true answer itself is never
-    dropped. Candidates scoring equal to the answer count against it.
+    dropped. Candidates scoring equal to the answer count against it, and a
+    non-finite answer score ranks behind every kept candidate.
     """
     keep = np.ones(len(scores), dtype=bool)
     if len(filtered):
         keep[filtered] = False
     keep[true_entity] = False
-    return 1 + int(np.count_nonzero(scores[keep] >= scores[true_entity]))
+    answer = scores[true_entity]
+    if not np.isfinite(answer):
+        return 1 + int(np.count_nonzero(keep))
+    return 1 + int(np.count_nonzero(scores[keep] >= answer))
+
+
+def rank_snapshots(entity_count: int, snapshots, snapshot_scorer,
+                   filter_index: TrueTripleIndex, tpf: TpfTable | None = None,
+                   ) -> RankingReport:
+    """Rank both query directions of every fact in ``snapshots``, an iterable
+    of (t, triples) pairs; ``tpf`` attaches pattern frequencies to each result."""
+    report = RankingReport(entity_count)
+    for t, triples in snapshots:
+        obj_scores, sub_scores = snapshot_scorer(t, triples)
+        for i, (s, r, o) in enumerate(triples.tolist()):
+            freqs = tpf.query_frequencies(s, r, o, t) if tpf is not None else None
+            report.results.append(QueryResult(
+                "object", s, r, o, t,
+                rank_query(obj_scores[i], o, filter_index.objects_for(s, r, t)),
+                freqs))
+            report.results.append(QueryResult(
+                "subject", s, r, o, t,
+                rank_query(sub_scores[i], s, filter_index.subjects_for(r, o, t)),
+                freqs))
+    return report
 
 
 def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,
@@ -87,22 +112,10 @@ def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,
     arrays of shape (len(triples), entity_count): row i scores every candidate
     completion of triples[i] in the respective direction.
     """
-    report = RankingReport(dataset.entity_count)
-    for snap in dataset.splits[split]:
-        if not len(snap):
-            continue
-        t = snap.time
-        obj_scores, sub_scores = snapshot_scorer(t, snap.triples)
-        for i, (s, r, o) in enumerate(snap.triples.tolist()):
-            freqs = tpf.query_frequencies(s, r, o, t) if tpf is not None else None
-            report.results.append(QueryResult(
-                "object", s, r, o, t,
-                rank_query(obj_scores[i], o, filter_index.objects_for(s, r, t)),
-                freqs))
-            report.results.append(QueryResult(
-                "subject", s, r, o, t,
-                rank_query(sub_scores[i], s, filter_index.subjects_for(r, o, t)),
-                freqs))
+    report = rank_snapshots(dataset.entity_count,
+                            [(snap.time, snap.triples)
+                             for snap in dataset.splits[split] if len(snap)],
+                            snapshot_scorer, filter_index, tpf)
     report.check_invariants()
     return report
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, constant
 from .data import TkgDataset
+from .temporal import decay_column
 
 PATTERN_KINDS = ("s", "o", "r", "sr", "ro", "so", "sro")
 
@@ -120,47 +121,6 @@ def compute_tpf(dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()) -> T
 
 # --- imputation ---------------------------------------------------------------
 
-def impute(x_t: Tensor, x_past: Tensor | None, delta_t: int,
-           lam: Tensor, b: Tensor) -> Tensor:
-    """Blend a stale representation into the current one for an inactive entity.
-
-    gamma = exp(-max(0, lam*dt + b)); result = gamma * x_past + (1-gamma) * x_t.
-    With no past representation in the window the result is x_t unchanged.
-    """
-    if x_past is None:
-        return x_t
-    gamma = _decay_scalar(delta_t, lam, b)
-    return ad.add(ad.mul(gamma, x_past), ad.mul(ad.sub(constant(1.0), gamma), x_t))
-
-
-def impute_bidirectional(x_t: Tensor, x_past: Tensor | None, x_future: Tensor | None,
-                         delta_past: int, delta_future: int,
-                         lam: Tensor, b: Tensor) -> Tensor:
-    """Two-sided blend with halved, renormalized decay coefficients.
-
-    Coefficients (g-/2, g+/2, 1 - g-/2 - g+/2) are nonnegative and sum to one.
-    Absent neighbors contribute weight zero.
-    """
-    if x_past is None and x_future is None:
-        return x_t
-    half = constant(0.5)
-    zero = constant(0.0)
-    g_past = ad.mul(_decay_scalar(delta_past, lam, b), half) if x_past is not None else zero
-    g_fut = ad.mul(_decay_scalar(delta_future, lam, b), half) if x_future is not None else zero
-    rest = ad.sub(ad.sub(constant(1.0), g_past), g_fut)
-    out = ad.mul(rest, x_t)
-    if x_past is not None:
-        out = ad.add(out, ad.mul(g_past, x_past))
-    if x_future is not None:
-        out = ad.add(out, ad.mul(g_fut, x_future))
-    return out
-
-
-def _decay_scalar(delta_t: int, lam: Tensor, b: Tensor) -> Tensor:
-    d = constant(float(delta_t))
-    return ad.exp(ad.mul(ad.relu(ad.add(ad.mul(lam, d), b)), -1.0))
-
-
 def impute_window(x_t: Tensor, x_stale: Tensor, deltas: np.ndarray,
                   has_stale: np.ndarray, inactive: np.ndarray,
                   lam: Tensor, b: Tensor) -> Tensor:
@@ -172,7 +132,7 @@ def impute_window(x_t: Tensor, x_stale: Tensor, deltas: np.ndarray,
     """
     n, dim = x_t.shape
     apply_mask = (inactive & has_stale).astype(np.float64)[:, None]
-    gamma_col = _decay_col(np.where(has_stale, deltas, 1).astype(np.float64), lam, b)
+    gamma_col = decay_column(np.where(has_stale, deltas, 1), lam, b)
     gamma = ad.matmul(ad.mul(gamma_col, constant(apply_mask)), constant(np.ones((1, dim))))
     return ad.add(ad.mul(gamma, x_stale), ad.mul(ad.sub(constant(1.0), gamma), x_t))
 
@@ -181,22 +141,22 @@ def impute_window_bidirectional(x_t: Tensor, x_past: Tensor, x_future: Tensor,
                                 deltas_past: np.ndarray, deltas_future: np.ndarray,
                                 has_past: np.ndarray, has_future: np.ndarray,
                                 inactive: np.ndarray, lam: Tensor, b: Tensor) -> Tensor:
+    """Batched two-sided imputation with halved, renormalized decay weights.
+
+    An inactive row blends x_past, x_future and x_t with coefficients
+    (g-/2, g+/2, 1 - g-/2 - g+/2), which are nonnegative and sum to one; a
+    side without a stale row gets weight zero. Active rows pass through.
+    """
     n, dim = x_t.shape
     ones_row = constant(np.ones((1, dim)))
     use_p = (inactive & has_past).astype(np.float64)[:, None]
     use_f = (inactive & has_future).astype(np.float64)[:, None]
-    g_p = ad.mul(_decay_col(np.where(has_past, deltas_past, 1).astype(np.float64), lam, b), 0.5)
-    g_f = ad.mul(_decay_col(np.where(has_future, deltas_future, 1).astype(np.float64),
-                            lam, b), 0.5)
+    g_p = ad.mul(decay_column(np.where(has_past, deltas_past, 1), lam, b), 0.5)
+    g_f = ad.mul(decay_column(np.where(has_future, deltas_future, 1), lam, b), 0.5)
     g_p = ad.matmul(ad.mul(g_p, constant(use_p)), ones_row)
     g_f = ad.matmul(ad.mul(g_f, constant(use_f)), ones_row)
     rest = ad.sub(ad.sub(constant(1.0), g_p), g_f)
     return ad.add(ad.add(ad.mul(rest, x_t), ad.mul(g_p, x_past)), ad.mul(g_f, x_future))
-
-
-def _decay_col(deltas: np.ndarray, lam: Tensor, b: Tensor) -> Tensor:
-    d = constant(deltas.reshape(-1, 1))
-    return ad.exp(ad.mul(ad.relu(ad.add(ad.mul(d, lam), b)), -1.0))
 
 
 # --- frequency-based gating ----------------------------------------------------

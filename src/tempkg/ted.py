@@ -144,12 +144,3 @@ class TedModel:
             return obj, sub
 
         return scorer
-
-
-def ted_score(occurrences: np.ndarray, t: int, sigma: float) -> float:
-    """Decay score of one entity from its (t') occurrence list in one tier."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if len(occurrences) == 0:
-        return 0.0
-    return float(np.exp(-sigma * np.abs(t - np.asarray(occurrences))).sum())

@@ -15,22 +15,28 @@ from . import autodiff as ad
 from .autodiff import Tensor, constant
 
 
+def decay_exponent(deltas, lam: Tensor, b: Tensor) -> Tensor:
+    """max(0, lambda * dt + b) elementwise on the tape: the exponent of the
+    decay weight, and the self-attention logit penalty."""
+    return ad.relu(ad.add(ad.mul(constant(deltas), lam), b))
+
+
+def decay_column(deltas, lam: Tensor, b: Tensor) -> Tensor:
+    """Per-entity decay weights gamma as an (n, 1) tensor on the tape."""
+    d = np.asarray(deltas, dtype=np.float64).reshape(-1, 1)
+    return ad.exp(ad.mul(decay_exponent(d, lam, b), -1.0))
+
+
 def decay_weight(delta_t: float, lam: float, b: float) -> float:
     """Scalar decay weight in (0, 1] for a nonnegative step difference."""
     if delta_t < 0:
         raise ValueError("delta_t must be nonnegative")
-    return float(np.exp(-max(0.0, lam * delta_t + b)))
+    return float(decay_column([delta_t], constant(lam), constant(b)).data[0, 0])
 
 
 def _broadcast_col(col: Tensor, dim: int) -> Tensor:
     """(n, 1) -> (n, dim) via multiplication with a constant row of ones."""
     return ad.matmul(col, constant(np.ones((1, dim))))
-
-
-def decay_column(deltas: np.ndarray, lam: Tensor, b: Tensor) -> Tensor:
-    """Per-entity decay weights gamma as an (n, 1) tensor on the tape."""
-    d = constant(np.asarray(deltas, dtype=np.float64).reshape(-1, 1))
-    return ad.exp(ad.mul(ad.relu(ad.add(ad.mul(d, lam), b)), -1.0))
 
 
 def gru_cell(x: Tensor, h: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -98,6 +104,30 @@ def encode_gru(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
     return z
 
 
+def _attention_logits(x_steps: list[Tensor], active: list[np.ndarray],
+                      target_pos: int, lam: Tensor, b: Tensor, query_keys):
+    """Yield (mask, logits) for each (wq, wk) pair, one head at a time.
+
+    The activity mask and the decay penalty max(0, lambda * |dt| + b) are
+    built once. An entity inactive at every window step keeps only its
+    target-step column, so it attends to its own representation. Logits are
+    the scaled query-key products minus the penalty.
+    """
+    width = len(x_steps)
+    mask = np.stack(active, axis=1)
+    degenerate = ~mask.any(axis=1)
+    if degenerate.any():
+        mask[degenerate, target_pos] = True
+    offsets = np.abs(np.arange(width) - target_pos).astype(np.float64).reshape(1, -1)
+    penalty = decay_exponent(offsets, lam, b)  # (1, width)
+    for wq, wk in query_keys:
+        scale = 1.0 / np.sqrt(wq.shape[1])
+        q = ad.matmul(x_steps[target_pos], wq)
+        cols = [ad.mul(ad.reduce_sum(ad.mul(q, ad.matmul(x, wk)), axis=1), scale)
+                for x in x_steps]
+        yield mask, ad.sub(ad.concat(cols, axis=1), penalty)
+
+
 def encode_sa(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
               params: dict[str, Tensor], *, heads: int) -> Tensor:
     """Temporal embeddings via decay-penalized, activity-masked attention.
@@ -112,31 +142,14 @@ def encode_sa(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
     if dim % heads:
         raise ValueError(f"embedding dim {dim} not divisible by {heads} heads")
     width = len(x_steps)
-    lam, b = params["decay.z.lam"], params["decay.z.b"]
-
-    mask = np.stack([active[p] for p in range(width)], axis=1)
-    degenerate = ~mask.any(axis=1)
-    if degenerate.any():
-        mask = mask.copy()
-        mask[degenerate, target_pos] = True
-
-    offsets = np.abs(np.arange(width) - target_pos).astype(np.float64).reshape(1, -1)
-    penalty = ad.relu(ad.add(ad.mul(constant(offsets), lam), b))  # (1, width)
-
     dh = dim // heads
-    scale = 1.0 / np.sqrt(dh)
+    query_keys = [(params[f"sa.h{k}.wq"], params[f"sa.h{k}.wk"]) for k in range(heads)]
+    head_logits = _attention_logits(x_steps, active, target_pos, params["decay.z.lam"],
+                                    params["decay.z.b"], query_keys)
     head_outputs = []
     onehots = [constant(np.eye(width)[:, [p]]) for p in range(width)]
-    for k in range(heads):
-        wq = params[f"sa.h{k}.wq"]
-        wk = params[f"sa.h{k}.wk"]
+    for k, (mask, logits) in enumerate(head_logits):
         wv = params[f"sa.h{k}.wv"]
-        q = ad.matmul(x_steps[target_pos], wq)
-        cols = []
-        for p in range(width):
-            keyed = ad.matmul(x_steps[p], wk)
-            cols.append(ad.mul(ad.reduce_sum(ad.mul(q, keyed), axis=1), scale))
-        logits = ad.sub(ad.concat(cols, axis=1), penalty)
         beta = ad.masked_softmax(logits, mask)
         z_k = None
         for p in range(width):
@@ -151,25 +164,11 @@ def attention_weights(x_steps: list[np.ndarray], active: list[np.ndarray],
                       target_pos: int, params_np: dict[str, np.ndarray],
                       head: int = 0) -> np.ndarray:
     """Off-tape attention row weights for one head (diagnostics and tests)."""
-    xs = [constant(x) for x in x_steps]
-    n, dim = xs[target_pos].shape
-    width = len(xs)
-    lam = constant(params_np["decay.z.lam"])
-    b = constant(params_np["decay.z.b"])
-    mask = np.stack([active[p] for p in range(width)], axis=1)
-    degenerate = ~mask.any(axis=1)
-    if degenerate.any():
-        mask = mask.copy()
-        mask[degenerate, target_pos] = True
-    offsets = np.abs(np.arange(width) - target_pos).astype(np.float64).reshape(1, -1)
-    penalty = ad.relu(ad.add(ad.mul(constant(offsets), lam), b))
-    wq = constant(params_np[f"sa.h{head}.wq"])
-    wk = constant(params_np[f"sa.h{head}.wk"])
-    dh = wq.shape[1]
-    q = ad.matmul(xs[target_pos], wq)
-    cols = [ad.mul(ad.reduce_sum(ad.mul(q, ad.matmul(xs[p], wk)), axis=1),
-                   1.0 / np.sqrt(dh)) for p in range(width)]
-    logits = ad.sub(ad.concat(cols, axis=1), penalty)
+    c = lambda name: constant(params_np[name])
+    query_keys = [(c(f"sa.h{head}.wq"), c(f"sa.h{head}.wk"))]
+    (mask, logits), = _attention_logits([constant(x) for x in x_steps], active,
+                                        target_pos, c("decay.z.lam"), c("decay.z.b"),
+                                        query_keys)
     return ad.masked_softmax(logits, mask).data
 
 

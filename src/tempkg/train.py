@@ -76,9 +76,8 @@ def _batches(target_steps: list[int], batch_size: int,
     return [chunks[i] for i in order]
 
 
-def _tpf_for(config: RunConfig, dataset: TkgDataset) -> het.TpfTable | None:
-    if not config.model.gating:
-        return None
+def tpf_table(config: RunConfig, dataset: TkgDataset) -> het.TpfTable:
+    """Pattern frequencies under the configured evaluation window policy."""
     if config.eval.tpf_window == "trailing":
         policy = het.WindowPolicy("trailing", config.eval.tpf_trailing_width)
     else:
@@ -136,17 +135,11 @@ def _validation_mrr(model: TempModel, dataset: TkgDataset, filter_index,
         rng = _substream(seed, "val-subsample")
         picks = np.sort(rng.choice(len(quads), size=cap, replace=False))
         quads = quads[picks]
-    scorer = model.snapshot_scorer(tpf)
-    rr = []
-    for t in np.unique(quads[:, 3]).tolist():
-        chunk = quads[quads[:, 3] == t][:, :3]
-        obj_scores, sub_scores = scorer(t, chunk)
-        for i, (s, r, o) in enumerate(chunk.tolist()):
-            rr.append(1.0 / ev.rank_query(obj_scores[i], o,
-                                          filter_index.objects_for(s, r, t)))
-            rr.append(1.0 / ev.rank_query(sub_scores[i], s,
-                                          filter_index.subjects_for(r, o, t)))
-    return float(np.mean(rr))
+    chunks = [(t, quads[quads[:, 3] == t][:, :3])
+              for t in np.unique(quads[:, 3]).tolist()]
+    report = ev.rank_snapshots(dataset.entity_count, chunks,
+                               model.snapshot_scorer(tpf), filter_index)
+    return report.mrr
 
 
 def train(config: RunConfig, dataset: TkgDataset, out_dir,
@@ -164,7 +157,7 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
                          dataset.step_count, seed)
     model = TempModel(config.model, dataset, params)
     adam = AdamState(lr=tcfg.lr)
-    tpf = _tpf_for(config, dataset)
+    tpf = tpf_table(config, dataset) if config.model.gating else None
     negative_index = build_true_index(dataset, splits=("train",))
     filter_index = filter_index_for(config, dataset)
 

@@ -32,6 +32,16 @@ class TestRankQuery:
         scores = np.array([0.9, 0.5, 0.1])
         assert rank_query(scores, 1, np.array([0, 1])) == 1
 
+    def test_all_nan_scores_rank_last(self):
+        scores = np.full(5, np.nan)
+        assert rank_query(scores, 2, np.empty(0, dtype=np.int64)) == 5
+        assert rank_query(scores, 2, np.array([0])) == 4
+
+    def test_non_finite_answer_ranks_behind_finite_rivals(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            scores = np.array([0.1, bad, -3.0, 0.2])
+            assert rank_query(scores, 1, np.array([3])) == 3
+
     def test_randomized_against_brute_force_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(300):

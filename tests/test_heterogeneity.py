@@ -93,51 +93,68 @@ class TestTpfTable:
 
 
 class TestImputation:
+    """One-row inputs to the batched imputation the model runs."""
+
     def lam_b(self, lam, b):
         return constant(np.array([[lam]])), constant(np.array([[b]]))
 
+    def one_sided(self, x_t, x_past, delta, lam, b, has_past=True):
+        return het.impute_window(constant(x_t), constant(x_past), np.array([delta]),
+                                 np.array([has_past]), np.array([True]), lam, b).data
+
+    def two_sided(self, x_t, x_p, x_f, d_p, d_f, lam, b, has_p=True, has_f=True):
+        return het.impute_window_bidirectional(
+            constant(x_t), constant(x_p), constant(x_f), np.array([d_p]),
+            np.array([d_f]), np.array([has_p]), np.array([has_f]), np.array([True]),
+            lam, b).data
+
     def test_unit_decay_returns_past(self):
         lam, b = self.lam_b(0.0, 0.0)
-        x_t = constant(np.array([[5.0, 7.0]]))
-        x_past = constant(np.array([[1.0, 2.0]]))
-        out = het.impute(x_t, x_past, 3, lam, b)
-        np.testing.assert_allclose(out.data, [[1.0, 2.0]], atol=1e-15)
+        out = self.one_sided(np.array([[5.0, 7.0]]), np.array([[1.0, 2.0]]), 3, lam, b)
+        np.testing.assert_allclose(out, [[1.0, 2.0]], atol=1e-15)
 
     def test_absent_past_returns_current(self):
         lam, b = self.lam_b(1.0, 0.0)
-        x_t = constant(np.array([[5.0, 7.0]]))
-        assert het.impute(x_t, None, 1, lam, b) is x_t
+        x_t = np.array([[5.0, 7.0]])
+        out = self.one_sided(x_t, np.zeros((1, 2)), 1, lam, b, has_past=False)
+        np.testing.assert_array_equal(out, x_t)
 
     def test_direct_evaluation(self):
         lam, b = self.lam_b(1.0, 0.0)
-        x_t = constant(np.zeros((1, 2)))
-        x_past = constant(np.ones((1, 2)))
-        out = het.impute(x_t, x_past, 1, lam, b)
-        np.testing.assert_allclose(out.data, np.full((1, 2), np.exp(-1.0)), atol=1e-12)
+        out = self.one_sided(np.zeros((1, 2)), np.ones((1, 2)), 1, lam, b)
+        np.testing.assert_allclose(out, np.full((1, 2), np.exp(-1.0)), atol=1e-12)
 
     def test_bidirectional_even_split(self):
         lam, b = self.lam_b(0.0, 0.0)
-        x_t = constant(np.array([[9.0, 9.0]]))
-        x_p = constant(np.array([[1.0, 1.0]]))
-        x_f = constant(np.array([[3.0, 3.0]]))
-        out = het.impute_bidirectional(x_t, x_p, x_f, 1, 1, lam, b)
-        np.testing.assert_allclose(out.data, [[2.0, 2.0]], atol=1e-15)
+        out = self.two_sided(np.array([[9.0, 9.0]]), np.array([[1.0, 1.0]]),
+                             np.array([[3.0, 3.0]]), 1, 1, lam, b)
+        np.testing.assert_allclose(out, [[2.0, 2.0]], atol=1e-15)
 
     def test_bidirectional_both_absent(self):
         lam, b = self.lam_b(1.0, 0.0)
-        x_t = constant(np.array([[4.0]]))
-        assert het.impute_bidirectional(x_t, None, None, 1, 1, lam, b) is x_t
+        x_t = np.array([[4.0]])
+        out = self.two_sided(x_t, np.ones((1, 1)), np.ones((1, 1)), 1, 1, lam, b,
+                             has_p=False, has_f=False)
+        np.testing.assert_array_equal(out, x_t)
 
     def test_bidirectional_coefficients_sum_to_one(self):
         lam, b = self.lam_b(1.0, 0.0)
-        x_t = constant(np.array([[2.0, -1.0]]))
-        x_p = constant(np.array([[0.5, 3.0]]))
-        x_f = constant(np.array([[-2.0, 1.0]]))
-        out = het.impute_bidirectional(x_t, x_p, x_f, 1, 2, lam, b)
+        x_t = np.array([[2.0, -1.0]])
+        x_p = np.array([[0.5, 3.0]])
+        x_f = np.array([[-2.0, 1.0]])
+        out = self.two_sided(x_t, x_p, x_f, 1, 2, lam, b)
         g_p, g_f = np.exp(-1.0) / 2, np.exp(-2.0) / 2
-        expect = (g_p * x_p.data + g_f * x_f.data + (1 - g_p - g_f) * x_t.data)
-        np.testing.assert_allclose(out.data, expect, atol=1e-14)
+        expect = g_p * x_p + g_f * x_f + (1 - g_p - g_f) * x_t
+        np.testing.assert_allclose(out, expect, atol=1e-14)
         assert g_p + g_f + (1 - g_p - g_f) == pytest.approx(1.0)
+
+    def test_bidirectional_one_side_absent(self):
+        lam, b = self.lam_b(1.0, 0.0)
+        x_t = np.array([[2.0, -1.0]])
+        x_p = np.array([[0.5, 3.0]])
+        out = self.two_sided(x_t, x_p, np.full((1, 2), 99.0), 1, 1, lam, b, has_f=False)
+        g_p = np.exp(-1.0) / 2
+        np.testing.assert_allclose(out, g_p * x_p + (1 - g_p) * x_t, atol=1e-14)
 
     def test_window_variant_touches_only_inactive_with_stale(self):
         rng = np.random.default_rng(9)

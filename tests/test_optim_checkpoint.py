@@ -67,36 +67,43 @@ class TestAdam:
         np.testing.assert_allclose(p["w"], 10.0 - 0.1 * mhat / (np.sqrt(vhat) + adam.eps))
 
 
-class TestKernelBackends:
-    def test_scatter_add_paths_agree(self):
+class TestKernels:
+    """Each numpy kernel against a plain-loop oracle."""
+
+    def test_scatter_add_matches_loop(self):
         rng = np.random.default_rng(5)
         idx = rng.integers(0, 7, size=40)
+        idx[:5] = 3  # repeated indices must accumulate, not overwrite
         src = rng.normal(size=(40, 3))
-        a = _kernels.scatter_add_rows_numpy(np.zeros((7, 3)), idx, src)
-        if _kernels.scatter_add_rows_numba is not None:
-            b = _kernels.scatter_add_rows_numba(np.zeros((7, 3)), idx, src)
-            np.testing.assert_array_equal(a, b)
+        got = _kernels.scatter_add_rows(np.zeros((7, 3)), idx, src)
+        expect = np.zeros((7, 3))
+        for e, i in enumerate(idx):
+            expect[i] += src[e]
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=1e-14)
 
-    def test_decay_accumulate_paths_agree(self):
+    def test_decay_accumulate_matches_loop(self):
         rng = np.random.default_rng(6)
         ents = rng.integers(0, 9, size=50)
         times = rng.integers(0, 30, size=50)
-        a = _kernels.decay_accumulate_numpy(np.zeros(9), ents, times, 17, 0.3)
-        if _kernels.decay_accumulate_numba is not None:
-            b = _kernels.decay_accumulate_numba(np.zeros(9), ents, times, 17, 0.3)
-            np.testing.assert_allclose(a, b, rtol=1e-14)
+        got = _kernels.decay_accumulate(np.zeros(9), ents, times, 17, 0.3)
+        expect = np.zeros(9)
+        for e, t_prime in zip(ents.tolist(), times.tolist()):
+            expect[e] += np.exp(-0.3 * abs(17 - t_prime))
+        np.testing.assert_allclose(got, expect, rtol=1e-14)
 
-    def test_adam_update_paths_agree(self):
+    def test_adam_update_matches_closed_form(self):
         rng = np.random.default_rng(7)
-        p1 = rng.normal(size=(6, 2))
+        p = rng.normal(size=(6, 2))
         g = rng.normal(size=(6, 2))
-        m1, v1 = np.zeros((6, 2)), np.zeros((6, 2))
-        p2, m2, v2 = p1.copy(), m1.copy(), v1.copy()
-        _kernels.adam_update_numpy(p1, g, m1, v1, 0.01, 0.9, 0.999, 1e-8, 0.1, 0.001)
-        if _kernels.adam_update_numba is not None:
-            _kernels.adam_update_numba(p2, g, m2, v2, 0.01, 0.9, 0.999, 1e-8, 0.1, 0.001)
-            np.testing.assert_array_equal(p1, p2)
-            np.testing.assert_array_equal(m1, m2)
+        m, v = rng.normal(size=(6, 2)), rng.random((6, 2))
+        lr, b1, b2, eps, bc1, bc2 = 0.01, 0.9, 0.999, 1e-8, 0.1, 0.001
+        m_new = b1 * m + (1 - b1) * g
+        v_new = b2 * v + (1 - b2) * g * g
+        p_new = p - lr * (m_new / bc1) / (np.sqrt(v_new / bc2) + eps)
+        _kernels.adam_update(p, g, m, v, lr, b1, b2, eps, bc1, bc2)
+        np.testing.assert_allclose(m, m_new, rtol=1e-14)
+        np.testing.assert_allclose(v, v_new, rtol=1e-14)
+        np.testing.assert_allclose(p, p_new, rtol=1e-14)
 
 
 class TestCheckpoint:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from tempkg import _kernels
 from tempkg.data import Snapshot, TkgDataset, build_true_index
 from tempkg.evaluation import evaluate
-from tempkg.ted import TedConfig, TedModel, ted_score
+from tempkg.ted import TedConfig, TedModel
 
 
 def dataset_from_train(quads, e=6, r=3, t=8, test_quads=()):
@@ -83,19 +84,26 @@ class TestReferenceSets:
 
 
 class TestTedScore:
+    """The decay-rule score sum_{t'} exp(-sigma * |t - t'|) of one entity."""
+
+    def score(self, occurrences, t, sigma):
+        occurrences = np.asarray(occurrences)
+        ents = np.zeros(len(occurrences), dtype=np.int64)
+        return _kernels.decay_accumulate(np.zeros(1), ents, occurrences, t, sigma)[0]
+
     def test_zero_distance_scores_one(self):
-        assert ted_score(np.array([5]), 5, 0.1) == pytest.approx(1.0)
+        assert self.score([5], 5, 0.1) == pytest.approx(1.0)
 
     def test_direct_evaluation(self):
-        got = ted_score(np.array([4, 2]), 5, 0.1)
+        got = self.score([4, 2], 5, 0.1)
         assert got == pytest.approx(np.exp(-0.1) + np.exp(-0.3))
 
     def test_huge_sigma_vanishes(self):
-        assert ted_score(np.array([4]), 5, 1e6) == 0.0
+        assert self.score([4], 5, 1e6) == 0.0
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
-            ted_score(np.array([1]), 2, 0.0)
+            TedConfig(sigma=0.0)
         with pytest.raises(ValueError):
             TedConfig(sigma=-1.0)
 

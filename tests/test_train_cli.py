@@ -6,9 +6,11 @@ import pytest
 
 from tempkg.cli import main
 from tempkg.config import RunConfig
-from tempkg.model import ModelConfig
+from tempkg.evaluation import evaluate
+from tempkg.model import ModelConfig, TempModel, init_params
 from tempkg.synth import SynthSpec, generate_synthetic
-from tempkg.train import TrainingError, train
+from tempkg.train import (TrainingError, _validation_mrr, filter_index_for, tpf_table,
+                          train)
 
 
 def small_run_config(**model_kw):
@@ -68,6 +70,19 @@ class TestTrainLoop:
         with pytest.raises(TrainingError):
             with np.errstate(all="ignore"):
                 train(cfg, small_dataset, tmp_path / "run", max_epochs=10)
+
+    def test_validation_mrr_ranks_like_evaluate(self, small_dataset):
+        cfg = small_run_config(gating=True)
+        ds = small_dataset
+        params = init_params(cfg.model, ds.entity_count, ds.relation_count,
+                             ds.step_count, seed=3)
+        model = TempModel(cfg.model, ds, params)
+        tpf = tpf_table(cfg, ds)
+        index = filter_index_for(cfg, ds)
+        facts = ds.split_sizes()["valid"]
+        got = _validation_mrr(model, ds, index, tpf, cap=facts, seed=0)
+        expect = evaluate(ds, "valid", model.snapshot_scorer(tpf), index).mrr
+        assert got == expect
 
     def test_gating_and_imputation_variant_trains(self, small_dataset, tmp_path):
         cfg = small_run_config(gating=True, imputation=True, bidirectional=True)
