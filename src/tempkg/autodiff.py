@@ -6,9 +6,13 @@ returns gradients for the tape's leaves. Tensors without a tape evaluate
 eagerly with no recording, so the same model code serves both training and
 inference.
 
-Broadcasting is deliberately restricted: elementwise ops require equal shapes
-except for scalar * tensor and row-vector bias adds. Everything else is a
-shape error.
+Broadcasting follows one rule, shared by ``add``, ``sub`` and ``mul``: the two
+operands have equal shapes, or one of them is a scalar (any size-1 shape), a
+row ``(d,)``/``(1, d)`` against an ``(n, d)`` operand, or a column ``(n, 1)``
+against an ``(n, d)`` operand. Everything else, an outer ``(n, 1)`` x
+``(1, d)`` pair included, is a shape error. The gradient of a broadcast
+operand is summed back to its shape. ``columns`` slices a column range, so
+no operation needs a constant selection matrix.
 """
 
 from __future__ import annotations
@@ -164,34 +168,31 @@ def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
     return int(np.prod(shape, dtype=np.int64)) == 1
 
 
+def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+    """The one broadcasting rule of add, sub and mul: equal shapes, or a scalar,
+    a (d,)/(1, d) row or an (n, 1) column against an (n, d) operand."""
+    for small, big in ((a.shape, b.shape), (b.shape, a.shape)):
+        if (small == big or _is_scalar_shape(small)
+                or (len(big) == 2 and small in ((big[1],), (1, big[1]), (big[0], 1)))):
+            return
+    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+
+
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to a broadcast operand's shape."""
+    """Sum a gradient down to the shape of an operand that passed
+    ``_check_broadcast``: a scalar, an (n, 1) column or a row."""
     if grad.shape == shape:
         return grad
     if _is_scalar_shape(shape):
         return np.asarray(grad.sum(), dtype=np.float64).reshape(shape)
-    # row-vector bias: grad (n, d) -> (d,) or (1, d)
-    if grad.ndim == 2 and shape in ((grad.shape[1],), (1, grad.shape[1])):
-        return grad.sum(axis=0).reshape(shape)
-    raise ShapeError(f"cannot reduce gradient {grad.shape} to {shape}")
-
-
-def _check_addlike(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape:
-        return
-    if _is_scalar_shape(a.shape) or _is_scalar_shape(b.shape):
-        return
-    # row-vector bias add: (n, d) + (d,) or (n, d) + (1, d)
-    if a.data.ndim == 2 and b.shape in ((a.shape[1],), (1, a.shape[1])):
-        return
-    if b.data.ndim == 2 and a.shape in ((b.shape[1],), (1, b.shape[1])):
-        return
-    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    if shape == (grad.shape[0], 1):
+        return grad.sum(axis=1, keepdims=True)
+    return grad.sum(axis=0).reshape(shape)
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_addlike(a, b, "add")
+    _check_broadcast(a, b, "add")
     out = a.data + b.data
 
     def back(g):
@@ -202,7 +203,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_addlike(a, b, "sub")
+    _check_broadcast(a, b, "sub")
     out = a.data - b.data
 
     def back(g):
@@ -212,10 +213,8 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product; one operand may be a scalar (python or size-1 tensor)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if not (a.shape == b.shape or _is_scalar_shape(a.shape) or _is_scalar_shape(b.shape)):
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    _check_broadcast(a, b, "mul")
     ad, bd = a.data, b.data
     out = ad * bd
 
@@ -345,6 +344,21 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return _result(out, tensors, back)
 
 
+def columns(a, start: int, stop: int) -> Tensor:
+    """Columns ``start:stop`` of a 2-d tensor, as a copy."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
+        raise ShapeError(f"columns: range {start}:{stop} is empty or outside {a.shape}")
+    out = a.data[:, start:stop].copy()
+
+    def back(g):
+        ga = np.zeros(a.shape, dtype=np.float64)
+        ga[:, start:stop] = g
+        return (ga,)
+
+    return _result(out, (a,), back)
+
+
 def gather_rows(a, index) -> Tensor:
     """Select rows of a 2-d tensor: out[i] = a[index[i]]."""
     a = _as_tensor(a)
@@ -390,17 +404,13 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
     ad = a.data
     if axis is None:
         out = np.asarray(ad.sum(), dtype=np.float64)
-
-        def back(g):
-            return (np.broadcast_to(g, ad.shape),)
-
     else:
         if ad.ndim != 2 or axis not in (0, 1):
             raise ShapeError("axis reduction requires a 2-d tensor and axis 0 or 1")
         out = ad.sum(axis=axis, keepdims=True)
 
-        def back(g):
-            return (np.broadcast_to(g, ad.shape),)
+    def back(g):
+        return (np.broadcast_to(g, ad.shape),)
 
     return _result(out, (a,), back)
 

@@ -1,7 +1,7 @@
 """Quadruple scoring, negative sampling, and the training objective.
 
-Scoring works row-wise over equal-length batches of subject, relation, and
-object embeddings. Three decoders:
+Scoring works row-wise over batches of subject, relation, and object
+embeddings; a single row broadcasts against a batch. Three decoders:
 
     transe:   -||s + r - o||_1            (negated distance, higher is better)
     distmult: sum_k s_k r_k o_k
@@ -28,7 +28,11 @@ DECODERS = ("transe", "distmult", "complex")
 
 
 def score_rows(s: Tensor, r: Tensor, o: Tensor, decoder: str) -> Tensor:
-    """Scores for matched rows of subject/relation/object embeddings, as (m, 1)."""
+    """Scores for matched rows of subject/relation/object embeddings, as (m, 1).
+
+    Each operand is (m, d) or a single (1, d) row scored against every row of
+    the others.
+    """
     if decoder == "transe":
         return ad.mul(ad.reduce_sum(ad.absolute(ad.sub(ad.add(s, r), o)), axis=1), -1.0)
     if decoder == "distmult":
@@ -38,22 +42,13 @@ def score_rows(s: Tensor, r: Tensor, o: Tensor, decoder: str) -> Tensor:
         if d % 2:
             raise ValueError(f"complex decoder needs an even dimension, got {d}")
         half = d // 2
-        pick_re = constant(np.vstack([np.eye(half), np.zeros((half, half))]))
-        pick_im = constant(np.vstack([np.zeros((half, half)), np.eye(half)]))
-        s_re, s_im = ad.matmul(s, pick_re), ad.matmul(s, pick_im)
-        r_re, r_im = ad.matmul(r, pick_re), ad.matmul(r, pick_im)
-        o_re, o_im = ad.matmul(o, pick_re), ad.matmul(o, pick_im)
+        (s_re, s_im), (r_re, r_im), (o_re, o_im) = (
+            (ad.columns(x, 0, half), ad.columns(x, half, d)) for x in (s, r, o))
         out = ad.reduce_sum(ad.mul(ad.mul(r_re, s_re), o_re), axis=1)
         out = ad.add(out, ad.reduce_sum(ad.mul(ad.mul(r_re, s_im), o_im), axis=1))
         out = ad.add(out, ad.reduce_sum(ad.mul(ad.mul(r_im, s_re), o_im), axis=1))
         return ad.sub(out, ad.reduce_sum(ad.mul(ad.mul(r_im, s_im), o_re), axis=1))
     raise ValueError(f"unknown decoder {decoder!r}")
-
-
-def score_one(s: np.ndarray, r: np.ndarray, o: np.ndarray, decoder: str) -> float:
-    """Convenience scalar score for a single triple of plain vectors."""
-    rows = [constant(np.asarray(v, dtype=np.float64).reshape(1, -1)) for v in (s, r, o)]
-    return float(score_rows(*rows, decoder).data[0, 0])
 
 
 def sample_negatives(s: int, r: int, o: int, t: int, index: TrueTripleIndex,
@@ -95,11 +90,9 @@ def query_loss(pos_scores: Tensor, neg_scores: list[Tensor], mode: str = "cross_
     """
     if not neg_scores:
         raise ValueError("loss needs at least one negative per query")
-    width = len(neg_scores) + 1
     all_scores = ad.concat([pos_scores] + list(neg_scores), axis=1)
     beta = ad.masked_softmax(all_scores, np.ones(all_scores.shape, dtype=bool))
-    pick_pos = constant(np.eye(width)[:, [0]])
-    p = ad.matmul(beta, pick_pos)
+    p = ad.columns(beta, 0, 1)
     if mode == "cross_entropy":
         return ad.mul(ad.reduce_sum(ad.log(p)), -1.0)
     if mode == "prob_sum":

@@ -59,18 +59,24 @@ class RankingReport:
                 "Hits@10": self.hits(10), "queries": float(len(self.results))}
 
     def check_invariants(self) -> None:
-        assert self.results, "empty report"
-        assert all(1 <= r.rank <= self.entity_count for r in self.results)
-        assert 1.0 / self.entity_count <= self.mrr <= 1.0
-        assert self.hits(1) <= self.hits(3) <= self.hits(10) <= 1.0
+        """Raise AssertionError on a degenerate report, also under ``python -O``."""
+        if not self.results:
+            raise AssertionError("empty report")
+        if not all(1 <= r.rank <= self.entity_count for r in self.results):
+            raise AssertionError(f"a rank lies outside [1, {self.entity_count}]")
+        if not 1.0 / self.entity_count <= self.mrr <= 1.0:
+            raise AssertionError(f"MRR {self.mrr} outside [1/{self.entity_count}, 1]")
+        if not self.hits(1) <= self.hits(3) <= self.hits(10) <= 1.0:
+            raise AssertionError("Hits@1 <= Hits@3 <= Hits@10 <= 1 does not hold")
 
 
 def rank_query(scores: np.ndarray, true_entity: int, filtered: np.ndarray) -> int:
     """Pessimistic filtered rank of the true entity within a score vector.
 
     ``filtered`` holds candidate ids to drop; the true answer itself is never
-    dropped. Candidates scoring equal to the answer count against it, and a
-    non-finite answer score ranks behind every kept candidate.
+    dropped. Every kept candidate whose score is not below the answer's counts
+    against it, so ties and non-finite rivals rank ahead; a non-finite answer
+    score ranks behind every kept candidate.
     """
     keep = np.ones(len(scores), dtype=bool)
     if len(filtered):
@@ -79,7 +85,7 @@ def rank_query(scores: np.ndarray, true_entity: int, filtered: np.ndarray) -> in
     answer = scores[true_entity]
     if not np.isfinite(answer):
         return 1 + int(np.count_nonzero(keep))
-    return 1 + int(np.count_nonzero(scores[keep] >= answer))
+    return 1 + int(np.count_nonzero(~(scores[keep] < answer)))
 
 
 def rank_snapshots(entity_count: int, snapshots, snapshot_scorer,

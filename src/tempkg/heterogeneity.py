@@ -130,10 +130,9 @@ def impute_window(x_t: Tensor, x_stale: Tensor, deltas: np.ndarray,
     stale representation (x_stale, the entity's row at its nearest active
     step) and x_t; every other row passes through unchanged.
     """
-    n, dim = x_t.shape
     apply_mask = (inactive & has_stale).astype(np.float64)[:, None]
-    gamma_col = decay_column(np.where(has_stale, deltas, 1), lam, b)
-    gamma = ad.matmul(ad.mul(gamma_col, constant(apply_mask)), constant(np.ones((1, dim))))
+    gamma = ad.mul(decay_column(np.where(has_stale, deltas, 1), lam, b),
+                   constant(apply_mask))
     return ad.add(ad.mul(gamma, x_stale), ad.mul(ad.sub(constant(1.0), gamma), x_t))
 
 
@@ -147,14 +146,12 @@ def impute_window_bidirectional(x_t: Tensor, x_past: Tensor, x_future: Tensor,
     (g-/2, g+/2, 1 - g-/2 - g+/2), which are nonnegative and sum to one; a
     side without a stale row gets weight zero. Active rows pass through.
     """
-    n, dim = x_t.shape
-    ones_row = constant(np.ones((1, dim)))
     use_p = (inactive & has_past).astype(np.float64)[:, None]
     use_f = (inactive & has_future).astype(np.float64)[:, None]
     g_p = ad.mul(decay_column(np.where(has_past, deltas_past, 1), lam, b), 0.5)
     g_f = ad.mul(decay_column(np.where(has_future, deltas_future, 1), lam, b), 0.5)
-    g_p = ad.matmul(ad.mul(g_p, constant(use_p)), ones_row)
-    g_f = ad.matmul(ad.mul(g_f, constant(use_f)), ones_row)
+    g_p = ad.mul(g_p, constant(use_p))
+    g_f = ad.mul(g_f, constant(use_f))
     rest = ad.sub(ad.sub(constant(1.0), g_p), g_f)
     return ad.add(ad.add(ad.mul(rest, x_t), ad.mul(g_p, x_past)), ad.mul(g_f, x_future))
 
@@ -186,31 +183,4 @@ def gate_alpha(freq_rows: np.ndarray, params: dict[str, Tensor], gate: str) -> T
 
 def blend(alpha: Tensor, x: Tensor, z: Tensor) -> Tensor:
     """alpha * x + (1 - alpha) * z with alpha either scalar or (n, 1)."""
-    if alpha.shape not in ((), (1,), (1, 1)):
-        dim = x.shape[1]
-        alpha = ad.matmul(alpha, constant(np.ones((1, dim))))
     return ad.add(ad.mul(alpha, x), ad.mul(ad.sub(constant(1.0), alpha), z))
-
-
-def gate_object_query(x_s: Tensor, z_s: Tensor, x_all: Tensor, z_all: Tensor,
-                      freqs_subject_side: np.ndarray, params: dict[str, Tensor],
-                      transform: str = "log1p") -> tuple[Tensor, Tensor]:
-    """Gated embeddings for one object query (s, r, ?, t).
-
-    Only subject-side frequencies [f_s, f_r, f_sr] are consulted; the same
-    candidate coefficient applies uniformly to every entity.
-    """
-    f = transform_frequencies(freqs_subject_side, transform).reshape(1, 3)
-    a_s = gate_alpha(f, params, "os")
-    a_o = gate_alpha(f, params, "oo")
-    return blend(a_s, x_s, z_s), blend(a_o, x_all, z_all)
-
-
-def gate_subject_query(x_all: Tensor, z_all: Tensor, x_o: Tensor, z_o: Tensor,
-                       freqs_object_side: np.ndarray, params: dict[str, Tensor],
-                       transform: str = "log1p") -> tuple[Tensor, Tensor]:
-    """Mirror of gate_object_query for (?, r, o, t), driven by [f_o, f_r, f_ro]."""
-    f = transform_frequencies(freqs_object_side, transform).reshape(1, 3)
-    a_s = gate_alpha(f, params, "ss")
-    a_o = gate_alpha(f, params, "so")
-    return blend(a_s, x_all, z_all), blend(a_o, x_o, z_o)

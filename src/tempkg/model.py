@@ -223,13 +223,11 @@ class TempModel:
             last >= 0, nxt >= 0, inactive, lam, b)
 
     def _select_rows(self, x_steps, position_of: np.ndarray, e: int) -> Tensor:
-        """Per-entity row selection across steps via constant 0/1 masks."""
-        dim = self.config.dim
-        out = constant(np.zeros((e, dim)))
+        """Per-entity row selection across steps via constant (e, 1) 0/1 masks."""
+        out = constant(np.zeros((e, self.config.dim)))
         for pos in np.unique(position_of[position_of >= 0]).tolist():
             mask = (position_of == pos).astype(np.float64)[:, None]
-            out = ad.add(out, ad.mul(x_steps[pos],
-                                     constant(np.broadcast_to(mask, (e, dim)))))
+            out = ad.add(out, ad.mul(x_steps[pos], constant(mask)))
         return out
 
     # --- scoring ----------------------------------------------------------------
@@ -301,7 +299,11 @@ class TempModel:
         return self.encode_context(leaves, t, window, target_pos)
 
     def snapshot_scorer(self, tpf: het.TpfTable | None = None):
-        """Adapter for evaluation.evaluate: scores every entity per query."""
+        """Adapter for evaluation.evaluate: scores every entity per query.
+
+        The fixed entity and the relation are single rows that the decoder
+        broadcasts against all entities as candidates.
+        """
         e = self.dataset.entity_count
 
         def scorer(t: int, triples: np.ndarray):
@@ -315,16 +317,14 @@ class TempModel:
                 else:
                     fixed_alpha = cand_alpha = None
                 rows = np.empty((len(triples), e))
-                x_all, z_all = ctx.x, ctx.z
                 for i, (s, r, o) in enumerate(triples.tolist()):
                     fixed_id = s if direction == "object" else o
-                    f_x = ad.gather_rows(ctx.x, np.full(e, fixed_id, dtype=np.int64))
-                    f_z = ad.gather_rows(ctx.z, np.full(e, fixed_id, dtype=np.int64))
                     fa = None if fixed_alpha is None else _row(fixed_alpha, i)
                     ca = None if cand_alpha is None else _row(cand_alpha, i)
-                    fixed = self._blend_rows(fa, f_x, f_z)
-                    cand = self._blend_rows(ca, x_all, z_all)
-                    r_emb = ad.gather_rows(ctx.relation, np.full(e, r, dtype=np.int64))
+                    fixed = self._blend_rows(fa, _row(ctx.x, fixed_id),
+                                             _row(ctx.z, fixed_id))
+                    cand = self._blend_rows(ca, ctx.x, ctx.z)
+                    r_emb = _row(ctx.relation, r)
                     scores = self._direction_scores(direction, fixed, r_emb, cand)
                     rows[i] = scores.data[:, 0]
                 out.append(rows)

@@ -50,7 +50,6 @@ def encode_snapshot(triples: np.ndarray, params: dict[str, Tensor], *,
     edges = with_inverse_edges(np.asarray(triples, dtype=np.int64).reshape(-1, 3),
                                relation_count)
     groups = list(_group_by_relation(edges))
-    dim = h.shape[1]
     for layer in range(layers):
         total = ad.matmul(h, params[f"rgcn.l{layer}.self"])
         for rel, rel_edges in groups:
@@ -59,8 +58,7 @@ def encode_snapshot(triples: np.ndarray, params: dict[str, Tensor], *,
             msgs = ad.matmul(ad.gather_rows(h, src), params[f"rgcn.l{layer}.rel{rel}"])
             # mean over in-neighbors: scale each message by 1/|N_dst^rel|
             counts = np.bincount(dst, minlength=entity_count).astype(np.float64)
-            inv = 1.0 / counts[dst]
-            msgs = ad.mul(msgs, constant(np.broadcast_to(inv[:, None], (len(dst), dim))))
+            msgs = ad.mul(msgs, constant(1.0 / counts[dst][:, None]))
             total = ad.add(total, ad.scatter_add_rows(msgs, dst, entity_count))
         h = ad.relu(total) if layer < layers - 1 else total
     return h

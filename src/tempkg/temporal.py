@@ -34,11 +34,6 @@ def decay_weight(delta_t: float, lam: float, b: float) -> float:
     return float(decay_column([delta_t], constant(lam), constant(b)).data[0, 0])
 
 
-def _broadcast_col(col: Tensor, dim: int) -> Tensor:
-    """(n, 1) -> (n, dim) via multiplication with a constant row of ones."""
-    return ad.matmul(col, constant(np.ones((1, dim))))
-
-
 def gru_cell(x: Tensor, h: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     """Standard gated recurrent cell: update/reset gates plus candidate state."""
     p = lambda k: params[f"{prefix}.{k}"]
@@ -50,14 +45,12 @@ def gru_cell(x: Tensor, h: Tensor, params: dict[str, Tensor], prefix: str) -> Te
 
 
 def _decayed_hidden(h: Tensor, last_seen: np.ndarray, pos: int,
-                    lam: Tensor, b: Tensor, dim: int) -> Tensor:
+                    lam: Tensor, b: Tensor) -> Tensor:
     """gamma(pos - last_seen) * h, zeroed for entities with no seen step."""
     has_prev = last_seen >= 0
     deltas = np.where(has_prev, pos - last_seen, 1).astype(np.float64)
-    gamma = _broadcast_col(decay_column(deltas, lam, b), dim)
-    mask = constant(np.broadcast_to(has_prev.astype(np.float64)[:, None],
-                                    (len(last_seen), dim)))
-    return ad.mul(ad.mul(h, gamma), mask)
+    mask = constant(has_prev.astype(np.float64)[:, None])
+    return ad.mul(ad.mul(h, decay_column(deltas, lam, b)), mask)
 
 
 def _chain(x_steps, active, positions, target_pos, params, prefix, lam, b, dim, n):
@@ -74,12 +67,12 @@ def _chain(x_steps, active, positions, target_pos, params, prefix, lam, b, dim, 
         act = active[pos]
         if not act.any():
             continue
-        zhat = _decayed_hidden(h, last_seen, pos_rank[pos], lam, b, dim)
+        zhat = _decayed_hidden(h, last_seen, pos_rank[pos], lam, b)
         h_new = gru_cell(x_steps[pos], zhat, params, prefix)
-        m = constant(np.broadcast_to(act.astype(np.float64)[:, None], (n, dim)))
+        m = constant(act.astype(np.float64)[:, None])
         h = ad.add(ad.mul(h_new, m), ad.mul(h, ad.sub(constant(1.0), m)))
         last_seen[act] = pos_rank[pos]
-    zhat = _decayed_hidden(h, last_seen, len(positions), lam, b, dim)
+    zhat = _decayed_hidden(h, last_seen, len(positions), lam, b)
     return gru_cell(x_steps[target_pos], zhat, params, prefix)
 
 
@@ -141,35 +134,19 @@ def encode_sa(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
     n, dim = x_steps[target_pos].shape
     if dim % heads:
         raise ValueError(f"embedding dim {dim} not divisible by {heads} heads")
-    width = len(x_steps)
-    dh = dim // heads
     query_keys = [(params[f"sa.h{k}.wq"], params[f"sa.h{k}.wk"]) for k in range(heads)]
     head_logits = _attention_logits(x_steps, active, target_pos, params["decay.z.lam"],
                                     params["decay.z.b"], query_keys)
     head_outputs = []
-    onehots = [constant(np.eye(width)[:, [p]]) for p in range(width)]
     for k, (mask, logits) in enumerate(head_logits):
         wv = params[f"sa.h{k}.wv"]
         beta = ad.masked_softmax(logits, mask)
         z_k = None
-        for p in range(width):
-            w_col = _broadcast_col(ad.matmul(beta, onehots[p]), dh)
-            term = ad.mul(w_col, ad.matmul(x_steps[p], wv))
+        for p, x in enumerate(x_steps):
+            term = ad.mul(ad.columns(beta, p, p + 1), ad.matmul(x, wv))
             z_k = term if z_k is None else ad.add(z_k, term)
         head_outputs.append(z_k)
     return ad.concat(head_outputs, axis=1) if heads > 1 else head_outputs[0]
-
-
-def attention_weights(x_steps: list[np.ndarray], active: list[np.ndarray],
-                      target_pos: int, params_np: dict[str, np.ndarray],
-                      head: int = 0) -> np.ndarray:
-    """Off-tape attention row weights for one head (diagnostics and tests)."""
-    c = lambda name: constant(params_np[name])
-    query_keys = [(c(f"sa.h{head}.wq"), c(f"sa.h{head}.wk"))]
-    (mask, logits), = _attention_logits([constant(x) for x in x_steps], active,
-                                        target_pos, c("decay.z.lam"), c("decay.z.b"),
-                                        query_keys)
-    return ad.masked_softmax(logits, mask).data
 
 
 def add_positional(z: Tensor, positional: Tensor, t: int) -> Tensor:

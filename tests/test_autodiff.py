@@ -67,6 +67,34 @@ class TestForward:
         out = ad.add(constant(np.ones((3, 2))), constant([10.0, 20.0]))
         np.testing.assert_array_equal(out.data, [[11, 21], [11, 21], [11, 21]])
 
+    def test_column_operand_scales_rows(self):
+        out = ad.mul(constant([[2.0], [3.0]]), constant(np.ones((2, 3))))
+        np.testing.assert_array_equal(out.data, [[2, 2, 2], [3, 3, 3]])
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_outer_column_row_pair_raises(self, op):
+        col, row = constant(np.ones((3, 1))), constant(np.ones((1, 4)))
+        with pytest.raises(ad.ShapeError):
+            op(col, row)
+        with pytest.raises(ad.ShapeError):
+            op(row, col)
+        with pytest.raises(ad.ShapeError):
+            op(constant(np.ones((3, 4))), constant(np.ones((4, 1))))
+
+    def test_columns_copies_range(self):
+        x = constant(np.arange(6, dtype=float).reshape(2, 3))
+        np.testing.assert_array_equal(ad.columns(x, 1, 3).data, [[1, 2], [4, 5]])
+        np.testing.assert_array_equal(ad.columns(x, 0, 1).data, [[0], [3]])
+
+    @pytest.mark.parametrize("start,stop", [(1, 1), (2, 1), (-1, 2), (0, 4), (3, 4)])
+    def test_columns_empty_or_out_of_range_raises(self, start, stop):
+        with pytest.raises(ad.ShapeError):
+            ad.columns(constant(np.zeros((2, 3))), start, stop)
+
+    def test_columns_needs_two_dims(self):
+        with pytest.raises(ad.ShapeError):
+            ad.columns(constant(np.zeros(3)), 0, 1)
+
     def test_gather_and_scatter(self):
         x = constant(np.arange(8, dtype=float).reshape(4, 2))
         got = ad.gather_rows(x, [2, 0, 2])
@@ -113,6 +141,30 @@ class TestBackward:
             arrays = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
         analytic, numeric = grads_for(build, arrays)
         assert max_relative_error(analytic, numeric) < 1e-5
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (3, 1)])
+    @pytest.mark.parametrize("small_first", [False, True])
+    def test_broadcast_operand_matches_fd(self, op, shape, small_first):
+        # a row or column operand against a (3, 4) one, on either side
+        rng = np.random.default_rng(31)
+        big, small = rng.normal(size=(3, 4)), rng.normal(size=shape)
+        arrays = [small, big] if small_first else [big, small]
+        analytic, numeric = grads_for(lambda a, b: ad.reduce_sum(ad.tanh(op(a, b))), arrays)
+        assert [g.shape for g in analytic] == [a.shape for a in arrays]
+        assert max_relative_error(analytic, numeric) < 1e-5
+
+    def test_columns_match_fd(self):
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(3, 5))
+
+        def build(xl):
+            left, right = ad.columns(xl, 0, 2), ad.columns(xl, 3, 5)
+            return ad.reduce_sum(ad.tanh(ad.mul(left, right)))
+
+        analytic, numeric = grads_for(build, [x])
+        assert max_relative_error(analytic, numeric) < 1e-5
+        assert np.all(analytic[0][:, 2] == 0.0)
 
     @pytest.mark.parametrize("unary", [ad.exp, ad.sigmoid, ad.tanh,
                                        lambda t: ad.log(ad.add(ad.mul(t, t), 1.0)),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tempkg import autodiff as ad
 from tempkg import decoder
 from tempkg.autodiff import Tape, constant
 from tempkg.data import Snapshot, TkgDataset, build_true_index
@@ -8,15 +9,21 @@ from tempkg.data import Snapshot, TkgDataset, build_true_index
 from gradcheck import finite_difference, max_relative_error
 
 
+def score_one(s, r, o, kind):
+    """Scalar score of a single triple of plain vectors."""
+    rows = [constant(np.asarray(v, dtype=np.float64).reshape(1, -1)) for v in (s, r, o)]
+    return float(decoder.score_rows(*rows, kind).data[0, 0])
+
+
 class TestScoring:
     def test_transe_perfect_translation_scores_zero(self):
         s = np.array([1.0, -2.0, 0.5])
         r = np.array([0.2, 0.3, -0.1])
-        assert decoder.score_one(s, r, s + r, "transe") == pytest.approx(0.0)
-        assert decoder.score_one(s, r, s + r + 0.5, "transe") < 0.0
+        assert score_one(s, r, s + r, "transe") == pytest.approx(0.0)
+        assert score_one(s, r, s + r + 0.5, "transe") < 0.0
 
     def test_distmult_direct_evaluation(self):
-        assert decoder.score_one([1, 2], [3, 4], [5, 6], "distmult") == pytest.approx(63.0)
+        assert score_one([1, 2], [3, 4], [5, 6], "distmult") == pytest.approx(63.0)
 
     def test_complex_with_real_relation_reduces_to_distmult(self):
         rng = np.random.default_rng(0)
@@ -26,22 +33,22 @@ class TestScoring:
             rho = rng.normal(size=d // 2)
             r_complex = np.concatenate([rho, np.zeros(d // 2)])
             r_distmult = np.concatenate([rho, rho])
-            assert decoder.score_one(s, r_complex, o, "complex") == pytest.approx(
-                decoder.score_one(s, r_distmult, o, "distmult"))
+            assert score_one(s, r_complex, o, "complex") == pytest.approx(
+                score_one(s, r_distmult, o, "distmult"))
 
     def test_complex_all_ones_real_relation(self):
         rng = np.random.default_rng(1)
         s, o = rng.normal(size=4), rng.normal(size=4)
         r = np.array([1.0, 1.0, 0.0, 0.0])
-        assert decoder.score_one(s, r, o, "complex") == pytest.approx(float(s @ o))
+        assert score_one(s, r, o, "complex") == pytest.approx(float(s @ o))
 
     def test_complex_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
-            decoder.score_one([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "complex")
+            score_one([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "complex")
 
     def test_unknown_decoder_rejected(self):
         with pytest.raises(ValueError):
-            decoder.score_one([1.0], [1.0], [1.0], "rescal")
+            score_one([1.0], [1.0], [1.0], "rescal")
 
     @pytest.mark.parametrize("kind", decoder.DECODERS)
     def test_score_gradients_match_finite_differences(self, kind):
@@ -49,7 +56,6 @@ class TestScoring:
         arrays = [rng.normal(size=(3, 4)) for _ in range(3)]
 
         def build(s, r, o):
-            from tempkg import autodiff as ad
             return ad.reduce_sum(decoder.score_rows(s, r, o, kind))
 
         tape = Tape()
@@ -60,6 +66,25 @@ class TestScoring:
         numeric = finite_difference(
             lambda *arrs: build(*[constant(a) for a in arrs]).item(), arrays)
         assert max_relative_error(analytic, numeric) < 1e-5
+
+    @pytest.mark.parametrize("kind", decoder.DECODERS)
+    def test_one_row_against_many_equals_materialised_copies(self, kind):
+        # the evaluation path scores one fixed row and one relation row against
+        # every candidate; it must equal the per-row form on tiled copies bit for bit
+        rng = np.random.default_rng(6)
+        e, d = 9, 8
+        fixed, rel = rng.normal(size=(1, d)), rng.normal(size=(1, d))
+        cands = rng.normal(size=(e, d))
+        tile = lambda row: constant(np.repeat(row, e, axis=0))
+        for broadcast, copies in (
+                ((constant(fixed), constant(rel), constant(cands)),
+                 (tile(fixed), tile(rel), constant(cands))),
+                ((constant(cands), constant(rel), constant(fixed)),
+                 (constant(cands), tile(rel), tile(fixed)))):
+            got = decoder.score_rows(*broadcast, kind).data
+            want = decoder.score_rows(*copies, kind).data
+            assert got.shape == (e, 1)
+            np.testing.assert_array_equal(got, want)
 
 
 def tiny_dataset():

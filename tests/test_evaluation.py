@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,6 +46,12 @@ class TestRankQuery:
         for bad in (np.nan, np.inf, -np.inf):
             scores = np.array([0.1, bad, -3.0, 0.2])
             assert rank_query(scores, 1, np.array([3])) == 3
+
+    def test_non_finite_rivals_rank_ahead_of_finite_answer(self):
+        no_filter = np.empty(0, dtype=np.int64)
+        assert rank_query(np.array([np.nan, np.nan, 0.1]), 2, no_filter) == 3
+        scores = np.array([np.nan, -np.inf, 0.1, np.inf, 0.5])
+        assert rank_query(scores, 2, np.array([4])) == 3
 
     def test_randomized_against_brute_force_oracle(self):
         rng = np.random.default_rng(0)
@@ -145,6 +156,16 @@ class TestEvaluate:
         report = ev.evaluate(ds, "test", scorer, index)
         report.check_invariants()
         assert len(report.results) == 2 * ds.split_sizes()["test"]
+
+    def test_invariants_checked_under_optimize_flag(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("from tempkg.evaluation import RankingReport\n"
+                "RankingReport(5).check_invariants()")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "AssertionError: empty report" in proc.stderr
 
 
 class TestBinnedAnalysis:

@@ -192,12 +192,22 @@ class TestGating:
                 arrays[f"gate.{g}.w2"] = np.zeros((64, 1))
         return {k: constant(v) for k, v in arrays.items()}
 
+    @staticmethod
+    def gate(direction, fixed, cand, freqs, params):
+        """Gated (fixed, candidate) embeddings of one query from (x, z) pairs,
+        with the gates TempModel uses: os/oo for an object query (s, r, ?, t),
+        so/ss for a subject query (?, r, o, t)."""
+        f = het.transform_frequencies(freqs, "log1p").reshape(1, 3)
+        fixed_gate, cand_gate = ("os", "oo") if direction == "object" else ("so", "ss")
+        return (het.blend(het.gate_alpha(f, params, fixed_gate), *fixed),
+                het.blend(het.gate_alpha(f, params, cand_gate), *cand))
+
     def test_alpha_zero_keeps_temporal(self):
         rng = np.random.default_rng(10)
         params = self.gate_arrays(rng, huge_bias=-1e9)
         x, z = constant(rng.normal(size=(1, 4))), constant(rng.normal(size=(1, 4)))
         xa, za = constant(rng.normal(size=(5, 4))), constant(rng.normal(size=(5, 4)))
-        zs, zo = het.gate_object_query(x, z, xa, za, np.array([1.0, 2.0, 3.0]), params)
+        zs, zo = self.gate("object", (x, z), (xa, za), np.array([1.0, 2.0, 3.0]), params)
         np.testing.assert_array_equal(zs.data, z.data)
         np.testing.assert_array_equal(zo.data, za.data)
 
@@ -206,7 +216,7 @@ class TestGating:
         params = self.gate_arrays(rng, huge_bias=1e9)
         x, z = constant(rng.normal(size=(1, 4))), constant(rng.normal(size=(1, 4)))
         xa, za = constant(rng.normal(size=(5, 4))), constant(rng.normal(size=(5, 4)))
-        zs, zo = het.gate_object_query(x, z, xa, za, np.array([1.0, 2.0, 3.0]), params)
+        zs, zo = self.gate("object", (x, z), (xa, za), np.array([1.0, 2.0, 3.0]), params)
         np.testing.assert_array_equal(zs.data, x.data)
         np.testing.assert_array_equal(zo.data, xa.data)
 
@@ -215,7 +225,7 @@ class TestGating:
         params = self.gate_arrays(rng, zero=True)
         x, z = constant(np.full((1, 2), 4.0)), constant(np.full((1, 2), 2.0))
         xa, za = constant(np.full((3, 2), 4.0)), constant(np.full((3, 2), 2.0))
-        zs, zo = het.gate_subject_query(xa, za, x, z, np.zeros(3), params)
+        zo, zs = self.gate("subject", (x, z), (xa, za), np.zeros(3), params)
         np.testing.assert_allclose(zs.data, 3.0, atol=1e-15)
         np.testing.assert_allclose(zo.data, 3.0, atol=1e-15)
 
@@ -231,7 +241,7 @@ class TestGating:
         alpha = 1.0 / (1.0 + np.exp(-(np.maximum(f @ w1 + b1, 0.0) @ w2 + b2)))
         x, z = constant(rng.normal(size=(1, 4))), constant(rng.normal(size=(1, 4)))
         xa, za = constant(rng.normal(size=(6, 4))), constant(rng.normal(size=(6, 4)))
-        zs, zo = het.gate_object_query(x, z, xa, za, freqs, params)
+        zs, zo = self.gate("object", (x, z), (xa, za), freqs, params)
         np.testing.assert_allclose(zs.data, alpha * x.data + (1 - alpha) * z.data,
                                    atol=1e-12)
         # convexity: every coordinate of the blend lies between x and z
@@ -259,8 +269,8 @@ class TestGating:
         freqs = np.array([4.0, 1.0, 2.0])
         x_f, z_f = constant(rng.normal(size=(1, 3))), constant(rng.normal(size=(1, 3)))
         xc, zc = constant(rng.normal(size=(4, 3))), constant(rng.normal(size=(4, 3)))
-        zs_obj, zo_obj = het.gate_object_query(x_f, z_f, xc, zc, freqs, params)
-        zs_sub, zo_sub = het.gate_subject_query(xc, zc, x_f, z_f, freqs, params)
+        zs_obj, zo_obj = self.gate("object", (x_f, z_f), (xc, zc), freqs, params)
+        zo_sub, zs_sub = self.gate("subject", (x_f, z_f), (xc, zc), freqs, params)
         np.testing.assert_allclose(zo_sub.data, zs_obj.data, atol=1e-14)
         np.testing.assert_allclose(zs_sub.data, zo_obj.data, atol=1e-14)
 

@@ -14,6 +14,16 @@ def gru_param_arrays(dim, rng, prefix):
     return p
 
 
+def attention_weights(x_steps, active, target_pos, arrays, head=0):
+    """Off-tape attention row weights of one head, from plain arrays."""
+    c = lambda name: constant(arrays[name])
+    query_keys = [(c(f"sa.h{head}.wq"), c(f"sa.h{head}.wk"))]
+    (mask, logits), = temporal._attention_logits(
+        [constant(x) for x in x_steps], active, target_pos, c("decay.z.lam"),
+        c("decay.z.b"), query_keys)
+    return ad.masked_softmax(logits, mask).data
+
+
 def decay_param_arrays(lam=0.0, b=0.0):
     return {"decay.z.lam": np.array([[lam]]), "decay.z.b": np.array([[b]])}
 
@@ -164,7 +174,7 @@ class TestEncodeSa:
         x = self.rng.normal(size=(n, dim))
         xs = [x, x.copy()]
         active = [np.ones(n, dtype=bool)] * 2
-        weights = temporal.attention_weights(xs, active, 1, arrays)
+        weights = attention_weights(xs, active, 1, arrays)
         np.testing.assert_allclose(weights, 0.5, atol=1e-12)
 
     def test_hand_computed_attention(self):
@@ -192,7 +202,7 @@ class TestEncodeSa:
         xs = [self.rng.normal(size=(n, dim)) for _ in range(4)]
         active = [self.rng.random(n) < 0.5 for _ in range(4)]
         active[1][:] = True
-        weights = temporal.attention_weights(xs, active, 3, arrays)
+        weights = attention_weights(xs, active, 3, arrays)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
         mask = np.stack(active, axis=1)
         assert (weights[~mask] == 0).all()
