@@ -4,7 +4,8 @@ A ``Tape`` records every primitive applied to tensors that live on it;
 ``Tape.backward`` replays the records once, in reverse creation order, and
 returns gradients for the tape's leaves. Tensors without a tape evaluate
 eagerly with no recording, so the same model code serves both training and
-inference.
+inference. A backward closure keeps only what it reads: the input's shape,
+not its array, when the gradient needs no input values.
 
 Broadcasting follows one rule, shared by ``add``, ``sub`` and ``mul``: the two
 operands have equal shapes, or one of them is a scalar (any size-1 shape), a
@@ -194,9 +195,10 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "add")
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def back(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, sa), _reduce_to(g, sb)
 
     return _result(out, (a, b), back)
 
@@ -205,9 +207,10 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def back(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return _reduce_to(g, sa), _reduce_to(-g, sb)
 
     return _result(out, (a, b), back)
 
@@ -350,11 +353,25 @@ def columns(a, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
         raise ShapeError(f"columns: range {start}:{stop} is empty or outside {a.shape}")
     out = a.data[:, start:stop].copy()
+    shape = a.shape
 
     def back(g):
-        ga = np.zeros(a.shape, dtype=np.float64)
+        ga = np.zeros(shape, dtype=np.float64)
         ga[:, start:stop] = g
         return (ga,)
+
+    return _result(out, (a,), back)
+
+
+def reshape(a, shape: tuple[int, ...]) -> Tensor:
+    """The same entries in row-major order under a new shape of equal size."""
+    a = _as_tensor(a)
+    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+        raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
+    out, in_shape = a.data.reshape(shape), a.shape
+
+    def back(g):
+        return (g.reshape(in_shape),)
 
     return _result(out, (a,), back)
 
@@ -368,11 +385,11 @@ def gather_rows(a, index) -> Tensor:
     n = a.shape[0]
     if index.size and (index.min() < 0 or index.max() >= n):
         raise ShapeError("gather_rows: index out of range")
-    ad = a.data
-    out = ad[index]
+    out = a.data[index]
+    shape = a.shape
 
     def back(g):
-        ga = np.zeros_like(ad)
+        ga = np.zeros(shape, dtype=np.float64)
         _kernels.scatter_add_rows(ga, index, np.ascontiguousarray(g))
         return (ga,)
 
@@ -408,9 +425,10 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
         if ad.ndim != 2 or axis not in (0, 1):
             raise ShapeError("axis reduction requires a 2-d tensor and axis 0 or 1")
         out = ad.sum(axis=axis, keepdims=True)
+    shape = ad.shape
 
     def back(g):
-        return (np.broadcast_to(g, ad.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _result(out, (a,), back)
 

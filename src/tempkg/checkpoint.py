@@ -50,17 +50,18 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; a short, overlong or malformed file is a ``CheckpointError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     off = len(MAGIC)
-    version, count = struct.unpack_from("<QQ", blob, off)
-    off += 16
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     tensors: dict[str, np.ndarray] = {}
     try:
+        version, count = struct.unpack_from("<QQ", blob, off)
+        off += 16
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         for _ in range(count):
             (name_len,) = struct.unpack_from("<Q", blob, off)
             off += 8
@@ -79,4 +80,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             tensors[name] = arr
     except struct.error as err:
         raise CheckpointError(f"{path}: truncated checkpoint ({err})") from err
+    if off != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after the last tensor")
     return tensors

@@ -137,7 +137,3 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         setattr(target, name, _coerce(raw, type(current), dotted))
     config.model.__post_init__()
     return config
-
-
-def default_config() -> RunConfig:
-    return RunConfig()

@@ -107,15 +107,17 @@ class TkgDataset:
 
 
 class TrueTripleIndex:
-    """Membership lookup for (s, r, ?, t) and (?, r, o, t) over chosen splits."""
+    """Membership lookup for (s, r, ?, t) and (?, r, o, t) over chosen splits.
+    A ``static`` index files every fact under one time key: the time-ignoring filter."""
 
-    def __init__(self, dataset: TkgDataset, splits=("train",)):
+    def __init__(self, dataset: TkgDataset, splits=("train",), static: bool = False):
         self.splits = tuple(splits)
+        self.static = static
         objects: dict[tuple[int, int, int], set[int]] = {}
         subjects: dict[tuple[int, int, int], set[int]] = {}
         for split in self.splits:
             for snap in dataset.splits[split]:
-                t = snap.time
+                t = 0 if static else snap.time
                 for s, r, o in snap.triples.tolist():
                     objects.setdefault((s, r, t), set()).add(o)
                     subjects.setdefault((r, o, t), set()).add(s)
@@ -124,14 +126,14 @@ class TrueTripleIndex:
         self._empty = np.empty(0, dtype=np.int64)
 
     def objects_for(self, s: int, r: int, t: int) -> np.ndarray:
-        return self._objects.get((s, r, t), self._empty)
+        return self._objects.get((s, r, 0 if self.static else t), self._empty)
 
     def subjects_for(self, r: int, o: int, t: int) -> np.ndarray:
-        return self._subjects.get((r, o, t), self._empty)
+        return self._subjects.get((r, o, 0 if self.static else t), self._empty)
 
 
-def build_true_index(dataset: TkgDataset, splits=("train",)) -> TrueTripleIndex:
-    return TrueTripleIndex(dataset, splits)
+def build_true_index(dataset: TkgDataset, splits=("train",), static=False) -> TrueTripleIndex:
+    return TrueTripleIndex(dataset, splits, static)
 
 
 # --- loading -----------------------------------------------------------------

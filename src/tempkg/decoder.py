@@ -79,19 +79,17 @@ def sample_negatives(s: int, r: int, o: int, t: int, index: TrueTripleIndex,
     return out[0], out[1]
 
 
-def query_loss(pos_scores: Tensor, neg_scores: list[Tensor], mode: str = "cross_entropy",
-               ) -> Tensor:
+def query_loss(scores: Tensor, mode: str = "cross_entropy") -> Tensor:
     """Summed per-query loss of positives against their negative sets.
 
-    ``pos_scores`` is (b, 1); each element of ``neg_scores`` is a (b, 1)
-    column for one corruption slot. 'cross_entropy' is -log softmax of the
-    positive within {positive} + negatives. 'prob_sum' keeps the softmax-free
-    historical form: -exp(pos) / sum_neg exp(neg), summed over queries.
+    ``scores`` is (b, 1 + k): column 0 holds each query's positive, the other
+    k columns its corruptions. 'cross_entropy' is -log softmax of the
+    positive within its row. 'prob_sum' keeps the softmax-free historical
+    form: -exp(pos) / sum_neg exp(neg), summed over queries.
     """
-    if not neg_scores:
+    if scores.data.ndim != 2 or scores.shape[1] < 2:
         raise ValueError("loss needs at least one negative per query")
-    all_scores = ad.concat([pos_scores] + list(neg_scores), axis=1)
-    beta = ad.masked_softmax(all_scores, np.ones(all_scores.shape, dtype=bool))
+    beta = ad.masked_softmax(scores, np.ones(scores.shape, dtype=bool))
     p = ad.columns(beta, 0, 1)
     if mode == "cross_entropy":
         return ad.mul(ad.reduce_sum(ad.log(p)), -1.0)

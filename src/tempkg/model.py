@@ -256,12 +256,15 @@ class TempModel:
         """Object-direction plus subject-direction loss for one snapshot batch.
 
         ``negatives`` holds (m, k) corruption ids for the object and subject
-        slots. Candidate gating applies one per-query coefficient uniformly
-        across that query's candidates.
+        slots. Each direction scores one (m, 1 + k) candidate matrix, the
+        answer in column 0, in one decoder call; a query's fixed row, relation
+        row and candidate gate are repeated for each of its candidates.
         """
         cfg = self.config
         subjects, rels, objects = (triples[:, 0], triples[:, 1], triples[:, 2])
-        r_emb = ad.gather_rows(ctx.relation, rels)
+        m, width = len(triples), 1 + negatives[0].shape[1]
+        per_cand = np.repeat(np.arange(m), width)
+        r_emb = ad.gather_rows(ctx.relation, rels[per_cand])
         total = None
         for direction, fixed_idx, true_idx, negs in (
                 ("object", subjects, objects, negatives[0]),
@@ -269,19 +272,17 @@ class TempModel:
             if cfg.gating and tpf is not None:
                 fixed_alpha, cand_alpha = self._gate_alphas(leaves, tpf, direction,
                                                             triples, ctx.time)
+                cand_alpha = ad.gather_rows(cand_alpha, per_cand)
             else:
                 fixed_alpha = cand_alpha = None
             fixed = self._blend_rows(fixed_alpha, ad.gather_rows(ctx.x, fixed_idx),
                                      ad.gather_rows(ctx.z, fixed_idx))
-            pos = self._blend_rows(cand_alpha, ad.gather_rows(ctx.x, true_idx),
-                                   ad.gather_rows(ctx.z, true_idx))
-            cols = [self._direction_scores(direction, fixed, r_emb, pos)]
-            for j in range(negs.shape[1]):
-                cand = self._blend_rows(cand_alpha,
-                                        ad.gather_rows(ctx.x, negs[:, j]),
-                                        ad.gather_rows(ctx.z, negs[:, j]))
-                cols.append(self._direction_scores(direction, fixed, r_emb, cand))
-            loss = dec.query_loss(cols[0], cols[1:], mode=cfg.loss_mode)
+            cand_ids = np.concatenate([true_idx[:, None], negs], axis=1).ravel()
+            cands = self._blend_rows(cand_alpha, ad.gather_rows(ctx.x, cand_ids),
+                                     ad.gather_rows(ctx.z, cand_ids))
+            scores = self._direction_scores(direction, ad.gather_rows(fixed, per_cand),
+                                            r_emb, cands)
+            loss = dec.query_loss(ad.reshape(scores, (m, width)), mode=cfg.loss_mode)
             total = loss if total is None else ad.add(total, loss)
         return total
 

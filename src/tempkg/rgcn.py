@@ -30,36 +30,33 @@ def with_inverse_edges(triples: np.ndarray, relation_count: int) -> np.ndarray:
     return np.vstack([fwd, inv])
 
 
-def _group_by_relation(edges: np.ndarray):
-    order = np.argsort(edges[:, 1], kind="stable")
-    edges = edges[order]
-    rels, starts = np.unique(edges[:, 1], return_index=True)
-    bounds = np.append(starts, len(edges))
-    for i, rel in enumerate(rels):
-        yield int(rel), edges[bounds[i]:bounds[i + 1]]
-
-
 def encode_snapshot(triples: np.ndarray, params: dict[str, Tensor], *,
                     entity_count: int, relation_count: int, layers: int) -> Tensor:
     """Structural embeddings for every entity given one snapshot's triples.
 
     Entities without edges receive the self-loop-only propagation of their
-    base embedding, so the result is defined everywhere.
+    base embedding, so the result is defined everywhere. Each layer stacks
+    every relation group's messages and scatters them with one call.
     """
     h = params["entity.base"]
     edges = with_inverse_edges(np.asarray(triples, dtype=np.int64).reshape(-1, 3),
                                relation_count)
-    groups = list(_group_by_relation(edges))
+    edges = edges[np.argsort(edges[:, 1], kind="stable")]
+    src, rel, dst = edges.T
+    rels, starts = np.unique(rel, return_index=True)
+    bounds = np.append(starts, len(edges))
+    # mean over in-neighbors: scale each message by 1/|N_dst^rel|
+    _, pair, pair_count = np.unique(rel * entity_count + dst, return_inverse=True,
+                                    return_counts=True)
+    scale = constant(1.0 / pair_count[pair][:, None])
     for layer in range(layers):
         total = ad.matmul(h, params[f"rgcn.l{layer}.self"])
-        for rel, rel_edges in groups:
-            src = rel_edges[:, 0]
-            dst = rel_edges[:, 2]
-            msgs = ad.matmul(ad.gather_rows(h, src), params[f"rgcn.l{layer}.rel{rel}"])
-            # mean over in-neighbors: scale each message by 1/|N_dst^rel|
-            counts = np.bincount(dst, minlength=entity_count).astype(np.float64)
-            msgs = ad.mul(msgs, constant(1.0 / counts[dst][:, None]))
-            total = ad.add(total, ad.scatter_add_rows(msgs, dst, entity_count))
+        if len(edges):
+            msgs = ad.concat([ad.matmul(ad.gather_rows(h, src[lo:hi]),
+                                        params[f"rgcn.l{layer}.rel{r}"])
+                              for r, lo, hi in zip(rels.tolist(), bounds[:-1], bounds[1:])])
+            total = ad.add(total, ad.scatter_add_rows(ad.mul(msgs, scale), dst,
+                                                      entity_count))
         h = ad.relu(total) if layer < layers - 1 else total
     return h
 

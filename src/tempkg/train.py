@@ -86,36 +86,10 @@ def tpf_table(config: RunConfig, dataset: TkgDataset) -> het.TpfTable:
 
 
 def filter_index_for(config: RunConfig, dataset: TkgDataset) -> TrueTripleIndex:
-    index = build_true_index(dataset, splits=config.filter_split_names())
-    if config.eval.filter == "time_aware":
-        return index
-    if config.eval.filter == "static":
-        return StaticFilterIndex(index, dataset.step_count)
-    raise ValueError(f"unknown filter mode {config.eval.filter!r}")
-
-
-class StaticFilterIndex:
-    """Time-ignoring filter: a candidate completing the pattern at any step
-    is removed. Sensitivity-check alternative to the per-step filter."""
-
-    def __init__(self, index: TrueTripleIndex, step_count: int):
-        objects: dict[tuple[int, int], set] = {}
-        subjects: dict[tuple[int, int], set] = {}
-        for (s, r, t), arr in index._objects.items():
-            objects.setdefault((s, r), set()).update(arr.tolist())
-        for (r, o, t), arr in index._subjects.items():
-            subjects.setdefault((r, o), set()).update(arr.tolist())
-        self._objects = {k: np.array(sorted(v), dtype=np.int64)
-                         for k, v in objects.items()}
-        self._subjects = {k: np.array(sorted(v), dtype=np.int64)
-                          for k, v in subjects.items()}
-        self._empty = np.empty(0, dtype=np.int64)
-
-    def objects_for(self, s, r, t):
-        return self._objects.get((s, r), self._empty)
-
-    def subjects_for(self, r, o, t):
-        return self._subjects.get((r, o), self._empty)
+    if config.eval.filter not in ("time_aware", "static"):
+        raise ValueError(f"unknown filter mode {config.eval.filter!r}")
+    return build_true_index(dataset, splits=config.filter_split_names(),
+                            static=config.eval.filter == "static")
 
 
 def _subsample(triples: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:

@@ -28,3 +28,14 @@ def max_relative_error(analytic, numeric, floor=1e-3):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def scaled_error(got, want):
+    """max |got - want| / max |want|: the error relative to the largest
+    entry, for comparing a rewrite with the loop version it replaces (the
+    plain max |got - want| when ``want`` is all zero)."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    diff = np.max(np.abs(got - want), initial=0.0)
+    scale = np.max(np.abs(want), initial=0.0)
+    return diff / scale if scale else diff

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,15 @@ class TestForward:
         with pytest.raises(ad.ShapeError):
             ad.columns(constant(np.zeros(3)), 0, 1)
 
+    def test_reshape_keeps_row_major_order(self):
+        x = constant(np.arange(6, dtype=float).reshape(6, 1))
+        np.testing.assert_array_equal(ad.reshape(x, (2, 3)).data, [[0, 1, 2], [3, 4, 5]])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (7,), (2, 2, 2)])
+    def test_reshape_size_mismatch_raises(self, shape):
+        with pytest.raises(ad.ShapeError):
+            ad.reshape(constant(np.zeros((6, 1))), shape)
+
     def test_gather_and_scatter(self):
         x = constant(np.arange(8, dtype=float).reshape(4, 2))
         got = ad.gather_rows(x, [2, 0, 2])
@@ -165,6 +176,39 @@ class TestBackward:
         analytic, numeric = grads_for(build, [x])
         assert max_relative_error(analytic, numeric) < 1e-5
         assert np.all(analytic[0][:, 2] == 0.0)
+
+    def test_reshape_matches_fd(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(6, 1))
+        w = rng.normal(size=(3, 2))
+
+        def build(xl):
+            return ad.reduce_sum(ad.tanh(ad.mul(ad.reshape(xl, (3, 2)), constant(w))))
+
+        analytic, numeric = grads_for(build, [x])
+        assert analytic[0].shape == (6, 1)
+        assert max_relative_error(analytic, numeric) < 1e-5
+
+    @pytest.mark.parametrize("op", [
+        lambda h: ad.add(h, 1.0),
+        lambda h: ad.sub(1.0, h),
+        lambda h: ad.reduce_sum(h, axis=1),
+        lambda h: ad.columns(h, 0, 2),
+        lambda h: ad.gather_rows(h, [2, 0, 2]),
+    ], ids=["add", "sub", "reduce_sum", "columns", "gather_rows"])
+    def test_backward_closure_drops_input_values(self, op):
+        # these gradients need only the input's shape, so the tape must not
+        # keep the input array alive once no tensor refers to it
+        rng = np.random.default_rng(43)
+        tape = Tape()
+        a, w = tape.leaf(rng.normal(size=(3, 4))), tape.leaf(rng.normal(size=(4, 3)))
+        h = ad.matmul(a, w)
+        y = op(h)
+        r = weakref.ref(h.data)
+        del h
+        assert r() is None
+        grads = tape.backward(ad.reduce_sum(ad.mul(y, y)))
+        assert a.node_id in grads and w.node_id in grads
 
     @pytest.mark.parametrize("unary", [ad.exp, ad.sigmoid, ad.tanh,
                                        lambda t: ad.log(ad.add(ad.mul(t, t), 1.0)),

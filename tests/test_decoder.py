@@ -142,59 +142,45 @@ class TestNegativeSampling:
 
 
 class TestLoss:
-    def cols(self, values):
-        return constant(np.asarray(values, dtype=np.float64).reshape(-1, 1))
+    def scores(self, rows):
+        """(b, 1 + k) score matrix: the positive in column 0, then the negatives."""
+        return constant(np.asarray(rows, dtype=np.float64))
 
     def test_saturated_positive_gives_near_zero_loss(self):
-        loss = decoder.query_loss(self.cols([100.0]), [self.cols([0.0])])
+        loss = decoder.query_loss(self.scores([[100.0, 0.0]]))
         assert 0.0 <= loss.item() < 1e-40
 
     def test_equal_scores_single_negative_is_ln2(self):
-        loss = decoder.query_loss(self.cols([1.5]), [self.cols([1.5])])
+        loss = decoder.query_loss(self.scores([[1.5, 1.5]]))
         assert loss.item() == pytest.approx(np.log(2.0))
 
     def test_duplicated_query_doubles_contribution(self):
-        one = decoder.query_loss(self.cols([0.3]), [self.cols([0.9]), self.cols([-1.0])])
-        two = decoder.query_loss(self.cols([0.3, 0.3]),
-                                 [self.cols([0.9, 0.9]), self.cols([-1.0, -1.0])])
+        one = decoder.query_loss(self.scores([[0.3, 0.9, -1.0]]))
+        two = decoder.query_loss(self.scores([[0.3, 0.9, -1.0], [0.3, 0.9, -1.0]]))
         assert two.item() == pytest.approx(2 * one.item())
 
     def test_monotone_in_positive_score(self):
-        negs = [self.cols([0.0]), self.cols([0.5])]
-        losses = [decoder.query_loss(self.cols([v]), negs).item()
+        losses = [decoder.query_loss(self.scores([[v, 0.0, 0.5]])).item()
                   for v in (-1.0, 0.0, 1.0, 2.0)]
         assert all(a > b for a, b in zip(losses, losses[1:]))
         assert all(v >= 0 for v in losses)
 
     def test_prob_sum_mode_matches_literal_form(self):
         pos, negs = 0.7, [0.1, -0.4, 1.2]
-        loss = decoder.query_loss(self.cols([pos]), [self.cols([v]) for v in negs],
-                                  mode="prob_sum")
+        loss = decoder.query_loss(self.scores([[pos] + negs]), mode="prob_sum")
         literal = -np.exp(pos) / np.sum(np.exp(negs))
         assert loss.item() == pytest.approx(literal)
 
     def test_empty_negatives_rejected(self):
         with pytest.raises(ValueError):
-            decoder.query_loss(self.cols([1.0]), [])
+            decoder.query_loss(self.scores([[1.0]]))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        pos = rng.normal(size=(3, 1))
-        negs = rng.normal(size=(3, 4))
-
-        def build(p, n):
-            return decoder.query_loss(p, [n[:, [j]] for j in range(n.shape[1])])
-
+        scores = rng.normal(size=(3, 5))
         tape = Tape()
-        pl, nl = tape.leaf(pos), tape.leaf(negs)
-        cols = [tape.leaf(negs[:, [j]]) for j in range(4)]
-        loss = decoder.query_loss(pl, cols)
-        gmap = tape.backward(loss)
-        analytic = [gmap[pl.node_id]] + [gmap[c.node_id] for c in cols]
-
-        def f(p, *ncols):
-            return decoder.query_loss(constant(p),
-                                      [constant(c) for c in ncols]).item()
-
-        numeric = finite_difference(f, [pos] + [negs[:, [j]] for j in range(4)])
+        leaf = tape.leaf(scores)
+        analytic = [tape.backward(decoder.query_loss(leaf))[leaf.node_id]]
+        numeric = finite_difference(lambda a: decoder.query_loss(constant(a)).item(),
+                                    [scores])
         assert max_relative_error(analytic, numeric) < 1e-5

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from tempkg import autodiff as ad
+from tempkg import decoder as dec
 from tempkg.autodiff import Tape, constant
+from tempkg.heterogeneity import compute_tpf
 from tempkg.model import (ModelConfig, TempModel, grads_by_name, init_params,
                           leaves_on_tape)
 from tempkg.synth import SynthSpec, generate_synthetic
+
+from gradcheck import scaled_error
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +28,33 @@ def scorer_matrix(config, dataset, seed=3):
     if not len(triples):
         triples = np.array([[0, 0, 1]], dtype=np.int64)
     return scorer(t, triples)
+
+
+def snapshot_loss_per_negative(model, leaves, ctx, triples, negatives, tpf):
+    """Oracle: one gather, blend and decoder call per negative column; the
+    score columns are joined into the (m, 1 + k) matrix ``query_loss`` takes."""
+    cfg = model.config
+    subjects, rels, objects = triples[:, 0], triples[:, 1], triples[:, 2]
+    r_emb = ad.gather_rows(ctx.relation, rels)
+    total = None
+    for direction, fixed_idx, true_idx, negs in (
+            ("object", subjects, objects, negatives[0]),
+            ("subject", objects, subjects, negatives[1])):
+        if cfg.gating and tpf is not None:
+            fixed_alpha, cand_alpha = model._gate_alphas(leaves, tpf, direction,
+                                                         triples, ctx.time)
+        else:
+            fixed_alpha = cand_alpha = None
+        fixed = model._blend_rows(fixed_alpha, ad.gather_rows(ctx.x, fixed_idx),
+                                  ad.gather_rows(ctx.z, fixed_idx))
+        cols = []
+        for ids in [true_idx] + [negs[:, j] for j in range(negs.shape[1])]:
+            cand = model._blend_rows(cand_alpha, ad.gather_rows(ctx.x, ids),
+                                     ad.gather_rows(ctx.z, ids))
+            cols.append(model._direction_scores(direction, fixed, r_emb, cand))
+        loss = dec.query_loss(ad.concat(cols, axis=1), mode=cfg.loss_mode)
+        total = loss if total is None else ad.add(total, loss)
+    return total
 
 
 class TestInit:
@@ -207,3 +239,37 @@ class TestTrainingGradients:
         assert np.any(grads["pos.embed"][t] != 0.0)
         other_rows = np.delete(grads["pos.embed"], t, axis=0)
         assert np.all(other_rows == 0.0)
+
+    @pytest.mark.parametrize("decoder", ["transe", "distmult", "complex"])
+    @pytest.mark.parametrize("gating", [False, True])
+    @pytest.mark.parametrize("loss_mode", ["cross_entropy", "prob_sum"])
+    def test_candidate_matrix_matches_per_negative_oracle(self, tiny_dataset, decoder,
+                                                          gating, loss_mode):
+        ds = tiny_dataset
+        cfg = ModelConfig(variant="temp-gru", decoder=decoder, dim=4, layers=1,
+                          window=2, heads=2, gating=gating, imputation=True,
+                          loss_mode=loss_mode)
+        params = init_params(cfg, ds.entity_count, ds.relation_count,
+                             ds.step_count, seed=9)
+        model = TempModel(cfg, ds, params)
+        tpf = compute_tpf(ds)
+        t = ds.step_count - 1
+        window, target_pos = model.window_triples(t)
+        triples = ds.splits["train"][t].triples
+        rng = np.random.default_rng(2)
+        negs = (rng.integers(0, ds.entity_count, size=(len(triples), 4)),
+                rng.integers(0, ds.entity_count, size=(len(triples), 4)))
+        results = []
+        for loss_fn in (model.snapshot_loss,
+                        lambda *a: snapshot_loss_per_negative(model, *a)):
+            tape = Tape()
+            leaves = leaves_on_tape(tape, params)
+            ctx = model.encode_context(leaves, t, window, target_pos)
+            loss = loss_fn(leaves, ctx, triples, negs, tpf)
+            results.append((loss.item(), grads_by_name(tape, leaves, loss, params)))
+        (got_loss, got), (want_loss, want) = results
+        assert scaled_error(got_loss, want_loss) <= 1e-12
+        for name in params:
+            assert scaled_error(got[name], want[name]) <= 1e-12, name
+        if gating:
+            assert np.any(want["gate.oo.w1"] != 0.0)

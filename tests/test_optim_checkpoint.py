@@ -142,3 +142,16 @@ class TestCheckpoint:
         path.write_bytes(blob[:-8])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones((4, 4))})
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"TMPKGCKP" + b"\x01\x00")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)

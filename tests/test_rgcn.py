@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from tempkg import autodiff as ad
 from tempkg import rgcn
 from tempkg.autodiff import Tape, constant
+
+from gradcheck import scaled_error
 
 
 def make_params(entity_count, relation_count, dim, layers, rng, tape=None):
@@ -14,6 +17,38 @@ def make_params(entity_count, relation_count, dim, layers, rng, tape=None):
         for r in range(2 * relation_count):
             params[f"rgcn.l{l}.rel{r}"] = wrap(rng.normal(size=(dim, dim)))
     return params
+
+
+def encode_per_relation(triples, params, *, entity_count, relation_count, layers):
+    """Oracle: one gather, transform, scale and scatter per relation group,
+    each added to the running sum on its own."""
+    h = params["entity.base"]
+    edges = rgcn.with_inverse_edges(np.asarray(triples, dtype=np.int64).reshape(-1, 3),
+                                    relation_count)
+    edges = edges[np.argsort(edges[:, 1], kind="stable")]
+    for layer in range(layers):
+        total = ad.matmul(h, params[f"rgcn.l{layer}.self"])
+        for rel in np.unique(edges[:, 1]).tolist():
+            group = edges[edges[:, 1] == rel]
+            src, dst = group[:, 0], group[:, 2]
+            msgs = ad.matmul(ad.gather_rows(h, src), params[f"rgcn.l{layer}.rel{rel}"])
+            counts = np.bincount(dst, minlength=entity_count).astype(np.float64)
+            msgs = ad.mul(msgs, constant(1.0 / counts[dst][:, None]))
+            total = ad.add(total, ad.scatter_add_rows(msgs, dst, entity_count))
+        h = ad.relu(total) if layer < layers - 1 else total
+    return h
+
+
+# (entities, relations, triples): an empty snapshot; relation 2 of 3 only, so
+# the groups are 2 and its inverse 5, and entity 4 receives only inverse
+# messages; repeated (relation, destination) pairs, a repeated triple and a
+# self-loop triple
+ORACLE_CASES = {
+    "empty": (5, 2, []),
+    "inverse_only_destinations": (6, 3, [(4, 2, 0), (4, 2, 1), (3, 2, 0)]),
+    "repeated_pairs": (6, 2, [(0, 0, 1), (2, 0, 1), (3, 0, 1), (3, 0, 1), (1, 1, 1),
+                              (5, 1, 2), (4, 1, 2), (0, 0, 5), (2, 1, 0)]),
+}
 
 
 def encode(triples, params, e, r, layers):
@@ -127,6 +162,39 @@ class TestEncodeSnapshot:
         grads = tape.backward(loss)
         assert params["entity.base"].node_id in grads
         assert params["rgcn.l0.rel0"].node_id in grads
+
+
+class TestOneScatterPerLayer:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_output_matches_per_relation_oracle_off_tape(self, case):
+        e, r, triples = ORACLE_CASES[case]
+        params = make_params(e, r, 3, 2, np.random.default_rng(20))
+        kwargs = dict(entity_count=e, relation_count=r, layers=2)
+        got = rgcn.encode_snapshot(np.array(triples, dtype=np.int64), params, **kwargs)
+        want = encode_per_relation(triples, params, **kwargs)
+        assert scaled_error(got.data, want.data) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_gradients_match_per_relation_oracle(self, case):
+        e, r, triples = ORACLE_CASES[case]
+        weights = np.random.default_rng(21).normal(size=(e, 3))
+        results = []
+        for fn in (rgcn.encode_snapshot, encode_per_relation):
+            tape = Tape()
+            params = make_params(e, r, 3, 2, np.random.default_rng(22), tape=tape)
+            h = fn(np.array(triples, dtype=np.int64), params, entity_count=e,
+                   relation_count=r, layers=2)
+            grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(h), constant(weights))))
+            results.append((h.data, {name: grads.get(leaf.node_id)
+                                     for name, leaf in params.items()}))
+        (got_h, got), (want_h, want) = results
+        assert scaled_error(got_h, want_h) <= 1e-12
+        assert got.keys() == want.keys()
+        for name in want:
+            if want[name] is None:
+                assert got[name] is None, name
+            else:
+                assert scaled_error(got[name], want[name]) <= 1e-12, name
 
 
 class TestEdgeDropout:

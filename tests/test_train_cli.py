@@ -6,6 +6,7 @@ import pytest
 
 from tempkg.cli import main
 from tempkg.config import RunConfig
+from tempkg.data import Snapshot, TkgDataset
 from tempkg.evaluation import evaluate
 from tempkg.model import ModelConfig, TempModel, init_params
 from tempkg.synth import SynthSpec, generate_synthetic
@@ -97,6 +98,39 @@ def run_cli(args):
 def write_config(path, body):
     path.write_text(body)
     return str(path)
+
+
+class TestFilterIndex:
+    def dataset(self):
+        # (0, 0, 1) holds at steps 0 and 1 (twice at step 1: train and test),
+        # (0, 0, 3) at step 0, (0, 0, 2) and (4, 0, 1) at step 2
+        facts = {"train": {0: [(0, 0, 1), (0, 0, 3)], 1: [(0, 0, 1)]},
+                 "valid": {2: [(0, 0, 2), (4, 0, 1)]},
+                 "test": {1: [(0, 0, 1)]}}
+        splits = {name: [Snapshot(t, np.array(facts[name].get(t, []), dtype=np.int64)
+                                  if t in facts[name] else None) for t in range(3)]
+                  for name in facts}
+        return TkgDataset(5, 1, 3, splits)
+
+    @pytest.mark.parametrize("mode,objects_at_2,subjects_at_2,objects_at_1", [
+        ("time_aware", [2], [4], [1]),
+        ("static", [1, 2, 3], [0, 4], [1, 2, 3]),
+    ])
+    def test_static_filter_ignores_time(self, mode, objects_at_2, subjects_at_2,
+                                        objects_at_1):
+        cfg = RunConfig()
+        cfg.eval.filter = mode
+        index = filter_index_for(cfg, self.dataset())
+        got = [index.objects_for(0, 0, 2), index.subjects_for(0, 1, 2),
+               index.objects_for(0, 0, 1)]
+        assert [a.tolist() for a in got] == [objects_at_2, subjects_at_2, objects_at_1]
+        assert all(a.dtype == np.int64 for a in got)
+
+    def test_unknown_filter_mode_rejected(self):
+        cfg = RunConfig()
+        cfg.eval.filter = "fuzzy"
+        with pytest.raises(ValueError):
+            filter_index_for(cfg, self.dataset())
 
 
 class TestCli:
