@@ -16,6 +16,7 @@ from __future__ import annotations
 import datetime
 import logging
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,6 +285,11 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
 
     converted = {split: [(s, r, o, step_of(t)) for s, r, o, t in quads]
                  for split, quads in raw.items()}
+    split_count = Counter(key for quads in converted.values() for key in set(quads))
+    leaked = sum(1 for n in split_count.values() if n > 1)
+    if leaked:
+        log.warning("%d quadruple(s) appear in more than one split at the same step; "
+                    "they leak into filtered ranking", leaked)
 
     stat_path = os.path.join(directory, "stat.txt")
     declared = _read_stat(stat_path) if os.path.exists(stat_path) else None

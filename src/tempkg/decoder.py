@@ -1,7 +1,8 @@
 """Quadruple scoring, negative sampling, and the training objective.
 
 Scoring works row-wise over batches of subject, relation, and object
-embeddings; a single row broadcasts against a batch. Three decoders:
+embeddings; a single row broadcasts against a batch. ``candidate_scores``
+ranks every entity for a batch of queries off the tape. Three decoders:
 
     transe:   -||s + r - o||_1            (negated distance, higher is better)
     distmult: sum_k s_k r_k o_k
@@ -49,6 +50,64 @@ def score_rows(s: Tensor, r: Tensor, o: Tensor, decoder: str) -> Tensor:
         out = ad.add(out, ad.reduce_sum(ad.mul(ad.mul(r_im, s_re), o_im), axis=1))
         return ad.sub(out, ad.reduce_sum(ad.mul(ad.mul(r_im, s_im), o_re), axis=1))
     raise ValueError(f"unknown decoder {decoder!r}")
+
+
+# Largest (queries, entities, dim) block the TransE scorer builds at once.
+_CHUNK_ELEMENTS = 1 << 21
+
+
+def candidate_scores(fixed: np.ndarray, r: np.ndarray, table: np.ndarray,
+                     decoder: str, direction: str, blend=None) -> np.ndarray:
+    """Scores of every entity as the missing slot of q queries, as (q, E).
+
+    Works on plain arrays off the tape. ``fixed`` and ``r`` are the (q, d)
+    rows of each query's known entity and relation; ``table`` holds the (E, d)
+    candidate embeddings. ``direction`` 'object' scores (fixed, r, candidate),
+    'subject' scores (candidate, r, fixed). With ``blend = (alpha, other)``
+    query i scores the candidates alpha[i] * table + (1 - alpha[i]) * other,
+    alpha being (q, 1). DistMult and ComplEx are linear in the candidate, so
+    each becomes one (q, d) @ (d, E) product per table; TransE takes the L1
+    distance in blocks of queries.
+    """
+    if direction not in ("object", "subject"):
+        raise ValueError(f"unknown query direction {direction!r}")
+    if decoder == "transe":
+        return _transe_candidates(fixed, r, table, direction, blend)
+    if decoder == "distmult":
+        qv = fixed * r
+    elif decoder == "complex":
+        d = fixed.shape[-1]
+        if d % 2:
+            raise ValueError(f"complex decoder needs an even dimension, got {d}")
+        half = d // 2
+        f_re, f_im, r_re, r_im = fixed[:, :half], fixed[:, half:], r[:, :half], r[:, half:]
+        if direction == "object":
+            qv = np.hstack([r_re * f_re - r_im * f_im, r_re * f_im + r_im * f_re])
+        else:
+            qv = np.hstack([r_re * f_re + r_im * f_im, r_re * f_im - r_im * f_re])
+    else:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    if blend is None:
+        return qv @ table.T
+    alpha, other = blend
+    return alpha * (qv @ table.T) + (1.0 - alpha) * (qv @ other.T)
+
+
+def _transe_candidates(fixed, r, table, direction, blend) -> np.ndarray:
+    """-||s + r - o||_1 against every candidate: the object direction measures
+    candidates from fixed + r, the subject direction from fixed - r."""
+    anchor = fixed + r if direction == "object" else fixed - r
+    e, d = table.shape
+    out = np.empty((len(anchor), e))
+    step = max(1, _CHUNK_ELEMENTS // max(1, e * d))
+    for lo in range(0, len(anchor), step):
+        hi = lo + step
+        cands = table[None]
+        if blend is not None:
+            alpha = blend[0][lo:hi, :, None]
+            cands = alpha * table + (1.0 - alpha) * blend[1]
+        out[lo:hi] = -np.abs(anchor[lo:hi, None, :] - cands).sum(axis=2)
+    return out
 
 
 def sample_negatives(s: int, r: int, o: int, t: int, index: TrueTripleIndex,

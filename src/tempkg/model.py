@@ -164,7 +164,16 @@ class TempModel:
         return window, target_pos
 
     def encode_context(self, leaves: dict[str, Tensor], t: int,
-                       window: list[np.ndarray], target_pos: int) -> WindowContext:
+                       window: list[np.ndarray], target_pos: int,
+                       cache: dict[int, Tensor] | None = None) -> WindowContext:
+        """Context of target step ``t`` from its window's snapshots.
+
+        ``cache`` maps a step to its structural embedding and is only valid
+        for undropped windows built from one fixed set of parameters: steps
+        already in it are not encoded again, new ones are added, and steps
+        outside this window are evicted, so it holds at most one window.
+        Without one, a fresh dict encodes each step of this window once.
+        """
         cfg = self.config
         e = self.dataset.entity_count
         active = []
@@ -174,15 +183,25 @@ class TempModel:
                 row[np.unique(triples[:, [0, 2]])] = True
             active.append(row)
 
-        x_steps = [rgcn.encode_snapshot(triples, leaves, entity_count=e,
+        def encode(triples):
+            return rgcn.encode_snapshot(triples, leaves, entity_count=e,
                                         relation_count=self.dataset.relation_count,
                                         layers=cfg.layers)
-                   for triples in window]
+
+        cache = {} if cache is None else cache
+        steps, _ = self.window_positions(t)
+        for step in [s for s in cache if s not in steps]:
+            del cache[step]
+        x_steps = []
+        for step, triples in zip(steps, window, strict=True):
+            if step not in cache:
+                cache[step] = encode(triples)
+            x_steps.append(cache[step])
 
         x_target = x_steps[target_pos]
         if cfg.imputation:
+            # x_steps is this call's own list; the cache keeps the raw target
             x_target = self._impute_target(leaves, x_steps, active, target_pos)
-            x_steps = list(x_steps)
             x_steps[target_pos] = x_target
 
         if not cfg.temporal_active:
@@ -245,10 +264,12 @@ class TempModel:
         cand_alpha = het.gate_alpha(rows, leaves, gates[1])
         return fixed_alpha, cand_alpha
 
-    def _blend_rows(self, alpha_col, x_rows, z_rows):
+    def _blended_rows(self, alpha_col, ctx: WindowContext, ids: np.ndarray) -> Tensor:
+        """Rows ``ids`` of the gated blend of ctx.x and ctx.z; without a gate
+        the ctx.z rows alone, and ctx.x is not gathered."""
         if alpha_col is None:
-            return z_rows
-        return het.blend(alpha_col, x_rows, z_rows)
+            return ad.gather_rows(ctx.z, ids)
+        return het.blend(alpha_col, ad.gather_rows(ctx.x, ids), ad.gather_rows(ctx.z, ids))
 
     def snapshot_loss(self, leaves: dict[str, Tensor], ctx: WindowContext,
                       triples: np.ndarray, negatives: tuple[np.ndarray, np.ndarray],
@@ -275,11 +296,9 @@ class TempModel:
                 cand_alpha = ad.gather_rows(cand_alpha, per_cand)
             else:
                 fixed_alpha = cand_alpha = None
-            fixed = self._blend_rows(fixed_alpha, ad.gather_rows(ctx.x, fixed_idx),
-                                     ad.gather_rows(ctx.z, fixed_idx))
+            fixed = self._blended_rows(fixed_alpha, ctx, fixed_idx)
             cand_ids = np.concatenate([true_idx[:, None], negs], axis=1).ravel()
-            cands = self._blend_rows(cand_alpha, ad.gather_rows(ctx.x, cand_ids),
-                                     ad.gather_rows(ctx.z, cand_ids))
+            cands = self._blended_rows(cand_alpha, ctx, cand_ids)
             scores = self._direction_scores(direction, ad.gather_rows(fixed, per_cand),
                                             r_emb, cands)
             loss = dec.query_loss(ad.reshape(scores, (m, width)), mode=cfg.loss_mode)
@@ -293,49 +312,42 @@ class TempModel:
 
     # --- evaluation -----------------------------------------------------------
 
-    def eval_context(self, t: int) -> WindowContext:
-        """Off-tape context for inference; training snapshots only, no dropout."""
+    def eval_context(self, t: int, cache: dict[int, Tensor] | None = None,
+                     ) -> WindowContext:
+        """Off-tape context for inference; training snapshots only, no dropout.
+        ``cache`` is passed to ``encode_context``."""
         leaves = {name: constant(arr) for name, arr in self.params.items()}
         window, target_pos = self.window_triples(t, rng=None)
-        return self.encode_context(leaves, t, window, target_pos)
+        return self.encode_context(leaves, t, window, target_pos, cache)
 
     def snapshot_scorer(self, tpf: het.TpfTable | None = None):
         """Adapter for evaluation.evaluate: scores every entity per query.
 
-        The fixed entity and the relation are single rows that the decoder
-        broadcasts against all entities as candidates.
+        The scorer encodes each snapshot once over its lifetime: it keeps the
+        structural embeddings of the current window, so build a new scorer
+        after the parameters change. Each query direction is scored as one
+        (q, E) matrix by ``decoder.candidate_scores``.
         """
-        e = self.dataset.entity_count
+        cache: dict[int, Tensor] = {}
 
         def scorer(t: int, triples: np.ndarray):
-            ctx = self.eval_context(t)
+            ctx = self.eval_context(t, cache)
             leaves = {name: constant(arr) for name, arr in self.params.items()}
+            x, z, decoder = ctx.x.data, ctx.z.data, self.config.decoder
+            r = ctx.relation.data[triples[:, 1]]
             out = []
-            for direction in ("object", "subject"):
+            for direction, ids in (("object", triples[:, 0]), ("subject", triples[:, 2])):
                 if self.config.gating and tpf is not None:
-                    fixed_alpha, cand_alpha = self._gate_alphas(leaves, tpf, direction,
-                                                                triples, t)
+                    fixed_alpha, cand_alpha = (a.data for a in self._gate_alphas(
+                        leaves, tpf, direction, triples, t))
+                    fixed = fixed_alpha * x[ids] + (1.0 - fixed_alpha) * z[ids]
+                    out.append(dec.candidate_scores(fixed, r, x, decoder, direction,
+                                                    blend=(cand_alpha, z)))
                 else:
-                    fixed_alpha = cand_alpha = None
-                rows = np.empty((len(triples), e))
-                for i, (s, r, o) in enumerate(triples.tolist()):
-                    fixed_id = s if direction == "object" else o
-                    fa = None if fixed_alpha is None else _row(fixed_alpha, i)
-                    ca = None if cand_alpha is None else _row(cand_alpha, i)
-                    fixed = self._blend_rows(fa, _row(ctx.x, fixed_id),
-                                             _row(ctx.z, fixed_id))
-                    cand = self._blend_rows(ca, ctx.x, ctx.z)
-                    r_emb = _row(ctx.relation, r)
-                    scores = self._direction_scores(direction, fixed, r_emb, cand)
-                    rows[i] = scores.data[:, 0]
-                out.append(rows)
+                    out.append(dec.candidate_scores(z[ids], r, z, decoder, direction))
             return out[0], out[1]
 
         return scorer
-
-
-def _row(tensor: Tensor, i: int) -> Tensor:
-    return ad.gather_rows(tensor, np.array([i], dtype=np.int64))
 
 
 def leaves_on_tape(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Tensor]:

@@ -95,6 +95,24 @@ class TestLoader:
         ds = load_dataset(make_dir(tmp_path, ["0 0 1 0", "0 0 1 0"]))
         assert ds.split_sizes()["train"] == 1
 
+    def test_cross_split_repeats_warn_once_with_count(self, tmp_path, caplog):
+        # (0,0,1,0) sits in all three splits and (1,0,0,1) in two: two leaked
+        # quadruples; (2,0,1,0) vs (2,0,1,1) differ in step and do not leak
+        directory = make_dir(tmp_path, ["0 0 1 0", "1 0 0 1", "2 0 1 0"],
+                             valid=["0 0 1 0", "1 0 0 1"], test=["0 0 1 0", "2 0 1 1"])
+        with caplog.at_level("WARNING", logger="tempkg"):
+            load_dataset(directory)
+        leaks = [rec for rec in caplog.records if "more than one split" in rec.getMessage()]
+        assert len(leaks) == 1
+        assert leaks[0].getMessage().startswith("2 quadruple(s)")
+
+    def test_disjoint_splits_do_not_warn(self, tmp_path, caplog):
+        directory = make_dir(tmp_path, ["0 0 1 0", "1 0 0 1"], valid=["0 0 1 1"],
+                             test=["1 0 0 0"])
+        with caplog.at_level("WARNING", logger="tempkg"):
+            load_dataset(directory)
+        assert not [rec for rec in caplog.records if "more than one split" in rec.getMessage()]
+
     def test_roundtrip_preserves_quadruple_multiset(self, tmp_path):
         (tmp_path / "src").mkdir()
         src = make_dir(tmp_path / "src", ["0 0 1 0", "1 1 0 2", "2 0 2 1"],

@@ -6,7 +6,7 @@ from tempkg import decoder
 from tempkg.autodiff import Tape, constant
 from tempkg.data import Snapshot, TkgDataset, build_true_index
 
-from gradcheck import finite_difference, max_relative_error
+from gradcheck import finite_difference, max_relative_error, scaled_error
 
 
 def score_one(s, r, o, kind):
@@ -69,8 +69,9 @@ class TestScoring:
 
     @pytest.mark.parametrize("kind", decoder.DECODERS)
     def test_one_row_against_many_equals_materialised_copies(self, kind):
-        # the evaluation path scores one fixed row and one relation row against
-        # every candidate; it must equal the per-row form on tiled copies bit for bit
+        # the per-query scorer oracle scores one fixed row and one relation row
+        # against every candidate; it must equal the per-row form on tiled copies
+        # bit for bit
         rng = np.random.default_rng(6)
         e, d = 9, 8
         fixed, rel = rng.normal(size=(1, d)), rng.normal(size=(1, d))
@@ -85,6 +86,48 @@ class TestScoring:
             want = decoder.score_rows(*copies, kind).data
             assert got.shape == (e, 1)
             np.testing.assert_array_equal(got, want)
+
+
+def candidate_rows_per_query(fixed, r, table, kind, direction, blend=None):
+    """Oracle: one ``score_rows`` call per query against its (E, d) candidates."""
+    out = np.empty((len(fixed), len(table)))
+    for i in range(len(fixed)):
+        cands = table
+        if blend is not None:
+            alpha, other = blend
+            cands = alpha[i] * table + (1.0 - alpha[i]) * other
+        f, rel, c = constant(fixed[i:i + 1]), constant(r[i:i + 1]), constant(cands)
+        rows = (f, rel, c) if direction == "object" else (c, rel, f)
+        out[i] = decoder.score_rows(*rows, kind).data[:, 0]
+    return out
+
+
+class TestCandidateScores:
+    @pytest.mark.parametrize("kind", decoder.DECODERS)
+    @pytest.mark.parametrize("direction", ["object", "subject"])
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("chunk", [None, 1, 2 * 11 * 6])
+    def test_matches_score_rows(self, monkeypatch, kind, direction, gated, chunk):
+        if chunk is not None:   # TransE blocks of 1 query and of 2 queries
+            monkeypatch.setattr(decoder, "_CHUNK_ELEMENTS", chunk)
+        rng = np.random.default_rng(7)
+        q, e, d = 5, 11, 6
+        fixed, r = rng.normal(size=(q, d)), rng.normal(size=(q, d))
+        table = rng.normal(size=(e, d))
+        blend = (rng.uniform(size=(q, 1)), rng.normal(size=(e, d))) if gated else None
+        got = decoder.candidate_scores(fixed, r, table, kind, direction, blend)
+        want = candidate_rows_per_query(fixed, r, table, kind, direction, blend)
+        assert got.shape == (q, e)
+        assert scaled_error(got, want) <= 1e-12
+
+    def test_bad_arguments_rejected(self):
+        rows = np.ones((2, 3))
+        with pytest.raises(ValueError):
+            decoder.candidate_scores(rows, rows, rows, "complex", "object")
+        with pytest.raises(ValueError):
+            decoder.candidate_scores(rows, rows, rows, "rescal", "object")
+        with pytest.raises(ValueError):
+            decoder.candidate_scores(rows, rows, rows, "distmult", "relation")
 
 
 def tiny_dataset():
