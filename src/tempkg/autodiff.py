@@ -5,7 +5,9 @@ A ``Tape`` records every primitive applied to tensors that live on it;
 returns gradients for the tape's leaves. Tensors without a tape evaluate
 eagerly with no recording, so the same model code serves both training and
 inference. A backward closure keeps only what it reads: the input's shape,
-not its array, when the gradient needs no input values.
+not its array, when the gradient needs no input values, and never a
+``Tensor``, so a tape and its tensors form no reference cycle and a batch's
+tape is freed as soon as its last tensor goes.
 
 Broadcasting follows one rule, shared by ``add``, ``sub`` and ``mul``: the two
 operands have equal shapes, or one of them is a scalar (any size-1 shape), a
@@ -14,6 +16,10 @@ against an ``(n, d)`` operand. Everything else, an outer ``(n, 1)`` x
 ``(1, d)`` pair included, is a shape error. The gradient of a broadcast
 operand is summed back to its shape. ``columns`` slices a column range, so
 no operation needs a constant selection matrix.
+
+Two primitives keep gathered copies off the tape: ``gathered_dots`` scores
+each query vector against its own candidate rows of a table, and
+``segment_matmul`` transforms contiguous row blocks, each by its own matrix.
 """
 
 from __future__ import annotations
@@ -220,9 +226,10 @@ def mul(a, b) -> Tensor:
     _check_broadcast(a, b, "mul")
     ad, bd = a.data, b.data
     out = ad * bd
+    sa, sb = a.shape, b.shape
 
     def back(g):
-        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
+        return _reduce_to(g * bd, sa), _reduce_to(g * ad, sb)
 
     return _result(out, (a, b), back)
 
@@ -394,6 +401,67 @@ def gather_rows(a, index) -> Tensor:
         return (ga,)
 
     return _result(out, (a,), back)
+
+
+def gathered_dots(qv, table, ids) -> Tensor:
+    """out[i, j] = qv[i] . table[ids[i, j]] for (m, d) ``qv``, (E, d) ``table``
+    and (m, k) ``ids``.
+
+    One (m, d) @ (d, E) product scores every row, and the picked entries are
+    read from it; no (m * k, d) copy of the gathered rows is made. Backward
+    builds the dense (m, E) gradient G with repeated ids added up, then gives
+    G @ table to ``qv`` and G.T @ qv to ``table``.
+    """
+    qv, table = _as_tensor(qv), _as_tensor(table)
+    ids = np.asarray(ids, dtype=np.int64)
+    if (qv.data.ndim != 2 or table.data.ndim != 2 or qv.shape[1] != table.shape[1]
+            or ids.ndim != 2 or ids.shape[0] != qv.shape[0]):
+        raise ShapeError(f"gathered_dots: incompatible shapes {qv.shape}, "
+                         f"{table.shape} and ids {ids.shape}")
+    m, e = qv.shape[0], table.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= e):
+        raise ShapeError("gathered_dots: index out of range")
+    qd, td = qv.data, table.data
+    out = np.take_along_axis(qd @ td.T, ids, axis=1)
+    flat = (np.arange(m, dtype=np.int64)[:, None] * e + ids).ravel()
+
+    def back(g):
+        dense = np.bincount(flat, weights=g.ravel(), minlength=m * e).reshape(m, e)
+        return dense @ td, dense.T @ qd
+
+    return _result(out, (qv, table), back)
+
+
+def segment_matmul(x, weights: Sequence, bounds) -> Tensor:
+    """Row block ``bounds[i]:bounds[i + 1]`` of ``x`` times ``weights[i]``, for
+    every block at once: one tape node for any number of blocks.
+
+    ``bounds`` starts at 0, never decreases and ends at the row count of
+    ``x``; it has one entry more than ``weights``.
+    """
+    x = _as_tensor(x)
+    weights = [_as_tensor(w) for w in weights]
+    bounds = np.asarray(bounds, dtype=np.int64)
+    xd, wd = x.data, [w.data for w in weights]
+    if (xd.ndim != 2 or bounds.shape != (len(wd) + 1,) or bounds[0] != 0
+            or bounds[-1] != xd.shape[0] or np.any(np.diff(bounds) < 0)):
+        raise ShapeError(f"segment_matmul: bounds {bounds.tolist()} do not split "
+                         f"{x.shape} into {len(wd)} blocks")
+    if not wd or any(w.shape != wd[0].shape or w.shape[0] != xd.shape[1] for w in wd):
+        raise ShapeError(f"segment_matmul: weights {[w.shape for w in wd]} do not "
+                         f"all map {xd.shape[1]} columns")
+    blocks = list(zip(wd, bounds[:-1].tolist(), bounds[1:].tolist()))
+    out = np.empty((xd.shape[0], wd[0].shape[1]), dtype=np.float64)
+    for w, lo, hi in blocks:
+        out[lo:hi] = xd[lo:hi] @ w
+
+    def back(g):
+        gx = np.empty_like(xd)
+        for w, lo, hi in blocks:
+            gx[lo:hi] = g[lo:hi] @ w.T
+        return (gx, *(xd[lo:hi].T @ g[lo:hi] for w, lo, hi in blocks))
+
+    return _result(out, (x, *weights), back)
 
 
 def scatter_add_rows(src, index, num_rows: int) -> Tensor:

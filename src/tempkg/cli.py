@@ -17,7 +17,8 @@ import numpy as np
 from . import evaluation as ev
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config
-from .data import SPLIT_NAMES, active_entities, load_dataset, write_dataset
+from .data import (SPLIT_NAMES, active_entities, cross_split_repeats, load_dataset,
+                   write_dataset)
 from .model import TempModel, init_params
 from .synth import generate_synthetic
 from .ted import TedConfig, TedModel
@@ -159,7 +160,8 @@ def cmd_stats(args) -> int:
                f"train,{sizes['train']}",
                f"valid,{sizes['valid']}",
                f"test,{sizes['test']}",
-               f"total,{sum(sizes.values())}"]
+               f"total,{sum(sizes.values())}",
+               f"cross_split_repeats,{cross_split_repeats(dataset)}"]
     ev.atomic_write(os.path.join(args.out, "stats.csv"), "\n".join(summary) + "\n")
 
     # per-step activity over the union of splits, with a trailing-15 lookback

@@ -67,6 +67,14 @@ def active_entities(snapshot: Snapshot) -> set[int]:
     return set(np.unique(snapshot.triples[:, [0, 2]]).tolist())
 
 
+def cross_split_repeats(dataset: "TkgDataset") -> int:
+    """Distinct quadruples present in more than one split at the same step;
+    each leaks into filtered ranking."""
+    count = Counter(quad for split in dataset.splits      # snapshots hold sets
+                    for quad in map(tuple, dataset.quadruples(split).tolist()))
+    return sum(1 for n in count.values() if n > 1)
+
+
 @dataclass
 class TkgDataset:
     entity_count: int
@@ -285,12 +293,6 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
 
     converted = {split: [(s, r, o, step_of(t)) for s, r, o, t in quads]
                  for split, quads in raw.items()}
-    split_count = Counter(key for quads in converted.values() for key in set(quads))
-    leaked = sum(1 for n in split_count.values() if n > 1)
-    if leaked:
-        log.warning("%d quadruple(s) appear in more than one split at the same step; "
-                    "they leak into filtered ranking", leaked)
-
     stat_path = os.path.join(directory, "stat.txt")
     declared = _read_stat(stat_path) if os.path.exists(stat_path) else None
 
@@ -331,6 +333,10 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
     ds = TkgDataset(entity_count, relation_count, step_count, splits,
                     entities.names(), relations.names())
     ds.validate()
+    leaked = cross_split_repeats(ds)
+    if leaked:
+        log.warning("%d quadruple(s) appear in more than one split at the same step; "
+                    "they leak into filtered ranking", leaked)
     sizes = ds.split_sizes()
     log.info("loaded %s: %d entities, %d relations, %d steps, splits %s",
              directory, entity_count, relation_count, step_count, sizes)

@@ -1,8 +1,10 @@
 """Quadruple scoring, negative sampling, and the training objective.
 
-Scoring works row-wise over batches of subject, relation, and object
-embeddings; a single row broadcasts against a batch. ``candidate_scores``
-ranks every entity for a batch of queries off the tape. Three decoders:
+Training scores each query against its own sampled candidates with
+``score_rows``; ``candidate_scores`` ranks every entity for a batch of
+queries off the tape. DistMult and ComplEx are linear in the candidate, so
+both go through one query vector per query (``query_vectors``). Three
+decoders:
 
     transe:   -||s + r - o||_1            (negated distance, higher is better)
     distmult: sum_k s_k r_k o_k
@@ -22,34 +24,82 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, constant
 from .data import TrueTripleIndex
+from .heterogeneity import blend as blend_rows
 
 log = logging.getLogger("tempkg")
 
 DECODERS = ("transe", "distmult", "complex")
 
 
-def score_rows(s: Tensor, r: Tensor, o: Tensor, decoder: str) -> Tensor:
-    """Scores for matched rows of subject/relation/object embeddings, as (m, 1).
+def _check_direction(direction: str) -> None:
+    if direction not in ("object", "subject"):
+        raise ValueError(f"unknown query direction {direction!r}")
 
-    Each operand is (m, d) or a single (1, d) row scored against every row of
-    the others.
+
+def query_vectors(fixed: Tensor, r: Tensor, decoder: str, direction: str) -> Tensor:
+    """(m, d) vectors qv with score(query i, candidate c) = qv[i] . c.
+
+    DistMult and ComplEx are linear in the candidate. ``fixed`` and ``r`` are
+    the (m, d) rows of each query's known entity and relation; ``direction``
+    'object' scores (fixed, r, candidate), 'subject' (candidate, r, fixed).
+    On-tape inputs give an on-tape result; constants give a constant.
     """
-    if decoder == "transe":
-        return ad.mul(ad.reduce_sum(ad.absolute(ad.sub(ad.add(s, r), o)), axis=1), -1.0)
+    _check_direction(direction)
     if decoder == "distmult":
-        return ad.reduce_sum(ad.mul(ad.mul(s, r), o), axis=1)
-    if decoder == "complex":
-        d = s.shape[-1]
-        if d % 2:
-            raise ValueError(f"complex decoder needs an even dimension, got {d}")
-        half = d // 2
-        (s_re, s_im), (r_re, r_im), (o_re, o_im) = (
-            (ad.columns(x, 0, half), ad.columns(x, half, d)) for x in (s, r, o))
-        out = ad.reduce_sum(ad.mul(ad.mul(r_re, s_re), o_re), axis=1)
-        out = ad.add(out, ad.reduce_sum(ad.mul(ad.mul(r_re, s_im), o_im), axis=1))
-        out = ad.add(out, ad.reduce_sum(ad.mul(ad.mul(r_im, s_re), o_im), axis=1))
-        return ad.sub(out, ad.reduce_sum(ad.mul(ad.mul(r_im, s_im), o_re), axis=1))
-    raise ValueError(f"unknown decoder {decoder!r}")
+        return ad.mul(fixed, r)
+    if decoder != "complex":
+        raise ValueError(f"unknown decoder {decoder!r}")
+    d = fixed.shape[-1]
+    if d % 2:
+        raise ValueError(f"complex decoder needs an even dimension, got {d}")
+    half = d // 2
+    (f_re, f_im), (r_re, r_im) = ((ad.columns(x, 0, half), ad.columns(x, half, d))
+                                  for x in (fixed, r))
+    if direction == "object":   # [r_re s_re - r_im s_im | r_re s_im + r_im s_re]
+        re = ad.sub(ad.mul(r_re, f_re), ad.mul(r_im, f_im))
+        im = ad.add(ad.mul(r_re, f_im), ad.mul(r_im, f_re))
+    else:                       # [r_re o_re + r_im o_im | r_re o_im - r_im o_re]
+        re = ad.add(ad.mul(r_re, f_re), ad.mul(r_im, f_im))
+        im = ad.sub(ad.mul(r_re, f_im), ad.mul(r_im, f_re))
+    return ad.concat([re, im], axis=1)
+
+
+def score_rows(fixed: Tensor, r: Tensor, table: Tensor, ids: np.ndarray,
+               decoder: str, direction: str, blend=None) -> Tensor:
+    """Training scores of m queries against their own candidates, as (m, k).
+
+    Query i scores the candidates ``table[ids[i]]``; ``fixed``, ``r`` and
+    ``direction`` are as in ``query_vectors``. With ``blend = (alpha, other)``
+    query i scores the candidates alpha[i] * table + (1 - alpha[i]) * other,
+    alpha being (m, 1). DistMult and ComplEx score through one query vector
+    per query and ``gathered_dots``, so no per-candidate row is built; TransE
+    builds its per-candidate L1 rows.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if decoder == "transe":
+        return _transe_rows(fixed, r, table, ids, direction, blend)
+    qv = query_vectors(fixed, r, decoder, direction)
+    if blend is None:
+        return ad.gathered_dots(qv, table, ids)
+    alpha, other = blend
+    return blend_rows(alpha, ad.gathered_dots(qv, table, ids),
+                      ad.gathered_dots(qv, other, ids))
+
+
+def _transe_rows(fixed, r, table, ids, direction, blend) -> Tensor:
+    """-||anchor - candidate||_1 with one row per candidate; the anchor is
+    fixed + r for the object direction and fixed - r for the subject one."""
+    _check_direction(direction)
+    m, k = ids.shape
+    anchor = ad.add(fixed, r) if direction == "object" else ad.sub(fixed, r)
+    per_cand = np.repeat(np.arange(m), k)
+    cands = ad.gather_rows(table, ids.ravel())
+    if blend is not None:
+        cands = blend_rows(ad.gather_rows(blend[0], per_cand), cands,
+                           ad.gather_rows(blend[1], ids.ravel()))
+    dist = ad.reduce_sum(ad.absolute(ad.sub(ad.gather_rows(anchor, per_cand), cands)),
+                         axis=1)
+    return ad.reshape(ad.mul(dist, -1.0), (m, k))
 
 
 # Largest (queries, entities, dim) block the TransE scorer builds at once.
@@ -69,24 +119,9 @@ def candidate_scores(fixed: np.ndarray, r: np.ndarray, table: np.ndarray,
     each becomes one (q, d) @ (d, E) product per table; TransE takes the L1
     distance in blocks of queries.
     """
-    if direction not in ("object", "subject"):
-        raise ValueError(f"unknown query direction {direction!r}")
     if decoder == "transe":
         return _transe_candidates(fixed, r, table, direction, blend)
-    if decoder == "distmult":
-        qv = fixed * r
-    elif decoder == "complex":
-        d = fixed.shape[-1]
-        if d % 2:
-            raise ValueError(f"complex decoder needs an even dimension, got {d}")
-        half = d // 2
-        f_re, f_im, r_re, r_im = fixed[:, :half], fixed[:, half:], r[:, :half], r[:, half:]
-        if direction == "object":
-            qv = np.hstack([r_re * f_re - r_im * f_im, r_re * f_im + r_im * f_re])
-        else:
-            qv = np.hstack([r_re * f_re + r_im * f_im, r_re * f_im - r_im * f_re])
-    else:
-        raise ValueError(f"unknown decoder {decoder!r}")
+    qv = query_vectors(constant(fixed), constant(r), decoder, direction).data
     if blend is None:
         return qv @ table.T
     alpha, other = blend
@@ -96,6 +131,7 @@ def candidate_scores(fixed: np.ndarray, r: np.ndarray, table: np.ndarray,
 def _transe_candidates(fixed, r, table, direction, blend) -> np.ndarray:
     """-||s + r - o||_1 against every candidate: the object direction measures
     candidates from fixed + r, the subject direction from fixed - r."""
+    _check_direction(direction)
     anchor = fixed + r if direction == "object" else fixed - r
     e, d = table.shape
     out = np.empty((len(anchor), e))

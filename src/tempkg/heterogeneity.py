@@ -8,7 +8,6 @@ specific pattern never counts more than a less specific one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,18 +100,6 @@ class TpfTable:
         """F observable for a subject query (?, r, o, t): [f_o, f_r, f_ro]."""
         return np.array([self.freq("o", (o,), t), self.freq("r", (r,), t),
                          self.freq("ro", (r, o), t)], dtype=np.float64)
-
-    def export_csv(self, path) -> None:
-        """Rows of pattern_kind,key,els,time,count at each occurrence time."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pattern_kind", "key", "els", "time", "count"])
-            for kind in PATTERN_KINDS:
-                for key in sorted(self._tables[kind]):
-                    times = self._tables[kind][key][0]
-                    for t in np.unique(times).tolist():
-                        writer.writerow([kind, "|".join(map(str, key)), len(key),
-                                         t, self.freq(kind, key, t)])
 
 
 def compute_tpf(dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()) -> TpfTable:

@@ -278,14 +278,12 @@ class TempModel:
 
         ``negatives`` holds (m, k) corruption ids for the object and subject
         slots. Each direction scores one (m, 1 + k) candidate matrix, the
-        answer in column 0, in one decoder call; a query's fixed row, relation
-        row and candidate gate are repeated for each of its candidates.
+        answer in column 0, in one ``decoder.score_rows`` call; with a gate
+        the candidates are the blend alpha * ctx.x + (1 - alpha) * ctx.z.
         """
         cfg = self.config
         subjects, rels, objects = (triples[:, 0], triples[:, 1], triples[:, 2])
-        m, width = len(triples), 1 + negatives[0].shape[1]
-        per_cand = np.repeat(np.arange(m), width)
-        r_emb = ad.gather_rows(ctx.relation, rels[per_cand])
+        r_emb = ad.gather_rows(ctx.relation, rels)
         total = None
         for direction, fixed_idx, true_idx, negs in (
                 ("object", subjects, objects, negatives[0]),
@@ -293,22 +291,16 @@ class TempModel:
             if cfg.gating and tpf is not None:
                 fixed_alpha, cand_alpha = self._gate_alphas(leaves, tpf, direction,
                                                             triples, ctx.time)
-                cand_alpha = ad.gather_rows(cand_alpha, per_cand)
+                table, blend = ctx.x, (cand_alpha, ctx.z)
             else:
-                fixed_alpha = cand_alpha = None
+                fixed_alpha, table, blend = None, ctx.z, None
             fixed = self._blended_rows(fixed_alpha, ctx, fixed_idx)
-            cand_ids = np.concatenate([true_idx[:, None], negs], axis=1).ravel()
-            cands = self._blended_rows(cand_alpha, ctx, cand_ids)
-            scores = self._direction_scores(direction, ad.gather_rows(fixed, per_cand),
-                                            r_emb, cands)
-            loss = dec.query_loss(ad.reshape(scores, (m, width)), mode=cfg.loss_mode)
+            cand_ids = np.concatenate([true_idx[:, None], negs], axis=1)
+            scores = dec.score_rows(fixed, r_emb, table, cand_ids, cfg.decoder,
+                                    direction, blend)
+            loss = dec.query_loss(scores, mode=cfg.loss_mode)
             total = loss if total is None else ad.add(total, loss)
         return total
-
-    def _direction_scores(self, direction, fixed, r_emb, cand) -> Tensor:
-        if direction == "object":
-            return dec.score_rows(fixed, r_emb, cand, self.config.decoder)
-        return dec.score_rows(cand, r_emb, fixed, self.config.decoder)
 
     # --- evaluation -----------------------------------------------------------
 

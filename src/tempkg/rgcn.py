@@ -35,8 +35,9 @@ def encode_snapshot(triples: np.ndarray, params: dict[str, Tensor], *,
     """Structural embeddings for every entity given one snapshot's triples.
 
     Entities without edges receive the self-loop-only propagation of their
-    base embedding, so the result is defined everywhere. Each layer stacks
-    every relation group's messages and scatters them with one call.
+    base embedding, so the result is defined everywhere. Each layer gathers
+    the source rows once, transforms each relation group's contiguous block
+    with ``segment_matmul`` and scatters every message with one call.
     """
     h = params["entity.base"]
     edges = with_inverse_edges(np.asarray(triples, dtype=np.int64).reshape(-1, 3),
@@ -52,9 +53,9 @@ def encode_snapshot(triples: np.ndarray, params: dict[str, Tensor], *,
     for layer in range(layers):
         total = ad.matmul(h, params[f"rgcn.l{layer}.self"])
         if len(edges):
-            msgs = ad.concat([ad.matmul(ad.gather_rows(h, src[lo:hi]),
-                                        params[f"rgcn.l{layer}.rel{r}"])
-                              for r, lo, hi in zip(rels.tolist(), bounds[:-1], bounds[1:])])
+            msgs = ad.segment_matmul(ad.gather_rows(h, src),
+                                     [params[f"rgcn.l{layer}.rel{r}"] for r in rels.tolist()],
+                                     bounds)
             total = ad.add(total, ad.scatter_add_rows(ad.mul(msgs, scale), dst,
                                                       entity_count))
         h = ad.relu(total) if layer < layers - 1 else total

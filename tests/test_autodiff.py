@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -113,6 +114,48 @@ class TestForward:
         back = ad.scatter_add_rows(got, [1, 1, 3], num_rows=4)
         np.testing.assert_array_equal(back.data, [[0, 0], [4, 6], [0, 0], [4, 5]])
 
+    def test_gathered_dots_picks_row_products(self):
+        rng = np.random.default_rng(47)
+        qv, table = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
+        ids = np.array([[5, 5, 0], [1, 2, 1], [0, 3, 4]])
+        got = ad.gathered_dots(constant(qv), constant(table), ids).data
+        want = np.einsum("id,ijd->ij", qv, table[ids])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("qv, table, ids", [
+        ((3, 4), (6, 5), np.zeros((3, 2))),    # feature widths differ
+        ((3, 4), (6, 4), np.zeros((2, 2))),    # one id row per query
+        ((3, 4), (6, 4), np.zeros(3)),         # ids are 2-d
+        ((3, 4), (6, 4), np.full((3, 2), 6)),  # out of range
+        ((3, 4), (6, 4), np.full((3, 2), -1)),
+    ])
+    def test_gathered_dots_bad_shapes_raise(self, qv, table, ids):
+        with pytest.raises(ad.ShapeError):
+            ad.gathered_dots(constant(np.ones(qv)), constant(np.ones(table)), ids)
+
+    def test_segment_matmul_transforms_each_block(self):
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=(6, 3))
+        ws = [rng.normal(size=(3, 2)) for _ in range(4)]
+        bounds = [0, 1, 1, 4, 6]   # a one-row block and an empty block
+        got = ad.segment_matmul(constant(x), [constant(w) for w in ws], bounds).data
+        want = np.vstack([x[lo:hi] @ w for w, lo, hi in zip(ws, bounds[:-1], bounds[1:])])
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bounds, widths", [
+        ([0, 2], [(3, 2), (3, 2)]),     # one bound too few
+        ([1, 2, 4], [(3, 2), (3, 2)]),  # does not start at 0
+        ([0, 2, 5], [(3, 2), (3, 2)]),  # does not end at the row count
+        ([0, 3, 2, 4], [(3, 2)] * 3),   # decreasing
+        ([0, 2, 4], [(3, 2), (3, 3)]),  # weights of different widths
+        ([0, 2, 4], [(2, 2), (2, 2)]),  # weights do not take 3 columns
+        ([0, 4], []),                   # no weights
+    ])
+    def test_segment_matmul_bad_bounds_raise(self, bounds, widths):
+        with pytest.raises(ad.ShapeError):
+            ad.segment_matmul(constant(np.ones((4, 3))),
+                              [constant(np.ones(w)) for w in widths], bounds)
+
 
 class TestBackward:
     def test_square_at_three(self):
@@ -189,26 +232,40 @@ class TestBackward:
         assert analytic[0].shape == (6, 1)
         assert max_relative_error(analytic, numeric) < 1e-5
 
-    @pytest.mark.parametrize("op", [
-        lambda h: ad.add(h, 1.0),
-        lambda h: ad.sub(1.0, h),
-        lambda h: ad.reduce_sum(h, axis=1),
-        lambda h: ad.columns(h, 0, 2),
-        lambda h: ad.gather_rows(h, [2, 0, 2]),
-    ], ids=["add", "sub", "reduce_sum", "columns", "gather_rows"])
-    def test_backward_closure_drops_input_values(self, op):
-        # these gradients need only the input's shape, so the tape must not
-        # keep the input array alive once no tensor refers to it
-        rng = np.random.default_rng(43)
-        tape = Tape()
-        a, w = tape.leaf(rng.normal(size=(3, 4))), tape.leaf(rng.normal(size=(4, 3)))
-        h = ad.matmul(a, w)
-        y = op(h)
-        r = weakref.ref(h.data)
-        del h
-        assert r() is None
-        grads = tape.backward(ad.reduce_sum(ad.mul(y, y)))
-        assert a.node_id in grads and w.node_id in grads
+    @pytest.mark.parametrize("op, needs_values", [
+        (lambda h: ad.add(h, 1.0), False),
+        (lambda h: ad.sub(1.0, h), False),
+        (lambda h: ad.reduce_sum(h, axis=1), False),
+        (lambda h: ad.columns(h, 0, 2), False),
+        (lambda h: ad.gather_rows(h, [2, 0, 2]), False),
+        (lambda h: ad.mul(h, h), True),
+        (lambda h: ad.gathered_dots(h, h, [[2, 0], [1, 1], [0, 2]]), True),
+        (lambda h: ad.segment_matmul(h, [h, constant(np.eye(3))], [0, 1, 3]), True),
+    ], ids=["add", "sub", "reduce_sum", "columns", "gather_rows", "mul",
+            "gathered_dots", "segment_matmul"])
+    def test_backward_closure_drops_input_values(self, op, needs_values):
+        # a backward closure holds arrays, never a Tensor, which would tie its
+        # tape into a reference cycle; with the cyclic collector off the tape
+        # must still die with its last tensor. When the gradient needs only the
+        # input's shape, the closure must not keep the input array alive either.
+        gc.disable()
+        try:
+            rng = np.random.default_rng(43)
+            tape = Tape()
+            a, w = tape.leaf(rng.normal(size=(3, 4))), tape.leaf(rng.normal(size=(4, 3)))
+            h = ad.matmul(a, w)
+            y = op(h)
+            r = weakref.ref(h.data)
+            del h
+            if not needs_values:
+                assert r() is None
+            grads = tape.backward(ad.reduce_sum(ad.mul(y, y)))
+            assert a.node_id in grads and w.node_id in grads
+            tape_ref = weakref.ref(tape)
+            del tape, a, w, y
+            assert tape_ref() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("unary", [ad.exp, ad.sigmoid, ad.tanh,
                                        lambda t: ad.log(ad.add(ad.mul(t, t), 1.0)),
@@ -254,6 +311,35 @@ class TestBackward:
 
         analytic, numeric = grads_for(build, [x])
         assert max_relative_error(analytic, numeric) < 1e-5
+
+    def test_gathered_dots_match_fd(self):
+        # ids repeat within a row and across rows, so gradients add up
+        rng = np.random.default_rng(59)
+        qv, table = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        ids = np.array([[2, 2, 0, 4], [1, 3, 1, 1], [4, 0, 2, 2]])
+        w = rng.normal(size=ids.shape)
+
+        def build(ql, tl):
+            return ad.reduce_sum(ad.mul(ad.tanh(ad.gathered_dots(ql, tl, ids)), constant(w)))
+
+        analytic, numeric = grads_for(build, [qv, table])
+        assert max_relative_error(analytic, numeric) < 1e-5
+        assert np.all(analytic[1][np.setdiff1d(np.arange(5), ids)] == 0.0)
+
+    def test_segment_matmul_matches_fd(self):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(6, 3))
+        ws = [rng.normal(size=(3, 2)) for _ in range(4)]
+        bounds = [0, 1, 1, 4, 6]
+        w = rng.normal(size=(6, 2))
+
+        def build(xl, *wl):
+            return ad.reduce_sum(ad.mul(ad.tanh(ad.segment_matmul(xl, wl, bounds)),
+                                        constant(w)))
+
+        analytic, numeric = grads_for(build, [x] + ws)
+        assert max_relative_error(analytic, numeric) < 1e-5
+        assert np.all(analytic[2] == 0.0)   # the empty block's weight
 
     def test_masked_softmax_matches_fd(self):
         rng = np.random.default_rng(19)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tempkg.data import (DatasetError, Snapshot, TkgDataset, active_entities,
-                         build_true_index, load_dataset, write_dataset)
+                         build_true_index, cross_split_repeats, load_dataset,
+                         write_dataset)
 
 
 def write_split(directory, name, lines):
@@ -105,6 +106,23 @@ class TestLoader:
         leaks = [rec for rec in caplog.records if "more than one split" in rec.getMessage()]
         assert len(leaks) == 1
         assert leaks[0].getMessage().startswith("2 quadruple(s)")
+
+    def test_cross_split_repeats_counts_each_leaked_quadruple_once(self):
+        # (0,0,1) at step 0 sits in all three splits and twice in train,
+        # (1,0,0) at step 1 in two; (2,0,1) differs in step between splits
+        # and (1,0,2) repeats within train only
+        def snaps(rows_by_step):
+            return [Snapshot(t, np.array(rows, dtype=np.int64) if rows else None)
+                    for t, rows in enumerate(rows_by_step)]
+
+        ds = TkgDataset(3, 1, 2, {
+            "train": snaps([[(0, 0, 1), (0, 0, 1), (2, 0, 1), (1, 0, 2), (1, 0, 2)],
+                            [(1, 0, 0)]]),
+            "valid": snaps([[(0, 0, 1)], [(1, 0, 0)]]),
+            "test": snaps([[(0, 0, 1)], [(2, 0, 1)]])})
+        assert cross_split_repeats(ds) == 2
+        ds.splits["valid"], ds.splits["test"] = snaps([[], []]), snaps([[], []])
+        assert cross_split_repeats(ds) == 0
 
     def test_disjoint_splits_do_not_warn(self, tmp_path, caplog):
         directory = make_dir(tmp_path, ["0 0 1 0", "1 0 0 1"], valid=["0 0 1 1"],

@@ -9,10 +9,56 @@ from tempkg.data import Snapshot, TkgDataset, build_true_index
 from gradcheck import finite_difference, max_relative_error, scaled_error
 
 
+def score_rows_per_row(s, r, o, kind):
+    """Oracle: scores for matched rows of subject/relation/object embeddings,
+    as (m, 1), built from the formulas row by row. Each operand is (m, d) or a
+    single (1, d) row scored against every row of the others."""
+    if kind == "transe":
+        return ad.mul(ad.reduce_sum(ad.absolute(ad.sub(ad.add(s, r), o)), axis=1), -1.0)
+    if kind == "distmult":
+        return ad.reduce_sum(ad.mul(ad.mul(s, r), o), axis=1)
+    if kind == "complex":
+        d = s.shape[-1]
+        if d % 2:
+            raise ValueError(f"complex decoder needs an even dimension, got {d}")
+        half = d // 2
+        (s_re, s_im), (r_re, r_im), (o_re, o_im) = (
+            (ad.columns(x, 0, half), ad.columns(x, half, d)) for x in (s, r, o))
+        out = ad.reduce_sum(ad.mul(ad.mul(r_re, s_re), o_re), axis=1)
+        out = ad.add(out, ad.reduce_sum(ad.mul(ad.mul(r_re, s_im), o_im), axis=1))
+        out = ad.add(out, ad.reduce_sum(ad.mul(ad.mul(r_im, s_re), o_im), axis=1))
+        return ad.sub(out, ad.reduce_sum(ad.mul(ad.mul(r_im, s_im), o_re), axis=1))
+    raise ValueError(f"unknown decoder {kind!r}")
+
+
+def direction_rows_per_row(direction, fixed, r, cand, kind):
+    """The oracle with the fixed row in the slot the query direction names."""
+    if direction == "object":
+        return score_rows_per_row(fixed, r, cand, kind)
+    return score_rows_per_row(cand, r, fixed, kind)
+
+
+def score_rows_per_candidate(fixed, r, table, ids, kind, direction, blend=None):
+    """Oracle of ``decoder.score_rows``: the fixed row, relation row and gate
+    of each query repeated per candidate, the candidate rows gathered, and
+    every row scored by ``score_rows_per_row``."""
+    m, k = ids.shape
+    per_cand = np.repeat(np.arange(m), k)
+    cands = ad.gather_rows(table, ids.ravel())
+    if blend is not None:
+        alpha = ad.gather_rows(blend[0], per_cand)
+        other = ad.gather_rows(blend[1], ids.ravel())
+        cands = ad.add(ad.mul(alpha, cands), ad.mul(ad.sub(constant(1.0), alpha), other))
+    rows = direction_rows_per_row(direction, ad.gather_rows(fixed, per_cand),
+                                  ad.gather_rows(r, per_cand), cands, kind)
+    return ad.reshape(rows, (m, k))
+
+
 def score_one(s, r, o, kind):
-    """Scalar score of a single triple of plain vectors."""
-    rows = [constant(np.asarray(v, dtype=np.float64).reshape(1, -1)) for v in (s, r, o)]
-    return float(decoder.score_rows(*rows, kind).data[0, 0])
+    """Scalar score of a single triple of plain vectors, through the training
+    scorer with the object as the one candidate."""
+    s, r, o = (constant(np.asarray(v, dtype=np.float64).reshape(1, -1)) for v in (s, r, o))
+    return float(decoder.score_rows(s, r, o, [[0]], kind, "object").data[0, 0])
 
 
 class TestScoring:
@@ -52,20 +98,27 @@ class TestScoring:
 
     @pytest.mark.parametrize("kind", decoder.DECODERS)
     def test_score_gradients_match_finite_differences(self, kind):
+        # both query directions, gating off and on; ids repeat within a row
         rng = np.random.default_rng(2)
-        arrays = [rng.normal(size=(3, 4)) for _ in range(3)]
+        ids = np.array([[1, 1, 4], [0, 2, 0], [3, 1, 1]])
+        for direction in ("object", "subject"):
+            for gated in (False, True):
+                arrays = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4)),
+                          rng.normal(size=(5, 4))]
+                if gated:
+                    arrays += [rng.uniform(size=(3, 1)), rng.normal(size=(5, 4))]
 
-        def build(s, r, o):
-            return ad.reduce_sum(decoder.score_rows(s, r, o, kind))
+                def build(fixed, r, table, *blend):
+                    return ad.reduce_sum(ad.tanh(decoder.score_rows(
+                        fixed, r, table, ids, kind, direction, blend or None)))
 
-        tape = Tape()
-        leaves = [tape.leaf(a) for a in arrays]
-        loss = build(*leaves)
-        gmap = tape.backward(loss)
-        analytic = [gmap[leaf.node_id] for leaf in leaves]
-        numeric = finite_difference(
-            lambda *arrs: build(*[constant(a) for a in arrs]).item(), arrays)
-        assert max_relative_error(analytic, numeric) < 1e-5
+                tape = Tape()
+                leaves = [tape.leaf(a) for a in arrays]
+                gmap = tape.backward(build(*leaves))
+                analytic = [gmap[leaf.node_id] for leaf in leaves]
+                numeric = finite_difference(
+                    lambda *arrs: build(*[constant(a) for a in arrs]).item(), arrays)
+                assert max_relative_error(analytic, numeric) < 1e-5, (direction, gated)
 
     @pytest.mark.parametrize("kind", decoder.DECODERS)
     def test_one_row_against_many_equals_materialised_copies(self, kind):
@@ -82,14 +135,69 @@ class TestScoring:
                  (tile(fixed), tile(rel), constant(cands))),
                 ((constant(cands), constant(rel), constant(fixed)),
                  (constant(cands), tile(rel), tile(fixed)))):
-            got = decoder.score_rows(*broadcast, kind).data
-            want = decoder.score_rows(*copies, kind).data
+            got = score_rows_per_row(*broadcast, kind).data
+            want = score_rows_per_row(*copies, kind).data
             assert got.shape == (e, 1)
             np.testing.assert_array_equal(got, want)
 
 
+class TestScoreRows:
+    @pytest.mark.parametrize("kind", decoder.DECODERS)
+    @pytest.mark.parametrize("direction", ["object", "subject"])
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_matches_per_candidate_oracle(self, kind, direction, gated):
+        # the answer (column 0) is drawn again as a negative in rows 0 and 2,
+        # and row 1 repeats one negative: repeated ids add up in backward
+        rng = np.random.default_rng(8)
+        m, e, d = 4, 7, 6
+        arrays = {"fixed": rng.normal(size=(m, d)), "r": rng.normal(size=(m, d)),
+                  "table": rng.normal(size=(e, d))}
+        if gated:
+            arrays |= {"alpha": rng.uniform(size=(m, 1)), "other": rng.normal(size=(e, d))}
+        ids = np.array([[2, 5, 2, 0], [6, 1, 1, 3], [4, 4, 0, 4], [0, 6, 5, 2]])
+        weights = rng.normal(size=ids.shape)
+        results = []
+        for fn in (decoder.score_rows, score_rows_per_candidate):
+            tape = Tape()
+            leaves = {name: tape.leaf(a) for name, a in arrays.items()}
+            blend = (leaves["alpha"], leaves["other"]) if gated else None
+            scores = fn(leaves["fixed"], leaves["r"], leaves["table"], ids, kind,
+                        direction, blend)
+            grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(scores),
+                                                       constant(weights))))
+            results.append((scores.data, {name: grads[leaf.node_id]
+                                          for name, leaf in leaves.items()}))
+        (got, got_grads), (want, want_grads) = results
+        assert got.shape == ids.shape
+        assert scaled_error(got, want) <= 1e-12
+        for name in arrays:
+            assert scaled_error(got_grads[name], want_grads[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("kind", ["distmult", "complex"])
+    def test_query_vectors_on_and_off_tape_agree(self, kind):
+        rng = np.random.default_rng(9)
+        fixed, r = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+        tape = Tape()
+        for direction in ("object", "subject"):
+            on = decoder.query_vectors(tape.leaf(fixed), tape.leaf(r), kind, direction)
+            off = decoder.query_vectors(constant(fixed), constant(r), kind, direction)
+            assert on.tape is tape and off.tape is None
+            np.testing.assert_array_equal(on.data, off.data)
+
+    def test_bad_arguments_rejected(self):
+        rows = constant(np.ones((2, 4)))
+        ids = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ValueError):
+            decoder.score_rows(rows, rows, rows, ids, "complex", "relation")
+        with pytest.raises(ValueError):
+            decoder.score_rows(rows, rows, rows, ids, "transe", "relation")
+        with pytest.raises(ValueError):
+            decoder.query_vectors(rows, rows, "transe", "object")
+
+
 def candidate_rows_per_query(fixed, r, table, kind, direction, blend=None):
-    """Oracle: one ``score_rows`` call per query against its (E, d) candidates."""
+    """Oracle: one ``score_rows_per_row`` call per query against its (E, d)
+    candidates."""
     out = np.empty((len(fixed), len(table)))
     for i in range(len(fixed)):
         cands = table
@@ -97,8 +205,7 @@ def candidate_rows_per_query(fixed, r, table, kind, direction, blend=None):
             alpha, other = blend
             cands = alpha[i] * table + (1.0 - alpha[i]) * other
         f, rel, c = constant(fixed[i:i + 1]), constant(r[i:i + 1]), constant(cands)
-        rows = (f, rel, c) if direction == "object" else (c, rel, f)
-        out[i] = decoder.score_rows(*rows, kind).data[:, 0]
+        out[i] = direction_rows_per_row(direction, f, rel, c, kind).data[:, 0]
     return out
 
 

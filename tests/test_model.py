@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from tempkg.model import (ModelConfig, TempModel, grads_by_name, init_params,
 from tempkg.synth import SynthSpec, generate_synthetic
 
 from gradcheck import scaled_error
+from test_decoder import direction_rows_per_row
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +50,8 @@ def _row(tensor, i):
 def snapshot_scorer_per_query(model, tpf=None):
     """Oracle: re-encodes the whole window for every target step, then scores
     one query at a time, its fixed row and relation row broadcast by
-    ``score_rows`` against the (E, d) candidate blend built for that query."""
+    ``score_rows_per_row`` against the (E, d) candidate blend built for that
+    query."""
     e = model.dataset.entity_count
 
     def scorer(t, triples):
@@ -66,8 +71,8 @@ def snapshot_scorer_per_query(model, tpf=None):
                 ca = None if cand_alpha is None else _row(cand_alpha, i)
                 fixed = blend_rows(fa, _row(ctx.x, fixed_id), _row(ctx.z, fixed_id))
                 cand = blend_rows(ca, ctx.x, ctx.z)
-                scores = model._direction_scores(direction, fixed, _row(ctx.relation, r),
-                                                 cand)
+                scores = direction_rows_per_row(direction, fixed, _row(ctx.relation, r),
+                                                cand, model.config.decoder)
                 rows[i] = scores.data[:, 0]
             out.append(rows)
         return out[0], out[1]
@@ -96,7 +101,7 @@ def snapshot_loss_per_negative(model, leaves, ctx, triples, negatives, tpf):
         for ids in [true_idx] + [negs[:, j] for j in range(negs.shape[1])]:
             cand = blend_rows(cand_alpha, ad.gather_rows(ctx.x, ids),
                               ad.gather_rows(ctx.z, ids))
-            cols.append(model._direction_scores(direction, fixed, r_emb, cand))
+            cols.append(direction_rows_per_row(direction, fixed, r_emb, cand, cfg.decoder))
         loss = dec.query_loss(ad.concat(cols, axis=1), mode=cfg.loss_mode)
         total = loss if total is None else ad.add(total, loss)
     return total
@@ -304,6 +309,8 @@ class TestTrainingGradients:
         rng = np.random.default_rng(2)
         negs = (rng.integers(0, ds.entity_count, size=(len(triples), 4)),
                 rng.integers(0, ds.entity_count, size=(len(triples), 4)))
+        # the answer drawn again as a negative: its id repeats within the row
+        negs[0][:, 1], negs[1][:, 1] = triples[:, 2], triples[:, 0]
         results = []
         for loss_fn in (model.snapshot_loss,
                         lambda *a: snapshot_loss_per_negative(model, *a)):
@@ -427,6 +434,63 @@ class TestSnapshotCache:
             got = shuffled(t, triples)
             np.testing.assert_array_equal(got[0], want[t][0])
             np.testing.assert_array_equal(got[1], want[t][1])
+
+
+@pytest.mark.parametrize("decoder", ["distmult", "complex"])
+@pytest.mark.parametrize("gating", [False, True])
+def test_loss_gathers_no_row_per_candidate(tiny_dataset, monkeypatch, decoder, gating):
+    # DistMult and ComplEx score through (m, d) query vectors: no gather of
+    # fixed, relation, gate or candidate rows has one row per candidate
+    ds = tiny_dataset
+    cfg = ModelConfig(variant="srgcn", decoder=decoder, dim=4, layers=1, gating=gating)
+    model = TempModel(cfg, ds, init_params(cfg, ds.entity_count, ds.relation_count,
+                                           ds.step_count, seed=3))
+    tape = Tape()
+    leaves = leaves_on_tape(tape, model.params)
+    t = ds.step_count - 1
+    window, target_pos = model.window_triples(t)
+    ctx = model.encode_context(leaves, t, window, target_pos)
+    triples = ds.splits["train"][t].triples
+    negs = (np.zeros((len(triples), 5), dtype=np.int64),
+            np.ones((len(triples), 5), dtype=np.int64))
+    sizes = []
+    original = ad.gather_rows
+
+    def spy(tensor, ids):
+        sizes.append(len(ids))
+        return original(tensor, ids)
+
+    monkeypatch.setattr(ad, "gather_rows", spy)
+    model.snapshot_loss(leaves, ctx, triples, negs, compute_tpf(ds))
+    assert sizes and max(sizes) == len(triples)
+
+
+def test_training_tape_freed_without_cycle_collector(tiny_dataset, tmp_path, monkeypatch):
+    # each batch's tape dies with its last tensor, not when the cyclic
+    # collector happens to run
+    from tempkg import train as train_mod
+    from tempkg.config import RunConfig, TrainConfig
+
+    config = RunConfig()
+    config.model = ModelConfig(variant="temp-gru", decoder="complex", dim=4, layers=2,
+                               window=2, heads=2, gating=True, imputation=True)
+    config.train = TrainConfig(negatives=3, batch_snapshots=2, seed=1)
+    tapes = []
+
+    def recording_tape():
+        tape = Tape()
+        tapes.append(weakref.ref(tape))
+        return tape
+
+    monkeypatch.setattr(train_mod, "Tape", recording_tape)
+    gc.collect()
+    gc.disable()
+    try:
+        train_mod.train(config, tiny_dataset, tmp_path, max_epochs=1)
+        assert len(tapes) >= 2
+        assert [ref() for ref in tapes] == [None] * len(tapes)
+    finally:
+        gc.enable()
 
 
 def test_ungated_loss_never_gathers_structural_rows(tiny_dataset, monkeypatch):

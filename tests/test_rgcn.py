@@ -42,9 +42,11 @@ def encode_per_relation(triples, params, *, entity_count, relation_count, layers
 # (entities, relations, triples): an empty snapshot; relation 2 of 3 only, so
 # the groups are 2 and its inverse 5, and entity 4 receives only inverse
 # messages; repeated (relation, destination) pairs, a repeated triple and a
-# self-loop triple
+# self-loop triple; relation 0 with one edge, so its group and its inverse's
+# are one row each
 ORACLE_CASES = {
     "empty": (5, 2, []),
+    "one_edge_groups": (5, 2, [(1, 0, 3), (0, 1, 2), (2, 1, 3), (4, 1, 3)]),
     "inverse_only_destinations": (6, 3, [(4, 2, 0), (4, 2, 1), (3, 2, 0)]),
     "repeated_pairs": (6, 2, [(0, 0, 1), (2, 0, 1), (3, 0, 1), (3, 0, 1), (1, 1, 1),
                               (5, 1, 2), (4, 1, 2), (0, 0, 5), (2, 1, 0)]),
@@ -195,6 +197,26 @@ class TestOneScatterPerLayer:
                 assert got[name] is None, name
             else:
                 assert scaled_error(got[name], want[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_one_gather_and_one_segment_matmul_per_layer(self, case, monkeypatch):
+        e, r, triples = ORACLE_CASES[case]
+        calls = []
+        for name in ("gather_rows", "segment_matmul", "matmul", "concat"):
+            original = getattr(ad, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(ad, name, spy)
+        params = make_params(e, r, 3, 2, np.random.default_rng(23))
+        rgcn.encode_snapshot(np.array(triples, dtype=np.int64), params,
+                             entity_count=e, relation_count=r, layers=2)
+        # per layer: the self-loop matmul, then the edges' gather and transform;
+        # an empty snapshot has no edges to gather or transform
+        per_layer = ["matmul"] + (["gather_rows", "segment_matmul"] if triples else [])
+        assert calls == per_layer * 2
 
 
 class TestEdgeDropout:

@@ -6,7 +6,7 @@ import pytest
 
 from tempkg.cli import main
 from tempkg.config import RunConfig
-from tempkg.data import Snapshot, TkgDataset
+from tempkg.data import Snapshot, TkgDataset, cross_split_repeats, load_dataset
 from tempkg.evaluation import evaluate
 from tempkg.model import ModelConfig, TempModel, init_params
 from tempkg.synth import SynthSpec, generate_synthetic
@@ -186,6 +186,20 @@ split = test
         activity = (out_dir / "activity.csv").read_text().splitlines()
         assert activity[0].startswith("step,active_entities")
         assert len(activity) == 6
+
+    def test_stats_reports_cross_split_repeats(self, tmp_path, synth_config):
+        data_dir = self.make_dataset_dir(tmp_path, synth_config)
+        train_lines = (data_dir / "train.txt").read_text().splitlines()
+        with open(data_dir / "test.txt", "a", encoding="utf-8") as fh:
+            fh.write("\n".join(train_lines[:2]) + "\n")   # two facts leak into test
+        (data_dir / "stat.txt").unlink()   # its declared total no longer holds
+        repeats = cross_split_repeats(load_dataset(data_dir))
+        assert repeats >= 2
+        out_dir = tmp_path / "stats"
+        cfg = self.full_config(tmp_path, data_dir)
+        assert run_cli(["stats", "--config", cfg, "--out", str(out_dir)]) == 0
+        stats = (out_dir / "stats.csv").read_text().splitlines()
+        assert stats[-1] == f"cross_split_repeats,{repeats}"
 
     def test_train_eval_analyze_pipeline(self, tmp_path, synth_config):
         data_dir = self.make_dataset_dir(tmp_path, synth_config)
