@@ -10,6 +10,7 @@ Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -71,7 +72,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             off += 8
             dims = struct.unpack_from(f"<{rank}Q", blob, off)
             off += 8 * rank
-            n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            n = math.prod(dims)  # a Python int: an absurd header cannot wrap to a small size
             end = off + 8 * n
             if end > len(blob):
                 raise CheckpointError(f"{path}: truncated tensor data for '{name}'")

@@ -160,17 +160,18 @@ def sample_negatives(s: int, r: int, o: int, t: int, index: TrueTripleIndex,
     out = []
     for true_set, answer in ((index.objects_for(s, r, t), o),
                              (index.subjects_for(r, o, t), s)):
-        valid = np.setdiff1d(np.arange(entity_count, dtype=np.int64), true_set,
-                             assume_unique=True)
-        if valid.size == 0:
+        valid = entity_count - true_set.size
+        if valid == 0:
             log.warning("no valid corruption exists for (%d,%d,%d,%d); "
                         "sampling among known-true entities", s, r, o, t)
-            valid = np.setdiff1d(np.arange(entity_count, dtype=np.int64),
-                                 np.array([answer], dtype=np.int64))
-        elif valid.size < k:
+            true_set = np.array([answer], dtype=np.int64)
+            valid = entity_count - 1
+        elif valid < k:
             log.warning("only %d valid corruptions for %d requested; sampling "
-                        "with replacement", valid.size, k)
-        out.append(valid[rng.integers(0, valid.size, size=k)])
+                        "with replacement", valid, k)
+        # the j-th id outside the sorted true set is j plus the count of true ids below it
+        j = rng.integers(0, valid, size=k)
+        out.append(j + np.searchsorted(true_set - np.arange(true_set.size), j, side="right"))
     return out[0], out[1]
 
 

@@ -65,7 +65,7 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
 
 
 def _xavier(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)

@@ -97,30 +97,6 @@ def encode_gru(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
     return z
 
 
-def _attention_logits(x_steps: list[Tensor], active: list[np.ndarray],
-                      target_pos: int, lam: Tensor, b: Tensor, query_keys):
-    """Yield (mask, logits) for each (wq, wk) pair, one head at a time.
-
-    The activity mask and the decay penalty max(0, lambda * |dt| + b) are
-    built once. An entity inactive at every window step keeps only its
-    target-step column, so it attends to its own representation. Logits are
-    the scaled query-key products minus the penalty.
-    """
-    width = len(x_steps)
-    mask = np.stack(active, axis=1)
-    degenerate = ~mask.any(axis=1)
-    if degenerate.any():
-        mask[degenerate, target_pos] = True
-    offsets = np.abs(np.arange(width) - target_pos).astype(np.float64).reshape(1, -1)
-    penalty = decay_exponent(offsets, lam, b)  # (1, width)
-    for wq, wk in query_keys:
-        scale = 1.0 / np.sqrt(wq.shape[1])
-        q = ad.matmul(x_steps[target_pos], wq)
-        cols = [ad.mul(ad.reduce_sum(ad.mul(q, ad.matmul(x, wk)), axis=1), scale)
-                for x in x_steps]
-        yield mask, ad.sub(ad.concat(cols, axis=1), penalty)
-
-
 def encode_sa(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
               params: dict[str, Tensor], *, heads: int) -> Tensor:
     """Temporal embeddings via decay-penalized, activity-masked attention.
@@ -130,23 +106,31 @@ def encode_sa(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
     out entirely. An entity inactive at every window step falls back to
     attending only to its own target-step representation, which equals the
     value projection of x_t.
+
+    Every head runs in one pass: the per-head ``sa.h{k}.wq/wk/wv`` leaves are
+    concatenated into (d, d) projections, and head k of entity e is row
+    ``e * heads + k`` of the (n * heads, d / heads) reshape of a projection.
     """
     n, dim = x_steps[target_pos].shape
     if dim % heads:
         raise ValueError(f"embedding dim {dim} not divisible by {heads} heads")
-    query_keys = [(params[f"sa.h{k}.wq"], params[f"sa.h{k}.wk"]) for k in range(heads)]
-    head_logits = _attention_logits(x_steps, active, target_pos, params["decay.z.lam"],
-                                    params["decay.z.b"], query_keys)
-    head_outputs = []
-    for k, (mask, logits) in enumerate(head_logits):
-        wv = params[f"sa.h{k}.wv"]
-        beta = ad.masked_softmax(logits, mask)
-        z_k = None
-        for p, x in enumerate(x_steps):
-            term = ad.mul(ad.columns(beta, p, p + 1), ad.matmul(x, wv))
-            z_k = term if z_k is None else ad.add(z_k, term)
-        head_outputs.append(z_k)
-    return ad.concat(head_outputs, axis=1) if heads > 1 else head_outputs[0]
+    rows, dh = n * heads, dim // heads
+    wq, wk, wv = (ad.concat([params[f"sa.h{k}.{nm}"] for k in range(heads)], axis=1)
+                  for nm in ("wq", "wk", "wv"))
+    mask = np.stack(active, axis=1)
+    mask[~mask.any(axis=1), target_pos] = True
+    offsets = np.abs(np.arange(len(x_steps)) - target_pos).astype(np.float64).reshape(1, -1)
+    penalty = decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
+    q = ad.matmul(x_steps[target_pos], wq)
+    dots = [ad.reduce_sum(ad.reshape(ad.mul(q, ad.matmul(x, wk)), (rows, dh)), axis=1)
+            for x in x_steps]
+    logits = ad.sub(ad.mul(ad.concat(dots, axis=1), 1.0 / np.sqrt(dh)), penalty)
+    beta = ad.masked_softmax(logits, np.repeat(mask, heads, axis=0))
+    z = None
+    for p, x in enumerate(x_steps):
+        term = ad.mul(ad.columns(beta, p, p + 1), ad.reshape(ad.matmul(x, wv), (rows, dh)))
+        z = term if z is None else ad.add(z, term)
+    return ad.reshape(z, (n, dim))
 
 
 def add_positional(z: Tensor, positional: Tensor, t: int) -> Tensor:

@@ -243,6 +243,31 @@ def tiny_dataset():
     return TkgDataset(3, 1, 1, {"train": train, "valid": list(empty), "test": list(empty)})
 
 
+def sample_negatives_setdiff(true_sets, answers, k, rng, entity_count):
+    """Oracle: draw from the explicit complement of each slot's true set."""
+    out = []
+    for true_set, answer in zip(true_sets, answers):
+        valid = np.setdiff1d(np.arange(entity_count), true_set)
+        if valid.size == 0:
+            valid = np.setdiff1d(np.arange(entity_count), [answer])
+        out.append(valid[rng.integers(0, valid.size, size=k)])
+    return out[0], out[1]
+
+
+class FixedIndex:
+    """A true-triple index that returns the same sorted sets for every query."""
+
+    def __init__(self, objects, subjects):
+        self.objects = np.array(sorted(objects), dtype=np.int64)
+        self.subjects = np.array(sorted(subjects), dtype=np.int64)
+
+    def objects_for(self, s, r, t):
+        return self.objects
+
+    def subjects_for(self, r, o, t):
+        return self.subjects
+
+
 class TestNegativeSampling:
     def test_rejects_known_true_completions(self):
         index = build_true_index(tiny_dataset())
@@ -284,6 +309,43 @@ class TestNegativeSampling:
         sigma = np.sqrt(100_000 * p * (1 - p))
         deviation = np.abs(np.delete(counts, 1) - mean)
         assert deviation.max() <= 4 * sigma
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_complement_oracle_on_random_true_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        e = int(rng.integers(2, 40))
+        objects, subjects = (rng.choice(e, size=int(rng.integers(0, e)), replace=False)
+                             for _ in range(2))
+        index = FixedIndex(objects, subjects)
+        got = decoder.sample_negatives(0, 0, 1, 0, index, 50, np.random.default_rng(seed), e)
+        want = sample_negatives_setdiff((index.objects, index.subjects), (1, 0), 50,
+                                        np.random.default_rng(seed), e)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_full_true_set_falls_back_to_all_but_answer(self, caplog):
+        e = 6
+        index = FixedIndex(range(e), range(e))
+        with caplog.at_level("WARNING", logger="tempkg"):
+            got = decoder.sample_negatives(2, 0, 4, 0, index, 30, np.random.default_rng(1), e)
+        want = sample_negatives_setdiff((index.objects, index.subjects), (4, 2), 30,
+                                        np.random.default_rng(1), e)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert 4 not in got[0] and 2 not in got[1]
+        assert "no valid corruption" in caplog.text
+
+    def test_fewer_valid_ids_than_k_matches_oracle_and_warns(self, caplog):
+        e = 10
+        index = FixedIndex([0, 3, 4, 5, 9], [1, 2, 6, 7, 8])
+        with caplog.at_level("WARNING", logger="tempkg"):
+            got = decoder.sample_negatives(1, 0, 3, 0, index, 12, np.random.default_rng(2), e)
+        want = sample_negatives_setdiff((index.objects, index.subjects), (3, 1), 12,
+                                        np.random.default_rng(2), e)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert set(got[0].tolist()) <= {1, 2, 6, 7, 8}
+        assert "only 5 valid corruptions" in caplog.text
 
     def test_k_must_be_positive(self):
         index = build_true_index(tiny_dataset())

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -154,4 +156,12 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"TMPKGCKP" + b"\x01\x00")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2**62, 4), (2**32, 2**32), (2**63, 2)])
+    def test_header_size_that_overflows_int64_rejected(self, tmp_path, dims):
+        path = tmp_path / "model.ckpt"
+        header = struct.pack("<QQQ", 1, 1, 1) + b"w" + struct.pack("<3Q", 2, *dims)
+        path.write_bytes(b"TMPKGCKP" + header + b"\x00" * 64)
+        with pytest.raises(CheckpointError, match="truncated tensor data"):
             load_checkpoint(path)

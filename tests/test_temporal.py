@@ -3,7 +3,9 @@ import pytest
 
 from tempkg import autodiff as ad
 from tempkg import temporal
-from tempkg.autodiff import constant
+from tempkg.autodiff import Tape, constant
+
+from gradcheck import scaled_error
 
 
 def gru_param_arrays(dim, rng, prefix):
@@ -15,13 +17,41 @@ def gru_param_arrays(dim, rng, prefix):
 
 
 def attention_weights(x_steps, active, target_pos, arrays, head=0):
-    """Off-tape attention row weights of one head, from plain arrays."""
-    c = lambda name: constant(arrays[name])
-    query_keys = [(c(f"sa.h{head}.wq"), c(f"sa.h{head}.wk"))]
-    (mask, logits), = temporal._attention_logits(
-        [constant(x) for x in x_steps], active, target_pos, c("decay.z.lam"),
-        c("decay.z.b"), query_keys)
-    return ad.masked_softmax(logits, mask).data
+    """Attention row weights of one head, in plain numpy."""
+    wq, wk = arrays[f"sa.h{head}.wq"], arrays[f"sa.h{head}.wk"]
+    lam, b = arrays["decay.z.lam"].item(), arrays["decay.z.b"].item()
+    mask = np.stack(active, axis=1)
+    mask[~mask.any(axis=1), target_pos] = True
+    q = x_steps[target_pos] @ wq
+    logits = np.stack([(q * (x @ wk)).sum(axis=1) for x in x_steps], axis=1)
+    logits /= np.sqrt(wq.shape[1])
+    logits -= np.maximum(0.0, lam * np.abs(np.arange(len(x_steps)) - target_pos) + b)
+    logits = np.where(mask, logits, -np.inf)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def encode_sa_per_head(x_steps, active, target_pos, params, *, heads):
+    """Oracle for encode_sa: one query, key and value product and one softmax
+    per head and step, the heads' outputs concatenated."""
+    mask = np.stack(active, axis=1)
+    mask[~mask.any(axis=1), target_pos] = True
+    offsets = np.abs(np.arange(len(x_steps)) - target_pos).astype(np.float64).reshape(1, -1)
+    penalty = temporal.decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
+    head_outputs = []
+    for k in range(heads):
+        wq, wk, wv = (params[f"sa.h{k}.{nm}"] for nm in ("wq", "wk", "wv"))
+        scale = 1.0 / np.sqrt(wq.shape[1])
+        q = ad.matmul(x_steps[target_pos], wq)
+        cols = [ad.mul(ad.reduce_sum(ad.mul(q, ad.matmul(x, wk)), axis=1), scale)
+                for x in x_steps]
+        beta = ad.masked_softmax(ad.sub(ad.concat(cols, axis=1), penalty), mask)
+        z_k = None
+        for p, x in enumerate(x_steps):
+            term = ad.mul(ad.columns(beta, p, p + 1), ad.matmul(x, wv))
+            z_k = term if z_k is None else ad.add(z_k, term)
+        head_outputs.append(z_k)
+    return ad.concat(head_outputs, axis=1)
 
 
 def decay_param_arrays(lam=0.0, b=0.0):
@@ -176,6 +206,8 @@ class TestEncodeSa:
         active = [np.ones(n, dtype=bool)] * 2
         weights = attention_weights(xs, active, 1, arrays)
         np.testing.assert_allclose(weights, 0.5, atol=1e-12)
+        out = self.run(xs, active, target=1, arrays=arrays, heads=1)
+        np.testing.assert_allclose(out, x @ arrays["sa.h0.wv"], atol=1e-12)
 
     def test_hand_computed_attention(self):
         # 3-step window, d=2, one head, lambda=1, b=0: replicate the logits,
@@ -206,6 +238,9 @@ class TestEncodeSa:
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
         mask = np.stack(active, axis=1)
         assert (weights[~mask] == 0).all()
+        out = self.run(xs, active, target=3, arrays=arrays, heads=2)
+        pooled = sum(weights[:, [p]] * (x @ arrays["sa.h0.wv"]) for p, x in enumerate(xs))
+        np.testing.assert_allclose(out[:, :2], pooled, atol=1e-12)
 
     def test_fully_inactive_entity_falls_back_to_value_projection(self):
         dim, n = 4, 2
@@ -231,6 +266,86 @@ class TestEncodeSa:
         xs = [constant(np.zeros((2, 4)))]
         with pytest.raises(ValueError):
             temporal.encode_sa(xs, [np.ones(2, dtype=bool)], 0, as_tensors(arrays), heads=3)
+
+
+# (width, target position, entities inactive at every step)
+WINDOWS = {"width1": (1, 0, ()), "first": (4, 0, (1,)), "middle": (4, 2, ()),
+           "last": (4, 3, (0, 4))}
+# (lambda, b): every penalty positive, or clamped to zero at the near offsets
+PENALTIES = {"active": (0.4, 0.3), "clamped": (0.5, -0.7)}
+
+
+def sa_case(heads, window, penalty, seed=30):
+    """Per-head arrays, window embeddings and activity rows for one case."""
+    width, target, idle = WINDOWS[window]
+    rng = np.random.default_rng(seed)
+    dim, n = 2 * heads, 5
+    arrays = decay_param_arrays(*PENALTIES[penalty])
+    for k in range(heads):
+        for nm in ("wq", "wk", "wv"):
+            arrays[f"sa.h{k}.{nm}"] = rng.normal(size=(dim, 2))
+    xs = [rng.normal(size=(n, dim)) for _ in range(width)]
+    active = [rng.random(n) < 0.6 for _ in range(width)]
+    for row in active:
+        row[list(idle)] = False
+    return arrays, xs, active
+
+
+def vanishing_gradients(window, penalty, heads):
+    """Leaves whose gradient is zero analytically: with one step every weight
+    is 1, so nothing reaches the logits; with every penalty positive, b
+    shifts all logits of a row alike."""
+    if WINDOWS[window][0] == 1:
+        return {"decay.z.lam", "decay.z.b"} | {f"sa.h{k}.{nm}" for k in range(heads)
+                                               for nm in ("wq", "wk")}
+    return {"decay.z.b"} if penalty == "active" else set()
+
+
+class TestOneAttentionPass:
+    @pytest.mark.parametrize("penalty", sorted(PENALTIES))
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("heads", [1, 2, 3, 8])
+    def test_matches_per_head_oracle_with_gradients(self, heads, window, penalty):
+        arrays, xs, active = sa_case(heads, window, penalty)
+        target = WINDOWS[window][1]
+        weights = np.random.default_rng(31).normal(size=xs[0].shape)
+        results = []
+        for fn in (temporal.encode_sa, encode_sa_per_head):
+            tape = Tape()
+            params = {name: tape.leaf(a) for name, a in arrays.items()}
+            x_leaves = [tape.leaf(x) for x in xs]
+            z = fn(x_leaves, active, target, params, heads=heads)
+            grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
+            named = {name: grads[leaf.node_id] for name, leaf in params.items()}
+            named.update({f"x{p}": grads[leaf.node_id] for p, leaf in enumerate(x_leaves)})
+            results.append((z.data, named))
+        (got_z, got), (want_z, want) = results
+        assert scaled_error(got_z, want_z) <= 1e-12
+        assert got.keys() == want.keys()
+        vanishing = vanishing_gradients(window, penalty, heads)
+        for name in want:
+            if name in vanishing:
+                assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
+            else:
+                assert scaled_error(got[name], want[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_one_query_key_and_value_product_per_step(self, heads, width, monkeypatch):
+        arrays, xs, active = sa_case(heads, "middle", "active")
+        xs, active = xs[:width], active[:width]
+        calls = []
+        matmul = ad.matmul
+
+        def spy(a, b):
+            calls.append(b.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", spy)
+        temporal.encode_sa([constant(x) for x in xs], active, width - 1,
+                           as_tensors(arrays), heads=heads)
+        dim = 2 * heads
+        assert calls == [(dim, dim)] * (1 + 2 * width)
 
 
 class TestPositional:
