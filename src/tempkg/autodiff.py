@@ -423,9 +423,9 @@ def gathered_dots(qv, table, ids) -> Tensor:
         raise ShapeError("gathered_dots: index out of range")
     qd, td = qv.data, table.data
     out = np.take_along_axis(qd @ td.T, ids, axis=1)
-    flat = (np.arange(m, dtype=np.int64)[:, None] * e + ids).ravel()
 
     def back(g):
+        flat = (np.arange(m, dtype=np.int64)[:, None] * e + ids).ravel()
         dense = np.bincount(flat, weights=g.ravel(), minlength=m * e).reshape(m, e)
         return dense @ td, dense.T @ qd
 

@@ -76,7 +76,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             end = off + 8 * n
             if end > len(blob):
                 raise CheckpointError(f"{path}: truncated tensor data for '{name}'")
-            arr = np.frombuffer(blob[off:end], dtype="<f8").astype(np.float64).reshape(dims)
+            arr = np.frombuffer(blob[off:end], dtype="<f8").astype(np.float64)
+            try:
+                arr = arr.reshape(dims)
+            except ValueError as err:  # a zero-size header numpy cannot represent
+                raise CheckpointError(f"{path}: bad dims {dims} for '{name}' ({err})") from err
             off = end
             tensors[name] = arr
     except struct.error as err:

@@ -105,6 +105,22 @@ def _coerce(raw: str, target_type, where: str):
         raise ConfigError(f"{where}: expected {target_type.__name__}, got {raw!r}") from err
 
 
+def _section_target(config: RunConfig, section: str):
+    if section not in _SECTION_TARGETS:
+        raise ConfigError(f"unknown config section [{section}]")
+    attr, renames = _SECTION_TARGETS[section]
+    return getattr(config, attr), renames
+
+
+def _assign(target, renames: dict[str, str], section: str, key: str, raw: str,
+            where: str) -> None:
+    """Set one field from its raw text; only dataclass fields are settable."""
+    name = renames.get(key, key)
+    if name not in {f.name for f in fields(target)}:
+        raise ConfigError(f"unknown key '{key}' in section [{section}]")
+    setattr(target, name, _coerce(raw, type(getattr(target, name)), where))
+
+
 def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse a config file; ``overrides`` are 'section.key' -> raw value."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -113,27 +129,12 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}")
     config = RunConfig()
     for section in parser.sections():
-        if section not in _SECTION_TARGETS:
-            raise ConfigError(f"unknown config section [{section}]")
-        attr, renames = _SECTION_TARGETS[section]
-        target = getattr(config, attr)
-        known = {f.name for f in fields(target)}
+        target, renames = _section_target(config, section)
         for key, raw in parser.items(section):
-            name = renames.get(key, key)
-            if name not in known:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            current = getattr(target, name)
-            setattr(target, name, _coerce(raw, type(current), f"[{section}] {key}"))
+            _assign(target, renames, section, key, raw, f"[{section}] {key}")
     for dotted, raw in (overrides or {}).items():
         section, _, key = dotted.partition(".")
-        if section not in _SECTION_TARGETS:
-            raise ConfigError(f"unknown override section {section!r}")
-        attr, renames = _SECTION_TARGETS[section]
-        target = getattr(config, attr)
-        name = renames.get(key, key)
-        if not hasattr(target, name):
-            raise ConfigError(f"unknown override key {dotted!r}")
-        current = getattr(target, name)
-        setattr(target, name, _coerce(raw, type(current), dotted))
+        target, renames = _section_target(config, section)
+        _assign(target, renames, section, key, raw, dotted)
     config.model.__post_init__()
     return config

@@ -31,14 +31,6 @@ class DatasetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Quadruple:
-    subject: int
-    relation: int
-    object: int
-    time: int
-
-
 class Snapshot:
     """All facts at one time step; triples are a set stored sorted."""
 

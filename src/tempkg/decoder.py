@@ -1,10 +1,9 @@
 """Quadruple scoring, negative sampling, and the training objective.
 
-Training scores each query against its own sampled candidates with
-``score_rows``; ``candidate_scores`` ranks every entity for a batch of
-queries off the tape. DistMult and ComplEx are linear in the candidate, so
-both go through one query vector per query (``query_vectors``). Three
-decoders:
+``score_rows`` scores each query against its own candidates: its sampled
+corruptions in training, every entity in evaluation. DistMult and ComplEx
+are linear in the candidate, so both go through one query vector per query
+(``query_vectors``). Three decoders:
 
     transe:   -||s + r - o||_1            (negated distance, higher is better)
     distmult: sum_k s_k r_k o_k
@@ -66,14 +65,16 @@ def query_vectors(fixed: Tensor, r: Tensor, decoder: str, direction: str) -> Ten
 
 def score_rows(fixed: Tensor, r: Tensor, table: Tensor, ids: np.ndarray,
                decoder: str, direction: str, blend=None) -> Tensor:
-    """Training scores of m queries against their own candidates, as (m, k).
+    """Scores of m queries against their own candidates, as (m, k).
 
     Query i scores the candidates ``table[ids[i]]``; ``fixed``, ``r`` and
     ``direction`` are as in ``query_vectors``. With ``blend = (alpha, other)``
     query i scores the candidates alpha[i] * table + (1 - alpha[i]) * other,
-    alpha being (m, 1). DistMult and ComplEx score through one query vector
-    per query and ``gathered_dots``, so no per-candidate row is built; TransE
-    builds its per-candidate L1 rows.
+    alpha being (m, 1). On-tape inputs give training scores; constants and
+    ``ids = np.broadcast_to(np.arange(E), (m, E))`` rank every entity.
+    DistMult and ComplEx score through one query vector per query and
+    ``gathered_dots``, so no per-candidate row is built; TransE builds its
+    per-candidate L1 rows in blocks of queries.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if decoder == "transe":
@@ -86,64 +87,29 @@ def score_rows(fixed: Tensor, r: Tensor, table: Tensor, ids: np.ndarray,
                       ad.gathered_dots(qv, other, ids))
 
 
+# Largest (queries, candidates, dim) block of per-candidate rows TransE builds at once.
+_CHUNK_ELEMENTS = 1 << 21
+
+
 def _transe_rows(fixed, r, table, ids, direction, blend) -> Tensor:
     """-||anchor - candidate||_1 with one row per candidate; the anchor is
     fixed + r for the object direction and fixed - r for the subject one."""
     _check_direction(direction)
     m, k = ids.shape
     anchor = ad.add(fixed, r) if direction == "object" else ad.sub(fixed, r)
-    per_cand = np.repeat(np.arange(m), k)
-    cands = ad.gather_rows(table, ids.ravel())
-    if blend is not None:
-        cands = blend_rows(ad.gather_rows(blend[0], per_cand), cands,
-                           ad.gather_rows(blend[1], ids.ravel()))
-    dist = ad.reduce_sum(ad.absolute(ad.sub(ad.gather_rows(anchor, per_cand), cands)),
-                         axis=1)
-    return ad.reshape(ad.mul(dist, -1.0), (m, k))
-
-
-# Largest (queries, entities, dim) block the TransE scorer builds at once.
-_CHUNK_ELEMENTS = 1 << 21
-
-
-def candidate_scores(fixed: np.ndarray, r: np.ndarray, table: np.ndarray,
-                     decoder: str, direction: str, blend=None) -> np.ndarray:
-    """Scores of every entity as the missing slot of q queries, as (q, E).
-
-    Works on plain arrays off the tape. ``fixed`` and ``r`` are the (q, d)
-    rows of each query's known entity and relation; ``table`` holds the (E, d)
-    candidate embeddings. ``direction`` 'object' scores (fixed, r, candidate),
-    'subject' scores (candidate, r, fixed). With ``blend = (alpha, other)``
-    query i scores the candidates alpha[i] * table + (1 - alpha[i]) * other,
-    alpha being (q, 1). DistMult and ComplEx are linear in the candidate, so
-    each becomes one (q, d) @ (d, E) product per table; TransE takes the L1
-    distance in blocks of queries.
-    """
-    if decoder == "transe":
-        return _transe_candidates(fixed, r, table, direction, blend)
-    qv = query_vectors(constant(fixed), constant(r), decoder, direction).data
-    if blend is None:
-        return qv @ table.T
-    alpha, other = blend
-    return alpha * (qv @ table.T) + (1.0 - alpha) * (qv @ other.T)
-
-
-def _transe_candidates(fixed, r, table, direction, blend) -> np.ndarray:
-    """-||s + r - o||_1 against every candidate: the object direction measures
-    candidates from fixed + r, the subject direction from fixed - r."""
-    _check_direction(direction)
-    anchor = fixed + r if direction == "object" else fixed - r
-    e, d = table.shape
-    out = np.empty((len(anchor), e))
-    step = max(1, _CHUNK_ELEMENTS // max(1, e * d))
-    for lo in range(0, len(anchor), step):
-        hi = lo + step
-        cands = table[None]
+    step = max(1, _CHUNK_ELEMENTS // max(1, k * fixed.shape[1]))
+    blocks = []
+    for lo in range(0, max(m, 1), step):
+        block = ids[lo:lo + step]
+        per_cand = np.repeat(np.arange(lo, lo + len(block)), k)
+        cands = ad.gather_rows(table, block.ravel())
         if blend is not None:
-            alpha = blend[0][lo:hi, :, None]
-            cands = alpha * table + (1.0 - alpha) * blend[1]
-        out[lo:hi] = -np.abs(anchor[lo:hi, None, :] - cands).sum(axis=2)
-    return out
+            cands = blend_rows(ad.gather_rows(blend[0], per_cand), cands,
+                               ad.gather_rows(blend[1], block.ravel()))
+        dist = ad.reduce_sum(ad.absolute(ad.sub(ad.gather_rows(anchor, per_cand), cands)),
+                             axis=1)
+        blocks.append(ad.reshape(ad.mul(dist, -1.0), (len(block), k)))
+    return ad.concat(blocks)
 
 
 def sample_negatives(s: int, r: int, o: int, t: int, index: TrueTripleIndex,

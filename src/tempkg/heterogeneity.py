@@ -108,39 +108,27 @@ def compute_tpf(dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()) -> T
 
 # --- imputation ---------------------------------------------------------------
 
-def impute_window(x_t: Tensor, x_stale: Tensor, deltas: np.ndarray,
-                  has_stale: np.ndarray, inactive: np.ndarray,
-                  lam: Tensor, b: Tensor) -> Tensor:
-    """Batched one-sided imputation across all entities.
+def impute_window(x_t: Tensor, sides, inactive: np.ndarray, lam: Tensor, b: Tensor,
+                  ) -> Tensor:
+    """Batched imputation across all entities from one or two window sides.
 
-    Rows where ``inactive & has_stale`` become the decayed blend of their
-    stale representation (x_stale, the entity's row at its nearest active
-    step) and x_t; every other row passes through unchanged.
+    ``sides`` lists ``(x_stale, deltas, has)`` per side: each entity's row at
+    its nearest active step on that side, the step distance, and whether such
+    a step exists. A side's weight is g = gamma(delta) / len(sides) on rows
+    where ``inactive & has`` and 0 elsewhere, and the result is
+    (1 - sum g) * x_t + sum g * x_stale, so the coefficients are nonnegative
+    and sum to one; active rows pass through unchanged.
     """
-    apply_mask = (inactive & has_stale).astype(np.float64)[:, None]
-    gamma = ad.mul(decay_column(np.where(has_stale, deltas, 1), lam, b),
-                   constant(apply_mask))
-    return ad.add(ad.mul(gamma, x_stale), ad.mul(ad.sub(constant(1.0), gamma), x_t))
-
-
-def impute_window_bidirectional(x_t: Tensor, x_past: Tensor, x_future: Tensor,
-                                deltas_past: np.ndarray, deltas_future: np.ndarray,
-                                has_past: np.ndarray, has_future: np.ndarray,
-                                inactive: np.ndarray, lam: Tensor, b: Tensor) -> Tensor:
-    """Batched two-sided imputation with halved, renormalized decay weights.
-
-    An inactive row blends x_past, x_future and x_t with coefficients
-    (g-/2, g+/2, 1 - g-/2 - g+/2), which are nonnegative and sum to one; a
-    side without a stale row gets weight zero. Active rows pass through.
-    """
-    use_p = (inactive & has_past).astype(np.float64)[:, None]
-    use_f = (inactive & has_future).astype(np.float64)[:, None]
-    g_p = ad.mul(decay_column(np.where(has_past, deltas_past, 1), lam, b), 0.5)
-    g_f = ad.mul(decay_column(np.where(has_future, deltas_future, 1), lam, b), 0.5)
-    g_p = ad.mul(g_p, constant(use_p))
-    g_f = ad.mul(g_f, constant(use_f))
-    rest = ad.sub(ad.sub(constant(1.0), g_p), g_f)
-    return ad.add(ad.add(ad.mul(rest, x_t), ad.mul(g_p, x_past)), ad.mul(g_f, x_future))
+    rest, terms = constant(1.0), []
+    for x_stale, deltas, has in sides:
+        weight = (inactive & has).astype(np.float64)[:, None] / len(sides)
+        g = ad.mul(decay_column(np.where(has, deltas, 1), lam, b), constant(weight))
+        rest = ad.sub(rest, g)
+        terms.append(ad.mul(g, x_stale))
+    out = ad.mul(rest, x_t)
+    for term in terms:
+        out = ad.add(out, term)
+    return out
 
 
 # --- frequency-based gating ----------------------------------------------------

@@ -50,10 +50,19 @@ class ModelConfig:
             raise ValueError(f"unknown model variant {self.variant!r}")
         if self.decoder not in dec.DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        if self.dim < 1:
+            raise ValueError("embedding dim must be positive")
+        if self.decoder == "complex" and self.dim % 2:
+            raise ValueError("the complex decoder needs an even embedding dim")
+        if self.variant == "temp-sa" and self.heads < 1:
+            raise ValueError("head count must be positive")
         if self.variant == "temp-sa" and self.dim % self.heads:
             raise ValueError("embedding dim must be divisible by the head count")
         if self.window < 0:
             raise ValueError("window must be nonnegative")
+        for rate in (self.dropout_current, self.dropout_reference):
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"dropout rate {rate} outside [0, 1]")
 
     @property
     def temporal_active(self) -> bool:
@@ -218,36 +227,24 @@ class TempModel:
 
     def _impute_target(self, leaves, x_steps, active, target_pos) -> Tensor:
         """Replace stale rows of the target step with decayed blends of each
-        inactive entity's nearest active representation inside the window."""
+        inactive entity's nearest active representation inside the window:
+        the past side, and with a bidirectional window the future side too."""
         e = self.dataset.entity_count
-        lam, b = leaves["decay.x.lam"], leaves["decay.x.b"]
-        inactive = ~active[target_pos]
-
-        def nearest(positions):
-            seen = np.full(e, -1, dtype=np.int64)
-            for pos in positions:
-                seen[active[pos]] = pos
-            return seen
-
-        last = nearest(range(target_pos))
-        x_t = x_steps[target_pos]
-        stale_past = self._select_rows(x_steps, last, e)
-        if not self.config.bidirectional:
-            return het.impute_window(x_t, stale_past, target_pos - last,
-                                     last >= 0, inactive, lam, b)
-        nxt = nearest(range(len(x_steps) - 1, target_pos, -1))
-        stale_future = self._select_rows(x_steps, nxt, e)
-        return het.impute_window_bidirectional(
-            x_t, stale_past, stale_future, target_pos - last, nxt - target_pos,
-            last >= 0, nxt >= 0, inactive, lam, b)
-
-    def _select_rows(self, x_steps, position_of: np.ndarray, e: int) -> Tensor:
-        """Per-entity row selection across steps via constant (e, 1) 0/1 masks."""
-        out = constant(np.zeros((e, self.config.dim)))
-        for pos in np.unique(position_of[position_of >= 0]).tolist():
-            mask = (position_of == pos).astype(np.float64)[:, None]
-            out = ad.add(out, ad.mul(x_steps[pos], constant(mask)))
-        return out
+        held = np.stack(active)
+        sentinel = np.ones((1, e), dtype=bool)
+        stacked = ad.concat(x_steps)
+        side_rows = [held[:target_pos][::-1]]
+        if self.config.bidirectional:
+            side_rows.append(held[target_pos + 1:])
+        sides = []
+        for sign, rows in zip((-1, 1), side_rows):
+            # argmax finds the nearest active row; the sentinel row marks "none"
+            nearest = np.argmax(np.concatenate([rows, sentinel]), axis=0)
+            has = nearest < len(rows)
+            pos = np.where(has, target_pos + sign * (nearest + 1), target_pos)
+            sides.append((ad.gather_rows(stacked, pos * e + np.arange(e)), nearest + 1, has))
+        return het.impute_window(x_steps[target_pos], sides, ~active[target_pos],
+                                 leaves["decay.x.lam"], leaves["decay.x.b"])
 
     # --- scoring ----------------------------------------------------------------
 
@@ -264,12 +261,25 @@ class TempModel:
         cand_alpha = het.gate_alpha(rows, leaves, gates[1])
         return fixed_alpha, cand_alpha
 
-    def _blended_rows(self, alpha_col, ctx: WindowContext, ids: np.ndarray) -> Tensor:
-        """Rows ``ids`` of the gated blend of ctx.x and ctx.z; without a gate
-        the ctx.z rows alone, and ctx.x is not gathered."""
-        if alpha_col is None:
-            return ad.gather_rows(ctx.z, ids)
-        return het.blend(alpha_col, ad.gather_rows(ctx.x, ids), ad.gather_rows(ctx.z, ids))
+    def _direction_scores(self, leaves, ctx: WindowContext, tpf, triples: np.ndarray,
+                          r_emb: Tensor, direction: str, cand_ids: np.ndarray) -> Tensor:
+        """Scores of each query of ``triples`` against its row of ``cand_ids``.
+
+        With a gate the fixed rows and the candidates are the blends
+        alpha * ctx.x + (1 - alpha) * ctx.z; without one they are ctx.z rows,
+        and ctx.x is not read.
+        """
+        fixed_idx = triples[:, 0] if direction == "object" else triples[:, 2]
+        if self.config.gating and tpf is not None:
+            fixed_alpha, cand_alpha = self._gate_alphas(leaves, tpf, direction,
+                                                        triples, ctx.time)
+            fixed = het.blend(fixed_alpha, ad.gather_rows(ctx.x, fixed_idx),
+                              ad.gather_rows(ctx.z, fixed_idx))
+            table, blend = ctx.x, (cand_alpha, ctx.z)
+        else:
+            fixed, table, blend = ad.gather_rows(ctx.z, fixed_idx), ctx.z, None
+        return dec.score_rows(fixed, r_emb, table, cand_ids, self.config.decoder,
+                              direction, blend)
 
     def snapshot_loss(self, leaves: dict[str, Tensor], ctx: WindowContext,
                       triples: np.ndarray, negatives: tuple[np.ndarray, np.ndarray],
@@ -278,27 +288,16 @@ class TempModel:
 
         ``negatives`` holds (m, k) corruption ids for the object and subject
         slots. Each direction scores one (m, 1 + k) candidate matrix, the
-        answer in column 0, in one ``decoder.score_rows`` call; with a gate
-        the candidates are the blend alpha * ctx.x + (1 - alpha) * ctx.z.
+        answer in column 0.
         """
-        cfg = self.config
-        subjects, rels, objects = (triples[:, 0], triples[:, 1], triples[:, 2])
-        r_emb = ad.gather_rows(ctx.relation, rels)
+        r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
         total = None
-        for direction, fixed_idx, true_idx, negs in (
-                ("object", subjects, objects, negatives[0]),
-                ("subject", objects, subjects, negatives[1])):
-            if cfg.gating and tpf is not None:
-                fixed_alpha, cand_alpha = self._gate_alphas(leaves, tpf, direction,
-                                                            triples, ctx.time)
-                table, blend = ctx.x, (cand_alpha, ctx.z)
-            else:
-                fixed_alpha, table, blend = None, ctx.z, None
-            fixed = self._blended_rows(fixed_alpha, ctx, fixed_idx)
+        for direction, true_idx, negs in (("object", triples[:, 2], negatives[0]),
+                                          ("subject", triples[:, 0], negatives[1])):
             cand_ids = np.concatenate([true_idx[:, None], negs], axis=1)
-            scores = dec.score_rows(fixed, r_emb, table, cand_ids, cfg.decoder,
-                                    direction, blend)
-            loss = dec.query_loss(scores, mode=cfg.loss_mode)
+            scores = self._direction_scores(leaves, ctx, tpf, triples, r_emb,
+                                            direction, cand_ids)
+            loss = dec.query_loss(scores, mode=self.config.loss_mode)
             total = loss if total is None else ad.add(total, loss)
         return total
 
@@ -318,26 +317,20 @@ class TempModel:
         The scorer encodes each snapshot once over its lifetime: it keeps the
         structural embeddings of the current window, so build a new scorer
         after the parameters change. Each query direction is scored as one
-        (q, E) matrix by ``decoder.candidate_scores``.
+        (q, E) matrix by the training scorer, on constants, with every entity
+        as each query's candidates.
         """
         cache: dict[int, Tensor] = {}
+        leaves = {name: constant(arr) for name, arr in self.params.items()}
+        every = np.arange(self.dataset.entity_count)
 
         def scorer(t: int, triples: np.ndarray):
             ctx = self.eval_context(t, cache)
-            leaves = {name: constant(arr) for name, arr in self.params.items()}
-            x, z, decoder = ctx.x.data, ctx.z.data, self.config.decoder
-            r = ctx.relation.data[triples[:, 1]]
-            out = []
-            for direction, ids in (("object", triples[:, 0]), ("subject", triples[:, 2])):
-                if self.config.gating and tpf is not None:
-                    fixed_alpha, cand_alpha = (a.data for a in self._gate_alphas(
-                        leaves, tpf, direction, triples, t))
-                    fixed = fixed_alpha * x[ids] + (1.0 - fixed_alpha) * z[ids]
-                    out.append(dec.candidate_scores(fixed, r, x, decoder, direction,
-                                                    blend=(cand_alpha, z)))
-                else:
-                    out.append(dec.candidate_scores(z[ids], r, z, decoder, direction))
-            return out[0], out[1]
+            r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
+            cand_ids = np.broadcast_to(every, (len(triples), len(every)))
+            return tuple(self._direction_scores(leaves, ctx, tpf, triples, r_emb,
+                                                direction, cand_ids).data
+                         for direction in ("object", "subject"))
 
         return scorer
 

@@ -34,8 +34,8 @@ class TedConfig:
     blend: str = "tiered"  # 'tiered' lexicographic ordering or 'sum' of tier scores
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("decay rate sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"decay rate sigma must be positive and finite, got {self.sigma}")
         if self.blend not in ("tiered", "sum"):
             raise ValueError(f"unknown blend {self.blend!r}")
 

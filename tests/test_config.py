@@ -82,6 +82,20 @@ sigmas = 1e-5 0.1 10
         cfg = load_config(path, overrides={"train.seed": "42"})
         assert cfg.train.seed == 42
 
+    @pytest.mark.parametrize("dotted", ["model.temporal_active", "ted.sigma_list",
+                                        "model.width", "optimizer.lr"])
+    def test_unknown_override_is_config_error(self, tmp_path, dotted):
+        # overrides pass the key check of the config file: a property or a
+        # method is not a settable key
+        path = write(tmp_path, "[train]\nseed = 1\n")
+        with pytest.raises(ConfigError):
+            load_config(path, overrides={dotted: "1"})
+
+    def test_renamed_override_key(self, tmp_path):
+        path = write(tmp_path, "[train]\nseed = 1\n")
+        cfg = load_config(path, overrides={"model.loss": "prob_sum"})
+        assert cfg.model.loss_mode == "prob_sum"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")

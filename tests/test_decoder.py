@@ -209,6 +209,16 @@ def candidate_rows_per_query(fixed, r, table, kind, direction, blend=None):
     return out
 
 
+def every_entity_scores(fixed, r, table, kind, direction, blend=None):
+    """``score_rows`` off the tape with every entity as each query's candidates,
+    as the evaluation scorer calls it."""
+    ids = np.broadcast_to(np.arange(len(table)), (len(fixed), len(table)))
+    if blend is not None:
+        blend = (constant(blend[0]), constant(blend[1]))
+    return decoder.score_rows(constant(fixed), constant(r), constant(table), ids,
+                              kind, direction, blend).data
+
+
 class TestCandidateScores:
     @pytest.mark.parametrize("kind", decoder.DECODERS)
     @pytest.mark.parametrize("direction", ["object", "subject"])
@@ -222,19 +232,63 @@ class TestCandidateScores:
         fixed, r = rng.normal(size=(q, d)), rng.normal(size=(q, d))
         table = rng.normal(size=(e, d))
         blend = (rng.uniform(size=(q, 1)), rng.normal(size=(e, d))) if gated else None
-        got = decoder.candidate_scores(fixed, r, table, kind, direction, blend)
+        got = every_entity_scores(fixed, r, table, kind, direction, blend)
         want = candidate_rows_per_query(fixed, r, table, kind, direction, blend)
         assert got.shape == (q, e)
         assert scaled_error(got, want) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["distmult", "complex"])
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_bilinear_scores_are_one_product_per_table(self, kind, gated):
+        # bit for bit the (q, d) @ (d, E) product, and alpha * A + (1 - alpha) * B
+        rng = np.random.default_rng(5)
+        q, e, d = 4, 9, 6
+        fixed, r, table = (rng.normal(size=s) for s in ((q, d), (q, d), (e, d)))
+        blend = (rng.uniform(size=(q, 1)), rng.normal(size=(e, d))) if gated else None
+        qv = decoder.query_vectors(constant(fixed), constant(r), kind, "object").data
+        want = qv @ table.T
+        if gated:
+            want = blend[0] * want + (1.0 - blend[0]) * (qv @ blend[1].T)
+        np.testing.assert_array_equal(
+            every_entity_scores(fixed, r, table, kind, "object", blend), want)
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_transe_blocks_keep_scores_and_gradients(self, monkeypatch, gated):
+        rng = np.random.default_rng(6)
+        m, e, d = 5, 7, 4
+        arrays = {"fixed": rng.normal(size=(m, d)), "r": rng.normal(size=(m, d)),
+                  "table": rng.normal(size=(e, d))}
+        if gated:
+            arrays |= {"alpha": rng.uniform(size=(m, 1)), "other": rng.normal(size=(e, d))}
+        ids = rng.integers(0, e, size=(m, 3))
+        results = []
+        for chunk in (decoder._CHUNK_ELEMENTS, 2 * 3 * d):   # one block, then blocks of 2
+            monkeypatch.setattr(decoder, "_CHUNK_ELEMENTS", chunk)
+            tape = Tape()
+            leaves = {name: tape.leaf(a) for name, a in arrays.items()}
+            blend = (leaves["alpha"], leaves["other"]) if gated else None
+            scores = decoder.score_rows(leaves["fixed"], leaves["r"], leaves["table"],
+                                        ids, "transe", "subject", blend)
+            grads = tape.backward(ad.reduce_sum(ad.mul(scores, scores)))
+            results.append((scores.data, [grads[leaf.node_id] for leaf in leaves.values()]))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):   # blocks add up in another order
+            assert scaled_error(g, w) <= 1e-12
+
+    @pytest.mark.parametrize("kind", decoder.DECODERS)
+    def test_empty_query_set(self, kind):
+        rows, table = np.ones((0, 4)), np.ones((3, 4))
+        assert every_entity_scores(rows, rows, table, kind, "object").shape == (0, 3)
+
     def test_bad_arguments_rejected(self):
         rows = np.ones((2, 3))
         with pytest.raises(ValueError):
-            decoder.candidate_scores(rows, rows, rows, "complex", "object")
+            every_entity_scores(rows, rows, rows, "complex", "object")
         with pytest.raises(ValueError):
-            decoder.candidate_scores(rows, rows, rows, "rescal", "object")
+            every_entity_scores(rows, rows, rows, "rescal", "object")
         with pytest.raises(ValueError):
-            decoder.candidate_scores(rows, rows, rows, "distmult", "relation")
+            every_entity_scores(rows, rows, rows, "distmult", "relation")
 
 
 def tiny_dataset():

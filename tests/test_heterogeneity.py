@@ -114,14 +114,13 @@ class TestImputation:
         return constant(np.array([[lam]])), constant(np.array([[b]]))
 
     def one_sided(self, x_t, x_past, delta, lam, b, has_past=True):
-        return het.impute_window(constant(x_t), constant(x_past), np.array([delta]),
-                                 np.array([has_past]), np.array([True]), lam, b).data
+        sides = [(constant(x_past), np.array([delta]), np.array([has_past]))]
+        return het.impute_window(constant(x_t), sides, np.array([True]), lam, b).data
 
     def two_sided(self, x_t, x_p, x_f, d_p, d_f, lam, b, has_p=True, has_f=True):
-        return het.impute_window_bidirectional(
-            constant(x_t), constant(x_p), constant(x_f), np.array([d_p]),
-            np.array([d_f]), np.array([has_p]), np.array([has_f]), np.array([True]),
-            lam, b).data
+        sides = [(constant(x_p), np.array([d_p]), np.array([has_p])),
+                 (constant(x_f), np.array([d_f]), np.array([has_f]))]
+        return het.impute_window(constant(x_t), sides, np.array([True]), lam, b).data
 
     def test_unit_decay_returns_past(self):
         lam, b = self.lam_b(0.0, 0.0)
@@ -179,7 +178,7 @@ class TestImputation:
         deltas = np.array([1, 2, 3, 1])
         has = np.array([True, True, False, True])
         inactive = np.array([True, False, True, True])
-        out = het.impute_window(x_t, x_stale, deltas, has, inactive, lam, b).data
+        out = het.impute_window(x_t, [(x_stale, deltas, has)], inactive, lam, b).data
         np.testing.assert_array_equal(out[1], x_t.data[1])  # active: untouched
         np.testing.assert_array_equal(out[2], x_t.data[2])  # no stale row: untouched
         for i in (0, 3):

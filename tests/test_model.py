@@ -9,13 +9,14 @@ from tempkg import decoder as dec
 from tempkg import heterogeneity as het
 from tempkg import rgcn
 from tempkg.autodiff import Tape, constant
-from tempkg.data import build_true_index
+from tempkg.data import Snapshot, TkgDataset, build_true_index
 from tempkg.evaluation import evaluate
 from tempkg.heterogeneity import compute_tpf
 from tempkg.optim import AdamState
 from tempkg.model import (ModelConfig, TempModel, grads_by_name, init_params,
                           leaves_on_tape)
 from tempkg.synth import SynthSpec, generate_synthetic
+from tempkg.temporal import decay_column
 
 from gradcheck import scaled_error
 from test_decoder import direction_rows_per_row
@@ -107,6 +108,46 @@ def snapshot_loss_per_negative(model, leaves, ctx, triples, negatives, tpf):
     return total
 
 
+def impute_target_per_position(model, leaves, x_steps, active, target_pos):
+    """Oracle: each entity's nearest active step found by a loop over window
+    positions, its rows selected by one masked (E, d) product per position,
+    and the one- and two-sided imputation formulas written out separately."""
+    e = model.dataset.entity_count
+    lam, b = leaves["decay.x.lam"], leaves["decay.x.b"]
+    inactive = ~active[target_pos]
+    x_t = x_steps[target_pos]
+
+    def nearest(positions):
+        seen = np.full(e, -1, dtype=np.int64)
+        for pos in positions:
+            seen[active[pos]] = pos
+        return seen
+
+    def select_rows(position_of):
+        out = constant(np.zeros((e, model.config.dim)))
+        for pos in np.unique(position_of[position_of >= 0]).tolist():
+            mask = (position_of == pos).astype(np.float64)[:, None]
+            out = ad.add(out, ad.mul(x_steps[pos], constant(mask)))
+        return out
+
+    def gamma(position_of, deltas):
+        has = position_of >= 0
+        return decay_column(np.where(has, deltas, 1), lam, b), has
+
+    last = nearest(range(target_pos))
+    g, has = gamma(last, target_pos - last)
+    if not model.config.bidirectional:
+        g = ad.mul(g, constant((inactive & has).astype(np.float64)[:, None]))
+        return ad.add(ad.mul(g, select_rows(last)), ad.mul(ad.sub(constant(1.0), g), x_t))
+    nxt = nearest(range(len(x_steps) - 1, target_pos, -1))
+    g_f, has_f = gamma(nxt, nxt - target_pos)
+    g_p = ad.mul(ad.mul(g, 0.5), constant((inactive & has).astype(np.float64)[:, None]))
+    g_f = ad.mul(ad.mul(g_f, 0.5), constant((inactive & has_f).astype(np.float64)[:, None]))
+    rest = ad.sub(ad.sub(constant(1.0), g_p), g_f)
+    return ad.add(ad.add(ad.mul(rest, x_t), ad.mul(g_p, select_rows(last))),
+                  ad.mul(g_f, select_rows(nxt)))
+
+
 class TestInit:
     def test_deterministic_and_name_stable(self):
         cfg = ModelConfig(variant="temp-gru", dim=8, layers=1, window=2, heads=2)
@@ -139,6 +180,16 @@ class TestInit:
             ModelConfig(variant="temp-sa", dim=10, heads=4)
         with pytest.raises(ValueError):
             ModelConfig(window=-1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dim=0), dict(variant="srgcn", decoder="distmult", dim=-2),
+        dict(variant="temp-sa", heads=0), dict(variant="temp-sa", heads=-4),
+        dict(decoder="complex", dim=7), dict(dropout_current=1.5),
+        dict(dropout_reference=-0.1), dict(dropout_current=float("nan")),
+        dict(dropout_reference=float("nan"))])
+    def test_degenerate_configs_rejected_when_built(self, kwargs):
+        with pytest.raises(ValueError):
+            ModelConfig(**kwargs)
 
 
 class TestWindows:
@@ -222,6 +273,51 @@ class TestImputation:
             elif active_now[e]:
                 np.testing.assert_allclose(ctx.x.data[e], ctx_off.x.data[e],
                                            atol=1e-12)
+
+    @pytest.fixture(scope="class")
+    def sparse_dataset(self):
+        # entities 0-6 appear here and there, step 3 is empty and 7 never appears:
+        # inactive entities with a past row, a future row, both or neither
+        rng = np.random.default_rng(12)
+        steps = []
+        for t in range(7):
+            triples = [(int(rng.integers(7)), int(rng.integers(2)), int(rng.integers(7)))
+                       for _ in range(2 if t != 3 else 0)]
+            steps.append(Snapshot(t, np.array(triples, dtype=np.int64) if triples else None))
+        empty = [Snapshot(t) for t in range(7)]
+        return TkgDataset(8, 2, 7, {"train": steps, "valid": empty, "test": list(empty)})
+
+    @pytest.mark.parametrize("bidirectional, t", [(False, 0), (False, 6), (True, 0),
+                                                  (True, 3), (True, 6)])
+    def test_matches_per_position_oracle(self, sparse_dataset, monkeypatch,
+                                         bidirectional, t):
+        ds = sparse_dataset
+        cfg = ModelConfig(variant="temp-gru", decoder="distmult", dim=4, layers=1,
+                          window=4 if bidirectional else 3, imputation=True,
+                          bidirectional=bidirectional)
+        params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 2)
+        params["decay.x.lam"] = np.array([[0.3]])
+        model = TempModel(cfg, ds, params)
+        window, target_pos = model.window_triples(t)
+        assert target_pos == {0: 0, 3: 2, 6: len(window) - 1}[t]
+        weights = np.random.default_rng(3).normal(size=(2, ds.entity_count, cfg.dim))
+        results = []
+        for impute in (TempModel._impute_target, impute_target_per_position):
+            monkeypatch.setattr(TempModel, "_impute_target", impute)
+            tape = Tape()
+            leaves = leaves_on_tape(tape, params)
+            ctx = model.encode_context(leaves, t, window, target_pos)
+            loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
+                          ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
+            results.append((ctx.x.data, ctx.z.data, grads_by_name(tape, leaves, loss,
+                                                                  params)))
+        (x, z, grads), (want_x, want_z, want_grads) = results
+        np.testing.assert_array_equal(x, want_x)
+        assert scaled_error(z, want_z) <= 1e-12
+        for name in params:
+            assert scaled_error(grads[name], want_grads[name]) <= 1e-12, name
+        # only a unidirectional window whose target comes first has nothing to impute
+        assert np.any(want_grads["decay.x.lam"] != 0.0) == (bidirectional or t > 0)
 
 
 class TestCheckpointRoundTrip:
@@ -388,6 +484,27 @@ class TestSnapshotCache:
                    for step in model.window_positions(snap.time)[0]}
         assert len(touched) > sum(1 for snap in eval_dataset.splits["test"] if len(snap))
         assert sorted(encoded) == sorted(touched)
+
+    @pytest.mark.parametrize("decoder", ["transe", "complex"])
+    def test_evaluate_scores_each_direction_once_with_score_rows(self, eval_dataset,
+                                                                 monkeypatch, decoder):
+        # evaluation ranks through the training scorer: one call per direction
+        # per snapshot, every entity a candidate of every query
+        model = scorer_model(eval_dataset, decoder, True, SCORER_MODELS["temp-sa"])
+        calls = []
+        original = dec.score_rows
+
+        def spy(fixed, r, table, ids, decoder, direction, blend=None):
+            calls.append((direction, ids.shape))
+            return original(fixed, r, table, ids, decoder, direction, blend)
+
+        monkeypatch.setattr(dec, "score_rows", spy)
+        evaluate(eval_dataset, "test", model.snapshot_scorer(compute_tpf(eval_dataset)),
+                 build_true_index(eval_dataset, ("train", "valid", "test")))
+        e = eval_dataset.entity_count
+        assert calls == [(direction, (len(snap), e))
+                         for snap in eval_dataset.splits["test"] if len(snap)
+                         for direction in ("object", "subject")]
 
     def test_cache_holds_one_window_and_raw_target(self, eval_dataset):
         model = scorer_model(eval_dataset, "distmult", False,

@@ -107,6 +107,11 @@ class TestTedScore:
         with pytest.raises(ValueError):
             TedConfig(sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError):
+            TedConfig(sigma=sigma)
+
 
 class TestRanking:
     def test_single_tier1_entity_ranks_first(self):
