@@ -1,7 +1,7 @@
 """Hot numeric kernels, written as whole-array numpy operations.
 
-Each kernel works in place on its first argument. Their cost on the real call
-mix is reported per kernel by ``python3 perfbench/run.py --workload <w> --trace 1``.
+Each kernel but ``scatter_add_rows`` works in place on its first argument. Their
+cost on the real call mix: ``python3 perfbench/run.py --workload <w> --trace 1``.
 """
 
 import numpy as np
@@ -9,10 +9,12 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def scatter_add_rows(out, index, src):
-    """Row-wise accumulate out[index[e]] += src[e]; repeated indices add up."""
-    np.add.at(out, index, src)
-    return out
+def scatter_add_rows(num_rows, index, src):
+    """A fresh (num_rows, d) array of row sums out[i] = sum of src[e] over index[e] == i;
+    bincount adds each bin in input order, so it is bit-identical to np.add.at."""
+    d = src.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, src.ravel(), num_rows * d).reshape(num_rows, d)
 
 
 def decay_accumulate(scores, entities, times, t, sigma):

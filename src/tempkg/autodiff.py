@@ -24,6 +24,7 @@ each query vector against its own candidate rows of a table, and
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -172,7 +173,7 @@ def _result(data: np.ndarray, inputs: Sequence[Tensor], back: Callable | None) -
 
 
 def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
-    return int(np.prod(shape, dtype=np.int64)) == 1
+    return math.prod(shape) == 1
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -271,11 +272,8 @@ def log(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
-    out = np.empty_like(ad)
-    pos = ad >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-ad[pos]))
-    ex = np.exp(ad[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without a branch
+    out = np.exp(np.minimum(ad, 0.0)) / (1.0 + np.exp(-np.abs(ad)))
 
     def back(g):
         return (g * out * (1.0 - out),)
@@ -325,10 +323,8 @@ def masked_softmax(a, mask: np.ndarray) -> Tensor:
         raise ShapeError(f"mask shape {mask.shape} != logits shape {ad.shape}")
     if not mask.any(axis=1).all():
         raise ValueError("masked_softmax: a row has every entry masked")
-    shifted = np.where(mask, ad, -np.inf)
-    rowmax = shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted - rowmax)
-    e[~mask] = 0.0
+    rowmax = ad.max(axis=1, keepdims=True, where=mask, initial=-np.inf)
+    e = np.exp(ad - rowmax, where=mask, out=np.zeros_like(ad))
     out = e / e.sum(axis=1, keepdims=True)
 
     def back(g):
@@ -373,7 +369,7 @@ def columns(a, start: int, stop: int) -> Tensor:
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     """The same entries in row-major order under a new shape of equal size."""
     a = _as_tensor(a)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
     out, in_shape = a.data.reshape(shape), a.shape
 
@@ -386,19 +382,16 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 def gather_rows(a, index) -> Tensor:
     """Select rows of a 2-d tensor: out[i] = a[index[i]]."""
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError("gather_rows expects a 2-d tensor")
     index = np.asarray(index, dtype=np.int64)
+    if a.data.ndim != 2 or index.ndim != 1:
+        raise ShapeError("gather_rows expects a 2-d tensor and a 1-d index")
     n = a.shape[0]
     if index.size and (index.min() < 0 or index.max() >= n):
         raise ShapeError("gather_rows: index out of range")
     out = a.data[index]
-    shape = a.shape
 
     def back(g):
-        ga = np.zeros(shape, dtype=np.float64)
-        _kernels.scatter_add_rows(ga, index, np.ascontiguousarray(g))
-        return (ga,)
+        return (_kernels.scatter_add_rows(n, index, g),)
 
     return _result(out, (a,), back)
 
@@ -474,8 +467,7 @@ def scatter_add_rows(src, index, num_rows: int) -> Tensor:
         raise ShapeError("scatter_add_rows: index length must match source rows")
     if index.size and (index.min() < 0 or index.max() >= num_rows):
         raise ShapeError("scatter_add_rows: index out of range")
-    out = np.zeros((num_rows, src.shape[1]), dtype=np.float64)
-    _kernels.scatter_add_rows(out, index, np.ascontiguousarray(src.data))
+    out = _kernels.scatter_add_rows(num_rows, index, src.data)
 
     def back(g):
         return (g[index],)

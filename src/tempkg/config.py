@@ -36,6 +36,14 @@ class TrainConfig:
     seed: int = 0
     val_cap: int = 500
 
+    def __post_init__(self):
+        if not 0.0 < self.lr < float("inf"):
+            raise ValueError(f"train.lr must be positive and finite, got {self.lr}")
+        for name, least in (("negatives", 1), ("batch_snapshots", 1), ("snapshot_cap", 1),
+                            ("val_cap", 1), ("patience", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"train.{name} must be at least {least}")
+
 
 @dataclass
 class EvalConfig:
@@ -136,5 +144,6 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         section, _, key = dotted.partition(".")
         target, renames = _section_target(config, section)
         _assign(target, renames, section, key, raw, dotted)
-    config.model.__post_init__()
+    for built in (config.model, config.train, config.synth):
+        built.__post_init__()
     return config

@@ -249,17 +249,15 @@ class TempModel:
     # --- scoring ----------------------------------------------------------------
 
     def _gate_alphas(self, leaves, tpf, direction, triples, t):
-        cfg = self.config
         if direction == "object":
-            rows = np.stack([tpf.subject_side(s, r, t) for s, r, _ in triples.tolist()])
+            rows = [tpf.subject_side(s, r, t) for s, r, _ in triples.tolist()]
             gates = ("os", "oo")
         else:
-            rows = np.stack([tpf.object_side(o, r, t) for _, r, o in triples.tolist()])
+            rows = [tpf.object_side(o, r, t) for _, r, o in triples.tolist()]
             gates = ("so", "ss")
-        rows = het.transform_frequencies(rows, cfg.freq_transform)
-        fixed_alpha = het.gate_alpha(rows, leaves, gates[0])
-        cand_alpha = het.gate_alpha(rows, leaves, gates[1])
-        return fixed_alpha, cand_alpha
+        rows = het.transform_frequencies(np.array(rows).reshape(-1, 3),  # (0, 3) if empty
+                                         self.config.freq_transform)
+        return tuple(het.gate_alpha(rows, leaves, gate) for gate in gates)
 
     def _direction_scores(self, leaves, ctx: WindowContext, tpf, triples: np.ndarray,
                           r_emb: Tensor, direction: str, cand_ids: np.ndarray) -> Tensor:

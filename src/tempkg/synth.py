@@ -27,20 +27,19 @@ class SynthSpec:
     valid_fraction: float = 0.1
     test_fraction: float = 0.1
 
+    def __post_init__(self):
+        if min(self.entities, self.relations, self.steps) <= 0:
+            raise ValueError("generator needs at least one entity, relation and step")
+        if not 0.0 <= self.periodicity <= 1.0:
+            raise ValueError("periodicity must lie in [0, 1]")
+        if self.period <= 0:
+            raise ValueError("period must be positive")
+
     def facts_per_step(self) -> int:
         return max(1, int(round(self.density * self.entities)))
 
 
 def generate_synthetic(spec: SynthSpec, seed: int) -> TkgDataset:
-    if spec.entities <= 0 or spec.steps <= 0:
-        raise ValueError("generator needs at least one entity and one step")
-    if spec.relations <= 0:
-        raise ValueError("generator needs at least one relation")
-    if not 0.0 <= spec.periodicity <= 1.0:
-        raise ValueError("periodicity must lie in [0, 1]")
-    if spec.period <= 0:
-        raise ValueError("period must be positive")
-
     rng = np.random.default_rng(seed)
     n = min(spec.facts_per_step(), spec.entities * spec.entities * spec.relations)
 

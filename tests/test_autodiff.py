@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from tempkg import autodiff as ad
+from tempkg import _kernels, autodiff as ad
 from tempkg.autodiff import Tape, constant
 
 from gradcheck import finite_difference, max_relative_error
@@ -395,3 +395,109 @@ class TestBackward:
         l2, gw2, gx2 = run()
         assert l1 == l2
         assert np.array_equal(gw1, gw2) and np.array_equal(gx1, gx2)
+
+
+# The engine's earlier formulations, kept as oracles: the rewritten primitives
+# must match them bit for bit, gradients included.
+
+def sigmoid_two_branch(x):
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, written
+    through boolean-mask reads and writes."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def masked_softmax_neg_inf(x, mask):
+    """Masked entries filled with -inf, exponentiated, then zeroed."""
+    shifted = np.where(mask, x, -np.inf)
+    e = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+    e[~mask] = 0.0
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def scatter_add_at(num_rows, index, src):
+    """out[index[e]] += src[e] through np.add.at on a zero array."""
+    out = np.zeros((num_rows, src.shape[1]))
+    np.add.at(out, index, src)
+    return out
+
+
+def forward_and_grad(op, x, w):
+    """op(x) and the gradient of sum(op(x) * w) with respect to x."""
+    tape = Tape()
+    xl = tape.leaf(x)
+    out = op(xl)
+    return out.data, tape.backward(ad.reduce_sum(ad.mul(out, constant(w))))[xl.node_id]
+
+
+class TestRewriteOracles:
+    def test_sigmoid_matches_two_branch_oracle(self):
+        rng = np.random.default_rng(71)
+        special = [800.0, -800.0, 0.0, -0.0, np.nan, np.inf, -np.inf, 36.0, -36.0,
+                   710.0, -745.0, 1e-300, -1e-300]
+        x = np.concatenate([special, rng.normal(scale=3.0, size=51),
+                            rng.normal(scale=40.0, size=16)]).reshape(8, 10)
+        w = rng.normal(size=x.shape)
+        out, grad = forward_and_grad(ad.sigmoid, x, w)
+        want = sigmoid_two_branch(x)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(grad, w * want * (1.0 - want))
+        assert np.signbit(out).sum() == 0   # -0.0 maps to 0.5, -800 to +0.0
+
+    def test_masked_softmax_matches_neg_inf_oracle(self):
+        rng = np.random.default_rng(73)
+        x = rng.normal(scale=5.0, size=(7, 6))
+        x[0] = [800.0, 710.0, -1000.0, 3.0, 700.0, 0.0]   # large logits
+        x[1] = [-800.0, -745.0, -1000.0, -900.0, -710.0, -799.0]
+        x[2, 4] = np.inf                                   # masked out below
+        x[3, 0] = np.nan                                   # masked out below
+        mask = rng.random(x.shape) < 0.6
+        mask[0] = [True, True, True, False, True, True]
+        mask[1] = True
+        mask[2] = [False, False, False, False, False, True]  # one unmasked entry
+        mask[3] = [False, True, False, False, False, False]
+        mask[4] = [True, False, False, False, False, False]
+        mask[5:, 2] = True
+        w = rng.normal(size=x.shape)
+        out, grad = forward_and_grad(lambda t: ad.masked_softmax(t, mask), x, w)
+        want = masked_softmax_neg_inf(x, mask)
+        np.testing.assert_array_equal(out, want)
+        inner = (w * want).sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(grad, want * (w - inner))
+        np.testing.assert_array_equal(out[2:5].sum(axis=1), [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("rows, index", [
+        (5, [3, 3, 3, 0, 3, 1, 3, 3]),            # repeats, in a fixed order
+        (4, [2] * 40),                           # one row takes every source
+        (6, []),                                 # empty index
+        (3, [0, 1, 2]),
+    ])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_scatter_matches_add_at_oracle(self, rows, index, d):
+        rng = np.random.default_rng(79)
+        index = np.array(index, dtype=np.int64)
+        src = rng.normal(scale=1e3, size=(len(index), d)) * rng.random((len(index), 1))
+        want = scatter_add_at(rows, index, src)
+        got = ad.scatter_add_rows(constant(src), index, num_rows=rows).data
+        assert got.shape == (rows, d)
+        np.testing.assert_array_equal(got, want)
+        # gather_rows sends its gradient back through the same kernel
+        x = rng.normal(size=(rows, d))
+        out, grad = forward_and_grad(lambda t: ad.gather_rows(t, index), x, src)
+        np.testing.assert_array_equal(out, x[index])
+        np.testing.assert_array_equal(grad, want)
+
+    def test_scatter_kernel_takes_a_strided_source(self):
+        rng = np.random.default_rng(83)
+        index = rng.integers(0, 9, size=300)
+        src = rng.normal(size=(5, 300)).T           # a non-contiguous view
+        np.testing.assert_array_equal(_kernels.scatter_add_rows(9, index, src),
+                                      scatter_add_at(9, index, src))
+
+    def test_gather_needs_a_flat_index(self):
+        with pytest.raises(ad.ShapeError):
+            ad.gather_rows(constant(np.ones((4, 2))), np.array([[0, 1], [2, 3]]))

@@ -5,6 +5,10 @@ import importlib.util
 import pathlib
 import sys
 
+import numpy as np
+
+from tempkg import autodiff as ad
+
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -46,3 +50,24 @@ def test_every_traced_name_resolves_and_is_restored():
     for dotted in names:
         assert after[dotted] is before[dotted], dotted
     assert bound_names(before.values()) == bound_before
+
+
+def test_scatter_row_counter_counts_the_rows_passed():
+    """The benchmark counts kernel rows as the length of the kernel's second
+    argument; one scatter forward and one gather backward must add exactly
+    the rows each passed."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tape = ad.Tape()
+    src, table = tape.leaf(np.ones((5, 2))), tape.leaf(np.ones((4, 2)))
+    with tracer.installed():
+        tracer.begin("pass")
+        counts = tracer.segments[-1][1]
+        scattered = ad.scatter_add_rows(src, [0, 2, 2, 1, 0], num_rows=3)
+        assert counts["kernels.scatter_add_rows.rows"] == 5
+        gathered = ad.gather_rows(table, [3, 0, 3])
+        assert counts["kernels.scatter_add_rows.rows"] == 5
+        tape.backward(ad.add(ad.reduce_sum(scattered), ad.reduce_sum(gathered)))
+        assert counts["kernels.scatter_add_rows.rows"] == 5 + 3
+    calls = [tracer.names[span[0]] for span in tracer.spans]
+    assert calls.count("kernels.scatter_add_rows") == 2

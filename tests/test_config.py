@@ -1,6 +1,7 @@
 import pytest
 
-from tempkg.config import ConfigError, RunConfig, load_config
+from tempkg.config import ConfigError, RunConfig, TrainConfig, load_config
+from tempkg.synth import SynthSpec
 
 
 def write(tmp_path, text):
@@ -76,6 +77,35 @@ sigmas = 1e-5 0.1 10
         path = write(tmp_path, "[model]\nvariant = temp-sa\ndim = 10\nheads = 4\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize("dotted, raw", [
+        ("train.lr", "nan"), ("train.lr", "0"), ("train.lr", "-0.1"), ("train.lr", "inf"),
+        ("train.negatives", "0"), ("train.batch_snapshots", "0"),
+        ("train.snapshot_cap", "0"), ("train.val_cap", "-1"), ("train.patience", "-1"),
+        ("synth.entities", "-3"), ("synth.relations", "0"), ("synth.steps", "0"),
+        ("synth.periodicity", "1.5"), ("synth.periodicity", "nan"), ("synth.period", "0"),
+    ])
+    def test_degenerate_train_and_synth_values_rejected(self, tmp_path, dotted, raw):
+        path = write(tmp_path, "[train]\nseed = 1\n")
+        with pytest.raises(ValueError):
+            load_config(path, overrides={dotted: raw})
+        section, _, key = dotted.partition(".")
+        with pytest.raises(ValueError):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+
+    def test_degenerate_train_config_rejected_when_built(self):
+        for bad in (dict(lr=float("nan")), dict(lr=0.0), dict(negatives=0),
+                    dict(batch_snapshots=0), dict(snapshot_cap=0), dict(val_cap=0),
+                    dict(patience=-1)):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
+        TrainConfig(patience=0, negatives=1, batch_snapshots=1, snapshot_cap=1, val_cap=1)
+
+    def test_degenerate_synth_spec_rejected_when_built(self):
+        for bad in (dict(entities=-3), dict(relations=0), dict(steps=0),
+                    dict(periodicity=-0.1), dict(period=0)):
+            with pytest.raises(ValueError):
+                SynthSpec(**dict(dict(entities=4, relations=2, steps=3), **bad))
 
     def test_seed_override(self, tmp_path):
         path = write(tmp_path, "[train]\nseed = 1\n")

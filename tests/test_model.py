@@ -463,6 +463,14 @@ class TestSnapshotScorer:
                 assert got.shape == (len(triples), eval_dataset.entity_count)
                 assert scaled_error(got, want) <= 1e-12, (t, got, want)
 
+    @pytest.mark.parametrize("decoder", ["transe", "distmult"])
+    @pytest.mark.parametrize("gating", [False, True])
+    def test_empty_query_set(self, eval_dataset, decoder, gating):
+        model = scorer_model(eval_dataset, decoder, gating, SCORER_MODELS["temp-sa"])
+        scores = model.snapshot_scorer(compute_tpf(eval_dataset))(3, np.empty((0, 3),
+                                                                             np.int64))
+        assert [s.shape for s in scores] == [(0, eval_dataset.entity_count)] * 2
+
 
 class TestSnapshotCache:
     @pytest.mark.parametrize("model_name", ["temp-sa", "temp-gru-bidirectional-imputation"])

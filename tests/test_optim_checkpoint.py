@@ -78,7 +78,7 @@ class TestKernels:
         idx = rng.integers(0, 7, size=40)
         idx[:5] = 3  # repeated indices must accumulate, not overwrite
         src = rng.normal(size=(40, 3))
-        got = _kernels.scatter_add_rows(np.zeros((7, 3)), idx, src)
+        got = _kernels.scatter_add_rows(7, idx, src)
         expect = np.zeros((7, 3))
         for e, i in enumerate(idx):
             expect[i] += src[e]
