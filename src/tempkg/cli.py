@@ -17,9 +17,8 @@ import numpy as np
 from . import evaluation as ev
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config
-from .data import (SPLIT_NAMES, active_entities, cross_split_repeats, load_dataset,
-                   write_dataset)
-from .model import TempModel, init_params
+from .data import SPLIT_NAMES, cross_split_repeats, load_dataset, write_dataset
+from .model import TempModel, param_shapes
 from .synth import generate_synthetic
 from .ted import TedConfig, TedModel
 from .train import filter_index_for, tpf_table, train
@@ -88,17 +87,14 @@ def cmd_eval(args) -> int:
     dataset = _dataset_of(config)
     ckpt_path = args.checkpoint or os.path.join(args.out, "best.ckpt")
     params = load_checkpoint(ckpt_path)
-    expected = init_params(config.model, dataset.entity_count,
-                           dataset.relation_count, dataset.step_count,
-                           config.train.seed)
-    if set(params) != set(expected):
-        missing = sorted(set(expected) ^ set(params))
-        raise ConfigError(f"checkpoint does not match the configured model; "
-                          f"mismatched tensors: {', '.join(missing[:6])}")
-    for name, arr in expected.items():
-        if params[name].shape != arr.shape:
-            raise ConfigError(f"checkpoint tensor '{name}' has shape "
-                              f"{params[name].shape}, config implies {arr.shape}")
+    expected = param_shapes(config.model, dataset.entity_count,
+                            dataset.relation_count, dataset.step_count)
+    found = {name: arr.shape for name, arr in params.items()}
+    if found != expected:
+        bad = sorted(n for n in found.keys() | expected.keys() if found.get(n) != expected.get(n))
+        raise ConfigError("checkpoint does not match the configured model; mismatched tensors "
+                          "(checkpoint vs config shape): "
+                          + ", ".join(f"{n} {found.get(n)} vs {expected.get(n)}" for n in bad[:6]))
     model = TempModel(config.model, dataset, params)
     tpf = tpf_table(config, dataset)
     filter_index = filter_index_for(config, dataset)
@@ -164,21 +160,18 @@ def cmd_stats(args) -> int:
                f"cross_split_repeats,{cross_split_repeats(dataset)}"]
     ev.atomic_write(os.path.join(args.out, "stats.csv"), "\n".join(summary) + "\n")
 
-    # per-step activity over the union of splits, with a trailing-15 lookback
-    active_sets = [set().union(*(active_entities(dataset.splits[split][t])
-                                 for split in SPLIT_NAMES))
-                   for t in range(dataset.step_count)]
+    # per-step activity over the union of splits, with a trailing-15 lookback;
+    # row t + 1 of ``active`` marks the entities active at step t
+    active = np.zeros((dataset.step_count + 1, dataset.entity_count), dtype=np.int64)
+    for split in SPLIT_NAMES:
+        s, _, o, t = dataset.quadruples(split).T
+        active[t + 1, s] = active[t + 1, o] = 1
+    before = np.cumsum(active, axis=0)  # before[t, e]: steps < t at which e was active
     lines = ["step,active_entities,active_with_recent_history,avg_occurrences_last15"]
-    for t, entities in enumerate(active_sets):
-        lo = max(0, t - 15)
-        history = active_sets[lo:t]
-        with_recent = sum(1 for e in entities if any(e in h for h in history))
-        if entities:
-            occurrences = [sum(e in h for h in history) for e in entities]
-            avg_occ = float(np.mean(occurrences))
-        else:
-            avg_occ = 0.0
-        lines.append(f"{t},{len(entities)},{with_recent},{avg_occ:.4f}")
+    for t in range(dataset.step_count):
+        occurrences = (before[t] - before[max(0, t - 15)])[active[t + 1] == 1]
+        avg_occ = float(np.mean(occurrences)) if len(occurrences) else 0.0
+        lines.append(f"{t},{len(occurrences)},{np.count_nonzero(occurrences)},{avg_occ:.4f}")
     ev.atomic_write(os.path.join(args.out, "activity.csv"), "\n".join(lines) + "\n")
 
     for line in summary:

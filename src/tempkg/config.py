@@ -10,8 +10,11 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
+from .data import SPLIT_NAMES
+from .heterogeneity import WindowPolicy
 from .model import ModelConfig
 from .synth import SynthSpec
+from .ted import TedConfig
 
 
 class ConfigError(ValueError):
@@ -52,12 +55,25 @@ class EvalConfig:
     tpf_window: str = "full_history"      # 'strict_past' | 'trailing'
     tpf_trailing_width: int = 15
 
+    def __post_init__(self):
+        self.window_policy()
+
+    def window_policy(self) -> WindowPolicy:
+        """The pattern-frequency window; the width counts only when trailing."""
+        return WindowPolicy(self.tpf_window, self.tpf_trailing_width)
+
 
 @dataclass
 class TedSection:
     sigmas: str = "0.1"
     blend: str = "tiered"
     split: str = "valid"
+
+    def __post_init__(self):
+        for sigma in self.sigma_list():
+            TedConfig(sigma, self.blend)
+        if self.split not in SPLIT_NAMES:
+            raise ConfigError(f"unknown ted split {self.split!r}")
 
     def sigma_list(self) -> list[float]:
         try:
@@ -78,7 +94,7 @@ class RunConfig:
     def filter_split_names(self) -> tuple[str, ...]:
         names = tuple(s.strip() for s in self.eval.filter_splits.split(",") if s.strip())
         for name in names:
-            if name not in ("train", "valid", "test"):
+            if name not in SPLIT_NAMES:
                 raise ConfigError(f"unknown split {name!r} in filter_splits")
         if not names:
             raise ConfigError("filter_splits must name at least one split")
@@ -144,6 +160,6 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         section, _, key = dotted.partition(".")
         target, renames = _section_target(config, section)
         _assign(target, renames, section, key, raw, dotted)
-    for built in (config.model, config.train, config.synth):
+    for built in (config.model, config.train, config.eval, config.synth, config.ted):
         built.__post_init__()
     return config

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import datetime
 import logging
+import math
+import operator
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,8 @@ class Snapshot:
 
     def __init__(self, time: int, triples: np.ndarray | None = None):
         self.time = time
-        if triples is None or len(triples) == 0:
-            self.triples = np.empty((0, 3), dtype=np.int64)
-        else:
-            arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-            self.triples = np.unique(arr, axis=0)
+        arr = np.asarray([] if triples is None else triples, dtype=np.int64).reshape(-1, 3)
+        self.triples = np.unique(arr, axis=0)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -52,6 +50,14 @@ class Snapshot:
                 and np.array_equal(self.triples, other.triples))
 
 
+def snapshots_from_quads(quads, step_count: int) -> list[Snapshot]:
+    """One snapshot per step of the (s, r, o, t) facts in ``quads``."""
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    quads = quads[np.argsort(quads[:, 3], kind="stable")]
+    bounds = np.searchsorted(quads[:, 3], np.arange(step_count + 1))
+    return [Snapshot(t, quads[bounds[t]:bounds[t + 1], :3]) for t in range(step_count)]
+
+
 def active_entities(snapshot: Snapshot) -> set[int]:
     """Entities appearing as subject or object of any triple in the snapshot."""
     if len(snapshot) == 0:
@@ -59,12 +65,51 @@ def active_entities(snapshot: Snapshot) -> set[int]:
     return set(np.unique(snapshot.triples[:, [0, 2]]).tolist())
 
 
+class GroupedCodes:
+    """Facts grouped by a partial key: the sorted int64 codes key * span + value,
+    one per fact, or one per distinct code when ``unique``. ``columns`` are the
+    key columns and then the value column, ``sizes`` their ranges, so each
+    key's values are one contiguous run. A code space that does not fit in
+    int64 raises ValueError instead of wrapping."""
+
+    def __init__(self, columns, sizes, unique: bool = True):
+        sizes = [int(n) for n in sizes]
+        if math.prod(sizes) >= 2 ** 63:
+            raise ValueError(f"code space {' x '.join(map(str, sizes))} does not fit in int64")
+        self.strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+        self.span = sizes[-1]
+        codes = np.asarray(self.encode(columns), dtype=np.int64)
+        self.codes = np.unique(codes) if unique else np.sort(codes)
+        self.values = self.codes % self.span
+        self.values.flags.writeable = False
+
+    def encode(self, parts):
+        """Code of the leading columns: a key's first code, or a fact's code."""
+        return sum(map(operator.mul, parts, self.strides))
+
+    def get(self, *key) -> np.ndarray:
+        """Sorted values of one key, as a read-only view."""
+        base = self.encode(key)
+        lo, hi = self.codes.searchsorted(np.array((base, base + self.span)))
+        return self.values[lo:hi]
+
+    def count(self, key, lo, hi) -> np.ndarray:
+        """Codes of each key with a value in (lo, hi], where -1 <= lo, hi < span;
+        ``key`` holds one array or int per key column."""
+        base = self.encode(key)
+        return (np.searchsorted(self.codes, base + hi, side="right")
+                - np.searchsorted(self.codes, base + lo, side="right"))
+
+
 def cross_split_repeats(dataset: "TkgDataset") -> int:
     """Distinct quadruples present in more than one split at the same step;
     each leaks into filtered ranking."""
-    count = Counter(quad for split in dataset.splits      # snapshots hold sets
-                    for quad in map(tuple, dataset.quadruples(split).tolist()))
-    return sum(1 for n in count.values() if n > 1)
+    quads = np.vstack([dataset.quadruples(split) for split in dataset.splits])
+    sizes = (dataset.entity_count, dataset.relation_count, dataset.entity_count,
+             dataset.step_count)
+    _, counts = np.unique(GroupedCodes(quads.T, sizes, unique=False).codes,
+                          return_counts=True)   # snapshots hold sets
+    return int(np.count_nonzero(counts > 1))
 
 
 @dataclass
@@ -78,14 +123,11 @@ class TkgDataset:
 
     def quadruples(self, split: str) -> np.ndarray:
         """All facts of a split as an (n, 4) array of (s, r, o, t)."""
-        rows = []
-        for snap in self.splits[split]:
-            if len(snap):
-                t = np.full((len(snap), 1), snap.time, dtype=np.int64)
-                rows.append(np.hstack([snap.triples, t]))
-        if not rows:
-            return np.empty((0, 4), dtype=np.int64)
-        return np.vstack(rows)
+        snaps = self.splits[split]
+        triples = np.vstack([np.empty((0, 3), dtype=np.int64)] + [sn.triples for sn in snaps])
+        times = np.repeat(np.array([sn.time for sn in snaps], dtype=np.int64),
+                          [len(sn) for sn in snaps])
+        return np.column_stack([triples, times])
 
     def split_sizes(self) -> dict[str, int]:
         return {name: sum(len(s) for s in snaps) for name, snaps in self.splits.items()}
@@ -112,25 +154,18 @@ class TrueTripleIndex:
     A ``static`` index files every fact under one time key: the time-ignoring filter."""
 
     def __init__(self, dataset: TkgDataset, splits=("train",), static: bool = False):
-        self.splits = tuple(splits)
         self.static = static
-        objects: dict[tuple[int, int, int], set[int]] = {}
-        subjects: dict[tuple[int, int, int], set[int]] = {}
-        for split in self.splits:
-            for snap in dataset.splits[split]:
-                t = 0 if static else snap.time
-                for s, r, o in snap.triples.tolist():
-                    objects.setdefault((s, r, t), set()).add(o)
-                    subjects.setdefault((r, o, t), set()).add(s)
-        self._objects = {k: np.array(sorted(v), dtype=np.int64) for k, v in objects.items()}
-        self._subjects = {k: np.array(sorted(v), dtype=np.int64) for k, v in subjects.items()}
-        self._empty = np.empty(0, dtype=np.int64)
+        s, r, o, t = np.vstack([dataset.quadruples(split) for split in splits]).T
+        t, steps = (0, 1) if static else (t, dataset.step_count)
+        e, nr = dataset.entity_count, dataset.relation_count
+        self._objects = GroupedCodes((t, s, r, o), (steps, e, nr, e))
+        self._subjects = GroupedCodes((t, r, o, s), (steps, nr, e, e))
 
     def objects_for(self, s: int, r: int, t: int) -> np.ndarray:
-        return self._objects.get((s, r, 0 if self.static else t), self._empty)
+        return self._objects.get(0 if self.static else t, s, r)
 
     def subjects_for(self, r: int, o: int, t: int) -> np.ndarray:
-        return self._subjects.get((r, o, 0 if self.static else t), self._empty)
+        return self._subjects.get(0 if self.static else t, r, o)
 
 
 def build_true_index(dataset: TkgDataset, splits=("train",), static=False) -> TrueTripleIndex:
@@ -314,13 +349,8 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
             if total != decl_total:
                 raise DatasetError(f"split sizes sum to {total}, stat file declares {decl_total}")
 
-    splits: dict[str, list[Snapshot]] = {}
-    for split, quads in converted.items():
-        per_step: list[list] = [[] for _ in range(step_count)]
-        for s, r, o, t in quads:
-            per_step[t].append((s, r, o))
-        splits[split] = [Snapshot(t, np.array(tr, dtype=np.int64) if tr else None)
-                         for t, tr in enumerate(per_step)]
+    splits = {split: snapshots_from_quads(quads, step_count)
+              for split, quads in converted.items()}
 
     ds = TkgDataset(entity_count, relation_count, step_count, splits,
                     entities.names(), relations.names())

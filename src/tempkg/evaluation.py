@@ -9,7 +9,6 @@ direction.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TkgDataset, TrueTripleIndex
-from .heterogeneity import TpfTable
+from .heterogeneity import PATTERN_KINDS, TpfTable
 
 # (pattern kind, query direction) pairs studied in the two effect groups:
 # the replication group pairs each query direction with frequencies that
@@ -96,8 +95,9 @@ def rank_snapshots(entity_count: int, snapshots, snapshot_scorer,
     report = RankingReport(entity_count)
     for t, triples in snapshots:
         obj_scores, sub_scores = snapshot_scorer(t, triples)
+        counts = tpf.frequencies(triples, t).tolist() if tpf is not None else None
         for i, (s, r, o) in enumerate(triples.tolist()):
-            freqs = tpf.query_frequencies(s, r, o, t) if tpf is not None else None
+            freqs = dict(zip(PATTERN_KINDS, counts[i])) if counts is not None else None
             report.results.append(QueryResult(
                 "object", s, r, o, t,
                 rank_query(obj_scores[i], o, filter_index.objects_for(s, r, t)),

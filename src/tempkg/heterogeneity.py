@@ -14,20 +14,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, constant
-from .data import TkgDataset
+from .data import GroupedCodes, TkgDataset
 from .temporal import decay_column
 
-PATTERN_KINDS = ("s", "o", "r", "sr", "ro", "so", "sro")
-
-_EXTRACTORS = {
-    "s": lambda s, r, o: (s,),
-    "o": lambda s, r, o: (o,),
-    "r": lambda s, r, o: (r,),
-    "sr": lambda s, r, o: (s, r),
-    "ro": lambda s, r, o: (r, o),
-    "so": lambda s, r, o: (s, o),
-    "sro": lambda s, r, o: (s, r, o),
-}
+# columns of an (s, r, o) triple that key each pattern kind
+PATTERN_COLUMNS = {"s": (0,), "o": (2,), "r": (1,), "sr": (0, 1), "ro": (1, 2),
+                   "so": (0, 2), "sro": (0, 1, 2)}
+PATTERN_KINDS = tuple(PATTERN_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -47,59 +40,42 @@ class WindowPolicy:
 
 class TpfTable:
     """Pattern frequencies over the training split, queryable at any step.
-
-    Internally stores, per pattern key, the sorted occurrence times with
-    cumulative counts, so a lookup is a binary search.
-    """
+    Each pattern kind keeps one sorted code key * (T + 1) + time per training
+    fact, so a frequency is two binary searches."""
 
     def __init__(self, dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()):
-        if dataset.split_sizes()["train"] == 0:
+        quads = dataset.quadruples("train")
+        if len(quads) == 0:
             raise ValueError("pattern frequencies need a nonempty training split")
         self.policy = policy
-        self._tables: dict[str, dict[tuple, tuple[np.ndarray, np.ndarray]]] = {}
-        occurrences: dict[str, dict[tuple, list[int]]] = {k: {} for k in PATTERN_KINDS}
-        for snap in dataset.splits["train"]:
-            for s, r, o in snap.triples.tolist():
-                for kind, extract in _EXTRACTORS.items():
-                    occurrences[kind].setdefault(extract(s, r, o), []).append(snap.time)
-        for kind, table in occurrences.items():
-            packed = {}
-            for key, times in table.items():
-                times_arr = np.sort(np.asarray(times, dtype=np.int64))
-                packed[key] = (times_arr, np.arange(1, len(times_arr) + 1, dtype=np.int64))
-            self._tables[kind] = packed
+        self.step_count = dataset.step_count
+        sizes = (dataset.entity_count, dataset.relation_count, dataset.entity_count)
+        self._groups = {kind: GroupedCodes([quads[:, c] for c in cols] + [quads[:, 3]],
+                                           [sizes[c] for c in cols] + [self.step_count + 1],
+                                           unique=False)
+                        for kind, cols in PATTERN_COLUMNS.items()}
 
-    def _count_until(self, times: np.ndarray, cum: np.ndarray, t: int, side: str) -> int:
-        pos = np.searchsorted(times, t, side=side)
-        return int(cum[pos - 1]) if pos else 0
+    def _bounds(self, t: int) -> tuple[int, int]:
+        """The window (lo, hi] of counted steps at t, clipped to [-1, T] so
+        both bounds stay inside a key's run of codes."""
+        hi = t - 1 if self.policy.kind == "strict_past" else t
+        lo = t - self.policy.width if self.policy.kind == "trailing" else -1
+        return (min(max(lo, -1), self.step_count), min(max(hi, -1), self.step_count))
 
     def freq(self, kind: str, key: tuple, t: int) -> int:
-        entry = self._tables[kind].get(tuple(key))
-        if entry is None:
-            return 0
-        times, cum = entry
-        if self.policy.kind == "full_history":
-            return self._count_until(times, cum, t, "right")
-        if self.policy.kind == "strict_past":
-            return self._count_until(times, cum, t, "left")
-        upper = self._count_until(times, cum, t, "right")
-        lower = self._count_until(times, cum, t - self.policy.width, "right")
-        return upper - lower
+        return int(self._groups[kind].count(tuple(key), *self._bounds(t)))
+
+    def frequencies(self, triples: np.ndarray, t: int) -> np.ndarray:
+        """(m, 7) counts of each (s, r, o) row at step t, one column per
+        entry of PATTERN_KINDS."""
+        lo, hi = self._bounds(t)
+        return np.stack([self._groups[kind].count(tuple(triples[:, c] for c in cols), lo, hi)
+                         for kind, cols in PATTERN_COLUMNS.items()], axis=1)
 
     def query_frequencies(self, s: int, r: int, o: int, t: int) -> dict[str, int]:
         """All seven frequencies for one quadruple."""
-        return {kind: self.freq(kind, _EXTRACTORS[kind](s, r, o), t)
-                for kind in PATTERN_KINDS}
-
-    def subject_side(self, s: int, r: int, t: int) -> np.ndarray:
-        """F observable for an object query (s, r, ?, t): [f_s, f_r, f_sr]."""
-        return np.array([self.freq("s", (s,), t), self.freq("r", (r,), t),
-                         self.freq("sr", (s, r), t)], dtype=np.float64)
-
-    def object_side(self, o: int, r: int, t: int) -> np.ndarray:
-        """F observable for a subject query (?, r, o, t): [f_o, f_r, f_ro]."""
-        return np.array([self.freq("o", (o,), t), self.freq("r", (r,), t),
-                         self.freq("ro", (r, o), t)], dtype=np.float64)
+        row = self.frequencies(np.array([[s, r, o]], dtype=np.int64), t)[0]
+        return dict(zip(PATTERN_KINDS, row.tolist()))
 
 
 def compute_tpf(dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()) -> TpfTable:

@@ -80,11 +80,10 @@ def _xavier(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_params(config: ModelConfig, entity_count: int, relation_count: int,
-                step_count: int, seed: int) -> dict[str, np.ndarray]:
-    """Named parameter arrays; each is seeded independently by its name, so
-    adding or removing optional parts never perturbs shared initializations."""
-    shapes: dict[str, tuple] = {
+def param_shapes(config: ModelConfig, entity_count: int, relation_count: int,
+                 step_count: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter the configured model has."""
+    shapes: dict[str, tuple[int, ...]] = {
         "entity.base": (entity_count, config.dim),
         "relation.embed": (relation_count, config.dim),
     }
@@ -112,19 +111,25 @@ def init_params(config: ModelConfig, entity_count: int, relation_count: int,
             shapes[f"gate.{g}.b2"] = (1,)
     if config.positional:
         shapes["pos.embed"] = (step_count, config.dim)
+    for prefix, used in (("decay.z", config.variant != "srgcn"), ("decay.x", config.imputation)):
+        if used:
+            shapes[f"{prefix}.lam"] = shapes[f"{prefix}.b"] = (1, 1)
+    return shapes
 
+
+def init_params(config: ModelConfig, entity_count: int, relation_count: int,
+                step_count: int, seed: int) -> dict[str, np.ndarray]:
+    """Named parameter arrays; each is seeded independently by its name, so
+    adding or removing optional parts never perturbs shared initializations."""
     params: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        if name.endswith((".bz", ".br", ".bh", ".b1", ".b2")):
+    for name, shape in param_shapes(config, entity_count, relation_count,
+                                    step_count).items():
+        if name.startswith("decay."):
+            params[name] = np.full(shape, 0.1 if name.endswith(".lam") else 0.0)
+        elif name.endswith((".bz", ".br", ".bh", ".b1", ".b2")):
             params[name] = np.zeros(shape)
         else:
             params[name] = _xavier(shape, _rng_for(seed, name))
-    if config.variant in ("temp-gru", "temp-sa"):
-        params["decay.z.lam"] = np.array([[0.1]])
-        params["decay.z.b"] = np.array([[0.0]])
-    if config.imputation:
-        params["decay.x.lam"] = np.array([[0.1]])
-        params["decay.x.b"] = np.array([[0.0]])
     return params
 
 
@@ -248,29 +253,29 @@ class TempModel:
 
     # --- scoring ----------------------------------------------------------------
 
-    def _gate_alphas(self, leaves, tpf, direction, triples, t):
+    def _gate_alphas(self, leaves, freqs: np.ndarray, direction: str):
+        """(fixed, candidate) gate columns of one direction from the (m, 7)
+        pattern counts: [f_s, f_r, f_sr] feed the object-query gates os/oo,
+        [f_o, f_r, f_ro] the subject-query gates so/ss."""
         if direction == "object":
-            rows = [tpf.subject_side(s, r, t) for s, r, _ in triples.tolist()]
-            gates = ("os", "oo")
+            kinds, gates = ("s", "r", "sr"), ("os", "oo")
         else:
-            rows = [tpf.object_side(o, r, t) for _, r, o in triples.tolist()]
-            gates = ("so", "ss")
-        rows = het.transform_frequencies(np.array(rows).reshape(-1, 3),  # (0, 3) if empty
-                                         self.config.freq_transform)
+            kinds, gates = ("o", "r", "ro"), ("so", "ss")
+        rows = freqs[:, [het.PATTERN_KINDS.index(kind) for kind in kinds]]
+        rows = het.transform_frequencies(rows, self.config.freq_transform)
         return tuple(het.gate_alpha(rows, leaves, gate) for gate in gates)
 
-    def _direction_scores(self, leaves, ctx: WindowContext, tpf, triples: np.ndarray,
+    def _direction_scores(self, leaves, ctx: WindowContext, freqs, triples: np.ndarray,
                           r_emb: Tensor, direction: str, cand_ids: np.ndarray) -> Tensor:
         """Scores of each query of ``triples`` against its row of ``cand_ids``.
 
-        With a gate the fixed rows and the candidates are the blends
-        alpha * ctx.x + (1 - alpha) * ctx.z; without one they are ctx.z rows,
-        and ctx.x is not read.
+        Given the snapshot's pattern counts ``freqs`` the fixed rows and the
+        candidates are the gated blends alpha * ctx.x + (1 - alpha) * ctx.z;
+        without them they are ctx.z rows, and ctx.x is not read.
         """
         fixed_idx = triples[:, 0] if direction == "object" else triples[:, 2]
-        if self.config.gating and tpf is not None:
-            fixed_alpha, cand_alpha = self._gate_alphas(leaves, tpf, direction,
-                                                        triples, ctx.time)
+        if freqs is not None:
+            fixed_alpha, cand_alpha = self._gate_alphas(leaves, freqs, direction)
             fixed = het.blend(fixed_alpha, ad.gather_rows(ctx.x, fixed_idx),
                               ad.gather_rows(ctx.z, fixed_idx))
             table, blend = ctx.x, (cand_alpha, ctx.z)
@@ -289,11 +294,13 @@ class TempModel:
         answer in column 0.
         """
         r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
+        gated = self.config.gating and tpf is not None
+        freqs = tpf.frequencies(triples, ctx.time) if gated else None
         total = None
         for direction, true_idx, negs in (("object", triples[:, 2], negatives[0]),
                                           ("subject", triples[:, 0], negatives[1])):
             cand_ids = np.concatenate([true_idx[:, None], negs], axis=1)
-            scores = self._direction_scores(leaves, ctx, tpf, triples, r_emb,
+            scores = self._direction_scores(leaves, ctx, freqs, triples, r_emb,
                                             direction, cand_ids)
             loss = dec.query_loss(scores, mode=self.config.loss_mode)
             total = loss if total is None else ad.add(total, loss)
@@ -321,12 +328,14 @@ class TempModel:
         cache: dict[int, Tensor] = {}
         leaves = {name: constant(arr) for name, arr in self.params.items()}
         every = np.arange(self.dataset.entity_count)
+        gated = self.config.gating and tpf is not None
 
         def scorer(t: int, triples: np.ndarray):
             ctx = self.eval_context(t, cache)
             r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
             cand_ids = np.broadcast_to(every, (len(triples), len(every)))
-            return tuple(self._direction_scores(leaves, ctx, tpf, triples, r_emb,
+            freqs = tpf.frequencies(triples, t) if gated else None
+            return tuple(self._direction_scores(leaves, ctx, freqs, triples, r_emb,
                                                 direction, cand_ids).data
                          for direction in ("object", "subject"))
 

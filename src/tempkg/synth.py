@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Snapshot, TkgDataset
+from .data import TkgDataset, snapshots_from_quads
 
 
 @dataclass
@@ -34,6 +34,12 @@ class SynthSpec:
             raise ValueError("periodicity must lie in [0, 1]")
         if self.period <= 0:
             raise ValueError("period must be positive")
+        if not 0.0 <= self.density < float("inf"):
+            raise ValueError(f"density must be nonnegative and finite, got {self.density}")
+        if not (min(self.valid_fraction, self.test_fraction) >= 0.0
+                and self.valid_fraction + self.test_fraction <= 1.0):
+            raise ValueError("valid_fraction and test_fraction must be nonnegative "
+                             "and sum to at most 1")
 
     def facts_per_step(self) -> int:
         return max(1, int(round(self.density * self.entities)))
@@ -102,14 +108,7 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> TkgDataset:
                 train_at[t].add(tri)
             split_of[split].append((*tri, t))
 
-    splits = {}
-    for name, quads in split_of.items():
-        per_step: list[list] = [[] for _ in range(spec.steps)]
-        for s, r, o, t in quads:
-            per_step[t].append((s, r, o))
-        splits[name] = [Snapshot(t, np.array(tr, dtype=np.int64) if tr else None)
-                        for t, tr in enumerate(per_step)]
-
+    splits = {name: snapshots_from_quads(quads, spec.steps) for name, quads in split_of.items()}
     ds = TkgDataset(spec.entities, spec.relations, spec.steps, splits)
     ds.validate()
     return ds

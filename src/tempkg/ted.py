@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data import TkgDataset
+from .data import GroupedCodes, TkgDataset
 
 UNREFERENCED_TIER = 3  # tiers 0..2 hold referenced entities
 
@@ -41,41 +41,22 @@ class TedConfig:
 
 
 class TedModel:
-    """Precomputed occurrence indexes over the training split."""
+    """Occurrence indexes over the training split: each tier groups the codes
+    entity * (T + 1) + t' of its facts by the tier's key."""
 
     def __init__(self, dataset: TkgDataset):
-        self.entity_count = dataset.entity_count
+        self.entity_count = e = dataset.entity_count
         self.step_count = dataset.step_count
-        by_sr: dict[tuple, list] = {}
-        by_s: dict[int, list] = {}
-        by_ro: dict[tuple, list] = {}
-        by_o: dict[int, list] = {}
-        by_r_obj: dict[int, list] = {}
-        by_r_sub: dict[int, list] = {}
-        for snap in dataset.splits["train"]:
-            t = snap.time
-            for s, r, o in snap.triples.tolist():
-                by_sr.setdefault((s, r), []).append((o, t))
-                by_s.setdefault(s, []).append((o, t))
-                by_r_obj.setdefault(r, []).append((o, t))
-                by_ro.setdefault((r, o), []).append((s, t))
-                by_o.setdefault(o, []).append((s, t))
-                by_r_sub.setdefault(r, []).append((s, t))
-        pack = lambda table: {k: np.array(v, dtype=np.int64) for k, v in table.items()}
-        self._object_tiers = (pack(by_sr), pack(by_s), pack(by_r_obj))
-        self._subject_tiers = (pack(by_ro), pack(by_o), pack(by_r_sub))
-        self._empty = np.empty((0, 2), dtype=np.int64)
+        nr, span = dataset.relation_count, e * (self.step_count + 1)
+        s, r, o, t = dataset.quadruples("train").T
 
-    def _raw_tier_tuples(self, direction: str, s: int, r: int, o: int):
-        if direction == "object":
-            tiers = self._object_tiers
-            keys = ((s, r), s, r)
-        elif direction == "subject":
-            tiers = self._subject_tiers
-            keys = ((r, o), o, r)
-        else:
-            raise ValueError(f"unknown query direction {direction!r}")
-        return [table.get(key, self._empty) for table, key in zip(tiers, keys)]
+        def tiers(fixed, answer):
+            """Answer codes keyed by (fixed entity, relation), fixed entity, relation."""
+            codes = answer * (self.step_count + 1) + t
+            return (GroupedCodes((fixed, r, codes), (e, nr, span)),
+                    GroupedCodes((fixed, codes), (e, span)), GroupedCodes((r, codes), (nr, span)))
+
+        self._tiers = {"object": tiers(s, o), "subject": tiers(o, s)}
 
     def reference_sets(self, direction: str, s: int, r: int, o: int, t: int,
                        ) -> list[np.ndarray]:
@@ -83,17 +64,17 @@ class TedModel:
 
         A tuple present in a better tier is removed from every worse one.
         """
+        if direction not in self._tiers:
+            raise ValueError(f"unknown query direction {direction!r}")
+        fixed = s if direction == "object" else o
         out = []
-        seen_keys = np.empty(0, dtype=np.int64)
-        for tuples in self._raw_tier_tuples(direction, s, r, o):
-            tuples = tuples[tuples[:, 1] != t]
-            keys = tuples[:, 0] * (self.step_count + 1) + tuples[:, 1]
-            keys = np.unique(keys)
-            keys = keys[~np.isin(keys, seen_keys, assume_unique=True)]
-            seen_keys = np.union1d(seen_keys, keys)
-            ents = keys // (self.step_count + 1)
-            times = keys % (self.step_count + 1)
-            out.append(np.stack([ents, times], axis=1))
+        seen = np.empty(0, dtype=np.int64)
+        for tier, key in zip(self._tiers[direction], ((fixed, r), (fixed,), (r,))):
+            codes = tier.get(*key)
+            ents, times = np.divmod(codes, self.step_count + 1)
+            keep = (times != t) & ~np.isin(codes, seen, assume_unique=True)
+            seen = np.concatenate([seen, codes[keep]])
+            out.append(np.stack([ents[keep], times[keep]], axis=1))
         return out
 
     def tier_scores(self, tiers: list[np.ndarray], t: int, sigma: float) -> np.ndarray:
@@ -115,8 +96,7 @@ class TedModel:
         scores = self.tier_scores(tiers, t, config.sigma)
         present = np.zeros((3, self.entity_count), dtype=bool)
         for i, tuples in enumerate(tiers):
-            if len(tuples):
-                present[i, tuples[:, 0]] = True
+            present[i, tuples[:, 0]] = True
         if config.blend == "sum":
             total = scores.sum(axis=0)
             in_any = present.any(axis=0)

@@ -78,11 +78,7 @@ def _batches(target_steps: list[int], batch_size: int,
 
 def tpf_table(config: RunConfig, dataset: TkgDataset) -> het.TpfTable:
     """Pattern frequencies under the configured evaluation window policy."""
-    if config.eval.tpf_window == "trailing":
-        policy = het.WindowPolicy("trailing", config.eval.tpf_trailing_width)
-    else:
-        policy = het.WindowPolicy(config.eval.tpf_window)
-    return het.compute_tpf(dataset, policy)
+    return het.compute_tpf(dataset, config.eval.window_policy())
 
 
 def filter_index_for(config: RunConfig, dataset: TkgDataset) -> TrueTripleIndex:

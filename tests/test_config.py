@@ -1,6 +1,7 @@
 import pytest
 
-from tempkg.config import ConfigError, RunConfig, TrainConfig, load_config
+from tempkg.config import (ConfigError, EvalConfig, RunConfig, TedSection, TrainConfig,
+                           load_config)
 from tempkg.synth import SynthSpec
 
 
@@ -84,6 +85,8 @@ sigmas = 1e-5 0.1 10
         ("train.snapshot_cap", "0"), ("train.val_cap", "-1"), ("train.patience", "-1"),
         ("synth.entities", "-3"), ("synth.relations", "0"), ("synth.steps", "0"),
         ("synth.periodicity", "1.5"), ("synth.periodicity", "nan"), ("synth.period", "0"),
+        ("synth.valid_fraction", "1.5"), ("synth.test_fraction", "-0.1"),
+        ("synth.density", "-1.0"), ("synth.density", "nan"), ("synth.density", "inf"),
     ])
     def test_degenerate_train_and_synth_values_rejected(self, tmp_path, dotted, raw):
         path = write(tmp_path, "[train]\nseed = 1\n")
@@ -103,9 +106,42 @@ sigmas = 1e-5 0.1 10
 
     def test_degenerate_synth_spec_rejected_when_built(self):
         for bad in (dict(entities=-3), dict(relations=0), dict(steps=0),
-                    dict(periodicity=-0.1), dict(period=0)):
+                    dict(periodicity=-0.1), dict(period=0), dict(valid_fraction=1.5),
+                    dict(test_fraction=-0.1), dict(valid_fraction=0.6, test_fraction=0.6),
+                    dict(density=-1.0), dict(density=float("nan")),
+                    dict(density=float("inf"))):
             with pytest.raises(ValueError):
                 SynthSpec(**dict(dict(entities=4, relations=2, steps=3), **bad))
+        SynthSpec(4, 2, 3, density=0.0, valid_fraction=0.5, test_fraction=0.5)
+
+    @pytest.mark.parametrize("section, lines", [
+        ("ted", ["blend = summ"]), ("ted", ["sigmas = 0.1,abc"]), ("ted", ["sigmas = -1"]),
+        ("ted", ["sigmas = 0.1 nan"]), ("ted", ["split = vaild"]),
+        ("eval", ["tpf_window = trailng"]),
+        ("eval", ["tpf_window = trailing", "tpf_trailing_width = 0"]),
+    ], ids=["blend", "sigma-text", "sigma-negative", "sigma-nan", "split", "window",
+            "trailing-width"])
+    def test_degenerate_ted_and_eval_values_rejected(self, tmp_path, section, lines):
+        with pytest.raises(ValueError):
+            load_config(write(tmp_path, "\n".join([f"[{section}]"] + lines) + "\n"))
+        overrides = {f"{section}.{key.strip()}": raw.strip()
+                     for key, _, raw in (line.partition("=") for line in lines)}
+        with pytest.raises(ValueError):
+            load_config(write(tmp_path, "[train]\nseed = 1\n"), overrides=overrides)
+
+    def test_ted_and_eval_sections_rejected_when_built(self):
+        for bad in (dict(blend="summ"), dict(sigmas="0.1,abc"), dict(sigmas="0"),
+                    dict(split="vaild")):
+            with pytest.raises(ValueError):
+                TedSection(**bad)
+        for bad in (dict(tpf_window="trailng"),
+                    dict(tpf_window="trailing", tpf_trailing_width=0)):
+            with pytest.raises(ValueError):
+                EvalConfig(**bad)
+        # the width only counts for a trailing window
+        assert EvalConfig(tpf_trailing_width=0).window_policy().kind == "full_history"
+        assert TedSection(sigmas="1e-5, 0.1", blend="sum", split="test").sigma_list() == \
+            [1e-5, 0.1]
 
     def test_seed_override(self, tmp_path):
         path = write(tmp_path, "[train]\nseed = 1\n")

@@ -18,28 +18,32 @@ def dataset_from_quads(quads, e=8, r=4, t=10):
     return TkgDataset(e, r, t, {"train": train, "valid": list(empty), "test": list(empty)})
 
 
-def export_csv(table, path):
-    """Rows of pattern_kind,key,els,time,count at each occurrence time."""
+def pattern_key(kind, s, r, o):
+    return tuple((s, r, o)[c] for c in het.PATTERN_COLUMNS[kind])
+
+
+def export_csv(table, dataset, path):
+    """Rows of pattern_kind,key,els,time,count at each occurrence time of a
+    key in the training split."""
+    quads = dataset.quadruples("train").tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pattern_kind", "key", "els", "time", "count"])
         for kind in het.PATTERN_KINDS:
-            for key in sorted(table._tables[kind]):
-                times = table._tables[kind][key][0]
-                for t in np.unique(times).tolist():
-                    writer.writerow([kind, "|".join(map(str, key)), len(key),
-                                     t, table.freq(kind, key, t)])
+            for key, t in sorted({(pattern_key(kind, s, r, o), t) for s, r, o, t in quads}):
+                writer.writerow([kind, "|".join(map(str, key)), len(key),
+                                 t, table.freq(kind, key, t)])
 
 
 def brute_force_freq(quads, kind, key, t, policy):
-    extract = het._EXTRACTORS[kind]
     if policy.kind == "full_history":
         ok = lambda tt: tt <= t
     elif policy.kind == "strict_past":
         ok = lambda tt: tt < t
     else:
         ok = lambda tt: t - policy.width + 1 <= tt <= t
-    return sum(1 for s, r, o, tt in quads if extract(s, r, o) == tuple(key) and ok(tt))
+    return sum(1 for s, r, o, tt in quads
+               if pattern_key(kind, s, r, o) == tuple(key) and ok(tt))
 
 
 class TestTpfTable:
@@ -53,7 +57,7 @@ class TestTpfTable:
     def test_strict_past_excludes_current_step(self):
         ds = dataset_from_quads([(0, 1, 2, 5)])
         table = het.compute_tpf(ds, het.WindowPolicy("strict_past"))
-        assert all(table.freq(k, het._EXTRACTORS[k](0, 1, 2), 5) == 0
+        assert all(table.freq(k, pattern_key(k, 0, 1, 2), 5) == 0
                    for k in het.PATTERN_KINDS)
 
     def test_full_history_includes_current_step(self):
@@ -74,7 +78,7 @@ class TestTpfTable:
         for s, r, o, _ in quads:
             for t in range(10):
                 for kind in het.PATTERN_KINDS:
-                    key = het._EXTRACTORS[kind](s, r, o)
+                    key = pattern_key(kind, s, r, o)
                     assert table.freq(kind, key, t) == \
                         brute_force_freq(quads, kind, key, t, policy)
 
@@ -101,7 +105,7 @@ class TestTpfTable:
         ds = dataset_from_quads([(0, 1, 2, 5), (0, 1, 3, 6)])
         table = het.compute_tpf(ds)
         out = tmp_path / "tpf.csv"
-        export_csv(table, out)
+        export_csv(table, ds, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "pattern_kind,key,els,time,count"
         assert "sr,0|1,2,6,2" in lines

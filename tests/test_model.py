@@ -13,8 +13,8 @@ from tempkg.data import Snapshot, TkgDataset, build_true_index
 from tempkg.evaluation import evaluate
 from tempkg.heterogeneity import compute_tpf
 from tempkg.optim import AdamState
-from tempkg.model import (ModelConfig, TempModel, grads_by_name, init_params,
-                          leaves_on_tape)
+from tempkg.model import (VARIANTS, ModelConfig, TempModel, grads_by_name, init_params,
+                          leaves_on_tape, param_shapes)
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.temporal import decay_column
 
@@ -61,8 +61,8 @@ def snapshot_scorer_per_query(model, tpf=None):
         out = []
         for direction in ("object", "subject"):
             if model.config.gating and tpf is not None:
-                fixed_alpha, cand_alpha = model._gate_alphas(leaves, tpf, direction,
-                                                             triples, t)
+                fixed_alpha, cand_alpha = model._gate_alphas(
+                    leaves, tpf.frequencies(triples, t), direction)
             else:
                 fixed_alpha = cand_alpha = None
             rows = np.empty((len(triples), e))
@@ -92,8 +92,8 @@ def snapshot_loss_per_negative(model, leaves, ctx, triples, negatives, tpf):
             ("object", subjects, objects, negatives[0]),
             ("subject", objects, subjects, negatives[1])):
         if cfg.gating and tpf is not None:
-            fixed_alpha, cand_alpha = model._gate_alphas(leaves, tpf, direction,
-                                                         triples, ctx.time)
+            fixed_alpha, cand_alpha = model._gate_alphas(
+                leaves, tpf.frequencies(triples, ctx.time), direction)
         else:
             fixed_alpha = cand_alpha = None
         fixed = blend_rows(fixed_alpha, ad.gather_rows(ctx.x, fixed_idx),
@@ -172,6 +172,16 @@ class TestInit:
         assert "decay.x.lam" in params
         vanilla = init_params(ModelConfig(variant="srgcn", dim=8), 5, 2, 4, seed=0)
         assert not any(k.startswith(("gate.", "sa.", "gru.")) for k in vanilla)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_param_shapes_match_init_params(self, variant):
+        cfg = ModelConfig(variant=variant, dim=8, layers=2, heads=2, window=3,
+                          bidirectional=True, gating=True, imputation=True,
+                          positional=True)
+        shapes = param_shapes(cfg, 5, 2, 4)
+        params = init_params(cfg, 5, 2, 4, seed=0)
+        assert list(shapes) == list(params)
+        assert shapes == {name: arr.shape for name, arr in params.items()}
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
