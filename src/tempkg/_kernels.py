@@ -1,7 +1,8 @@
 """Hot numeric kernels, written as whole-array numpy operations.
 
-Each kernel but ``scatter_add_rows`` works in place on its first argument. Their
-cost on the real call mix: ``python3 perfbench/run.py --workload <w> --trace 1``.
+``adam_update`` works in place on its first argument; the others return a fresh
+array. Their cost on the real call mix:
+``python3 perfbench/run.py --workload <w> --trace 1``.
 """
 
 import numpy as np
@@ -17,12 +18,13 @@ def scatter_add_rows(num_rows, index, src):
     return np.bincount(flat, src.ravel(), num_rows * d).reshape(num_rows, d)
 
 
-def decay_accumulate(scores, entities, times, t, sigma):
-    """scores[entities[i]] += exp(-sigma * |t - times[i]|), the inner loop of
-    the decay-rule baseline."""
+def decay_accumulate(num_slots, slots, times, t, sigma):
+    """A fresh (num_slots,) array of decay sums out[k] = sum of
+    exp(-sigma * |t - times[i]|) over slots[i] == k, the inner loop of the
+    decay-rule baseline; bincount adds each bin in input order, so it is
+    bit-identical to np.add.at."""
     w = np.exp(-sigma * np.abs(t - times).astype(np.float64))
-    np.add.at(scores, entities, w)
-    return scores
+    return np.bincount(slots, w, num_slots)
 
 
 def adam_update(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):

@@ -493,16 +493,6 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
     return _result(out, (a,), back)
 
 
-def reduce_mean(a, axis: int | None = None) -> Tensor:
-    a = _as_tensor(a)
-    ad = a.data
-    if axis is None:
-        n = ad.size
-    else:
-        n = ad.shape[axis]
-    return mul(reduce_sum(a, axis), 1.0 / n)
-
-
 def absolute(a) -> Tensor:
     """|a| composed from the primitive set: relu(a) + relu(-a)."""
     return add(relu(a), relu(mul(a, -1.0)))

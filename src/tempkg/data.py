@@ -58,13 +58,6 @@ def snapshots_from_quads(quads, step_count: int) -> list[Snapshot]:
     return [Snapshot(t, quads[bounds[t]:bounds[t + 1], :3]) for t in range(step_count)]
 
 
-def active_entities(snapshot: Snapshot) -> set[int]:
-    """Entities appearing as subject or object of any triple in the snapshot."""
-    if len(snapshot) == 0:
-        return set()
-    return set(np.unique(snapshot.triples[:, [0, 2]]).tolist())
-
-
 class GroupedCodes:
     """Facts grouped by a partial key: the sorted int64 codes key * span + value,
     one per fact, or one per distinct code when ``unique``. ``columns`` are the
@@ -92,6 +85,18 @@ class GroupedCodes:
         base = self.encode(key)
         lo, hi = self.codes.searchsorted(np.array((base, base + self.span)))
         return self.values[lo:hi]
+
+    def ranges(self, key) -> tuple[np.ndarray, np.ndarray]:
+        """Values of many keys at once as (row, value) pairs, where ``row`` indexes
+        the keys; pairs follow key order, and each key's values are sorted.
+        ``key`` holds one array or int per key column."""
+        base = np.atleast_1d(self.encode(key))
+        lo, hi = self.codes.searchsorted(np.stack((base, base + self.span)))
+        counts = hi - lo
+        rows = np.repeat(np.arange(len(base)), counts)
+        # a value's position is its key's lo plus its offset inside the key's run
+        starts = np.cumsum(counts) - counts
+        return rows, self.values[np.arange(len(rows)) + np.repeat(lo - starts, counts)]
 
     def count(self, key, lo, hi) -> np.ndarray:
         """Codes of each key with a value in (lo, hi], where -1 <= lo, hi < span;
@@ -166,6 +171,16 @@ class TrueTripleIndex:
 
     def subjects_for(self, r: int, o: int, t: int) -> np.ndarray:
         return self._subjects.get(0 if self.static else t, r, o)
+
+    def filter_sets(self, direction: str, triples: np.ndarray, t: int,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The known answers of every (s, r, o) row's query at step t, in one
+        lookup: (row, entity) pairs as GroupedCodes.ranges gives them."""
+        s, r, o = triples.T
+        t = 0 if self.static else t
+        if direction == "object":
+            return self._objects.ranges((t, s, r))
+        return self._subjects.ranges((t, r, o))
 
 
 def build_true_index(dataset: TkgDataset, splits=("train",), static=False) -> TrueTripleIndex:

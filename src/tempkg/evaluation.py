@@ -87,25 +87,45 @@ def rank_query(scores: np.ndarray, true_entity: int, filtered: np.ndarray) -> in
     return 1 + int(np.count_nonzero(~(scores[keep] < answer)))
 
 
+def filtered_ranks(scores: np.ndarray, answers: np.ndarray, rows: np.ndarray,
+                   ids: np.ndarray) -> np.ndarray:
+    """rank_query of every row of a (q, E) score matrix at once.
+
+    ``answers`` holds each row's true entity and (rows, ids) its filtered
+    candidate ids, distinct within a row. A rank is 1 + #{j : not score_j <
+    answer}, less the answer itself and the filtered ids other than the answer
+    that pass the same test; a non-finite answer ranks behind every kept
+    candidate.
+    """
+    q, entity_count = scores.shape
+    answer = scores[np.arange(q), answers]
+    drop = ids != answers[rows]
+    rows, ids = rows[drop], ids[drop]
+    not_below = ~(scores[rows, ids] < answer[rows])
+    rivals = (entity_count - 1 - np.count_nonzero(scores < answer[:, None], axis=1)
+              - np.bincount(rows[not_below], minlength=q))
+    kept = entity_count - 1 - np.bincount(rows, minlength=q)
+    return 1 + np.where(np.isfinite(answer), rivals, kept)
+
+
 def rank_snapshots(entity_count: int, snapshots, snapshot_scorer,
                    filter_index: TrueTripleIndex, tpf: TpfTable | None = None,
                    ) -> RankingReport:
     """Rank both query directions of every fact in ``snapshots``, an iterable
-    of (t, triples) pairs; ``tpf`` attaches pattern frequencies to each result."""
+    of (t, triples) pairs, a whole snapshot and direction at a time; ``tpf``
+    attaches pattern frequencies to each result."""
     report = RankingReport(entity_count)
     for t, triples in snapshots:
         obj_scores, sub_scores = snapshot_scorer(t, triples)
+        obj_ranks = filtered_ranks(obj_scores, triples[:, 2],
+                                   *filter_index.filter_sets("object", triples, t)).tolist()
+        sub_ranks = filtered_ranks(sub_scores, triples[:, 0],
+                                   *filter_index.filter_sets("subject", triples, t)).tolist()
         counts = tpf.frequencies(triples, t).tolist() if tpf is not None else None
         for i, (s, r, o) in enumerate(triples.tolist()):
             freqs = dict(zip(PATTERN_KINDS, counts[i])) if counts is not None else None
-            report.results.append(QueryResult(
-                "object", s, r, o, t,
-                rank_query(obj_scores[i], o, filter_index.objects_for(s, r, t)),
-                freqs))
-            report.results.append(QueryResult(
-                "subject", s, r, o, t,
-                rank_query(sub_scores[i], s, filter_index.subjects_for(r, o, t)),
-                freqs))
+            report.results.append(QueryResult("object", s, r, o, t, obj_ranks[i], freqs))
+            report.results.append(QueryResult("subject", s, r, o, t, sub_ranks[i], freqs))
     return report
 
 

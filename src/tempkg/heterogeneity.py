@@ -72,11 +72,6 @@ class TpfTable:
         return np.stack([self._groups[kind].count(tuple(triples[:, c] for c in cols), lo, hi)
                          for kind, cols in PATTERN_COLUMNS.items()], axis=1)
 
-    def query_frequencies(self, s: int, r: int, o: int, t: int) -> dict[str, int]:
-        """All seven frequencies for one quadruple."""
-        row = self.frequencies(np.array([[s, r, o]], dtype=np.int64), t)[0]
-        return dict(zip(PATTERN_KINDS, row.tolist()))
-
 
 def compute_tpf(dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()) -> TpfTable:
     return TpfTable(dataset, policy)

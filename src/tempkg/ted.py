@@ -14,6 +14,13 @@ entity scores sum_{t'} exp(-sigma * |t - t'|) over its remaining tuples, and
 ranking is lexicographic: better tier first, higher score inside a tier,
 ascending entity id on exact ties. Entities outside every tier follow in
 ascending id order. No randomness anywhere.
+
+Scoring works on a whole snapshot: all queries of one step and direction read
+each tier's key ranges in one lookup, are de-duplicated down the tiers with
+one np.unique over query * span + code, and sum their decay scores into
+sparse (tier, query, entity) slots. Only the referenced (query, entity) pairs
+are sorted; unreferenced entities fill the rest of each row of the (q, E)
+output in id order, so no per-query or dense per-tier array is built.
 """
 
 from __future__ import annotations
@@ -24,9 +31,6 @@ import numpy as np
 
 from . import _kernels
 from .data import GroupedCodes, TkgDataset
-
-UNREFERENCED_TIER = 3  # tiers 0..2 hold referenced entities
-
 
 @dataclass(frozen=True)
 class TedConfig:
@@ -58,69 +62,81 @@ class TedModel:
 
         self._tiers = {"object": tiers(s, o), "subject": tiers(o, s)}
 
-    def reference_sets(self, direction: str, s: int, r: int, o: int, t: int,
-                       ) -> list[np.ndarray]:
-        """Three (m_i, 2) arrays of deduplicated (entity, t') tuples, t' != t.
+    def reference_sets(self, direction: str, s, r, o, t: int) -> list[np.ndarray]:
+        """Three (m_i, 3) arrays of deduplicated (query, entity, t') tuples, t' != t,
+        for the queries (s[i], r[i], o[i]) at step t, each sorted by query,
+        entity and t'.
 
         A tuple present in a better tier is removed from every worse one.
         """
         if direction not in self._tiers:
             raise ValueError(f"unknown query direction {direction!r}")
         fixed = s if direction == "object" else o
-        out = []
-        seen = np.empty(0, dtype=np.int64)
-        for tier, key in zip(self._tiers[direction], ((fixed, r), (fixed,), (r,))):
-            codes = tier.get(*key)
-            ents, times = np.divmod(codes, self.step_count + 1)
-            keep = (times != t) & ~np.isin(codes, seen, assume_unique=True)
-            seen = np.concatenate([seen, codes[keep]])
-            out.append(np.stack([ents[keep], times[keep]], axis=1))
-        return out
+        found = [tier.ranges(key) for tier, key
+                 in zip(self._tiers[direction], ((fixed, r), (fixed,), (r,)))]
+        rows = np.concatenate([rows for rows, _ in found])
+        codes = np.concatenate([codes for _, codes in found])
+        tier = np.repeat(np.arange(3), [len(codes) for _, codes in found])
+        other_step = codes % (self.step_count + 1) != t
+        rows, codes, tier = rows[other_step], codes[other_step], tier[other_step]
+        # the list is tier-major, so each tuple's first occurrence is in its best tier
+        span = self.entity_count * (self.step_count + 1)
+        _, first = np.unique(rows * span + codes, return_index=True)
+        first.sort()
+        ents, times = np.divmod(codes[first], self.step_count + 1)
+        tuples = np.stack([rows[first], ents, times], axis=1)
+        return np.split(tuples, np.searchsorted(tier[first], (1, 2)))
 
-    def tier_scores(self, tiers: list[np.ndarray], t: int, sigma: float) -> np.ndarray:
-        """(3, entity_count) decay-score matrix, one row per tier."""
-        scores = np.zeros((3, self.entity_count), dtype=np.float64)
-        for i, tuples in enumerate(tiers):
-            if len(tuples):
-                _kernels.decay_accumulate(scores[i], tuples[:, 0], tuples[:, 1],
-                                          t, sigma)
-        return scores
+    def tier_scores(self, tiers: list[np.ndarray], t: int, sigma: float,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decay scores of the distinct (tier, query, entity) slots of ``tiers``:
+        each slot's tier, its pair code query * entity_count + entity, and its
+        score, with slots sorted by tier and pair."""
+        tier = np.repeat(np.arange(3), [len(tuples) for tuples in tiers])
+        tuples = np.concatenate(tiers)
+        pair = tuples[:, 0] * self.entity_count + tuples[:, 1]
+        new = (np.diff(pair, prepend=-1) != 0) | (np.diff(tier, prepend=-1) != 0)
+        scores = _kernels.decay_accumulate(np.count_nonzero(new), np.cumsum(new) - 1,
+                                           tuples[:, 2], t, sigma)
+        return tier[new], pair[new], scores
 
-    def rank_scores(self, direction: str, s: int, r: int, o: int, t: int,
-                    config: TedConfig) -> np.ndarray:
-        """Score vector over all entities whose descending order is the ranking.
+    def rank_scores(self, direction: str, s, r, o, t: int, config: TedConfig,
+                    ) -> np.ndarray:
+        """(q, entity_count) scores of the queries (s[i], r[i], o[i]) at step t;
+        each row's descending order is that query's ranking.
 
         Scores are -position so downstream filtered ranking sees no ties.
         """
+        q, e = len(s), self.entity_count
         tiers = self.reference_sets(direction, s, r, o, t)
-        scores = self.tier_scores(tiers, t, config.sigma)
-        present = np.zeros((3, self.entity_count), dtype=bool)
-        for i, tuples in enumerate(tiers):
-            present[i, tuples[:, 0]] = True
+        tier, pair, scores = self.tier_scores(tiers, t, config.sigma)
+        pairs, first, slot_pair = np.unique(pair, return_index=True, return_inverse=True)
+        queries = pairs // e
+        # pairs are in entity order within a query and lexsort is stable, so
+        # exact ties keep ascending entity ids
         if config.blend == "sum":
-            total = scores.sum(axis=0)
-            in_any = present.any(axis=0)
-            order = np.lexsort((np.arange(self.entity_count), -total, ~in_any))
-        else:
-            tier_of = np.full(self.entity_count, UNREFERENCED_TIER, dtype=np.int64)
-            best_score = np.zeros(self.entity_count, dtype=np.float64)
-            for tier in range(2, -1, -1):
-                hit = present[tier]
-                tier_of[hit] = tier
-                best_score[hit] = scores[tier][hit]
-            order = np.lexsort((np.arange(self.entity_count), -best_score, tier_of))
-        ranks = np.empty(self.entity_count, dtype=np.float64)
-        ranks[order] = np.arange(self.entity_count, dtype=np.float64)
-        return -ranks
+            order = np.lexsort((-np.bincount(slot_pair, scores, len(pairs)), queries))
+        else:   # slots are tier-major, so a pair's first slot is its best tier
+            order = np.lexsort((-scores[first], tier[first], queries))
+        counts = np.bincount(queries, minlength=q)
+        ends = np.cumsum(counts)
+        # Unreferenced entity j of query i follows the query's referenced ones in
+        # id order, at position ends[i] + j - (pairs below i * e + j); the last
+        # term is a step function of the flat index, one np.repeat.
+        flat = np.repeat(np.arange(len(pairs) + 1, dtype=np.float64),
+                         np.diff(pairs, prepend=-1, append=q * e - 1))
+        out = flat.reshape(q, e)
+        out -= np.arange(e)
+        out -= ends[:, None]
+        flat[pairs[order]] = (ends - counts)[queries[order]] - np.arange(len(order))
+        return out
 
     def snapshot_scorer(self, config: TedConfig):
         """Adapter for evaluation.evaluate."""
 
         def scorer(t: int, triples: np.ndarray):
-            obj = np.stack([self.rank_scores("object", s, r, o, t, config)
-                            for s, r, o in triples.tolist()])
-            sub = np.stack([self.rank_scores("subject", s, r, o, t, config)
-                            for s, r, o in triples.tolist()])
-            return obj, sub
+            s, r, o = triples.T
+            return (self.rank_scores("object", s, r, o, t, config),
+                    self.rank_scores("subject", s, r, o, t, config))
 
         return scorer

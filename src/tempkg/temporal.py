@@ -27,13 +27,6 @@ def decay_column(deltas, lam: Tensor, b: Tensor) -> Tensor:
     return ad.exp(ad.mul(decay_exponent(d, lam, b), -1.0))
 
 
-def decay_weight(delta_t: float, lam: float, b: float) -> float:
-    """Scalar decay weight in (0, 1] for a nonnegative step difference."""
-    if delta_t < 0:
-        raise ValueError("delta_t must be nonnegative")
-    return float(decay_column([delta_t], constant(lam), constant(b)).data[0, 0])
-
-
 def gru_cell(x: Tensor, h: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     """Standard gated recurrent cell: update/reset gates plus candidate state."""
     p = lambda k: params[f"{prefix}.{k}"]

@@ -1,13 +1,18 @@
-"""Dict-of-tuples fact indexes, kept as oracles for the sorted-code indexes.
+"""Per-fact and per-query forms, kept as oracles for the package's indexes and
+whole-snapshot scorers.
 
-Each class builds its index by looping over facts in Python, the way the
-package did before every index became one ``data.GroupedCodes``.
+The dict classes build their index by looping over facts in Python, the way
+the package did before every index became one ``data.GroupedCodes``.
+``PerQueryTedModel`` and ``per_query_rank_snapshots`` score and rank one query
+at a time, the way the package did before it worked a snapshot at a time.
 """
 
 from collections import Counter
 
 import numpy as np
 
+from tempkg.evaluation import QueryResult, RankingReport, rank_query
+from tempkg.heterogeneity import PATTERN_KINDS
 from tempkg.ted import TedModel
 
 EXTRACTORS = {
@@ -68,8 +73,64 @@ class DictTpfTable:
         return until(t, "right") - until(t - self.policy.width, "right")
 
 
-class DictTedModel(TedModel):
-    """Tier lists of (entity, t') pairs per key; scoring is TedModel's own."""
+class PerQueryTedModel(TedModel):
+    """The decay-rule scorer one query at a time, over TedModel's tiers."""
+
+    def reference_sets(self, direction, s, r, o, t):
+        """Three (m_i, 2) arrays of deduplicated (entity, t') tuples, t' != t."""
+        fixed = s if direction == "object" else o
+        out = []
+        seen = np.empty(0, dtype=np.int64)
+        for tier, key in zip(self._tiers[direction], ((fixed, r), (fixed,), (r,))):
+            codes = tier.get(*key)
+            ents, times = np.divmod(codes, self.step_count + 1)
+            keep = (times != t) & ~np.isin(codes, seen, assume_unique=True)
+            seen = np.concatenate([seen, codes[keep]])
+            out.append(np.stack([ents[keep], times[keep]], axis=1))
+        return out
+
+    def tier_scores(self, tiers, t, sigma):
+        """(3, entity_count) decay-score matrix, one row per tier."""
+        scores = np.zeros((3, self.entity_count), dtype=np.float64)
+        for i, tuples in enumerate(tiers):
+            w = np.exp(-sigma * np.abs(t - tuples[:, 1]).astype(np.float64))
+            np.add.at(scores[i], tuples[:, 0], w)
+        return scores
+
+    def rank_scores(self, direction, s, r, o, t, config):
+        """Score vector over all entities whose descending order is the ranking."""
+        tiers = self.reference_sets(direction, s, r, o, t)
+        scores = self.tier_scores(tiers, t, config.sigma)
+        present = np.zeros((3, self.entity_count), dtype=bool)
+        for i, tuples in enumerate(tiers):
+            present[i, tuples[:, 0]] = True
+        if config.blend == "sum":
+            total = scores.sum(axis=0)
+            in_any = present.any(axis=0)
+            order = np.lexsort((np.arange(self.entity_count), -total, ~in_any))
+        else:
+            tier_of = np.full(self.entity_count, 3, dtype=np.int64)  # unreferenced
+            best_score = np.zeros(self.entity_count, dtype=np.float64)
+            for tier in range(2, -1, -1):
+                hit = present[tier]
+                tier_of[hit] = tier
+                best_score[hit] = scores[tier][hit]
+            order = np.lexsort((np.arange(self.entity_count), -best_score, tier_of))
+        ranks = np.empty(self.entity_count, dtype=np.float64)
+        ranks[order] = np.arange(self.entity_count, dtype=np.float64)
+        return -ranks
+
+    def snapshot_scorer(self, config):
+        def scorer(t, triples):
+            return tuple(np.stack([self.rank_scores(direction, s, r, o, t, config)
+                                   for s, r, o in triples.tolist()])
+                         for direction in ("object", "subject"))
+
+        return scorer
+
+
+class DictTedModel(PerQueryTedModel):
+    """Tier lists of (entity, t') pairs per key; scoring is PerQueryTedModel's."""
 
     def __init__(self, dataset):
         self.entity_count = dataset.entity_count
@@ -99,6 +160,24 @@ class DictTedModel(TedModel):
             out.append(np.stack([codes // (self.step_count + 1),
                                  codes % (self.step_count + 1)], axis=1))
         return out
+
+
+def per_query_rank_snapshots(entity_count, snapshots, snapshot_scorer, filter_index,
+                             tpf=None):
+    """evaluation.rank_snapshots with one filter lookup and rank_query per query."""
+    report = RankingReport(entity_count)
+    for t, triples in snapshots:
+        obj_scores, sub_scores = snapshot_scorer(t, triples)
+        counts = tpf.frequencies(triples, t).tolist() if tpf is not None else None
+        for i, (s, r, o) in enumerate(triples.tolist()):
+            freqs = dict(zip(PATTERN_KINDS, counts[i])) if counts is not None else None
+            report.results.append(QueryResult(
+                "object", s, r, o, t,
+                rank_query(obj_scores[i], o, filter_index.objects_for(s, r, t)), freqs))
+            report.results.append(QueryResult(
+                "subject", s, r, o, t,
+                rank_query(sub_scores[i], s, filter_index.subjects_for(r, o, t)), freqs))
+    return report
 
 
 def counter_cross_split_repeats(dataset):

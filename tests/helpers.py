@@ -1,0 +1,35 @@
+"""Small helpers that only tests call, built on the package's public functions."""
+
+import numpy as np
+
+from tempkg import autodiff as ad
+from tempkg.autodiff import constant
+from tempkg.heterogeneity import PATTERN_KINDS
+from tempkg.temporal import decay_column
+
+
+def active_entities(snapshot) -> set[int]:
+    """Entities appearing as subject or object of any triple in the snapshot."""
+    if len(snapshot) == 0:
+        return set()
+    return set(np.unique(snapshot.triples[:, [0, 2]]).tolist())
+
+
+def decay_weight(delta_t: float, lam: float, b: float) -> float:
+    """Scalar decay weight in (0, 1] for a nonnegative step difference."""
+    if delta_t < 0:
+        raise ValueError("delta_t must be nonnegative")
+    return float(decay_column([delta_t], constant(lam), constant(b)).data[0, 0])
+
+
+def reduce_mean(a, axis: int | None = None):
+    """Mean over all entries or one axis, as a scaled reduce_sum on the tape."""
+    a = a if isinstance(a, ad.Tensor) else constant(a)
+    n = a.data.size if axis is None else a.data.shape[axis]
+    return ad.mul(ad.reduce_sum(a, axis), 1.0 / n)
+
+
+def query_frequencies(table, s: int, r: int, o: int, t: int) -> dict[str, int]:
+    """All seven pattern frequencies of one quadruple in a TpfTable."""
+    row = table.frequencies(np.array([[s, r, o]], dtype=np.int64), t)[0]
+    return dict(zip(PATTERN_KINDS, row.tolist()))

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from tempkg import autodiff as ad
 from tempkg import evaluation as ev
 from tempkg import heterogeneity as het
-from tempkg import temporal
 from tempkg.autodiff import Tape, constant
 from tempkg.config import RunConfig
 from tempkg.data import Snapshot, TkgDataset, build_true_index, load_dataset
@@ -28,7 +27,9 @@ from tempkg.ted import TedConfig, TedModel
 from tempkg.train import filter_index_for, train
 
 from gradcheck import finite_difference, max_relative_error
-from test_ted import brute_force_ranking, brute_force_reference_sets
+from helpers import decay_weight, query_frequencies, reduce_mean
+from test_ted import (brute_force_ranking, brute_force_reference_sets, query_scores,
+                      query_tiers)
 
 
 def report(line):
@@ -83,7 +84,7 @@ def _primitive_cases(rng):
         ("scatter-add", lambda a: ad.reduce_sum(
             ad.tanh(ad.scatter_add_rows(a, np.array([1, 3, 1]), num_rows=4))), [m32]),
         ("sum-axis", lambda a: ad.reduce_sum(ad.tanh(ad.reduce_sum(a, axis=1))), [m23]),
-        ("mean", lambda a: ad.reduce_sum(ad.tanh(ad.reduce_mean(a, axis=0))), [m23]),
+        ("mean", lambda a: ad.reduce_sum(ad.tanh(reduce_mean(a, axis=0))), [m23]),
     ]
 
 
@@ -203,15 +204,15 @@ def test_criterion_3_ted_oracle_equivalence_and_determinism():
         sigma = float(rng.choice([1e-3, 0.1, 1.0, 10.0]))
         s, rel, o, t = quads[int(rng.integers(len(quads)))]
         for direction in ("object", "subject"):
-            tiers = model.reference_sets(direction, s, rel, o, t)
+            tiers = query_tiers(model, direction, s, rel, o, t)
             expect_tiers = brute_force_reference_sets(quads, direction, s, rel, o, t)
             for arr, ref in zip(tiers, expect_tiers):
                 assert set(map(tuple, arr.tolist())) == ref
-            scores = model.rank_scores(direction, s, rel, o, t, TedConfig(sigma))
+            scores = query_scores(model, direction, s, rel, o, t, TedConfig(sigma))
             got = np.argsort(-scores).tolist()
             assert got == brute_force_ranking(quads, direction, s, rel, o, t, sigma, e)
-            repeat = TedModel(ds).rank_scores(direction, s, rel, o, t,
-                                              TedConfig(sigma))
+            repeat = query_scores(TedModel(ds), direction, s, rel, o, t,
+                                  TedConfig(sigma))
             assert scores.tobytes() == repeat.tobytes()
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -229,9 +230,9 @@ _t0_properties = time.perf_counter()
 @given(lam=st.floats(0, 5), b=st.floats(-3, 3), dt=st.integers(0, 60))
 def test_criterion_4a_decay_weight_bounds_and_monotone(lam, b, dt):
     CASES["count"] += 1
-    g = temporal.decay_weight(dt, lam, b)
+    g = decay_weight(dt, lam, b)
     assert 0.0 < g <= 1.0
-    assert temporal.decay_weight(dt + 1, lam, b) <= g + 1e-15
+    assert decay_weight(dt + 1, lam, b) <= g + 1e-15
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,8 +254,8 @@ def test_criterion_4b_attention_rows(seed, n, w):
        df=st.integers(1, 20))
 def test_criterion_4c_imputation_convexity(lam, b, dp, df):
     CASES["count"] += 1
-    g_p = temporal.decay_weight(dp, lam, b)
-    g_f = temporal.decay_weight(df, lam, b)
+    g_p = decay_weight(dp, lam, b)
+    g_f = decay_weight(df, lam, b)
     one_sided = (g_p, 1.0 - g_p)
     two_sided = (g_p / 2, g_f / 2, 1.0 - g_p / 2 - g_f / 2)
     for coeffs in (one_sided, two_sided):
@@ -300,7 +301,7 @@ def test_criterion_4e_tpf_subset_monotonicity(seed):
     table = het.compute_tpf(ds)
     s, r, o, _ = quads[int(rng.integers(len(quads)))]
     t = int(rng.integers(steps))
-    freq = table.query_frequencies(s, r, o, t)
+    freq = query_frequencies(table, s, r, o, t)
     assert freq["sro"] <= freq["sr"] <= freq["s"]
     assert freq["sro"] <= freq["ro"] <= freq["o"]
     assert freq["sro"] <= freq["so"] <= min(freq["s"], freq["o"])

@@ -8,6 +8,7 @@ from tempkg import _kernels, autodiff as ad
 from tempkg.autodiff import Tape, constant
 
 from gradcheck import finite_difference, max_relative_error
+from helpers import reduce_mean
 
 
 def grads_for(build, arrays, h=1e-5):
@@ -294,7 +295,7 @@ class TestBackward:
 
         def build(al, bl):
             c = ad.concat([al, bl], axis=1)
-            return ad.reduce_sum(ad.mul(ad.reduce_mean(c, axis=1), ad.reduce_sum(c, axis=1)))
+            return ad.reduce_sum(ad.mul(reduce_mean(c, axis=1), ad.reduce_sum(c, axis=1)))
 
         analytic, numeric = grads_for(build, [a, b])
         assert max_relative_error(analytic, numeric) < 1e-5

@@ -8,6 +8,10 @@ import sys
 import numpy as np
 
 from tempkg import autodiff as ad
+from tempkg.synth import SynthSpec, generate_synthetic
+from tempkg.ted import TedConfig, TedModel
+
+from fact_oracles import PerQueryTedModel
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -71,3 +75,28 @@ def test_scatter_row_counter_counts_the_rows_passed():
         assert counts["kernels.scatter_add_rows.rows"] == 5 + 3
     calls = [tracer.names[span[0]] for span in tracer.spans]
     assert calls.count("kernels.scatter_add_rows") == 2
+
+
+def test_ted_tuple_counter_matches_per_query_oracle():
+    """A traced whole-snapshot decay-rule pass counts as many reference tuples
+    as the per-query scorer finds, and each TED span fires once per snapshot
+    and direction."""
+    tracing = load_tracing()
+    ds = generate_synthetic(SynthSpec(60, 5, 14, density=0.5, periodicity=0.5, period=3,
+                                      test_fraction=0.2), seed=2)
+    snaps = [(snap.time, snap.triples) for snap in ds.splits["test"] if len(snap)]
+    oracle = PerQueryTedModel(ds)
+    want = sum(len(tier) for t, triples in snaps for direction in ("object", "subject")
+               for s, r, o in triples.tolist()
+               for tier in oracle.reference_sets(direction, s, r, o, t))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.begin("pass")
+        scorer = TedModel(ds).snapshot_scorer(TedConfig(0.2))
+        for t, triples in snaps:
+            scorer(t, triples)
+    assert tracer.segments[-1][1]["ted.tuples"] == want > 0
+    calls = [tracer.names[span[0]] for span in tracer.spans]
+    for span in ("ted.TedModel.reference_sets", "ted.TedModel.tier_scores",
+                 "ted.TedModel.rank_scores", "kernels.decay_accumulate"):
+        assert calls.count(span) == 2 * len(snaps), span

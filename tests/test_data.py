@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tempkg.data import (DatasetError, Snapshot, TkgDataset, active_entities,
-                         build_true_index, cross_split_repeats, load_dataset,
-                         write_dataset)
+from tempkg.data import (DatasetError, Snapshot, TkgDataset, build_true_index,
+                         cross_split_repeats, load_dataset, write_dataset)
+
+from helpers import active_entities
 
 
 def write_split(directory, name, lines):

@@ -8,7 +8,14 @@ import pytest
 
 from tempkg import evaluation as ev
 from tempkg.data import Snapshot, TkgDataset, build_true_index
-from tempkg.evaluation import QueryResult, RankingReport, rank_query
+from tempkg.evaluation import QueryResult, RankingReport, filtered_ranks, rank_query
+from tempkg.heterogeneity import compute_tpf
+from tempkg.model import ModelConfig, TempModel, init_params
+from tempkg.synth import SynthSpec, generate_synthetic
+from tempkg.ted import TedConfig, TedModel
+
+from fact_oracles import PerQueryTedModel, per_query_rank_snapshots
+from test_fact_index import random_dataset
 
 
 def brute_force_rank(scores, true_entity, filtered):
@@ -62,6 +69,99 @@ class TestRankQuery:
             filtered = rng.choice(e, size=int(rng.integers(0, e // 2 + 1)), replace=False)
             assert rank_query(scores, true_entity, filtered) == \
                 brute_force_rank(scores, true_entity, filtered)
+
+
+class TestFilteredRanks:
+    """The whole-snapshot ranks against rank_query, one row at a time."""
+
+    SPECIAL = (np.nan, np.inf, -np.inf)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_rows_match_rank_query(self, seed):
+        """Coarse scores tie exactly; rivals and answers take NaN and +-inf; a
+        row's filter set is empty or not, and holds its answer or not."""
+        rng = np.random.default_rng(seed)
+        q, e = (1, 9) if seed == 0 else (int(rng.integers(4, 12)), int(rng.integers(2, 40)))
+        scores = rng.integers(-2, 3, size=(q, e)).astype(np.float64)
+        specials = rng.random((q, e)) < 0.15
+        scores[specials] = rng.choice(self.SPECIAL, size=int(specials.sum()))
+        answers = rng.integers(0, e, size=q)
+        # rows 1, 2 and 3 have a NaN, +inf and -inf answer
+        scores[np.arange(1, min(q, 4)), answers[1:4]] = self.SPECIAL[:min(q, 4) - 1]
+        rows, ids = [], []
+        for i in range(q):
+            size = 0 if i % 3 == 0 else int(rng.integers(0, e + 1))
+            chosen = rng.choice(e, size=size, replace=False)
+            if i % 3 == 1:
+                chosen = np.union1d(chosen, answers[i])
+            elif i % 3 == 2:
+                chosen = chosen[chosen != answers[i]]
+            rows += [i] * len(chosen)
+            ids += sorted(chosen.tolist())
+        rows, ids = np.array(rows, dtype=np.int64), np.array(ids, dtype=np.int64)
+        assert filtered_ranks(scores, answers, rows, ids).tolist() == \
+            [rank_query(scores[i], answers[i], ids[rows == i]) for i in range(q)]
+
+    @pytest.mark.parametrize("static", [False, True])
+    def test_filter_index_lookup_matches_per_query(self, static):
+        """Every test snapshot of a random corpus, and its first fact alone, with
+        filter sets from TrueTripleIndex.filter_sets."""
+        ds = random_dataset(0)
+        index = build_true_index(ds, ("train", "valid", "test"), static)
+        rng = np.random.default_rng(1)
+        for snap in ds.splits["test"]:
+            for triples in (snap.triples, snap.triples[:1]):
+                if not len(triples):
+                    continue
+                t = snap.time
+                scores = rng.integers(0, 3, size=(len(triples), ds.entity_count)) * 1.0
+                for direction, col, lookup in (
+                        ("object", 2, lambda s, r, o: index.objects_for(s, r, t)),
+                        ("subject", 0, lambda s, r, o: index.subjects_for(r, o, t))):
+                    want = [rank_query(scores[i], query[col], lookup(*query))
+                            for i, query in enumerate(triples.tolist())]
+                    got = filtered_ranks(scores, triples[:, col],
+                                         *index.filter_sets(direction, triples, t))
+                    assert got.tolist() == want
+
+
+class TestResultsMatchPerQueryPath:
+    """results.jsonl of evaluate against the per-query scorers and ranking loop."""
+
+    def write_both(self, tmp_path, batched, per_query):
+        paths = tmp_path / "batched.jsonl", tmp_path / "per_query.jsonl"
+        ev.write_results_jsonl(batched, paths[0])
+        ev.write_results_jsonl(per_query, paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def corpus(self):
+        ds = generate_synthetic(SynthSpec(60, 5, 14, density=0.5, periodicity=0.5,
+                                          period=3, test_fraction=0.2), seed=2)
+        return ds, build_true_index(ds, ("train", "valid", "test"))
+
+    def split_snapshots(self, ds):
+        return [(snap.time, snap.triples) for snap in ds.splits["test"] if len(snap)]
+
+    @pytest.mark.parametrize("blend", ["tiered", "sum"])
+    def test_ted(self, tmp_path, blend):
+        ds, index = self.corpus()
+        config = TedConfig(0.2, blend)
+        batched = ev.evaluate(ds, "test", TedModel(ds).snapshot_scorer(config), index)
+        per_query = per_query_rank_snapshots(
+            ds.entity_count, self.split_snapshots(ds),
+            PerQueryTedModel(ds).snapshot_scorer(config), index)
+        self.write_both(tmp_path, batched, per_query)
+
+    def test_gated_temp_sa_with_tpf(self, tmp_path):
+        ds, index = self.corpus()
+        config = ModelConfig(variant="temp-sa", decoder="complex", dim=8, window=3,
+                             heads=2, imputation=True, gating=True)
+        params = init_params(config, ds.entity_count, ds.relation_count, ds.step_count, 3)
+        model, tpf = TempModel(config, ds, params), compute_tpf(ds)
+        batched = ev.evaluate(ds, "test", model.snapshot_scorer(tpf), index, tpf)
+        per_query = per_query_rank_snapshots(ds.entity_count, self.split_snapshots(ds),
+                                             model.snapshot_scorer(tpf), index, tpf)
+        self.write_both(tmp_path, batched, per_query)
 
 
 def toy_dataset_and_scores(rng, e=6, r=2, t=3, per_split=4):

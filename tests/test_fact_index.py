@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fact_oracles import (DictTedModel, DictTpfTable, DictTrueTripleIndex,
-                          counter_cross_split_repeats)
+                          PerQueryTedModel, counter_cross_split_repeats)
+from helpers import query_frequencies
 from tempkg import heterogeneity as het
 from tempkg.data import (GroupedCodes, Snapshot, TkgDataset, build_true_index,
                          cross_split_repeats)
@@ -50,6 +51,15 @@ def test_filter_index_matches_dict_oracle(seed, static, splits):
                           (index.subjects_for(r, b, t), oracle.subjects_for(r, b, t))):
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
+    grid = np.array(list(itertools.product(range(E), range(R), range(E))))
+    for t in range(T):
+        for direction, want in (("object", oracle.objects_for), ("subject", oracle.subjects_for)):
+            rows, ids = index.filter_sets(direction, grid, t)
+            expect = [want(a, r, t) if direction == "object" else want(r, b, t)
+                      for a, r, b in grid.tolist()]
+            np.testing.assert_array_equal(rows, np.repeat(np.arange(len(grid)),
+                                                          [len(x) for x in expect]))
+            np.testing.assert_array_equal(ids, np.concatenate(expect))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -72,28 +82,38 @@ def test_tpf_matches_dict_oracle(seed, policy):
         counts = table.frequencies(triples, t)
         assert counts.shape == (len(triples), len(het.PATTERN_KINDS))
         for row, (s, r, o) in zip(counts.tolist(), triples.tolist()):
-            want = table.query_frequencies(s, r, o, t)
+            want = query_frequencies(table, s, r, o, t)
             assert dict(zip(het.PATTERN_KINDS, row)) == want
             assert all(type(v) is int for v in want.values())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ted_matches_dict_oracle(seed):
+    """Whole-snapshot tiers and (q, E) scores against the per-query scorer, on
+    TedModel's own tiers and on the dict tiers."""
     ds = random_dataset(seed)
-    model, oracle = TedModel(ds), DictTedModel(ds)
-    queries = ds.quadruples("test").tolist()
-    assert queries
-    for (s, r, o, t), direction in itertools.product(queries, ("object", "subject")):
+    model = TedModel(ds)
+    oracles = (PerQueryTedModel(ds), DictTedModel(ds))
+    snaps = [snap for snap in ds.splits["test"] if len(snap)]
+    assert snaps
+    for snap, direction in itertools.product(snaps, ("object", "subject")):
+        t, queries = snap.time, snap.triples.tolist()
+        s, r, o = snap.triples.T
         got = model.reference_sets(direction, s, r, o, t)
-        want = oracle.reference_sets(direction, s, r, o, t)
         assert len(got) == 3
-        for tier, expect in zip(got, want):
-            assert tier.dtype == np.int64 and tier.shape[1:] == (2,)
-            np.testing.assert_array_equal(tier, expect)
-        for blend in ("tiered", "sum"):
-            config = TedConfig(0.3, blend)
-            np.testing.assert_array_equal(model.rank_scores(direction, s, r, o, t, config),
-                                          oracle.rank_scores(direction, s, r, o, t, config))
+        for oracle in oracles:
+            want = [oracle.reference_sets(direction, *query, t) for query in queries]
+            for i, tier in enumerate(got):
+                assert tier.dtype == np.int64 and tier.shape[1:] == (3,)
+                expect = np.concatenate([np.column_stack([np.full(len(w[i]), j), w[i]])
+                                         for j, w in enumerate(want)])
+                np.testing.assert_array_equal(tier, expect)
+            for blend in ("tiered", "sum"):
+                config = TedConfig(0.3, blend)
+                np.testing.assert_array_equal(
+                    model.rank_scores(direction, s, r, o, t, config),
+                    np.stack([oracle.rank_scores(direction, *query, t, config)
+                              for query in queries]))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -109,6 +129,9 @@ def test_grouped_codes_get_and_count():
     assert unique.get(2).tolist() == [0, 3]
     assert unique.get(0).tolist() == [1]
     assert unique.get(1).tolist() == [4]
+    rows, got = unique.ranges((np.array([2, 1, 2, 0]),))
+    assert rows.tolist() == [0, 0, 1, 2, 2, 3]
+    assert got.tolist() == [0, 3, 4, 0, 3, 1]
     repeated = GroupedCodes((keys, values), (3, 5), unique=False)
     assert repeated.count((np.array([2, 0, 1]),), -1, 4).tolist() == [3, 1, 1]
     assert repeated.count((2,), 0, 3) == 2

@@ -7,6 +7,8 @@ from tempkg import heterogeneity as het
 from tempkg.autodiff import constant
 from tempkg.data import Snapshot, TkgDataset
 
+from helpers import query_frequencies
+
 
 def dataset_from_quads(quads, e=8, r=4, t=10):
     per = [[] for _ in range(t)]
@@ -90,7 +92,7 @@ class TestTpfTable:
         table = het.compute_tpf(dataset_from_quads(quads))
         for s, r, o, _ in quads:
             for t in range(10):
-                f = table.query_frequencies(s, r, o, t)
+                f = query_frequencies(table, s, r, o, t)
                 assert f["sro"] <= f["sr"] <= f["s"]
                 assert f["sro"] <= f["ro"] <= f["o"]
                 assert f["sro"] <= f["so"] <= f["s"]

@@ -88,11 +88,15 @@ class TestKernels:
         rng = np.random.default_rng(6)
         ents = rng.integers(0, 9, size=50)
         times = rng.integers(0, 30, size=50)
-        got = _kernels.decay_accumulate(np.zeros(9), ents, times, 17, 0.3)
+        got = _kernels.decay_accumulate(9, ents, times, 17, 0.3)
         expect = np.zeros(9)
         for e, t_prime in zip(ents.tolist(), times.tolist()):
             expect[e] += np.exp(-0.3 * abs(17 - t_prime))
         np.testing.assert_allclose(got, expect, rtol=1e-14)
+        # the np.add.at form it replaced adds each slot in the same order
+        at = np.zeros(9)
+        np.add.at(at, ents, np.exp(-0.3 * np.abs(17 - times).astype(np.float64)))
+        np.testing.assert_array_equal(got, at)
 
     def test_adam_update_matches_closed_form(self):
         rng = np.random.default_rng(7)

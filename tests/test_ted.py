@@ -19,6 +19,18 @@ def dataset_from_train(quads, e=6, r=3, t=8, test_quads=()):
                                 "test": pack(test_quads)})
 
 
+def query_tiers(model, direction, s, r, o, t):
+    """The whole-snapshot reference sets of one query, as (entity, t') tuples."""
+    one = lambda x: np.array([x], dtype=np.int64)
+    return [tier[:, 1:] for tier in model.reference_sets(direction, one(s), one(r), one(o), t)]
+
+
+def query_scores(model, direction, s, r, o, t, config):
+    """The whole-snapshot score row of one query."""
+    one = lambda x: np.array([x], dtype=np.int64)
+    return model.rank_scores(direction, one(s), one(r), one(o), t, config)[0]
+
+
 def brute_force_reference_sets(train_quads, direction, s, r, o, t):
     """Tier construction straight from the set definitions."""
     if direction == "object":
@@ -56,7 +68,7 @@ class TestReferenceSets:
     def test_single_train_quad_tier1(self):
         ds = dataset_from_train([(0, 0, 1, 0)], t=2)
         model = TedModel(ds)
-        tiers = model.reference_sets("object", 0, 0, 5, 1)
+        tiers = query_tiers(model, "object", 0, 0, 5, 1)
         assert tiers[0].tolist() == [[1, 0]]
         # the same tuple qualified for tiers 2 and 3 but was deduplicated away
         assert tiers[1].tolist() == []
@@ -65,7 +77,7 @@ class TestReferenceSets:
     def test_current_step_excluded(self):
         ds = dataset_from_train([(0, 0, 1, 3)], t=5)
         model = TedModel(ds)
-        tiers = model.reference_sets("object", 0, 0, 5, 3)
+        tiers = query_tiers(model, "object", 0, 0, 5, 3)
         assert all(len(x) == 0 for x in tiers)
 
     def test_matches_brute_force_on_toy_corpus(self):
@@ -77,7 +89,7 @@ class TestReferenceSets:
         model = TedModel(ds)
         for direction in ("object", "subject"):
             for s, r, o, t in quads[:6]:
-                got = model.reference_sets(direction, s, r, o, t)
+                got = query_tiers(model, direction, s, r, o, t)
                 expect = brute_force_reference_sets(quads, direction, s, r, o, t)
                 for arr, ref in zip(got, expect):
                     assert set(map(tuple, arr.tolist())) == ref
@@ -89,7 +101,7 @@ class TestTedScore:
     def score(self, occurrences, t, sigma):
         occurrences = np.asarray(occurrences)
         ents = np.zeros(len(occurrences), dtype=np.int64)
-        return _kernels.decay_accumulate(np.zeros(1), ents, occurrences, t, sigma)[0]
+        return _kernels.decay_accumulate(1, ents, occurrences, t, sigma)[0]
 
     def test_zero_distance_scores_one(self):
         assert self.score([5], 5, 0.1) == pytest.approx(1.0)
@@ -117,7 +129,7 @@ class TestRanking:
     def test_single_tier1_entity_ranks_first(self):
         ds = dataset_from_train([(0, 0, 1, 0)], t=2)
         model = TedModel(ds)
-        scores = model.rank_scores("object", 0, 0, 5, 1, TedConfig(0.1))
+        scores = query_scores(model, "object", 0, 0, 5, 1, TedConfig(0.1))
         assert int(np.argmax(scores)) == 1
 
     def test_tier_dominates_score(self):
@@ -126,15 +138,25 @@ class TestRanking:
         quads = [(0, 0, 1, 0)] + [(0, 1, 2, t) for t in range(5, 8)]
         ds = dataset_from_train(quads, e=4, r=2, t=9)
         model = TedModel(ds)
-        scores = model.rank_scores("object", 0, 0, 3, 8, TedConfig(sigma=1.0))
+        scores = query_scores(model, "object", 0, 0, 3, 8, TedConfig(sigma=1.0))
         order = np.argsort(-scores)
         assert list(order[:2]) == [1, 2]
+
+    def test_entity_in_two_tiers_scores_only_its_best_tier(self):
+        # entity 2 is the last tier-1 pair and the first tier-2 pair of the
+        # query; its tier-2 occurrence must not add to its tier-1 score
+        quads = [(0, 0, 1, 1), (0, 0, 2, 0), (0, 1, 2, 1)]
+        ds = dataset_from_train(quads, e=4, r=2, t=3)
+        scores = query_scores(TedModel(ds), "object", 0, 0, 3, 2, TedConfig(sigma=1.0))
+        expect = brute_force_ranking(quads, "object", 0, 0, 3, 2, 1.0, 4)
+        assert np.argsort(-scores).tolist() == expect
+        assert expect[:2] == [1, 2]
 
     def test_blend_sum_orders_by_total_score(self):
         quads = [(0, 0, 1, 0)] + [(0, 1, 2, t) for t in range(5, 8)]
         ds = dataset_from_train(quads, e=4, r=2, t=9)
         model = TedModel(ds)
-        scores = model.rank_scores("object", 0, 0, 3, 8, TedConfig(1.0, blend="sum"))
+        scores = query_scores(model, "object", 0, 0, 3, 8, TedConfig(1.0, blend="sum"))
         order = np.argsort(-scores)
         assert list(order[:2]) == [2, 1]
 
@@ -152,7 +174,7 @@ class TestRanking:
             sigma = float(rng.choice([0.01, 0.1, 1.0]))
             for direction in ("object", "subject"):
                 s, rel, o, t = quads[int(rng.integers(len(quads)))]
-                scores = model.rank_scores(direction, s, rel, o, t, TedConfig(sigma))
+                scores = query_scores(model, direction, s, rel, o, t, TedConfig(sigma))
                 got = np.argsort(-scores).tolist()
                 expect = brute_force_ranking(quads, direction, s, rel, o, t, sigma, e)
                 assert got == expect
@@ -164,7 +186,7 @@ class TestRanking:
         def run():
             model = TedModel(ds)
             return np.concatenate([
-                model.rank_scores(d, 0, 0, 1, 4, TedConfig(0.1))
+                query_scores(model, d, 0, 0, 1, 4, TedConfig(0.1))
                 for d in ("object", "subject")])
 
         assert run().tobytes() == run().tobytes()
@@ -173,10 +195,10 @@ class TestRanking:
         # adding a strictly more recent occurrence never lowers the entity
         base = [(0, 0, 1, 0), (0, 0, 2, 1)]
         ds1 = dataset_from_train(base, e=4, r=1, t=7)
-        score1 = TedModel(ds1).rank_scores("object", 0, 0, 3, 6, TedConfig(0.5))
+        score1 = query_scores(TedModel(ds1), "object", 0, 0, 3, 6, TedConfig(0.5))
         rank_of_1 = int(np.where(np.argsort(-score1) == 1)[0][0])
         ds2 = dataset_from_train(base + [(0, 0, 1, 5)], e=4, r=1, t=7)
-        score2 = TedModel(ds2).rank_scores("object", 0, 0, 3, 6, TedConfig(0.5))
+        score2 = query_scores(TedModel(ds2), "object", 0, 0, 3, 6, TedConfig(0.5))
         rank_of_1_after = int(np.where(np.argsort(-score2) == 1)[0][0])
         assert rank_of_1_after <= rank_of_1
 

@@ -6,6 +6,7 @@ from tempkg import temporal
 from tempkg.autodiff import Tape, constant
 
 from gradcheck import scaled_error
+from helpers import decay_weight
 
 
 def gru_param_arrays(dim, rng, prefix):
@@ -74,24 +75,24 @@ def gru_ref(x, h, p, prefix):
 class TestDecayWeight:
     def test_flat_parameters_give_one(self):
         for dt in (0, 1, 5, 100):
-            assert temporal.decay_weight(dt, 0.0, 0.0) == 1.0
+            assert decay_weight(dt, 0.0, 0.0) == 1.0
 
     def test_direct_evaluation(self):
-        assert temporal.decay_weight(2, 1.0, 0.0) == pytest.approx(np.exp(-2.0))
+        assert decay_weight(2, 1.0, 0.0) == pytest.approx(np.exp(-2.0))
 
     def test_clamp_branch(self):
-        assert temporal.decay_weight(3, 1.0, -5.0) == 1.0
+        assert decay_weight(3, 1.0, -5.0) == 1.0
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            temporal.decay_weight(-1, 1.0, 0.0)
+            decay_weight(-1, 1.0, 0.0)
 
     def test_monotone_and_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             lam = rng.uniform(0, 3)
             b = rng.uniform(-2, 2)
-            gs = [temporal.decay_weight(dt, lam, b) for dt in range(12)]
+            gs = [decay_weight(dt, lam, b) for dt in range(12)]
             assert all(0 < g <= 1 for g in gs)
             assert all(a >= b2 - 1e-15 for a, b2 in zip(gs, gs[1:]))
 
