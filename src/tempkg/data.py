@@ -74,17 +74,10 @@ class GroupedCodes:
         codes = np.asarray(self.encode(columns), dtype=np.int64)
         self.codes = np.unique(codes) if unique else np.sort(codes)
         self.values = self.codes % self.span
-        self.values.flags.writeable = False
 
     def encode(self, parts):
         """Code of the leading columns: a key's first code, or a fact's code."""
         return sum(map(operator.mul, parts, self.strides))
-
-    def get(self, *key) -> np.ndarray:
-        """Sorted values of one key, as a read-only view."""
-        base = self.encode(key)
-        lo, hi = self.codes.searchsorted(np.array((base, base + self.span)))
-        return self.values[lo:hi]
 
     def ranges(self, key) -> tuple[np.ndarray, np.ndarray]:
         """Values of many keys at once as (row, value) pairs, where ``row`` indexes
@@ -165,12 +158,6 @@ class TrueTripleIndex:
         e, nr = dataset.entity_count, dataset.relation_count
         self._objects = GroupedCodes((t, s, r, o), (steps, e, nr, e))
         self._subjects = GroupedCodes((t, r, o, s), (steps, nr, e, e))
-
-    def objects_for(self, s: int, r: int, t: int) -> np.ndarray:
-        return self._objects.get(0 if self.static else t, s, r)
-
-    def subjects_for(self, r: int, o: int, t: int) -> np.ndarray:
-        return self._subjects.get(0 if self.static else t, r, o)
 
     def filter_sets(self, direction: str, triples: np.ndarray, t: int,
                     ) -> tuple[np.ndarray, np.ndarray]:

@@ -112,33 +112,45 @@ def _transe_rows(fixed, r, table, ids, direction, blend) -> Tensor:
     return ad.concat(blocks)
 
 
-def sample_negatives(s: int, r: int, o: int, t: int, index: TrueTripleIndex,
-                     k: int, rng: np.random.Generator, entity_count: int,
+def sample_negatives(triples: np.ndarray, t: int, index: TrueTripleIndex, k: int,
+                     rng: np.random.Generator, entity_count: int,
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """k uniform corruptions per slot, rejecting known-true completions at t.
-
-    Returns (object_negatives, subject_negatives). When fewer than k distinct
-    valid corruptions exist the draw still proceeds with replacement, with a
-    warning; an empty valid set falls back to everything but the answer.
+    """k uniform corruptions per slot of each (s, r, o) row of ``triples``,
+    rejecting known-true completions at t: the (m, k) object and subject
+    negatives. Draws run row by row, objects before subjects. A query with
+    fewer than k valid corruptions draws with replacement, one with none draws
+    among every entity but its answer; each direction warns once with counts.
     """
     if k < 1:
         raise ValueError("negative count must be at least 1")
-    out = []
-    for true_set, answer in ((index.objects_for(s, r, t), o),
-                             (index.subjects_for(r, o, t), s)):
-        valid = entity_count - true_set.size
-        if valid == 0:
-            log.warning("no valid corruption exists for (%d,%d,%d,%d); "
-                        "sampling among known-true entities", s, r, o, t)
-            true_set = np.array([answer], dtype=np.int64)
-            valid = entity_count - 1
-        elif valid < k:
-            log.warning("only %d valid corruptions for %d requested; sampling "
-                        "with replacement", valid, k)
-        # the j-th id outside the sorted true set is j plus the count of true ids below it
-        j = rng.integers(0, valid, size=k)
-        out.append(j + np.searchsorted(true_set - np.arange(true_set.size), j, side="right"))
-    return out[0], out[1]
+    m = len(triples)
+    rows, known = [], []
+    for d, (direction, answers) in enumerate((("object", triples[:, 2]),
+                                              ("subject", triples[:, 0]))):
+        row, ids = index.filter_sets(direction, triples, t)
+        counts = np.bincount(row, minlength=m)
+        full = counts == entity_count
+        short = ~full & (entity_count - counts < k)
+        if (full | short).any():
+            log.warning("%s corruptions at step %d: %d of %d queries have no valid "
+                        "corruption and sample among known-true entities; %d have "
+                        "fewer than %d and sample with replacement", direction, t,
+                        np.count_nonzero(full), m, np.count_nonzero(short), k)
+        # a full true set holds the answer, so keeping that one id leaves [answer]
+        keep = ~full[row] | (ids == answers[row])
+        rows.append(row[keep] + d * m)
+        known.append(ids[keep])
+    rows, known = np.concatenate(rows), np.concatenate(known)
+    counts = np.bincount(rows, minlength=2 * m)
+    starts = np.cumsum(counts) - counts
+    slot_rows = np.arange(2 * m).reshape(2, m).T[:, :, None]   # (m, 2, 1): d * m + i
+    j = rng.integers(0, entity_count - counts[slot_rows], size=(m, 2, k))
+    # the j-th id outside a row's sorted set is j plus the count of its ids less
+    # their rank that are <= j; row * (E + 1) offsets keep each row's keys apart
+    span = entity_count + 1
+    keys = rows * span + known - (np.arange(len(rows)) - starts[rows])
+    out = j + np.searchsorted(keys, slot_rows * span + j, side="right") - starts[slot_rows]
+    return out[:, 0], out[:, 1]
 
 
 def query_loss(scores: Tensor, mode: str = "cross_entropy") -> Tensor:

@@ -61,11 +61,14 @@ class RankingReport:
         """Raise AssertionError on a degenerate report, also under ``python -O``."""
         if not self.results:
             raise AssertionError("empty report")
-        if not all(1 <= r.rank <= self.entity_count for r in self.results):
+        ranks = np.array([r.rank for r in self.results])
+        if not np.all((1 <= ranks) & (ranks <= self.entity_count)):
             raise AssertionError(f"a rank lies outside [1, {self.entity_count}]")
-        if not 1.0 / self.entity_count <= self.mrr <= 1.0:
-            raise AssertionError(f"MRR {self.mrr} outside [1/{self.entity_count}, 1]")
-        if not self.hits(1) <= self.hits(3) <= self.hits(10) <= 1.0:
+        mrr = float(np.mean(1.0 / ranks))
+        if not 1.0 / self.entity_count <= mrr <= 1.0:
+            raise AssertionError(f"MRR {mrr} outside [1/{self.entity_count}, 1]")
+        hits1, hits3, hits10 = (np.mean(ranks <= k) for k in (1, 3, 10))
+        if not hits1 <= hits3 <= hits10 <= 1.0:
             raise AssertionError("Hits@1 <= Hits@3 <= Hits@10 <= 1 does not hold")
 
 

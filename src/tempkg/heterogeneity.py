@@ -62,9 +62,6 @@ class TpfTable:
         lo = t - self.policy.width if self.policy.kind == "trailing" else -1
         return (min(max(lo, -1), self.step_count), min(max(hi, -1), self.step_count))
 
-    def freq(self, kind: str, key: tuple, t: int) -> int:
-        return int(self._groups[kind].count(tuple(key), *self._bounds(t)))
-
     def frequencies(self, triples: np.ndarray, t: int) -> np.ndarray:
         """(m, 7) counts of each (s, r, o) row at step t, one column per
         entry of PATTERN_KINDS."""

@@ -117,7 +117,7 @@ class TedModel:
         if config.blend == "sum":
             order = np.lexsort((-np.bincount(slot_pair, scores, len(pairs)), queries))
         else:   # slots are tier-major, so a pair's first slot is its best tier
-            order = np.lexsort((-scores[first], tier[first], queries))
+            order = np.lexsort((-scores[first], queries * 3 + tier[first]))
         counts = np.bincount(queries, minlength=q)
         ends = np.cumsum(counts)
         # Unreferenced entity j of query i follows the query's referenced ones in

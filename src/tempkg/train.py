@@ -157,17 +157,11 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
                                        _substream(seed, "cap", epoch, t))
                 if len(positives) == 0:
                     continue
-                neg_rng = _substream(seed, "negatives", epoch, t)
-                obj_negs, sub_negs = [], []
-                for s, r, o in positives.tolist():
-                    no, ns = dec.sample_negatives(s, r, o, t, negative_index,
-                                                  tcfg.negatives, neg_rng,
-                                                  dataset.entity_count)
-                    obj_negs.append(no)
-                    sub_negs.append(ns)
-                term = model.snapshot_loss(leaves, ctx, positives,
-                                           (np.stack(obj_negs), np.stack(sub_negs)),
-                                           tpf)
+                negatives = dec.sample_negatives(positives, t, negative_index,
+                                                 tcfg.negatives,
+                                                 _substream(seed, "negatives", epoch, t),
+                                                 dataset.entity_count)
+                term = model.snapshot_loss(leaves, ctx, positives, negatives, tpf)
                 loss = term if loss is None else loss + term
             if loss is None:
                 continue

@@ -4,7 +4,8 @@ whole-snapshot scorers.
 The dict classes build their index by looping over facts in Python, the way
 the package did before every index became one ``data.GroupedCodes``.
 ``PerQueryTedModel`` and ``per_query_rank_snapshots`` score and rank one query
-at a time, the way the package did before it worked a snapshot at a time.
+at a time, and ``per_positive_sample_negatives`` draws one positive's
+negatives, the way the package did before it worked a snapshot at a time.
 """
 
 from collections import Counter
@@ -82,7 +83,7 @@ class PerQueryTedModel(TedModel):
         out = []
         seen = np.empty(0, dtype=np.int64)
         for tier, key in zip(self._tiers[direction], ((fixed, r), (fixed,), (r,))):
-            codes = tier.get(*key)
+            codes = tier.ranges(key)[1]
             ents, times = np.divmod(codes, self.step_count + 1)
             keep = (times != t) & ~np.isin(codes, seen, assume_unique=True)
             seen = np.concatenate([seen, codes[keep]])
@@ -162,9 +163,24 @@ class DictTedModel(PerQueryTedModel):
         return out
 
 
+def per_positive_sample_negatives(s, r, o, t, index, k, rng, entity_count):
+    """decoder.sample_negatives for one positive, over a DictTrueTripleIndex."""
+    out = []
+    for true_set, answer in ((index.objects_for(s, r, t), o),
+                             (index.subjects_for(r, o, t), s)):
+        valid = entity_count - true_set.size
+        if valid == 0:
+            true_set = np.array([answer], dtype=np.int64)
+            valid = entity_count - 1
+        j = rng.integers(0, valid, size=k)
+        out.append(j + np.searchsorted(true_set - np.arange(true_set.size), j, side="right"))
+    return out[0], out[1]
+
+
 def per_query_rank_snapshots(entity_count, snapshots, snapshot_scorer, filter_index,
                              tpf=None):
-    """evaluation.rank_snapshots with one filter lookup and rank_query per query."""
+    """evaluation.rank_snapshots with one filter lookup and rank_query per query,
+    over a DictTrueTripleIndex."""
     report = RankingReport(entity_count)
     for t, triples in snapshots:
         obj_scores, sub_scores = snapshot_scorer(t, triples)

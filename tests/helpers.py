@@ -4,7 +4,7 @@ import numpy as np
 
 from tempkg import autodiff as ad
 from tempkg.autodiff import constant
-from tempkg.heterogeneity import PATTERN_KINDS
+from tempkg.heterogeneity import PATTERN_COLUMNS, PATTERN_KINDS
 from tempkg.temporal import decay_column
 
 
@@ -33,3 +33,20 @@ def query_frequencies(table, s: int, r: int, o: int, t: int) -> dict[str, int]:
     """All seven pattern frequencies of one quadruple in a TpfTable."""
     row = table.frequencies(np.array([[s, r, o]], dtype=np.int64), t)[0]
     return dict(zip(PATTERN_KINDS, row.tolist()))
+
+
+def pattern_frequency(table, kind: str, key, t: int) -> int:
+    """One pattern kind's frequency of one key in a TpfTable."""
+    triple = np.zeros((1, 3), dtype=np.int64)
+    triple[0, list(PATTERN_COLUMNS[kind])] = key
+    return int(table.frequencies(triple, t)[0, PATTERN_KINDS.index(kind)])
+
+
+def objects_for(index, s: int, r: int, t: int) -> np.ndarray:
+    """Known objects of (s, r, ?, t) in a TrueTripleIndex, sorted."""
+    return index.filter_sets("object", np.array([[s, r, 0]], dtype=np.int64), t)[1]
+
+
+def subjects_for(index, r: int, o: int, t: int) -> np.ndarray:
+    """Known subjects of (?, r, o, t) in a TrueTripleIndex, sorted."""
+    return index.filter_sets("subject", np.array([[0, r, o]], dtype=np.int64), t)[1]

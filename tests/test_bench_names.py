@@ -8,8 +8,12 @@ import sys
 import numpy as np
 
 from tempkg import autodiff as ad
+from tempkg.config import RunConfig
+from tempkg.data import Snapshot
+from tempkg.model import ModelConfig
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.ted import TedConfig, TedModel
+from tempkg.train import train
 
 from fact_oracles import PerQueryTedModel
 
@@ -100,3 +104,25 @@ def test_ted_tuple_counter_matches_per_query_oracle():
     for span in ("ted.TedModel.reference_sets", "ted.TedModel.tier_scores",
                  "ted.TedModel.rank_scores", "kernels.decay_accumulate"):
         assert calls.count(span) == 2 * len(snaps), span
+
+
+def test_negative_counter_counts_every_draw_of_a_train_epoch(tmp_path):
+    """A traced training epoch counts 2·k negatives per trained positive, and
+    sample_negatives fires once per non-empty target snapshot."""
+    tracing = load_tracing()
+    ds = generate_synthetic(SynthSpec(10, 2, 5, density=1.0, periodicity=0.5), seed=6)
+    ds.splits["train"][2] = Snapshot(2)
+    config = RunConfig()
+    config.model = ModelConfig(variant="temp-gru", decoder="complex", dim=4, layers=1,
+                               window=2)
+    config.train.negatives, config.train.snapshot_cap = 3, 8
+    targets = [len(snap) for snap in ds.splits["train"] if len(snap)]
+    assert max(targets) > config.train.snapshot_cap
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.begin("pass")
+        train(config, ds, tmp_path, max_epochs=1)
+    positives = sum(min(n, config.train.snapshot_cap) for n in targets)
+    assert tracer.segments[-1][1]["decoder.negatives_drawn"] == 2 * 3 * positives
+    calls = [tracer.names[span[0]] for span in tracer.spans]
+    assert calls.count("decoder.sample_negatives") == len(targets) == 4

@@ -4,7 +4,7 @@ import pytest
 from tempkg.data import (DatasetError, Snapshot, TkgDataset, build_true_index,
                          cross_split_repeats, load_dataset, write_dataset)
 
-from helpers import active_entities
+from helpers import active_entities, objects_for, subjects_for
 
 
 def write_split(directory, name, lines):
@@ -158,11 +158,11 @@ class TestTrueIndex:
 
     def test_single_quad_object_lookup(self):
         idx = build_true_index(self.make_dataset([(0, 0, 1, 0)]))
-        assert idx.objects_for(0, 0, 0).tolist() == [1]
+        assert objects_for(idx, 0, 0, 0).tolist() == [1]
 
     def test_single_quad_subject_lookup(self):
         idx = build_true_index(self.make_dataset([(0, 0, 1, 0)]))
-        assert idx.subjects_for(0, 1, 0).tolist() == [0]
+        assert subjects_for(idx, 0, 1, 0).tolist() == [0]
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(21)
@@ -176,7 +176,7 @@ class TestTrueIndex:
                 for t in range(4):
                     expect = sorted({o for (s2, r2, o, t2) in uniq
                                      if (s2, r2, t2) == (s, r, t)})
-                    assert idx.objects_for(s, r, t).tolist() == expect
+                    assert objects_for(idx, s, r, t).tolist() == expect
                     expect_s = sorted({s2 for (s2, r2, o2, t2) in uniq
                                        if (r2, o2, t2) == (r, s, t)})
-                    assert idx.subjects_for(r, s, t).tolist() == expect_s
+                    assert subjects_for(idx, r, s, t).tolist() == expect_s

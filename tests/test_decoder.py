@@ -6,6 +6,7 @@ from tempkg import decoder
 from tempkg.autodiff import Tape, constant
 from tempkg.data import Snapshot, TkgDataset, build_true_index
 
+from fact_oracles import DictTrueTripleIndex, per_positive_sample_negatives
 from gradcheck import finite_difference, max_relative_error, scaled_error
 
 
@@ -309,40 +310,60 @@ def sample_negatives_setdiff(true_sets, answers, k, rng, entity_count):
 
 
 class FixedIndex:
-    """A true-triple index that returns the same sorted sets for every query."""
+    """A true-triple index that gives the same sorted sets to every query."""
 
     def __init__(self, objects, subjects):
         self.objects = np.array(sorted(objects), dtype=np.int64)
         self.subjects = np.array(sorted(subjects), dtype=np.int64)
 
-    def objects_for(self, s, r, t):
-        return self.objects
+    def filter_sets(self, direction, triples, t):
+        ids = self.objects if direction == "object" else self.subjects
+        return np.repeat(np.arange(len(triples)), ids.size), np.tile(ids, len(triples))
 
-    def subjects_for(self, r, o, t):
-        return self.subjects
+
+def mixed_dataset():
+    """One snapshot over 6 entities whose object queries include every case:
+    relation 0 has all 6 objects known-true, relation 1 leaves 1 valid, relation 2
+    leaves 2 (fewer than k = 3), relation 3 leaves 5; its subject queries are
+    all-true for relation 3 and ordinary otherwise."""
+    facts = ([(0, 0, o) for o in range(6)] + [(1, 1, o) for o in range(5)]
+             + [(2, 2, o) for o in range(4)] + [(s, 3, 5) for s in range(6)])
+    train = [Snapshot(0, np.array(facts, dtype=np.int64))]
+    empty = [Snapshot(0)]
+    return TkgDataset(6, 4, 1, {"train": train, "valid": list(empty), "test": list(empty)})
+
+
+ONE_FACT = np.array([[0, 0, 1]], dtype=np.int64)
 
 
 class TestNegativeSampling:
     def test_rejects_known_true_completions(self):
         index = build_true_index(tiny_dataset())
         rng = np.random.default_rng(3)
-        obj, sub = decoder.sample_negatives(0, 0, 1, 0, index, k=2, rng=rng, entity_count=3)
-        assert set(obj.tolist()) <= {0, 2}
-        assert set(sub.tolist()) <= {1, 2}
+        obj, sub = decoder.sample_negatives(ONE_FACT, 0, index, k=2, rng=rng,
+                                            entity_count=3)
+        assert obj.shape == sub.shape == (1, 2)
+        assert set(obj.ravel().tolist()) <= {0, 2}
+        assert set(sub.ravel().tolist()) <= {1, 2}
 
     def test_deterministic_per_seed(self):
         index = build_true_index(tiny_dataset())
-        a = decoder.sample_negatives(0, 0, 1, 0, index, 5, np.random.default_rng(9), 3)
-        b = decoder.sample_negatives(0, 0, 1, 0, index, 5, np.random.default_rng(9), 3)
+        a = decoder.sample_negatives(ONE_FACT, 0, index, 5, np.random.default_rng(9), 3)
+        b = decoder.sample_negatives(ONE_FACT, 0, index, 5, np.random.default_rng(9), 3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_small_vocabulary_samples_with_replacement_and_warns(self, caplog):
         index = build_true_index(tiny_dataset())
         with caplog.at_level("WARNING", logger="tempkg"):
-            obj, _ = decoder.sample_negatives(0, 0, 1, 0, index, k=10,
+            obj, _ = decoder.sample_negatives(ONE_FACT, 0, index, k=10,
                                               rng=np.random.default_rng(4), entity_count=3)
-        assert len(obj) == 10
-        assert "replacement" in caplog.text
+        assert obj.shape == (1, 10)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert messages[0].startswith("object corruptions at step 0: 0 of 1 queries")
+        assert messages[1].startswith("subject corruptions at step 0: 0 of 1 queries")
+        assert all("1 have fewer than 10 and sample with replacement" in m
+                   for m in messages)
 
     def test_empirical_uniformity(self):
         # 1e5 draws over a 7128-entity vocabulary: every per-entity count stays
@@ -353,9 +374,9 @@ class TestNegativeSampling:
         ds = TkgDataset(e, 1, 1, {"train": train, "valid": list(empty), "test": list(empty)})
         index = build_true_index(ds)
         rng = np.random.default_rng(12345)
-        obj, _ = decoder.sample_negatives(0, 0, 1, 0, index, k=100_000, rng=rng,
+        obj, _ = decoder.sample_negatives(ONE_FACT, 0, index, k=100_000, rng=rng,
                                           entity_count=e)
-        counts = np.bincount(obj, minlength=e)
+        counts = np.bincount(obj[0], minlength=e)
         assert counts[1] == 0  # the true object never appears
         valid = e - 1
         p = 1.0 / valid
@@ -371,40 +392,87 @@ class TestNegativeSampling:
         objects, subjects = (rng.choice(e, size=int(rng.integers(0, e)), replace=False)
                              for _ in range(2))
         index = FixedIndex(objects, subjects)
-        got = decoder.sample_negatives(0, 0, 1, 0, index, 50, np.random.default_rng(seed), e)
+        got = decoder.sample_negatives(ONE_FACT, 0, index, 50, np.random.default_rng(seed), e)
         want = sample_negatives_setdiff((index.objects, index.subjects), (1, 0), 50,
                                         np.random.default_rng(seed), e)
         for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(g[0], w)
 
     def test_full_true_set_falls_back_to_all_but_answer(self, caplog):
         e = 6
         index = FixedIndex(range(e), range(e))
         with caplog.at_level("WARNING", logger="tempkg"):
-            got = decoder.sample_negatives(2, 0, 4, 0, index, 30, np.random.default_rng(1), e)
+            got = decoder.sample_negatives(np.array([[2, 0, 4]]), 0, index, 30,
+                                           np.random.default_rng(1), e)
         want = sample_negatives_setdiff((index.objects, index.subjects), (4, 2), 30,
                                         np.random.default_rng(1), e)
         for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(g[0], w)
         assert 4 not in got[0] and 2 not in got[1]
-        assert "no valid corruption" in caplog.text
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert all("1 of 1 queries have no valid corruption" in m and "0 have fewer" in m
+                   for m in messages)
 
     def test_fewer_valid_ids_than_k_matches_oracle_and_warns(self, caplog):
         e = 10
         index = FixedIndex([0, 3, 4, 5, 9], [1, 2, 6, 7, 8])
         with caplog.at_level("WARNING", logger="tempkg"):
-            got = decoder.sample_negatives(1, 0, 3, 0, index, 12, np.random.default_rng(2), e)
+            got = decoder.sample_negatives(np.array([[1, 0, 3]]), 0, index, 12,
+                                           np.random.default_rng(2), e)
         want = sample_negatives_setdiff((index.objects, index.subjects), (3, 1), 12,
                                         np.random.default_rng(2), e)
         for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-        assert set(got[0].tolist()) <= {1, 2, 6, 7, 8}
-        assert "only 5 valid corruptions" in caplog.text
+            np.testing.assert_array_equal(g[0], w)
+        assert set(got[0].ravel().tolist()) <= {1, 2, 6, 7, 8}
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert all("0 of 1 queries have no valid corruption" in m
+                   and "1 have fewer than 12" in m for m in messages)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_snapshot_matches_per_positive_oracle(self, seed, caplog):
+        """Every row of one call equals the per-positive draw of the same
+        generator, and the generator ends in the same state; each direction
+        warns once with its counts."""
+        ds = mixed_dataset()
+        triples, k = ds.splits["train"][0].triples, 3
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with caplog.at_level("WARNING", logger="tempkg"):
+            got = decoder.sample_negatives(triples, 0, build_true_index(ds), k, got_rng,
+                                           ds.entity_count)
+        oracle = DictTrueTripleIndex(ds)
+        for i, (s, r, o) in enumerate(triples.tolist()):
+            want = per_positive_sample_negatives(s, r, o, 0, oracle, k, want_rng,
+                                                 ds.entity_count)
+            np.testing.assert_array_equal(got[0][i], want[0])
+            np.testing.assert_array_equal(got[1][i], want[1])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{direction} corruptions at step 0: {full} of 21 queries have no valid "
+            f"corruption and sample among known-true entities; {short} have fewer "
+            "than 3 and sample with replacement"
+            for direction, full, short in (("object", 6, 9), ("subject", 6, 0))]
+
+    def test_array_bound_integers_match_per_bound_calls(self):
+        """sample_negatives draws a snapshot's offsets in one rng.integers call
+        with per-row bounds; numpy gives the values, and leaves the generator
+        state, that one call per bound in row order would."""
+        cases = np.random.default_rng(0)
+        for _ in range(50):
+            shape = (int(cases.integers(1, 30)), 2, 1)
+            highs = np.where(cases.random(shape) < 0.2, 1, cases.integers(1, 10_000, shape))
+            k = int(cases.integers(1, 20))
+            got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+            got = got_rng.integers(0, highs, size=(shape[0], 2, k))
+            want = [want_rng.integers(0, high, size=k) for high in highs.ravel().tolist()]
+            np.testing.assert_array_equal(got.reshape(-1, k), np.stack(want))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_k_must_be_positive(self):
         index = build_true_index(tiny_dataset())
         with pytest.raises(ValueError):
-            decoder.sample_negatives(0, 0, 1, 0, index, 0, np.random.default_rng(0), 3)
+            decoder.sample_negatives(ONE_FACT, 0, index, 0, np.random.default_rng(0), 3)
 
 
 class TestLoss:

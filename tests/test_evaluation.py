@@ -14,7 +14,8 @@ from tempkg.model import ModelConfig, TempModel, init_params
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.ted import TedConfig, TedModel
 
-from fact_oracles import PerQueryTedModel, per_query_rank_snapshots
+from fact_oracles import DictTrueTripleIndex, PerQueryTedModel, per_query_rank_snapshots
+from helpers import objects_for, subjects_for
 from test_fact_index import random_dataset
 
 
@@ -105,9 +106,11 @@ class TestFilteredRanks:
     @pytest.mark.parametrize("static", [False, True])
     def test_filter_index_lookup_matches_per_query(self, static):
         """Every test snapshot of a random corpus, and its first fact alone, with
-        filter sets from TrueTripleIndex.filter_sets."""
+        filter sets from TrueTripleIndex.filter_sets against the dict index."""
         ds = random_dataset(0)
-        index = build_true_index(ds, ("train", "valid", "test"), static)
+        splits = ("train", "valid", "test")
+        index = build_true_index(ds, splits, static)
+        oracle = DictTrueTripleIndex(ds, splits, static)
         rng = np.random.default_rng(1)
         for snap in ds.splits["test"]:
             for triples in (snap.triples, snap.triples[:1]):
@@ -116,8 +119,8 @@ class TestFilteredRanks:
                 t = snap.time
                 scores = rng.integers(0, 3, size=(len(triples), ds.entity_count)) * 1.0
                 for direction, col, lookup in (
-                        ("object", 2, lambda s, r, o: index.objects_for(s, r, t)),
-                        ("subject", 0, lambda s, r, o: index.subjects_for(r, o, t))):
+                        ("object", 2, lambda s, r, o: oracle.objects_for(s, r, t)),
+                        ("subject", 0, lambda s, r, o: oracle.subjects_for(r, o, t))):
                     want = [rank_query(scores[i], query[col], lookup(*query))
                             for i, query in enumerate(triples.tolist())]
                     got = filtered_ranks(scores, triples[:, col],
@@ -137,30 +140,31 @@ class TestResultsMatchPerQueryPath:
     def corpus(self):
         ds = generate_synthetic(SynthSpec(60, 5, 14, density=0.5, periodicity=0.5,
                                           period=3, test_fraction=0.2), seed=2)
-        return ds, build_true_index(ds, ("train", "valid", "test"))
+        splits = ("train", "valid", "test")
+        return ds, build_true_index(ds, splits), DictTrueTripleIndex(ds, splits)
 
     def split_snapshots(self, ds):
         return [(snap.time, snap.triples) for snap in ds.splits["test"] if len(snap)]
 
     @pytest.mark.parametrize("blend", ["tiered", "sum"])
     def test_ted(self, tmp_path, blend):
-        ds, index = self.corpus()
+        ds, index, oracle = self.corpus()
         config = TedConfig(0.2, blend)
         batched = ev.evaluate(ds, "test", TedModel(ds).snapshot_scorer(config), index)
         per_query = per_query_rank_snapshots(
             ds.entity_count, self.split_snapshots(ds),
-            PerQueryTedModel(ds).snapshot_scorer(config), index)
+            PerQueryTedModel(ds).snapshot_scorer(config), oracle)
         self.write_both(tmp_path, batched, per_query)
 
     def test_gated_temp_sa_with_tpf(self, tmp_path):
-        ds, index = self.corpus()
+        ds, index, oracle = self.corpus()
         config = ModelConfig(variant="temp-sa", decoder="complex", dim=8, window=3,
                              heads=2, imputation=True, gating=True)
         params = init_params(config, ds.entity_count, ds.relation_count, ds.step_count, 3)
         model, tpf = TempModel(config, ds, params), compute_tpf(ds)
         batched = ev.evaluate(ds, "test", model.snapshot_scorer(tpf), index, tpf)
         per_query = per_query_rank_snapshots(ds.entity_count, self.split_snapshots(ds),
-                                             model.snapshot_scorer(tpf), index, tpf)
+                                             model.snapshot_scorer(tpf), oracle, tpf)
         self.write_both(tmp_path, batched, per_query)
 
 
@@ -238,9 +242,9 @@ class TestEvaluate:
             for s, r, o in snap.triples.tolist():
                 t = snap.time
                 ro = brute_force_rank(table[("object", s, r, o, t)], o,
-                                      index.objects_for(s, r, t))
+                                      objects_for(index, s, r, t))
                 rs = brute_force_rank(table[("subject", s, r, o, t)], s,
-                                      index.subjects_for(r, o, t))
+                                      subjects_for(index, r, o, t))
                 expected_rr += [1.0 / ro, 1.0 / rs]
         assert report.mrr == pytest.approx(float(np.mean(expected_rr)))
 

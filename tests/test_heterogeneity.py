@@ -7,7 +7,7 @@ from tempkg import heterogeneity as het
 from tempkg.autodiff import constant
 from tempkg.data import Snapshot, TkgDataset
 
-from helpers import query_frequencies
+from helpers import pattern_frequency, query_frequencies
 
 
 def dataset_from_quads(quads, e=8, r=4, t=10):
@@ -34,7 +34,7 @@ def export_csv(table, dataset, path):
         for kind in het.PATTERN_KINDS:
             for key, t in sorted({(pattern_key(kind, s, r, o), t) for s, r, o, t in quads}):
                 writer.writerow([kind, "|".join(map(str, key)), len(key),
-                                 t, table.freq(kind, key, t)])
+                                 t, pattern_frequency(table, kind, key, t)])
 
 
 def brute_force_freq(quads, kind, key, t, policy):
@@ -52,20 +52,20 @@ class TestTpfTable:
     def test_single_quad_full_history(self):
         ds = dataset_from_quads([(0, 1, 2, 5)])
         table = het.compute_tpf(ds)
-        assert table.freq("s", (0,), 6) == 1
-        assert table.freq("sr", (0, 1), 6) == 1
-        assert table.freq("sro", (0, 1, 2), 6) == 1
+        assert pattern_frequency(table, "s", (0,), 6) == 1
+        assert pattern_frequency(table, "sr", (0, 1), 6) == 1
+        assert pattern_frequency(table, "sro", (0, 1, 2), 6) == 1
 
     def test_strict_past_excludes_current_step(self):
         ds = dataset_from_quads([(0, 1, 2, 5)])
         table = het.compute_tpf(ds, het.WindowPolicy("strict_past"))
-        assert all(table.freq(k, pattern_key(k, 0, 1, 2), 5) == 0
+        assert all(pattern_frequency(table, k, pattern_key(k, 0, 1, 2), 5) == 0
                    for k in het.PATTERN_KINDS)
 
     def test_full_history_includes_current_step(self):
         ds = dataset_from_quads([(0, 1, 2, 5)])
         table = het.compute_tpf(ds)
-        assert table.freq("s", (0,), 5) == 1
+        assert pattern_frequency(table, "s", (0,), 5) == 1
 
     @pytest.mark.parametrize("policy", [het.WindowPolicy("full_history"),
                                         het.WindowPolicy("strict_past"),
@@ -81,7 +81,7 @@ class TestTpfTable:
             for t in range(10):
                 for kind in het.PATTERN_KINDS:
                     key = pattern_key(kind, s, r, o)
-                    assert table.freq(kind, key, t) == \
+                    assert pattern_frequency(table, kind, key, t) == \
                         brute_force_freq(quads, kind, key, t, policy)
 
     def test_subset_monotonicity(self):

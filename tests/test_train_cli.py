@@ -13,6 +13,8 @@ from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.train import (TrainingError, _validation_mrr, filter_index_for, tpf_table,
                           train)
 
+from helpers import objects_for, subjects_for
+
 
 def small_run_config(**model_kw):
     cfg = RunConfig()
@@ -121,8 +123,8 @@ class TestFilterIndex:
         cfg = RunConfig()
         cfg.eval.filter = mode
         index = filter_index_for(cfg, self.dataset())
-        got = [index.objects_for(0, 0, 2), index.subjects_for(0, 1, 2),
-               index.objects_for(0, 0, 1)]
+        got = [objects_for(index, 0, 0, 2), subjects_for(index, 0, 1, 2),
+               objects_for(index, 0, 0, 1)]
         assert [a.tolist() for a in got] == [objects_at_2, subjects_at_2, objects_at_1]
         assert all(a.dtype == np.int64 for a in got)
 
