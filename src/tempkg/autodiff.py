@@ -20,6 +20,9 @@ no operation needs a constant selection matrix.
 Two primitives keep gathered copies off the tape: ``gathered_dots`` scores
 each query vector against its own candidate rows of a table, and
 ``segment_matmul`` transforms contiguous row blocks, each by its own matrix.
+Three more read a list of equal-shape blocks row by row, so no stacked copy
+of the list is made: ``dots`` and ``mix`` (each the other's backward) and
+``pick_rows``.
 """
 
 from __future__ import annotations
@@ -324,8 +327,8 @@ def masked_softmax(a, mask: np.ndarray) -> Tensor:
     if not mask.any(axis=1).all():
         raise ValueError("masked_softmax: a row has every entry masked")
     rowmax = ad.max(axis=1, keepdims=True, where=mask, initial=-np.inf)
-    e = np.exp(ad - rowmax, where=mask, out=np.zeros_like(ad))
-    out = e / e.sum(axis=1, keepdims=True)
+    out = np.exp(ad - rowmax, where=mask, out=np.zeros_like(ad))
+    out /= out.sum(axis=1, keepdims=True)
 
     def back(g):
         inner = (g * out).sum(axis=1, keepdims=True)
@@ -423,6 +426,87 @@ def gathered_dots(qv, table, ids) -> Tensor:
         return dense @ td, dense.T @ qd
 
     return _result(out, (qv, table), back)
+
+
+def _row_dots(a: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """out[n, p] = a[n] . blocks[p][n], one block at a time."""
+    out = np.empty((len(blocks), a.shape[0]), dtype=np.float64)
+    for p, blk in enumerate(blocks):
+        np.einsum("ij,ij->i", a, blk, out=out[p])
+    return out.T
+
+
+def _row_mix(w: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """out[n] = sum_p w[n, p] * blocks[p][n], summed in block order."""
+    out = np.einsum("n,nd->nd", w[:, 0], blocks[0])
+    term = np.empty_like(out)
+    for p in range(1, len(blocks)):
+        out += np.einsum("n,nd->nd", w[:, p], blocks[p], out=term)
+    return out
+
+
+def _check_blocks(op: str, blocks: Sequence[Tensor], shape=None) -> None:
+    """Every block is 2-d and of one shape: ``shape`` when given."""
+    if shape is None:
+        shape = blocks[0].shape if blocks else ()
+    if not blocks or len(shape) != 2 or any(b.shape != shape for b in blocks):
+        raise ShapeError(f"{op}: blocks {[b.shape for b in blocks]} are not all "
+                         f"one 2-d shape {shape}")
+
+
+def dots(q, blocks: Sequence) -> Tensor:
+    """out[n, p] = q[n] . blocks[p][n] for an (n, d) ``q`` and equal-shape
+    (n, d) blocks: every row's dot product with its own row of each block.
+    Backward gives ``mix`` of the gradient over the blocks to ``q``, and
+    g[:, p] * q to block p."""
+    q, blocks = _as_tensor(q), [_as_tensor(b) for b in blocks]
+    _check_blocks("dots", blocks, q.shape)
+    qd, bd = q.data, [b.data for b in blocks]
+
+    def back(g):
+        return (_row_mix(g, bd), *(g[:, p:p + 1] * qd for p in range(len(bd))))
+
+    return _result(_row_dots(qd, bd), (q, *blocks), back)
+
+
+def mix(w, blocks: Sequence) -> Tensor:
+    """out[n] = sum_p w[n, p] * blocks[p][n] for (n, P) weights ``w`` and P
+    equal-shape (n, d) blocks: each row's weighted sum of its own rows.
+    Backward gives ``dots`` of the gradient with the blocks to ``w``, and
+    w[:, p] * g to block p."""
+    w, blocks = _as_tensor(w), [_as_tensor(b) for b in blocks]
+    _check_blocks("mix", blocks)
+    if w.shape != (blocks[0].shape[0], len(blocks)):
+        raise ShapeError(f"mix: weights {w.shape} for {len(blocks)} blocks of "
+                         f"{blocks[0].shape}")
+    wd, bd = w.data, [b.data for b in blocks]
+
+    def back(g):
+        return (_row_dots(g, bd), *(wd[:, p:p + 1] * g for p in range(len(bd))))
+
+    return _result(_row_mix(wd, bd), (w, *blocks), back)
+
+
+def pick_rows(blocks: Sequence, which) -> Tensor:
+    """out[n] = blocks[which[n]][n] for equal-shape (n, d) blocks: each row
+    copied from the block ``which`` names. A block none of whose rows is
+    picked gets no gradient."""
+    blocks = [_as_tensor(b) for b in blocks]
+    which = np.asarray(which, dtype=np.int64)
+    _check_blocks("pick_rows", blocks)
+    if which.shape != blocks[0].shape[:1]:
+        raise ShapeError(f"pick_rows: {which.shape} picks for blocks of {blocks[0].shape}")
+    if which.size and (which.min() < 0 or which.max() >= len(blocks)):
+        raise ShapeError("pick_rows: block index out of range")
+    masks = [which == p for p in range(len(blocks))]
+    out = np.empty(blocks[0].shape, dtype=np.float64)
+    for b, m in zip(blocks, masks):
+        out[m] = b.data[m]
+
+    def back(g):
+        return tuple(np.where(m[:, None], g, 0.0) if m.any() else None for m in masks)
+
+    return _result(out, blocks, back)
 
 
 def segment_matmul(x, weights: Sequence, bounds) -> Tensor:

@@ -82,9 +82,12 @@ def score_rows(fixed: Tensor, r: Tensor, table: Tensor, ids: np.ndarray,
     qv = query_vectors(fixed, r, decoder, direction)
     if blend is None:
         return ad.gathered_dots(qv, table, ids)
+    # blend's formula, each product weighted as soon as it exists, so the
+    # first is not held while the second is built
     alpha, other = blend
-    return blend_rows(alpha, ad.gathered_dots(qv, table, ids),
-                      ad.gathered_dots(qv, other, ids))
+    weighted = ad.mul(alpha, ad.gathered_dots(qv, table, ids))
+    return ad.add(weighted, ad.mul(ad.sub(constant(1.0), alpha),
+                                   ad.gathered_dots(qv, other, ids)))
 
 
 # Largest (queries, candidates, dim) block of per-candidate rows TransE builds at once.
@@ -123,6 +126,9 @@ def sample_negatives(triples: np.ndarray, t: int, index: TrueTripleIndex, k: int
     """
     if k < 1:
         raise ValueError("negative count must be at least 1")
+    if entity_count < 2:
+        raise ValueError(f"negative sampling needs at least 2 entities, got {entity_count}:"
+                         " with one entity no corruption of a fact exists")
     m = len(triples)
     rows, known = [], []
     for d, (direction, answers) in enumerate((("object", triples[:, 2]),

@@ -142,6 +142,14 @@ class WindowContext:
     relation: Tensor           # relation embedding table
 
 
+@dataclass
+class StepRecord:
+    """What a window reads of one step; the eval cache keeps it across targets."""
+    x: Tensor                           # raw structural embedding
+    active: np.ndarray                  # entities with an edge at the step
+    kv: tuple[Tensor, Tensor] | None = None   # temp-sa keys and values of x, once read
+
+
 class TempModel:
     def __init__(self, config: ModelConfig, dataset: TkgDataset,
                  params: dict[str, np.ndarray]):
@@ -179,42 +187,30 @@ class TempModel:
 
     def encode_context(self, leaves: dict[str, Tensor], t: int,
                        window: list[np.ndarray], target_pos: int,
-                       cache: dict[int, Tensor] | None = None) -> WindowContext:
+                       cache: dict[int, StepRecord] | None = None) -> WindowContext:
         """Context of target step ``t`` from its window's snapshots.
 
-        ``cache`` maps a step to its structural embedding and is only valid
-        for undropped windows built from one fixed set of parameters: steps
+        ``cache`` maps a step to its ``StepRecord`` and is only valid for
+        undropped windows built from one fixed set of parameters: steps
         already in it are not encoded again, new ones are added, and steps
         outside this window are evicted, so it holds at most one window.
         Without one, a fresh dict encodes each step of this window once.
         """
         cfg = self.config
-        e = self.dataset.entity_count
-        active = []
-        for triples in window:
-            row = np.zeros(e, dtype=bool)
-            if len(triples):
-                row[np.unique(triples[:, [0, 2]])] = True
-            active.append(row)
-
-        def encode(triples):
-            return rgcn.encode_snapshot(triples, leaves, entity_count=e,
-                                        relation_count=self.dataset.relation_count,
-                                        layers=cfg.layers)
-
         cache = {} if cache is None else cache
         steps, _ = self.window_positions(t)
         for step in [s for s in cache if s not in steps]:
             del cache[step]
-        x_steps = []
         for step, triples in zip(steps, window, strict=True):
             if step not in cache:
-                cache[step] = encode(triples)
-            x_steps.append(cache[step])
+                cache[step] = self._step_record(leaves, triples)
+        records = [cache[step] for step in steps]
+        x_steps = [rec.x for rec in records]
+        active = [rec.active for rec in records]
 
         x_target = x_steps[target_pos]
         if cfg.imputation:
-            # x_steps is this call's own list; the cache keeps the raw target
+            # x_steps is this call's own list; the records keep the raw target
             x_target = self._impute_target(leaves, x_steps, active, target_pos)
             x_steps[target_pos] = x_target
 
@@ -224,20 +220,47 @@ class TempModel:
             z = temporal.encode_gru(x_steps, active, target_pos, leaves,
                                     bidirectional=cfg.bidirectional)
         else:
-            z = temporal.encode_sa(x_steps, active, target_pos, leaves,
-                                   heads=cfg.heads)
+            z = temporal.encode_sa(x_steps, active, target_pos, leaves, heads=cfg.heads,
+                                   kv=self._keys_values(leaves, records, x_target,
+                                                        target_pos))
         if cfg.positional and cfg.temporal_active:
             z = temporal.add_positional(z, leaves["pos.embed"], t)
         return WindowContext(t, x_target, z, leaves["relation.embed"])
 
+    def _step_record(self, leaves, triples: np.ndarray) -> StepRecord:
+        active = np.zeros(self.dataset.entity_count, dtype=bool)
+        active[triples[:, [0, 2]].ravel()] = True
+        x = rgcn.encode_snapshot(triples, leaves, entity_count=self.dataset.entity_count,
+                                 relation_count=self.dataset.relation_count,
+                                 layers=self.config.layers)
+        return StepRecord(x, active)
+
+    def _keys_values(self, leaves, records: list[StepRecord], x_target: Tensor,
+                     target_pos: int) -> list[tuple[Tensor, Tensor]]:
+        """Each window step's attention keys and values. A step's pair from its
+        raw embedding is projected the first time it is read and kept in its
+        record; with imputation the target's pair comes from the imputed rows
+        on every call."""
+        heads = self.config.heads
+        wk, wv = (temporal.head_weights(leaves, nm, heads) for nm in ("wk", "wv"))
+        pairs = []
+        for pos, rec in enumerate(records):
+            if pos == target_pos and self.config.imputation:
+                pairs.append(temporal.keys_values(x_target, wk, wv, heads))
+                continue
+            if rec.kv is None:
+                rec.kv = temporal.keys_values(rec.x, wk, wv, heads)
+            pairs.append(rec.kv)
+        return pairs
+
     def _impute_target(self, leaves, x_steps, active, target_pos) -> Tensor:
         """Replace stale rows of the target step with decayed blends of each
         inactive entity's nearest active representation inside the window:
-        the past side, and with a bidirectional window the future side too."""
+        the past side, and with a bidirectional window the future side too.
+        Each side's rows are picked from the steps' own embeddings."""
         e = self.dataset.entity_count
         held = np.stack(active)
         sentinel = np.ones((1, e), dtype=bool)
-        stacked = ad.concat(x_steps)
         side_rows = [held[:target_pos][::-1]]
         if self.config.bidirectional:
             side_rows.append(held[target_pos + 1:])
@@ -247,7 +270,7 @@ class TempModel:
             nearest = np.argmax(np.concatenate([rows, sentinel]), axis=0)
             has = nearest < len(rows)
             pos = np.where(has, target_pos + sign * (nearest + 1), target_pos)
-            sides.append((ad.gather_rows(stacked, pos * e + np.arange(e)), nearest + 1, has))
+            sides.append((ad.pick_rows(x_steps, pos), nearest + 1, has))
         return het.impute_window(x_steps[target_pos], sides, ~active[target_pos],
                                  leaves["decay.x.lam"], leaves["decay.x.b"])
 
@@ -308,30 +331,34 @@ class TempModel:
 
     # --- evaluation -----------------------------------------------------------
 
-    def eval_context(self, t: int, cache: dict[int, Tensor] | None = None,
-                     ) -> WindowContext:
+    def eval_context(self, t: int, cache: dict[int, StepRecord] | None = None,
+                     leaves: dict[str, Tensor] | None = None) -> WindowContext:
         """Off-tape context for inference; training snapshots only, no dropout.
-        ``cache`` is passed to ``encode_context``."""
-        leaves = {name: constant(arr) for name, arr in self.params.items()}
+        ``cache`` is passed to ``encode_context``; ``leaves`` are the
+        parameters as constants, built here when not given."""
+        if leaves is None:
+            leaves = {name: constant(arr) for name, arr in self.params.items()}
         window, target_pos = self.window_triples(t, rng=None)
         return self.encode_context(leaves, t, window, target_pos, cache)
 
     def snapshot_scorer(self, tpf: het.TpfTable | None = None):
         """Adapter for evaluation.evaluate: scores every entity per query.
 
-        The scorer encodes each snapshot once over its lifetime: it keeps the
-        structural embeddings of the current window, so build a new scorer
-        after the parameters change. Each query direction is scored as one
-        (q, E) matrix by the training scorer, on constants, with every entity
-        as each query's candidates.
+        The scorer encodes each snapshot once over its lifetime: it keeps one
+        ``StepRecord`` per step of the current window, holding the structural
+        embedding, the activity row and, for temp-sa, the keys and values
+        projected from that embedding. So build a new scorer after the
+        parameters change. Each query direction is scored as one (q, E)
+        matrix by the training scorer, on constants, with every entity as
+        each query's candidates.
         """
-        cache: dict[int, Tensor] = {}
+        cache: dict[int, StepRecord] = {}
         leaves = {name: constant(arr) for name, arr in self.params.items()}
         every = np.arange(self.dataset.entity_count)
         gated = self.config.gating and tpf is not None
 
         def scorer(t: int, triples: np.ndarray):
-            ctx = self.eval_context(t, cache)
+            ctx = self.eval_context(t, cache, leaves)
             r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
             cand_ids = np.broadcast_to(every, (len(triples), len(every)))
             freqs = tpf.frequencies(triples, t) if gated else None

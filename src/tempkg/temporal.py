@@ -90,8 +90,21 @@ def encode_gru(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
     return z
 
 
+def head_weights(params: dict[str, Tensor], name: str, heads: int) -> Tensor:
+    """The per-head ``sa.h{k}.{name}`` leaves side by side: one (d, d) projection."""
+    return ad.concat([params[f"sa.h{k}.{name}"] for k in range(heads)], axis=1)
+
+
+def keys_values(x: Tensor, wk: Tensor, wv: Tensor, heads: int) -> tuple[Tensor, Tensor]:
+    """A step's attention keys and values, each the (n * heads, d / heads)
+    reshape of x @ wk or x @ wv: head k of entity e is row e * heads + k."""
+    n, dim = x.shape
+    return tuple(ad.reshape(ad.matmul(x, w), (n * heads, dim // heads)) for w in (wk, wv))
+
+
 def encode_sa(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
-              params: dict[str, Tensor], *, heads: int) -> Tensor:
+              params: dict[str, Tensor], *, heads: int,
+              kv: list[tuple[Tensor, Tensor]] | None = None) -> Tensor:
     """Temporal embeddings via decay-penalized, activity-masked attention.
 
     Attention logits combine the scaled query-key product with a penalty
@@ -103,27 +116,30 @@ def encode_sa(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
     Every head runs in one pass: the per-head ``sa.h{k}.wq/wk/wv`` leaves are
     concatenated into (d, d) projections, and head k of entity e is row
     ``e * heads + k`` of the (n * heads, d / heads) reshape of a projection.
+    ``kv[p]`` is step p's ``keys_values`` pair; by default every step is
+    projected here. The eval scorer's window cache keeps each step's pair, so
+    a step is projected once per pass, not once per target it is read for.
+    The logits of all steps are one ``dots`` of the queries with the keys, and
+    the output one ``mix`` of the values by the attention weights.
     """
     n, dim = x_steps[target_pos].shape
     if dim % heads:
         raise ValueError(f"embedding dim {dim} not divisible by {heads} heads")
     rows, dh = n * heads, dim // heads
-    wq, wk, wv = (ad.concat([params[f"sa.h{k}.{nm}"] for k in range(heads)], axis=1)
-                  for nm in ("wq", "wk", "wv"))
+    if kv is None:
+        wk, wv = (head_weights(params, nm, heads) for nm in ("wk", "wv"))
+        kv = [keys_values(x, wk, wv, heads) for x in x_steps]
     mask = np.stack(active, axis=1)
     mask[~mask.any(axis=1), target_pos] = True
     offsets = np.abs(np.arange(len(x_steps)) - target_pos).astype(np.float64).reshape(1, -1)
     penalty = decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
-    q = ad.matmul(x_steps[target_pos], wq)
-    dots = [ad.reduce_sum(ad.reshape(ad.mul(q, ad.matmul(x, wk)), (rows, dh)), axis=1)
-            for x in x_steps]
-    logits = ad.sub(ad.mul(ad.concat(dots, axis=1), 1.0 / np.sqrt(dh)), penalty)
+    q = ad.reshape(ad.matmul(x_steps[target_pos], head_weights(params, "wq", heads)),
+                   (rows, dh))
+    logits = ad.sub(ad.mul(ad.dots(q, [k for k, _ in kv]), 1.0 / np.sqrt(dh)), penalty)
+    del q   # off the tape nothing else holds q or the logits: free each once read
     beta = ad.masked_softmax(logits, np.repeat(mask, heads, axis=0))
-    z = None
-    for p, x in enumerate(x_steps):
-        term = ad.mul(ad.columns(beta, p, p + 1), ad.reshape(ad.matmul(x, wv), (rows, dh)))
-        z = term if z is None else ad.add(z, term)
-    return ad.reshape(z, (n, dim))
+    del logits
+    return ad.reshape(ad.mix(beta, [v for _, v in kv]), (n, dim))
 
 
 def add_positional(z: Tensor, positional: Tensor, t: int) -> Tensor:

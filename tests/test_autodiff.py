@@ -242,8 +242,11 @@ class TestBackward:
         (lambda h: ad.mul(h, h), True),
         (lambda h: ad.gathered_dots(h, h, [[2, 0], [1, 1], [0, 2]]), True),
         (lambda h: ad.segment_matmul(h, [h, constant(np.eye(3))], [0, 1, 3]), True),
+        (lambda h: ad.dots(h, [h, constant(np.eye(3))]), True),
+        (lambda h: ad.mix(h, [h, h, constant(np.eye(3))]), True),
+        (lambda h: ad.pick_rows([h, constant(np.eye(3))], [1, 0, 0]), False),
     ], ids=["add", "sub", "reduce_sum", "columns", "gather_rows", "mul",
-            "gathered_dots", "segment_matmul"])
+            "gathered_dots", "segment_matmul", "dots", "mix", "pick_rows"])
     def test_backward_closure_drops_input_values(self, op, needs_values):
         # a backward closure holds arrays, never a Tensor, which would tie its
         # tape into a reference cycle; with the cyclic collector off the tape
@@ -341,6 +344,73 @@ class TestBackward:
         analytic, numeric = grads_for(build, [x] + ws)
         assert max_relative_error(analytic, numeric) < 1e-5
         assert np.all(analytic[2] == 0.0)   # the empty block's weight
+
+    def test_dots_match_fd(self):
+        rng = np.random.default_rng(89)
+        q = rng.normal(size=(4, 3))
+        blocks = [rng.normal(size=(4, 3)) for _ in range(3)]
+        w = rng.normal(size=(4, 3))
+        got = ad.dots(constant(q), [constant(b) for b in blocks]).data
+        want = np.stack([(q * b).sum(axis=1) for b in blocks], axis=1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+        def build(ql, *bl):
+            return ad.reduce_sum(ad.mul(ad.tanh(ad.dots(ql, bl)), constant(w)))
+
+        analytic, numeric = grads_for(build, [q] + blocks)
+        assert max_relative_error(analytic, numeric) < 1e-5
+
+    def test_mix_matches_fd(self):
+        # a zero weight column, as a masked attention step has, passes no
+        # gradient to its block
+        rng = np.random.default_rng(97)
+        weights = rng.normal(size=(4, 3))
+        weights[1, 2] = 0.0
+        blocks = [rng.normal(size=(4, 2)) for _ in range(3)]
+        w = rng.normal(size=(4, 2))
+        got = ad.mix(constant(weights), [constant(b) for b in blocks]).data
+        want = sum(weights[:, [p]] * b for p, b in enumerate(blocks))
+        np.testing.assert_array_equal(got, want)
+
+        def build(wl, *bl):
+            return ad.reduce_sum(ad.mul(ad.tanh(ad.mix(wl, bl)), constant(w)))
+
+        analytic, numeric = grads_for(build, [weights] + blocks)
+        assert max_relative_error(analytic, numeric) < 1e-5
+        assert np.all(analytic[3][1] == 0.0)
+
+    def test_pick_rows_match_fd(self):
+        rng = np.random.default_rng(101)
+        blocks = [rng.normal(size=(5, 2)) for _ in range(3)]
+        which = np.array([2, 0, 2, 2, 0])
+        w = rng.normal(size=(5, 2))
+        got = ad.pick_rows([constant(b) for b in blocks], which).data
+        np.testing.assert_array_equal(got, np.stack(blocks)[which, np.arange(5)])
+
+        def build(*bl):
+            return ad.reduce_sum(ad.mul(ad.tanh(ad.pick_rows(bl, which)), constant(w)))
+
+        analytic, numeric = grads_for(build, blocks)
+        assert max_relative_error(analytic, numeric) < 1e-5
+        assert np.all(analytic[1] == 0.0)   # no row is read from block 1
+        assert np.all(analytic[0][which != 0] == 0.0)
+
+    @pytest.mark.parametrize("op", [
+        lambda: ad.dots(constant(np.ones((3, 2))), [constant(np.ones((3, 3)))]),
+        lambda: ad.dots(constant(np.ones(3)), [constant(np.ones(3))]),
+        lambda: ad.dots(constant(1.0), [constant(np.ones((3, 2)))]),
+        lambda: ad.dots(constant(np.ones((3, 2))), []),
+        lambda: ad.mix(constant(np.ones((3, 2))), [constant(np.ones((3, 4)))]),
+        lambda: ad.mix(constant(np.ones((2, 1))), [constant(np.ones((3, 4)))]),
+        lambda: ad.mix(constant(np.ones((3, 2))), [constant(np.ones((3, 4))),
+                                                   constant(np.ones((3, 3)))]),
+        lambda: ad.pick_rows([constant(np.ones((3, 2)))], [0, 0]),
+        lambda: ad.pick_rows([constant(np.ones((3, 2)))], [0, 1, 0]),
+    ], ids=["dots-width", "dots-1d", "dots-scalar", "dots-empty", "mix-count", "mix-rows",
+            "mix-ragged", "pick-count", "pick-range"])
+    def test_row_primitives_reject_bad_shapes(self, op):
+        with pytest.raises(ad.ShapeError):
+            op()
 
     def test_masked_softmax_matches_fd(self):
         rng = np.random.default_rng(19)

@@ -365,6 +365,15 @@ class TestNegativeSampling:
         assert all("1 have fewer than 10 and sample with replacement" in m
                    for m in messages)
 
+    def test_one_entity_vocabulary_fails_clearly(self):
+        # the only entity is every fact's answer, so no corruption exists
+        train = [Snapshot(0, np.array([[0, 0, 0]], dtype=np.int64))]
+        empty = [Snapshot(0)]
+        ds = TkgDataset(1, 1, 1, {"train": train, "valid": list(empty), "test": list(empty)})
+        with pytest.raises(ValueError, match="at least 2 entities.*no corruption"):
+            decoder.sample_negatives(train[0].triples, 0, build_true_index(ds), k=3,
+                                     rng=np.random.default_rng(0), entity_count=1)
+
     def test_empirical_uniformity(self):
         # 1e5 draws over a 7128-entity vocabulary: every per-entity count stays
         # within 4 sigma of the uniform expectation (frozen seed)

@@ -7,7 +7,8 @@ import pytest
 from tempkg import autodiff as ad
 from tempkg import decoder as dec
 from tempkg import heterogeneity as het
-from tempkg import rgcn
+from tempkg import model as model_module
+from tempkg import rgcn, temporal
 from tempkg.autodiff import Tape, constant
 from tempkg.data import Snapshot, TkgDataset, build_true_index
 from tempkg.evaluation import evaluate
@@ -20,12 +21,27 @@ from tempkg.temporal import decay_column
 
 from gradcheck import scaled_error
 from test_decoder import direction_rows_per_row
+from test_temporal import encode_sa_per_step
 
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return generate_synthetic(SynthSpec(entities=8, relations=2, steps=5,
                                         density=1.0, periodicity=0.5), seed=4)
+
+
+@pytest.fixture(scope="module")
+def sparse_dataset():
+    # entities 0-6 appear here and there, step 3 is empty and 7 never appears:
+    # inactive entities with a past row, a future row, both or neither
+    rng = np.random.default_rng(12)
+    steps = []
+    for t in range(7):
+        triples = [(int(rng.integers(7)), int(rng.integers(2)), int(rng.integers(7)))
+                   for _ in range(2 if t != 3 else 0)]
+        steps.append(Snapshot(t, np.array(triples, dtype=np.int64) if triples else None))
+    empty = [Snapshot(t) for t in range(7)]
+    return TkgDataset(8, 2, 7, {"train": steps, "valid": empty, "test": list(empty)})
 
 
 def scorer_matrix(config, dataset, seed=3):
@@ -284,19 +300,6 @@ class TestImputation:
                 np.testing.assert_allclose(ctx.x.data[e], ctx_off.x.data[e],
                                            atol=1e-12)
 
-    @pytest.fixture(scope="class")
-    def sparse_dataset(self):
-        # entities 0-6 appear here and there, step 3 is empty and 7 never appears:
-        # inactive entities with a past row, a future row, both or neither
-        rng = np.random.default_rng(12)
-        steps = []
-        for t in range(7):
-            triples = [(int(rng.integers(7)), int(rng.integers(2)), int(rng.integers(7)))
-                       for _ in range(2 if t != 3 else 0)]
-            steps.append(Snapshot(t, np.array(triples, dtype=np.int64) if triples else None))
-        empty = [Snapshot(t) for t in range(7)]
-        return TkgDataset(8, 2, 7, {"train": steps, "valid": empty, "test": list(empty)})
-
     @pytest.mark.parametrize("bidirectional, t", [(False, 0), (False, 6), (True, 0),
                                                   (True, 3), (True, 6)])
     def test_matches_per_position_oracle(self, sparse_dataset, monkeypatch,
@@ -328,6 +331,46 @@ class TestImputation:
             assert scaled_error(grads[name], want_grads[name]) <= 1e-12, name
         # only a unidirectional window whose target comes first has nothing to impute
         assert np.any(want_grads["decay.x.lam"] != 0.0) == (bidirectional or t > 0)
+
+
+class TestSelfAttentionContext:
+    @pytest.mark.parametrize("positional", [False, True])
+    @pytest.mark.parametrize("imputation", [False, True])
+    @pytest.mark.parametrize("bidirectional, t", [(False, 0), (False, 6), (True, 3),
+                                                  (True, 6)])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_matches_per_step_oracle(self, sparse_dataset, monkeypatch, heads,
+                                     bidirectional, t, imputation, positional):
+        # entity 7 is inactive at every step, so it takes the fallback row
+        ds = sparse_dataset
+        assert not any(7 in snap.triples[:, [0, 2]] for snap in ds.splits["train"])
+        cfg = ModelConfig(variant="temp-sa", decoder="distmult", dim=8, layers=1,
+                          heads=heads, window=4 if bidirectional else 3,
+                          bidirectional=bidirectional, imputation=imputation,
+                          positional=positional)
+        params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 2)
+        params["decay.z.lam"] = np.array([[0.3]])
+        model = TempModel(cfg, ds, params)
+        window, target_pos = model.window_triples(t)
+        weights = np.random.default_rng(4).normal(size=(2, ds.entity_count, cfg.dim))
+        results = []
+        for encode in (temporal.encode_sa, encode_sa_per_step):
+            monkeypatch.setattr(temporal, "encode_sa", encode)
+            tape = Tape()
+            leaves = leaves_on_tape(tape, params)
+            ctx = model.encode_context(leaves, t, window, target_pos)
+            loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
+                          ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
+            results.append((ctx.z.data, grads_by_name(tape, leaves, loss, params)))
+        (z, grads), (want_z, want_grads) = results
+        assert scaled_error(z, want_z) <= 1e-12
+        for name in params:
+            got, want = grads[name], want_grads[name]
+            # at an empty target step b shifts every unmasked logit of a row
+            # alike, so its gradient is zero up to rounding: compare it plainly
+            vanishing = np.max(np.abs(want)) <= 1e-12
+            err = np.max(np.abs(got - want)) if vanishing else scaled_error(got, want)
+            assert err <= 1e-12, name
 
 
 class TestCheckpointRoundTrip:
@@ -455,8 +498,24 @@ def scorer_model(dataset, decoder, gating, variant_kwargs, seed=11):
     return TempModel(cfg, dataset, params)
 
 
-def train_snapshots(dataset):
-    return [(snap.time, snap.triples) for snap in dataset.splits["train"] if len(snap)]
+def split_snapshots(dataset, split="train"):
+    return [(snap.time, snap.triples) for snap in dataset.splits[split] if len(snap)]
+
+
+def sa_window(bidirectional, imputation, positional):
+    return dict(variant="temp-sa", window=4 if bidirectional else 3, heads=2,
+                bidirectional=bidirectional, imputation=imputation, positional=positional)
+
+
+def uncached_scores(model, t, triples):
+    """(q, E) scores of each direction from an uncached, ungated eval context."""
+    ctx = model.eval_context(t)
+    leaves = {name: constant(arr) for name, arr in model.params.items()}
+    r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
+    ids = np.broadcast_to(np.arange(model.dataset.entity_count),
+                          (len(triples), model.dataset.entity_count))
+    return [model._direction_scores(leaves, ctx, None, triples, r_emb, direction, ids).data
+            for direction in ("object", "subject")]
 
 
 class TestSnapshotScorer:
@@ -468,7 +527,7 @@ class TestSnapshotScorer:
         tpf = compute_tpf(eval_dataset)
         scorer = model.snapshot_scorer(tpf)
         oracle = snapshot_scorer_per_query(model, tpf)
-        for t, triples in train_snapshots(eval_dataset):
+        for t, triples in split_snapshots(eval_dataset):
             for got, want in zip(scorer(t, triples), oracle(t, triples)):
                 assert got.shape == (len(triples), eval_dataset.entity_count)
                 assert scaled_error(got, want) <= 1e-12, (t, got, want)
@@ -538,13 +597,88 @@ class TestSnapshotCache:
                                          relation_count=eval_dataset.relation_count,
                                          layers=model.config.layers)
             # the cache keeps the structural embedding, not the imputed target
-            np.testing.assert_array_equal(cache[t].data, fresh.data)
+            np.testing.assert_array_equal(cache[t].x.data, fresh.data)
+            triples = eval_dataset.splits["train"][t].triples
+            np.testing.assert_array_equal(np.flatnonzero(cache[t].active),
+                                          np.unique(triples[:, [0, 2]]))
             np.testing.assert_array_equal(ctx.x.data, model.eval_context(t).x.data)
+
+    @pytest.mark.parametrize("positional", [False, True])
+    @pytest.mark.parametrize("imputation", [False, True])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_cached_temp_sa_scores_equal_uncached(self, eval_dataset, bidirectional,
+                                                  imputation, positional):
+        model = scorer_model(eval_dataset, "complex", False,
+                             sa_window(bidirectional, imputation, positional))
+        scorer = model.snapshot_scorer(None)
+        for t, triples in split_snapshots(eval_dataset, "test"):
+            got = scorer(t, triples)
+            for g, want in zip(got, uncached_scores(model, t, triples)):
+                np.testing.assert_array_equal(g, want)
+
+    @pytest.mark.parametrize("imputation", [False, True])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_scorer_projects_each_cached_step_once(self, eval_dataset, monkeypatch,
+                                                   bidirectional, imputation):
+        # per target: one query projection, one key/value projection of each
+        # step read from its raw embedding for the first time since it entered
+        # the cache, and with imputation one of the imputed target
+        model = scorer_model(eval_dataset, "distmult", False,
+                             sa_window(bidirectional, imputation, False))
+        heads = model.config.heads
+        weights = {nm: np.concatenate([model.params[f"sa.h{k}.{nm}"] for k in range(heads)],
+                                      axis=1) for nm in ("wq", "wk", "wv")}
+        calls = []
+        matmul = ad.matmul
+
+        def spy(a, b):
+            calls.extend(nm for nm, w in weights.items() if np.array_equal(b.data, w))
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", spy)
+        scorer = model.snapshot_scorer(None)
+        projected = set()
+        for t, triples in split_snapshots(eval_dataset, "test"):
+            steps, _ = model.window_positions(t)
+            raw = [s for s in steps if s != t or not imputation]
+            entered = [s for s in raw if s not in projected]
+            projected = (projected & set(steps)) | set(entered)
+            calls.clear()
+            scorer(t, triples)
+            n_kv = len(entered) + imputation
+            assert sorted(calls) == ["wk"] * n_kv + ["wq"] + ["wv"] * n_kv, t
+
+    def test_cache_holds_one_window_after_a_full_pass(self, eval_dataset):
+        model = scorer_model(eval_dataset, "complex", True, sa_window(False, True, False))
+        leaves = {name: constant(arr) for name, arr in model.params.items()}
+        cache = {}
+        snapshots = split_snapshots(eval_dataset, "test")
+        for t, _ in snapshots:
+            model.eval_context(t, cache, leaves)
+        last = snapshots[-1][0]
+        assert sorted(cache) == model.window_positions(last)[0]
+        assert len(cache) <= model.config.window + 1
+        # the imputed target's raw keys and values are projected when a later
+        # target first reads the step
+        assert cache[last].kv is None
+        assert all(rec.kv is not None for step, rec in cache.items() if step != last)
+
+    def test_scorer_builds_its_constants_once(self, eval_dataset, monkeypatch):
+        model = scorer_model(eval_dataset, "complex", True, SCORER_MODELS["temp-sa"])
+        made = []
+        monkeypatch.setattr(model_module, "constant",
+                            lambda value: made.append(1) or constant(value))
+        scorer = model.snapshot_scorer(compute_tpf(eval_dataset))
+        built = len(made)
+        assert built == len(model.params)
+        for t, triples in split_snapshots(eval_dataset, "test"):
+            scorer(t, triples)
+        assert len(made) == built
 
     def test_scorer_built_after_param_change_sees_new_params(self, eval_dataset):
         model = scorer_model(eval_dataset, "complex", True, SCORER_MODELS["temp-sa"])
         tpf = compute_tpf(eval_dataset)
-        t, triples = train_snapshots(eval_dataset)[-1]
+        t, triples = split_snapshots(eval_dataset)[-1]
         before = model.snapshot_scorer(tpf)(t, triples)
         rng = np.random.default_rng(0)
         AdamState(lr=0.05).step(model.params, {name: rng.standard_normal(p.shape)
@@ -559,7 +693,7 @@ class TestSnapshotCache:
         model = scorer_model(eval_dataset, "transe", True,
                              SCORER_MODELS["temp-gru-bidirectional-imputation"])
         tpf = compute_tpf(eval_dataset)
-        snapshots = train_snapshots(eval_dataset)
+        snapshots = split_snapshots(eval_dataset)
         ascending = model.snapshot_scorer(tpf)
         want = {t: ascending(t, triples) for t, triples in snapshots}
         shuffled = model.snapshot_scorer(tpf)

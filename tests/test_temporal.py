@@ -5,7 +5,7 @@ from tempkg import autodiff as ad
 from tempkg import temporal
 from tempkg.autodiff import Tape, constant
 
-from gradcheck import scaled_error
+from gradcheck import finite_difference, max_relative_error, scaled_error
 from helpers import decay_weight
 
 
@@ -53,6 +53,30 @@ def encode_sa_per_head(x_steps, active, target_pos, params, *, heads):
             z_k = term if z_k is None else ad.add(z_k, term)
         head_outputs.append(z_k)
     return ad.concat(head_outputs, axis=1)
+
+
+def encode_sa_per_step(x_steps, active, target_pos, params, *, heads, kv=None):
+    """Oracle for encode_sa: the keys and values projected from ``x_steps``
+    (``kv`` is ignored), one query-key product column and one weighted value
+    term per window step, the columns joined by ``concat``."""
+    n, dim = x_steps[target_pos].shape
+    rows, dh = n * heads, dim // heads
+    wq, wk, wv = (ad.concat([params[f"sa.h{k}.{nm}"] for k in range(heads)], axis=1)
+                  for nm in ("wq", "wk", "wv"))
+    mask = np.stack(active, axis=1)
+    mask[~mask.any(axis=1), target_pos] = True
+    offsets = np.abs(np.arange(len(x_steps)) - target_pos).astype(np.float64).reshape(1, -1)
+    penalty = temporal.decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
+    q = ad.matmul(x_steps[target_pos], wq)
+    dots = [ad.reduce_sum(ad.reshape(ad.mul(q, ad.matmul(x, wk)), (rows, dh)), axis=1)
+            for x in x_steps]
+    logits = ad.sub(ad.mul(ad.concat(dots, axis=1), 1.0 / np.sqrt(dh)), penalty)
+    beta = ad.masked_softmax(logits, np.repeat(mask, heads, axis=0))
+    z = None
+    for p, x in enumerate(x_steps):
+        term = ad.mul(ad.columns(beta, p, p + 1), ad.reshape(ad.matmul(x, wv), (rows, dh)))
+        z = term if z is None else ad.add(z, term)
+    return ad.reshape(z, (n, dim))
 
 
 def decay_param_arrays(lam=0.0, b=0.0):
@@ -329,6 +353,66 @@ class TestOneAttentionPass:
                 assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
             else:
                 assert scaled_error(got[name], want[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_matches_per_step_oracle_with_given_keys_and_values(self, heads, window):
+        # keys and values projected by the caller give what projecting them
+        # inside does, which matches the per-step loop
+        arrays, xs, active = sa_case(heads, window, "clamped")
+        target = WINDOWS[window][1]
+        weights = np.random.default_rng(32).normal(size=xs[0].shape)
+        results = []
+        for given in (True, False, None):
+            tape = Tape()
+            params = {name: tape.leaf(a) for name, a in arrays.items()}
+            x_leaves = [tape.leaf(x) for x in xs]
+            if given is None:
+                z = encode_sa_per_step(x_leaves, active, target, params, heads=heads)
+            else:
+                wk, wv = (temporal.head_weights(params, nm, heads) for nm in ("wk", "wv"))
+                kv = [temporal.keys_values(x, wk, wv, heads) for x in x_leaves] if given else None
+                z = temporal.encode_sa(x_leaves, active, target, params, heads=heads, kv=kv)
+            grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
+            leaves = list(params.values()) + x_leaves
+            results.append((z.data, [grads.get(leaf.node_id) for leaf in leaves]))
+        (z_given, g_given), (z_inside, g_inside), (want_z, want) = results
+        np.testing.assert_array_equal(z_given, z_inside)
+        assert scaled_error(z_given, want_z) <= 1e-12
+        for got_g, inside_g, want_g in zip(g_given, g_inside, want):
+            assert (got_g is None) == (want_g is None) == (inside_g is None)
+            if want_g is not None:
+                np.testing.assert_array_equal(got_g, inside_g)
+                assert scaled_error(got_g, want_g) <= 1e-12
+
+    @pytest.mark.parametrize("window", ["first", "last"])
+    def test_gradients_match_fd_with_an_idle_entity(self, window):
+        # entities inactive at every step fall back to their own target row:
+        # the finite-difference gradient agrees, and no other step's row of
+        # theirs receives any
+        arrays, xs, active = sa_case(2, window, "active")
+        target, idle = WINDOWS[window][1], list(WINDOWS[window][2])
+        names = sorted(arrays)
+        weights = np.random.default_rng(33).normal(size=xs[0].shape)
+
+        def loss(*flat):
+            params = {name: constant(a) for name, a in zip(names, flat)}
+            x_steps = [constant(x) for x in flat[len(names):]]
+            z = temporal.encode_sa(x_steps, active, target, params, heads=2)
+            return float((np.tanh(z.data) * weights).sum())
+
+        tape = Tape()
+        params = {name: tape.leaf(arrays[name]) for name in names}
+        x_leaves = [tape.leaf(x) for x in xs]
+        z = temporal.encode_sa(x_leaves, active, target, params, heads=2)
+        grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
+        leaves = [params[name] for name in names] + x_leaves
+        analytic = [grads[leaf.node_id] for leaf in leaves]
+        numeric = finite_difference(loss, [arrays[name] for name in names] + xs)
+        assert max_relative_error(analytic, numeric) < 1e-5
+        for p, g in enumerate(analytic[len(names):]):
+            if p != target:
+                assert np.all(g[idle] == 0.0), p
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("width", [1, 3])
