@@ -25,8 +25,25 @@ class CheckpointError(ValueError):
     pass
 
 
+def atomic_write(path, data: str | bytes) -> None:
+    """Write ``data`` (text as utf-8) through a temp file in the same directory
+    and one rename, so a failed write leaves the old file and no temp file."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write tensors atomically (temp file + rename)."""
+    """Write tensors atomically (see atomic_write)."""
     payload = bytearray()
     payload += MAGIC
     payload += struct.pack("<QQ", VERSION, len(tensors))
@@ -38,16 +55,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         payload += struct.pack("<Q", arr.ndim)
         payload += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         payload += arr.astype("<f8", copy=False).tobytes()
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, payload)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

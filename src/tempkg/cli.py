@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import evaluation as ev
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .data import SPLIT_NAMES, cross_split_repeats, load_dataset, write_dataset
 from .model import TempModel, param_shapes
@@ -125,8 +125,7 @@ def cmd_ted(args) -> int:
         lines.append(f"{sigma},{report.mrr:.6f},{report.hits(1):.6f},"
                      f"{report.hits(3):.6f},{report.hits(10):.6f}")
         print(lines[-1])
-    ev.atomic_write(os.path.join(args.out, f"ted_{split}.csv"),
-                    "\n".join(lines) + "\n")
+    atomic_write(os.path.join(args.out, f"ted_{split}.csv"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -158,7 +157,7 @@ def cmd_stats(args) -> int:
                f"test,{sizes['test']}",
                f"total,{sum(sizes.values())}",
                f"cross_split_repeats,{cross_split_repeats(dataset)}"]
-    ev.atomic_write(os.path.join(args.out, "stats.csv"), "\n".join(summary) + "\n")
+    atomic_write(os.path.join(args.out, "stats.csv"), "\n".join(summary) + "\n")
 
     # per-step activity over the union of splits, with a trailing-15 lookback;
     # row t + 1 of ``active`` marks the entities active at step t
@@ -172,7 +171,7 @@ def cmd_stats(args) -> int:
         occurrences = (before[t] - before[max(0, t - 15)])[active[t + 1] == 1]
         avg_occ = float(np.mean(occurrences)) if len(occurrences) else 0.0
         lines.append(f"{t},{len(occurrences)},{np.count_nonzero(occurrences)},{avg_occ:.4f}")
-    ev.atomic_write(os.path.join(args.out, "activity.csv"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(args.out, "activity.csv"), "\n".join(lines) + "\n")
 
     for line in summary:
         print(line)

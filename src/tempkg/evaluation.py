@@ -10,15 +10,16 @@ direction.
 from __future__ import annotations
 
 import json
-import math
-import os
-import tempfile
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .data import TkgDataset, TrueTripleIndex
 from .heterogeneity import PATTERN_KINDS, TpfTable
+
+log = logging.getLogger("tempkg")
 
 # (pattern kind, query direction) pairs studied in the two effect groups:
 # the replication group pairs each query direction with frequencies that
@@ -29,29 +30,34 @@ REPLICATION_PAIRINGS = (("s", "subject"), ("sr", "subject"), ("o", "object"),
 REFERENCE_PAIRINGS = (("s", "object"), ("sr", "object"),
                       ("o", "subject"), ("ro", "subject"))
 
+# Columns of a query record; 'object' queries ask (s, r, ?, t), 'subject'
+# queries (?, r, o, t), and rank is the answer's 1-based filtered rank.
+RESULT_FIELDS = (("direction", "U7"), ("subject", np.int64), ("relation", np.int64),
+                 ("object", np.int64), ("time", np.int64), ("rank", np.int64))
 
-@dataclass(frozen=True)
-class QueryResult:
-    direction: str            # 'object' for (s, r, ?, t); 'subject' for (?, r, o, t)
-    subject: int
-    relation: int
-    object: int
-    time: int
-    rank: int                 # 1-based rank of the true answer after filtering
-    tpf: dict[str, int] | None = None
+
+def query_records(direction, quads, rank, tpf=None) -> np.recarray:
+    """One row per query: its direction, the fact's (s, r, o, t) from the
+    (q, 4) ``quads``, its rank and, when given, the (q, 7) pattern
+    frequencies ``tpf`` in PATTERN_KINDS order."""
+    columns = [direction, *np.reshape(quads, (-1, 4)).T, rank]
+    if tpf is None:
+        return np.rec.fromarrays(columns, dtype=list(RESULT_FIELDS))
+    return np.rec.fromarrays(columns + [np.reshape(tpf, (-1, len(PATTERN_KINDS)))],
+                             dtype=[*RESULT_FIELDS, ("tpf", np.int64, (len(PATTERN_KINDS),))])
 
 
 @dataclass
 class RankingReport:
     entity_count: int
-    results: list[QueryResult] = field(default_factory=list)
+    results: np.recarray = field(default_factory=lambda: query_records([], [], []))
 
     @property
     def mrr(self) -> float:
-        return float(np.mean([1.0 / r.rank for r in self.results]))
+        return float(np.mean(1.0 / self.results.rank))
 
     def hits(self, k: int) -> float:
-        return float(np.mean([r.rank <= k for r in self.results]))
+        return float(np.mean(self.results.rank <= k))
 
     def summary(self) -> dict[str, float]:
         return {"MRR": self.mrr, "Hits@1": self.hits(1), "Hits@3": self.hits(3),
@@ -59,15 +65,14 @@ class RankingReport:
 
     def check_invariants(self) -> None:
         """Raise AssertionError on a degenerate report, also under ``python -O``."""
-        if not self.results:
+        if not len(self.results):
             raise AssertionError("empty report")
-        ranks = np.array([r.rank for r in self.results])
+        ranks = self.results.rank
         if not np.all((1 <= ranks) & (ranks <= self.entity_count)):
             raise AssertionError(f"a rank lies outside [1, {self.entity_count}]")
-        mrr = float(np.mean(1.0 / ranks))
-        if not 1.0 / self.entity_count <= mrr <= 1.0:
-            raise AssertionError(f"MRR {mrr} outside [1/{self.entity_count}, 1]")
-        hits1, hits3, hits10 = (np.mean(ranks <= k) for k in (1, 3, 10))
+        if not 1.0 / self.entity_count <= self.mrr <= 1.0:
+            raise AssertionError(f"MRR {self.mrr} outside [1/{self.entity_count}, 1]")
+        hits1, hits3, hits10 = (self.hits(k) for k in (1, 3, 10))
         if not hits1 <= hits3 <= hits10 <= 1.0:
             raise AssertionError("Hits@1 <= Hits@3 <= Hits@10 <= 1 does not hold")
 
@@ -111,25 +116,39 @@ def filtered_ranks(scores: np.ndarray, answers: np.ndarray, rows: np.ndarray,
     return 1 + np.where(np.isfinite(answer), rivals, kept)
 
 
-def rank_snapshots(entity_count: int, snapshots, snapshot_scorer,
+def rank_snapshots(entity_count: int, quads: np.ndarray, snapshot_scorer,
                    filter_index: TrueTripleIndex, tpf: TpfTable | None = None,
                    ) -> RankingReport:
-    """Rank both query directions of every fact in ``snapshots``, an iterable
-    of (t, triples) pairs, a whole snapshot and direction at a time; ``tpf``
-    attaches pattern frequencies to each result."""
-    report = RankingReport(entity_count)
-    for t, triples in snapshots:
-        obj_scores, sub_scores = snapshot_scorer(t, triples)
-        obj_ranks = filtered_ranks(obj_scores, triples[:, 2],
-                                   *filter_index.filter_sets("object", triples, t)).tolist()
-        sub_ranks = filtered_ranks(sub_scores, triples[:, 0],
-                                   *filter_index.filter_sets("subject", triples, t)).tolist()
-        counts = tpf.frequencies(triples, t).tolist() if tpf is not None else None
-        for i, (s, r, o) in enumerate(triples.tolist()):
-            freqs = dict(zip(PATTERN_KINDS, counts[i])) if counts is not None else None
-            report.results.append(QueryResult("object", s, r, o, t, obj_ranks[i], freqs))
-            report.results.append(QueryResult("subject", s, r, o, t, sub_ranks[i], freqs))
-    return report
+    """Rank both query directions of every fact in ``quads``, a time-sorted
+    (n, 4) array of (s, r, o, t), a whole step and direction at a time.
+
+    Rows 2i and 2i + 1 of the report are fact i's object and subject queries;
+    ``tpf`` attaches each fact's pattern frequencies. One warning per call
+    counts the queries whose answer score is not finite.
+    """
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    if np.any(np.diff(quads[:, 3]) < 0):
+        raise ValueError("rank_snapshots needs facts sorted by time step")
+    steps, starts = np.unique(quads[:, 3], return_index=True)
+    ranks = np.empty((len(quads), 2), dtype=np.int64)
+    freqs = np.empty((len(quads), len(PATTERN_KINDS)), dtype=np.int64)
+    nonfinite = 0
+    for t, lo, hi in zip(steps.tolist(), starts.tolist(), [*starts[1:].tolist(), len(quads)]):
+        triples = quads[lo:hi, :3]
+        for col, (direction, answer_col, scores) in enumerate(
+                zip(("object", "subject"), (2, 0), snapshot_scorer(t, triples))):
+            answers = triples[:, answer_col]
+            ranks[lo:hi, col] = filtered_ranks(scores, answers,
+                                               *filter_index.filter_sets(direction, triples, t))
+            nonfinite += np.count_nonzero(~np.isfinite(scores[np.arange(hi - lo), answers]))
+        if tpf is not None:
+            freqs[lo:hi] = tpf.frequencies(triples, t)
+    if nonfinite:
+        log.warning("%d of %d queries have a non-finite answer score; each ranks behind "
+                    "every kept candidate", nonfinite, ranks.size)
+    return RankingReport(entity_count, query_records(
+        np.tile(["object", "subject"], len(quads)), np.repeat(quads, 2, axis=0),
+        ranks.ravel(), np.repeat(freqs, 2, axis=0) if tpf is not None else None))
 
 
 def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,
@@ -141,9 +160,7 @@ def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,
     arrays of shape (len(triples), entity_count): row i scores every candidate
     completion of triples[i] in the respective direction.
     """
-    report = rank_snapshots(dataset.entity_count,
-                            [(snap.time, snap.triples)
-                             for snap in dataset.splits[split] if len(snap)],
+    report = rank_snapshots(dataset.entity_count, dataset.quadruples(split),
                             snapshot_scorer, filter_index, tpf)
     report.check_invariants()
     return report
@@ -151,57 +168,38 @@ def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,
 
 # --- frequency-binned breakdown ------------------------------------------------
 
-def frequency_bin(freq: int) -> int:
-    """Unit-width bin index in log10(1 + f)."""
-    return int(math.floor(math.log10(1.0 + freq)))
+# A frequency f falls in bin floor(log10(1 + f)): the number of these
+# thresholds 10**k - 1 it reaches, in exact integer comparisons.
+BIN_THRESHOLDS = 10 ** np.arange(1, 19, dtype=np.int64) - 1
 
 
-def tpf_binned_analysis(results: list[QueryResult], hits_k: int = 10) -> list[dict]:
+def tpf_binned_analysis(results: np.recarray, hits_k: int = 10) -> list[dict]:
     """Per-bin Hits@k for every studied (pattern kind, direction) pairing.
 
     Returns one record per occupied or declared bin with its query count;
     empty bins up to the observed maximum are emitted with a null metric.
+    Results without pattern frequencies give no records.
     """
     rows = []
+    if "tpf" not in results.dtype.names:
+        return rows
+    bins = np.searchsorted(BIN_THRESHOLDS, results.tpf, side="right")
+    hit = results.rank <= hits_k
     for group, pairings in (("replication", REPLICATION_PAIRINGS),
                             ("reference", REFERENCE_PAIRINGS)):
         for kind, direction in pairings:
-            selected = [r for r in results if r.direction == direction
-                        and r.tpf is not None]
-            if not selected:
-                continue
-            bins: dict[int, list[int]] = {}
-            for r in selected:
-                bins.setdefault(frequency_bin(r.tpf[kind]), []).append(r.rank)
-            for b in range(0, max(bins) + 1):
-                ranks = bins.get(b, [])
-                rows.append({
-                    "pattern_kind": kind,
-                    "direction": direction,
-                    "group": group,
-                    "bin_lo": b,
-                    "bin_hi": b + 1,
-                    "count": len(ranks),
-                    f"hits{hits_k}": (float(np.mean([rk <= hits_k for rk in ranks]))
-                                      if ranks else None),
-                })
+            selected = results.direction == direction
+            b = bins[selected, PATTERN_KINDS.index(kind)]
+            counts = np.bincount(b)
+            hits = np.bincount(b[hit[selected]], minlength=len(counts))
+            rows += [{"pattern_kind": kind, "direction": direction, "group": group,
+                      "bin_lo": lo, "bin_hi": lo + 1, "count": count,
+                      f"hits{hits_k}": n_hit / count if count else None}
+                     for lo, (count, n_hit) in enumerate(zip(counts.tolist(), hits.tolist()))]
     return rows
 
 
 # --- report emission -------------------------------------------------------------
-
-def atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def write_summary_csv(report: RankingReport, path) -> None:
     lines = ["metric,value"]
@@ -211,38 +209,34 @@ def write_summary_csv(report: RankingReport, path) -> None:
 
 
 def write_results_jsonl(report: RankingReport, path) -> None:
-    lines = []
-    for r in report.results:
-        record = {"direction": r.direction, "subject": r.subject,
-                  "relation": r.relation, "object": r.object, "time": r.time,
-                  "rank": r.rank}
-        if r.tpf is not None:
-            record["tpf"] = r.tpf
-        lines.append(json.dumps(record, sort_keys=True))
+    names = report.results.dtype.names
+    columns = [report.results[name].tolist() for name in names]
+    if "tpf" in names:
+        columns[-1] = [dict(zip(PATTERN_KINDS, counts)) for counts in columns[-1]]
+    lines = [json.dumps(dict(zip(names, row)), sort_keys=True) for row in zip(*columns)]
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_results_jsonl(path) -> list[QueryResult]:
-    results = []
+def read_results_jsonl(path) -> np.recarray:
+    """The query records of a results file; every line carries pattern
+    frequencies ('tpf') or none does."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            results.append(QueryResult(rec["direction"], rec["subject"],
-                                       rec["relation"], rec["object"], rec["time"],
-                                       rec["rank"], rec.get("tpf")))
-    return results
+        records = [json.loads(line) for line in fh if line.strip()]
+    tpf = [[rec["tpf"][kind] for kind in PATTERN_KINDS] for rec in records if "tpf" in rec]
+    if 0 < len(tpf) < len(records):
+        raise ValueError(f"{path}: {len(tpf)} of {len(records)} results carry pattern "
+                         "frequencies ('tpf'); they must be on every line or on none")
+    return query_records([rec["direction"] for rec in records],
+                         [[rec["subject"], rec["relation"], rec["object"], rec["time"]]
+                          for rec in records],
+                         [rec["rank"] for rec in records], tpf or None)
 
 
 def write_bins_csv(rows: list[dict], path, hits_k: int = 10) -> None:
     header = ["pattern_kind", "direction", "bin_lo", "bin_hi", "count", f"hits{hits_k}"]
     out = [",".join(header)]
     for row in rows:
-        metric = row[f"hits{hits_k}"]
-        out.append(",".join([
-            str(row["pattern_kind"]), str(row["direction"]),
-            str(row["bin_lo"]), str(row["bin_hi"]), str(row["count"]),
-            "" if metric is None else f"{metric:.6f}",
-        ]))
+        metric = row[header[-1]]
+        out.append(",".join([str(row[key]) for key in header[:-1]]
+                            + ["" if metric is None else f"{metric:.6f}"]))
     atomic_write(path, "\n".join(out) + "\n")

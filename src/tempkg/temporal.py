@@ -61,9 +61,7 @@ def _chain(x_steps, active, positions, target_pos, params, prefix, lam, b, dim, 
         if not act.any():
             continue
         zhat = _decayed_hidden(h, last_seen, pos_rank[pos], lam, b)
-        h_new = gru_cell(x_steps[pos], zhat, params, prefix)
-        m = constant(act.astype(np.float64)[:, None])
-        h = ad.add(ad.mul(h_new, m), ad.mul(h, ad.sub(constant(1.0), m)))
+        h = ad.pick_rows([h, gru_cell(x_steps[pos], zhat, params, prefix)], act)
         last_seen[act] = pos_rank[pos]
     zhat = _decayed_hidden(h, last_seen, len(positions), lam, b)
     return gru_cell(x_steps[target_pos], zhat, params, prefix)

@@ -22,7 +22,7 @@ from . import decoder as dec
 from . import evaluation as ev
 from . import heterogeneity as het
 from .autodiff import Tape
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import TkgDataset, TrueTripleIndex, build_true_index
 from .model import TempModel, grads_by_name, init_params, leaves_on_tape
@@ -60,7 +60,7 @@ class TrainingLog:
 
     def write_jsonl(self, path) -> None:
         text = "".join(r.to_json() + "\n" for r in self.records)
-        ev.atomic_write(path, text)
+        atomic_write(path, text)
 
 
 def _substream(seed: int, *tags) -> np.random.Generator:
@@ -105,9 +105,7 @@ def _validation_mrr(model: TempModel, dataset: TkgDataset, filter_index,
         rng = _substream(seed, "val-subsample")
         picks = np.sort(rng.choice(len(quads), size=cap, replace=False))
         quads = quads[picks]
-    chunks = [(t, quads[quads[:, 3] == t][:, :3])
-              for t in np.unique(quads[:, 3]).tolist()]
-    report = ev.rank_snapshots(dataset.entity_count, chunks,
+    report = ev.rank_snapshots(dataset.entity_count, quads,
                                model.snapshot_scorer(tpf), filter_index)
     return report.mrr
 

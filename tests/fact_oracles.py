@@ -4,15 +4,19 @@ whole-snapshot scorers.
 The dict classes build their index by looping over facts in Python, the way
 the package did before every index became one ``data.GroupedCodes``.
 ``PerQueryTedModel`` and ``per_query_rank_snapshots`` score and rank one query
-at a time, and ``per_positive_sample_negatives`` draws one positive's
-negatives, the way the package did before it worked a snapshot at a time.
+at a time, ``per_positive_sample_negatives`` draws one positive's negatives,
+and ``frequency_bin`` with ``per_query_binned_analysis`` bins one query at a
+time, the way the package did before it worked a snapshot or a record array
+at a time.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
 
-from tempkg.evaluation import QueryResult, RankingReport, rank_query
+from tempkg.evaluation import (REFERENCE_PAIRINGS, REPLICATION_PAIRINGS, RankingReport,
+                               query_records, rank_query)
 from tempkg.heterogeneity import PATTERN_KINDS
 from tempkg.ted import TedModel
 
@@ -179,21 +183,57 @@ def per_positive_sample_negatives(s, r, o, t, index, k, rng, entity_count):
 
 def per_query_rank_snapshots(entity_count, snapshots, snapshot_scorer, filter_index,
                              tpf=None):
-    """evaluation.rank_snapshots with one filter lookup and rank_query per query,
-    over a DictTrueTripleIndex."""
-    report = RankingReport(entity_count)
+    """evaluation.rank_snapshots over (t, triples) pairs, with one filter
+    lookup and rank_query per query, over a DictTrueTripleIndex."""
+    directions, quads, ranks, freqs = [], [], [], []
     for t, triples in snapshots:
         obj_scores, sub_scores = snapshot_scorer(t, triples)
         counts = tpf.frequencies(triples, t).tolist() if tpf is not None else None
         for i, (s, r, o) in enumerate(triples.tolist()):
-            freqs = dict(zip(PATTERN_KINDS, counts[i])) if counts is not None else None
-            report.results.append(QueryResult(
-                "object", s, r, o, t,
-                rank_query(obj_scores[i], o, filter_index.objects_for(s, r, t)), freqs))
-            report.results.append(QueryResult(
-                "subject", s, r, o, t,
-                rank_query(sub_scores[i], s, filter_index.subjects_for(r, o, t)), freqs))
-    return report
+            directions += ["object", "subject"]
+            quads += [(s, r, o, t)] * 2
+            ranks += [rank_query(obj_scores[i], o, filter_index.objects_for(s, r, t)),
+                      rank_query(sub_scores[i], s, filter_index.subjects_for(r, o, t))]
+            if counts is not None:
+                freqs += [counts[i]] * 2
+    return RankingReport(entity_count, query_records(
+        directions, quads, ranks, freqs if tpf is not None else None))
+
+
+def frequency_bin(freq: int) -> int:
+    """Unit-width bin index in log10(1 + f)."""
+    return int(math.floor(math.log10(1.0 + freq)))
+
+
+def per_query_binned_analysis(results, hits_k: int = 10) -> list[dict]:
+    """evaluation.tpf_binned_analysis with frequency_bin over one query record
+    at a time."""
+    rows = []
+    if "tpf" not in results.dtype.names:
+        return rows
+    for group, pairings in (("replication", REPLICATION_PAIRINGS),
+                            ("reference", REFERENCE_PAIRINGS)):
+        for kind, direction in pairings:
+            selected = [r for r in results if r.direction == direction]
+            if not selected:
+                continue
+            bins: dict[int, list[int]] = {}
+            for r in selected:
+                freq = int(r.tpf[PATTERN_KINDS.index(kind)])
+                bins.setdefault(frequency_bin(freq), []).append(int(r.rank))
+            for b in range(0, max(bins) + 1):
+                ranks = bins.get(b, [])
+                rows.append({
+                    "pattern_kind": kind,
+                    "direction": direction,
+                    "group": group,
+                    "bin_lo": b,
+                    "bin_hi": b + 1,
+                    "count": len(ranks),
+                    f"hits{hits_k}": (float(np.mean([rk <= hits_k for rk in ranks]))
+                                      if ranks else None),
+                })
+    return rows
 
 
 def counter_cross_split_repeats(dataset):

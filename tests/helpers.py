@@ -4,6 +4,7 @@ import numpy as np
 
 from tempkg import autodiff as ad
 from tempkg.autodiff import constant
+from tempkg.evaluation import query_records
 from tempkg.heterogeneity import PATTERN_COLUMNS, PATTERN_KINDS
 from tempkg.temporal import decay_column
 
@@ -50,3 +51,13 @@ def objects_for(index, s: int, r: int, t: int) -> np.ndarray:
 def subjects_for(index, r: int, o: int, t: int) -> np.ndarray:
     """Known subjects of (?, r, o, t) in a TrueTripleIndex, sorted."""
     return index.filter_sets("subject", np.array([[0, r, o]], dtype=np.int64), t)[1]
+
+
+def records(rows):
+    """A query record array from (direction, s, r, o, t, rank) rows, each
+    with a trailing {pattern kind: count} dict when frequencies are attached."""
+    rows = list(rows)
+    tpf = ([[row[6].get(k, 0) for k in PATTERN_KINDS] for row in rows]
+           if rows and len(rows[0]) > 6 else None)
+    return query_records([row[0] for row in rows], [row[1:5] for row in rows],
+                         [row[5] for row in rows], tpf)

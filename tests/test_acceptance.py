@@ -19,7 +19,7 @@ from tempkg import heterogeneity as het
 from tempkg.autodiff import Tape, constant
 from tempkg.config import RunConfig
 from tempkg.data import Snapshot, TkgDataset, build_true_index, load_dataset
-from tempkg.evaluation import QueryResult, RankingReport, rank_query
+from tempkg.evaluation import RankingReport, rank_query
 from tempkg.model import (ModelConfig, TempModel, grads_by_name, init_params,
                           leaves_on_tape)
 from tempkg.synth import SynthSpec, generate_synthetic
@@ -27,7 +27,7 @@ from tempkg.ted import TedConfig, TedModel
 from tempkg.train import filter_index_for, train
 
 from gradcheck import finite_difference, max_relative_error
-from helpers import decay_weight, query_frequencies, reduce_mean
+from helpers import decay_weight, query_frequencies, records, reduce_mean
 from test_ted import (brute_force_ranking, brute_force_reference_sets, query_scores,
                       query_tiers)
 
@@ -314,9 +314,8 @@ def test_criterion_4f_report_bounds(seed, e, n):
     CASES["count"] += 1
     rng = np.random.default_rng(seed)
     report_obj = RankingReport(e)
-    report_obj.results = [QueryResult("object", 0, 0, 1, 0,
-                                      int(rng.integers(1, e + 1)))
-                          for _ in range(n)]
+    report_obj.results = records(("object", 0, 0, 1, 0, int(rng.integers(1, e + 1)))
+                                 for _ in range(n))
     report_obj.check_invariants()
     assert 1.0 / e <= report_obj.mrr <= 1.0
     assert report_obj.hits(1) <= report_obj.hits(3) <= report_obj.hits(10) <= 1.0

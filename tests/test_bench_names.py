@@ -6,25 +6,32 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 from tempkg import autodiff as ad
 from tempkg.config import RunConfig
 from tempkg.data import Snapshot
-from tempkg.model import ModelConfig
+from tempkg.heterogeneity import compute_tpf
+from tempkg.model import ModelConfig, TempModel, init_params
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.ted import TedConfig, TedModel
 from tempkg.train import train
 
 from fact_oracles import PerQueryTedModel
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracing")
 
 
 def bound_names(originals):
@@ -126,3 +133,43 @@ def test_negative_counter_counts_every_draw_of_a_train_epoch(tmp_path):
     assert tracer.segments[-1][1]["decoder.negatives_drawn"] == 2 * 3 * positives
     calls = [tracer.names[span[0]] for span in tracer.spans]
     assert calls.count("decoder.sample_negatives") == len(targets) == 4
+
+
+def small_eval_state(workloads, kind):
+    """A workload state over a small corpus, with a seed that has no recorded
+    figure, so only the re-ranked queries are judged."""
+    ds = generate_synthetic(SynthSpec(60, 5, 14, density=0.5, periodicity=0.5, period=3,
+                                      test_fraction=0.2), seed=2)
+    seed = workloads.EXPECTED["seed"] + 1
+    index, picks = workloads.build_index(ds), workloads.rerank_picks(ds, seed)
+    if kind == "ted-icews":
+        return workloads.TedState(seed, ds, index, picks, TedModel(ds), TedConfig(0.2))
+    config = ModelConfig(variant="temp-sa", decoder="complex", dim=8, window=3, heads=2,
+                         imputation=True, gating=True)
+    params = init_params(config, ds.entity_count, ds.relation_count, ds.step_count, seed)
+    return workloads.EvalState(seed, ds, index, picks, compute_tpf(ds),
+                               TempModel(config, ds, params))
+
+
+@pytest.mark.parametrize("kind", ["ted-icews", "eval-sa"])
+def test_ranking_check_reads_the_report_rows(kind):
+    """The benchmark's ranking check, which reads the report one row at a time,
+    passes a traced evaluation and catches one wrong rank; the traced query
+    count is two per test fact."""
+    tracing, workloads = load_tracing(), load_perfbench("workloads")
+    state = small_eval_state(workloads, kind)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.begin("pass")
+        result = workloads.WORKLOADS[kind].run_pass(state)
+    facts = state.dataset.split_sizes()["test"]
+    assert tracer.segments[-1][1]["evaluation.queries"] == 2 * facts == result.ops
+    assert len(result.detail["scores"]) == len(state.picks) > 0
+    assert workloads.WORKLOADS[kind].check(state, result) == 0
+    results = result.detail["report"].results
+    direction, s, r, o, t = next(iter(result.detail["scores"]))
+    row = ((results.direction == direction) & (results.subject == s)
+           & (results.relation == r) & (results.object == o) & (results.time == t))
+    assert np.count_nonzero(row) == 1
+    results.rank[row] += 1
+    assert workloads.WORKLOADS[kind].check(state, result) == 1

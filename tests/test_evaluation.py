@@ -8,14 +8,15 @@ import pytest
 
 from tempkg import evaluation as ev
 from tempkg.data import Snapshot, TkgDataset, build_true_index
-from tempkg.evaluation import QueryResult, RankingReport, filtered_ranks, rank_query
-from tempkg.heterogeneity import compute_tpf
+from tempkg.evaluation import RankingReport, filtered_ranks, rank_query
+from tempkg.heterogeneity import PATTERN_KINDS, compute_tpf
 from tempkg.model import ModelConfig, TempModel, init_params
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.ted import TedConfig, TedModel
 
-from fact_oracles import DictTrueTripleIndex, PerQueryTedModel, per_query_rank_snapshots
-from helpers import objects_for, subjects_for
+from fact_oracles import (DictTrueTripleIndex, PerQueryTedModel, frequency_bin,
+                          per_query_binned_analysis, per_query_rank_snapshots)
+from helpers import objects_for, records, subjects_for
 from test_fact_index import random_dataset
 
 
@@ -128,14 +129,22 @@ class TestFilteredRanks:
                     assert got.tolist() == want
 
 
+def split_snapshots(ds):
+    """(t, triples) of every non-empty test snapshot, the per-query oracle's input."""
+    return [(snap.time, snap.triples) for snap in ds.splits["test"] if len(snap)]
+
+
 class TestResultsMatchPerQueryPath:
     """results.jsonl of evaluate against the per-query scorers and ranking loop."""
 
     def write_both(self, tmp_path, batched, per_query):
+        assert batched.results.dtype == per_query.results.dtype
+        assert np.array_equal(batched.results, per_query.results)
         paths = tmp_path / "batched.jsonl", tmp_path / "per_query.jsonl"
         ev.write_results_jsonl(batched, paths[0])
         ev.write_results_jsonl(per_query, paths[1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert np.array_equal(ev.read_results_jsonl(paths[0]), batched.results)
 
     def corpus(self):
         ds = generate_synthetic(SynthSpec(60, 5, 14, density=0.5, periodicity=0.5,
@@ -143,16 +152,13 @@ class TestResultsMatchPerQueryPath:
         splits = ("train", "valid", "test")
         return ds, build_true_index(ds, splits), DictTrueTripleIndex(ds, splits)
 
-    def split_snapshots(self, ds):
-        return [(snap.time, snap.triples) for snap in ds.splits["test"] if len(snap)]
-
     @pytest.mark.parametrize("blend", ["tiered", "sum"])
     def test_ted(self, tmp_path, blend):
         ds, index, oracle = self.corpus()
         config = TedConfig(0.2, blend)
         batched = ev.evaluate(ds, "test", TedModel(ds).snapshot_scorer(config), index)
         per_query = per_query_rank_snapshots(
-            ds.entity_count, self.split_snapshots(ds),
+            ds.entity_count, split_snapshots(ds),
             PerQueryTedModel(ds).snapshot_scorer(config), oracle)
         self.write_both(tmp_path, batched, per_query)
 
@@ -163,9 +169,11 @@ class TestResultsMatchPerQueryPath:
         params = init_params(config, ds.entity_count, ds.relation_count, ds.step_count, 3)
         model, tpf = TempModel(config, ds, params), compute_tpf(ds)
         batched = ev.evaluate(ds, "test", model.snapshot_scorer(tpf), index, tpf)
-        per_query = per_query_rank_snapshots(ds.entity_count, self.split_snapshots(ds),
+        per_query = per_query_rank_snapshots(ds.entity_count, split_snapshots(ds),
                                              model.snapshot_scorer(tpf), oracle, tpf)
         self.write_both(tmp_path, batched, per_query)
+        rows = ev.tpf_binned_analysis(batched.results)
+        assert rows and rows == per_query_binned_analysis(per_query.results)
 
 
 def toy_dataset_and_scores(rng, e=6, r=2, t=3, per_split=4):
@@ -183,6 +191,66 @@ def toy_dataset_and_scores(rng, e=6, r=2, t=3, per_split=4):
         splits[name] = [Snapshot(i, np.array(x, dtype=np.int64) if x else None)
                         for i, x in enumerate(per_step)]
     return TkgDataset(e, r, t, splits)
+
+
+class TestRankSnapshots:
+    def random_scorer(self, ds, seed, poison=()):
+        """Normal scores; ``poison`` maps (t, direction) to a value put on
+        the first query's answer score."""
+        rng = np.random.default_rng(seed)
+
+        def scorer(t, triples):
+            obj, sub = (rng.normal(size=(len(triples), ds.entity_count)) for _ in range(2))
+            for direction, scores, col in (("object", obj, 2), ("subject", sub, 0)):
+                if (t, direction) in poison:
+                    scores[0, triples[0, col]] = poison[(t, direction)]
+            return obj, sub
+        return scorer
+
+    def test_non_finite_answers_warn_once_with_count(self, caplog):
+        ds = toy_dataset_and_scores(np.random.default_rng(6), t=4, per_split=10)
+        index = build_true_index(ds, splits=("train", "valid", "test"))
+        oracle = DictTrueTripleIndex(ds, ("train", "valid", "test"))
+        steps = sorted({t for t, _ in split_snapshots(ds)})
+        poison = {(steps[0], "object"): np.nan, (steps[-1], "subject"): -np.inf}
+        quads = ds.quadruples("test")
+        with caplog.at_level("WARNING", logger="tempkg"):
+            report = ev.rank_snapshots(ds.entity_count, quads,
+                                       self.random_scorer(ds, 0, poison), index)
+        want = per_query_rank_snapshots(
+            ds.entity_count, split_snapshots(ds),
+            self.random_scorer(ds, 0, poison), oracle)
+        assert np.array_equal(report.results, want.results)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert warnings == [f"2 of {2 * len(quads)} queries have a non-finite answer "
+                            "score; each ranks behind every kept candidate"]
+
+    def test_finite_scores_do_not_warn(self, caplog):
+        ds = toy_dataset_and_scores(np.random.default_rng(6), t=4, per_split=10)
+        index = build_true_index(ds, splits=("train", "valid", "test"))
+        with caplog.at_level("WARNING", logger="tempkg"):
+            ev.rank_snapshots(ds.entity_count, ds.quadruples("test"),
+                              self.random_scorer(ds, 0), index)
+        assert caplog.records == []
+
+    def test_rows_follow_fact_order_object_first(self):
+        ds = toy_dataset_and_scores(np.random.default_rng(7), t=4, per_split=10)
+        index = build_true_index(ds, splits=("train",))
+        quads = ds.quadruples("test")
+        results = ev.rank_snapshots(ds.entity_count, quads, self.random_scorer(ds, 1),
+                                    index).results
+        assert results.direction.tolist() == ["object", "subject"] * len(quads)
+        got = np.stack([results.subject, results.relation, results.object, results.time], 1)
+        assert np.array_equal(got, np.repeat(quads, 2, axis=0))
+        assert "tpf" not in results.dtype.names
+
+    def test_unsorted_facts_are_rejected(self):
+        ds = toy_dataset_and_scores(np.random.default_rng(7), t=4, per_split=10)
+        quads = ds.quadruples("test")
+        assert len(np.unique(quads[:, 3])) > 1
+        with pytest.raises(ValueError, match="sorted by time step"):
+            ev.rank_snapshots(ds.entity_count, quads[::-1], self.random_scorer(ds, 1),
+                              build_true_index(ds, splits=("train",)))
 
 
 class TestEvaluate:
@@ -274,12 +342,10 @@ class TestEvaluate:
 
 class TestBinnedAnalysis:
     def result(self, direction, rank, tpf):
-        base = {k: 0 for k in ("s", "o", "r", "sr", "ro", "so", "sro")}
-        base.update(tpf)
-        return QueryResult(direction, 0, 0, 1, 0, rank, base)
+        return (direction, 0, 0, 1, 0, rank, tpf)
 
     def test_single_bin_matches_global_hits(self):
-        results = [self.result("subject", r, {"s": 3}) for r in (1, 4, 20)]
+        results = records(self.result("subject", r, {"s": 3}) for r in (1, 4, 20))
         rows = ev.tpf_binned_analysis(results)
         row = next(r for r in rows if r["pattern_kind"] == "s"
                    and r["direction"] == "subject")
@@ -287,8 +353,8 @@ class TestBinnedAnalysis:
         assert row["hits10"] == pytest.approx(2 / 3)
 
     def test_log_binning_separates_1_and_100(self):
-        results = [self.result("subject", 1, {"s": 1}),
-                   self.result("subject", 1, {"s": 100})]
+        results = records([self.result("subject", 1, {"s": 1}),
+                           self.result("subject", 1, {"s": 100})])
         rows = [r for r in ev.tpf_binned_analysis(results)
                 if r["pattern_kind"] == "s" and r["direction"] == "subject"]
         occupied = [r["bin_lo"] for r in rows if r["count"]]
@@ -298,39 +364,65 @@ class TestBinnedAnalysis:
 
     def test_counts_partition_queries(self):
         rng = np.random.default_rng(4)
-        results = [self.result("object", int(rng.integers(1, 30)),
-                               {"o": int(rng.integers(0, 500))}) for _ in range(40)]
+        results = records(self.result("object", int(rng.integers(1, 30)),
+                                      {"o": int(rng.integers(0, 500))}) for _ in range(40))
         rows = [r for r in ev.tpf_binned_analysis(results)
                 if r["pattern_kind"] == "o" and r["direction"] == "object"]
         assert sum(r["count"] for r in rows) == 40
 
     def test_per_bin_values_equal_direct_filtering(self):
         rng = np.random.default_rng(5)
-        results = [self.result("object", int(rng.integers(1, 40)),
-                               {"ro": int(rng.integers(0, 200))}) for _ in range(60)]
+        results = records(self.result("object", int(rng.integers(1, 40)),
+                                      {"ro": int(rng.integers(0, 200))}) for _ in range(60))
         rows = [r for r in ev.tpf_binned_analysis(results)
                 if r["pattern_kind"] == "ro" and r["direction"] == "object"]
+        ro = PATTERN_KINDS.index("ro")
         for row in rows:
-            members = [r for r in results
-                       if ev.frequency_bin(r.tpf["ro"]) == row["bin_lo"]]
+            members = [r for r in results if frequency_bin(r.tpf[ro]) == row["bin_lo"]]
             assert row["count"] == len(members)
             if members:
                 manual = np.mean([m.rank <= 10 for m in members])
                 assert row["hits10"] == pytest.approx(float(manual))
 
     def test_empty_results_give_empty_table(self):
-        assert ev.tpf_binned_analysis([]) == []
+        assert ev.tpf_binned_analysis(records([])) == []
+        assert ev.tpf_binned_analysis(RankingReport(5).results) == []
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_bins_at_powers_of_ten_match_frequency_bin(self, k):
+        """f = 10**k - 2, 10**k - 1 and 10**k sit just below, at and above the
+        edge of bin k."""
+        freqs = [10 ** k - 2, 10 ** k - 1, 10 ** k]
+        results = records(self.result("object", 1, dict.fromkeys(PATTERN_KINDS, f))
+                          for f in freqs)
+        bins = np.searchsorted(ev.BIN_THRESHOLDS, results.tpf[:, 0], side="right")
+        assert bins.tolist() == [frequency_bin(f) for f in freqs] == [k - 1, k, k]
+        rows = [r for r in ev.tpf_binned_analysis(results)
+                if r["pattern_kind"] == "o" and r["direction"] == "object"]
+        assert [r["bin_lo"] for r in rows if r["count"]] == [k - 1, k]
+        assert [r["count"] for r in rows if r["count"]] == [1, 2]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_results_match_per_query_oracle(self, seed):
+        """Both directions, every kind, frequencies spanning several bins and
+        ranks on both sides of k."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        results = records(
+            (str(rng.choice(["object", "subject"])), 0, 0, 1, 0, int(rng.integers(1, 30)),
+             dict(zip(PATTERN_KINDS, (10 ** rng.uniform(0, 4, size=7)).astype(int).tolist())))
+            for _ in range(n))
+        for hits_k in (1, 10):
+            assert ev.tpf_binned_analysis(results, hits_k) == \
+                per_query_binned_analysis(results, hits_k)
 
 
 class TestReportIO:
     def make_report(self):
+        tpf = {"s": 2, "o": 0, "r": 1, "sr": 1, "ro": 0, "so": 0, "sro": 0}
         report = RankingReport(10)
-        report.results = [
-            QueryResult("object", 0, 0, 1, 0, 1, {"s": 2, "o": 0, "r": 1, "sr": 1,
-                                                  "ro": 0, "so": 0, "sro": 0}),
-            QueryResult("subject", 0, 0, 1, 0, 4, {"s": 2, "o": 0, "r": 1, "sr": 1,
-                                                   "ro": 0, "so": 0, "sro": 0}),
-        ]
+        report.results = records([("object", 0, 0, 1, 0, 1, tpf),
+                                  ("subject", 0, 0, 1, 0, 4, tpf)])
         return report
 
     def test_summary_csv(self, tmp_path):
@@ -345,7 +437,33 @@ class TestReportIO:
         report = self.make_report()
         ev.write_results_jsonl(report, path)
         loaded = ev.read_results_jsonl(path)
-        assert loaded == report.results
+        assert loaded.dtype == report.results.dtype
+        assert np.array_equal(loaded, report.results)
+
+    def test_jsonl_bytes(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        ev.write_results_jsonl(self.make_report(), path)
+        assert path.read_text().splitlines()[1] == (
+            '{"direction": "subject", "object": 1, "rank": 4, "relation": 0, "subject": 0, '
+            '"time": 0, "tpf": {"o": 0, "r": 1, "ro": 0, "s": 2, "so": 0, "sr": 1, "sro": 0}}')
+
+    def test_jsonl_without_frequencies_roundtrip(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        report = RankingReport(10, records([("object", 3, 1, 2, 5, 7)]))
+        ev.write_results_jsonl(report, path)
+        assert path.read_text() == ('{"direction": "object", "object": 2, "rank": 7, '
+                                    '"relation": 1, "subject": 3, "time": 5}\n')
+        loaded = ev.read_results_jsonl(path)
+        assert "tpf" not in loaded.dtype.names
+        assert np.array_equal(loaded, report.results)
+
+    def test_partial_frequencies_are_rejected(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        ev.write_results_jsonl(self.make_report(), path)
+        first, second = path.read_text().splitlines()
+        path.write_text(first + "\n" + second.split(', "tpf"')[0] + "}\n")
+        with pytest.raises(ValueError, match="1 of 2 results carry pattern frequencies"):
+            ev.read_results_jsonl(path)
 
     def test_bins_csv_columns(self, tmp_path):
         rows = ev.tpf_binned_analysis(self.make_report().results)

@@ -21,7 +21,7 @@ from tempkg.temporal import decay_column
 
 from gradcheck import scaled_error
 from test_decoder import direction_rows_per_row
-from test_temporal import encode_sa_per_step
+from test_temporal import chain_blend, encode_sa_per_step
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +371,36 @@ class TestSelfAttentionContext:
             vanishing = np.max(np.abs(want)) <= 1e-12
             err = np.max(np.abs(got - want)) if vanishing else scaled_error(got, want)
             assert err <= 1e-12, name
+
+
+class TestGruContext:
+    @pytest.mark.parametrize("imputation", [False, True])
+    @pytest.mark.parametrize("bidirectional, t", [(False, 0), (False, 6), (True, 3),
+                                                  (True, 6)])
+    def test_matches_blend_oracle(self, sparse_dataset, monkeypatch, bidirectional, t,
+                                  imputation):
+        ds = sparse_dataset
+        cfg = ModelConfig(variant="temp-gru", decoder="distmult", dim=6, layers=1,
+                          window=4 if bidirectional else 3, bidirectional=bidirectional,
+                          imputation=imputation)
+        params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 5)
+        params["decay.z.lam"] = np.array([[0.3]])
+        model = TempModel(cfg, ds, params)
+        window, target_pos = model.window_triples(t)
+        weights = np.random.default_rng(6).normal(size=(2, ds.entity_count, cfg.dim))
+        results = []
+        for chain in (temporal._chain, chain_blend):
+            monkeypatch.setattr(temporal, "_chain", chain)
+            tape = Tape()
+            leaves = leaves_on_tape(tape, params)
+            ctx = model.encode_context(leaves, t, window, target_pos)
+            loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
+                          ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
+            results.append((ctx.z.data, grads_by_name(tape, leaves, loss, params)))
+        (z, grads), (want_z, want_grads) = results
+        assert scaled_error(z, want_z) <= 1e-12
+        for name in params:
+            assert scaled_error(grads[name], want_grads[name]) <= 1e-12, name
 
 
 class TestCheckpointRoundTrip:

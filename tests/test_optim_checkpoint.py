@@ -1,11 +1,12 @@
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from tempkg import _kernels
-from tempkg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from tempkg.checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from tempkg.optim import AdamState
 
 
@@ -111,6 +112,49 @@ class TestKernels:
         np.testing.assert_allclose(m, m_new, rtol=1e-14)
         np.testing.assert_allclose(v, v_new, rtol=1e-14)
         np.testing.assert_allclose(p, p_new, rtol=1e-14)
+
+
+class HalfWriter:
+    """A file that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError("no space left")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("write", [
+        lambda path: save_checkpoint(path, {"w": np.arange(64.0)}),
+        lambda path: atomic_write(path, "new text\n" * 50),
+    ], ids=["checkpoint", "text"])
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch,
+                                                            write):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: HalfWriter(fdopen(fd, mode)))
+        with pytest.raises(OSError, match="no space left"):
+            write(path)
+        assert path.read_bytes() == b"old contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    def test_text_is_written_as_utf8_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write(path, "a,b\n\u00e9\n")
+        assert path.read_bytes() == b"a,b\n\xc3\xa9\n"
+        atomic_write(path, b"\x00\x01")
+        assert path.read_bytes() == b"\x00\x01"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 class TestCheckpoint:

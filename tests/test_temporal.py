@@ -79,6 +79,25 @@ def encode_sa_per_step(x_steps, active, target_pos, params, *, heads, kv=None):
     return ad.reshape(z, (n, dim))
 
 
+def chain_blend(x_steps, active, positions, target_pos, params, prefix, lam, b, dim, n):
+    """Oracle for temporal._chain: each active step's cell output is blended
+    in as h_new·m + h·(1 − m) with a 0/1 activity column m."""
+    h = constant(np.zeros((n, dim)))
+    last_seen = np.full(n, -1, dtype=np.int64)
+    pos_rank = {p: i for i, p in enumerate(positions)}
+    for pos in positions:
+        act = active[pos]
+        if not act.any():
+            continue
+        zhat = temporal._decayed_hidden(h, last_seen, pos_rank[pos], lam, b)
+        h_new = temporal.gru_cell(x_steps[pos], zhat, params, prefix)
+        m = constant(act.astype(np.float64)[:, None])
+        h = ad.add(ad.mul(h_new, m), ad.mul(h, ad.sub(constant(1.0), m)))
+        last_seen[act] = pos_rank[pos]
+    zhat = temporal._decayed_hidden(h, last_seen, len(positions), lam, b)
+    return temporal.gru_cell(x_steps[target_pos], zhat, params, prefix)
+
+
 def decay_param_arrays(lam=0.0, b=0.0):
     return {"decay.z.lam": np.array([[lam]]), "decay.z.b": np.array([[b]])}
 
@@ -196,6 +215,47 @@ class TestEncodeGru:
         h[[0, 2]] = z0[[0, 2]]
         expect = gru_ref(xs[1], h, arrays, "gru.f")
         np.testing.assert_allclose(out, expect, atol=1e-12)
+
+
+class TestChainRowPick:
+    """The recurrence picks each active step's rows against the blend oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_matches_blend_oracle_with_gradients(self, monkeypatch, bidirectional, seed):
+        rng = np.random.default_rng(seed)
+        n, dim, width = 6, 3, 5
+        target = 2 if bidirectional else width - 1
+        arrays = gru_param_arrays(dim, rng, "gru.f")
+        arrays.update(gru_param_arrays(dim, rng, "gru.b"))
+        arrays.update(decay_param_arrays(0.4, -0.1))
+        xs = [rng.normal(size=(n, dim)) for _ in range(width)]
+        # entity 0 is never active, step 1 is empty, the rest at random
+        active = [rng.random(n) < 0.5 for _ in range(width)]
+        active[1][:] = False
+        for row in active:
+            row[0] = False
+        weights = rng.normal(size=(n, dim))
+        results = []
+        for chain in (temporal._chain, chain_blend):
+            monkeypatch.setattr(temporal, "_chain", chain)
+            tape = Tape()
+            params = {name: tape.leaf(a) for name, a in arrays.items()}
+            x_leaves = [tape.leaf(x) for x in xs]
+            z = temporal.encode_gru(x_leaves, active, target, params,
+                                    bidirectional=bidirectional)
+            grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
+            named = {name: grads.get(leaf.node_id) for name, leaf in params.items()}
+            named.update({f"x{p}": grads.get(leaf.node_id) for p, leaf in enumerate(x_leaves)})
+            results.append((z.data, named))
+        (got_z, got), (want_z, want) = results
+        assert scaled_error(got_z, want_z) <= 1e-12
+        assert got.keys() == want.keys()
+        for name in want:
+            if want[name] is None or got[name] is None:
+                assert got[name] is None and want[name] is None, name
+            else:
+                assert scaled_error(got[name], want[name]) <= 1e-12, name
 
 
 class TestEncodeSa:

@@ -253,6 +253,20 @@ split = test
                         "--out", str(out_dir)]) == 0
         assert (out_dir / "bins.csv").read_text().splitlines()[0].startswith("pattern_kind")
 
+    def test_analyze_rejects_results_with_frequencies_on_some_lines(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "min.cfg", "[train]\nseed = 1\n")
+        query = {"direction": "object", "object": 1, "rank": 2, "relation": 0,
+                 "subject": 0, "time": 0}
+        tpf = dict.fromkeys(("s", "o", "r", "sr", "ro", "so", "sro"), 1)
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(json.dumps({**query, "tpf": tpf}) + "\n" + json.dumps(query) + "\n")
+        out_dir = tmp_path / "an"
+        assert run_cli(["analyze", "--config", cfg, "--results", str(mixed),
+                        "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ValueError: ") and "1 of 2 results" in err
+        assert not (out_dir / "bins.csv").exists()
+
     def test_errors_exit_nonzero_with_single_line(self, tmp_path, capsys):
         bad = write_config(tmp_path / "bad.cfg", "[model]\nwidth = 3\n")
         assert run_cli(["stats", "--config", bad, "--out", str(tmp_path)]) == 1
