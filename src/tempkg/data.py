@@ -8,7 +8,8 @@ On-disk layout: a directory with ``train.txt`` / ``valid.txt`` / ``test.txt``,
 one fact per line, four whitespace-separated fields
 ``subject relation object time``. Fields may be names if ``entity2id.txt`` /
 ``relation2id.txt`` (``name<TAB>id``) are present, else names are indexed by
-first appearance. An optional ``stat.txt`` declares vocabulary sizes.
+first appearance and may not share a vocabulary with integer ids. An optional
+``stat.txt`` declares vocabulary sizes.
 """
 
 from __future__ import annotations
@@ -209,20 +210,39 @@ def _read_stat(path) -> tuple[int, int, int | None, int | None]:
 
 
 class _Vocab:
-    """Name-to-index map built from files when present, else by first appearance."""
+    """Name-to-index map built from files when present, else by first appearance.
+    Without a map, integer tokens are ids and names are indexed, so a
+    vocabulary may hold one kind of token but not both."""
 
-    def __init__(self, fixed: dict[str, int] | None):
+    def __init__(self, fixed: dict[str, int] | None, fmt: str):
         self.fixed = fixed
+        self.fmt = fmt
         self.auto: dict[str, int] = {}
+        self.integers = False
 
-    def resolve(self, token: str, where: str) -> int:
+    def index(self, token: str, where: str) -> int:
+        if self.fmt != "named":
+            try:
+                value = int(token)
+            except ValueError:
+                if self.fmt == "int":
+                    raise DatasetError(f"{where}: non-integer field {token!r}") from None
+            else:
+                self.integers = True
+                self._check_unmixed(token, where)
+                return value
         if self.fixed is not None:
             if token not in self.fixed:
                 raise DatasetError(f"{where}: name {token!r} missing from id map")
             return self.fixed[token]
-        if token not in self.auto:
-            self.auto[token] = len(self.auto)
-        return self.auto[token]
+        value = self.auto.setdefault(token, len(self.auto))
+        self._check_unmixed(token, where)
+        return value
+
+    def _check_unmixed(self, token: str, where: str) -> None:
+        if self.integers and self.auto:
+            raise DatasetError(f"{where}: {token!r} mixes integer ids and names in one "
+                               "vocabulary; an id map is needed to tell them apart")
 
     def names(self) -> list[str] | None:
         source = self.fixed if self.fixed is not None else self.auto
@@ -261,26 +281,17 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
 
     ent_map_path = os.path.join(directory, "entity2id.txt")
     rel_map_path = os.path.join(directory, "relation2id.txt")
-    entities = _Vocab(_read_id_map(ent_map_path) if os.path.exists(ent_map_path) else None)
-    relations = _Vocab(_read_id_map(rel_map_path) if os.path.exists(rel_map_path) else None)
+    entities = _Vocab(_read_id_map(ent_map_path) if os.path.exists(ent_map_path) else None, fmt)
+    relations = _Vocab(_read_id_map(rel_map_path) if os.path.exists(rel_map_path) else None, fmt)
 
-    def field_index(token: str, vocab: _Vocab, where: str) -> int:
-        if fmt != "named":
-            try:
-                return int(token)
-            except ValueError:
-                if fmt == "int":
-                    raise DatasetError(f"{where}: non-integer field {token!r}") from None
-        return vocab.resolve(token, where)
-
-    raw: dict[str, list[tuple[int, int, int, object]]] = {}
-    seen_dups = 0
+    # one (n, 4) array per split; a date is held as its ordinal until all are read
+    quads: dict[str, np.ndarray] = {}
+    dates = 0
     for split in SPLIT_NAMES:
         path = os.path.join(directory, SPLIT_FILES[split])
         if not os.path.exists(path):
             raise DatasetError(f"missing dataset file: {path}")
-        quads = []
-        seen: set[tuple] = set()
+        rows = []
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
@@ -289,47 +300,41 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
                 where = f"{path}:{lineno}"
                 if len(parts) != 4:
                     raise DatasetError(f"{where}: expected 4 fields, got {len(parts)}")
-                s = field_index(parts[0], entities, where)
-                r = field_index(parts[1], relations, where)
-                o = field_index(parts[2], entities, where)
+                s = entities.index(parts[0], where)
+                r = relations.index(parts[1], where)
+                o = entities.index(parts[2], where)
                 t = _parse_time(parts[3], where)
-                key = (s, r, o, t)
-                if key in seen:
-                    seen_dups += 1
-                    continue
-                seen.add(key)
-                quads.append(key)
-        raw[split] = quads
-    if seen_dups:
-        log.warning("dropped %d duplicated quadruple(s) during load", seen_dups)
+                if isinstance(t, datetime.date):
+                    dates += 1
+                    t = t.toordinal()
+                rows.append((s, r, o, t))
+        try:
+            quads[split] = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        except OverflowError as err:
+            raise DatasetError(f"{path}: a field does not fit in int64") from err
+    facts = np.vstack(list(quads.values()))
+    # Snapshot drops repeats; a repeat is counted within a split, as read
+    distinct = sum(len(np.unique(q, axis=0)) for q in quads.values())
+    if distinct < len(facts):
+        log.warning("dropped %d duplicated quadruple(s) during load", len(facts) - distinct)
 
     # map date-typed times to 0-based steps over the union of all splits
-    all_times = {q[3] for quads in raw.values() for q in quads}
-    if any(isinstance(t, datetime.date) for t in all_times):
-        if not all(isinstance(t, datetime.date) for t in all_times):
+    if dates:
+        if dates != len(facts):
             raise DatasetError("mixed integer and date time fields")
-        origin = min(all_times)
         divisor = {"daily": 1, "weekly": 7, "monthly": 30, "yearly": 365}.get(time_granularity)
         if divisor is None:
             raise DatasetError(f"unknown time granularity {time_granularity!r}")
-
-        def step_of(d):
-            return (d - origin).days // divisor
-
-    else:
-        def step_of(t):
-            return int(t)
-
-    converted = {split: [(s, r, o, step_of(t)) for s, r, o, t in quads]
-                 for split, quads in raw.items()}
+        origin = facts[:, 3].min()
+        for q in (facts, *quads.values()):
+            q[:, 3] = (q[:, 3] - origin) // divisor
     stat_path = os.path.join(directory, "stat.txt")
     declared = _read_stat(stat_path) if os.path.exists(stat_path) else None
 
-    max_ent = max((max(q[0], q[2]) for quads in converted.values() for q in quads), default=-1)
-    max_rel = max((q[1] for quads in converted.values() for q in quads), default=-1)
-    max_t = max((q[3] for quads in converted.values() for q in quads), default=-1)
-    min_t = min((q[3] for quads in converted.values() for q in quads), default=0)
-    if min_t < 0:
+    max_ent = int(facts[:, [0, 2]].max(initial=-1))
+    max_rel = int(facts[:, 1].max(initial=-1))
+    max_t = int(facts[:, 3].max(initial=-1))
+    if facts[:, 3].min(initial=0) < 0:
         raise DatasetError("negative time step after conversion")
 
     entity_count = max_ent + 1
@@ -346,13 +351,10 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
             if max_t >= decl_t:
                 raise DatasetError(f"time step {max_t} out of declared range {decl_t}")
             step_count = decl_t
-        if decl_total is not None:
-            total = sum(len(q) for q in converted.values())
-            if total != decl_total:
-                raise DatasetError(f"split sizes sum to {total}, stat file declares {decl_total}")
+        if decl_total is not None and distinct != decl_total:
+            raise DatasetError(f"split sizes sum to {distinct}, stat file declares {decl_total}")
 
-    splits = {split: snapshots_from_quads(quads, step_count)
-              for split, quads in converted.items()}
+    splits = {split: snapshots_from_quads(q, step_count) for split, q in quads.items()}
 
     ds = TkgDataset(entity_count, relation_count, step_count, splits,
                     entities.names(), relations.names())

@@ -5,6 +5,10 @@ The generator emits per-step fact sets where each fact is, with probability
 otherwise a fresh uniform triple. At periodicity 1 every valid/test fact is
 guaranteed a training occurrence of the same triple at an earlier step, which
 is the regime where copying answers from recent history pays off.
+
+Each step's facts are one int64 array of codes ``(s·R + r)·E + o``: copies
+are picks from the source step's array, fresh triples come in batches of the
+shortfall, and the split rule is one membership test per step.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TkgDataset, snapshots_from_quads
+from .data import SPLIT_NAMES, TkgDataset, snapshots_from_quads
 
 
 @dataclass
@@ -21,7 +25,7 @@ class SynthSpec:
     entities: int
     relations: int
     steps: int
-    density: float = 1.0          # facts per step = round(density * entities)
+    density: float = 1.0          # facts per step = max(1, round(density * entities))
     periodicity: float = 0.0      # probability a fact copies the snapshot `period` back
     period: int = 1
     valid_fraction: float = 0.1
@@ -46,69 +50,45 @@ class SynthSpec:
 
 
 def generate_synthetic(spec: SynthSpec, seed: int) -> TkgDataset:
+    e, r, steps, period = spec.entities, spec.relations, spec.steps, spec.period
+    if e * r * e >= 2 ** 63:
+        raise ValueError(f"code space {e} x {r} x {e} does not fit in int64")
     rng = np.random.default_rng(seed)
-    n = min(spec.facts_per_step(), spec.entities * spec.entities * spec.relations)
-
-    def fresh(used: set) -> tuple[int, int, int]:
-        while True:
-            tri = (int(rng.integers(spec.entities)), int(rng.integers(spec.relations)),
-                   int(rng.integers(spec.entities)))
-            if tri not in used:
-                return tri
-
-    facts: list[list[tuple[int, int, int]]] = []
-    copied_from_past: list[list[bool]] = []
-    for t in range(spec.steps):
-        step_facts: list[tuple[int, int, int]] = []
-        step_copied: list[bool] = []
-        used: set = set()
-        source = facts[t - spec.period] if t >= spec.period else []
-        # decide copy slots first so a full-copy step samples without replacement
-        n_copy = 0
-        if source:
-            n_copy = int((rng.random(n) < spec.periodicity).sum())
-            n_copy = min(n_copy, len(source))
-            picks = rng.choice(len(source), size=n_copy, replace=False)
-            for i in picks:
-                tri = source[i]
-                if tri in used:
-                    continue
-                used.add(tri)
-                step_facts.append(tri)
-                step_copied.append(True)
-        while len(step_facts) < n:
-            tri = fresh(used)
-            used.add(tri)
-            step_facts.append(tri)
-            step_copied.append(False)
-        facts.append(step_facts)
-        copied_from_past.append(step_copied)
+    n = min(spec.facts_per_step(), e * r * e)
+    codes = np.empty((steps, n), dtype=np.int64)
+    copies = np.zeros(steps, dtype=np.int64)
+    for t in range(steps):
+        step = np.empty(0, dtype=np.int64)
+        if t >= period:
+            # decide copy slots first so a full-copy step samples without replacement
+            copies[t] = np.count_nonzero(rng.random(n) < spec.periodicity)
+            step = codes[t - period, rng.choice(n, size=int(copies[t]), replace=False)]
+        while len(step) < n:
+            # one draw of exactly the shortfall, in the order the loop drew triples
+            # one at a time: the first unseen candidates are the ones it accepted
+            s, rel, o = rng.integers(0, np.tile([e, r, e], n - len(step))).reshape(-1, 3).T
+            drawn = (s * r + rel) * e + o
+            first = np.sort(np.unique(drawn, return_index=True)[1])
+            step = np.concatenate((step, drawn[first[~np.isin(drawn[first], step)]]))
+        codes[t] = step
 
     # Split assignment. Early steps (before one period has elapsed) are train
-    # only; afterwards each fact draws a split, but a fact may leave train only
-    # if its source triple `period` steps back is itself in train, so at full
-    # periodicity every held-out fact recurs verbatim in training history.
-    train_at: list[set] = [set() for _ in range(spec.steps)]
-    split_of: dict[str, list[tuple[int, int, int, int]]] = {"train": [], "valid": [], "test": []}
+    # only; afterwards each fact draws a split, but a copied fact may leave train
+    # only if its triple is in train `period` steps back, so at full periodicity
+    # every held-out fact recurs verbatim in training history.
+    u = rng.random(steps * n).reshape(steps, n)
     p_valid, p_test = spec.valid_fraction, spec.test_fraction
-    for t in range(spec.steps):
-        for tri, copied in zip(facts[t], copied_from_past[t]):
-            u = rng.random()
-            if u < p_valid:
-                split = "valid"
-            elif u < p_valid + p_test:
-                split = "test"
-            else:
-                split = "train"
-            if t < spec.period:
-                split = "train"
-            elif split != "train" and copied and tri not in train_at[t - spec.period]:
-                split = "train"
-            if split == "train":
-                train_at[t].add(tri)
-            split_of[split].append((*tri, t))
+    split = np.select([u < p_valid, u < p_valid + p_test], [1, 2], 0)  # SPLIT_NAMES order
+    split[:period] = 0
+    copied = np.arange(n) < copies[:, None]
+    for t in range(period, steps):
+        source_train = codes[t - period, split[t - period] == 0]
+        split[t, copied[t] & ~np.isin(codes[t], source_train)] = 0
 
-    splits = {name: snapshots_from_quads(quads, spec.steps) for name, quads in split_of.items()}
-    ds = TkgDataset(spec.entities, spec.relations, spec.steps, splits)
+    quads = np.stack([codes // (r * e), codes // e % r, codes % e,
+                      np.broadcast_to(np.arange(steps)[:, None], codes.shape)], axis=-1)
+    splits = {name: snapshots_from_quads(quads[split == i], steps)
+              for i, name in enumerate(SPLIT_NAMES)}
+    ds = TkgDataset(e, r, steps, splits)
     ds.validate()
     return ds

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -43,7 +42,6 @@ class EpochRecord:
     best_val_mrr: float
     improved: bool
     stopped: bool
-    wall_time: float = 0.0  # informational only; excluded from serialized logs
 
     def to_json(self) -> str:
         return json.dumps({"epoch": self.epoch, "train_loss": round(self.train_loss, 10),
@@ -101,10 +99,7 @@ def _validation_mrr(model: TempModel, dataset: TkgDataset, filter_index,
     quads = dataset.quadruples("valid")
     if len(quads) == 0:
         return 0.0
-    if len(quads) > cap:
-        rng = _substream(seed, "val-subsample")
-        picks = np.sort(rng.choice(len(quads), size=cap, replace=False))
-        quads = quads[picks]
+    quads = _subsample(quads, cap, _substream(seed, "val-subsample"))
     report = ev.rank_snapshots(dataset.entity_count, quads,
                                model.snapshot_scorer(tpf), filter_index)
     return report.mrr
@@ -139,7 +134,6 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
     ckpt_path = os.path.join(out_dir, "best.ckpt")
 
     for epoch in range(epochs):
-        t0 = time.perf_counter()
         epoch_loss = 0.0
         for batch in _batches(target_steps, tcfg.batch_snapshots,
                               _substream(seed, "order", epoch)):
@@ -179,8 +173,7 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
         else:
             stale += 1
         stopped = stale > tcfg.patience
-        record = EpochRecord(epoch, epoch_loss, val_mrr, best["mrr"], improved,
-                             stopped, wall_time=time.perf_counter() - t0)
+        record = EpochRecord(epoch, epoch_loss, val_mrr, best["mrr"], improved, stopped)
         logbook.records.append(record)
         log.info("epoch %d loss %.4f val_mrr %.4f%s", epoch, epoch_loss, val_mrr,
                  " *" if improved else "")

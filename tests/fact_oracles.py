@@ -7,7 +7,9 @@ the package did before every index became one ``data.GroupedCodes``.
 at a time, ``per_positive_sample_negatives`` draws one positive's negatives,
 and ``frequency_bin`` with ``per_query_binned_analysis`` bins one query at a
 time, the way the package did before it worked a snapshot or a record array
-at a time.
+at a time. ``loop_generate_synthetic`` builds a corpus one fact at a time from
+tuple sets, the way the package did before it kept each step as an array of
+fact codes.
 """
 
 import math
@@ -15,6 +17,7 @@ from collections import Counter
 
 import numpy as np
 
+from tempkg.data import TkgDataset, snapshots_from_quads
 from tempkg.evaluation import (REFERENCE_PAIRINGS, REPLICATION_PAIRINGS, RankingReport,
                                query_records, rank_query)
 from tempkg.heterogeneity import PATTERN_KINDS
@@ -240,3 +243,64 @@ def counter_cross_split_repeats(dataset):
     count = Counter(quad for split in dataset.splits
                     for quad in map(tuple, dataset.quadruples(split).tolist()))
     return sum(1 for n in count.values() if n > 1)
+
+
+def loop_generate_synthetic(spec, seed):
+    rng = np.random.default_rng(seed)
+    n = min(spec.facts_per_step(), spec.entities * spec.entities * spec.relations)
+
+    def fresh(used):
+        while True:
+            tri = (int(rng.integers(spec.entities)), int(rng.integers(spec.relations)),
+                   int(rng.integers(spec.entities)))
+            if tri not in used:
+                return tri
+
+    facts, copied_from_past = [], []
+    for t in range(spec.steps):
+        step_facts, step_copied, used = [], [], set()
+        source = facts[t - spec.period] if t >= spec.period else []
+        # decide copy slots first so a full-copy step samples without replacement
+        if source:
+            n_copy = int((rng.random(n) < spec.periodicity).sum())
+            n_copy = min(n_copy, len(source))
+            picks = rng.choice(len(source), size=n_copy, replace=False)
+            for i in picks:
+                tri = source[i]
+                if tri in used:
+                    continue
+                used.add(tri)
+                step_facts.append(tri)
+                step_copied.append(True)
+        while len(step_facts) < n:
+            tri = fresh(used)
+            used.add(tri)
+            step_facts.append(tri)
+            step_copied.append(False)
+        facts.append(step_facts)
+        copied_from_past.append(step_copied)
+
+    train_at = [set() for _ in range(spec.steps)]
+    split_of = {"train": [], "valid": [], "test": []}
+    p_valid, p_test = spec.valid_fraction, spec.test_fraction
+    for t in range(spec.steps):
+        for tri, copied in zip(facts[t], copied_from_past[t]):
+            u = rng.random()
+            if u < p_valid:
+                split = "valid"
+            elif u < p_valid + p_test:
+                split = "test"
+            else:
+                split = "train"
+            if t < spec.period:
+                split = "train"
+            elif split != "train" and copied and tri not in train_at[t - spec.period]:
+                split = "train"
+            if split == "train":
+                train_at[t].add(tri)
+            split_of[split].append((*tri, t))
+
+    splits = {name: snapshots_from_quads(quads, spec.steps) for name, quads in split_of.items()}
+    ds = TkgDataset(spec.entities, spec.relations, spec.steps, splits)
+    ds.validate()
+    return ds

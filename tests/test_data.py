@@ -62,6 +62,18 @@ class TestLoader:
         assert ds.entity_names == ["alice", "bob"]
         assert ds.relation_names == ["likes"]
 
+    def test_mixed_integer_and_name_entities_rejected(self, tmp_path):
+        make_dir(tmp_path, ["a 0 1 0", "0 0 b 1"])
+        with pytest.raises(DatasetError) as err:
+            load_dataset(tmp_path)
+        assert "train.txt:1" in str(err.value)
+
+    def test_mixed_integer_and_name_relations_rejected(self, tmp_path):
+        make_dir(tmp_path, ["0 0 1 0"], valid=["1 likes 0 1"])
+        with pytest.raises(DatasetError) as err:
+            load_dataset(tmp_path)
+        assert "valid.txt:1" in str(err.value)
+
     def test_named_entities_with_id_maps(self, tmp_path):
         make_dir(tmp_path, ["alice likes bob 0"])
         (tmp_path / "entity2id.txt").write_text("alice\t5\nbob\t2\n")

@@ -1,12 +1,58 @@
 import numpy as np
 import pytest
 
+from tempkg.cli import main
 from tempkg.data import write_dataset
 from tempkg.synth import SynthSpec, generate_synthetic
+
+from fact_oracles import loop_generate_synthetic
+
+DATASET_FILES = ("train.txt", "valid.txt", "test.txt", "stat.txt")
+ORACLE_SPECS = {
+    # the corpora of the train-gru, eval-sa and ted-icews benchmark workloads
+    "train-gru": SynthSpec(200, 20, 24, density=1.0, periodicity=0.5, period=3),
+    "eval-sa": SynthSpec(1000, 50, 30, density=0.5, periodicity=0.5, period=3),
+    "ted-icews": SynthSpec(7128, 230, 365, density=0.035, periodicity=0.5, period=7),
+    "periodicity-1": SynthSpec(20, 4, 10, periodicity=1.0, period=2),
+    "period-1": SynthSpec(12, 3, 9, density=0.8, periodicity=0.4, period=1),
+    "steps-below-period": SynthSpec(12, 3, 4, density=0.8, periodicity=0.6, period=6),
+    "all-held-out": SynthSpec(15, 2, 8, periodicity=0.5, period=2,
+                              valid_fraction=0.6, test_fraction=0.4),
+    # 9 of the 3·1·3 possible triples per step: fresh draws collide often
+    "near-full-vocabulary": SynthSpec(3, 1, 6, density=3.0, periodicity=0.5, period=1),
+}
 
 
 def quads_set(ds, split):
     return set(map(tuple, ds.quadruples(split).tolist()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(ORACLE_SPECS))
+def test_matches_loop_oracle(name, seed):
+    want = loop_generate_synthetic(ORACLE_SPECS[name], seed)
+    got = generate_synthetic(ORACLE_SPECS[name], seed)
+    assert list(got.splits) == list(want.splits)
+    for split, snaps in want.splits.items():
+        assert got.splits[split] == snaps
+
+
+def test_cli_writes_the_loop_oracle_files(tmp_path):
+    (tmp_path / "synth.cfg").write_text(
+        "[synth]\nentities = 30\nrelations = 4\nsteps = 12\ndensity = 0.7\n"
+        "periodicity = 0.5\nperiod = 2\n[train]\nseed = 5\n")
+    assert main(["synth", "--config", str(tmp_path / "synth.cfg"),
+                 "--out", str(tmp_path / "cli")]) == 0
+    spec = SynthSpec(30, 4, 12, density=0.7, periodicity=0.5, period=2)
+    write_dataset(loop_generate_synthetic(spec, 5), tmp_path / "oracle")
+    for name in DATASET_FILES:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+
+
+@pytest.mark.parametrize("entities,relations", [(2 ** 32, 1), (2 ** 31, 2)])
+def test_overflowing_code_space_raises(entities, relations):
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        generate_synthetic(SynthSpec(entities, relations, steps=1, density=0.0), seed=0)
 
 
 class TestGenerator:
@@ -18,7 +64,7 @@ class TestGenerator:
             assert quads_set(a, split) == quads_set(b, split)
         write_dataset(a, tmp_path / "a")
         write_dataset(b, tmp_path / "b")
-        for name in ("train.txt", "valid.txt", "test.txt", "stat.txt"):
+        for name in DATASET_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_zero_entities_or_steps_rejected(self):
