@@ -60,29 +60,6 @@ class Tensor:
         where = "tape" if self.tape is not None else "const"
         return f"Tensor(shape={self.data.shape}, {where})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(constant(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def constant(value) -> Tensor:
     """Wrap an array-like as an off-tape tensor."""
@@ -118,18 +95,30 @@ class Tape:
         self._leaf_ids.append(nid)
         return Tensor(arr, self, nid)
 
-    def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
+    def backward(self, loss: Tensor,
+                 start: dict[int, np.ndarray] | None = None) -> dict[int, np.ndarray]:
         """Gradients of a scalar loss with respect to every reached leaf.
 
         Returns a map from leaf node id to gradient array; leaves the loss
-        does not depend on are absent.
+        does not depend on are absent. ``start`` maps leaf ids to gradients
+        that earlier tapes left: each is the leaf's gradient before this
+        pass, the loss's contributions are added onto it, and it is returned
+        even when the loss does not reach its leaf. A leaf missing from
+        ``start`` is not seeded at all, so its first contribution is kept
+        as it is, a -0.0 included.
         """
         if loss.tape is not self:
             raise ValueError("loss does not live on this tape")
         if loss.data.shape != ():
             raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
+        leaf_set = set(self._leaf_ids)
+        start = start or {}
+        if not leaf_set.issuperset(start):
+            raise ValueError("start gradients given for nodes that are not leaves")
         grads: list[np.ndarray | None] = [None] * len(self._parents)
         grads[loss.node_id] = np.ones((), dtype=np.float64)
+        for nid, g in start.items():    # a leaf loss adds its start gradient to 1
+            grads[nid] = g if grads[nid] is None else grads[nid] + g
         for nid in range(loss.node_id, -1, -1):
             g = grads[nid]
             if g is None:
@@ -146,8 +135,7 @@ class Tape:
                 else:
                     grads[pid] = grads[pid] + pg
             grads[nid] = None  # free interior gradients as we go
-        leaf_set = set(self._leaf_ids)
-        return {nid: g for nid, g in enumerate(grads) if g is not None and nid in leaf_set}
+        return {nid: grads[nid] for nid in self._leaf_ids if grads[nid] is not None}
 
 
 def _as_tensor(x) -> Tensor:
@@ -399,30 +387,38 @@ def gather_rows(a, index) -> Tensor:
     return _result(out, (a,), back)
 
 
-def gathered_dots(qv, table, ids) -> Tensor:
+def gathered_dots(qv, table, ids=None) -> Tensor:
     """out[i, j] = qv[i] . table[ids[i, j]] for (m, d) ``qv``, (E, d) ``table``
-    and (m, k) ``ids``.
+    and (m, k) ``ids``; without ``ids``, out = qv @ table.T, every row's
+    score against every table row.
 
     One (m, d) @ (d, E) product scores every row, and the picked entries are
     read from it; no (m * k, d) copy of the gathered rows is made. Backward
     builds the dense (m, E) gradient G with repeated ids added up, then gives
-    G @ table to ``qv`` and G.T @ qv to ``table``.
+    G @ table to ``qv`` and G.T @ qv to ``table``; without ``ids`` G is the
+    output gradient itself.
     """
     qv, table = _as_tensor(qv), _as_tensor(table)
-    ids = np.asarray(ids, dtype=np.int64)
+    if ids is not None:
+        ids = np.asarray(ids, dtype=np.int64)
     if (qv.data.ndim != 2 or table.data.ndim != 2 or qv.shape[1] != table.shape[1]
-            or ids.ndim != 2 or ids.shape[0] != qv.shape[0]):
+            or ids is not None and (ids.ndim != 2 or ids.shape[0] != qv.shape[0])):
         raise ShapeError(f"gathered_dots: incompatible shapes {qv.shape}, "
-                         f"{table.shape} and ids {ids.shape}")
+                         f"{table.shape} and ids {None if ids is None else ids.shape}")
     m, e = qv.shape[0], table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= e):
+    if ids is not None and ids.size and (ids.min() < 0 or ids.max() >= e):
         raise ShapeError("gathered_dots: index out of range")
     qd, td = qv.data, table.data
-    out = np.take_along_axis(qd @ td.T, ids, axis=1)
+    out = qd @ td.T
+    if ids is not None:
+        out = np.take_along_axis(out, ids, axis=1)
 
     def back(g):
-        flat = (np.arange(m, dtype=np.int64)[:, None] * e + ids).ravel()
-        dense = np.bincount(flat, weights=g.ravel(), minlength=m * e).reshape(m, e)
+        if ids is None:
+            dense = g
+        else:
+            flat = (np.arange(m, dtype=np.int64)[:, None] * e + ids).ravel()
+            dense = np.bincount(flat, weights=g.ravel(), minlength=m * e).reshape(m, e)
         return dense @ td, dense.T @ qd
 
     return _result(out, (qv, table), back)

@@ -211,8 +211,10 @@ def _read_stat(path) -> tuple[int, int, int | None, int | None]:
 
 class _Vocab:
     """Name-to-index map built from files when present, else by first appearance.
-    Without a map, integer tokens are ids and names are indexed, so a
-    vocabulary may hold one kind of token but not both."""
+    A name in the map is looked up there before any integer reading, so a
+    map may name entities with numerals. Otherwise integer tokens are ids and
+    names are indexed, so a vocabulary without a map may hold one kind of
+    token but not both."""
 
     def __init__(self, fixed: dict[str, int] | None, fmt: str):
         self.fixed = fixed
@@ -221,6 +223,8 @@ class _Vocab:
         self.integers = False
 
     def index(self, token: str, where: str) -> int:
+        if self.fmt != "int" and self.fixed is not None and token in self.fixed:
+            return self.fixed[token]
         if self.fmt != "named":
             try:
                 value = int(token)
@@ -232,9 +236,7 @@ class _Vocab:
                 self._check_unmixed(token, where)
                 return value
         if self.fixed is not None:
-            if token not in self.fixed:
-                raise DatasetError(f"{where}: name {token!r} missing from id map")
-            return self.fixed[token]
+            raise DatasetError(f"{where}: name {token!r} missing from id map")
         value = self.auto.setdefault(token, len(self.auto))
         self._check_unmixed(token, where)
         return value

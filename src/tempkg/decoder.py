@@ -16,7 +16,7 @@ the total loss.
 
 from __future__ import annotations
 
-import logging
+from collections import Counter
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from . import autodiff as ad
 from .autodiff import Tensor, constant
 from .data import TrueTripleIndex
 from .heterogeneity import blend as blend_rows
-
-log = logging.getLogger("tempkg")
 
 DECODERS = ("transe", "distmult", "complex")
 
@@ -63,22 +61,24 @@ def query_vectors(fixed: Tensor, r: Tensor, decoder: str, direction: str) -> Ten
     return ad.concat([re, im], axis=1)
 
 
-def score_rows(fixed: Tensor, r: Tensor, table: Tensor, ids: np.ndarray,
+def score_rows(fixed: Tensor, r: Tensor, table: Tensor, ids: np.ndarray | None,
                decoder: str, direction: str, blend=None) -> Tensor:
     """Scores of m queries against their own candidates, as (m, k).
 
-    Query i scores the candidates ``table[ids[i]]``; ``fixed``, ``r`` and
-    ``direction`` are as in ``query_vectors``. With ``blend = (alpha, other)``
-    query i scores the candidates alpha[i] * table + (1 - alpha[i]) * other,
-    alpha being (m, 1). On-tape inputs give training scores; constants and
-    ``ids = np.broadcast_to(np.arange(E), (m, E))`` rank every entity.
-    DistMult and ComplEx score through one query vector per query and
-    ``gathered_dots``, so no per-candidate row is built; TransE builds its
-    per-candidate L1 rows in blocks of queries.
+    Query i scores the candidates ``table[ids[i]]``, or every row of
+    ``table`` when ``ids`` is None; ``fixed``, ``r`` and ``direction`` are as
+    in ``query_vectors``. With ``blend = (alpha, other)`` query i scores the
+    candidates alpha[i] * table + (1 - alpha[i]) * other, alpha being
+    (m, 1). On-tape inputs give training scores; constants and no ``ids``
+    rank every entity. DistMult and ComplEx score through one query vector
+    per query and ``gathered_dots``, so no per-candidate row is built;
+    TransE builds its per-candidate L1 rows in blocks of queries.
     """
-    ids = np.asarray(ids, dtype=np.int64)
     if decoder == "transe":
-        return _transe_rows(fixed, r, table, ids, direction, blend)
+        if ids is None:
+            ids = np.broadcast_to(np.arange(table.shape[0]), (fixed.shape[0], table.shape[0]))
+        return _transe_rows(fixed, r, table, np.asarray(ids, dtype=np.int64), direction,
+                            blend)
     qv = query_vectors(fixed, r, decoder, direction)
     if blend is None:
         return ad.gathered_dots(qv, table, ids)
@@ -117,12 +117,14 @@ def _transe_rows(fixed, r, table, ids, direction, blend) -> Tensor:
 
 def sample_negatives(triples: np.ndarray, t: int, index: TrueTripleIndex, k: int,
                      rng: np.random.Generator, entity_count: int,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     tally: Counter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """k uniform corruptions per slot of each (s, r, o) row of ``triples``,
     rejecting known-true completions at t: the (m, k) object and subject
     negatives. Draws run row by row, objects before subjects. A query with
     fewer than k valid corruptions draws with replacement, one with none draws
-    among every entity but its answer; each direction warns once with counts.
+    among every entity but its answer. ``tally`` counts, over both
+    directions, the ``queries``, the ``full`` ones with no valid corruption
+    and the ``short`` ones with fewer than k, for the caller to summarise.
     """
     if k < 1:
         raise ValueError("negative count must be at least 1")
@@ -137,11 +139,9 @@ def sample_negatives(triples: np.ndarray, t: int, index: TrueTripleIndex, k: int
         counts = np.bincount(row, minlength=m)
         full = counts == entity_count
         short = ~full & (entity_count - counts < k)
-        if (full | short).any():
-            log.warning("%s corruptions at step %d: %d of %d queries have no valid "
-                        "corruption and sample among known-true entities; %d have "
-                        "fewer than %d and sample with replacement", direction, t,
-                        np.count_nonzero(full), m, np.count_nonzero(short), k)
+        if tally is not None:
+            tally.update(queries=m, full=np.count_nonzero(full),
+                         short=np.count_nonzero(short))
         # a full true set holds the answer, so keeping that one id leaves [answer]
         keep = ~full[row] | (ids == answers[row])
         rows.append(row[keep] + d * m)

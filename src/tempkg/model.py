@@ -289,8 +289,10 @@ class TempModel:
         return tuple(het.gate_alpha(rows, leaves, gate) for gate in gates)
 
     def _direction_scores(self, leaves, ctx: WindowContext, freqs, triples: np.ndarray,
-                          r_emb: Tensor, direction: str, cand_ids: np.ndarray) -> Tensor:
-        """Scores of each query of ``triples`` against its row of ``cand_ids``.
+                          r_emb: Tensor, direction: str,
+                          cand_ids: np.ndarray | None) -> Tensor:
+        """Scores of each query of ``triples`` against its row of ``cand_ids``,
+        or against every entity when ``cand_ids`` is None.
 
         Given the snapshot's pattern counts ``freqs`` the fixed rows and the
         candidates are the gated blends alpha * ctx.x + (1 - alpha) * ctx.z;
@@ -354,16 +356,14 @@ class TempModel:
         """
         cache: dict[int, StepRecord] = {}
         leaves = {name: constant(arr) for name, arr in self.params.items()}
-        every = np.arange(self.dataset.entity_count)
         gated = self.config.gating and tpf is not None
 
         def scorer(t: int, triples: np.ndarray):
             ctx = self.eval_context(t, cache, leaves)
             r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
-            cand_ids = np.broadcast_to(every, (len(triples), len(every)))
             freqs = tpf.frequencies(triples, t) if gated else None
             return tuple(self._direction_scores(leaves, ctx, freqs, triples, r_emb,
-                                                direction, cand_ids).data
+                                                direction, None).data
                          for direction in ("object", "subject"))
 
         return scorer
@@ -374,8 +374,17 @@ def leaves_on_tape(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Tenso
 
 
 def grads_by_name(tape: Tape, leaves: dict[str, Tensor], loss: Tensor,
-                  params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Backward pass keyed by parameter name; unreached leaves get zeros."""
-    raw = tape.backward(loss)
-    return {name: raw.get(leaf.node_id, np.zeros_like(params[name]))
-            for name, leaf in leaves.items()}
+                  params: dict[str, np.ndarray],
+                  running: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Backward pass keyed by parameter name; unreached leaves get zeros.
+
+    ``running`` carries gradients from tape to tape, by name: the pass starts
+    each leaf from its entry, and every leaf it reaches is written back to
+    it. It only ever holds reached leaves, never a zero fill.
+    """
+    running = {} if running is None else running
+    raw = tape.backward(loss, {leaves[name].node_id: g for name, g in running.items()})
+    running.update((name, raw[leaf.node_id]) for name, leaf in leaves.items()
+                   if leaf.node_id in raw)
+    return {name: running[name] if name in running else np.zeros(params[name].shape)
+            for name in leaves}

@@ -1,10 +1,12 @@
 """Mini-batch training loop with early stopping on validation MRR.
 
 A batch covers a run of consecutive target snapshots; each target gets its
-own dropout-thinned context window and negative draws, losses from both query
-directions accumulate on one tape, and a single optimizer step follows. All
-randomness flows from named substreams of the run seed, so a (config, seed)
-pair fully determines the log, the checkpoint, and every report.
+own dropout-thinned context window and negative draws, and runs forward and
+backward on its own tape, so a batch holds one target's graph at a time. The
+targets' gradients add up across their tapes and a single optimizer step
+follows. All randomness flows from named substreams of the run seed, so a
+(config, seed) pair fully determines the log, the checkpoint, and every
+report.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import logging
 import os
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +23,9 @@ import numpy as np
 from . import decoder as dec
 from . import evaluation as ev
 from . import heterogeneity as het
-from .autodiff import Tape
+from .autodiff import Tape, Tensor
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
-from .config import RunConfig
+from .config import RunConfig, TrainConfig
 from .data import TkgDataset, TrueTripleIndex, build_true_index
 from .model import TempModel, grads_by_name, init_params, leaves_on_tape
 from .optim import AdamState
@@ -105,6 +108,62 @@ def _validation_mrr(model: TempModel, dataset: TkgDataset, filter_index,
     return report.mrr
 
 
+@dataclass
+class _Trainer:
+    """A batch's loss and gradients, one target and one tape at a time, from
+    what a target's loss reads besides the parameters."""
+    model: TempModel
+    config: TrainConfig
+    negative_index: TrueTripleIndex
+    tpf: het.TpfTable | None
+    shortfall: Counter = field(default_factory=Counter)  # sample_negatives tally
+
+    def target_loss(self, leaves: dict[str, Tensor], t: int, epoch: int) -> Tensor:
+        """Loss of target step ``t`` on the tape of ``leaves``: its thinned
+        window, capped positives and negatives, each drawn from a substream
+        keyed by (epoch, t), so no other target's draws move them."""
+        model, tcfg, seed = self.model, self.config, self.config.seed
+        window, target_pos = model.window_triples(
+            t, rng=_substream(seed, "dropout", epoch, t))
+        ctx = model.encode_context(leaves, t, window, target_pos)
+        positives = _subsample(model.dataset.splits["train"][t].triples,
+                               tcfg.snapshot_cap, _substream(seed, "cap", epoch, t))
+        negatives = dec.sample_negatives(positives, t, self.negative_index, tcfg.negatives,
+                                         _substream(seed, "negatives", epoch, t),
+                                         model.dataset.entity_count, self.shortfall)
+        return model.snapshot_loss(leaves, ctx, positives, negatives, self.tpf)
+
+    def target_gradients(self, t: int, epoch: int, running: dict[str, np.ndarray],
+                         ) -> tuple[float, dict[str, np.ndarray]]:
+        """Loss value of target ``t`` on a tape of its own and every
+        parameter's gradient with its contributions added onto ``running``.
+        The tape is freed on return."""
+        tape = Tape()
+        leaves = leaves_on_tape(tape, self.model.params)
+        loss = self.target_loss(leaves, t, epoch)
+        return loss.item(), grads_by_name(tape, leaves, loss, self.model.params, running)
+
+    def batch_gradients(self, batch: list[int], epoch: int,
+                        ) -> tuple[float, dict[str, np.ndarray]]:
+        """Summed loss and parameter gradients of one batch of targets.
+
+        The targets run in reverse batch order, each backward starting from
+        the leaf gradients the previous one left. That makes every float
+        sum the same as one tape over the whole batch with loss
+        t1 + t2 + ... + tn: that tape's backward visits the nodes of tn
+        first, and the add chain hands each term a gradient of exactly 1.0.
+        The loss values are added in batch order, as that chain adds them.
+        """
+        running: dict[str, np.ndarray] = {}
+        values = {}
+        for t in reversed(batch):
+            values[t], grads = self.target_gradients(t, epoch, running)
+        total = values[batch[0]]
+        for t in batch[1:]:
+            total += values[t]
+        return total, grads
+
+
 def train(config: RunConfig, dataset: TkgDataset, out_dir,
           max_epochs: int | None = None) -> tuple[dict[str, np.ndarray], TrainingLog]:
     """Train per the config; returns best parameters and the epoch log.
@@ -121,7 +180,7 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
     model = TempModel(config.model, dataset, params)
     adam = AdamState(lr=tcfg.lr)
     tpf = tpf_table(config, dataset) if config.model.gating else None
-    negative_index = build_true_index(dataset, splits=("train",))
+    trainer = _Trainer(model, tcfg, build_true_index(dataset, splits=("train",)), tpf)
     filter_index = filter_index_for(config, dataset)
 
     target_steps = [snap.time for snap in dataset.splits["train"] if len(snap)]
@@ -135,33 +194,20 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
 
     for epoch in range(epochs):
         epoch_loss = 0.0
+        trainer.shortfall.clear()
         for batch in _batches(target_steps, tcfg.batch_snapshots,
                               _substream(seed, "order", epoch)):
-            tape = Tape()
-            leaves = leaves_on_tape(tape, params)
-            loss = None
-            for t in batch:
-                drop_rng = _substream(seed, "dropout", epoch, t)
-                window, target_pos = model.window_triples(t, rng=drop_rng)
-                ctx = model.encode_context(leaves, t, window, target_pos)
-                positives = _subsample(dataset.splits["train"][t].triples,
-                                       tcfg.snapshot_cap,
-                                       _substream(seed, "cap", epoch, t))
-                if len(positives) == 0:
-                    continue
-                negatives = dec.sample_negatives(positives, t, negative_index,
-                                                 tcfg.negatives,
-                                                 _substream(seed, "negatives", epoch, t),
-                                                 dataset.entity_count)
-                term = model.snapshot_loss(leaves, ctx, positives, negatives, tpf)
-                loss = term if loss is None else loss + term
-            if loss is None:
-                continue
-            loss_value = loss.item()
+            loss_value, grads = trainer.batch_gradients(batch, epoch)
             if not np.isfinite(loss_value):
                 raise TrainingError(f"non-finite loss {loss_value} at epoch {epoch}")
             epoch_loss += loss_value
-            adam.step(params, grads_by_name(tape, leaves, loss, params))
+            adam.step(params, grads)
+        short = trainer.shortfall
+        if short["full"] or short["short"]:
+            log.warning("epoch %d negatives: %d of %d queries have no valid corruption "
+                        "and sample among known-true entities; %d have fewer than %d "
+                        "and sample with replacement", epoch, short["full"],
+                        short["queries"], short["short"], tcfg.negatives)
 
         val_mrr = _validation_mrr(model, dataset, filter_index, tpf,
                                   tcfg.val_cap, seed)

@@ -123,8 +123,26 @@ class TestForward:
         want = np.einsum("id,ijd->ij", qv, table[ids])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
+    def test_gathered_dots_without_ids_scores_every_row(self):
+        """No ids is qv @ table.T, bit-equal to passing every row as each
+        query's candidates, and so are both gradients."""
+        rng = np.random.default_rng(48)
+        qv, table, w = rng.normal(size=(3, 4)), rng.normal(size=(6, 4)), rng.normal(size=(3, 6))
+        every = np.broadcast_to(np.arange(6), (3, 6))
+        results = []
+        for ids in (None, every):
+            tape = Tape()
+            ql, tl = tape.leaf(qv), tape.leaf(table)
+            out = ad.gathered_dots(ql, tl, ids)
+            grads = tape.backward(ad.reduce_sum(ad.mul(out, constant(w))))
+            results.append((out.data, grads[ql.node_id], grads[tl.node_id]))
+        np.testing.assert_array_equal(results[0][0], qv @ table.T)
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("qv, table, ids", [
         ((3, 4), (6, 5), np.zeros((3, 2))),    # feature widths differ
+        ((3, 4), (6, 5), None),
         ((3, 4), (6, 4), np.zeros((2, 2))),    # one id row per query
         ((3, 4), (6, 4), np.zeros(3)),         # ids are 2-d
         ((3, 4), (6, 4), np.full((3, 2), 6)),  # out of range
@@ -166,6 +184,38 @@ class TestBackward:
         g = tape.backward(loss)[x.node_id]
         assert g == pytest.approx(6.0)
 
+    def test_start_gradients_carry_across_tapes(self):
+        """Three tapes over the same three leaves, each backward starting from
+        the gradients the last one left: a leaf reached by one tape keeps
+        that tape's gradient unchanged, -0.0 included, a leaf reached again
+        adds onto it, and a leaf no tape reaches is absent."""
+        values = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
+        losses = [(0, [2.0, -0.0]), (1, [-0.0, 3.0]), (0, [1.0, 1.0])]
+        running = {}        # leaf position -> gradient
+        for reached, weights in losses:
+            tape = Tape()
+            leaves = [tape.leaf(v) for v in values]
+            start = {leaves[i].node_id: g for i, g in running.items()}
+            out = tape.backward(ad.reduce_sum(ad.mul(leaves[reached], constant(weights))),
+                                start)
+            for i, g in running.items():
+                if i != reached:
+                    assert out[leaves[i].node_id] is g
+            running = {i: out[leaf.node_id] for i, leaf in enumerate(leaves)
+                       if leaf.node_id in out}
+            assert len(out) == len(running)
+        assert sorted(running) == [0, 1]
+        np.testing.assert_array_equal(running[0], [3.0, 1.0])
+        np.testing.assert_array_equal(running[1], [-0.0, 3.0])
+        assert np.signbit(running[1][0])
+
+    def test_start_gradients_only_for_leaves(self):
+        tape = Tape()
+        x = tape.leaf(np.ones(2))
+        y = ad.mul(x, 2.0)
+        with pytest.raises(ValueError, match="not leaves"):
+            tape.backward(ad.reduce_sum(y), {y.node_id: np.ones(2)})
+
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
         x = tape.leaf(np.ones((2, 2)))
@@ -182,7 +232,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("name,build", [
         ("add_bias", lambda a, b: ad.reduce_sum(ad.tanh(ad.add(a, b)))),
-        ("sub", lambda a, b: ad.reduce_sum(ad.exp(ad.sub(a, b)) * 0.1)),
+        ("sub", lambda a, b: ad.reduce_sum(ad.mul(ad.exp(ad.sub(a, b)), 0.1))),
         ("mul", lambda a, b: ad.reduce_sum(ad.mul(a, b))),
         ("matmul", lambda a, b: ad.reduce_sum(ad.matmul(a, ad.tanh(b)))),
     ])

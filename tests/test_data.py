@@ -82,6 +82,15 @@ class TestLoader:
         quads = ds.quadruples("train")
         np.testing.assert_array_equal(quads, [[5, 1, 2, 0]])
 
+    def test_numeral_names_in_id_map_are_looked_up(self, tmp_path):
+        # the map names an entity "5": it maps to 2, not to id 5
+        make_dir(tmp_path, ["5 0 bob 0"])
+        (tmp_path / "entity2id.txt").write_text("5\t2\nbob\t0\n")
+        ds = load_dataset(tmp_path)
+        np.testing.assert_array_equal(ds.quadruples("train"), [[2, 0, 0, 0]])
+        assert ds.entity_count == 3
+        assert ds.entity_names == ["bob", "", "5"]
+
     def test_date_times_become_daily_steps(self, tmp_path):
         ds = load_dataset(make_dir(tmp_path, ["0 0 1 2014-01-01", "1 0 0 2014-01-03"]))
         assert ds.step_count == 3

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -352,18 +354,17 @@ class TestNegativeSampling:
         b = decoder.sample_negatives(ONE_FACT, 0, index, 5, np.random.default_rng(9), 3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_small_vocabulary_samples_with_replacement_and_warns(self, caplog):
+    def test_small_vocabulary_samples_with_replacement_and_counts(self, caplog):
         index = build_true_index(tiny_dataset())
+        tally = Counter(queries=5)
         with caplog.at_level("WARNING", logger="tempkg"):
             obj, _ = decoder.sample_negatives(ONE_FACT, 0, index, k=10,
-                                              rng=np.random.default_rng(4), entity_count=3)
+                                              rng=np.random.default_rng(4), entity_count=3,
+                                              tally=tally)
         assert obj.shape == (1, 10)
-        messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 2
-        assert messages[0].startswith("object corruptions at step 0: 0 of 1 queries")
-        assert messages[1].startswith("subject corruptions at step 0: 0 of 1 queries")
-        assert all("1 have fewer than 10 and sample with replacement" in m
-                   for m in messages)
+        # both directions of the one query are short; the tally adds to its counts
+        assert tally == Counter(queries=7, full=0, short=2)
+        assert caplog.records == []
 
     def test_one_entity_vocabulary_fails_clearly(self):
         # the only entity is every fact's answer, so no corruption exists
@@ -410,46 +411,44 @@ class TestNegativeSampling:
     def test_full_true_set_falls_back_to_all_but_answer(self, caplog):
         e = 6
         index = FixedIndex(range(e), range(e))
+        tally = Counter()
         with caplog.at_level("WARNING", logger="tempkg"):
             got = decoder.sample_negatives(np.array([[2, 0, 4]]), 0, index, 30,
-                                           np.random.default_rng(1), e)
+                                           np.random.default_rng(1), e, tally)
         want = sample_negatives_setdiff((index.objects, index.subjects), (4, 2), 30,
                                         np.random.default_rng(1), e)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g[0], w)
         assert 4 not in got[0] and 2 not in got[1]
-        messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 2
-        assert all("1 of 1 queries have no valid corruption" in m and "0 have fewer" in m
-                   for m in messages)
+        assert tally == Counter(queries=2, full=2, short=0)
+        assert caplog.records == []
 
-    def test_fewer_valid_ids_than_k_matches_oracle_and_warns(self, caplog):
+    def test_fewer_valid_ids_than_k_matches_oracle_and_counts(self):
         e = 10
         index = FixedIndex([0, 3, 4, 5, 9], [1, 2, 6, 7, 8])
-        with caplog.at_level("WARNING", logger="tempkg"):
-            got = decoder.sample_negatives(np.array([[1, 0, 3]]), 0, index, 12,
-                                           np.random.default_rng(2), e)
+        tally = Counter()
+        got = decoder.sample_negatives(np.array([[1, 0, 3]]), 0, index, 12,
+                                       np.random.default_rng(2), e, tally)
         want = sample_negatives_setdiff((index.objects, index.subjects), (3, 1), 12,
                                         np.random.default_rng(2), e)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g[0], w)
         assert set(got[0].ravel().tolist()) <= {1, 2, 6, 7, 8}
-        messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 2
-        assert all("0 of 1 queries have no valid corruption" in m
-                   and "1 have fewer than 12" in m for m in messages)
+        assert tally == Counter(queries=2, full=0, short=2)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_snapshot_matches_per_positive_oracle(self, seed, caplog):
         """Every row of one call equals the per-positive draw of the same
-        generator, and the generator ends in the same state; each direction
-        warns once with its counts."""
+        generator, and the generator ends in the same state; the tally counts
+        the full and short queries of both directions (object 6 and 9, subject
+        6 and 0), and nothing is logged."""
         ds = mixed_dataset()
         triples, k = ds.splits["train"][0].triples, 3
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        tally = Counter()
         with caplog.at_level("WARNING", logger="tempkg"):
             got = decoder.sample_negatives(triples, 0, build_true_index(ds), k, got_rng,
-                                           ds.entity_count)
+                                           ds.entity_count, tally)
         oracle = DictTrueTripleIndex(ds)
         for i, (s, r, o) in enumerate(triples.tolist()):
             want = per_positive_sample_negatives(s, r, o, 0, oracle, k, want_rng,
@@ -457,11 +456,8 @@ class TestNegativeSampling:
             np.testing.assert_array_equal(got[0][i], want[0])
             np.testing.assert_array_equal(got[1][i], want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        assert [r.getMessage() for r in caplog.records] == [
-            f"{direction} corruptions at step 0: {full} of 21 queries have no valid "
-            f"corruption and sample among known-true entities; {short} have fewer "
-            "than 3 and sample with replacement"
-            for direction, full, short in (("object", 6, 9), ("subject", 6, 0))]
+        assert tally == Counter(queries=2 * 21, full=6 + 6, short=9 + 0)
+        assert caplog.records == []
 
     def test_array_bound_integers_match_per_bound_calls(self):
         """sample_negatives draws a snapshot's offsets in one rng.integers call

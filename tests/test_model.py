@@ -538,7 +538,8 @@ def sa_window(bidirectional, imputation, positional):
 
 
 def uncached_scores(model, t, triples):
-    """(q, E) scores of each direction from an uncached, ungated eval context."""
+    """(q, E) scores of each direction from an uncached, ungated eval context,
+    with every entity passed as an explicit (q, E) candidate id matrix."""
     ctx = model.eval_context(t)
     leaves = {name: constant(arr) for name, arr in model.params.items()}
     r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
@@ -596,20 +597,21 @@ class TestSnapshotCache:
     def test_evaluate_scores_each_direction_once_with_score_rows(self, eval_dataset,
                                                                  monkeypatch, decoder):
         # evaluation ranks through the training scorer: one call per direction
-        # per snapshot, every entity a candidate of every query
+        # per snapshot, every entity a candidate of every query, with no id matrix
         model = scorer_model(eval_dataset, decoder, True, SCORER_MODELS["temp-sa"])
         calls = []
         original = dec.score_rows
 
         def spy(fixed, r, table, ids, decoder, direction, blend=None):
-            calls.append((direction, ids.shape))
-            return original(fixed, r, table, ids, decoder, direction, blend)
+            out = original(fixed, r, table, ids, decoder, direction, blend)
+            calls.append((direction, ids, out.shape))
+            return out
 
         monkeypatch.setattr(dec, "score_rows", spy)
         evaluate(eval_dataset, "test", model.snapshot_scorer(compute_tpf(eval_dataset)),
                  build_true_index(eval_dataset, ("train", "valid", "test")))
         e = eval_dataset.entity_count
-        assert calls == [(direction, (len(snap), e))
+        assert calls == [(direction, None, (len(snap), e))
                          for snap in eval_dataset.splits["test"] if len(snap)
                          for direction in ("object", "subject")]
 
@@ -765,8 +767,8 @@ def test_loss_gathers_no_row_per_candidate(tiny_dataset, monkeypatch, decoder, g
 
 
 def test_training_tape_freed_without_cycle_collector(tiny_dataset, tmp_path, monkeypatch):
-    # each batch's tape dies with its last tensor, not when the cyclic
-    # collector happens to run
+    # each target's tape dies with its last tensor, before the next target's
+    # tape is built, and not when the cyclic collector happens to run
     from tempkg import train as train_mod
     from tempkg.config import RunConfig, TrainConfig
 
@@ -774,9 +776,10 @@ def test_training_tape_freed_without_cycle_collector(tiny_dataset, tmp_path, mon
     config.model = ModelConfig(variant="temp-gru", decoder="complex", dim=4, layers=2,
                                window=2, heads=2, gating=True, imputation=True)
     config.train = TrainConfig(negatives=3, batch_snapshots=2, seed=1)
-    tapes = []
+    tapes, alive = [], []
 
     def recording_tape():
+        alive.append(sum(ref() is not None for ref in tapes))
         tape = Tape()
         tapes.append(weakref.ref(tape))
         return tape
@@ -786,7 +789,9 @@ def test_training_tape_freed_without_cycle_collector(tiny_dataset, tmp_path, mon
     gc.disable()
     try:
         train_mod.train(config, tiny_dataset, tmp_path, max_epochs=1)
-        assert len(tapes) >= 2
+        targets = sum(1 for snap in tiny_dataset.splits["train"] if len(snap))
+        assert len(tapes) == targets >= 2
+        assert alive == [0] * len(tapes)
         assert [ref() for ref in tapes] == [None] * len(tapes)
     finally:
         gc.enable()

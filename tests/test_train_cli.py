@@ -4,14 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from tempkg import autodiff as ad
 from tempkg.cli import main
-from tempkg.config import RunConfig
+from tempkg.config import RunConfig, TrainConfig
 from tempkg.data import Snapshot, TkgDataset, cross_split_repeats, load_dataset
 from tempkg.evaluation import evaluate
-from tempkg.model import ModelConfig, TempModel, init_params
+from tempkg.model import ModelConfig, TempModel, grads_by_name, init_params, leaves_on_tape
 from tempkg.synth import SynthSpec, generate_synthetic
-from tempkg.train import (TrainingError, _validation_mrr, filter_index_for, tpf_table,
-                          train)
+from tempkg.train import (TrainingError, _Trainer, _validation_mrr, filter_index_for,
+                          tpf_table, train)
 
 from helpers import objects_for, subjects_for
 
@@ -91,6 +92,85 @@ class TestTrainLoop:
         cfg = small_run_config(gating=True, imputation=True, bidirectional=True)
         _, logbook = train(cfg, small_dataset, tmp_path / "run", max_epochs=2)
         assert len(logbook.records) == 2
+
+
+def one_tape_batch_gradients(trainer, batch, epoch):
+    """_Trainer.batch_gradients the way training ran before each target had a
+    tape of its own: every target of the batch in batch order on one tape,
+    the loss their add chain, one backward."""
+    params = trainer.model.params
+    tape = ad.Tape()
+    leaves = leaves_on_tape(tape, params)
+    loss = None
+    for t in batch:
+        term = trainer.target_loss(leaves, t, epoch)
+        loss = term if loss is None else ad.add(loss, term)
+    return loss.item(), grads_by_name(tape, leaves, loss, params)
+
+
+# the train-gru benchmark workload, and a bidirectional, gated, imputing temp-sa
+ORACLE_MODELS = {
+    "temp-gru": dict(variant="temp-gru", decoder="complex", dim=64, window=6,
+                     imputation=True),
+    "temp-sa": dict(variant="temp-sa", decoder="complex", dim=64, window=6,
+                    bidirectional=True, imputation=True, gating=True),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_dataset():
+    return generate_synthetic(SynthSpec(200, 20, 24, density=1.0, periodicity=0.5,
+                                        period=3), seed=0)
+
+
+class TestTapePerTarget:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_log_and_checkpoint_bytes_match_one_tape_batch(self, oracle_dataset, name,
+                                                           tmp_path, monkeypatch):
+        """Two epochs with a tape per target write the bytes that one tape per
+        batch writes: every float sum, gradient and loss alike, is the same."""
+        config = RunConfig()
+        config.model = ModelConfig(**ORACLE_MODELS[name])
+        config.train = TrainConfig(lr=0.01, negatives=100, batch_snapshots=4, seed=0)
+        train(config, oracle_dataset, tmp_path / "per-target", max_epochs=2)
+        monkeypatch.setattr(_Trainer, "batch_gradients", one_tape_batch_gradients)
+        train(config, oracle_dataset, tmp_path / "one-tape", max_epochs=2)
+        for output in ("training_log.jsonl", "best.ckpt"):
+            got = (tmp_path / "per-target" / output).read_bytes()
+            assert got == (tmp_path / "one-tape" / output).read_bytes(), output
+
+    def test_each_target_runs_its_own_backward(self, small_dataset, tmp_path,
+                                               monkeypatch):
+        """One backward per target, each over a tape smaller than its batch's."""
+        sizes = {}
+        original = ad.Tape.backward
+
+        def spy(tape, loss, start=None):
+            sizes.setdefault(run, []).append(len(tape))
+            return original(tape, loss, start)
+
+        monkeypatch.setattr(ad.Tape, "backward", spy)
+        cfg = small_run_config()
+        run = "per-target"
+        train(cfg, small_dataset, tmp_path / run, max_epochs=2)
+        monkeypatch.setattr(_Trainer, "batch_gradients", one_tape_batch_gradients)
+        run = "one-tape"
+        train(cfg, small_dataset, tmp_path / run, max_epochs=2)
+        targets = sum(1 for snap in small_dataset.splits["train"] if len(snap))
+        assert len(sizes["per-target"]) == 2 * targets > len(sizes["one-tape"])
+        assert max(sizes["per-target"]) < max(sizes["one-tape"])
+
+    def test_negative_shortfall_summarised_once_per_epoch(self, small_dataset, tmp_path,
+                                                          caplog):
+        cfg = small_run_config()
+        cfg.train.negatives = 20    # more than the 10 entities: every query is short
+        with caplog.at_level("WARNING", logger="tempkg"):
+            train(cfg, small_dataset, tmp_path / "run", max_epochs=3)
+        queries = 2 * sum(len(snap) for snap in small_dataset.splits["train"])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"epoch {epoch} negatives: 0 of {queries} queries have no valid corruption "
+            f"and sample among known-true entities; {queries} have fewer than 20 and "
+            "sample with replacement" for epoch in range(3)]
 
 
 def run_cli(args):
