@@ -4,10 +4,15 @@ A ``Tape`` records every primitive applied to tensors that live on it;
 ``Tape.backward`` replays the records once, in reverse creation order, and
 returns gradients for the tape's leaves. Tensors without a tape evaluate
 eagerly with no recording, so the same model code serves both training and
-inference. A backward closure keeps only what it reads: the input's shape,
-not its array, when the gradient needs no input values, and never a
-``Tensor``, so a tape and its tensors form no reference cycle and a batch's
-tape is freed as soon as its last tensor goes.
+inference.
+
+A primitive hands ``_result`` one gradient function per operand, and only
+the functions of on-tape operands are recorded: an off-tape operand (a mask,
+a decay delta, a constant) costs nothing in backward, and whatever only its
+gradient would read is freed with the call. A gradient function keeps only
+what it reads: the input's shape, not its array, when the gradient needs no
+input values, and never a ``Tensor``, so a tape and its tensors form no
+reference cycle and a tape is freed as soon as its last tensor goes.
 
 Broadcasting follows one rule, shared by ``add``, ``sub`` and ``mul``: the two
 operands have equal shapes, or one of them is a scalar (any size-1 shape), a
@@ -69,29 +74,28 @@ def constant(value) -> Tensor:
 class Tape:
     """Ordered record of primitive applications.
 
-    Each node stores its parents' node ids and a function mapping the output
-    gradient to per-parent gradients. Nodes are replayed exactly once during
-    ``backward``, highest id first, which is a valid topological order because
-    nodes only ever reference earlier nodes.
+    Each node stores its edges: one (operand node id, gradient function)
+    pair per on-tape operand, the function mapping the node's output
+    gradient to that operand's. A leaf has no edges. Nodes are replayed
+    exactly once during ``backward``, highest id first, which is a valid
+    topological order because nodes only ever reference earlier nodes.
     """
 
     def __init__(self):
-        self._parents: list[tuple[int, ...]] = []
-        self._backs: list[Callable | None] = []
+        self._edges: list[tuple[tuple[int, Callable], ...]] = []
         self._leaf_ids: list[int] = []
 
     def __len__(self) -> int:
-        return len(self._parents)
+        return len(self._edges)
 
-    def _record(self, parents: tuple[int, ...], back: Callable | None) -> int:
-        self._parents.append(parents)
-        self._backs.append(back)
-        return len(self._parents) - 1
+    def _record(self, edges: tuple[tuple[int, Callable], ...]) -> int:
+        self._edges.append(edges)
+        return len(self._edges) - 1
 
     def leaf(self, data) -> Tensor:
         """Register a differentiable leaf (a trainable parameter)."""
         arr = np.asarray(data, dtype=np.float64)
-        nid = self._record((), None)
+        nid = self._record(())
         self._leaf_ids.append(nid)
         return Tensor(arr, self, nid)
 
@@ -115,25 +119,19 @@ class Tape:
         start = start or {}
         if not leaf_set.issuperset(start):
             raise ValueError("start gradients given for nodes that are not leaves")
-        grads: list[np.ndarray | None] = [None] * len(self._parents)
+        grads: list[np.ndarray | None] = [None] * len(self._edges)
         grads[loss.node_id] = np.ones((), dtype=np.float64)
         for nid, g in start.items():    # a leaf loss adds its start gradient to 1
             grads[nid] = g if grads[nid] is None else grads[nid] + g
         for nid in range(loss.node_id, -1, -1):
-            g = grads[nid]
-            if g is None:
+            g, edges = grads[nid], self._edges[nid]
+            if g is None or not edges:  # unreached, or a leaf keeping its gradient
                 continue
-            back = self._backs[nid]
-            if back is None:
-                continue
-            parent_grads = back(g)
-            for pid, pg in zip(self._parents[nid], parent_grads):
+            for pid, grad_fn in edges:
+                pg = grad_fn(g)
                 if pg is None:
                     continue
-                if grads[pid] is None:
-                    grads[pid] = pg
-                else:
-                    grads[pid] = grads[pid] + pg
+                grads[pid] = pg if grads[pid] is None else grads[pid] + pg
             grads[nid] = None  # free interior gradients as we go
         return {nid: grads[nid] for nid in self._leaf_ids if grads[nid] is not None}
 
@@ -144,23 +142,20 @@ def _as_tensor(x) -> Tensor:
     return constant(x)
 
 
-def _result(data: np.ndarray, inputs: Sequence[Tensor], back: Callable | None) -> Tensor:
+def _result(data: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
+    """A primitive's output from one (operand, gradient function) pair per
+    operand. It lives on its operands' tape and records the functions of the
+    on-tape operands only; with no operand on a tape it is a constant."""
     tape = None
-    for t in inputs:
+    for t, _ in edges:
         if t.tape is not None:
             if tape is not None and tape is not t.tape:
                 raise ValueError("inputs live on different tapes")
             tape = t.tape
     if tape is None:
         return Tensor(data)
-    parents = tuple(t.node_id for t in inputs if t.tape is not None)
-    live = [t.tape is not None for t in inputs]
-
-    def dispatch(g):
-        full = back(g)
-        return tuple(pg for pg, keep in zip(full, live) if keep)
-
-    return Tensor(data, tape, tape._record(parents, dispatch))
+    return Tensor(data, tape, tape._record(tuple((t.node_id, grad_fn) for t, grad_fn in edges
+                                                 if t.tape is not None)))
 
 
 def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
@@ -192,38 +187,26 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "add")
-    out = a.data + b.data
     sa, sb = a.shape, b.shape
-
-    def back(g):
-        return _reduce_to(g, sa), _reduce_to(g, sb)
-
-    return _result(out, (a, b), back)
+    return _result(a.data + b.data, (a, lambda g: _reduce_to(g, sa)),
+                   (b, lambda g: _reduce_to(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
-    out = a.data - b.data
     sa, sb = a.shape, b.shape
-
-    def back(g):
-        return _reduce_to(g, sa), _reduce_to(-g, sb)
-
-    return _result(out, (a, b), back)
+    return _result(a.data - b.data, (a, lambda g: _reduce_to(g, sa)),
+                   (b, lambda g: _reduce_to(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
     ad, bd = a.data, b.data
-    out = ad * bd
     sa, sb = a.shape, b.shape
-
-    def back(g):
-        return _reduce_to(g * bd, sa), _reduce_to(g * ad, sb)
-
-    return _result(out, (a, b), back)
+    return _result(ad * bd, (a, lambda g: _reduce_to(g * bd, sa)),
+                   (b, lambda g: _reduce_to(g * ad, sb)))
 
 
 def matmul(a, b) -> Tensor:
@@ -231,33 +214,19 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
-    out = ad @ bd
-
-    def back(g):
-        return g @ bd.T, ad.T @ g
-
-    return _result(out, (a, b), back)
+    return _result(ad @ bd, (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
-
-    def back(g):
-        return (g * out,)
-
-    return _result(out, (a,), back)
+    return _result(out, (a, lambda g: g * out))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
-    out = np.log(ad)
-
-    def back(g):
-        return (g / ad,)
-
-    return _result(out, (a,), back)
+    return _result(np.log(ad), (a, lambda g: g / ad))
 
 
 def sigmoid(a) -> Tensor:
@@ -265,21 +234,13 @@ def sigmoid(a) -> Tensor:
     ad = a.data
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without a branch
     out = np.exp(np.minimum(ad, 0.0)) / (1.0 + np.exp(-np.abs(ad)))
-
-    def back(g):
-        return (g * out * (1.0 - out),)
-
-    return _result(out, (a,), back)
+    return _result(out, (a, lambda g: g * out * (1.0 - out)))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     out = np.tanh(a.data)
-
-    def back(g):
-        return (g * (1.0 - out * out),)
-
-    return _result(out, (a,), back)
+    return _result(out, (a, lambda g: g * (1.0 - out * out)))
 
 
 def relu(a) -> Tensor:
@@ -289,14 +250,8 @@ def relu(a) -> Tensor:
 def maximum(a, c: float) -> Tensor:
     """Elementwise max with a constant; gradient flows where a > c."""
     a = _as_tensor(a)
-    ad = a.data
-    out = np.maximum(ad, c)
-    mask = ad > c
-
-    def back(g):
-        return (g * mask,)
-
-    return _result(out, (a,), back)
+    mask = a.data > c
+    return _result(np.maximum(a.data, c), (a, lambda g: g * mask))
 
 
 def masked_softmax(a, mask: np.ndarray) -> Tensor:
@@ -317,12 +272,7 @@ def masked_softmax(a, mask: np.ndarray) -> Tensor:
     rowmax = ad.max(axis=1, keepdims=True, where=mask, initial=-np.inf)
     out = np.exp(ad - rowmax, where=mask, out=np.zeros_like(ad))
     out /= out.sum(axis=1, keepdims=True)
-
-    def back(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - inner),)
-
-    return _result(out, (a,), back)
+    return _result(out, (a, lambda g: out * (g - (g * out).sum(axis=1, keepdims=True))))
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -330,15 +280,9 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     if axis not in (0, 1):
         raise ShapeError("concat supports axis 0 or 1")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        if axis == 0:
-            return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    return _result(out, tensors, back)
+    cuts = np.cumsum([0] + [t.data.shape[axis] for t in tensors]).tolist()
+    return _result(out, *((t, lambda g, lo=lo, hi=hi: g[lo:hi] if axis == 0 else g[:, lo:hi])
+                          for t, lo, hi in zip(tensors, cuts, cuts[1:])))
 
 
 def columns(a, start: int, stop: int) -> Tensor:
@@ -346,15 +290,14 @@ def columns(a, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
         raise ShapeError(f"columns: range {start}:{stop} is empty or outside {a.shape}")
-    out = a.data[:, start:stop].copy()
     shape = a.shape
 
-    def back(g):
+    def grad(g):
         ga = np.zeros(shape, dtype=np.float64)
         ga[:, start:stop] = g
-        return (ga,)
+        return ga
 
-    return _result(out, (a,), back)
+    return _result(a.data[:, start:stop].copy(), (a, grad))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -362,12 +305,8 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
-    out, in_shape = a.data.reshape(shape), a.shape
-
-    def back(g):
-        return (g.reshape(in_shape),)
-
-    return _result(out, (a,), back)
+    in_shape = a.shape
+    return _result(a.data.reshape(shape), (a, lambda g: g.reshape(in_shape)))
 
 
 def gather_rows(a, index) -> Tensor:
@@ -379,12 +318,7 @@ def gather_rows(a, index) -> Tensor:
     n = a.shape[0]
     if index.size and (index.min() < 0 or index.max() >= n):
         raise ShapeError("gather_rows: index out of range")
-    out = a.data[index]
-
-    def back(g):
-        return (_kernels.scatter_add_rows(n, index, g),)
-
-    return _result(out, (a,), back)
+    return _result(a.data[index], (a, lambda g: _kernels.scatter_add_rows(n, index, g)))
 
 
 def gathered_dots(qv, table, ids=None) -> Tensor:
@@ -395,8 +329,8 @@ def gathered_dots(qv, table, ids=None) -> Tensor:
     One (m, d) @ (d, E) product scores every row, and the picked entries are
     read from it; no (m * k, d) copy of the gathered rows is made. Backward
     builds the dense (m, E) gradient G with repeated ids added up, then gives
-    G @ table to ``qv`` and G.T @ qv to ``table``; without ``ids`` G is the
-    output gradient itself.
+    G @ table to ``qv`` and G.T @ qv to ``table``, building G once for each
+    operand on the tape; without ``ids`` G is the output gradient itself.
     """
     qv, table = _as_tensor(qv), _as_tensor(table)
     if ids is not None:
@@ -413,15 +347,13 @@ def gathered_dots(qv, table, ids=None) -> Tensor:
     if ids is not None:
         out = np.take_along_axis(out, ids, axis=1)
 
-    def back(g):
+    def dense(g):
         if ids is None:
-            dense = g
-        else:
-            flat = (np.arange(m, dtype=np.int64)[:, None] * e + ids).ravel()
-            dense = np.bincount(flat, weights=g.ravel(), minlength=m * e).reshape(m, e)
-        return dense @ td, dense.T @ qd
+            return g
+        flat = (np.arange(m, dtype=np.int64)[:, None] * e + ids).ravel()
+        return np.bincount(flat, weights=g.ravel(), minlength=m * e).reshape(m, e)
 
-    return _result(out, (qv, table), back)
+    return _result(out, (qv, lambda g: dense(g) @ td), (table, lambda g: dense(g).T @ qd))
 
 
 def _row_dots(a: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -458,11 +390,8 @@ def dots(q, blocks: Sequence) -> Tensor:
     q, blocks = _as_tensor(q), [_as_tensor(b) for b in blocks]
     _check_blocks("dots", blocks, q.shape)
     qd, bd = q.data, [b.data for b in blocks]
-
-    def back(g):
-        return (_row_mix(g, bd), *(g[:, p:p + 1] * qd for p in range(len(bd))))
-
-    return _result(_row_dots(qd, bd), (q, *blocks), back)
+    return _result(_row_dots(qd, bd), (q, lambda g: _row_mix(g, bd)),
+                   *((b, lambda g, p=p: g[:, p:p + 1] * qd) for p, b in enumerate(blocks)))
 
 
 def mix(w, blocks: Sequence) -> Tensor:
@@ -476,11 +405,8 @@ def mix(w, blocks: Sequence) -> Tensor:
         raise ShapeError(f"mix: weights {w.shape} for {len(blocks)} blocks of "
                          f"{blocks[0].shape}")
     wd, bd = w.data, [b.data for b in blocks]
-
-    def back(g):
-        return (_row_dots(g, bd), *(wd[:, p:p + 1] * g for p in range(len(bd))))
-
-    return _result(_row_mix(wd, bd), (w, *blocks), back)
+    return _result(_row_mix(wd, bd), (w, lambda g: _row_dots(g, bd)),
+                   *((b, lambda g, p=p: wd[:, p:p + 1] * g) for p, b in enumerate(blocks)))
 
 
 def pick_rows(blocks: Sequence, which) -> Tensor:
@@ -498,11 +424,8 @@ def pick_rows(blocks: Sequence, which) -> Tensor:
     out = np.empty(blocks[0].shape, dtype=np.float64)
     for b, m in zip(blocks, masks):
         out[m] = b.data[m]
-
-    def back(g):
-        return tuple(np.where(m[:, None], g, 0.0) if m.any() else None for m in masks)
-
-    return _result(out, blocks, back)
+    return _result(out, *((b, lambda g, m=m: np.where(m[:, None], g, 0.0) if m.any() else None)
+                          for b, m in zip(blocks, masks)))
 
 
 def segment_matmul(x, weights: Sequence, bounds) -> Tensor:
@@ -527,14 +450,17 @@ def segment_matmul(x, weights: Sequence, bounds) -> Tensor:
     out = np.empty((xd.shape[0], wd[0].shape[1]), dtype=np.float64)
     for w, lo, hi in blocks:
         out[lo:hi] = xd[lo:hi] @ w
+    shape = xd.shape
 
-    def back(g):
-        gx = np.empty_like(xd)
+    def grad_x(g):
+        gx = np.empty(shape, dtype=np.float64)
         for w, lo, hi in blocks:
             gx[lo:hi] = g[lo:hi] @ w.T
-        return (gx, *(xd[lo:hi].T @ g[lo:hi] for w, lo, hi in blocks))
+        return gx
 
-    return _result(out, (x, *weights), back)
+    return _result(out, (x, grad_x),
+                   *((w, lambda g, lo=lo, hi=hi: xd[lo:hi].T @ g[lo:hi])
+                     for w, (_, lo, hi) in zip(weights, blocks)))
 
 
 def scatter_add_rows(src, index, num_rows: int) -> Tensor:
@@ -547,12 +473,8 @@ def scatter_add_rows(src, index, num_rows: int) -> Tensor:
         raise ShapeError("scatter_add_rows: index length must match source rows")
     if index.size and (index.min() < 0 or index.max() >= num_rows):
         raise ShapeError("scatter_add_rows: index out of range")
-    out = _kernels.scatter_add_rows(num_rows, index, src.data)
-
-    def back(g):
-        return (g[index],)
-
-    return _result(out, (src,), back)
+    return _result(_kernels.scatter_add_rows(num_rows, index, src.data),
+                   (src, lambda g: g[index]))
 
 
 def reduce_sum(a, axis: int | None = None) -> Tensor:
@@ -566,11 +488,7 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
             raise ShapeError("axis reduction requires a 2-d tensor and axis 0 or 1")
         out = ad.sum(axis=axis, keepdims=True)
     shape = ad.shape
-
-    def back(g):
-        return (np.broadcast_to(g, shape),)
-
-    return _result(out, (a,), back)
+    return _result(out, (a, lambda g: np.broadcast_to(g, shape)))
 
 
 def absolute(a) -> Tensor:

@@ -371,7 +371,7 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
     return ds
 
 
-def write_dataset(dataset: TkgDataset, directory, write_stat: bool = True) -> None:
+def write_dataset(dataset: TkgDataset, directory) -> None:
     """Write a dataset in the four-file layout load_dataset reads."""
     os.makedirs(directory, exist_ok=True)
     for split in SPLIT_NAMES:
@@ -380,8 +380,7 @@ def write_dataset(dataset: TkgDataset, directory, write_stat: bool = True) -> No
             for snap in dataset.splits[split]:
                 for s, r, o in snap.triples.tolist():
                     fh.write(f"{s}\t{r}\t{o}\t{snap.time}\n")
-    if write_stat:
-        with open(os.path.join(directory, "stat.txt"), "w", encoding="utf-8") as fh:
-            total = sum(dataset.split_sizes().values())
-            fh.write(f"{dataset.entity_count}\t{dataset.relation_count}"
-                     f"\t{dataset.step_count}\t{total}\n")
+    with open(os.path.join(directory, "stat.txt"), "w", encoding="utf-8") as fh:
+        total = sum(dataset.split_sizes().values())
+        fh.write(f"{dataset.entity_count}\t{dataset.relation_count}"
+                 f"\t{dataset.step_count}\t{total}\n")

@@ -82,12 +82,8 @@ def score_rows(fixed: Tensor, r: Tensor, table: Tensor, ids: np.ndarray | None,
     qv = query_vectors(fixed, r, decoder, direction)
     if blend is None:
         return ad.gathered_dots(qv, table, ids)
-    # blend's formula, each product weighted as soon as it exists, so the
-    # first is not held while the second is built
     alpha, other = blend
-    weighted = ad.mul(alpha, ad.gathered_dots(qv, table, ids))
-    return ad.add(weighted, ad.mul(ad.sub(constant(1.0), alpha),
-                                   ad.gathered_dots(qv, other, ids)))
+    return blend_rows(alpha, ad.gathered_dots(qv, table, ids), ad.gathered_dots(qv, other, ids))
 
 
 # Largest (queries, candidates, dim) block of per-candidate rows TransE builds at once.

@@ -171,10 +171,13 @@ def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,
 # A frequency f falls in bin floor(log10(1 + f)): the number of these
 # thresholds 10**k - 1 it reaches, in exact integer comparisons.
 BIN_THRESHOLDS = 10 ** np.arange(1, 19, dtype=np.int64) - 1
+# the Hits@k each bin reports
+BIN_HITS_K = 10
 
 
-def tpf_binned_analysis(results: np.recarray, hits_k: int = 10) -> list[dict]:
-    """Per-bin Hits@k for every studied (pattern kind, direction) pairing.
+def tpf_binned_analysis(results: np.recarray) -> list[dict]:
+    """Per-bin Hits@BIN_HITS_K for every studied (pattern kind, direction)
+    pairing.
 
     Returns one record per occupied or declared bin with its query count;
     empty bins up to the observed maximum are emitted with a null metric.
@@ -184,7 +187,7 @@ def tpf_binned_analysis(results: np.recarray, hits_k: int = 10) -> list[dict]:
     if "tpf" not in results.dtype.names:
         return rows
     bins = np.searchsorted(BIN_THRESHOLDS, results.tpf, side="right")
-    hit = results.rank <= hits_k
+    hit = results.rank <= BIN_HITS_K
     for group, pairings in (("replication", REPLICATION_PAIRINGS),
                             ("reference", REFERENCE_PAIRINGS)):
         for kind, direction in pairings:
@@ -194,7 +197,7 @@ def tpf_binned_analysis(results: np.recarray, hits_k: int = 10) -> list[dict]:
             hits = np.bincount(b[hit[selected]], minlength=len(counts))
             rows += [{"pattern_kind": kind, "direction": direction, "group": group,
                       "bin_lo": lo, "bin_hi": lo + 1, "count": count,
-                      f"hits{hits_k}": n_hit / count if count else None}
+                      f"hits{BIN_HITS_K}": n_hit / count if count else None}
                      for lo, (count, n_hit) in enumerate(zip(counts.tolist(), hits.tolist()))]
     return rows
 
@@ -232,8 +235,8 @@ def read_results_jsonl(path) -> np.recarray:
                          [rec["rank"] for rec in records], tpf or None)
 
 
-def write_bins_csv(rows: list[dict], path, hits_k: int = 10) -> None:
-    header = ["pattern_kind", "direction", "bin_lo", "bin_hi", "count", f"hits{hits_k}"]
+def write_bins_csv(rows: list[dict], path) -> None:
+    header = ["pattern_kind", "direction", "bin_lo", "bin_hi", "count", f"hits{BIN_HITS_K}"]
     out = [",".join(header)]
     for row in rows:
         metric = row[header[-1]]

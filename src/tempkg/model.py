@@ -69,8 +69,10 @@ class ModelConfig:
         return self.variant != "srgcn" and self.window > 0
 
 
-def _rng_for(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(name.encode())])
+def substream(seed: int, *tags) -> np.random.Generator:
+    """The generator of one named substream of ``seed``: each tag tuple,
+    mixed in by the crc32 of its strings, draws independently."""
+    return np.random.default_rng([seed] + [zlib.crc32(str(t).encode()) for t in tags])
 
 
 def _xavier(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -129,7 +131,7 @@ def init_params(config: ModelConfig, entity_count: int, relation_count: int,
         elif name.endswith((".bz", ".br", ".bh", ".b1", ".b2")):
             params[name] = np.zeros(shape)
         else:
-            params[name] = _xavier(shape, _rng_for(seed, name))
+            params[name] = _xavier(shape, substream(seed, name))
     return params
 
 
@@ -276,6 +278,16 @@ class TempModel:
 
     # --- scoring ----------------------------------------------------------------
 
+    def _gate_table(self, tpf: het.TpfTable | None) -> het.TpfTable | None:
+        """The pattern frequencies scoring reads: ``tpf`` for a gated model,
+        which cannot score without them, and None for an ungated one."""
+        if not self.config.gating:
+            return None
+        if tpf is None:
+            raise ValueError("a gated model scores from pattern frequencies; "
+                             "pass its TpfTable")
+        return tpf
+
     def _gate_alphas(self, leaves, freqs: np.ndarray, direction: str):
         """(fixed, candidate) gate columns of one direction from the (m, 7)
         pattern counts: [f_s, f_r, f_sr] feed the object-query gates os/oo,
@@ -316,11 +328,11 @@ class TempModel:
 
         ``negatives`` holds (m, k) corruption ids for the object and subject
         slots. Each direction scores one (m, 1 + k) candidate matrix, the
-        answer in column 0.
+        answer in column 0. A gated model needs ``tpf``.
         """
         r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
-        gated = self.config.gating and tpf is not None
-        freqs = tpf.frequencies(triples, ctx.time) if gated else None
+        tpf = self._gate_table(tpf)
+        freqs = tpf.frequencies(triples, ctx.time) if tpf is not None else None
         total = None
         for direction, true_idx, negs in (("object", triples[:, 2], negatives[0]),
                                           ("subject", triples[:, 0], negatives[1])):
@@ -352,16 +364,16 @@ class TempModel:
         projected from that embedding. So build a new scorer after the
         parameters change. Each query direction is scored as one (q, E)
         matrix by the training scorer, on constants, with every entity as
-        each query's candidates.
+        each query's candidates. A gated model needs ``tpf``.
         """
         cache: dict[int, StepRecord] = {}
         leaves = {name: constant(arr) for name, arr in self.params.items()}
-        gated = self.config.gating and tpf is not None
+        tpf = self._gate_table(tpf)
 
         def scorer(t: int, triples: np.ndarray):
             ctx = self.eval_context(t, cache, leaves)
             r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
-            freqs = tpf.frequencies(triples, t) if gated else None
+            freqs = tpf.frequencies(triples, t) if tpf is not None else None
             return tuple(self._direction_scores(leaves, ctx, freqs, triples, r_emb,
                                                 direction, None).data
                          for direction in ("object", "subject"))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ from .autodiff import Tape, Tensor
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import RunConfig, TrainConfig
 from .data import TkgDataset, TrueTripleIndex, build_true_index
-from .model import TempModel, grads_by_name, init_params, leaves_on_tape
+from .model import TempModel, grads_by_name, init_params, leaves_on_tape, substream
 from .optim import AdamState
 
 log = logging.getLogger("tempkg")
@@ -64,11 +63,6 @@ class TrainingLog:
         atomic_write(path, text)
 
 
-def _substream(seed: int, *tags) -> np.random.Generator:
-    mixed = [seed] + [zlib.crc32(str(t).encode()) for t in tags]
-    return np.random.default_rng(mixed)
-
-
 def _batches(target_steps: list[int], batch_size: int,
              rng: np.random.Generator) -> list[list[int]]:
     chunks = [target_steps[i:i + batch_size]
@@ -99,10 +93,7 @@ def _subsample(triples: np.ndarray, cap: int, rng: np.random.Generator) -> np.nd
 def _validation_mrr(model: TempModel, dataset: TkgDataset, filter_index,
                     tpf, cap: int, seed: int) -> float:
     """Fast reciprocal-rank estimate on a seeded subsample of validation facts."""
-    quads = dataset.quadruples("valid")
-    if len(quads) == 0:
-        return 0.0
-    quads = _subsample(quads, cap, _substream(seed, "val-subsample"))
+    quads = _subsample(dataset.quadruples("valid"), cap, substream(seed, "val-subsample"))
     report = ev.rank_snapshots(dataset.entity_count, quads,
                                model.snapshot_scorer(tpf), filter_index)
     return report.mrr
@@ -124,12 +115,12 @@ class _Trainer:
         keyed by (epoch, t), so no other target's draws move them."""
         model, tcfg, seed = self.model, self.config, self.config.seed
         window, target_pos = model.window_triples(
-            t, rng=_substream(seed, "dropout", epoch, t))
+            t, rng=substream(seed, "dropout", epoch, t))
         ctx = model.encode_context(leaves, t, window, target_pos)
         positives = _subsample(model.dataset.splits["train"][t].triples,
-                               tcfg.snapshot_cap, _substream(seed, "cap", epoch, t))
+                               tcfg.snapshot_cap, substream(seed, "cap", epoch, t))
         negatives = dec.sample_negatives(positives, t, self.negative_index, tcfg.negatives,
-                                         _substream(seed, "negatives", epoch, t),
+                                         substream(seed, "negatives", epoch, t),
                                          model.dataset.entity_count, self.shortfall)
         return model.snapshot_loss(leaves, ctx, positives, negatives, self.tpf)
 
@@ -174,6 +165,11 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
     tcfg = config.train
     epochs = max_epochs if max_epochs is not None else tcfg.epochs
     seed = tcfg.seed
+    target_steps = [snap.time for snap in dataset.splits["train"] if len(snap)]
+    if not target_steps:
+        raise TrainingError("training split has no facts")
+    if not len(dataset.quadruples("valid")):
+        raise TrainingError("validation split has no facts to select the best epoch by")
 
     params = init_params(config.model, dataset.entity_count, dataset.relation_count,
                          dataset.step_count, seed)
@@ -182,10 +178,6 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
     tpf = tpf_table(config, dataset) if config.model.gating else None
     trainer = _Trainer(model, tcfg, build_true_index(dataset, splits=("train",)), tpf)
     filter_index = filter_index_for(config, dataset)
-
-    target_steps = [snap.time for snap in dataset.splits["train"] if len(snap)]
-    if not target_steps:
-        raise TrainingError("training split has no facts")
 
     logbook = TrainingLog()
     best = {"mrr": -1.0, "epoch": -1}
@@ -196,7 +188,7 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
         epoch_loss = 0.0
         trainer.shortfall.clear()
         for batch in _batches(target_steps, tcfg.batch_snapshots,
-                              _substream(seed, "order", epoch)):
+                              substream(seed, "order", epoch)):
             loss_value, grads = trainer.batch_gradients(batch, epoch)
             if not np.isfinite(loss_value):
                 raise TrainingError(f"non-finite loss {loss_value} at epoch {epoch}")

@@ -295,8 +295,18 @@ class TestBackward:
         (lambda h: ad.dots(h, [h, constant(np.eye(3))]), True),
         (lambda h: ad.mix(h, [h, h, constant(np.eye(3))]), True),
         (lambda h: ad.pick_rows([h, constant(np.eye(3))], [1, 0, 0]), False),
+        # h's gradient reads only the off-tape operand, and the off-tape
+        # operand's gradient, which would read h, is never recorded
+        (lambda h: ad.mul(h, constant([[1.0], [0.0], [1.0]])), False),
+        (lambda h: ad.matmul(constant(np.eye(3)), h), False),
+        (lambda h: ad.gathered_dots(constant(np.eye(3)), h, [[2, 0], [1, 1], [0, 2]]), False),
+        (lambda h: ad.segment_matmul(constant(np.eye(3)), [h], [0, 3]), False),
+        (lambda h: ad.dots(constant(np.eye(3)), [h, h]), False),
+        (lambda h: ad.mix(constant(np.ones((3, 2))), [h, h]), False),
     ], ids=["add", "sub", "reduce_sum", "columns", "gather_rows", "mul",
-            "gathered_dots", "segment_matmul", "dots", "mix", "pick_rows"])
+            "gathered_dots", "segment_matmul", "dots", "mix", "pick_rows",
+            "mul_by_constant_mask", "matmul_by_constant", "gathered_dots_constant_queries",
+            "segment_matmul_constant_rows", "dots_constant_query", "mix_constant_weights"])
     def test_backward_closure_drops_input_values(self, op, needs_values):
         # a backward closure holds arrays, never a Tensor, which would tie its
         # tape into a reference cycle; with the cyclic collector off the tape

@@ -405,16 +405,14 @@ class TestBinnedAnalysis:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_results_match_per_query_oracle(self, seed):
         """Both directions, every kind, frequencies spanning several bins and
-        ranks on both sides of k."""
+        ranks on both sides of 10."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 80))
         results = records(
             (str(rng.choice(["object", "subject"])), 0, 0, 1, 0, int(rng.integers(1, 30)),
              dict(zip(PATTERN_KINDS, (10 ** rng.uniform(0, 4, size=7)).astype(int).tolist())))
             for _ in range(n))
-        for hits_k in (1, 10):
-            assert ev.tpf_binned_analysis(results, hits_k) == \
-                per_query_binned_analysis(results, hits_k)
+        assert ev.tpf_binned_analysis(results) == per_query_binned_analysis(results)
 
 
 class TestReportIO:

@@ -766,6 +766,25 @@ def test_loss_gathers_no_row_per_candidate(tiny_dataset, monkeypatch, decoder, g
     assert sizes and max(sizes) == len(triples)
 
 
+def test_gated_model_without_frequencies_raises(tiny_dataset):
+    # no silent fallback to ungated scores when the pattern table is missing
+    ds = tiny_dataset
+    cfg = ModelConfig(variant="srgcn", decoder="distmult", dim=4, layers=1, gating=True)
+    model = TempModel(cfg, ds, init_params(cfg, ds.entity_count, ds.relation_count,
+                                           ds.step_count, seed=3))
+    with pytest.raises(ValueError, match="gated model"):
+        model.snapshot_scorer(None)
+    tape = Tape()
+    leaves = leaves_on_tape(tape, model.params)
+    t = ds.step_count - 1
+    window, target_pos = model.window_triples(t)
+    ctx = model.encode_context(leaves, t, window, target_pos)
+    triples = ds.splits["train"][t].triples
+    negs = (np.zeros((len(triples), 2), dtype=np.int64),) * 2
+    with pytest.raises(ValueError, match="gated model"):
+        model.snapshot_loss(leaves, ctx, triples, negs, None)
+
+
 def test_training_tape_freed_without_cycle_collector(tiny_dataset, tmp_path, monkeypatch):
     # each target's tape dies with its last tensor, before the next target's
     # tape is built, and not when the cyclic collector happens to run

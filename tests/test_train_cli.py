@@ -75,6 +75,16 @@ class TestTrainLoop:
             with np.errstate(all="ignore"):
                 train(cfg, small_dataset, tmp_path / "run", max_epochs=10)
 
+    def test_empty_validation_split_aborts_before_training(self, small_dataset, tmp_path):
+        # with nothing to rank, every epoch would score 0.0 and epoch 0 would
+        # be kept as the best
+        ds = small_dataset
+        splits = dict(ds.splits, valid=[Snapshot(t) for t in range(ds.step_count)])
+        empty_valid = TkgDataset(ds.entity_count, ds.relation_count, ds.step_count, splits)
+        with pytest.raises(TrainingError, match="validation split has no facts"):
+            train(small_run_config(), empty_valid, tmp_path / "run", max_epochs=1)
+        assert not (tmp_path / "run" / "training_log.jsonl").exists()
+
     def test_validation_mrr_ranks_like_evaluate(self, small_dataset):
         cfg = small_run_config(gating=True)
         ds = small_dataset
