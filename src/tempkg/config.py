@@ -48,6 +48,9 @@ class TrainConfig:
                 raise ValueError(f"train.{name} must be at least {least}")
 
 
+FILTER_MODES = ("time_aware", "static")
+
+
 @dataclass
 class EvalConfig:
     filter: str = "time_aware"            # or 'static'
@@ -56,7 +59,16 @@ class EvalConfig:
     tpf_trailing_width: int = 15
 
     def __post_init__(self):
+        if self.filter not in FILTER_MODES:
+            raise ConfigError(f"unknown filter mode {self.filter!r}")
+        names = self.filter_split_names()
+        if not names or not set(names) <= set(SPLIT_NAMES):
+            raise ConfigError(f"filter_splits must name one or more of {SPLIT_NAMES}, "
+                              f"got {self.filter_splits!r}")
         self.window_policy()
+
+    def filter_split_names(self) -> tuple[str, ...]:
+        return tuple(s.strip() for s in self.filter_splits.split(",") if s.strip())
 
     def window_policy(self) -> WindowPolicy:
         """The pattern-frequency window; the width counts only when trailing."""
@@ -90,15 +102,6 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     synth: SynthSpec = field(default_factory=lambda: SynthSpec(20, 4, 10))
     ted: TedSection = field(default_factory=TedSection)
-
-    def filter_split_names(self) -> tuple[str, ...]:
-        names = tuple(s.strip() for s in self.eval.filter_splits.split(",") if s.strip())
-        for name in names:
-            if name not in SPLIT_NAMES:
-                raise ConfigError(f"unknown split {name!r} in filter_splits")
-        if not names:
-            raise ConfigError("filter_splits must name at least one split")
-        return names
 
 
 # map config-file keys onto dataclass fields; the model section renames a few

@@ -315,10 +315,6 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
         except OverflowError as err:
             raise DatasetError(f"{path}: a field does not fit in int64") from err
     facts = np.vstack(list(quads.values()))
-    # Snapshot drops repeats; a repeat is counted within a split, as read
-    distinct = sum(len(np.unique(q, axis=0)) for q in quads.values())
-    if distinct < len(facts):
-        log.warning("dropped %d duplicated quadruple(s) during load", len(facts) - distinct)
 
     # map date-typed times to 0-based steps over the union of all splits
     if dates:
@@ -343,7 +339,7 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
     relation_count = max_rel + 1
     step_count = max_t + 1
     if declared is not None:
-        decl_e, decl_r, decl_t, decl_total = declared
+        decl_e, decl_r, decl_t, _ = declared
         if max_ent >= decl_e:
             raise DatasetError(f"entity index {max_ent} out of declared range {decl_e}")
         if max_rel >= decl_r:
@@ -353,19 +349,22 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
             if max_t >= decl_t:
                 raise DatasetError(f"time step {max_t} out of declared range {decl_t}")
             step_count = decl_t
-        if decl_total is not None and distinct != decl_total:
-            raise DatasetError(f"split sizes sum to {distinct}, stat file declares {decl_total}")
 
     splits = {split: snapshots_from_quads(q, step_count) for split, q in quads.items()}
-
     ds = TkgDataset(entity_count, relation_count, step_count, splits,
                     entities.names(), relations.names())
+    sizes = ds.split_sizes()
+    # Snapshot drops repeats; a repeat is counted within a split, at its step
+    distinct = sum(sizes.values())
+    if distinct < len(facts):
+        log.warning("dropped %d duplicated quadruple(s) during load", len(facts) - distinct)
+    if declared is not None and declared[3] is not None and distinct != declared[3]:
+        raise DatasetError(f"split sizes sum to {distinct}, stat file declares {declared[3]}")
     ds.validate()
     leaked = cross_split_repeats(ds)
     if leaked:
         log.warning("%d quadruple(s) appear in more than one split at the same step; "
                     "they leak into filtered ranking", leaked)
-    sizes = ds.split_sizes()
     log.info("loaded %s: %d entities, %d relations, %d steps, splits %s",
              directory, entity_count, relation_count, step_count, sizes)
     return ds

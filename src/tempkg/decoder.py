@@ -26,6 +26,7 @@ from .data import TrueTripleIndex
 from .heterogeneity import blend as blend_rows
 
 DECODERS = ("transe", "distmult", "complex")
+LOSS_MODES = ("cross_entropy", "prob_sum")
 
 
 def _check_direction(direction: str) -> None:

@@ -102,6 +102,7 @@ def impute_window(x_t: Tensor, sides, inactive: np.ndarray, lam: Tensor, b: Tens
 # --- frequency-based gating ----------------------------------------------------
 
 GATE_NAMES = ("os", "oo", "ss", "so")
+FREQ_TRANSFORMS = ("log1p", "raw")
 
 
 def transform_frequencies(freqs: np.ndarray, transform: str = "log1p") -> np.ndarray:

@@ -50,6 +50,10 @@ class ModelConfig:
             raise ValueError(f"unknown model variant {self.variant!r}")
         if self.decoder not in dec.DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        if self.loss_mode not in dec.LOSS_MODES:
+            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
+        if self.freq_transform not in het.FREQ_TRANSFORMS:
+            raise ValueError(f"unknown frequency transform {self.freq_transform!r}")
         if self.dim < 1:
             raise ValueError("embedding dim must be positive")
         if self.decoder == "complex" and self.dim % 2:
@@ -208,23 +212,23 @@ class TempModel:
                 cache[step] = self._step_record(leaves, triples)
         records = [cache[step] for step in steps]
         x_steps = [rec.x for rec in records]
-        active = [rec.active for rec in records]
+        held = np.stack([rec.active for rec in records])
 
         x_target = x_steps[target_pos]
         if cfg.imputation:
             # x_steps is this call's own list; the records keep the raw target
-            x_target = self._impute_target(leaves, x_steps, active, target_pos)
+            x_target = self._impute_target(leaves, x_steps, held, target_pos)
             x_steps[target_pos] = x_target
 
         if not cfg.temporal_active:
             z = x_target
         elif cfg.variant == "temp-gru":
-            z = temporal.encode_gru(x_steps, active, target_pos, leaves,
+            z = temporal.encode_gru(x_steps, held, target_pos, leaves,
                                     bidirectional=cfg.bidirectional)
         else:
-            z = temporal.encode_sa(x_steps, active, target_pos, leaves, heads=cfg.heads,
-                                   kv=self._keys_values(leaves, records, x_target,
-                                                        target_pos))
+            z = temporal.encode_sa(x_target,
+                                   self._keys_values(leaves, records, x_target, target_pos),
+                                   held, target_pos, leaves, heads=cfg.heads)
         if cfg.positional and cfg.temporal_active:
             z = temporal.add_positional(z, leaves["pos.embed"], t)
         return WindowContext(t, x_target, z, leaves["relation.embed"])
@@ -255,25 +259,19 @@ class TempModel:
             pairs.append(rec.kv)
         return pairs
 
-    def _impute_target(self, leaves, x_steps, active, target_pos) -> Tensor:
+    def _impute_target(self, leaves, x_steps, held: np.ndarray, target_pos: int) -> Tensor:
         """Replace stale rows of the target step with decayed blends of each
         inactive entity's nearest active representation inside the window:
         the past side, and with a bidirectional window the future side too.
-        Each side's rows are picked from the steps' own embeddings."""
-        e = self.dataset.entity_count
-        held = np.stack(active)
-        sentinel = np.ones((1, e), dtype=bool)
-        side_rows = [held[:target_pos][::-1]]
-        if self.config.bidirectional:
-            side_rows.append(held[target_pos + 1:])
+        Each side's rows are picked from the steps' own embeddings; an entity
+        with no active step on a side picks its target row, at weight 0."""
         sides = []
-        for sign, rows in zip((-1, 1), side_rows):
-            # argmax finds the nearest active row; the sentinel row marks "none"
-            nearest = np.argmax(np.concatenate([rows, sentinel]), axis=0)
-            has = nearest < len(rows)
-            pos = np.where(has, target_pos + sign * (nearest + 1), target_pos)
-            sides.append((ad.pick_rows(x_steps, pos), nearest + 1, has))
-        return het.impute_window(x_steps[target_pos], sides, ~active[target_pos],
+        for positions in temporal.window_sides(len(x_steps), target_pos,
+                                               self.config.bidirectional):
+            last = temporal.last_active(held, positions)[-1]
+            picked = np.array(positions + [target_pos])[last]
+            sides.append((ad.pick_rows(x_steps, picked), len(positions) - last, last >= 0))
+        return het.impute_window(x_steps[target_pos], sides, ~held[target_pos],
                                  leaves["decay.x.lam"], leaves["decay.x.b"])
 
     # --- scoring ----------------------------------------------------------------
@@ -345,13 +343,11 @@ class TempModel:
 
     # --- evaluation -----------------------------------------------------------
 
-    def eval_context(self, t: int, cache: dict[int, StepRecord] | None = None,
-                     leaves: dict[str, Tensor] | None = None) -> WindowContext:
+    def eval_context(self, t: int, cache: dict[int, StepRecord],
+                     leaves: dict[str, Tensor]) -> WindowContext:
         """Off-tape context for inference; training snapshots only, no dropout.
         ``cache`` is passed to ``encode_context``; ``leaves`` are the
-        parameters as constants, built here when not given."""
-        if leaves is None:
-            leaves = {name: constant(arr) for name, arr in self.params.items()}
+        parameters as constants."""
         window, target_pos = self.window_triples(t, rng=None)
         return self.encode_context(leaves, t, window, target_pos, cache)
 

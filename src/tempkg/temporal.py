@@ -37,54 +37,63 @@ def gru_cell(x: Tensor, h: Tensor, params: dict[str, Tensor], prefix: str) -> Te
     return ad.add(ad.mul(z, h), ad.mul(ad.sub(constant(1.0), z), hbar))
 
 
-def _decayed_hidden(h: Tensor, last_seen: np.ndarray, pos: int,
-                    lam: Tensor, b: Tensor) -> Tensor:
-    """gamma(pos - last_seen) * h, zeroed for entities with no seen step."""
-    has_prev = last_seen >= 0
-    deltas = np.where(has_prev, pos - last_seen, 1).astype(np.float64)
-    mask = constant(has_prev.astype(np.float64)[:, None])
-    return ad.mul(ad.mul(h, decay_column(deltas, lam, b)), mask)
+def last_active(held: np.ndarray, positions: list[int]) -> np.ndarray:
+    """(len(positions) + 1, E) table over the (W, E) activity rows ``held``:
+    row i holds each entity's latest index into ``positions`` among
+    ``positions[:i]`` at which it is active, or -1 where there is none."""
+    ranks = np.where(held[positions], np.arange(len(positions))[:, None], -1)
+    return np.maximum.accumulate(np.vstack([np.full((1, held.shape[1]), -1), ranks]))
 
 
-def _chain(x_steps, active, positions, target_pos, params, prefix, lam, b, dim, n):
-    """Run the recurrence over one direction and return the target-step output.
+def window_sides(steps: int, target_pos: int, bidirectional: bool) -> list[list[int]]:
+    """Window positions before the target and, bidirectionally, after it;
+    each side ordered from far to near."""
+    sides = [list(range(target_pos))]
+    if bidirectional:
+        sides.append(list(range(steps - 1, target_pos, -1)))
+    return sides
+
+
+def _decayed_hidden(h: Tensor, last: np.ndarray, pos: int, lam: Tensor, b: Tensor) -> Tensor:
+    """gamma(pos - last) * h. An entity with no earlier active step (last = -1)
+    still has its all-zero initial row, so any weight leaves it zero."""
+    return ad.mul(h, decay_column(pos - last, lam, b))
+
+
+def _chain(x_steps, held, positions, target_pos, params, prefix):
+    """Run the recurrence over one side of the window and return the
+    target-step output.
 
     ``positions`` are window indices ordered from far to near; the entity
     chain only advances on steps where the entity is active, so an inactive
     gap only grows the decay distance, never breaks the chain.
     """
-    h = constant(np.zeros((n, dim)))
-    last_seen = np.full(n, -1, dtype=np.int64)
-    pos_rank = {p: i for i, p in enumerate(positions)}
-    for pos in positions:
-        act = active[pos]
-        if not act.any():
-            continue
-        zhat = _decayed_hidden(h, last_seen, pos_rank[pos], lam, b)
-        h = ad.pick_rows([h, gru_cell(x_steps[pos], zhat, params, prefix)], act)
-        last_seen[act] = pos_rank[pos]
-    zhat = _decayed_hidden(h, last_seen, len(positions), lam, b)
+    lam, b = params["decay.z.lam"], params["decay.z.b"]
+    last = last_active(held, positions)
+    h = constant(np.zeros(x_steps[target_pos].shape))
+    for i, pos in enumerate(positions):
+        if held[pos].any():
+            zhat = _decayed_hidden(h, last[i], i, lam, b)
+            h = ad.pick_rows([h, gru_cell(x_steps[pos], zhat, params, prefix)], held[pos])
+    zhat = _decayed_hidden(h, last[-1], len(positions), lam, b)
     return gru_cell(x_steps[target_pos], zhat, params, prefix)
 
 
-def encode_gru(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
+def encode_gru(x_steps: list[Tensor], active: np.ndarray, target_pos: int,
                params: dict[str, Tensor], *, bidirectional: bool = False) -> Tensor:
     """Temporal embeddings at the target step via decayed recurrence.
 
     ``x_steps[i]`` is the (n, d) structural embedding at window position i and
-    ``active[i]`` the matching boolean activity row. Entities with no active
-    step before the target see a zero hidden state, i.e. z = GRU(x_t, 0).
-    Bidirectionally, an independently parameterized cell consumes the future
-    side and the two outputs are summed.
+    ``active[i]`` the matching row of the (W, n) boolean activity array.
+    Entities with no active step before the target see a zero hidden state,
+    i.e. z = GRU(x_t, 0). Bidirectionally, an independently parameterized cell
+    consumes the future side and the two outputs are summed.
     """
-    n, dim = x_steps[target_pos].shape
-    lam, b = params["decay.z.lam"], params["decay.z.b"]
-    past = list(range(target_pos))
-    z = _chain(x_steps, active, past, target_pos, params, "gru.f", lam, b, dim, n)
-    if bidirectional:
-        future = list(range(len(x_steps) - 1, target_pos, -1))
-        z_b = _chain(x_steps, active, future, target_pos, params, "gru.b", lam, b, dim, n)
-        z = ad.add(z, z_b)
+    z = None
+    for positions, prefix in zip(window_sides(len(x_steps), target_pos, bidirectional),
+                                 ("gru.f", "gru.b")):
+        side = _chain(x_steps, active, positions, target_pos, params, prefix)
+        z = side if z is None else ad.add(z, side)
     return z
 
 
@@ -100,39 +109,32 @@ def keys_values(x: Tensor, wk: Tensor, wv: Tensor, heads: int) -> tuple[Tensor, 
     return tuple(ad.reshape(ad.matmul(x, w), (n * heads, dim // heads)) for w in (wk, wv))
 
 
-def encode_sa(x_steps: list[Tensor], active: list[np.ndarray], target_pos: int,
-              params: dict[str, Tensor], *, heads: int,
-              kv: list[tuple[Tensor, Tensor]] | None = None) -> Tensor:
+def encode_sa(x_target: Tensor, kv: list[tuple[Tensor, Tensor]], active: np.ndarray,
+              target_pos: int, params: dict[str, Tensor], *, heads: int) -> Tensor:
     """Temporal embeddings via decay-penalized, activity-masked attention.
 
     Attention logits combine the scaled query-key product with a penalty
-    max(0, lambda * |dt| + b); steps where the entity is inactive are masked
-    out entirely. An entity inactive at every window step falls back to
-    attending only to its own target-step representation, which equals the
-    value projection of x_t.
+    max(0, lambda * |dt| + b); steps where the entity is inactive, per the
+    (W, n) boolean array ``active``, are masked out entirely. An entity
+    inactive at every window step falls back to attending only to its own
+    target-step representation, which equals the value projection of x_t.
 
-    Every head runs in one pass: the per-head ``sa.h{k}.wq/wk/wv`` leaves are
-    concatenated into (d, d) projections, and head k of entity e is row
-    ``e * heads + k`` of the (n * heads, d / heads) reshape of a projection.
-    ``kv[p]`` is step p's ``keys_values`` pair; by default every step is
-    projected here. The eval scorer's window cache keeps each step's pair, so
-    a step is projected once per pass, not once per target it is read for.
-    The logits of all steps are one ``dots`` of the queries with the keys, and
-    the output one ``mix`` of the values by the attention weights.
+    Every head runs in one pass: the per-head ``sa.h{k}.wq`` leaves are
+    concatenated into one (d, d) query projection of ``x_target``, and head k
+    of entity e is row ``e * heads + k`` of its (n * heads, d / heads)
+    reshape. ``kv[p]`` is window step p's ``keys_values`` pair, laid out
+    alike. The logits of all steps are one ``dots`` of the queries with the
+    keys, and the output one ``mix`` of the values by the attention weights.
     """
-    n, dim = x_steps[target_pos].shape
+    n, dim = x_target.shape
     if dim % heads:
         raise ValueError(f"embedding dim {dim} not divisible by {heads} heads")
     rows, dh = n * heads, dim // heads
-    if kv is None:
-        wk, wv = (head_weights(params, nm, heads) for nm in ("wk", "wv"))
-        kv = [keys_values(x, wk, wv, heads) for x in x_steps]
-    mask = np.stack(active, axis=1)
+    mask = active.T.copy()
     mask[~mask.any(axis=1), target_pos] = True
-    offsets = np.abs(np.arange(len(x_steps)) - target_pos).astype(np.float64).reshape(1, -1)
+    offsets = np.abs(np.arange(len(kv)) - target_pos).astype(np.float64).reshape(1, -1)
     penalty = decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
-    q = ad.reshape(ad.matmul(x_steps[target_pos], head_weights(params, "wq", heads)),
-                   (rows, dh))
+    q = ad.reshape(ad.matmul(x_target, head_weights(params, "wq", heads)), (rows, dh))
     logits = ad.sub(ad.mul(ad.dots(q, [k for k, _ in kv]), 1.0 / np.sqrt(dh)), penalty)
     del q   # off the tape nothing else holds q or the logits: free each once read
     beta = ad.masked_softmax(logits, np.repeat(mask, heads, axis=0))

@@ -77,9 +77,7 @@ def tpf_table(config: RunConfig, dataset: TkgDataset) -> het.TpfTable:
 
 
 def filter_index_for(config: RunConfig, dataset: TkgDataset) -> TrueTripleIndex:
-    if config.eval.filter not in ("time_aware", "static"):
-        raise ValueError(f"unknown filter mode {config.eval.filter!r}")
-    return build_true_index(dataset, splits=config.filter_split_names(),
+    return build_true_index(dataset, splits=config.eval.filter_split_names(),
                             static=config.eval.filter == "static")
 
 

@@ -1,8 +1,25 @@
 import pytest
 
-from tempkg.config import (ConfigError, EvalConfig, RunConfig, TedSection, TrainConfig,
-                           load_config)
+from tempkg.config import (FILTER_MODES, ConfigError, EvalConfig, RunConfig, TedSection,
+                           TrainConfig, load_config)
+from tempkg.data import SPLIT_NAMES
+from tempkg.decoder import DECODERS, LOSS_MODES
+from tempkg.heterogeneity import FREQ_TRANSFORMS
+from tempkg.model import VARIANTS
 from tempkg.synth import SynthSpec
+
+# every config key whose values form a closed set, with each value it takes
+CLOSED_SETS = {
+    "model.variant": VARIANTS,
+    "model.decoder": DECODERS,
+    "model.loss": LOSS_MODES,
+    "model.freq_transform": FREQ_TRANSFORMS,
+    "eval.filter": FILTER_MODES,
+    "eval.filter_splits": SPLIT_NAMES,
+    "eval.tpf_window": ("full_history", "strict_past", "trailing"),
+    "ted.blend": ("tiered", "sum"),
+    "ted.split": SPLIT_NAMES,
+}
 
 
 def write(tmp_path, text):
@@ -167,7 +184,21 @@ sigmas = 1e-5 0.1 10
             load_config(tmp_path / "absent.cfg")
 
     def test_filter_split_names_validated(self, tmp_path):
-        path = write(tmp_path, "[eval]\nfilter_splits = train,holdout\n")
-        cfg = load_config(path)
-        with pytest.raises(ConfigError):
-            cfg.filter_split_names()
+        for raw in ("train,holdout", ","):
+            with pytest.raises(ConfigError):
+                load_config(write(tmp_path, f"[eval]\nfilter_splits = {raw}\n"))
+        cfg = load_config(write(tmp_path, "[eval]\nfilter_splits = train, test\n"))
+        assert cfg.eval.filter_split_names() == ("train", "test")
+
+
+@pytest.mark.parametrize("dotted", sorted(CLOSED_SETS))
+def test_closed_set_key_loads_its_values_and_rejects_others(tmp_path, dotted):
+    # a misspelled choice fails when the file is loaded, from the file and
+    # from an override alike, not when the value is first read
+    section, _, key = dotted.partition(".")
+    for raw in CLOSED_SETS[dotted]:
+        load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+    with pytest.raises(ValueError):
+        load_config(write(tmp_path, f"[{section}]\n{key} = bogus\n"))
+    with pytest.raises(ValueError):
+        load_config(write(tmp_path, "[train]\nseed = 1\n"), overrides={dotted: "bogus"})

@@ -118,6 +118,19 @@ class TestLoader:
         ds = load_dataset(make_dir(tmp_path, ["0 0 1 0", "0 0 1 0"]))
         assert ds.split_sizes()["train"] == 1
 
+    def test_stat_total_and_warning_count_distinct_facts(self, tmp_path, caplog):
+        # a repeat within a split is dropped; one across splits is kept
+        make_dir(tmp_path, ["0 0 1 0", "0 0 1 0", "1 0 0 0"], valid=["0 0 1 0"])
+        (tmp_path / "stat.txt").write_text("2 1 1 3\n")
+        with caplog.at_level("WARNING", logger="tempkg"):
+            ds = load_dataset(tmp_path)
+        assert ds.split_sizes() == {"train": 2, "valid": 1, "test": 0}
+        dropped = [rec.getMessage() for rec in caplog.records if "duplicated" in rec.getMessage()]
+        assert dropped == ["dropped 1 duplicated quadruple(s) during load"]
+        (tmp_path / "stat.txt").write_text("2 1 1 4\n")
+        with pytest.raises(DatasetError, match="sum to 3"):
+            load_dataset(tmp_path)
+
     def test_cross_split_repeats_warn_once_with_count(self, tmp_path, caplog):
         # (0,0,1,0) sits in all three splits and (1,0,0,1) in two: two leaked
         # quadruples; (2,0,1,0) vs (2,0,1,1) differ in step and do not leak

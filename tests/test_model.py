@@ -72,8 +72,8 @@ def snapshot_scorer_per_query(model, tpf=None):
     e = model.dataset.entity_count
 
     def scorer(t, triples):
-        ctx = model.eval_context(t)
         leaves = {name: constant(arr) for name, arr in model.params.items()}
+        ctx = model.eval_context(t, {}, leaves)
         out = []
         for direction in ("object", "subject"):
             if model.config.gating and tpf is not None:
@@ -540,8 +540,8 @@ def sa_window(bidirectional, imputation, positional):
 def uncached_scores(model, t, triples):
     """(q, E) scores of each direction from an uncached, ungated eval context,
     with every entity passed as an explicit (q, E) candidate id matrix."""
-    ctx = model.eval_context(t)
     leaves = {name: constant(arr) for name, arr in model.params.items()}
+    ctx = model.eval_context(t, {}, leaves)
     r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
     ids = np.broadcast_to(np.arange(model.dataset.entity_count),
                           (len(triples), model.dataset.entity_count))
@@ -618,13 +618,13 @@ class TestSnapshotCache:
     def test_cache_holds_one_window_and_raw_target(self, eval_dataset):
         model = scorer_model(eval_dataset, "distmult", False,
                              SCORER_MODELS["temp-gru-bidirectional-imputation"])
+        leaves = {k: constant(v) for k, v in model.params.items()}
         cache = {}
         for t in [0, 1, 2, 5, 8, 3, 3]:
-            ctx = model.eval_context(t, cache)
+            ctx = model.eval_context(t, cache, leaves)
             steps, _ = model.window_positions(t)
             assert sorted(cache) == steps
-            fresh = rgcn.encode_snapshot(eval_dataset.splits["train"][t].triples,
-                                         {k: constant(v) for k, v in model.params.items()},
+            fresh = rgcn.encode_snapshot(eval_dataset.splits["train"][t].triples, leaves,
                                          entity_count=eval_dataset.entity_count,
                                          relation_count=eval_dataset.relation_count,
                                          layers=model.config.layers)
@@ -633,7 +633,7 @@ class TestSnapshotCache:
             triples = eval_dataset.splits["train"][t].triples
             np.testing.assert_array_equal(np.flatnonzero(cache[t].active),
                                           np.unique(triples[:, [0, 2]]))
-            np.testing.assert_array_equal(ctx.x.data, model.eval_context(t).x.data)
+            np.testing.assert_array_equal(ctx.x.data, model.eval_context(t, {}, leaves).x.data)
 
     @pytest.mark.parametrize("positional", [False, True])
     @pytest.mark.parametrize("imputation", [False, True])

@@ -55,46 +55,108 @@ def encode_sa_per_head(x_steps, active, target_pos, params, *, heads):
     return ad.concat(head_outputs, axis=1)
 
 
-def encode_sa_per_step(x_steps, active, target_pos, params, *, heads, kv=None):
-    """Oracle for encode_sa: the keys and values projected from ``x_steps``
-    (``kv`` is ignored), one query-key product column and one weighted value
-    term per window step, the columns joined by ``concat``."""
-    n, dim = x_steps[target_pos].shape
+def encode_sa_steps(x_steps, active, target_pos, params, *, heads):
+    """encode_sa over per-step embeddings and activity rows, each step's keys
+    and values projected from its embedding as the window encoder does."""
+    wk, wv = (temporal.head_weights(params, nm, heads) for nm in ("wk", "wv"))
+    kv = [temporal.keys_values(x, wk, wv, heads) for x in x_steps]
+    return temporal.encode_sa(x_steps[target_pos], kv, np.stack(active), target_pos, params,
+                              heads=heads)
+
+
+def encode_sa_per_step(x_target, kv, active, target_pos, params, *, heads):
+    """Oracle for encode_sa: one query-key product column and one weighted
+    value term per window step, the columns joined by ``concat``."""
+    n, dim = x_target.shape
     rows, dh = n * heads, dim // heads
-    wq, wk, wv = (ad.concat([params[f"sa.h{k}.{nm}"] for k in range(heads)], axis=1)
-                  for nm in ("wq", "wk", "wv"))
-    mask = np.stack(active, axis=1)
+    wq = ad.concat([params[f"sa.h{k}.wq"] for k in range(heads)], axis=1)
+    mask = np.stack(list(active), axis=1)
     mask[~mask.any(axis=1), target_pos] = True
-    offsets = np.abs(np.arange(len(x_steps)) - target_pos).astype(np.float64).reshape(1, -1)
+    offsets = np.abs(np.arange(len(kv)) - target_pos).astype(np.float64).reshape(1, -1)
     penalty = temporal.decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
-    q = ad.matmul(x_steps[target_pos], wq)
-    dots = [ad.reduce_sum(ad.reshape(ad.mul(q, ad.matmul(x, wk)), (rows, dh)), axis=1)
-            for x in x_steps]
+    q = ad.reshape(ad.matmul(x_target, wq), (rows, dh))
+    dots = [ad.reduce_sum(ad.mul(q, k), axis=1) for k, _ in kv]
     logits = ad.sub(ad.mul(ad.concat(dots, axis=1), 1.0 / np.sqrt(dh)), penalty)
     beta = ad.masked_softmax(logits, np.repeat(mask, heads, axis=0))
     z = None
-    for p, x in enumerate(x_steps):
-        term = ad.mul(ad.columns(beta, p, p + 1), ad.reshape(ad.matmul(x, wv), (rows, dh)))
+    for p, (_, v) in enumerate(kv):
+        term = ad.mul(ad.columns(beta, p, p + 1), v)
         z = term if z is None else ad.add(z, term)
     return ad.reshape(z, (n, dim))
 
 
-def chain_blend(x_steps, active, positions, target_pos, params, prefix, lam, b, dim, n):
-    """Oracle for temporal._chain: each active step's cell output is blended
-    in as h_new·m + h·(1 − m) with a 0/1 activity column m."""
+def last_seen_loop(held, positions):
+    """Oracle for temporal.last_active: a running ``last_seen`` array written
+    at each active step, one snapshot of it per step plus the final one."""
+    last_seen = np.full(held.shape[1], -1, dtype=np.int64)
+    pos_rank = {p: i for i, p in enumerate(positions)}
+    table = []
+    for pos in positions:
+        table.append(last_seen.copy())
+        last_seen[held[pos]] = pos_rank[pos]
+    return np.stack(table + [last_seen])
+
+
+def nearest_by_argmax(held, target_pos, sign):
+    """Oracle for the last row of temporal.last_active on one window side:
+    the argmax over the side's rows ordered near to far, after which a
+    sentinel row of ones marks "none". Returns each entity's nearest active
+    window position, or the target's where there is none, and the distance."""
+    rows = held[:target_pos][::-1] if sign < 0 else held[target_pos + 1:]
+    sentinel = np.ones((1, held.shape[1]), dtype=bool)
+    nearest = np.argmax(np.concatenate([rows, sentinel]), axis=0)
+    has = nearest < len(rows)
+    return np.where(has, target_pos + sign * (nearest + 1), target_pos), nearest + 1
+
+
+def decayed_hidden_masked(h, last_seen, pos, lam, b):
+    """gamma(pos - last_seen) * h, times a 0/1 column zeroing the rows of
+    entities with no seen step."""
+    has_prev = last_seen >= 0
+    deltas = np.where(has_prev, pos - last_seen, 1).astype(np.float64)
+    mask = constant(has_prev.astype(np.float64)[:, None])
+    return ad.mul(ad.mul(h, temporal.decay_column(deltas, lam, b)), mask)
+
+
+def chain_masked(x_steps, held, positions, target_pos, params, prefix):
+    """Oracle for temporal._chain: each active step's rows picked with
+    ``pick_rows``, the previous active step kept in a running ``last_seen``
+    array, and every decayed hidden state masked to zero where there is none."""
+    lam, b = params["decay.z.lam"], params["decay.z.b"]
+    n, dim = x_steps[target_pos].shape
     h = constant(np.zeros((n, dim)))
     last_seen = np.full(n, -1, dtype=np.int64)
     pos_rank = {p: i for i, p in enumerate(positions)}
     for pos in positions:
-        act = active[pos]
+        act = held[pos]
         if not act.any():
             continue
-        zhat = temporal._decayed_hidden(h, last_seen, pos_rank[pos], lam, b)
+        zhat = decayed_hidden_masked(h, last_seen, pos_rank[pos], lam, b)
+        h = ad.pick_rows([h, temporal.gru_cell(x_steps[pos], zhat, params, prefix)], act)
+        last_seen[act] = pos_rank[pos]
+    zhat = decayed_hidden_masked(h, last_seen, len(positions), lam, b)
+    return temporal.gru_cell(x_steps[target_pos], zhat, params, prefix)
+
+
+def chain_blend(x_steps, held, positions, target_pos, params, prefix):
+    """Oracle for temporal._chain: as ``chain_masked``, but each active step's
+    cell output is blended in as h_new·m + h·(1 − m) with a 0/1 activity
+    column m."""
+    lam, b = params["decay.z.lam"], params["decay.z.b"]
+    n, dim = x_steps[target_pos].shape
+    h = constant(np.zeros((n, dim)))
+    last_seen = np.full(n, -1, dtype=np.int64)
+    pos_rank = {p: i for i, p in enumerate(positions)}
+    for pos in positions:
+        act = held[pos]
+        if not act.any():
+            continue
+        zhat = decayed_hidden_masked(h, last_seen, pos_rank[pos], lam, b)
         h_new = temporal.gru_cell(x_steps[pos], zhat, params, prefix)
         m = constant(act.astype(np.float64)[:, None])
         h = ad.add(ad.mul(h_new, m), ad.mul(h, ad.sub(constant(1.0), m)))
         last_seen[act] = pos_rank[pos]
-    zhat = temporal._decayed_hidden(h, last_seen, len(positions), lam, b)
+    zhat = decayed_hidden_masked(h, last_seen, len(positions), lam, b)
     return temporal.gru_cell(x_steps[target_pos], zhat, params, prefix)
 
 
@@ -153,7 +215,7 @@ class TestEncodeGru:
         arrays.update(decay_param_arrays(lam, b))
         params = as_tensors(arrays)
         xs = [constant(x) for x in x_steps]
-        return temporal.encode_gru(xs, active, target, params,
+        return temporal.encode_gru(xs, np.stack(active), target, params,
                                    bidirectional=bidirectional).data, arrays
 
     def test_never_active_entity_gets_zero_hidden(self):
@@ -218,11 +280,13 @@ class TestEncodeGru:
 
 
 class TestChainRowPick:
-    """The recurrence picks each active step's rows against the blend oracle."""
+    """The recurrence over the last-active table against the masked chain it
+    replaced, exactly, and against the blend oracle."""
 
+    @pytest.mark.parametrize("oracle", ["masked", "blend"])
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("bidirectional", [False, True])
-    def test_matches_blend_oracle_with_gradients(self, monkeypatch, bidirectional, seed):
+    def test_matches_oracle_with_gradients(self, monkeypatch, bidirectional, seed, oracle):
         rng = np.random.default_rng(seed)
         n, dim, width = 6, 3, 5
         target = 2 if bidirectional else width - 1
@@ -231,13 +295,12 @@ class TestChainRowPick:
         arrays.update(decay_param_arrays(0.4, -0.1))
         xs = [rng.normal(size=(n, dim)) for _ in range(width)]
         # entity 0 is never active, step 1 is empty, the rest at random
-        active = [rng.random(n) < 0.5 for _ in range(width)]
-        active[1][:] = False
-        for row in active:
-            row[0] = False
+        active = rng.random((width, n)) < 0.5
+        active[1] = False
+        active[:, 0] = False
         weights = rng.normal(size=(n, dim))
         results = []
-        for chain in (temporal._chain, chain_blend):
+        for chain in (temporal._chain, {"masked": chain_masked, "blend": chain_blend}[oracle]):
             monkeypatch.setattr(temporal, "_chain", chain)
             tape = Tape()
             params = {name: tape.leaf(a) for name, a in arrays.items()}
@@ -249,13 +312,58 @@ class TestChainRowPick:
             named.update({f"x{p}": grads.get(leaf.node_id) for p, leaf in enumerate(x_leaves)})
             results.append((z.data, named))
         (got_z, got), (want_z, want) = results
-        assert scaled_error(got_z, want_z) <= 1e-12
         assert got.keys() == want.keys()
+        if oracle == "masked":
+            np.testing.assert_array_equal(got_z, want_z)
+        assert scaled_error(got_z, want_z) <= 1e-12
         for name in want:
             if want[name] is None or got[name] is None:
                 assert got[name] is None and want[name] is None, name
+            elif oracle == "masked":
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
             else:
                 assert scaled_error(got[name], want[name]) <= 1e-12, name
+
+
+class TestLastActive:
+    """The one table of each entity's previous active step against the
+    running ``last_seen`` loop and the sentinel ``argmax`` it replaced."""
+
+    @staticmethod
+    def held_for(seed, width=6, n=7):
+        # entity 0 is never active, step 1 is empty, the rest at random
+        held = np.random.default_rng(seed).random((width, n)) < 0.4
+        held[1] = False
+        held[:, 0] = False
+        return held
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize("target_pos", range(6))
+    def test_matches_last_seen_loop_and_argmax(self, seed, bidirectional, target_pos):
+        held = self.held_for(seed)
+        sides = temporal.window_sides(len(held), target_pos, bidirectional)
+        assert len(sides) == 1 + bidirectional
+        for sign, positions in zip((-1, 1), sides):
+            table = temporal.last_active(held, positions)
+            assert table.shape == (len(positions) + 1, held.shape[1])
+            np.testing.assert_array_equal(table, last_seen_loop(held, positions))
+            assert np.all(table[:, 0] == -1)
+            last = table[-1]
+            want_pos, want_delta = nearest_by_argmax(held, target_pos, sign)
+            np.testing.assert_array_equal(np.array(positions + [target_pos])[last], want_pos)
+            np.testing.assert_array_equal(len(positions) - last, want_delta)
+
+    def test_empty_side_is_one_row_of_none(self):
+        held = self.held_for(0)
+        table = temporal.last_active(held, [])
+        np.testing.assert_array_equal(table, np.full((1, held.shape[1]), -1))
+
+    def test_sides_run_far_to_near(self):
+        assert temporal.window_sides(5, 2, False) == [[0, 1]]
+        assert temporal.window_sides(5, 2, True) == [[0, 1], [4, 3]]
+        assert temporal.window_sides(3, 0, True) == [[], [2, 1]]
+        assert temporal.window_sides(3, 2, True) == [[0, 1], []]
 
 
 class TestEncodeSa:
@@ -272,8 +380,8 @@ class TestEncodeSa:
 
     def run(self, xs, active, target, arrays, heads):
         params = as_tensors(arrays)
-        return temporal.encode_sa([constant(x) for x in xs], active, target,
-                                  params, heads=heads).data
+        return encode_sa_steps([constant(x) for x in xs], active, target,
+                               params, heads=heads).data
 
     def test_single_unmasked_step_takes_full_weight(self):
         dim, n = 4, 3
@@ -348,9 +456,10 @@ class TestEncodeSa:
 
     def test_indivisible_heads_rejected(self):
         arrays = self.arrays_for(4, 1)
-        xs = [constant(np.zeros((2, 4)))]
+        x = constant(np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            temporal.encode_sa(xs, [np.ones(2, dtype=bool)], 0, as_tensors(arrays), heads=3)
+            temporal.encode_sa(x, [(x, x)], np.ones((1, 2), dtype=bool), 0, as_tensors(arrays),
+                               heads=3)
 
 
 # (width, target position, entities inactive at every step)
@@ -395,7 +504,7 @@ class TestOneAttentionPass:
         target = WINDOWS[window][1]
         weights = np.random.default_rng(31).normal(size=xs[0].shape)
         results = []
-        for fn in (temporal.encode_sa, encode_sa_per_head):
+        for fn in (encode_sa_steps, encode_sa_per_head):
             tape = Tape()
             params = {name: tape.leaf(a) for name, a in arrays.items()}
             x_leaves = [tape.leaf(x) for x in xs]
@@ -417,32 +526,27 @@ class TestOneAttentionPass:
     @pytest.mark.parametrize("heads", [1, 2, 8])
     @pytest.mark.parametrize("window", sorted(WINDOWS))
     def test_matches_per_step_oracle_with_given_keys_and_values(self, heads, window):
-        # keys and values projected by the caller give what projecting them
-        # inside does, which matches the per-step loop
+        # one dots and one mix over the given keys and values match the
+        # per-step loop over them
         arrays, xs, active = sa_case(heads, window, "clamped")
         target = WINDOWS[window][1]
         weights = np.random.default_rng(32).normal(size=xs[0].shape)
         results = []
-        for given in (True, False, None):
+        for fn in (temporal.encode_sa, encode_sa_per_step):
             tape = Tape()
             params = {name: tape.leaf(a) for name, a in arrays.items()}
             x_leaves = [tape.leaf(x) for x in xs]
-            if given is None:
-                z = encode_sa_per_step(x_leaves, active, target, params, heads=heads)
-            else:
-                wk, wv = (temporal.head_weights(params, nm, heads) for nm in ("wk", "wv"))
-                kv = [temporal.keys_values(x, wk, wv, heads) for x in x_leaves] if given else None
-                z = temporal.encode_sa(x_leaves, active, target, params, heads=heads, kv=kv)
+            wk, wv = (temporal.head_weights(params, nm, heads) for nm in ("wk", "wv"))
+            kv = [temporal.keys_values(x, wk, wv, heads) for x in x_leaves]
+            z = fn(x_leaves[target], kv, np.stack(active), target, params, heads=heads)
             grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
             leaves = list(params.values()) + x_leaves
             results.append((z.data, [grads.get(leaf.node_id) for leaf in leaves]))
-        (z_given, g_given), (z_inside, g_inside), (want_z, want) = results
-        np.testing.assert_array_equal(z_given, z_inside)
-        assert scaled_error(z_given, want_z) <= 1e-12
-        for got_g, inside_g, want_g in zip(g_given, g_inside, want):
-            assert (got_g is None) == (want_g is None) == (inside_g is None)
+        (got_z, got), (want_z, want) = results
+        assert scaled_error(got_z, want_z) <= 1e-12
+        for got_g, want_g in zip(got, want):
+            assert (got_g is None) == (want_g is None)
             if want_g is not None:
-                np.testing.assert_array_equal(got_g, inside_g)
                 assert scaled_error(got_g, want_g) <= 1e-12
 
     @pytest.mark.parametrize("window", ["first", "last"])
@@ -458,13 +562,13 @@ class TestOneAttentionPass:
         def loss(*flat):
             params = {name: constant(a) for name, a in zip(names, flat)}
             x_steps = [constant(x) for x in flat[len(names):]]
-            z = temporal.encode_sa(x_steps, active, target, params, heads=2)
+            z = encode_sa_steps(x_steps, active, target, params, heads=2)
             return float((np.tanh(z.data) * weights).sum())
 
         tape = Tape()
         params = {name: tape.leaf(arrays[name]) for name in names}
         x_leaves = [tape.leaf(x) for x in xs]
-        z = temporal.encode_sa(x_leaves, active, target, params, heads=2)
+        z = encode_sa_steps(x_leaves, active, target, params, heads=2)
         grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
         leaves = [params[name] for name in names] + x_leaves
         analytic = [grads[leaf.node_id] for leaf in leaves]
@@ -487,8 +591,8 @@ class TestOneAttentionPass:
             return matmul(a, b)
 
         monkeypatch.setattr(ad, "matmul", spy)
-        temporal.encode_sa([constant(x) for x in xs], active, width - 1,
-                           as_tensors(arrays), heads=heads)
+        encode_sa_steps([constant(x) for x in xs], active, width - 1,
+                        as_tensors(arrays), heads=heads)
         dim = 2 * heads
         assert calls == [(dim, dim)] * (1 + 2 * width)
 

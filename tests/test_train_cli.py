@@ -6,7 +6,7 @@ import pytest
 
 from tempkg import autodiff as ad
 from tempkg.cli import main
-from tempkg.config import RunConfig, TrainConfig
+from tempkg.config import EvalConfig, RunConfig, TrainConfig
 from tempkg.data import Snapshot, TkgDataset, cross_split_repeats, load_dataset
 from tempkg.evaluation import evaluate
 from tempkg.model import ModelConfig, TempModel, grads_by_name, init_params, leaves_on_tape
@@ -219,10 +219,8 @@ class TestFilterIndex:
         assert all(a.dtype == np.int64 for a in got)
 
     def test_unknown_filter_mode_rejected(self):
-        cfg = RunConfig()
-        cfg.eval.filter = "fuzzy"
         with pytest.raises(ValueError):
-            filter_index_for(cfg, self.dataset())
+            EvalConfig(filter="fuzzy")
 
 
 class TestCli:
