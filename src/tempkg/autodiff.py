@@ -27,7 +27,8 @@ each query vector against its own candidate rows of a table, and
 ``segment_matmul`` transforms contiguous row blocks, each by its own matrix.
 Three more read a list of equal-shape blocks row by row, so no stacked copy
 of the list is made: ``dots`` and ``mix`` (each the other's backward) and
-``pick_rows``.
+``pick_rows``; ``gather_rows_from`` gathers each row from one of a list of
+tables.
 """
 
 from __future__ import annotations
@@ -319,6 +320,30 @@ def gather_rows(a, index) -> Tensor:
     if index.size and (index.min() < 0 or index.max() >= n):
         raise ShapeError("gather_rows: index out of range")
     return _result(a.data[index], (a, lambda g: _kernels.scatter_add_rows(n, index, g)))
+
+
+def gather_rows_from(tables: Sequence, which, index) -> Tensor:
+    """out[i] = tables[which[i]][index[i]] for 2-d tables of one width: a
+    ``gather_rows`` that reads each row from the table ``which`` names. A
+    table none of whose rows is read gets no gradient."""
+    tables = [_as_tensor(t) for t in tables]
+    which, index = (np.asarray(a, dtype=np.int64) for a in (which, index))
+    if (not tables or any(t.data.ndim != 2 or t.shape[1] != tables[0].shape[1] for t in tables)
+            or which.ndim != 1 or index.shape != which.shape):
+        raise ShapeError("gather_rows_from expects 2-d tables of one width and "
+                         "1-d table and row indices of one length")
+    if which.size and (which.min() < 0 or which.max() >= len(tables)):
+        raise ShapeError("gather_rows_from: table index out of range")
+    sizes = np.array([t.shape[0] for t in tables])
+    if index.size and (index.min() < 0 or np.any(index >= sizes[which])):
+        raise ShapeError("gather_rows_from: row index out of range")
+    picks = [np.flatnonzero(which == p) for p in range(len(tables))]
+    out = np.empty((len(index), tables[0].shape[1]), dtype=np.float64)
+    for t, rows in zip(tables, picks):
+        out[rows] = t.data[index[rows]]
+    return _result(out, *((t, lambda g, n=n, rows=rows: _kernels.scatter_add_rows(
+                               n, index[rows], g[rows]) if len(rows) else None)
+                          for t, n, rows in zip(tables, sizes.tolist(), picks)))
 
 
 def gathered_dots(qv, table, ids=None) -> Tensor:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
-from .data import SPLIT_NAMES
+from .data import DATASET_FORMATS, SPLIT_NAMES, TIME_GRANULARITIES
 from .heterogeneity import WindowPolicy
 from .model import ModelConfig
 from .synth import SynthSpec
@@ -26,6 +26,12 @@ class DatasetConfig:
     path: str = ""
     format: str = "auto"
     time_granularity: str = "daily"
+
+    def __post_init__(self):
+        if self.format not in DATASET_FORMATS:
+            raise ConfigError(f"unknown dataset format {self.format!r}")
+        if self.time_granularity not in TIME_GRANULARITIES:
+            raise ConfigError(f"unknown time granularity {self.time_granularity!r}")
 
 
 @dataclass
@@ -163,6 +169,7 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         section, _, key = dotted.partition(".")
         target, renames = _section_target(config, section)
         _assign(target, renames, section, key, raw, dotted)
-    for built in (config.model, config.train, config.eval, config.synth, config.ted):
+    for built in (config.dataset, config.model, config.train, config.eval, config.synth,
+                  config.ted):
         built.__post_init__()
     return config

@@ -27,6 +27,9 @@ log = logging.getLogger("tempkg")
 
 SPLIT_NAMES = ("train", "valid", "test")
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
+DATASET_FORMATS = ("auto", "int", "named")
+# days per step of each granularity that date-valued times are read at
+TIME_GRANULARITIES = {"daily": 1, "weekly": 7, "monthly": 30, "yearly": 365}
 
 
 class DatasetError(ValueError):
@@ -278,8 +281,10 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         raise DatasetError(f"{directory}: not a directory")
-    if fmt not in ("auto", "int", "named"):
+    if fmt not in DATASET_FORMATS:
         raise DatasetError(f"unknown dataset format tag {fmt!r}")
+    if time_granularity not in TIME_GRANULARITIES:
+        raise DatasetError(f"unknown time granularity {time_granularity!r}")
 
     ent_map_path = os.path.join(directory, "entity2id.txt")
     rel_map_path = os.path.join(directory, "relation2id.txt")
@@ -320,9 +325,7 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
     if dates:
         if dates != len(facts):
             raise DatasetError("mixed integer and date time fields")
-        divisor = {"daily": 1, "weekly": 7, "monthly": 30, "yearly": 365}.get(time_granularity)
-        if divisor is None:
-            raise DatasetError(f"unknown time granularity {time_granularity!r}")
+        divisor = TIME_GRANULARITIES[time_granularity]
         origin = facts[:, 3].min()
         for q in (facts, *quads.values()):
             q[:, 3] = (q[:, 3] - origin) // divisor

@@ -41,7 +41,9 @@ class WindowPolicy:
 class TpfTable:
     """Pattern frequencies over the training split, queryable at any step.
     Each pattern kind keeps one sorted code key * (T + 1) + time per training
-    fact, so a frequency is two binary searches."""
+    fact, so a frequency is two binary searches. The last answer is kept, so
+    reading one step's facts again, as a gated evaluation does for its scorer
+    and its report, costs no search."""
 
     def __init__(self, dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()):
         quads = dataset.quadruples("train")
@@ -54,6 +56,7 @@ class TpfTable:
                                            [sizes[c] for c in cols] + [self.step_count + 1],
                                            unique=False)
                         for kind, cols in PATTERN_COLUMNS.items()}
+        self._last: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def _bounds(self, t: int) -> tuple[int, int]:
         """The window (lo, hi] of counted steps at t, clipped to [-1, T] so
@@ -64,10 +67,16 @@ class TpfTable:
 
     def frequencies(self, triples: np.ndarray, t: int) -> np.ndarray:
         """(m, 7) counts of each (s, r, o) row at step t, one column per
-        entry of PATTERN_KINDS."""
+        entry of PATTERN_KINDS, read-only."""
+        if (self._last is not None and self._last[0] == t
+                and np.array_equal(self._last[1], triples)):
+            return self._last[2]
         lo, hi = self._bounds(t)
-        return np.stack([self._groups[kind].count(tuple(triples[:, c] for c in cols), lo, hi)
-                         for kind, cols in PATTERN_COLUMNS.items()], axis=1)
+        out = np.stack([self._groups[kind].count(tuple(triples[:, c] for c in cols), lo, hi)
+                        for kind, cols in PATTERN_COLUMNS.items()], axis=1)
+        out.flags.writeable = False
+        self._last = (t, np.array(triples), out)
+        return out
 
 
 def compute_tpf(dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()) -> TpfTable:

@@ -196,21 +196,26 @@ class TempModel:
                        cache: dict[int, StepRecord] | None = None) -> WindowContext:
         """Context of target step ``t`` from its window's snapshots.
 
-        ``cache`` maps a step to its ``StepRecord`` and is only valid for
-        undropped windows built from one fixed set of parameters: steps
-        already in it are not encoded again, new ones are added, and steps
+        Without ``cache`` the whole window is encoded in one call. ``cache``
+        maps a step to its ``StepRecord`` and is only valid for undropped
+        windows built from one fixed set of parameters: steps already in it
+        are not encoded again, each new one is encoded in a call of its own,
+        so a record never depends on which steps were cached, and steps
         outside this window are evicted, so it holds at most one window.
-        Without one, a fresh dict encodes each step of this window once.
         """
         cfg = self.config
-        cache = {} if cache is None else cache
         steps, _ = self.window_positions(t)
-        for step in [s for s in cache if s not in steps]:
-            del cache[step]
-        for step, triples in zip(steps, window, strict=True):
-            if step not in cache:
-                cache[step] = self._step_record(leaves, triples)
-        records = [cache[step] for step in steps]
+        if len(window) != len(steps):
+            raise ValueError(f"{len(window)} snapshots for a window of {len(steps)} steps")
+        if cache is None:
+            records = self._step_records(leaves, window)
+        else:
+            for step in [s for s in cache if s not in steps]:
+                del cache[step]
+            for step, triples in zip(steps, window):
+                if step not in cache:
+                    cache[step] = self._step_records(leaves, [triples])[0]
+            records = [cache[step] for step in steps]
         x_steps = [rec.x for rec in records]
         held = np.stack([rec.active for rec in records])
 
@@ -233,13 +238,16 @@ class TempModel:
             z = temporal.add_positional(z, leaves["pos.embed"], t)
         return WindowContext(t, x_target, z, leaves["relation.embed"])
 
-    def _step_record(self, leaves, triples: np.ndarray) -> StepRecord:
-        active = np.zeros(self.dataset.entity_count, dtype=bool)
-        active[triples[:, [0, 2]].ravel()] = True
-        x = rgcn.encode_snapshot(triples, leaves, entity_count=self.dataset.entity_count,
-                                 relation_count=self.dataset.relation_count,
-                                 layers=self.config.layers)
-        return StepRecord(x, active)
+    def _step_records(self, leaves, window: list[np.ndarray]) -> list[StepRecord]:
+        """A record of each snapshot of ``window``, all encoded in one call."""
+        facts = rgcn.window_facts(window)
+        held = np.zeros((len(window), self.dataset.entity_count), dtype=bool)
+        held[facts[:, 3, None], facts[:, [0, 2]]] = True
+        xs = rgcn.encode_snapshot(facts, leaves, snapshots=len(window),
+                                  entity_count=self.dataset.entity_count,
+                                  relation_count=self.dataset.relation_count,
+                                  layers=self.config.layers)
+        return [StepRecord(x, active) for x, active in zip(xs, held)]
 
     def _keys_values(self, leaves, records: list[StepRecord], x_target: Tensor,
                      target_pos: int) -> list[tuple[Tensor, Tensor]]:

@@ -1,4 +1,4 @@
-"""Per-snapshot multi-relational message passing.
+"""Multi-relational message passing over each snapshot of a window.
 
 Each layer updates every entity with the mean of its relation-transformed
 in-neighbors plus a self-loop transform:
@@ -20,45 +20,75 @@ from . import autodiff as ad
 from .autodiff import Tensor, constant
 
 
-def with_inverse_edges(triples: np.ndarray, relation_count: int) -> np.ndarray:
-    """(m, 3) triples -> (2m, 3) directed edges (src, rel, dst), inverses offset by R."""
-    if len(triples) == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    fwd = triples[:, [0, 1, 2]].copy()
-    inv = triples[:, [2, 1, 0]].copy()
+def with_inverse_edges(facts: np.ndarray, relation_count: int) -> np.ndarray:
+    """(m, k) facts (s, r, o, ...) -> (2m, k) directed edges (src, rel, dst, ...):
+    each fact, then its inverse with subject and object swapped and the
+    relation offset by R; any further columns are kept."""
+    inv = facts.copy()
+    inv[:, [0, 2]] = facts[:, [2, 0]]
     inv[:, 1] += relation_count
-    return np.vstack([fwd, inv])
+    return np.vstack([facts, inv])
 
 
-def encode_snapshot(triples: np.ndarray, params: dict[str, Tensor], *,
-                    entity_count: int, relation_count: int, layers: int) -> Tensor:
-    """Structural embeddings for every entity given one snapshot's triples.
+def window_facts(window: list[np.ndarray]) -> np.ndarray:
+    """A window's (m, 3) snapshots as one (n, 4) array of (s, r, o, i) facts,
+    ``i`` the snapshot's index in the window."""
+    window = [np.asarray(triples, dtype=np.int64).reshape(-1, 3) for triples in window]
+    index = np.repeat(np.arange(len(window)), [len(triples) for triples in window])
+    return np.column_stack([np.concatenate(window), index])
 
-    Entities without edges receive the self-loop-only propagation of their
-    base embedding, so the result is defined everywhere. Each layer gathers
-    the source rows once, transforms each relation group's contiguous block
-    with ``segment_matmul`` and scatters every message with one call.
+
+def encode_snapshot(facts: np.ndarray, params: dict[str, Tensor], *, snapshots: int,
+                    entity_count: int, relation_count: int, layers: int) -> list[Tensor]:
+    """Structural embeddings of every entity at each snapshot of a window,
+    from its (n, 4) facts (s, r, o, i), ``i`` in [0, snapshots): one (E, d)
+    tensor per snapshot.
+
+    Snapshots share no edge, so each is encoded exactly as on its own, and
+    one without edges gets the self-loop-only propagation of the base
+    embedding. The relation weights are shared across time, so each layer
+    transforms every edge of the window with one ``segment_matmul``, one
+    block per relation; the self-loop term, the activation and the scatter
+    stay per snapshot. Layer 0 reads only the base embedding, so its
+    self-loop term is computed once and its sources are gathered from it.
     """
-    h = params["entity.base"]
-    edges = with_inverse_edges(np.asarray(triples, dtype=np.int64).reshape(-1, 3),
-                               relation_count)
+    facts = np.asarray(facts, dtype=np.int64).reshape(-1, 4)
+    edges = with_inverse_edges(facts, relation_count)
     edges = edges[np.argsort(edges[:, 1], kind="stable")]
-    src, rel, dst = edges.T
+    src, rel, dst, snap = edges.T
     rels, starts = np.unique(rel, return_index=True)
     bounds = np.append(starts, len(edges))
-    # mean over in-neighbors: scale each message by 1/|N_dst^rel|
-    _, pair, pair_count = np.unique(rel * entity_count + dst, return_inverse=True,
-                                    return_counts=True)
+    # mean over in-neighbors: scale each message by 1/|N_dst^rel| of its snapshot
+    _, pair, pair_count = np.unique((rel * snapshots + snap) * entity_count + dst,
+                                    return_inverse=True, return_counts=True)
     scale = constant(1.0 / pair_count[pair][:, None])
+    # each snapshot's edge rows, in relation order
+    by_snap = np.argsort(snap, kind="stable")
+    cuts = np.searchsorted(snap[by_snap], np.arange(snapshots + 1)).tolist()
+    rows = [by_snap[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    base = params["entity.base"]
+    h = [base] * snapshots
     for layer in range(layers):
-        total = ad.matmul(h, params[f"rgcn.l{layer}.self"])
+        w_self = params[f"rgcn.l{layer}.self"]
         if len(edges):
-            msgs = ad.segment_matmul(ad.gather_rows(h, src),
-                                     [params[f"rgcn.l{layer}.rel{r}"] for r in rels.tolist()],
-                                     bounds)
-            total = ad.add(total, ad.scatter_add_rows(ad.mul(msgs, scale), dst,
-                                                      entity_count))
-        h = ad.relu(total) if layer < layers - 1 else total
+            sources = (ad.gather_rows(h[0], src) if layer == 0 or snapshots == 1
+                       else ad.gather_rows_from(h, snap, src))
+            msgs = ad.mul(ad.segment_matmul(sources, [params[f"rgcn.l{layer}.rel{r}"]
+                                                      for r in rels.tolist()], bounds),
+                          scale)
+        loop = ad.matmul(base, w_self) if layer == 0 else None
+        out = []
+        for x, own in zip(h, rows):
+            # a snapshot's nodes are made together, so backward frees its
+            # (E, d) gradients before it moves on to the next snapshot
+            if len(own):
+                mine = msgs if len(own) == len(edges) else ad.gather_rows(msgs, own)
+                scattered = ad.scatter_add_rows(mine, dst[own], entity_count)
+            total = loop if layer == 0 else ad.matmul(x, w_self)
+            if len(own):
+                total = ad.add(total, scattered)
+            out.append(ad.relu(total) if layer < layers - 1 else total)
+        h = out
     return h
 
 

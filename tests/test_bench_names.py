@@ -12,7 +12,7 @@ from tempkg import autodiff as ad
 from tempkg.config import RunConfig
 from tempkg.data import Snapshot
 from tempkg.heterogeneity import compute_tpf
-from tempkg.model import ModelConfig, TempModel, init_params
+from tempkg.model import ModelConfig, TempModel, init_params, substream
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.ted import TedConfig, TedModel
 from tempkg.train import train
@@ -133,6 +133,36 @@ def test_negative_counter_counts_every_draw_of_a_train_epoch(tmp_path):
     assert tracer.segments[-1][1]["decoder.negatives_drawn"] == 2 * 3 * positives
     calls = [tracer.names[span[0]] for span in tracer.spans]
     assert calls.count("decoder.sample_negatives") == len(targets) == 4
+
+
+def test_encode_counters_of_a_train_epoch(tmp_path):
+    """A traced training epoch encodes each target's thinned window in one
+    call and each step its validation reads in a call of its own, and
+    rgcn.edges counts two directed edges per fact encoded."""
+    tracing = load_tracing()
+    ds = generate_synthetic(SynthSpec(10, 2, 8, density=1.0, periodicity=0.5,
+                                      valid_fraction=0.3), seed=6)
+    ds.splits["train"][3] = Snapshot(3)
+    config = RunConfig()
+    config.model = ModelConfig(variant="temp-gru", decoder="complex", dim=4, layers=2,
+                               window=2)
+    config.train.negatives = 3
+    model = TempModel(config.model, ds, {})
+    targets = [snap.time for snap in ds.splits["train"] if len(snap)]
+    target_facts = sum(len(triples) for t in targets for triples in model.window_triples(
+        t, substream(config.train.seed, "dropout", 0, t))[0])
+    val_steps = {step for snap in ds.splits["valid"] if len(snap)
+                 for step in model.window_positions(snap.time)[0]}
+    val_facts = sum(len(ds.splits["train"][step]) for step in val_steps)
+    assert 3 in val_steps and len(val_steps) < sum(
+        len(model.window_positions(snap.time)[0]) for snap in ds.splits["valid"] if len(snap))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.begin("pass")
+        train(config, ds, tmp_path, max_epochs=1)
+    calls = [tracer.names[span[0]] for span in tracer.spans]
+    assert calls.count("rgcn.encode_snapshot") == len(targets) + len(val_steps)
+    assert tracer.segments[-1][1]["rgcn.edges"] == 2 * (target_facts + val_facts) > 0
 
 
 def small_eval_state(workloads, kind):

@@ -2,7 +2,7 @@ import pytest
 
 from tempkg.config import (FILTER_MODES, ConfigError, EvalConfig, RunConfig, TedSection,
                            TrainConfig, load_config)
-from tempkg.data import SPLIT_NAMES
+from tempkg.data import DATASET_FORMATS, SPLIT_NAMES, TIME_GRANULARITIES
 from tempkg.decoder import DECODERS, LOSS_MODES
 from tempkg.heterogeneity import FREQ_TRANSFORMS
 from tempkg.model import VARIANTS
@@ -10,6 +10,8 @@ from tempkg.synth import SynthSpec
 
 # every config key whose values form a closed set, with each value it takes
 CLOSED_SETS = {
+    "dataset.format": DATASET_FORMATS,
+    "dataset.time_granularity": TIME_GRANULARITIES,
     "model.variant": VARIANTS,
     "model.decoder": DECODERS,
     "model.loss": LOSS_MODES,

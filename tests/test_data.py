@@ -50,6 +50,14 @@ class TestLoader:
         with pytest.raises(DatasetError):
             load_dataset(tmp_path, fmt="int")
 
+    @pytest.mark.parametrize("kwargs", [dict(fmt="ints"), dict(time_granularity="wekly")])
+    def test_unknown_tag_rejected_with_integer_steps(self, tmp_path, kwargs):
+        # the tags are checked before any line is read, so a typo is reported
+        # even when the corpus never needs it
+        make_dir(tmp_path, ["0 0 1 0", "1 0 2 1"])
+        with pytest.raises(DatasetError):
+            load_dataset(tmp_path, **kwargs)
+
     def test_missing_file(self, tmp_path):
         write_split(tmp_path, "train", ["0 0 1 0"])
         with pytest.raises(DatasetError) as err:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tempkg import evaluation as ev
-from tempkg.data import Snapshot, TkgDataset, build_true_index
+from tempkg.data import GroupedCodes, Snapshot, TkgDataset, build_true_index
 from tempkg.evaluation import RankingReport, filtered_ranks, rank_query
 from tempkg.heterogeneity import PATTERN_KINDS, compute_tpf
 from tempkg.model import ModelConfig, TempModel, init_params
@@ -174,6 +174,30 @@ class TestResultsMatchPerQueryPath:
         self.write_both(tmp_path, batched, per_query)
         rows = ev.tpf_binned_analysis(batched.results)
         assert rows and rows == per_query_binned_analysis(per_query.results)
+
+
+def test_gated_evaluate_reads_each_step_frequencies_once(monkeypatch):
+    # the scorer's gates and the report read the same step's pattern counts:
+    # one count per pattern kind per test step
+    ds = generate_synthetic(SynthSpec(30, 4, 8, density=0.5, periodicity=0.5, period=2,
+                                      test_fraction=0.2), seed=3)
+    config = ModelConfig(variant="temp-sa", decoder="complex", dim=8, window=2,
+                         heads=2, gating=True)
+    params = init_params(config, ds.entity_count, ds.relation_count, ds.step_count, 3)
+    model, tpf = TempModel(config, ds, params), compute_tpf(ds)
+    counted = []
+    original = GroupedCodes.count
+
+    def spy(self, *args):
+        counted.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(GroupedCodes, "count", spy)
+    report = ev.evaluate(ds, "test", model.snapshot_scorer(tpf),
+                         build_true_index(ds, ("train", "valid", "test")), tpf)
+    steps = sum(1 for snap in ds.splits["test"] if len(snap))
+    assert steps > 1 and "tpf" in report.results.dtype.names
+    assert len(counted) == len(PATTERN_KINDS) * steps
 
 
 def toy_dataset_and_scores(rng, e=6, r=2, t=3, per_split=4):

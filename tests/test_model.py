@@ -14,13 +14,14 @@ from tempkg.data import Snapshot, TkgDataset, build_true_index
 from tempkg.evaluation import evaluate
 from tempkg.heterogeneity import compute_tpf
 from tempkg.optim import AdamState
-from tempkg.model import (VARIANTS, ModelConfig, TempModel, grads_by_name, init_params,
-                          leaves_on_tape, param_shapes)
+from tempkg.model import (VARIANTS, ModelConfig, StepRecord, TempModel, grads_by_name,
+                          init_params, leaves_on_tape, param_shapes)
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.temporal import decay_column
 
 from gradcheck import scaled_error
 from test_decoder import direction_rows_per_row
+from test_rgcn import encode_per_snapshot
 from test_temporal import chain_blend, encode_sa_per_step
 
 
@@ -288,13 +289,12 @@ class TestImputation:
                               window=2, heads=2, imputation=False)
         model_off = TempModel(cfg_off, ds, params)
         ctx_off = model_off.encode_context(leaves, t, window, target_pos)
-        from tempkg import rgcn
         for e in range(ds.entity_count)[:6]:
             if not active_now[e] and last_active[e] >= 0:
-                stale = rgcn.encode_snapshot(window[last_active[e]], leaves,
-                                             entity_count=ds.entity_count,
-                                             relation_count=ds.relation_count,
-                                             layers=1).data[e]
+                stale = encode_per_snapshot(window[last_active[e]], leaves,
+                                            entity_count=ds.entity_count,
+                                            relation_count=ds.relation_count,
+                                            layers=1).data[e]
                 np.testing.assert_allclose(ctx.x.data[e], stale, atol=1e-12)
             elif active_now[e]:
                 np.testing.assert_allclose(ctx.x.data[e], ctx_off.x.data[e],
@@ -401,6 +401,92 @@ class TestGruContext:
         assert scaled_error(z, want_z) <= 1e-12
         for name in params:
             assert scaled_error(grads[name], want_grads[name]) <= 1e-12, name
+
+
+def step_records_per_snapshot(model, leaves, window):
+    """Oracle: a record of each snapshot of ``window``, each encoded on its own."""
+    ds = model.dataset
+    records = []
+    for triples in window:
+        active = np.zeros(ds.entity_count, dtype=bool)
+        active[triples[:, [0, 2]].ravel()] = True
+        x = encode_per_snapshot(triples, leaves, entity_count=ds.entity_count,
+                                relation_count=ds.relation_count,
+                                layers=model.config.layers)
+        records.append(StepRecord(x, active))
+    return records
+
+
+WINDOW_MODELS = {
+    "srgcn": dict(variant="srgcn"),
+    "temp-gru": dict(variant="temp-gru", window=3),
+    "temp-gru-imputation": dict(variant="temp-gru", window=3, imputation=True),
+    "temp-gru-bidirectional": dict(variant="temp-gru", window=4, bidirectional=True),
+    "temp-gru-bidirectional-imputation": dict(variant="temp-gru", window=4,
+                                              bidirectional=True, imputation=True),
+    "temp-sa": dict(variant="temp-sa", window=3, heads=2),
+    "temp-sa-positional": dict(variant="temp-sa", window=3, heads=2, positional=True),
+}
+
+
+class TestWindowContext:
+    @pytest.mark.parametrize("rates", [(0.5, 0.2), (1.0, 1.0)])
+    @pytest.mark.parametrize("model_name", sorted(WINDOW_MODELS))
+    def test_matches_per_snapshot_oracle(self, sparse_dataset, monkeypatch, model_name,
+                                         rates):
+        # a training context encodes its thinned window in one call; every
+        # output and parameter gradient matches each snapshot encoded alone.
+        # Steps 2-6 hold step 3, which is empty, and rate 1 empties them all
+        ds = sparse_dataset
+        cfg = ModelConfig(decoder="distmult", dim=4, layers=2, dropout_current=rates[0],
+                          dropout_reference=rates[1], **WINDOW_MODELS[model_name])
+        params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 8)
+        model = TempModel(cfg, ds, params)
+        t = 4
+        window, target_pos = model.window_triples(t, rng=np.random.default_rng(9))
+        assert cfg.variant == "srgcn" or any(len(triples) == 0 for triples in window)
+        weights = np.random.default_rng(10).normal(size=(2, ds.entity_count, cfg.dim))
+        results = []
+        for records in (TempModel._step_records, step_records_per_snapshot):
+            monkeypatch.setattr(TempModel, "_step_records", records)
+            tape = Tape()
+            leaves = leaves_on_tape(tape, params)
+            ctx = model.encode_context(leaves, t, window, target_pos)
+            loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
+                          ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
+            results.append((ctx.x.data, ctx.z.data, grads_by_name(tape, leaves, loss, params)))
+        (x, z, grads), (want_x, want_z, want_grads) = results
+        assert scaled_error(x, want_x) <= 1e-12
+        assert scaled_error(z, want_z) <= 1e-12
+        for name in params:
+            got, want = grads[name], want_grads[name]
+            # a gradient that vanishes up to rounding is compared plainly
+            vanishing = np.max(np.abs(want)) <= 1e-12
+            err = np.max(np.abs(got - want)) if vanishing else scaled_error(got, want)
+            assert err <= 1e-12, name
+
+    def test_training_context_encodes_once_and_eval_once_per_step(self, sparse_dataset,
+                                                                  monkeypatch):
+        ds = sparse_dataset
+        cfg = ModelConfig(variant="temp-gru", decoder="distmult", dim=4, layers=2,
+                          window=3)
+        model = TempModel(cfg, ds, init_params(cfg, ds.entity_count, ds.relation_count,
+                                               ds.step_count, 8))
+        calls = []
+        original = rgcn.encode_snapshot
+
+        def spy(facts, *args, **kwargs):
+            calls.append(kwargs["snapshots"])
+            return original(facts, *args, **kwargs)
+
+        monkeypatch.setattr(rgcn, "encode_snapshot", spy)
+        leaves = {name: constant(arr) for name, arr in model.params.items()}
+        window, target_pos = model.window_triples(5)
+        model.encode_context(leaves, 5, window, target_pos)
+        assert calls == [4]
+        calls.clear()
+        model.encode_context(leaves, 5, window, target_pos, {})
+        assert calls == [1] * 4
 
 
 class TestCheckpointRoundTrip:
@@ -577,13 +663,15 @@ class TestSnapshotCache:
     def test_evaluate_encodes_each_touched_step_once(self, eval_dataset, monkeypatch,
                                                      model_name):
         model = scorer_model(eval_dataset, "complex", False, SCORER_MODELS[model_name])
-        step_of = {id(snap.triples): snap.time for snap in eval_dataset.splits["train"]}
+        step_of = {snap.triples.tobytes(): snap.time for snap in eval_dataset.splits["train"]}
+        assert len(step_of) == eval_dataset.step_count
         encoded = []
         original = rgcn.encode_snapshot
 
-        def spy(triples, *args, **kwargs):
-            encoded.append(step_of[id(triples)])
-            return original(triples, *args, **kwargs)
+        def spy(facts, *args, **kwargs):
+            assert kwargs["snapshots"] == 1
+            encoded.append(step_of[np.ascontiguousarray(facts[:, :3]).tobytes()])
+            return original(facts, *args, **kwargs)
 
         monkeypatch.setattr(rgcn, "encode_snapshot", spy)
         evaluate(eval_dataset, "test", model.snapshot_scorer(None),
@@ -624,10 +712,10 @@ class TestSnapshotCache:
             ctx = model.eval_context(t, cache, leaves)
             steps, _ = model.window_positions(t)
             assert sorted(cache) == steps
-            fresh = rgcn.encode_snapshot(eval_dataset.splits["train"][t].triples, leaves,
-                                         entity_count=eval_dataset.entity_count,
-                                         relation_count=eval_dataset.relation_count,
-                                         layers=model.config.layers)
+            fresh = encode_per_snapshot(eval_dataset.splits["train"][t].triples, leaves,
+                                        entity_count=eval_dataset.entity_count,
+                                        relation_count=eval_dataset.relation_count,
+                                        layers=model.config.layers)
             # the cache keeps the structural embedding, not the imputed target
             np.testing.assert_array_equal(cache[t].x.data, fresh.data)
             triples = eval_dataset.splits["train"][t].triples

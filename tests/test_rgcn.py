@@ -19,6 +19,39 @@ def make_params(entity_count, relation_count, dim, layers, rng, tape=None):
     return params
 
 
+def encode_per_snapshot(triples, params, *, entity_count, relation_count, layers):
+    """Oracle: one snapshot encoded on its own. Each layer gathers the source
+    rows once, transforms each relation group's contiguous block with
+    ``segment_matmul`` and scatters every message with one call."""
+    h = params["entity.base"]
+    edges = rgcn.with_inverse_edges(np.asarray(triples, dtype=np.int64).reshape(-1, 3),
+                                    relation_count)
+    edges = edges[np.argsort(edges[:, 1], kind="stable")]
+    src, rel, dst = edges.T
+    rels, starts = np.unique(rel, return_index=True)
+    bounds = np.append(starts, len(edges))
+    # mean over in-neighbors: scale each message by 1/|N_dst^rel|
+    _, pair, pair_count = np.unique(rel * entity_count + dst, return_inverse=True,
+                                    return_counts=True)
+    scale = constant(1.0 / pair_count[pair][:, None])
+    for layer in range(layers):
+        total = ad.matmul(h, params[f"rgcn.l{layer}.self"])
+        if len(edges):
+            msgs = ad.segment_matmul(ad.gather_rows(h, src),
+                                     [params[f"rgcn.l{layer}.rel{r}"] for r in rels.tolist()],
+                                     bounds)
+            total = ad.add(total, ad.scatter_add_rows(ad.mul(msgs, scale), dst,
+                                                      entity_count))
+        h = ad.relu(total) if layer < layers - 1 else total
+    return h
+
+
+def encode_one(triples, params, **kwargs):
+    """The window encoder on a window of one snapshot."""
+    facts = rgcn.window_facts([np.array(triples, dtype=np.int64)])
+    return rgcn.encode_snapshot(facts, params, snapshots=1, **kwargs)[0]
+
+
 def encode_per_relation(triples, params, *, entity_count, relation_count, layers):
     """Oracle: one gather, transform, scale and scatter per relation group,
     each added to the running sum on its own."""
@@ -54,9 +87,7 @@ ORACLE_CASES = {
 
 
 def encode(triples, params, e, r, layers):
-    return rgcn.encode_snapshot(np.array(triples, dtype=np.int64).reshape(-1, 3),
-                                params, entity_count=e, relation_count=r,
-                                layers=layers).data
+    return encode_one(triples, params, entity_count=e, relation_count=r, layers=layers).data
 
 
 class TestEncodeSnapshot:
@@ -157,8 +188,7 @@ class TestEncodeSnapshot:
         rng = np.random.default_rng(7)
         tape = Tape()
         params = make_params(3, 1, 2, 2, rng, tape=tape)
-        h = rgcn.encode_snapshot(np.array([[0, 0, 1]]), params, entity_count=3,
-                                 relation_count=1, layers=2)
+        h = encode_one([[0, 0, 1]], params, entity_count=3, relation_count=1, layers=2)
         from tempkg import autodiff as ad
         loss = ad.reduce_sum(ad.mul(h, h))
         grads = tape.backward(loss)
@@ -172,7 +202,7 @@ class TestOneScatterPerLayer:
         e, r, triples = ORACLE_CASES[case]
         params = make_params(e, r, 3, 2, np.random.default_rng(20))
         kwargs = dict(entity_count=e, relation_count=r, layers=2)
-        got = rgcn.encode_snapshot(np.array(triples, dtype=np.int64), params, **kwargs)
+        got = encode_one(triples, params, **kwargs)
         want = encode_per_relation(triples, params, **kwargs)
         assert scaled_error(got.data, want.data) <= 1e-12
 
@@ -181,7 +211,7 @@ class TestOneScatterPerLayer:
         e, r, triples = ORACLE_CASES[case]
         weights = np.random.default_rng(21).normal(size=(e, 3))
         results = []
-        for fn in (rgcn.encode_snapshot, encode_per_relation):
+        for fn in (encode_one, encode_per_relation):
             tape = Tape()
             params = make_params(e, r, 3, 2, np.random.default_rng(22), tape=tape)
             h = fn(np.array(triples, dtype=np.int64), params, entity_count=e,
@@ -211,12 +241,102 @@ class TestOneScatterPerLayer:
 
             monkeypatch.setattr(ad, name, spy)
         params = make_params(e, r, 3, 2, np.random.default_rng(23))
-        rgcn.encode_snapshot(np.array(triples, dtype=np.int64), params,
-                             entity_count=e, relation_count=r, layers=2)
-        # per layer: the self-loop matmul, then the edges' gather and transform;
-        # an empty snapshot has no edges to gather or transform
-        per_layer = ["matmul"] + (["gather_rows", "segment_matmul"] if triples else [])
+        encode_one(triples, params, entity_count=e, relation_count=r, layers=2)
+        # per layer: the edges' gather and transform, then the self-loop
+        # matmul; an empty snapshot has no edges to gather or transform
+        per_layer = (["gather_rows", "segment_matmul"] if triples else []) + ["matmul"]
         assert calls == per_layer * 2
+
+
+# (entities, relations, snapshots): the oracle cases as one window, with an
+# empty snapshot, a fact repeated in two snapshots (its (relation,
+# destination) pair counts once in each) and a snapshot of one fact; a
+# window with no edge at all; a window of one snapshot
+WINDOW_CASES = {
+    "mixed": (6, 3, [[(1, 0, 3), (0, 1, 2), (2, 1, 3), (4, 1, 3)], [],
+                     [(4, 2, 0), (4, 2, 1), (3, 2, 0)],
+                     [(0, 0, 1), (2, 0, 1), (3, 0, 1), (3, 0, 1), (1, 1, 1), (5, 1, 2),
+                      (4, 1, 2), (0, 0, 5), (2, 1, 0)],
+                     [(1, 0, 3)]]),
+    "all_empty": (4, 2, [[], [], []]),
+    "one_snapshot": (5, 2, [[(1, 0, 3), (0, 1, 2), (2, 1, 3), (4, 1, 3)]]),
+}
+
+
+def window_and_oracle(case, layers, on_tape=False):
+    """(window encoding, per-snapshot oracle encoding) of a case, each with
+    the parameters it ran on; on a tape, each gets a tape of its own."""
+    e, r, window = WINDOW_CASES[case]
+    kwargs = dict(entity_count=e, relation_count=r, layers=layers)
+    out = []
+    for run in ("window", "oracle"):
+        tape = Tape() if on_tape else None
+        params = make_params(e, r, 3, layers, np.random.default_rng(30), tape=tape)
+        if run == "window":
+            hs = rgcn.encode_snapshot(rgcn.window_facts(window), params,
+                                      snapshots=len(window), **kwargs)
+        else:
+            hs = [encode_per_snapshot(triples, params, **kwargs) for triples in window]
+        out.append((hs, params, tape))
+    return out
+
+
+class TestWindowEncoding:
+    def test_window_facts_index_each_snapshot(self):
+        window = [np.array([[0, 1, 2]]), np.empty((0, 3), dtype=np.int64),
+                  np.array([[3, 0, 1], [2, 2, 2]])]
+        np.testing.assert_array_equal(rgcn.window_facts(window),
+                                      [[0, 1, 2, 0], [3, 0, 1, 2], [2, 2, 2, 2]])
+        assert rgcn.window_facts([[], []]).shape == (0, 4)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_matches_per_snapshot_oracle(self, case, layers):
+        (got, _, _), (want, _, _) = window_and_oracle(case, layers)
+        assert len(got) == len(want) == len(WINDOW_CASES[case][2])
+        for g, w in zip(got, want):
+            assert scaled_error(g.data, w.data) <= 1e-12
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_gradients_match_per_snapshot_oracle(self, case, layers):
+        e = WINDOW_CASES[case][0]
+        weights = np.random.default_rng(31).normal(size=(len(WINDOW_CASES[case][2]), e, 3))
+        results = []
+        for hs, params, tape in window_and_oracle(case, layers, on_tape=True):
+            loss = None
+            for h, w in zip(hs, weights):
+                term = ad.reduce_sum(ad.mul(ad.tanh(h), constant(w)))
+                loss = term if loss is None else ad.add(loss, term)
+            grads = tape.backward(loss)
+            results.append({name: grads.get(leaf.node_id) for name, leaf in params.items()})
+        got, want = results
+        for name in want:
+            if want[name] is None:
+                assert got[name] is None, name
+            else:
+                assert scaled_error(got[name], want[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_one_segment_matmul_per_layer_for_the_window(self, case, monkeypatch):
+        e, r, window = WINDOW_CASES[case]
+        calls = []
+        for name in ("segment_matmul", "matmul"):
+            original = getattr(ad, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(ad, name, spy)
+        params = make_params(e, r, 3, 2, np.random.default_rng(32))
+        rgcn.encode_snapshot(rgcn.window_facts(window), params, snapshots=len(window),
+                             entity_count=e, relation_count=r, layers=2)
+        # layer 0's self-loop term once for the window, layer 1's once per
+        # snapshot; one relation transform per layer when the window has edges
+        has_edges = any(len(triples) for triples in window)
+        assert calls.count("segment_matmul") == 2 * has_edges
+        assert calls.count("matmul") == 1 + len(window)
 
 
 class TestEdgeDropout:
