@@ -49,7 +49,7 @@ class TrainConfig:
         if not 0.0 < self.lr < float("inf"):
             raise ValueError(f"train.lr must be positive and finite, got {self.lr}")
         for name, least in (("negatives", 1), ("batch_snapshots", 1), ("snapshot_cap", 1),
-                            ("val_cap", 1), ("patience", 0)):
+                            ("val_cap", 1), ("patience", 0), ("epochs", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"train.{name} must be at least {least}")
 
@@ -88,7 +88,10 @@ class TedSection:
     split: str = "valid"
 
     def __post_init__(self):
-        for sigma in self.sigma_list():
+        sigmas = self.sigma_list()
+        if not sigmas:
+            raise ConfigError(f"ted.sigmas must name at least one sigma, got {self.sigmas!r}")
+        for sigma in sigmas:
             TedConfig(sigma, self.blend)
         if self.split not in SPLIT_NAMES:
             raise ConfigError(f"unknown ted split {self.split!r}")
@@ -110,15 +113,9 @@ class RunConfig:
     ted: TedSection = field(default_factory=TedSection)
 
 
-# map config-file keys onto dataclass fields; the model section renames a few
-_SECTION_TARGETS = {
-    "dataset": ("dataset", {}),
-    "model": ("model", {"loss": "loss_mode"}),
-    "train": ("train", {}),
-    "eval": ("eval", {}),
-    "synth": ("synth", {}),
-    "ted": ("ted", {}),
-}
+# each config-file section is the RunConfig field of its name; keys renamed
+# onto their dataclass field, by section
+_KEY_RENAMES = {"model": {"loss": "loss_mode"}}
 
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
@@ -139,10 +136,9 @@ def _coerce(raw: str, target_type, where: str):
 
 
 def _section_target(config: RunConfig, section: str):
-    if section not in _SECTION_TARGETS:
+    if section not in {f.name for f in fields(config)}:
         raise ConfigError(f"unknown config section [{section}]")
-    attr, renames = _SECTION_TARGETS[section]
-    return getattr(config, attr), renames
+    return getattr(config, section), _KEY_RENAMES.get(section, {})
 
 
 def _assign(target, renames: dict[str, str], section: str, key: str, raw: str,
@@ -169,7 +165,6 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         section, _, key = dotted.partition(".")
         target, renames = _section_target(config, section)
         _assign(target, renames, section, key, raw, dotted)
-    for built in (config.dataset, config.model, config.train, config.eval, config.synth,
-                  config.ted):
-        built.__post_init__()
+    for section in fields(config):
+        getattr(config, section.name).__post_init__()
     return config

@@ -64,6 +64,8 @@ class ModelConfig:
             raise ValueError("embedding dim must be divisible by the head count")
         if self.window < 0:
             raise ValueError("window must be nonnegative")
+        if self.layers < 0:
+            raise ValueError("layer count must be nonnegative")
         for rate in (self.dropout_current, self.dropout_reference):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"dropout rate {rate} outside [0, 1]")
@@ -152,7 +154,6 @@ class WindowContext:
 class StepRecord:
     """What a window reads of one step; the eval cache keeps it across targets."""
     x: Tensor                           # raw structural embedding
-    active: np.ndarray                  # entities with an edge at the step
     kv: tuple[Tensor, Tensor] | None = None   # temp-sa keys and values of x, once read
 
 
@@ -180,21 +181,25 @@ class TempModel:
         steps = list(range(lo, t + 1))
         return steps, len(steps) - 1
 
-    def window_triples(self, t: int, rng: np.random.Generator | None = None,
-                       ) -> tuple[list[np.ndarray], int]:
-        """Training snapshots of the window, optionally with edge dropout."""
+    def window_facts(self, t: int, rng: np.random.Generator | None = None,
+                     ) -> tuple[np.ndarray, int]:
+        """The window's training facts as one (n, 4) array of (s, r, o, i),
+        ``i`` the step's index in the window, in step order, optionally
+        thinned by edge dropout; and the target's index."""
         steps, target_pos = self.window_positions(t)
-        window = [self.dataset.splits["train"][step].triples for step in steps]
+        snaps = [self.dataset.splits["train"][step].triples for step in steps]
+        index = np.repeat(np.arange(len(snaps)), [len(triples) for triples in snaps])
+        facts = np.column_stack([np.concatenate(snaps), index])
         if rng is not None:
-            window = rgcn.temporal_edge_dropout(
-                window, target_pos, self.config.dropout_current,
+            facts = rgcn.temporal_edge_dropout(
+                facts, target_pos, self.config.dropout_current,
                 self.config.dropout_reference, rng)
-        return window, target_pos
+        return facts, target_pos
 
-    def encode_context(self, leaves: dict[str, Tensor], t: int,
-                       window: list[np.ndarray], target_pos: int,
+    def encode_context(self, leaves: dict[str, Tensor], t: int, facts: np.ndarray,
+                       target_pos: int,
                        cache: dict[int, StepRecord] | None = None) -> WindowContext:
-        """Context of target step ``t`` from its window's snapshots.
+        """Context of target step ``t`` from its window's (s, r, o, i) facts.
 
         Without ``cache`` the whole window is encoded in one call. ``cache``
         maps a step to its ``StepRecord`` and is only valid for undropped
@@ -203,21 +208,33 @@ class TempModel:
         so a record never depends on which steps were cached, and steps
         outside this window are evicted, so it holds at most one window.
         """
-        cfg = self.config
+        cfg, ds = self.config, self.dataset
         steps, _ = self.window_positions(t)
-        if len(window) != len(steps):
-            raise ValueError(f"{len(window)} snapshots for a window of {len(steps)} steps")
+        index = facts[:, 3]
+        if np.any(np.diff(index) < 0) or np.any((index < 0) | (index >= len(steps))):
+            raise ValueError(f"window facts need sorted step indices in [0, {len(steps)})")
+        held = np.zeros((len(steps), ds.entity_count), dtype=bool)
+        held[index[:, None], facts[:, [0, 2]]] = True
+
+        def encode(part: np.ndarray, snapshots: int) -> list[Tensor]:
+            return rgcn.encode_snapshot(part, leaves, snapshots=snapshots,
+                                        entity_count=ds.entity_count,
+                                        relation_count=ds.relation_count,
+                                        layers=cfg.layers)
+
         if cache is None:
-            records = self._step_records(leaves, window)
+            records = [StepRecord(x) for x in encode(facts, len(steps))]
         else:
             for step in [s for s in cache if s not in steps]:
                 del cache[step]
-            for step, triples in zip(steps, window):
+            bounds = np.searchsorted(index, np.arange(len(steps) + 1))
+            for pos, step in enumerate(steps):
                 if step not in cache:
-                    cache[step] = self._step_records(leaves, [triples])[0]
+                    own = facts[bounds[pos]:bounds[pos + 1]].copy()
+                    own[:, 3] = 0
+                    cache[step] = StepRecord(encode(own, 1)[0])
             records = [cache[step] for step in steps]
         x_steps = [rec.x for rec in records]
-        held = np.stack([rec.active for rec in records])
 
         x_target = x_steps[target_pos]
         if cfg.imputation:
@@ -237,17 +254,6 @@ class TempModel:
         if cfg.positional and cfg.temporal_active:
             z = temporal.add_positional(z, leaves["pos.embed"], t)
         return WindowContext(t, x_target, z, leaves["relation.embed"])
-
-    def _step_records(self, leaves, window: list[np.ndarray]) -> list[StepRecord]:
-        """A record of each snapshot of ``window``, all encoded in one call."""
-        facts = rgcn.window_facts(window)
-        held = np.zeros((len(window), self.dataset.entity_count), dtype=bool)
-        held[facts[:, 3, None], facts[:, [0, 2]]] = True
-        xs = rgcn.encode_snapshot(facts, leaves, snapshots=len(window),
-                                  entity_count=self.dataset.entity_count,
-                                  relation_count=self.dataset.relation_count,
-                                  layers=self.config.layers)
-        return [StepRecord(x, active) for x, active in zip(xs, held)]
 
     def _keys_values(self, leaves, records: list[StepRecord], x_target: Tensor,
                      target_pos: int) -> list[tuple[Tensor, Tensor]]:
@@ -356,19 +362,19 @@ class TempModel:
         """Off-tape context for inference; training snapshots only, no dropout.
         ``cache`` is passed to ``encode_context``; ``leaves`` are the
         parameters as constants."""
-        window, target_pos = self.window_triples(t, rng=None)
-        return self.encode_context(leaves, t, window, target_pos, cache)
+        facts, target_pos = self.window_facts(t, rng=None)
+        return self.encode_context(leaves, t, facts, target_pos, cache)
 
     def snapshot_scorer(self, tpf: het.TpfTable | None = None):
         """Adapter for evaluation.evaluate: scores every entity per query.
 
         The scorer encodes each snapshot once over its lifetime: it keeps one
         ``StepRecord`` per step of the current window, holding the structural
-        embedding, the activity row and, for temp-sa, the keys and values
-        projected from that embedding. So build a new scorer after the
-        parameters change. Each query direction is scored as one (q, E)
-        matrix by the training scorer, on constants, with every entity as
-        each query's candidates. A gated model needs ``tpf``.
+        embedding and, for temp-sa, the keys and values projected from it.
+        So build a new scorer after the parameters change. Each query
+        direction is scored as one (q, E) matrix by the training scorer, on
+        constants, with every entity as each query's candidates. A gated
+        model needs ``tpf``.
         """
         cache: dict[int, StepRecord] = {}
         leaves = {name: constant(arr) for name, arr in self.params.items()}

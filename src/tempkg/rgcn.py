@@ -30,14 +30,6 @@ def with_inverse_edges(facts: np.ndarray, relation_count: int) -> np.ndarray:
     return np.vstack([facts, inv])
 
 
-def window_facts(window: list[np.ndarray]) -> np.ndarray:
-    """A window's (m, 3) snapshots as one (n, 4) array of (s, r, o, i) facts,
-    ``i`` the snapshot's index in the window."""
-    window = [np.asarray(triples, dtype=np.int64).reshape(-1, 3) for triples in window]
-    index = np.repeat(np.arange(len(window)), [len(triples) for triples in window])
-    return np.column_stack([np.concatenate(window), index])
-
-
 def encode_snapshot(facts: np.ndarray, params: dict[str, Tensor], *, snapshots: int,
                     entity_count: int, relation_count: int, layers: int) -> list[Tensor]:
     """Structural embeddings of every entity at each snapshot of a window,
@@ -92,25 +84,21 @@ def encode_snapshot(facts: np.ndarray, params: dict[str, Tensor], *, snapshots: 
     return h
 
 
-def temporal_edge_dropout(window: list[np.ndarray], current_index: int,
-                          current_rate: float, reference_rate: float,
-                          rng: np.random.Generator) -> list[np.ndarray]:
-    """Independently drop triples from each snapshot of a window.
+def temporal_edge_dropout(facts: np.ndarray, current_index: int, current_rate: float,
+                          reference_rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Independently drop facts from each snapshot of a window's (n, 4)
+    (s, r, o, i) array, keeping the rows in order.
 
-    The snapshot at ``current_index`` is thinned at ``current_rate``; every
-    other snapshot at ``reference_rate``. Rates are drop probabilities.
+    Facts of the snapshot ``i == current_index`` are dropped at
+    ``current_rate``; every other snapshot's at ``reference_rate``. Rates are
+    drop probabilities. Only rows whose rate is strictly inside (0, 1) draw a
+    uniform, one each in row order, all in one ``rng.random`` call.
     """
     for rate in (current_rate, reference_rate):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"dropout rate {rate} outside [0, 1]")
-    out = []
-    for i, triples in enumerate(window):
-        rate = current_rate if i == current_index else reference_rate
-        if len(triples) == 0 or rate == 0.0:
-            out.append(triples)
-        elif rate == 1.0:
-            out.append(triples[:0])
-        else:
-            keep = rng.random(len(triples)) >= rate
-            out.append(triples[keep])
-    return out
+    rate = np.where(facts[:, 3] == current_index, current_rate, reference_rate)
+    keep = rate < 1.0
+    drawn = keep & (rate > 0.0)
+    keep[drawn] = rng.random(np.count_nonzero(drawn)) >= rate[drawn]
+    return facts[keep]

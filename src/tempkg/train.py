@@ -112,9 +112,8 @@ class _Trainer:
         window, capped positives and negatives, each drawn from a substream
         keyed by (epoch, t), so no other target's draws move them."""
         model, tcfg, seed = self.model, self.config, self.config.seed
-        window, target_pos = model.window_triples(
-            t, rng=substream(seed, "dropout", epoch, t))
-        ctx = model.encode_context(leaves, t, window, target_pos)
+        facts, target_pos = model.window_facts(t, rng=substream(seed, "dropout", epoch, t))
+        ctx = model.encode_context(leaves, t, facts, target_pos)
         positives = _subsample(model.dataset.splits["train"][t].triples,
                                tcfg.snapshot_cap, substream(seed, "cap", epoch, t))
         negatives = dec.sample_negatives(positives, t, self.negative_index, tcfg.negatives,

@@ -16,6 +16,14 @@ def active_entities(snapshot) -> set[int]:
     return set(np.unique(snapshot.triples[:, [0, 2]]).tolist())
 
 
+def window_facts(window) -> np.ndarray:
+    """A window's (m, 3) snapshots as one (n, 4) array of (s, r, o, i) facts,
+    ``i`` the snapshot's index in the window."""
+    window = [np.asarray(triples, dtype=np.int64).reshape(-1, 3) for triples in window]
+    index = np.repeat(np.arange(len(window)), [len(triples) for triples in window])
+    return np.column_stack([np.concatenate(window), index])
+
+
 def decay_weight(delta_t: float, lam: float, b: float) -> float:
     """Scalar decay weight in (0, 1] for a nonnegative step difference."""
     if delta_t < 0:

@@ -92,8 +92,8 @@ def _model_loss(config, dataset, params, t):
     model = TempModel(config, dataset, params)
     tape = Tape()
     leaves = leaves_on_tape(tape, params)
-    window, target_pos = model.window_triples(t)
-    ctx = model.encode_context(leaves, t, window, target_pos)
+    facts, target_pos = model.window_facts(t)
+    ctx = model.encode_context(leaves, t, facts, target_pos)
     triples = dataset.splits["train"][t].triples
     rng = np.random.default_rng(0)
     negs = (rng.integers(0, dataset.entity_count, size=(len(triples), 2)),

@@ -149,8 +149,9 @@ def test_encode_counters_of_a_train_epoch(tmp_path):
     config.train.negatives = 3
     model = TempModel(config.model, ds, {})
     targets = [snap.time for snap in ds.splits["train"] if len(snap)]
-    target_facts = sum(len(triples) for t in targets for triples in model.window_triples(
-        t, substream(config.train.seed, "dropout", 0, t))[0])
+    seed = config.train.seed
+    target_facts = sum(len(model.window_facts(t, substream(seed, "dropout", 0, t))[0])
+                       for t in targets)
     val_steps = {step for snap in ds.splits["valid"] if len(snap)
                  for step in model.window_positions(snap.time)[0]}
     val_facts = sum(len(ds.splits["train"][step]) for step in val_steps)

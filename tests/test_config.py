@@ -102,6 +102,7 @@ sigmas = 1e-5 0.1 10
         ("train.lr", "nan"), ("train.lr", "0"), ("train.lr", "-0.1"), ("train.lr", "inf"),
         ("train.negatives", "0"), ("train.batch_snapshots", "0"),
         ("train.snapshot_cap", "0"), ("train.val_cap", "-1"), ("train.patience", "-1"),
+        ("train.epochs", "-3"),
         ("synth.entities", "-3"), ("synth.relations", "0"), ("synth.steps", "0"),
         ("synth.periodicity", "1.5"), ("synth.periodicity", "nan"), ("synth.period", "0"),
         ("synth.valid_fraction", "1.5"), ("synth.test_fraction", "-0.1"),
@@ -118,10 +119,11 @@ sigmas = 1e-5 0.1 10
     def test_degenerate_train_config_rejected_when_built(self):
         for bad in (dict(lr=float("nan")), dict(lr=0.0), dict(negatives=0),
                     dict(batch_snapshots=0), dict(snapshot_cap=0), dict(val_cap=0),
-                    dict(patience=-1)):
+                    dict(patience=-1), dict(epochs=-3)):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
-        TrainConfig(patience=0, negatives=1, batch_snapshots=1, snapshot_cap=1, val_cap=1)
+        TrainConfig(patience=0, negatives=1, batch_snapshots=1, snapshot_cap=1, val_cap=1,
+                    epochs=0)
 
     def test_degenerate_synth_spec_rejected_when_built(self):
         for bad in (dict(entities=-3), dict(relations=0), dict(steps=0),
@@ -135,11 +137,11 @@ sigmas = 1e-5 0.1 10
 
     @pytest.mark.parametrize("section, lines", [
         ("ted", ["blend = summ"]), ("ted", ["sigmas = 0.1,abc"]), ("ted", ["sigmas = -1"]),
-        ("ted", ["sigmas = 0.1 nan"]), ("ted", ["split = vaild"]),
+        ("ted", ["sigmas = 0.1 nan"]), ("ted", ["sigmas = ,"]), ("ted", ["split = vaild"]),
         ("eval", ["tpf_window = trailng"]),
         ("eval", ["tpf_window = trailing", "tpf_trailing_width = 0"]),
-    ], ids=["blend", "sigma-text", "sigma-negative", "sigma-nan", "split", "window",
-            "trailing-width"])
+    ], ids=["blend", "sigma-text", "sigma-negative", "sigma-nan", "sigma-empty", "split",
+            "window", "trailing-width"])
     def test_degenerate_ted_and_eval_values_rejected(self, tmp_path, section, lines):
         with pytest.raises(ValueError):
             load_config(write(tmp_path, "\n".join([f"[{section}]"] + lines) + "\n"))
@@ -150,7 +152,7 @@ sigmas = 1e-5 0.1 10
 
     def test_ted_and_eval_sections_rejected_when_built(self):
         for bad in (dict(blend="summ"), dict(sigmas="0.1,abc"), dict(sigmas="0"),
-                    dict(split="vaild")):
+                    dict(sigmas=","), dict(split="vaild")):
             with pytest.raises(ValueError):
                 TedSection(**bad)
         for bad in (dict(tpf_window="trailng"),

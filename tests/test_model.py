@@ -14,14 +14,15 @@ from tempkg.data import Snapshot, TkgDataset, build_true_index
 from tempkg.evaluation import evaluate
 from tempkg.heterogeneity import compute_tpf
 from tempkg.optim import AdamState
-from tempkg.model import (VARIANTS, ModelConfig, StepRecord, TempModel, grads_by_name,
-                          init_params, leaves_on_tape, param_shapes)
+from tempkg.model import (VARIANTS, ModelConfig, TempModel, grads_by_name, init_params,
+                          leaves_on_tape, param_shapes)
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.temporal import decay_column
 
 from gradcheck import scaled_error
+from helpers import window_facts
 from test_decoder import direction_rows_per_row
-from test_rgcn import encode_per_snapshot
+from test_rgcn import edge_dropout_per_snapshot, encode_per_snapshot
 from test_temporal import chain_blend, encode_sa_per_step
 
 
@@ -207,6 +208,8 @@ class TestInit:
             ModelConfig(variant="temp-sa", dim=10, heads=4)
         with pytest.raises(ValueError):
             ModelConfig(window=-1)
+        with pytest.raises(ValueError):
+            ModelConfig(layers=-2)
 
     @pytest.mark.parametrize("kwargs", [
         dict(dim=0), dict(variant="srgcn", decoder="distmult", dim=-2),
@@ -238,6 +241,32 @@ class TestWindows:
         cfg = ModelConfig(variant="srgcn", dim=4, layers=1, window=15)
         model = TempModel(cfg, tiny_dataset, {})
         assert model.window_positions(3) == ([3], 0)
+
+    @pytest.mark.parametrize("rates", [None, (0.5, 0.2), (1.0, 0.0), (0.0, 0.5)])
+    @pytest.mark.parametrize("bidirectional, t", [(False, 0), (False, 4), (False, 6),
+                                                  (True, 0), (True, 3), (True, 6)])
+    def test_window_facts_match_snapshot_list(self, sparse_dataset, bidirectional, t,
+                                              rates):
+        # the window's snapshots listed, thinned one by one and indexed; step 3
+        # is empty, and the bidirectional windows at 0 and 6 are clipped
+        ds = sparse_dataset
+        cfg = ModelConfig(variant="temp-gru", dim=4, layers=1, bidirectional=bidirectional,
+                          window=4 if bidirectional else 3,
+                          **({} if rates is None else dict(dropout_current=rates[0],
+                                                           dropout_reference=rates[1])))
+        model = TempModel(cfg, ds, {})
+        steps, target_pos = model.window_positions(t)
+        window = [ds.splits["train"][step].triples for step in steps]
+        got_rng, want_rng = (None, None) if rates is None else (np.random.default_rng(7),
+                                                                np.random.default_rng(7))
+        if rates is not None:
+            window = edge_dropout_per_snapshot(window, target_pos, *rates, want_rng)
+        facts, pos = model.window_facts(t, got_rng)
+        assert pos == target_pos
+        assert facts.dtype == np.int64
+        np.testing.assert_array_equal(facts, window_facts(window))
+        if rates is not None:
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestVariantEquivalence:
@@ -273,9 +302,10 @@ class TestImputation:
         params["decay.x.b"] = np.array([[0.0]])
         model = TempModel(cfg, ds, params)
         t = ds.step_count - 1
-        window, target_pos = model.window_triples(t)
+        facts, target_pos = model.window_facts(t)
+        window = [ds.splits["train"][step].triples for step in model.window_positions(t)[0]]
         leaves = {k: constant(v) for k, v in params.items()}
-        ctx = model.encode_context(leaves, t, window, target_pos)
+        ctx = model.encode_context(leaves, t, facts, target_pos)
 
         active_now = np.zeros(ds.entity_count, dtype=bool)
         if len(window[target_pos]):
@@ -288,7 +318,7 @@ class TestImputation:
         cfg_off = ModelConfig(variant="temp-gru", decoder="distmult", dim=4, layers=1,
                               window=2, heads=2, imputation=False)
         model_off = TempModel(cfg_off, ds, params)
-        ctx_off = model_off.encode_context(leaves, t, window, target_pos)
+        ctx_off = model_off.encode_context(leaves, t, facts, target_pos)
         for e in range(ds.entity_count)[:6]:
             if not active_now[e] and last_active[e] >= 0:
                 stale = encode_per_snapshot(window[last_active[e]], leaves,
@@ -311,15 +341,15 @@ class TestImputation:
         params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 2)
         params["decay.x.lam"] = np.array([[0.3]])
         model = TempModel(cfg, ds, params)
-        window, target_pos = model.window_triples(t)
-        assert target_pos == {0: 0, 3: 2, 6: len(window) - 1}[t]
+        facts, target_pos = model.window_facts(t)
+        assert target_pos == {0: 0, 3: 2, 6: len(model.window_positions(t)[0]) - 1}[t]
         weights = np.random.default_rng(3).normal(size=(2, ds.entity_count, cfg.dim))
         results = []
         for impute in (TempModel._impute_target, impute_target_per_position):
             monkeypatch.setattr(TempModel, "_impute_target", impute)
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, window, target_pos)
+            ctx = model.encode_context(leaves, t, facts, target_pos)
             loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
                           ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
             results.append((ctx.x.data, ctx.z.data, grads_by_name(tape, leaves, loss,
@@ -351,14 +381,14 @@ class TestSelfAttentionContext:
         params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 2)
         params["decay.z.lam"] = np.array([[0.3]])
         model = TempModel(cfg, ds, params)
-        window, target_pos = model.window_triples(t)
+        facts, target_pos = model.window_facts(t)
         weights = np.random.default_rng(4).normal(size=(2, ds.entity_count, cfg.dim))
         results = []
         for encode in (temporal.encode_sa, encode_sa_per_step):
             monkeypatch.setattr(temporal, "encode_sa", encode)
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, window, target_pos)
+            ctx = model.encode_context(leaves, t, facts, target_pos)
             loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
                           ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
             results.append((ctx.z.data, grads_by_name(tape, leaves, loss, params)))
@@ -386,14 +416,14 @@ class TestGruContext:
         params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 5)
         params["decay.z.lam"] = np.array([[0.3]])
         model = TempModel(cfg, ds, params)
-        window, target_pos = model.window_triples(t)
+        facts, target_pos = model.window_facts(t)
         weights = np.random.default_rng(6).normal(size=(2, ds.entity_count, cfg.dim))
         results = []
         for chain in (temporal._chain, chain_blend):
             monkeypatch.setattr(temporal, "_chain", chain)
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, window, target_pos)
+            ctx = model.encode_context(leaves, t, facts, target_pos)
             loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
                           ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
             results.append((ctx.z.data, grads_by_name(tape, leaves, loss, params)))
@@ -403,18 +433,10 @@ class TestGruContext:
             assert scaled_error(grads[name], want_grads[name]) <= 1e-12, name
 
 
-def step_records_per_snapshot(model, leaves, window):
-    """Oracle: a record of each snapshot of ``window``, each encoded on its own."""
-    ds = model.dataset
-    records = []
-    for triples in window:
-        active = np.zeros(ds.entity_count, dtype=bool)
-        active[triples[:, [0, 2]].ravel()] = True
-        x = encode_per_snapshot(triples, leaves, entity_count=ds.entity_count,
-                                relation_count=ds.relation_count,
-                                layers=model.config.layers)
-        records.append(StepRecord(x, active))
-    return records
+def encode_window_per_snapshot(facts, params, *, snapshots, **kwargs):
+    """Oracle: each snapshot of a window's (s, r, o, i) facts encoded on its own."""
+    return [encode_per_snapshot(facts[facts[:, 3] == i, :3], params, **kwargs)
+            for i in range(snapshots)]
 
 
 WINDOW_MODELS = {
@@ -443,15 +465,16 @@ class TestWindowContext:
         params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 8)
         model = TempModel(cfg, ds, params)
         t = 4
-        window, target_pos = model.window_triples(t, rng=np.random.default_rng(9))
-        assert cfg.variant == "srgcn" or any(len(triples) == 0 for triples in window)
+        facts, target_pos = model.window_facts(t, rng=np.random.default_rng(9))
+        steps = len(model.window_positions(t)[0])
+        assert cfg.variant == "srgcn" or len(np.unique(facts[:, 3])) < steps
         weights = np.random.default_rng(10).normal(size=(2, ds.entity_count, cfg.dim))
         results = []
-        for records in (TempModel._step_records, step_records_per_snapshot):
-            monkeypatch.setattr(TempModel, "_step_records", records)
+        for encode in (rgcn.encode_snapshot, encode_window_per_snapshot):
+            monkeypatch.setattr(rgcn, "encode_snapshot", encode)
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, window, target_pos)
+            ctx = model.encode_context(leaves, t, facts, target_pos)
             loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
                           ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
             results.append((ctx.x.data, ctx.z.data, grads_by_name(tape, leaves, loss, params)))
@@ -481,12 +504,26 @@ class TestWindowContext:
 
         monkeypatch.setattr(rgcn, "encode_snapshot", spy)
         leaves = {name: constant(arr) for name, arr in model.params.items()}
-        window, target_pos = model.window_triples(5)
-        model.encode_context(leaves, 5, window, target_pos)
+        facts, target_pos = model.window_facts(5)
+        model.encode_context(leaves, 5, facts, target_pos)
         assert calls == [4]
         calls.clear()
-        model.encode_context(leaves, 5, window, target_pos, {})
+        model.encode_context(leaves, 5, facts, target_pos, {})
         assert calls == [1] * 4
+
+    @pytest.mark.parametrize("cache", [None, {}])
+    def test_rejects_unsorted_or_outside_facts(self, sparse_dataset, cache):
+        ds = sparse_dataset
+        cfg = ModelConfig(variant="temp-gru", decoder="distmult", dim=4, layers=1,
+                          window=3)
+        model = TempModel(cfg, ds, init_params(cfg, ds.entity_count, ds.relation_count,
+                                               ds.step_count, 8))
+        leaves = {name: constant(arr) for name, arr in model.params.items()}
+        facts, target_pos = model.window_facts(5)
+        assert facts[0, 3] == 0 and facts[-1, 3] == 3
+        for bad in (facts[::-1], facts + [0, 0, 0, 1], facts - [0, 0, 0, 1]):
+            with pytest.raises(ValueError, match="sorted step indices"):
+                model.encode_context(leaves, 5, bad, target_pos, cache)
 
 
 class TestCheckpointRoundTrip:
@@ -520,8 +557,8 @@ class TestTrainingGradients:
         tape = Tape()
         leaves = leaves_on_tape(tape, params)
         t = ds.step_count - 1
-        window, target_pos = model.window_triples(t)
-        ctx = model.encode_context(leaves, t, window, target_pos)
+        facts, target_pos = model.window_facts(t)
+        ctx = model.encode_context(leaves, t, facts, target_pos)
         triples = ds.splits["train"][t].triples
         rng = np.random.default_rng(0)
         negs = (rng.integers(0, ds.entity_count, size=(len(triples), 3)),
@@ -543,8 +580,8 @@ class TestTrainingGradients:
         tape = Tape()
         leaves = leaves_on_tape(tape, params)
         t = ds.step_count - 1
-        window, target_pos = model.window_triples(t)
-        ctx = model.encode_context(leaves, t, window, target_pos)
+        facts, target_pos = model.window_facts(t)
+        ctx = model.encode_context(leaves, t, facts, target_pos)
         triples = ds.splits["train"][t].triples
         rng = np.random.default_rng(1)
         negs = (rng.integers(0, ds.entity_count, size=(len(triples), 2)),
@@ -569,7 +606,7 @@ class TestTrainingGradients:
         model = TempModel(cfg, ds, params)
         tpf = compute_tpf(ds)
         t = ds.step_count - 1
-        window, target_pos = model.window_triples(t)
+        facts, target_pos = model.window_facts(t)
         triples = ds.splits["train"][t].triples
         rng = np.random.default_rng(2)
         negs = (rng.integers(0, ds.entity_count, size=(len(triples), 4)),
@@ -581,7 +618,7 @@ class TestTrainingGradients:
                         lambda *a: snapshot_loss_per_negative(model, *a)):
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, window, target_pos)
+            ctx = model.encode_context(leaves, t, facts, target_pos)
             loss = loss_fn(leaves, ctx, triples, negs, tpf)
             results.append((loss.item(), grads_by_name(tape, leaves, loss, params)))
         (got_loss, got), (want_loss, want) = results
@@ -718,9 +755,6 @@ class TestSnapshotCache:
                                         layers=model.config.layers)
             # the cache keeps the structural embedding, not the imputed target
             np.testing.assert_array_equal(cache[t].x.data, fresh.data)
-            triples = eval_dataset.splits["train"][t].triples
-            np.testing.assert_array_equal(np.flatnonzero(cache[t].active),
-                                          np.unique(triples[:, [0, 2]]))
             np.testing.assert_array_equal(ctx.x.data, model.eval_context(t, {}, leaves).x.data)
 
     @pytest.mark.parametrize("positional", [False, True])
@@ -837,8 +871,8 @@ def test_loss_gathers_no_row_per_candidate(tiny_dataset, monkeypatch, decoder, g
     tape = Tape()
     leaves = leaves_on_tape(tape, model.params)
     t = ds.step_count - 1
-    window, target_pos = model.window_triples(t)
-    ctx = model.encode_context(leaves, t, window, target_pos)
+    facts, target_pos = model.window_facts(t)
+    ctx = model.encode_context(leaves, t, facts, target_pos)
     triples = ds.splits["train"][t].triples
     negs = (np.zeros((len(triples), 5), dtype=np.int64),
             np.ones((len(triples), 5), dtype=np.int64))
@@ -865,8 +899,8 @@ def test_gated_model_without_frequencies_raises(tiny_dataset):
     tape = Tape()
     leaves = leaves_on_tape(tape, model.params)
     t = ds.step_count - 1
-    window, target_pos = model.window_triples(t)
-    ctx = model.encode_context(leaves, t, window, target_pos)
+    facts, target_pos = model.window_facts(t)
+    ctx = model.encode_context(leaves, t, facts, target_pos)
     triples = ds.splits["train"][t].triples
     negs = (np.zeros((len(triples), 2), dtype=np.int64),) * 2
     with pytest.raises(ValueError, match="gated model"):
@@ -913,8 +947,8 @@ def test_ungated_loss_never_gathers_structural_rows(tiny_dataset, monkeypatch):
     tape = Tape()
     leaves = leaves_on_tape(tape, model.params)
     t = ds.step_count - 1
-    window, target_pos = model.window_triples(t)
-    ctx = model.encode_context(leaves, t, window, target_pos)
+    facts, target_pos = model.window_facts(t)
+    ctx = model.encode_context(leaves, t, facts, target_pos)
     assert ctx.x is not ctx.z
     sources = []
     original = ad.gather_rows

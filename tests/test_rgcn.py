@@ -6,6 +6,7 @@ from tempkg import rgcn
 from tempkg.autodiff import Tape, constant
 
 from gradcheck import scaled_error
+from helpers import window_facts
 
 
 def make_params(entity_count, relation_count, dim, layers, rng, tape=None):
@@ -48,7 +49,7 @@ def encode_per_snapshot(triples, params, *, entity_count, relation_count, layers
 
 def encode_one(triples, params, **kwargs):
     """The window encoder on a window of one snapshot."""
-    facts = rgcn.window_facts([np.array(triples, dtype=np.int64)])
+    facts = window_facts([np.array(triples, dtype=np.int64)])
     return rgcn.encode_snapshot(facts, params, snapshots=1, **kwargs)[0]
 
 
@@ -273,7 +274,7 @@ def window_and_oracle(case, layers, on_tape=False):
         tape = Tape() if on_tape else None
         params = make_params(e, r, 3, layers, np.random.default_rng(30), tape=tape)
         if run == "window":
-            hs = rgcn.encode_snapshot(rgcn.window_facts(window), params,
+            hs = rgcn.encode_snapshot(window_facts(window), params,
                                       snapshots=len(window), **kwargs)
         else:
             hs = [encode_per_snapshot(triples, params, **kwargs) for triples in window]
@@ -285,9 +286,9 @@ class TestWindowEncoding:
     def test_window_facts_index_each_snapshot(self):
         window = [np.array([[0, 1, 2]]), np.empty((0, 3), dtype=np.int64),
                   np.array([[3, 0, 1], [2, 2, 2]])]
-        np.testing.assert_array_equal(rgcn.window_facts(window),
+        np.testing.assert_array_equal(window_facts(window),
                                       [[0, 1, 2, 0], [3, 0, 1, 2], [2, 2, 2, 2]])
-        assert rgcn.window_facts([[], []]).shape == (0, 4)
+        assert window_facts([[], []]).shape == (0, 4)
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
@@ -330,7 +331,7 @@ class TestWindowEncoding:
 
             monkeypatch.setattr(ad, name, spy)
         params = make_params(e, r, 3, 2, np.random.default_rng(32))
-        rgcn.encode_snapshot(rgcn.window_facts(window), params, snapshots=len(window),
+        rgcn.encode_snapshot(window_facts(window), params, snapshots=len(window),
                              entity_count=e, relation_count=r, layers=2)
         # layer 0's self-loop term once for the window, layer 1's once per
         # snapshot; one relation transform per layer when the window has edges
@@ -339,46 +340,79 @@ class TestWindowEncoding:
         assert calls.count("matmul") == 1 + len(window)
 
 
+def edge_dropout_per_snapshot(window, current_index, current_rate, reference_rate, rng):
+    """Oracle: the loop over a window's (m, 3) snapshots that the fact-array
+    dropout replaced; each thinned snapshot draws its uniforms in a call of
+    its own, and one at rate 0 or 1, or empty, draws none."""
+    out = []
+    for i, triples in enumerate(window):
+        rate = current_rate if i == current_index else reference_rate
+        if len(triples) == 0 or rate == 0.0:
+            out.append(triples)
+        elif rate == 1.0:
+            out.append(triples[:0])
+        else:
+            keep = rng.random(len(triples)) >= rate
+            out.append(triples[keep])
+    return out
+
+
 class TestEdgeDropout:
     def triples(self, n, rng):
         return rng.integers(0, 5, size=(n, 3)).astype(np.int64)
 
     def test_rate_zero_is_identity(self):
         rng = np.random.default_rng(8)
-        window = [self.triples(6, rng), self.triples(4, rng)]
-        out = rgcn.temporal_edge_dropout(window, 1, 0.0, 0.0, np.random.default_rng(0))
-        for a, b in zip(out, window):
-            assert np.array_equal(a, b)
+        facts = window_facts([self.triples(6, rng), self.triples(4, rng)])
+        out = rgcn.temporal_edge_dropout(facts, 1, 0.0, 0.0, np.random.default_rng(0))
+        assert np.array_equal(out, facts)
 
     def test_rate_one_empties_everything(self):
         rng = np.random.default_rng(9)
-        window = [self.triples(6, rng), self.triples(4, rng)]
-        out = rgcn.temporal_edge_dropout(window, 1, 1.0, 1.0, np.random.default_rng(0))
-        assert all(len(a) == 0 for a in out)
+        facts = window_facts([self.triples(6, rng), self.triples(4, rng)])
+        out = rgcn.temporal_edge_dropout(facts, 1, 1.0, 1.0, np.random.default_rng(0))
+        assert out.shape == (0, 4)
 
     def test_half_rate_within_binomial_bound(self):
         rng = np.random.default_rng(10)
-        window = [self.triples(10_000, rng)]
-        out = rgcn.temporal_edge_dropout(window, 0, 0.5, 0.2, np.random.default_rng(1))
-        kept = len(out[0])
+        facts = window_facts([self.triples(10_000, rng)])
+        out = rgcn.temporal_edge_dropout(facts, 0, 0.5, 0.2, np.random.default_rng(1))
+        kept = len(out)
         sigma = np.sqrt(10_000 * 0.25)
         assert abs(kept - 5_000) <= 3 * sigma
 
     def test_distinct_rates_per_position(self):
         rng = np.random.default_rng(11)
-        window = [self.triples(10_000, rng), self.triples(10_000, rng)]
-        out = rgcn.temporal_edge_dropout(window, 1, 0.5, 0.2, np.random.default_rng(2))
-        assert abs(len(out[0]) - 8_000) <= 3 * np.sqrt(10_000 * 0.16)
-        assert abs(len(out[1]) - 5_000) <= 3 * np.sqrt(10_000 * 0.25)
+        facts = window_facts([self.triples(10_000, rng), self.triples(10_000, rng)])
+        out = rgcn.temporal_edge_dropout(facts, 1, 0.5, 0.2, np.random.default_rng(2))
+        kept = np.bincount(out[:, 3], minlength=2)
+        assert abs(kept[0] - 8_000) <= 3 * np.sqrt(10_000 * 0.16)
+        assert abs(kept[1] - 5_000) <= 3 * np.sqrt(10_000 * 0.25)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(12)
-        window = [self.triples(50, rng)]
-        a = rgcn.temporal_edge_dropout(window, 0, 0.5, 0.2, np.random.default_rng(3))
-        b = rgcn.temporal_edge_dropout(window, 0, 0.5, 0.2, np.random.default_rng(3))
-        assert np.array_equal(a[0], b[0])
+        facts = window_facts([self.triples(50, rng)])
+        a = rgcn.temporal_edge_dropout(facts, 0, 0.5, 0.2, np.random.default_rng(3))
+        b = rgcn.temporal_edge_dropout(facts, 0, 0.5, 0.2, np.random.default_rng(3))
+        assert np.array_equal(a, b)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            rgcn.temporal_edge_dropout([np.zeros((1, 3), dtype=np.int64)], 0, 1.5, 0.2,
-                                       np.random.default_rng(0))
+            rgcn.temporal_edge_dropout(window_facts([np.zeros((1, 3), dtype=np.int64)]), 0,
+                                       1.5, 0.2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("reference_rate", [0.0, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("current_rate", [0.0, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("current_index", [0, 1, 3])
+    def test_matches_per_snapshot_loop(self, current_index, current_rate, reference_rate):
+        # snapshot 1 is empty; the kept rows and the generator's state after
+        # the call are the loop's
+        rng = np.random.default_rng(13)
+        window = [self.triples(n, rng) for n in (7, 0, 5, 9)]
+        got_rng, want_rng = np.random.default_rng(14), np.random.default_rng(14)
+        got = rgcn.temporal_edge_dropout(window_facts(window), current_index, current_rate,
+                                         reference_rate, got_rng)
+        want = edge_dropout_per_snapshot(window, current_index, current_rate,
+                                         reference_rate, want_rng)
+        np.testing.assert_array_equal(got, window_facts(want))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
