@@ -32,33 +32,46 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+class UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an exception, so ``main`` prints it on one line;
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tempkg",
-                                     description="temporal knowledge-graph completion")
+    parser = _Parser(prog="tempkg", description="temporal knowledge-graph completion")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, about, seed=False, checkpoint=False):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--checkpoint", default=None, help="checkpoint path")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the run seed")
+        if checkpoint:
+            p.add_argument("--checkpoint", default=None, help="checkpoint path")
+        return p
 
-    common(sub.add_parser("train", help="train a model variant"))
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    common(p_eval)
+    command("train", "train a model variant", seed=True, checkpoint=True)
+    p_eval = command("eval", "evaluate a checkpoint on a split", checkpoint=True)
     p_eval.add_argument("--split", default="test", choices=("train", "valid", "test"))
-    common(sub.add_parser("ted", help="decay-rule baseline sigma sweep"))
-    common(sub.add_parser("synth", help="generate a synthetic dataset"))
-    common(sub.add_parser("stats", help="dataset statistics report"))
-    p_an = sub.add_parser("analyze", help="frequency-binned breakdown of results")
-    common(p_an)
+    command("ted", "decay-rule baseline sigma sweep")
+    command("synth", "generate a synthetic dataset", seed=True)
+    command("stats", "dataset statistics report")
+    p_an = command("analyze", "frequency-binned breakdown of results")
     p_an.add_argument("--results", required=True, help="results.jsonl from eval")
     return parser
 
 
 def _load_run(args) -> RunConfig:
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["train.seed"] = str(args.seed)
     return load_config(args.config, overrides)
 
@@ -194,9 +207,8 @@ _COMMANDS = {"train": cmd_train, "eval": cmd_eval, "ted": cmd_ted,
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except Exception as err:  # single-line, machine-parsable failure report
         detail = " ".join(str(err).split()) or err.__class__.__name__

@@ -166,5 +166,10 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         target, renames = _section_target(config, section)
         _assign(target, renames, section, key, raw, dotted)
     for section in fields(config):
-        getattr(config, section.name).__post_init__()
+        try:
+            getattr(config, section.name).__post_init__()
+        except ConfigError:
+            raise
+        except ValueError as err:
+            raise ConfigError(f"[{section.name}] {err}") from err
     return config

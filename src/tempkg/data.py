@@ -77,7 +77,6 @@ class GroupedCodes:
         self.span = sizes[-1]
         codes = np.asarray(self.encode(columns), dtype=np.int64)
         self.codes = np.unique(codes) if unique else np.sort(codes)
-        self.values = self.codes % self.span
 
     def encode(self, parts):
         """Code of the leading columns: a key's first code, or a fact's code."""
@@ -93,7 +92,7 @@ class GroupedCodes:
         rows = np.repeat(np.arange(len(base)), counts)
         # a value's position is its key's lo plus its offset inside the key's run
         starts = np.cumsum(counts) - counts
-        return rows, self.values[np.arange(len(rows)) + np.repeat(lo - starts, counts)]
+        return rows, self.codes[np.arange(len(rows)) + np.repeat(lo - starts, counts)] % self.span
 
     def count(self, key, lo, hi) -> np.ndarray:
         """Codes of each key with a value in (lo, hi], where -1 <= lo, hi < span;

@@ -131,7 +131,6 @@ def rank_snapshots(entity_count: int, quads: np.ndarray, snapshot_scorer,
         raise ValueError("rank_snapshots needs facts sorted by time step")
     steps, starts = np.unique(quads[:, 3], return_index=True)
     ranks = np.empty((len(quads), 2), dtype=np.int64)
-    freqs = np.empty((len(quads), len(PATTERN_KINDS)), dtype=np.int64)
     nonfinite = 0
     for t, lo, hi in zip(steps.tolist(), starts.tolist(), [*starts[1:].tolist(), len(quads)]):
         triples = quads[lo:hi, :3]
@@ -141,14 +140,13 @@ def rank_snapshots(entity_count: int, quads: np.ndarray, snapshot_scorer,
             ranks[lo:hi, col] = filtered_ranks(scores, answers,
                                                *filter_index.filter_sets(direction, triples, t))
             nonfinite += np.count_nonzero(~np.isfinite(scores[np.arange(hi - lo), answers]))
-        if tpf is not None:
-            freqs[lo:hi] = tpf.frequencies(triples, t)
     if nonfinite:
         log.warning("%d of %d queries have a non-finite answer score; each ranks behind "
                     "every kept candidate", nonfinite, ranks.size)
+    freqs = None if tpf is None else tpf.frequencies(quads[:, :3], quads[:, 3]).repeat(2, axis=0)
     return RankingReport(entity_count, query_records(
         np.tile(["object", "subject"], len(quads)), np.repeat(quads, 2, axis=0),
-        ranks.ravel(), np.repeat(freqs, 2, axis=0) if tpf is not None else None))
+        ranks.ravel(), freqs))
 
 
 def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,

@@ -41,9 +41,7 @@ class WindowPolicy:
 class TpfTable:
     """Pattern frequencies over the training split, queryable at any step.
     Each pattern kind keeps one sorted code key * (T + 1) + time per training
-    fact, so a frequency is two binary searches. The last answer is kept, so
-    reading one step's facts again, as a gated evaluation does for its scorer
-    and its report, costs no search."""
+    fact, so a frequency is two binary searches."""
 
     def __init__(self, dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()):
         quads = dataset.quadruples("train")
@@ -56,27 +54,20 @@ class TpfTable:
                                            [sizes[c] for c in cols] + [self.step_count + 1],
                                            unique=False)
                         for kind, cols in PATTERN_COLUMNS.items()}
-        self._last: tuple[int, np.ndarray, np.ndarray] | None = None
 
-    def _bounds(self, t: int) -> tuple[int, int]:
-        """The window (lo, hi] of counted steps at t, clipped to [-1, T] so
-        both bounds stay inside a key's run of codes."""
+    def _bounds(self, t):
+        """The window (lo, hi] of counted steps at t, one step or an array of
+        them, clipped to [-1, T] so both bounds stay inside a key's run of codes."""
         hi = t - 1 if self.policy.kind == "strict_past" else t
         lo = t - self.policy.width if self.policy.kind == "trailing" else -1
-        return (min(max(lo, -1), self.step_count), min(max(hi, -1), self.step_count))
+        return np.clip(lo, -1, self.step_count), np.clip(hi, -1, self.step_count)
 
-    def frequencies(self, triples: np.ndarray, t: int) -> np.ndarray:
+    def frequencies(self, triples: np.ndarray, t) -> np.ndarray:
         """(m, 7) counts of each (s, r, o) row at step t, one column per
-        entry of PATTERN_KINDS, read-only."""
-        if (self._last is not None and self._last[0] == t
-                and np.array_equal(self._last[1], triples)):
-            return self._last[2]
+        entry of PATTERN_KINDS; ``t`` is one step or one step per row."""
         lo, hi = self._bounds(t)
-        out = np.stack([self._groups[kind].count(tuple(triples[:, c] for c in cols), lo, hi)
-                        for kind, cols in PATTERN_COLUMNS.items()], axis=1)
-        out.flags.writeable = False
-        self._last = (t, np.array(triples), out)
-        return out
+        return np.stack([self._groups[kind].count(tuple(triples[:, c] for c in cols), lo, hi)
+                         for kind, cols in PATTERN_COLUMNS.items()], axis=1)
 
 
 def compute_tpf(dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()) -> TpfTable:

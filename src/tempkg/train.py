@@ -158,15 +158,17 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
 
     Side effects in ``out_dir``: best.ckpt and training_log.jsonl.
     """
-    os.makedirs(out_dir, exist_ok=True)
     tcfg = config.train
     epochs = max_epochs if max_epochs is not None else tcfg.epochs
+    if epochs < 1:
+        raise TrainingError(f"{epochs} epochs select no best epoch; train at least one")
     seed = tcfg.seed
     target_steps = [snap.time for snap in dataset.splits["train"] if len(snap)]
     if not target_steps:
         raise TrainingError("training split has no facts")
     if not len(dataset.quadruples("valid")):
         raise TrainingError("validation split has no facts to select the best epoch by")
+    os.makedirs(out_dir, exist_ok=True)
 
     params = init_params(config.model, dataset.entity_count, dataset.relation_count,
                          dataset.step_count, seed)
@@ -217,6 +219,4 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
 
     logbook.best_epoch = best["epoch"]
     logbook.write_jsonl(os.path.join(out_dir, "training_log.jsonl"))
-    if best["epoch"] < 0:
-        save_checkpoint(ckpt_path, params)
     return load_checkpoint(ckpt_path), logbook

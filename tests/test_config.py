@@ -164,6 +164,18 @@ sigmas = 1e-5 0.1 10
         assert TedSection(sigmas="1e-5, 0.1", blend="sum", split="test").sigma_list() == \
             [1e-5, 0.1]
 
+    @pytest.mark.parametrize("section, line, detail", [
+        ("train", "lr = 0", "lr must be positive"), ("model", "dim = 0", "dim must be positive"),
+        ("synth", "steps = 0", "at least one entity, relation and step"),
+        ("ted", "sigmas = nan", "sigma must be positive"),
+        ("eval", "tpf_window = trailng", "unknown window policy"),
+    ])
+    def test_range_errors_are_config_errors_naming_their_section(self, tmp_path, section,
+                                                                 line, detail):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] .*{detail}") as err:
+            load_config(write(tmp_path, f"[{section}]\n{line}\n"))
+        assert type(err.value.__cause__) is ValueError
+
     def test_seed_override(self, tmp_path):
         path = write(tmp_path, "[train]\nseed = 1\n")
         cfg = load_config(path, overrides={"train.seed": "42"})

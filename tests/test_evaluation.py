@@ -176,9 +176,9 @@ class TestResultsMatchPerQueryPath:
         assert rows and rows == per_query_binned_analysis(per_query.results)
 
 
-def test_gated_evaluate_reads_each_step_frequencies_once(monkeypatch):
-    # the scorer's gates and the report read the same step's pattern counts:
-    # one count per pattern kind per test step
+def test_gated_evaluate_counts_each_step_then_the_split_once(monkeypatch):
+    # the scorer's gates count one pattern kind per call for each test step,
+    # and the report counts the whole split in one more call per kind
     ds = generate_synthetic(SynthSpec(30, 4, 8, density=0.5, periodicity=0.5, period=2,
                                       test_fraction=0.2), seed=3)
     config = ModelConfig(variant="temp-sa", decoder="complex", dim=8, window=2,
@@ -197,7 +197,7 @@ def test_gated_evaluate_reads_each_step_frequencies_once(monkeypatch):
                          build_true_index(ds, ("train", "valid", "test")), tpf)
     steps = sum(1 for snap in ds.splits["test"] if len(snap))
     assert steps > 1 and "tpf" in report.results.dtype.names
-    assert len(counted) == len(PATTERN_KINDS) * steps
+    assert len(counted) == len(PATTERN_KINDS) * (steps + 1)
 
 
 def toy_dataset_and_scores(rng, e=6, r=2, t=3, per_split=4):

@@ -68,19 +68,28 @@ def test_tpf_matches_dict_oracle(seed, policy):
     table = het.compute_tpf(ds, policy)
     oracle = DictTpfTable(ds, policy)
     sizes = (E, R, E)
+    triples = np.array([(s, r, o) for s in range(E) for r in range(R) for o in range(E)])
+    per_step = []
     for t in range(-2, T + 3):
         for kind, cols in het.PATTERN_COLUMNS.items():
             for key in itertools.product(*(range(sizes[c]) for c in cols)):
                 got = pattern_frequency(table, kind, key, t)
                 assert type(got) is int
                 assert got == oracle.freq(kind, key, t), (kind, key, t)
-        triples = np.array([(s, r, o) for s in range(E) for r in range(R) for o in range(E)])
         counts = table.frequencies(triples, t)
         assert counts.shape == (len(triples), len(het.PATTERN_KINDS))
         for row, (s, r, o) in zip(counts.tolist(), triples.tolist()):
             want = query_frequencies(table, s, r, o, t)
             assert dict(zip(het.PATTERN_KINDS, row)) == want
             assert all(type(v) is int for v in want.values())
+        per_step.append(counts)
+    # one call with a step per row, the rows of every step shuffled together:
+    # steps 0 and T - 1, steps outside [0, T) and, under trailing(T + 3), a
+    # width larger than any step
+    steps = np.repeat(np.arange(-2, T + 3), len(triples))
+    order = np.random.default_rng(seed).permutation(len(steps))
+    got = table.frequencies(np.tile(triples, (T + 5, 1))[order], steps[order])
+    np.testing.assert_array_equal(got, np.vstack(per_step)[order])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

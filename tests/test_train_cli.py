@@ -85,6 +85,16 @@ class TestTrainLoop:
             train(small_run_config(), empty_valid, tmp_path / "run", max_epochs=1)
         assert not (tmp_path / "run" / "training_log.jsonl").exists()
 
+    def test_zero_epochs_abort_before_writing(self, small_dataset, tmp_path):
+        # no epoch runs, so none could be selected as the best
+        cfg = small_run_config()
+        for epochs, max_epochs in ((5, 0), (0, None), (0, -1)):
+            cfg.train.epochs = epochs
+            with pytest.raises(TrainingError, match="select no best epoch"):
+                train(cfg, small_dataset, tmp_path / "run", max_epochs=max_epochs)
+            assert not (tmp_path / "run" / "best.ckpt").exists()
+            assert not (tmp_path / "run" / "training_log.jsonl").exists()
+
     def test_validation_mrr_ranks_like_evaluate(self, small_dataset):
         cfg = small_run_config(gating=True)
         ds = small_dataset
@@ -357,10 +367,39 @@ split = test
 
     def test_errors_exit_nonzero_with_single_line(self, tmp_path, capsys):
         bad = write_config(tmp_path / "bad.cfg", "[model]\nwidth = 3\n")
-        assert run_cli(["stats", "--config", bad, "--out", str(tmp_path)]) == 1
+        for args, kind in (
+                (["stats", "--config", bad, "--out", str(tmp_path)], "ConfigError"),
+                (["eval"], "UsageError"),                  # a required flag missing
+                (["bogus", "--config", bad], "UsageError"),  # an unknown command
+                ([], "UsageError"),
+                (["ted", "--config", bad, "--seed", "3"], "UsageError"),  # a stray flag
+                (["stats", "--config", bad, "--checkpoint", "x"], "UsageError")):
+            assert run_cli(args) == 1, args
+            captured = capsys.readouterr()
+            err = captured.err.strip()
+            assert err.startswith(f"error: {kind}: ") and "\n" not in err, args
+            assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        for args in (["--help"], ["train", "--help"]):
+            with pytest.raises(SystemExit) as exited:
+                run_cli(args)
+            assert exited.value.code == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith("usage: tempkg") and captured.err == ""
+
+    def test_zero_epoch_train_fails_on_one_line(self, tmp_path, synth_config, capsys):
+        data_dir = self.make_dataset_dir(tmp_path, synth_config)
+        self.full_config(tmp_path, data_dir)
+        text = (tmp_path / "run.cfg").read_text()
+        zero = write_config(tmp_path / "zero.cfg", text.replace("epochs = 2", "epochs = 0"))
+        capsys.readouterr()
+        run_dir = tmp_path / "run"
+        assert run_cli(["train", "--config", zero, "--out", str(run_dir)]) == 1
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error: ")
-        assert "\n" not in err
+        assert err.startswith("error: TrainingError: ") and "\n" not in err
+        assert not (run_dir / "best.ckpt").exists()
+        assert not (run_dir / "training_log.jsonl").exists()
 
     def test_eval_shape_mismatch_rejected(self, tmp_path, synth_config, capsys):
         data_dir = self.make_dataset_dir(tmp_path, synth_config)
