@@ -74,7 +74,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<Q", blob, off)
             off += 8
-            name = blob[off:off + name_len].decode("utf-8")
+            try:
+                name = blob[off:off + name_len].decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise CheckpointError(f"{path}: tensor name is not utf-8 ({err})") from err
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor '{name}' appears twice")
             off += name_len
             (rank,) = struct.unpack_from("<Q", blob, off)
             off += 8

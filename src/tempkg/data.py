@@ -180,7 +180,9 @@ def build_true_index(dataset: TkgDataset, splits=("train",), static=False) -> Tr
 # --- loading -----------------------------------------------------------------
 
 def _read_id_map(path) -> dict[str, int]:
+    """name -> id from 'name<TAB>id' lines; a name or an id listed twice is an error."""
     mapping: dict[str, int] = {}
+    names_of: dict[int, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -189,10 +191,17 @@ def _read_id_map(path) -> dict[str, int]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DatasetError(f"{path}:{lineno}: expected 'name<TAB>id'")
+            name = parts[0]
             try:
-                mapping[parts[0]] = int(parts[1])
+                idx = int(parts[1])
             except ValueError as err:
                 raise DatasetError(f"{path}:{lineno}: non-integer id {parts[1]!r}") from err
+            if name in mapping:
+                raise DatasetError(f"{path}:{lineno}: name {name!r} listed twice")
+            if idx in names_of:
+                raise DatasetError(f"{path}:{lineno}: id {idx} already names "
+                                   f"{names_of[idx]!r}")
+            mapping[name], names_of[idx] = idx, name
     return mapping
 
 

@@ -97,7 +97,8 @@ def rank_query(scores: np.ndarray, true_entity: int, filtered: np.ndarray) -> in
 
 def filtered_ranks(scores: np.ndarray, answers: np.ndarray, rows: np.ndarray,
                    ids: np.ndarray) -> np.ndarray:
-    """rank_query of every row of a (q, E) score matrix at once.
+    """rank_query of every row of a (q, E) score matrix at once; the scores may
+    be of any real dtype, such as TedModel's integer -positions.
 
     ``answers`` holds each row's true entity and (rows, ids) its filtered
     candidate ids, distinct within a row. A rank is 1 + #{j : not score_j <
@@ -123,7 +124,8 @@ def rank_snapshots(entity_count: int, quads: np.ndarray, snapshot_scorer,
     (n, 4) array of (s, r, o, t), a whole step and direction at a time.
 
     Rows 2i and 2i + 1 of the report are fact i's object and subject queries;
-    ``tpf`` attaches each fact's pattern frequencies. One warning per call
+    ``tpf`` attaches each fact's pattern frequencies. Score rows may be of any
+    real dtype (TedModel returns integer -positions). One warning per call
     counts the queries whose answer score is not finite.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
@@ -155,8 +157,10 @@ def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,
     """Rank both query directions of every fact in a split.
 
     ``snapshot_scorer(t, triples)`` must return (object_scores, subject_scores)
-    arrays of shape (len(triples), entity_count): row i scores every candidate
-    completion of triples[i] in the respective direction.
+    arrays of shape (len(triples), entity_count) of any real dtype: row i
+    scores every candidate completion of triples[i] in the respective
+    direction. TedModel's scorer returns integer -positions, neural scorers
+    float64.
     """
     report = rank_snapshots(dataset.entity_count, dataset.quadruples(split),
                             snapshot_scorer, filter_index, tpf)

@@ -19,8 +19,16 @@ Scoring works on a whole snapshot: all queries of one step and direction read
 each tier's key ranges in one lookup, are de-duplicated down the tiers with
 one np.unique over query * span + code, and sum their decay scores into
 sparse (tier, query, entity) slots. Only the referenced (query, entity) pairs
-are sorted; unreferenced entities fill the rest of each row of the (q, E)
-output in id order, so no per-query or dense per-tier array is built.
+are sorted, by two stable argsorts: on the score, then on a narrow integer
+group key that numpy radix-sorts. The (q, E) output holds each entity's
+-position in the narrowest signed integer dtype that holds +-2E
+(np.min_scalar_type(-2 * E): int16 up to 16384 entities, int32 above), which
+is exact because positions are integers below E. It is built in two passes:
+one np.repeat of row-local values over runs of cells that end at a referenced
+pair or at a row's last entity, with one in-place subtraction of the entity
+id, puts the unreferenced entities in id order after the referenced ones;
+then the referenced pairs are written in their sorted order. No per-query or
+dense per-tier array is built.
 """
 
 from __future__ import annotations
@@ -81,8 +89,8 @@ class TedModel:
         rows, codes, tier = rows[other_step], codes[other_step], tier[other_step]
         # the list is tier-major, so each tuple's first occurrence is in its best tier
         span = self.entity_count * (self.step_count + 1)
-        _, first = np.unique(rows * span + codes, return_index=True)
-        first.sort()
+        first = np.zeros(len(codes), dtype=bool)
+        first[np.unique(rows * span + codes, return_index=True)[1]] = True
         ents, times = np.divmod(codes[first], self.step_count + 1)
         tuples = np.stack([rows[first], ents, times], axis=1)
         return np.split(tuples, np.searchsorted(tier[first], (1, 2)))
@@ -105,29 +113,39 @@ class TedModel:
         """(q, entity_count) scores of the queries (s[i], r[i], o[i]) at step t;
         each row's descending order is that query's ranking.
 
-        Scores are -position so downstream filtered ranking sees no ties.
+        Scores are -position, so downstream filtered ranking sees no ties, as
+        integers of dtype np.min_scalar_type(-2 * entity_count): int16 up to
+        16384 entities, int32 above (int8 below 65). The rows are built in two
+        passes, one np.repeat of row-local run values less the entity id, then
+        one write of the referenced pairs; no value leaves +-2 * entity_count.
         """
         q, e = len(s), self.entity_count
         tiers = self.reference_sets(direction, s, r, o, t)
         tier, pair, scores = self.tier_scores(tiers, t, config.sigma)
         pairs, first, slot_pair = np.unique(pair, return_index=True, return_inverse=True)
         queries = pairs // e
-        # pairs are in entity order within a query and lexsort is stable, so
-        # exact ties keep ascending entity ids
         if config.blend == "sum":
-            order = np.lexsort((-np.bincount(slot_pair, scores, len(pairs)), queries))
+            key, group = -np.bincount(slot_pair, scores, len(pairs)), queries
         else:   # slots are tier-major, so a pair's first slot is its best tier
-            order = np.lexsort((-scores[first], queries * 3 + tier[first]))
+            key, group = -scores[first], queries * 3 + tier[first]
+        # pairs are in entity order within a query and both sorts are stable,
+        # so exact ties keep ascending entity ids; a narrow group key radix-sorts
+        order = np.argsort(key, kind="stable")
+        order = order[np.argsort(group[order].astype(np.min_scalar_type(3 * q)),
+                                 kind="stable")]
         counts = np.bincount(queries, minlength=q)
         ends = np.cumsum(counts)
-        # Unreferenced entity j of query i follows the query's referenced ones in
-        # id order, at position ends[i] + j - (pairs below i * e + j); the last
-        # term is a step function of the flat index, one np.repeat.
-        flat = np.repeat(np.arange(len(pairs) + 1, dtype=np.float64),
-                         np.diff(pairs, prepend=-1, append=q * e - 1))
+        # Unreferenced entity j of query i, with k of the query's referenced
+        # pairs above it, sits at position j + k: the run ending at referenced
+        # pair p (index n in pairs) holds n - ends[i] = -k, a run ending at a
+        # row's last entity 0; that entity merges into the sorted pairs after
+        # the row's ends[i] pairs. Every value stays within [-entity_count, 0].
+        dtype = np.min_scalar_type(-2 * e)
+        runs = np.insert(np.arange(len(pairs)) - ends[queries], ends, 0).astype(dtype)
+        flat = np.repeat(runs, np.diff(np.insert(pairs, ends, np.arange(1, q + 1) * e - 1),
+                                       prepend=-1))
         out = flat.reshape(q, e)
-        out -= np.arange(e)
-        out -= ends[:, None]
+        out -= np.arange(e, dtype=dtype)
         flat[pairs[order]] = (ends - counts)[queries[order]] - np.arange(len(order))
         return out
 

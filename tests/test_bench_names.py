@@ -90,8 +90,8 @@ def test_scatter_row_counter_counts_the_rows_passed():
 
 def test_ted_tuple_counter_matches_per_query_oracle():
     """A traced whole-snapshot decay-rule pass counts as many reference tuples
-    as the per-query scorer finds, and each TED span fires once per snapshot
-    and direction."""
+    as the per-query scorer finds, 7950 on this corpus, and each TED span fires
+    once per snapshot and direction."""
     tracing = load_tracing()
     ds = generate_synthetic(SynthSpec(60, 5, 14, density=0.5, periodicity=0.5, period=3,
                                       test_fraction=0.2), seed=2)
@@ -106,7 +106,9 @@ def test_ted_tuple_counter_matches_per_query_oracle():
         scorer = TedModel(ds).snapshot_scorer(TedConfig(0.2))
         for t, triples in snaps:
             scorer(t, triples)
-    assert tracer.segments[-1][1]["ted.tuples"] == want > 0
+    # pinned as well, so a rewrite of reference_sets that changes the tuples
+    # the oracle and the benchmark count together still fails here
+    assert tracer.segments[-1][1]["ted.tuples"] == want == 7950
     calls = [tracer.names[span[0]] for span in tracer.spans]
     for span in ("ted.TedModel.reference_sets", "ted.TedModel.tier_scores",
                  "ted.TedModel.rank_scores", "kernels.decay_accumulate"):

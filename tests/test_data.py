@@ -99,6 +99,21 @@ class TestLoader:
         assert ds.entity_count == 3
         assert ds.entity_names == ["bob", "", "5"]
 
+    @pytest.mark.parametrize("map_file", ["entity2id.txt", "relation2id.txt"])
+    @pytest.mark.parametrize("lines, where, problem", [
+        ("alice\t0\nbob\t1\nalice\t2\n", 3, "name 'alice' listed twice"),
+        ("alice\t0\nbob\t0\n", 2, "id 0 already names 'alice'")], ids=["name", "id"])
+    def test_id_map_repeating_a_name_or_an_id_rejected(self, tmp_path, map_file, lines,
+                                                       where, problem):
+        # two names on one id would load as one entity under the later name
+        make_dir(tmp_path, ["alice likes bob 0"])
+        (tmp_path / "entity2id.txt").write_text("alice\t0\nbob\t1\n")
+        (tmp_path / "relation2id.txt").write_text("likes\t0\n")
+        (tmp_path / map_file).write_text(lines)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(tmp_path)
+        assert f"{map_file}:{where}: {problem}" in str(err.value)
+
     def test_date_times_become_daily_steps(self, tmp_path):
         ds = load_dataset(make_dir(tmp_path, ["0 0 1 2014-01-01", "1 0 0 2014-01-03"]))
         assert ds.step_count == 3

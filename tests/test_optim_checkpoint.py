@@ -201,6 +201,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @staticmethod
+    def tensor_record(name: bytes) -> bytes:
+        """One tensor as save_checkpoint lays it out: a 2-vector named ``name``."""
+        return (struct.pack("<Q", len(name)) + name + struct.pack("<QQ", 1, 2)
+                + np.array([1.0, 2.0], dtype="<f8").tobytes())
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"TMPKGCKP" + struct.pack("<QQ", 1, 1) + self.tensor_record(b"w\xff"))
+        with pytest.raises(CheckpointError, match="not utf-8"):
+            load_checkpoint(path)
+
+    def test_repeated_name_rejected(self, tmp_path):
+        # the later tensor must not silently replace the earlier one
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"TMPKGCKP" + struct.pack("<QQ", 1, 2)
+                         + self.tensor_record(b"w") + self.tensor_record(b"w"))
+        with pytest.raises(CheckpointError, match="'w' appears twice"):
+            load_checkpoint(path)
+
     def test_short_header_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"TMPKGCKP" + b"\x01\x00")

@@ -3,8 +3,11 @@ import pytest
 
 from tempkg import _kernels
 from tempkg.data import Snapshot, TkgDataset, build_true_index
-from tempkg.evaluation import evaluate
+from tempkg.evaluation import evaluate, filtered_ranks
+from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.ted import TedConfig, TedModel
+
+from fact_oracles import PerQueryTedModel
 
 
 def dataset_from_train(quads, e=6, r=3, t=8, test_quads=()):
@@ -225,3 +228,76 @@ class TestRanking:
             mrr[sigma] = report.mrr
         assert mrr[0.5] > mrr[1e-5]
         assert mrr[0.5] > mrr[1e5]
+
+
+def split_test_snapshots(ds):
+    return [(snap.time, snap.triples) for snap in ds.splits["test"] if len(snap)]
+
+
+class TestScoreRows:
+    """Whole-snapshot integer -position rows against the per-query float oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(ds, snapshots, config, model=None):
+        scorer = (model or TedModel(ds)).snapshot_scorer(config)
+        oracle = PerQueryTedModel(ds).snapshot_scorer(config)
+        for t, triples in snapshots:
+            for rows, want in zip(scorer(t, triples), oracle(t, triples)):
+                assert rows.dtype == np.min_scalar_type(-2 * ds.entity_count)
+                assert np.array_equal(rows, want)
+
+    @pytest.mark.parametrize("blend", ["tiered", "sum"])
+    def test_matches_per_query_oracle_on_random_corpora(self, blend):
+        rng = np.random.default_rng(4)
+        for seed in range(8):
+            spec = SynthSpec(int(rng.integers(5, 90)), int(rng.integers(1, 6)),
+                             int(rng.integers(3, 12)), density=float(rng.uniform(0.1, 3.0)),
+                             periodicity=0.5, period=int(rng.integers(1, 4)),
+                             test_fraction=0.3)
+            ds = generate_synthetic(spec, seed)
+            sigma = float(rng.choice([1e-3, 0.1, 1.0, 1e3]))
+            self.assert_matches_oracle(ds, split_test_snapshots(ds), TedConfig(sigma, blend))
+
+    @pytest.mark.parametrize("spec, seed", [
+        # 845 queries each referencing all 400 entities: 338k pairs in one step
+        (SynthSpec(400, 3, 12, density=20.0, periodicity=0.5, period=3), 1),
+        # 205 x 2000 cells with 118k pairs, 29% referenced: long unreferenced runs
+        (SynthSpec(2000, 20, 12, density=1.0, periodicity=0.5, period=3), 1)],
+        ids=["dense", "mixed"])
+    def test_matches_oracle_past_the_int16_pair_count(self, spec, seed):
+        ds = generate_synthetic(spec, seed)
+        t, triples = max(split_test_snapshots(ds), key=lambda snap: len(snap[1]))
+        model = TedModel(ds)
+        s, r, o = triples.T
+        _, pair, _ = model.tier_scores(model.reference_sets("object", s, r, o, t), t, 0.1)
+        assert len(np.unique(pair)) > np.iinfo(np.int16).max
+        for blend in ("tiered", "sum"):
+            self.assert_matches_oracle(ds, [(t, triples)], TedConfig(0.1, blend), model)
+
+    @pytest.mark.parametrize("e, dtype", [(16384, np.int16), (16385, np.int32)])
+    def test_dtype_is_the_narrowest_holding_twice_the_entity_count(self, e, dtype):
+        # the last entity is referenced, so a row's end is also a referenced pair
+        ds = dataset_from_train([(0, 0, e - 1, 0), (0, 0, 3, 1), (5, 0, e - 2, 1)],
+                                e=e, r=1, t=3)
+        model, oracle = TedModel(ds), PerQueryTedModel(ds)
+        s, r, o = np.array([0, 7]), np.array([0, 0]), np.array([1, 2])
+        for blend in ("tiered", "sum"):
+            config = TedConfig(0.5, blend)
+            for direction in ("object", "subject"):
+                rows = model.rank_scores(direction, s, r, o, 2, config)
+                assert rows.dtype == dtype
+                assert rows.min() == 1 - e
+                for i, row in enumerate(rows):
+                    assert np.array_equal(row, oracle.rank_scores(direction, s[i], r[i], o[i],
+                                                                   2, config))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_filtered_ranks_of_integer_scores_match_their_float_copy(dtype):
+    rng = np.random.default_rng(5)
+    q, e = 40, 30
+    scores = rng.integers(-6, 6, size=(q, e)).astype(dtype)    # many ties
+    answers = rng.integers(e, size=q)
+    rows, ids = np.nonzero(rng.random((q, e)) < 0.2)
+    got = filtered_ranks(scores, answers, rows, ids)
+    assert np.array_equal(got, filtered_ranks(scores.astype(np.float64), answers, rows, ids))
