@@ -176,7 +176,7 @@ def cmd_stats(args) -> int:
     # row t + 1 of ``active`` marks the entities active at step t
     active = np.zeros((dataset.step_count + 1, dataset.entity_count), dtype=np.int64)
     for split in SPLIT_NAMES:
-        s, _, o, t = dataset.quadruples(split).T
+        s, _, o, t = dataset.quads[split].T
         active[t + 1, s] = active[t + 1, o] = 1
     before = np.cumsum(active, axis=0)  # before[t, e]: steps < t at which e was active
     lines = ["step,active_entities,active_with_recent_history,avg_occurrences_last15"]

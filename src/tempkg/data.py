@@ -1,8 +1,9 @@
 """Discrete-time multigraph data model and dataset ingestion.
 
-A dataset is three ordered sequences of snapshots (train/valid/test) over one
-shared time axis, with shared entity and relation vocabularies. Snapshots
-hold de-duplicated (subject, relation, object) triples as a sorted int array.
+A dataset is three splits (train/valid/test) over one shared time axis, with
+shared entity and relation vocabularies. Each split is one read-only (n, 4)
+array of distinct (subject, relation, object, time) facts sorted by (time,
+subject, relation, object); its snapshots are views of one step's rows.
 
 On-disk layout: a directory with ``train.txt`` / ``valid.txt`` / ``test.txt``,
 one fact per line, four whitespace-separated fields
@@ -36,30 +37,14 @@ class DatasetError(ValueError):
     pass
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class Snapshot:
-    """All facts at one time step; triples are a set stored sorted."""
-
-    __slots__ = ("time", "triples")
-
-    def __init__(self, time: int, triples: np.ndarray | None = None):
-        self.time = time
-        arr = np.asarray([] if triples is None else triples, dtype=np.int64).reshape(-1, 3)
-        self.triples = np.unique(arr, axis=0)
+    """All facts at one time step: a read-only (m, 3) view of its split's rows."""
+    time: int
+    triples: np.ndarray
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Snapshot) and self.time == other.time
-                and np.array_equal(self.triples, other.triples))
-
-
-def snapshots_from_quads(quads, step_count: int) -> list[Snapshot]:
-    """One snapshot per step of the (s, r, o, t) facts in ``quads``."""
-    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    quads = quads[np.argsort(quads[:, 3], kind="stable")]
-    bounds = np.searchsorted(quads[:, 3], np.arange(step_count + 1))
-    return [Snapshot(t, quads[bounds[t]:bounds[t + 1], :3]) for t in range(step_count)]
 
 
 class GroupedCodes:
@@ -105,49 +90,57 @@ class GroupedCodes:
 def cross_split_repeats(dataset: "TkgDataset") -> int:
     """Distinct quadruples present in more than one split at the same step;
     each leaks into filtered ranking."""
-    quads = np.vstack([dataset.quadruples(split) for split in dataset.splits])
+    quads = np.vstack(list(dataset.quads.values()))
     sizes = (dataset.entity_count, dataset.relation_count, dataset.entity_count,
              dataset.step_count)
     _, counts = np.unique(GroupedCodes(quads.T, sizes, unique=False).codes,
-                          return_counts=True)   # snapshots hold sets
+                          return_counts=True)   # a split holds each fact once
     return int(np.count_nonzero(counts > 1))
 
 
-@dataclass
-class TkgDataset:
-    entity_count: int
-    relation_count: int
-    step_count: int
-    splits: dict[str, list[Snapshot]]
-    entity_names: list[str] | None = None
-    relation_names: list[str] | None = None
+def _sorted_facts(split: str, quads, limits) -> np.ndarray:
+    """The distinct rows of ``quads`` sorted by (t, s, r, o), read-only; a
+    field outside [0, limit) raises DatasetError naming the split."""
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    bad = (quads < 0) | (quads >= limits)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        field = ("entity", "relation", "entity", "step")[col]
+        raise DatasetError(f"split '{split}': {field} {quads[row, col]} "
+                           f"out of range [0, {limits[col]})")
+    quads = quads[np.lexsort((quads[:, 2], quads[:, 1], quads[:, 0], quads[:, 3]))]
+    repeat = np.zeros(len(quads), dtype=bool)
+    repeat[1:] = (quads[1:] == quads[:-1]).all(axis=1)
+    quads = quads[~repeat]
+    quads.flags.writeable = False
+    return quads
 
-    def quadruples(self, split: str) -> np.ndarray:
-        """All facts of a split as an (n, 4) array of (s, r, o, t)."""
-        snaps = self.splits[split]
-        triples = np.vstack([np.empty((0, 3), dtype=np.int64)] + [sn.triples for sn in snaps])
-        times = np.repeat(np.array([sn.time for sn in snaps], dtype=np.int64),
-                          [len(sn) for sn in snaps])
-        return np.column_stack([triples, times])
+
+class TkgDataset:
+    """Facts of each split as ``quads[split]``: distinct (s, r, o, t) rows
+    sorted by (t, s, r, o), read-only. The constructor takes them in any
+    order, with repeats, and raises DatasetError for an entity, relation or
+    step out of range. ``splits[split]`` holds one Snapshot view per step."""
+
+    def __init__(self, entity_count: int, relation_count: int, step_count: int,
+                 quads: dict, entity_names: list[str] | None = None,
+                 relation_names: list[str] | None = None):
+        self.entity_count = entity_count
+        self.relation_count = relation_count
+        self.step_count = step_count
+        self.entity_names = entity_names
+        self.relation_names = relation_names
+        limits = np.array([entity_count, relation_count, entity_count, step_count])
+        self.quads = {split: _sorted_facts(split, q, limits) for split, q in quads.items()}
+        self.splits = {split: self._snapshots(q) for split, q in self.quads.items()}
+
+    def _snapshots(self, quads: np.ndarray) -> tuple[Snapshot, ...]:
+        bounds = np.searchsorted(quads[:, 3], np.arange(self.step_count + 1)).tolist()
+        return tuple(Snapshot(t, quads[bounds[t]:bounds[t + 1], :3])
+                     for t in range(self.step_count))
 
     def split_sizes(self) -> dict[str, int]:
-        return {name: sum(len(s) for s in snaps) for name, snaps in self.splits.items()}
-
-    def validate(self) -> None:
-        for name, snaps in self.splits.items():
-            if len(snaps) != self.step_count:
-                raise DatasetError(f"split '{name}' has {len(snaps)} snapshots, "
-                                   f"expected {self.step_count}")
-            for t, snap in enumerate(snaps):
-                if snap.time != t:
-                    raise DatasetError(f"split '{name}' snapshot at index {t} "
-                                       f"carries time {snap.time}")
-                if len(snap):
-                    tr = snap.triples
-                    if tr[:, [0, 2]].max() >= self.entity_count or tr.min() < 0:
-                        raise DatasetError(f"entity index out of range in '{name}' at t={t}")
-                    if tr[:, 1].max() >= self.relation_count:
-                        raise DatasetError(f"relation index out of range in '{name}' at t={t}")
+        return {split: len(q) for split, q in self.quads.items()}
 
 
 class TrueTripleIndex:
@@ -156,7 +149,7 @@ class TrueTripleIndex:
 
     def __init__(self, dataset: TkgDataset, splits=("train",), static: bool = False):
         self.static = static
-        s, r, o, t = np.vstack([dataset.quadruples(split) for split in splits]).T
+        s, r, o, t = np.vstack([dataset.quads[split] for split in splits]).T
         t, steps = (0, 1) if static else (t, dataset.step_count)
         e, nr = dataset.entity_count, dataset.relation_count
         self._objects = GroupedCodes((t, s, r, o), (steps, e, nr, e))
@@ -340,38 +333,23 @@ def load_dataset(directory, fmt: str = "auto", time_granularity: str = "daily") 
     stat_path = os.path.join(directory, "stat.txt")
     declared = _read_stat(stat_path) if os.path.exists(stat_path) else None
 
-    max_ent = int(facts[:, [0, 2]].max(initial=-1))
-    max_rel = int(facts[:, 1].max(initial=-1))
-    max_t = int(facts[:, 3].max(initial=-1))
-    if facts[:, 3].min(initial=0) < 0:
-        raise DatasetError("negative time step after conversion")
-
-    entity_count = max_ent + 1
-    relation_count = max_rel + 1
-    step_count = max_t + 1
+    # the sizes the facts need, or those a stat file declares; the dataset
+    # rejects a fact outside them
+    entity_count = int(facts[:, [0, 2]].max(initial=-1)) + 1
+    relation_count = int(facts[:, 1].max(initial=-1)) + 1
+    step_count = int(facts[:, 3].max(initial=-1)) + 1
     if declared is not None:
-        decl_e, decl_r, decl_t, _ = declared
-        if max_ent >= decl_e:
-            raise DatasetError(f"entity index {max_ent} out of declared range {decl_e}")
-        if max_rel >= decl_r:
-            raise DatasetError(f"relation index {max_rel} out of declared range {decl_r}")
-        entity_count, relation_count = decl_e, decl_r
-        if decl_t is not None:
-            if max_t >= decl_t:
-                raise DatasetError(f"time step {max_t} out of declared range {decl_t}")
-            step_count = decl_t
-
-    splits = {split: snapshots_from_quads(q, step_count) for split, q in quads.items()}
-    ds = TkgDataset(entity_count, relation_count, step_count, splits,
+        entity_count, relation_count = declared[:2]
+        step_count = step_count if declared[2] is None else declared[2]
+    ds = TkgDataset(entity_count, relation_count, step_count, quads,
                     entities.names(), relations.names())
     sizes = ds.split_sizes()
-    # Snapshot drops repeats; a repeat is counted within a split, at its step
+    # the dataset drops repeats; a repeat is counted within a split, at its step
     distinct = sum(sizes.values())
     if distinct < len(facts):
         log.warning("dropped %d duplicated quadruple(s) during load", len(facts) - distinct)
     if declared is not None and declared[3] is not None and distinct != declared[3]:
         raise DatasetError(f"split sizes sum to {distinct}, stat file declares {declared[3]}")
-    ds.validate()
     leaked = cross_split_repeats(ds)
     if leaked:
         log.warning("%d quadruple(s) appear in more than one split at the same step; "
@@ -385,11 +363,8 @@ def write_dataset(dataset: TkgDataset, directory) -> None:
     """Write a dataset in the four-file layout load_dataset reads."""
     os.makedirs(directory, exist_ok=True)
     for split in SPLIT_NAMES:
-        path = os.path.join(directory, SPLIT_FILES[split])
-        with open(path, "w", encoding="utf-8") as fh:
-            for snap in dataset.splits[split]:
-                for s, r, o in snap.triples.tolist():
-                    fh.write(f"{s}\t{r}\t{o}\t{snap.time}\n")
+        np.savetxt(os.path.join(directory, SPLIT_FILES[split]), dataset.quads[split],
+                   fmt="%d", delimiter="\t")
     with open(os.path.join(directory, "stat.txt"), "w", encoding="utf-8") as fh:
         total = sum(dataset.split_sizes().values())
         fh.write(f"{dataset.entity_count}\t{dataset.relation_count}"

@@ -162,7 +162,7 @@ def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,
     direction. TedModel's scorer returns integer -positions, neural scorers
     float64.
     """
-    report = rank_snapshots(dataset.entity_count, dataset.quadruples(split),
+    report = rank_snapshots(dataset.entity_count, dataset.quads[split],
                             snapshot_scorer, filter_index, tpf)
     report.check_invariants()
     return report
@@ -222,11 +222,37 @@ def write_results_jsonl(report: RankingReport, path) -> None:
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+def _result_line(line: str, where: str) -> dict:
+    """One results line as a dict; a malformed one raises ValueError naming ``where``."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError:
+        rec = None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    missing = [name for name, _ in RESULT_FIELDS if name not in rec]
+    if missing:
+        raise ValueError(f"{where}: missing field(s) {', '.join(missing)}")
+    if rec["direction"] not in ("object", "subject"):
+        raise ValueError(f"{where}: direction {rec['direction']!r} is neither "
+                         "'object' nor 'subject'")
+    if not all(type(rec[name]) is int for name, _ in RESULT_FIELDS[1:]) or rec["rank"] < 1:
+        raise ValueError(f"{where}: subject, relation, object, time and rank must be "
+                         "integers, and rank at least 1")
+    if "tpf" in rec and not (isinstance(rec["tpf"], dict) and all(
+            type(rec["tpf"].get(kind)) is int for kind in PATTERN_KINDS)):
+        raise ValueError(f"{where}: 'tpf' needs an integer count for each pattern kind "
+                         f"{', '.join(PATTERN_KINDS)}")
+    return rec
+
+
 def read_results_jsonl(path) -> np.recarray:
     """The query records of a results file; every line carries pattern
-    frequencies ('tpf') or none does."""
+    frequencies ('tpf') or none does. A malformed line raises ValueError
+    naming ``path:line``."""
     with open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        records = [_result_line(line, f"{path}:{lineno}")
+                   for lineno, line in enumerate(fh, 1) if line.strip()]
     tpf = [[rec["tpf"][kind] for kind in PATTERN_KINDS] for rec in records if "tpf" in rec]
     if 0 < len(tpf) < len(records):
         raise ValueError(f"{path}: {len(tpf)} of {len(records)} results carry pattern "

@@ -44,7 +44,7 @@ class TpfTable:
     fact, so a frequency is two binary searches."""
 
     def __init__(self, dataset: TkgDataset, policy: WindowPolicy = WindowPolicy()):
-        quads = dataset.quadruples("train")
+        quads = dataset.quads["train"]
         if len(quads) == 0:
             raise ValueError("pattern frequencies need a nonempty training split")
         self.policy = policy

@@ -187,9 +187,9 @@ class TempModel:
         ``i`` the step's index in the window, in step order, optionally
         thinned by edge dropout; and the target's index."""
         steps, target_pos = self.window_positions(t)
-        snaps = [self.dataset.splits["train"][step].triples for step in steps]
-        index = np.repeat(np.arange(len(snaps)), [len(triples) for triples in snaps])
-        facts = np.column_stack([np.concatenate(snaps), index])
+        quads = self.dataset.quads["train"]
+        lo, hi = np.searchsorted(quads[:, 3], [steps[0], steps[-1] + 1])
+        facts = quads[lo:hi] - np.array([0, 0, 0, steps[0]])
         if rng is not None:
             facts = rgcn.temporal_edge_dropout(
                 facts, target_pos, self.config.dropout_current,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SPLIT_NAMES, TkgDataset, snapshots_from_quads
+from .data import SPLIT_NAMES, TkgDataset
 
 
 @dataclass
@@ -87,8 +87,5 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> TkgDataset:
 
     quads = np.stack([codes // (r * e), codes // e % r, codes % e,
                       np.broadcast_to(np.arange(steps)[:, None], codes.shape)], axis=-1)
-    splits = {name: snapshots_from_quads(quads[split == i], steps)
-              for i, name in enumerate(SPLIT_NAMES)}
-    ds = TkgDataset(e, r, steps, splits)
-    ds.validate()
-    return ds
+    return TkgDataset(e, r, steps, {name: quads[split == i]
+                                    for i, name in enumerate(SPLIT_NAMES)})

@@ -60,7 +60,7 @@ class TedModel:
         self.entity_count = e = dataset.entity_count
         self.step_count = dataset.step_count
         nr, span = dataset.relation_count, e * (self.step_count + 1)
-        s, r, o, t = dataset.quadruples("train").T
+        s, r, o, t = dataset.quads["train"].T
 
         def tiers(fixed, answer):
             """Answer codes keyed by (fixed entity, relation), fixed entity, relation."""

@@ -91,7 +91,7 @@ def _subsample(triples: np.ndarray, cap: int, rng: np.random.Generator) -> np.nd
 def _validation_mrr(model: TempModel, dataset: TkgDataset, filter_index,
                     tpf, cap: int, seed: int) -> float:
     """Fast reciprocal-rank estimate on a seeded subsample of validation facts."""
-    quads = _subsample(dataset.quadruples("valid"), cap, substream(seed, "val-subsample"))
+    quads = _subsample(dataset.quads["valid"], cap, substream(seed, "val-subsample"))
     report = ev.rank_snapshots(dataset.entity_count, quads,
                                model.snapshot_scorer(tpf), filter_index)
     return report.mrr
@@ -163,10 +163,10 @@ def train(config: RunConfig, dataset: TkgDataset, out_dir,
     if epochs < 1:
         raise TrainingError(f"{epochs} epochs select no best epoch; train at least one")
     seed = tcfg.seed
-    target_steps = [snap.time for snap in dataset.splits["train"] if len(snap)]
+    target_steps = np.unique(dataset.quads["train"][:, 3]).tolist()
     if not target_steps:
         raise TrainingError("training split has no facts")
-    if not len(dataset.quadruples("valid")):
+    if not len(dataset.quads["valid"]):
         raise TrainingError("validation split has no facts to select the best epoch by")
     os.makedirs(out_dir, exist_ok=True)
 

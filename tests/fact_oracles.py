@@ -9,7 +9,9 @@ and ``frequency_bin`` with ``per_query_binned_analysis`` bins one query at a
 time, the way the package did before it worked a snapshot or a record array
 at a time. ``loop_generate_synthetic`` builds a corpus one fact at a time from
 tuple sets, the way the package did before it kept each step as an array of
-fact codes.
+fact codes. ``snapshots_from_quads`` splits a split's facts into steps and
+deduplicates each step on its own, the way the package stored a split before
+it became one sorted fact array.
 """
 
 import math
@@ -17,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 
-from tempkg.data import TkgDataset, snapshots_from_quads
+from tempkg.data import TkgDataset
 from tempkg.evaluation import (REFERENCE_PAIRINGS, REPLICATION_PAIRINGS, RankingReport,
                                query_records, rank_query)
 from tempkg.heterogeneity import PATTERN_KINDS
@@ -32,6 +34,15 @@ EXTRACTORS = {
     "so": lambda s, r, o: (s, o),
     "sro": lambda s, r, o: (s, r, o),
 }
+
+
+def snapshots_from_quads(quads, step_count: int) -> list[np.ndarray]:
+    """Each step's sorted, distinct (m, 3) triples of the (s, r, o, t) facts
+    in ``quads``, one np.unique per step."""
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    quads = quads[np.argsort(quads[:, 3], kind="stable")]
+    bounds = np.searchsorted(quads[:, 3], np.arange(step_count + 1))
+    return [np.unique(quads[bounds[t]:bounds[t + 1], :3], axis=0) for t in range(step_count)]
 
 
 class DictTrueTripleIndex:
@@ -240,8 +251,8 @@ def per_query_binned_analysis(results, hits_k: int = 10) -> list[dict]:
 
 
 def counter_cross_split_repeats(dataset):
-    count = Counter(quad for split in dataset.splits
-                    for quad in map(tuple, dataset.quadruples(split).tolist()))
+    count = Counter(quad for quads in dataset.quads.values()
+                    for quad in map(tuple, quads.tolist()))
     return sum(1 for n in count.values() if n > 1)
 
 
@@ -300,7 +311,4 @@ def loop_generate_synthetic(spec, seed):
                 train_at[t].add(tri)
             split_of[split].append((*tri, t))
 
-    splits = {name: snapshots_from_quads(quads, spec.steps) for name, quads in split_of.items()}
-    ds = TkgDataset(spec.entities, spec.relations, spec.steps, splits)
-    ds.validate()
-    return ds
+    return TkgDataset(spec.entities, spec.relations, spec.steps, split_of)

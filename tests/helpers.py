@@ -4,6 +4,7 @@ import numpy as np
 
 from tempkg import autodiff as ad
 from tempkg.autodiff import constant
+from tempkg.data import TkgDataset
 from tempkg.evaluation import query_records
 from tempkg.heterogeneity import PATTERN_COLUMNS, PATTERN_KINDS
 from tempkg.temporal import decay_column
@@ -14,6 +15,13 @@ def active_entities(snapshot) -> set[int]:
     if len(snapshot) == 0:
         return set()
     return set(np.unique(snapshot.triples[:, [0, 2]]).tolist())
+
+
+def train_dataset(entity_count: int, relation_count: int, step_count: int, quads):
+    """A dataset whose (s, r, o, t) ``quads`` are all training facts, with
+    empty validation and test splits."""
+    return TkgDataset(entity_count, relation_count, step_count,
+                      {"train": quads, "valid": [], "test": []})
 
 
 def window_facts(window) -> np.ndarray:

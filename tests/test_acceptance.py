@@ -18,7 +18,7 @@ from tempkg import evaluation as ev
 from tempkg import heterogeneity as het
 from tempkg.autodiff import Tape, constant
 from tempkg.config import RunConfig
-from tempkg.data import Snapshot, TkgDataset, build_true_index, load_dataset
+from tempkg.data import build_true_index, load_dataset
 from tempkg.evaluation import RankingReport, rank_query
 from tempkg.model import (ModelConfig, TempModel, grads_by_name, init_params,
                           leaves_on_tape)
@@ -27,7 +27,7 @@ from tempkg.ted import TedConfig, TedModel
 from tempkg.train import filter_index_for, train
 
 from gradcheck import finite_difference, max_relative_error
-from helpers import decay_weight, query_frequencies, records, reduce_mean
+from helpers import decay_weight, query_frequencies, records, reduce_mean, train_dataset
 from test_ted import (brute_force_ranking, brute_force_reference_sets, query_scores,
                       query_tiers)
 
@@ -184,15 +184,7 @@ def _random_corpus(rng):
     quads = sorted({(int(rng.integers(e)), int(rng.integers(r)),
                      int(rng.integers(e)), int(rng.integers(steps)))
                     for _ in range(rng.integers(5, 25))})
-    per = [[] for _ in range(steps)]
-    for s, rel, o, t in quads:
-        per[t].append((s, rel, o))
-    train = [Snapshot(i, np.array(x, dtype=np.int64) if x else None)
-             for i, x in enumerate(per)]
-    empty = [Snapshot(i) for i in range(steps)]
-    ds = TkgDataset(e, r, steps, {"train": train, "valid": list(empty),
-                                  "test": list(empty)})
-    return ds, quads, e
+    return train_dataset(e, r, steps, quads), quads, e
 
 
 def test_criterion_3_ted_oracle_equivalence_and_determinism():
@@ -290,14 +282,7 @@ def test_criterion_4e_tpf_subset_monotonicity(seed):
     quads = sorted({(int(rng.integers(4)), int(rng.integers(3)),
                      int(rng.integers(4)), int(rng.integers(steps)))
                     for _ in range(rng.integers(1, 25))})
-    per = [[] for _ in range(steps)]
-    for s, r, o, t in quads:
-        per[t].append((s, r, o))
-    train = [Snapshot(i, np.array(x, dtype=np.int64) if x else None)
-             for i, x in enumerate(per)]
-    empty = [Snapshot(i) for i in range(steps)]
-    ds = TkgDataset(4, 3, steps, {"train": train, "valid": list(empty),
-                                  "test": list(empty)})
+    ds = train_dataset(4, 3, steps, quads)
     table = het.compute_tpf(ds)
     s, r, o, _ = quads[int(rng.integers(len(quads)))]
     t = int(rng.integers(steps))
@@ -363,8 +348,8 @@ def test_criterion_6_replication_effect(tmp_path):
                      periodicity=1.0, period=6, valid_fraction=0.05,
                      test_fraction=0.25)
     dataset = generate_synthetic(spec, seed=11)
-    train_set = set(map(tuple, dataset.quadruples("train").tolist()))
-    for s, r, o, t in dataset.quadruples("test").tolist():
+    train_set = set(map(tuple, dataset.quads["train"].tolist()))
+    for s, r, o, t in dataset.quads["test"].tolist():
         assert (s, r, o, t - spec.period) in train_set
 
     hits = {}

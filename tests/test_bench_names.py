@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from tempkg import autodiff as ad
-from tempkg.config import RunConfig
-from tempkg.data import Snapshot
+from tempkg.config import RunConfig, TrainConfig
+from tempkg.data import TkgDataset
 from tempkg.heterogeneity import compute_tpf
 from tempkg.model import ModelConfig, TempModel, init_params, substream
 from tempkg.synth import SynthSpec, generate_synthetic
@@ -115,12 +115,19 @@ def test_ted_tuple_counter_matches_per_query_oracle():
         assert calls.count(span) == 2 * len(snaps), span
 
 
+def without_train_step(ds, t):
+    """``ds`` with no training fact at step t."""
+    quads = ds.quads["train"]
+    return TkgDataset(ds.entity_count, ds.relation_count, ds.step_count,
+                      dict(ds.quads, train=quads[quads[:, 3] != t]))
+
+
 def test_negative_counter_counts_every_draw_of_a_train_epoch(tmp_path):
     """A traced training epoch counts 2·k negatives per trained positive, and
     sample_negatives fires once per non-empty target snapshot."""
     tracing = load_tracing()
-    ds = generate_synthetic(SynthSpec(10, 2, 5, density=1.0, periodicity=0.5), seed=6)
-    ds.splits["train"][2] = Snapshot(2)
+    spec = SynthSpec(10, 2, 5, density=1.0, periodicity=0.5)
+    ds = without_train_step(generate_synthetic(spec, seed=6), 2)
     config = RunConfig()
     config.model = ModelConfig(variant="temp-gru", decoder="complex", dim=4, layers=1,
                                window=2)
@@ -142,9 +149,8 @@ def test_encode_counters_of_a_train_epoch(tmp_path):
     call and each step its validation reads in a call of its own, and
     rgcn.edges counts two directed edges per fact encoded."""
     tracing = load_tracing()
-    ds = generate_synthetic(SynthSpec(10, 2, 8, density=1.0, periodicity=0.5,
-                                      valid_fraction=0.3), seed=6)
-    ds.splits["train"][3] = Snapshot(3)
+    spec = SynthSpec(10, 2, 8, density=1.0, periodicity=0.5, valid_fraction=0.3)
+    ds = without_train_step(generate_synthetic(spec, seed=6), 3)
     config = RunConfig()
     config.model = ModelConfig(variant="temp-gru", decoder="complex", dim=4, layers=2,
                                window=2)
@@ -206,3 +212,23 @@ def test_ranking_check_reads_the_report_rows(kind):
     assert np.count_nonzero(row) == 1
     results.rank[row] += 1
     assert workloads.WORKLOADS[kind].check(state, result) == 1
+
+
+def test_train_pass_counts_and_checks_a_small_epoch():
+    """The benchmark's train-gru pass over a 10-entity corpus: it counts its
+    items with split_sizes and its batches over the training snapshots, and
+    its check passes the epoch, so a data-model change that breaks what the
+    benchmark reads of a dataset fails here."""
+    workloads = load_perfbench("workloads")
+    seed = workloads.EXPECTED["seed"] + 1   # no recorded epoch loss to match
+    ds = generate_synthetic(SynthSpec(10, 2, 6, density=1.0, periodicity=0.5), seed=6)
+    config = RunConfig()
+    config.model = ModelConfig(variant="temp-gru", decoder="complex", dim=4, layers=1,
+                               window=2)
+    config.train = TrainConfig(negatives=3, batch_snapshots=2, seed=seed)
+    state = workloads.TrainState(seed, ds, config)
+    result = workloads.WORKLOADS["train-gru"].run_pass(state)
+    targets = len(np.unique(ds.quads["train"][:, 3]))
+    assert (result.items, result.ops) == (len(ds.quads["train"]), -(-targets // 2))
+    assert np.isfinite(result.value) and "error" not in result.detail
+    assert workloads.WORKLOADS["train-gru"].check(state, result) == 0

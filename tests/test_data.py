@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from tempkg.data import (DatasetError, Snapshot, TkgDataset, build_true_index,
-                         cross_split_repeats, load_dataset, write_dataset)
+from tempkg.data import (DatasetError, TkgDataset, build_true_index, cross_split_repeats,
+                         load_dataset, write_dataset)
 
-from helpers import active_entities, objects_for, subjects_for
+from fact_oracles import snapshots_from_quads
+from helpers import active_entities, objects_for, subjects_for, train_dataset
 
 
 def write_split(directory, name, lines):
@@ -18,17 +19,91 @@ def make_dir(tmp_path, train, valid=(), test=()):
     return tmp_path
 
 
+def snapshot(triples):
+    """The one step's Snapshot view of a one-step dataset of ``triples``."""
+    return train_dataset(4, 3, 1, [(*triple, 0) for triple in triples]).splits["train"][0]
+
+
 class TestActiveEntities:
     def test_empty(self):
-        assert active_entities(Snapshot(0)) == set()
+        assert active_entities(snapshot([])) == set()
 
     def test_single_edge(self):
-        assert active_entities(Snapshot(0, [[0, 0, 1]])) == {0, 1}
+        assert active_entities(snapshot([(0, 0, 1)])) == {0, 1}
 
     def test_multi(self):
-        snap = Snapshot(0, [[0, 0, 1], [1, 2, 3], [3, 1, 3]])
+        snap = snapshot([(0, 0, 1), (1, 2, 3), (3, 1, 3)])
         # oracle: subjects union objects by hand
         assert active_entities(snap) == {0, 1, 3}
+
+
+class TestFactArrays:
+    """Each split is one sorted, distinct, read-only fact array, checked at
+    construction; its snapshots are views of it."""
+
+    def random_quads(self, rng, n, e=6, r=3, t=7, empty_steps=(2, 5)):
+        """Shuffled facts with repeats and no fact at ``empty_steps``."""
+        quads = np.column_stack([rng.integers(0, e, n), rng.integers(0, r, n),
+                                 rng.integers(0, e, n), rng.integers(0, t, n)])
+        quads = quads[~np.isin(quads[:, 3], empty_steps)]
+        repeats = rng.integers(1, 4, len(quads))
+        return quads[rng.permutation(np.repeat(np.arange(len(quads)), repeats))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_step_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        quads = {"train": self.random_quads(rng, 60), "valid": self.random_quads(rng, 8),
+                 "test": np.empty((0, 4), dtype=np.int64)}
+        assert len(np.unique(quads["train"], axis=0)) < len(quads["train"])
+        ds = TkgDataset(6, 3, 7, quads)
+        for name, given in quads.items():
+            oracle = snapshots_from_quads(given, 7)
+            want = np.vstack([np.column_stack([triples, np.full(len(triples), t)])
+                              for t, triples in enumerate(oracle)])
+            assert ds.quads[name].dtype == np.int64
+            np.testing.assert_array_equal(ds.quads[name], want)
+            assert len(ds.splits[name]) == 7
+            for t, (snap, triples) in enumerate(zip(ds.splits[name], oracle)):
+                assert snap.time == t and len(snap) == len(triples)
+                np.testing.assert_array_equal(snap.triples, triples)
+        assert ds.split_sizes() == {name: len(np.unique(q, axis=0)) for name, q in quads.items()}
+        assert not len(ds.splits["train"][2]) and not len(ds.quads["test"])
+
+    def test_fact_arrays_and_views_are_read_only(self):
+        ds = train_dataset(3, 1, 2, [(0, 0, 1, 0), (1, 0, 2, 1)])
+        with pytest.raises(ValueError):
+            ds.quads["train"][0, 0] = 2
+        with pytest.raises(ValueError):
+            ds.splits["train"][1].triples[0, 0] = 2
+        with pytest.raises(TypeError):
+            ds.splits["train"][0] = ds.splits["train"][1]
+        assert ds.quads["train"].tolist() == [[0, 0, 1, 0], [1, 0, 2, 1]]
+
+    @pytest.mark.parametrize("fact, problem", [
+        ((5, 0, 1, 0), "entity 5 out of range [0, 5)"),
+        ((0, 0, 5, 0), "entity 5 out of range [0, 5)"),
+        ((-1, 0, 1, 0), "entity -1 out of range [0, 5)"),
+        ((0, 0, -2, 0), "entity -2 out of range [0, 5)"),
+        ((0, 2, 1, 0), "relation 2 out of range [0, 2)"),
+        ((0, -1, 1, 0), "relation -1 out of range [0, 2)"),
+        ((1, 0, 0, 3), "step 3 out of range [0, 3)"),
+        ((0, 0, 1, -1), "step -1 out of range [0, 3)"),
+    ])
+    def test_field_out_of_range_rejected(self, fact, problem):
+        # a step outside [0, T) was once dropped without a word
+        quads = {"train": [(0, 0, 1, 0), (1, 0, 0, 2)], "valid": [fact], "test": []}
+        with pytest.raises(DatasetError) as err:
+            TkgDataset(5, 2, 3, quads)
+        assert str(err.value) == f"split 'valid': {problem}"
+
+    def test_loader_rejects_a_step_outside_the_declared_count(self, tmp_path):
+        make_dir(tmp_path, ["0 0 1 0", "1 0 0 4"])
+        (tmp_path / "stat.txt").write_text("2 1 3\n")
+        with pytest.raises(DatasetError, match=r"split 'train': step 4 out of range \[0, 3\)"):
+            load_dataset(tmp_path)
+        make_dir(tmp_path, ["0 0 1 -1", "1 0 0 0"])
+        with pytest.raises(DatasetError, match="split 'train': step -1"):
+            load_dataset(tmp_path)
 
 
 class TestLoader:
@@ -87,15 +162,14 @@ class TestLoader:
         (tmp_path / "entity2id.txt").write_text("alice\t5\nbob\t2\n")
         (tmp_path / "relation2id.txt").write_text("likes\t1\n")
         ds = load_dataset(tmp_path)
-        quads = ds.quadruples("train")
-        np.testing.assert_array_equal(quads, [[5, 1, 2, 0]])
+        np.testing.assert_array_equal(ds.quads["train"], [[5, 1, 2, 0]])
 
     def test_numeral_names_in_id_map_are_looked_up(self, tmp_path):
         # the map names an entity "5": it maps to 2, not to id 5
         make_dir(tmp_path, ["5 0 bob 0"])
         (tmp_path / "entity2id.txt").write_text("5\t2\nbob\t0\n")
         ds = load_dataset(tmp_path)
-        np.testing.assert_array_equal(ds.quadruples("train"), [[2, 0, 0, 0]])
+        np.testing.assert_array_equal(ds.quads["train"], [[2, 0, 0, 0]])
         assert ds.entity_count == 3
         assert ds.entity_names == ["bob", "", "5"]
 
@@ -169,18 +243,12 @@ class TestLoader:
         # (0,0,1) at step 0 sits in all three splits and twice in train,
         # (1,0,0) at step 1 in two; (2,0,1) differs in step between splits
         # and (1,0,2) repeats within train only
-        def snaps(rows_by_step):
-            return [Snapshot(t, np.array(rows, dtype=np.int64) if rows else None)
-                    for t, rows in enumerate(rows_by_step)]
-
-        ds = TkgDataset(3, 1, 2, {
-            "train": snaps([[(0, 0, 1), (0, 0, 1), (2, 0, 1), (1, 0, 2), (1, 0, 2)],
-                            [(1, 0, 0)]]),
-            "valid": snaps([[(0, 0, 1)], [(1, 0, 0)]]),
-            "test": snaps([[(0, 0, 1)], [(2, 0, 1)]])})
+        train = [(0, 0, 1, 0), (0, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 0), (1, 0, 2, 0),
+                 (1, 0, 0, 1)]
+        ds = TkgDataset(3, 1, 2, {"train": train, "valid": [(0, 0, 1, 0), (1, 0, 0, 1)],
+                                  "test": [(0, 0, 1, 0), (2, 0, 1, 1)]})
         assert cross_split_repeats(ds) == 2
-        ds.splits["valid"], ds.splits["test"] = snaps([[], []]), snaps([[], []])
-        assert cross_split_repeats(ds) == 0
+        assert cross_split_repeats(train_dataset(3, 1, 2, train)) == 0
 
     def test_disjoint_splits_do_not_warn(self, tmp_path, caplog):
         directory = make_dir(tmp_path, ["0 0 1 0", "1 0 0 1"], valid=["0 0 1 1"],
@@ -198,20 +266,14 @@ class TestLoader:
         write_dataset(ds, out)
         ds2 = load_dataset(out)
         for split in ("train", "valid", "test"):
-            a = ds.quadruples(split)
-            b = ds2.quadruples(split)
+            a = ds.quads[split]
+            b = ds2.quads[split]
             assert sorted(map(tuple, a.tolist())) == sorted(map(tuple, b.tolist()))
 
 
 class TestTrueIndex:
     def make_dataset(self, quads, e=5, r=3, t=4):
-        per = {name: [[] for _ in range(t)] for name in ("train", "valid", "test")}
-        for s, rel, o, tt in quads:
-            per["train"][tt].append((s, rel, o))
-        splits = {name: [Snapshot(i, np.array(tr, dtype=np.int64) if tr else None)
-                         for i, tr in enumerate(steps)]
-                  for name, steps in per.items()}
-        return TkgDataset(e, r, t, splits)
+        return train_dataset(e, r, t, quads)
 
     def test_single_quad_object_lookup(self):
         idx = build_true_index(self.make_dataset([(0, 0, 1, 0)]))

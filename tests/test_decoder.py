@@ -6,10 +6,11 @@ import pytest
 from tempkg import autodiff as ad
 from tempkg import decoder
 from tempkg.autodiff import Tape, constant
-from tempkg.data import Snapshot, TkgDataset, build_true_index
+from tempkg.data import build_true_index
 
 from fact_oracles import DictTrueTripleIndex, per_positive_sample_negatives
 from gradcheck import finite_difference, max_relative_error, scaled_error
+from helpers import train_dataset
 
 
 def score_rows_per_row(s, r, o, kind):
@@ -295,9 +296,7 @@ class TestCandidateScores:
 
 
 def tiny_dataset():
-    train = [Snapshot(0, np.array([[0, 0, 1]], dtype=np.int64))]
-    empty = [Snapshot(0)]
-    return TkgDataset(3, 1, 1, {"train": train, "valid": list(empty), "test": list(empty)})
+    return train_dataset(3, 1, 1, [(0, 0, 1, 0)])
 
 
 def sample_negatives_setdiff(true_sets, answers, k, rng, entity_count):
@@ -330,9 +329,7 @@ def mixed_dataset():
     all-true for relation 3 and ordinary otherwise."""
     facts = ([(0, 0, o) for o in range(6)] + [(1, 1, o) for o in range(5)]
              + [(2, 2, o) for o in range(4)] + [(s, 3, 5) for s in range(6)])
-    train = [Snapshot(0, np.array(facts, dtype=np.int64))]
-    empty = [Snapshot(0)]
-    return TkgDataset(6, 4, 1, {"train": train, "valid": list(empty), "test": list(empty)})
+    return train_dataset(6, 4, 1, [(*fact, 0) for fact in facts])
 
 
 ONE_FACT = np.array([[0, 0, 1]], dtype=np.int64)
@@ -368,20 +365,16 @@ class TestNegativeSampling:
 
     def test_one_entity_vocabulary_fails_clearly(self):
         # the only entity is every fact's answer, so no corruption exists
-        train = [Snapshot(0, np.array([[0, 0, 0]], dtype=np.int64))]
-        empty = [Snapshot(0)]
-        ds = TkgDataset(1, 1, 1, {"train": train, "valid": list(empty), "test": list(empty)})
+        ds = train_dataset(1, 1, 1, [(0, 0, 0, 0)])
         with pytest.raises(ValueError, match="at least 2 entities.*no corruption"):
-            decoder.sample_negatives(train[0].triples, 0, build_true_index(ds), k=3,
+            decoder.sample_negatives(ds.splits["train"][0].triples, 0, build_true_index(ds), k=3,
                                      rng=np.random.default_rng(0), entity_count=1)
 
     def test_empirical_uniformity(self):
         # 1e5 draws over a 7128-entity vocabulary: every per-entity count stays
         # within 4 sigma of the uniform expectation (frozen seed)
         e = 7128
-        train = [Snapshot(0, np.array([[0, 0, 1]], dtype=np.int64))]
-        empty = [Snapshot(0)]
-        ds = TkgDataset(e, 1, 1, {"train": train, "valid": list(empty), "test": list(empty)})
+        ds = train_dataset(e, 1, 1, [(0, 0, 1, 0)])
         index = build_true_index(ds)
         rng = np.random.default_rng(12345)
         obj, _ = decoder.sample_negatives(ONE_FACT, 0, index, k=100_000, rng=rng,

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from tempkg import evaluation as ev
-from tempkg.data import GroupedCodes, Snapshot, TkgDataset, build_true_index
+from tempkg.data import GroupedCodes, TkgDataset, build_true_index
 from tempkg.evaluation import RankingReport, filtered_ranks, rank_query
 from tempkg.heterogeneity import PATTERN_KINDS, compute_tpf
 from tempkg.model import ModelConfig, TempModel, init_params
@@ -207,14 +208,7 @@ def toy_dataset_and_scores(rng, e=6, r=2, t=3, per_split=4):
                    int(rng.integers(t))))
     quads = sorted(quads)
     thirds = [quads[0:per_split], quads[per_split:2 * per_split], quads[2 * per_split:]]
-    splits = {}
-    for name, part in zip(("train", "valid", "test"), thirds):
-        per_step = [[] for _ in range(t)]
-        for s, rel, o, tt in part:
-            per_step[tt].append((s, rel, o))
-        splits[name] = [Snapshot(i, np.array(x, dtype=np.int64) if x else None)
-                        for i, x in enumerate(per_step)]
-    return TkgDataset(e, r, t, splits)
+    return TkgDataset(e, r, t, dict(zip(("train", "valid", "test"), thirds)))
 
 
 class TestRankSnapshots:
@@ -237,7 +231,7 @@ class TestRankSnapshots:
         oracle = DictTrueTripleIndex(ds, ("train", "valid", "test"))
         steps = sorted({t for t, _ in split_snapshots(ds)})
         poison = {(steps[0], "object"): np.nan, (steps[-1], "subject"): -np.inf}
-        quads = ds.quadruples("test")
+        quads = ds.quads["test"]
         with caplog.at_level("WARNING", logger="tempkg"):
             report = ev.rank_snapshots(ds.entity_count, quads,
                                        self.random_scorer(ds, 0, poison), index)
@@ -253,14 +247,14 @@ class TestRankSnapshots:
         ds = toy_dataset_and_scores(np.random.default_rng(6), t=4, per_split=10)
         index = build_true_index(ds, splits=("train", "valid", "test"))
         with caplog.at_level("WARNING", logger="tempkg"):
-            ev.rank_snapshots(ds.entity_count, ds.quadruples("test"),
+            ev.rank_snapshots(ds.entity_count, ds.quads["test"],
                               self.random_scorer(ds, 0), index)
         assert caplog.records == []
 
     def test_rows_follow_fact_order_object_first(self):
         ds = toy_dataset_and_scores(np.random.default_rng(7), t=4, per_split=10)
         index = build_true_index(ds, splits=("train",))
-        quads = ds.quadruples("test")
+        quads = ds.quads["test"]
         results = ev.rank_snapshots(ds.entity_count, quads, self.random_scorer(ds, 1),
                                     index).results
         assert results.direction.tolist() == ["object", "subject"] * len(quads)
@@ -270,7 +264,7 @@ class TestRankSnapshots:
 
     def test_unsorted_facts_are_rejected(self):
         ds = toy_dataset_and_scores(np.random.default_rng(7), t=4, per_split=10)
-        quads = ds.quadruples("test")
+        quads = ds.quads["test"]
         assert len(np.unique(quads[:, 3])) > 1
         with pytest.raises(ValueError, match="sorted by time step"):
             ev.rank_snapshots(ds.entity_count, quads[::-1], self.random_scorer(ds, 1),
@@ -304,9 +298,7 @@ class TestEvaluate:
 
     def test_two_rank_formula(self):
         # one fact whose two queries rank 1 and 2: MRR 0.75, Hits@1 0.5
-        ds = TkgDataset(3, 1, 1, {
-            "train": [Snapshot(0)], "valid": [Snapshot(0)],
-            "test": [Snapshot(0, np.array([[0, 0, 1]], dtype=np.int64))]})
+        ds = TkgDataset(3, 1, 1, {"train": [], "valid": [], "test": [(0, 0, 1, 0)]})
         index = build_true_index(ds, splits=("test",))
 
         def scorer(t, triples):
@@ -486,6 +478,28 @@ class TestReportIO:
         path.write_text(first + "\n" + second.split(', "tpf"')[0] + "}\n")
         with pytest.raises(ValueError, match="1 of 2 results carry pattern frequencies"):
             ev.read_results_jsonl(path)
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda rec: "[1, 2]", "not a JSON object"),
+        (lambda rec: "{not json", "not a JSON object"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "time"}, "missing field(s) time"),
+        (lambda rec: dict(rec, direction="subjects"), "direction 'subjects' is neither"),
+        (lambda rec: dict(rec, rank=0), "rank at least 1"),
+        (lambda rec: dict(rec, rank=2.5), "must be integers"),
+        (lambda rec: dict(rec, tpf={k: v for k, v in rec["tpf"].items() if k != "o"}),
+         "integer count for each pattern kind"),
+    ], ids=["array", "json", "field", "direction", "rank", "float", "tpf"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, edit, problem):
+        path = tmp_path / "results.jsonl"
+        ev.write_results_jsonl(self.make_report(), path)
+        first, second = path.read_text().splitlines()
+        bad = edit(json.loads(second))
+        path.write_text(first + "\n\n" + (bad if isinstance(bad, str) else json.dumps(bad))
+                        + "\n")
+        with pytest.raises(ValueError) as err:
+            ev.read_results_jsonl(path)
+        assert str(err.value).startswith(f"{path}:3: ")
+        assert problem in str(err.value)
 
     def test_bins_csv_columns(self, tmp_path):
         rows = ev.tpf_binned_analysis(self.make_report().results)

@@ -7,10 +7,9 @@ import pytest
 
 from fact_oracles import (DictTedModel, DictTpfTable, DictTrueTripleIndex,
                           PerQueryTedModel, counter_cross_split_repeats)
-from helpers import pattern_frequency, query_frequencies
+from helpers import pattern_frequency, query_frequencies, train_dataset
 from tempkg import heterogeneity as het
-from tempkg.data import (GroupedCodes, Snapshot, TkgDataset, build_true_index,
-                         cross_split_repeats)
+from tempkg.data import GroupedCodes, TkgDataset, build_true_index, cross_split_repeats
 from tempkg.ted import TedConfig, TedModel
 
 E, R, T = 7, 3, 6
@@ -31,12 +30,9 @@ def random_dataset(seed):
     valid = facts(10) + train[:4]
     test = facts(10) + train[4:7] + valid[:3]
 
-    def snaps(quads):
-        return [Snapshot(t, [q[:3] for q in quads if q[3] == t and t != empty_step] or None)
-                for t in range(T)]
-
-    return TkgDataset(E, R, T, {"train": snaps(train), "valid": snaps(valid),
-                                "test": snaps(test)})
+    splits = {"train": train, "valid": valid, "test": test}
+    return TkgDataset(E, R, T, {name: [q for q in quads if q[3] != empty_step]
+                                for name, quads in splits.items()})
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -142,10 +138,7 @@ def test_grouped_codes_ranges_and_count():
 def test_code_space_overflow_raises():
     """E^2 * R * (T + 1) >= 2^63: every index refuses instead of wrapping."""
     e, r, t = 2 ** 22, 2 ** 10, 2 ** 10
-    quads = {0: [(0, 0, 1)], 5: [(e - 1, r - 1, 0), (3, 2, e - 2)]}
-    train = [Snapshot(i, quads.get(i)) for i in range(t)]
-    empty = [Snapshot(i) for i in range(t)]
-    ds = TkgDataset(e, r, t, {"train": train, "valid": list(empty), "test": list(empty)})
+    ds = train_dataset(e, r, t, [(0, 0, 1, 0), (e - 1, r - 1, 0, 5), (3, 2, e - 2, 5)])
     for build in (build_true_index, het.compute_tpf, TedModel):
         with pytest.raises(ValueError, match="code space"):
             build(ds)

@@ -5,19 +5,12 @@ import pytest
 
 from tempkg import heterogeneity as het
 from tempkg.autodiff import constant
-from tempkg.data import Snapshot, TkgDataset
 
-from helpers import pattern_frequency, query_frequencies
+from helpers import pattern_frequency, query_frequencies, train_dataset
 
 
 def dataset_from_quads(quads, e=8, r=4, t=10):
-    per = [[] for _ in range(t)]
-    for s, rel, o, tt in quads:
-        per[tt].append((s, rel, o))
-    train = [Snapshot(i, np.array(tr, dtype=np.int64) if tr else None)
-             for i, tr in enumerate(per)]
-    empty = [Snapshot(i) for i in range(t)]
-    return TkgDataset(e, r, t, {"train": train, "valid": list(empty), "test": list(empty)})
+    return train_dataset(e, r, t, quads)
 
 
 def pattern_key(kind, s, r, o):
@@ -27,7 +20,7 @@ def pattern_key(kind, s, r, o):
 def export_csv(table, dataset, path):
     """Rows of pattern_kind,key,els,time,count at each occurrence time of a
     key in the training split."""
-    quads = dataset.quadruples("train").tolist()
+    quads = dataset.quads["train"].tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pattern_kind", "key", "els", "time", "count"])

@@ -10,7 +10,7 @@ from tempkg import heterogeneity as het
 from tempkg import model as model_module
 from tempkg import rgcn, temporal
 from tempkg.autodiff import Tape, constant
-from tempkg.data import Snapshot, TkgDataset, build_true_index
+from tempkg.data import build_true_index
 from tempkg.evaluation import evaluate
 from tempkg.heterogeneity import compute_tpf
 from tempkg.optim import AdamState
@@ -20,7 +20,7 @@ from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.temporal import decay_column
 
 from gradcheck import scaled_error
-from helpers import window_facts
+from helpers import train_dataset, window_facts
 from test_decoder import direction_rows_per_row
 from test_rgcn import edge_dropout_per_snapshot, encode_per_snapshot
 from test_temporal import chain_blend, encode_sa_per_step
@@ -37,13 +37,9 @@ def sparse_dataset():
     # entities 0-6 appear here and there, step 3 is empty and 7 never appears:
     # inactive entities with a past row, a future row, both or neither
     rng = np.random.default_rng(12)
-    steps = []
-    for t in range(7):
-        triples = [(int(rng.integers(7)), int(rng.integers(2)), int(rng.integers(7)))
-                   for _ in range(2 if t != 3 else 0)]
-        steps.append(Snapshot(t, np.array(triples, dtype=np.int64) if triples else None))
-    empty = [Snapshot(t) for t in range(7)]
-    return TkgDataset(8, 2, 7, {"train": steps, "valid": empty, "test": list(empty)})
+    quads = [(int(rng.integers(7)), int(rng.integers(2)), int(rng.integers(7)), t)
+             for t in range(7) for _ in range(2 if t != 3 else 0)]
+    return train_dataset(8, 2, 7, quads)
 
 
 def scorer_matrix(config, dataset, seed=3):

@@ -24,7 +24,7 @@ ORACLE_SPECS = {
 
 
 def quads_set(ds, split):
-    return set(map(tuple, ds.quadruples(split).tolist()))
+    return set(map(tuple, ds.quads[split].tolist()))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -32,9 +32,9 @@ def quads_set(ds, split):
 def test_matches_loop_oracle(name, seed):
     want = loop_generate_synthetic(ORACLE_SPECS[name], seed)
     got = generate_synthetic(ORACLE_SPECS[name], seed)
-    assert list(got.splits) == list(want.splits)
-    for split, snaps in want.splits.items():
-        assert got.splits[split] == snaps
+    assert list(got.quads) == list(want.quads)
+    for split, quads in want.quads.items():
+        np.testing.assert_array_equal(got.quads[split], quads)
 
 
 def test_cli_writes_the_loop_oracle_files(tmp_path):
@@ -86,8 +86,8 @@ class TestGenerator:
     def test_zero_periodicity_collision_rate_below_bound(self):
         spec = SynthSpec(entities=30, relations=5, steps=12, density=1.0, periodicity=0.0)
         ds = generate_synthetic(spec, seed=13)
-        train_triples = {tuple(q[:3]) for q in ds.quadruples("train").tolist()}
-        test = ds.quadruples("test").tolist()
+        train_triples = {tuple(q[:3]) for q in ds.quads["train"].tolist()}
+        test = ds.quads["test"].tolist()
         assert test
         hits = sum(tuple(q[:3]) in train_triples for q in test)
         frac = hits / len(test)
@@ -100,6 +100,8 @@ class TestGenerator:
     def test_satisfies_dataset_invariants(self):
         ds = generate_synthetic(SynthSpec(entities=9, relations=2, steps=5,
                                           density=0.5, periodicity=0.7), seed=3)
-        ds.validate()
+        limits = [ds.entity_count, ds.relation_count, ds.entity_count, ds.step_count]
+        for quads in ds.quads.values():
+            assert np.all((0 <= quads) & (quads < limits))
         sizes = ds.split_sizes()
         assert sizes["train"] > 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tempkg import _kernels
-from tempkg.data import Snapshot, TkgDataset, build_true_index
+from tempkg.data import TkgDataset, build_true_index
 from tempkg.evaluation import evaluate, filtered_ranks
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.ted import TedConfig, TedModel
@@ -11,15 +11,7 @@ from fact_oracles import PerQueryTedModel
 
 
 def dataset_from_train(quads, e=6, r=3, t=8, test_quads=()):
-    def pack(qs):
-        per = [[] for _ in range(t)]
-        for s, rel, o, tt in qs:
-            per[tt].append((s, rel, o))
-        return [Snapshot(i, np.array(x, dtype=np.int64) if x else None)
-                for i, x in enumerate(per)]
-
-    return TkgDataset(e, r, t, {"train": pack(quads), "valid": pack(()),
-                                "test": pack(test_quads)})
+    return TkgDataset(e, r, t, {"train": quads, "valid": [], "test": test_quads})
 
 
 def query_tiers(model, direction, s, r, o, t):

@@ -7,7 +7,7 @@ import pytest
 from tempkg import autodiff as ad
 from tempkg.cli import main
 from tempkg.config import EvalConfig, RunConfig, TrainConfig
-from tempkg.data import Snapshot, TkgDataset, cross_split_repeats, load_dataset
+from tempkg.data import TkgDataset, cross_split_repeats, load_dataset
 from tempkg.evaluation import evaluate
 from tempkg.model import ModelConfig, TempModel, grads_by_name, init_params, leaves_on_tape
 from tempkg.synth import SynthSpec, generate_synthetic
@@ -79,8 +79,8 @@ class TestTrainLoop:
         # with nothing to rank, every epoch would score 0.0 and epoch 0 would
         # be kept as the best
         ds = small_dataset
-        splits = dict(ds.splits, valid=[Snapshot(t) for t in range(ds.step_count)])
-        empty_valid = TkgDataset(ds.entity_count, ds.relation_count, ds.step_count, splits)
+        empty_valid = TkgDataset(ds.entity_count, ds.relation_count, ds.step_count,
+                                 dict(ds.quads, valid=[]))
         with pytest.raises(TrainingError, match="validation split has no facts"):
             train(small_run_config(), empty_valid, tmp_path / "run", max_epochs=1)
         assert not (tmp_path / "run" / "training_log.jsonl").exists()
@@ -209,10 +209,9 @@ class TestFilterIndex:
         facts = {"train": {0: [(0, 0, 1), (0, 0, 3)], 1: [(0, 0, 1)]},
                  "valid": {2: [(0, 0, 2), (4, 0, 1)]},
                  "test": {1: [(0, 0, 1)]}}
-        splits = {name: [Snapshot(t, np.array(facts[name].get(t, []), dtype=np.int64)
-                                  if t in facts[name] else None) for t in range(3)]
-                  for name in facts}
-        return TkgDataset(5, 1, 3, splits)
+        return TkgDataset(5, 1, 3, {name: [(*fact, t) for t, triples in steps.items()
+                                           for fact in triples]
+                                    for name, steps in facts.items()})
 
     @pytest.mark.parametrize("mode,objects_at_2,subjects_at_2,objects_at_1", [
         ("time_aware", [2], [4], [1]),
@@ -363,6 +362,23 @@ split = test
                         "--out", str(out_dir)]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ValueError: ") and "1 of 2 results" in err
+        assert not (out_dir / "bins.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [("direction", "subjects"), ("rank", 0),
+                                              ("tpf", {"s": 1})])
+    def test_analyze_rejects_a_malformed_line(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "min.cfg", "[train]\nseed = 1\n")
+        query = {"direction": "object", "object": 1, "rank": 2, "relation": 0,
+                 "subject": 0, "time": 0,
+                 "tpf": dict.fromkeys(("s", "o", "r", "sr", "ro", "so", "sro"), 1)}
+        results = tmp_path / "results.jsonl"
+        results.write_text(json.dumps(query) + "\n" + json.dumps({**query, field: value}) + "\n")
+        out_dir = tmp_path / "an"
+        assert run_cli(["analyze", "--config", cfg, "--results", str(results),
+                        "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: ValueError: {results}:2: ")
         assert not (out_dir / "bins.csv").exists()
 
     def test_errors_exit_nonzero_with_single_line(self, tmp_path, capsys):
