@@ -25,10 +25,9 @@ no operation needs a constant selection matrix.
 Two primitives keep gathered copies off the tape: ``gathered_dots`` scores
 each query vector against its own candidate rows of a table, and
 ``segment_matmul`` transforms contiguous row blocks, each by its own matrix.
-Three more read a list of equal-shape blocks row by row, so no stacked copy
-of the list is made: ``dots`` and ``mix`` (each the other's backward) and
-``pick_rows``; ``gather_rows_from`` gathers each row from one of a list of
-tables.
+Two more read a list of equal-shape blocks row by row, so no stacked copy
+of the list is made: ``dots`` and ``mix``, each the other's backward.
+``gather_rows_from`` gathers each row from one of a list of tables.
 """
 
 from __future__ import annotations
@@ -432,25 +431,6 @@ def mix(w, blocks: Sequence) -> Tensor:
     wd, bd = w.data, [b.data for b in blocks]
     return _result(_row_mix(wd, bd), (w, lambda g: _row_dots(g, bd)),
                    *((b, lambda g, p=p: wd[:, p:p + 1] * g) for p, b in enumerate(blocks)))
-
-
-def pick_rows(blocks: Sequence, which) -> Tensor:
-    """out[n] = blocks[which[n]][n] for equal-shape (n, d) blocks: each row
-    copied from the block ``which`` names. A block none of whose rows is
-    picked gets no gradient."""
-    blocks = [_as_tensor(b) for b in blocks]
-    which = np.asarray(which, dtype=np.int64)
-    _check_blocks("pick_rows", blocks)
-    if which.shape != blocks[0].shape[:1]:
-        raise ShapeError(f"pick_rows: {which.shape} picks for blocks of {blocks[0].shape}")
-    if which.size and (which.min() < 0 or which.max() >= len(blocks)):
-        raise ShapeError("pick_rows: block index out of range")
-    masks = [which == p for p in range(len(blocks))]
-    out = np.empty(blocks[0].shape, dtype=np.float64)
-    for b, m in zip(blocks, masks):
-        out[m] = b.data[m]
-    return _result(out, *((b, lambda g, m=m: np.where(m[:, None], g, 0.0) if m.any() else None)
-                          for b, m in zip(blocks, masks)))
 
 
 def segment_matmul(x, weights: Sequence, bounds) -> Tensor:

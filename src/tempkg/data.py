@@ -16,6 +16,7 @@ first appearance and may not share a vocabulary with integer ids. An optional
 from __future__ import annotations
 
 import datetime
+import functools
 import logging
 import math
 import operator
@@ -120,7 +121,8 @@ class TkgDataset:
     """Facts of each split as ``quads[split]``: distinct (s, r, o, t) rows
     sorted by (t, s, r, o), read-only. The constructor takes them in any
     order, with repeats, and raises DatasetError for an entity, relation or
-    step out of range. ``splits[split]`` holds one Snapshot view per step."""
+    step out of range. ``splits[split]`` holds one Snapshot view per step,
+    built on first read."""
 
     def __init__(self, entity_count: int, relation_count: int, step_count: int,
                  quads: dict, entity_names: list[str] | None = None,
@@ -132,7 +134,10 @@ class TkgDataset:
         self.relation_names = relation_names
         limits = np.array([entity_count, relation_count, entity_count, step_count])
         self.quads = {split: _sorted_facts(split, q, limits) for split, q in quads.items()}
-        self.splits = {split: self._snapshots(q) for split, q in self.quads.items()}
+
+    @functools.cached_property
+    def splits(self) -> dict[str, tuple[Snapshot, ...]]:
+        return {split: self._snapshots(q) for split, q in self.quads.items()}
 
     def _snapshots(self, quads: np.ndarray) -> tuple[Snapshot, ...]:
         bounds = np.searchsorted(quads[:, 3], np.arange(self.step_count + 1)).tolist()
@@ -163,7 +168,9 @@ class TrueTripleIndex:
         t = 0 if self.static else t
         if direction == "object":
             return self._objects.ranges((t, s, r))
-        return self._subjects.ranges((t, r, o))
+        if direction == "subject":
+            return self._subjects.ranges((t, r, o))
+        raise ValueError(f"unknown query direction {direction!r}")
 
 
 def build_true_index(dataset: TkgDataset, splits=("train",), static=False) -> TrueTripleIndex:

@@ -284,7 +284,8 @@ class TempModel:
                                                self.config.bidirectional):
             last = temporal.last_active(held, positions)[-1]
             picked = np.array(positions + [target_pos])[last]
-            sides.append((ad.pick_rows(x_steps, picked), len(positions) - last, last >= 0))
+            rows = ad.gather_rows_from(x_steps, picked, np.arange(len(picked)))
+            sides.append((rows, len(positions) - last, last >= 0))
         return het.impute_window(x_steps[target_pos], sides, ~held[target_pos],
                                  leaves["decay.x.lam"], leaves["decay.x.b"])
 

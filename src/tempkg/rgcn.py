@@ -63,7 +63,7 @@ def encode_snapshot(facts: np.ndarray, params: dict[str, Tensor], *, snapshots: 
     for layer in range(layers):
         w_self = params[f"rgcn.l{layer}.self"]
         if len(edges):
-            sources = (ad.gather_rows(h[0], src) if layer == 0 or snapshots == 1
+            sources = (ad.gather_rows(h[0], src) if layer == 0
                        else ad.gather_rows_from(h, snap, src))
             msgs = ad.mul(ad.segment_matmul(sources, [params[f"rgcn.l{layer}.rel{r}"]
                                                       for r in rels.tolist()], bounds),

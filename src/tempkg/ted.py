@@ -71,9 +71,9 @@ class TedModel:
         self._tiers = {"object": tiers(s, o), "subject": tiers(o, s)}
 
     def reference_sets(self, direction: str, s, r, o, t: int) -> list[np.ndarray]:
-        """Three (m_i, 3) arrays of deduplicated (query, entity, t') tuples, t' != t,
-        for the queries (s[i], r[i], o[i]) at step t, each sorted by query,
-        entity and t'.
+        """Three sorted 1-d int64 arrays of deduplicated (query, entity, t')
+        tuples, t' != t, for the queries (s[i], r[i], o[i]) at step t, each
+        tuple as its code (query * entity_count + entity) * (T + 1) + t'.
 
         A tuple present in a better tier is removed from every worse one.
         """
@@ -86,26 +86,24 @@ class TedModel:
         codes = np.concatenate([codes for _, codes in found])
         tier = np.repeat(np.arange(3), [len(codes) for _, codes in found])
         other_step = codes % (self.step_count + 1) != t
-        rows, codes, tier = rows[other_step], codes[other_step], tier[other_step]
-        # the list is tier-major, so each tuple's first occurrence is in its best tier
         span = self.entity_count * (self.step_count + 1)
-        first = np.zeros(len(codes), dtype=bool)
-        first[np.unique(rows * span + codes, return_index=True)[1]] = True
-        ents, times = np.divmod(codes[first], self.step_count + 1)
-        tuples = np.stack([rows[first], ents, times], axis=1)
-        return np.split(tuples, np.searchsorted(tier[first], (1, 2)))
+        tuples, tier = rows[other_step] * span + codes[other_step], tier[other_step]
+        # the list is tier-major, so each tuple's first occurrence is in its best tier
+        first = np.zeros(len(tuples), dtype=bool)
+        first[np.unique(tuples, return_index=True)[1]] = True
+        return np.split(tuples[first], np.searchsorted(tier[first], (1, 2)))
 
     def tier_scores(self, tiers: list[np.ndarray], t: int, sigma: float,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decay scores of the distinct (tier, query, entity) slots of ``tiers``:
-        each slot's tier, its pair code query * entity_count + entity, and its
-        score, with slots sorted by tier and pair."""
-        tier = np.repeat(np.arange(3), [len(tuples) for tuples in tiers])
-        tuples = np.concatenate(tiers)
-        pair = tuples[:, 0] * self.entity_count + tuples[:, 1]
+        """Decay scores of the distinct (tier, query, entity) slots of the
+        ``reference_sets`` codes ``tiers``: each slot's tier, its pair code
+        query * entity_count + entity, and its score, with slots sorted by
+        tier and pair."""
+        tier = np.repeat(np.arange(3), [len(codes) for codes in tiers])
+        pair, times = np.divmod(np.concatenate(tiers), self.step_count + 1)
         new = (np.diff(pair, prepend=-1) != 0) | (np.diff(tier, prepend=-1) != 0)
         scores = _kernels.decay_accumulate(np.count_nonzero(new), np.cumsum(new) - 1,
-                                           tuples[:, 2], t, sigma)
+                                           times, t, sigma)
         return tier[new], pair[new], scores
 
     def rank_scores(self, direction: str, s, r, o, t: int, config: TedConfig,

@@ -74,7 +74,8 @@ def _chain(x_steps, held, positions, target_pos, params, prefix):
     for i, pos in enumerate(positions):
         if held[pos].any():
             zhat = _decayed_hidden(h, last[i], i, lam, b)
-            h = ad.pick_rows([h, gru_cell(x_steps[pos], zhat, params, prefix)], held[pos])
+            h = ad.gather_rows_from([h, gru_cell(x_steps[pos], zhat, params, prefix)],
+                                    held[pos], np.arange(len(held[pos])))
     zhat = _decayed_hidden(h, last[-1], len(positions), lam, b)
     return gru_cell(x_steps[target_pos], zhat, params, prefix)
 

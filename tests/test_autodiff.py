@@ -294,7 +294,6 @@ class TestBackward:
         (lambda h: ad.segment_matmul(h, [h, constant(np.eye(3))], [0, 1, 3]), True),
         (lambda h: ad.dots(h, [h, constant(np.eye(3))]), True),
         (lambda h: ad.mix(h, [h, h, constant(np.eye(3))]), True),
-        (lambda h: ad.pick_rows([h, constant(np.eye(3))], [1, 0, 0]), False),
         (lambda h: ad.gather_rows_from([constant(np.eye(3)), h], [1, 0, 1, 1], [2, 0, 0, 2]),
          False),
         # h's gradient reads only the off-tape operand, and the off-tape
@@ -306,7 +305,7 @@ class TestBackward:
         (lambda h: ad.dots(constant(np.eye(3)), [h, h]), False),
         (lambda h: ad.mix(constant(np.ones((3, 2))), [h, h]), False),
     ], ids=["add", "sub", "reduce_sum", "columns", "gather_rows", "mul",
-            "gathered_dots", "segment_matmul", "dots", "mix", "pick_rows", "gather_rows_from",
+            "gathered_dots", "segment_matmul", "dots", "mix", "gather_rows_from",
             "mul_by_constant_mask", "matmul_by_constant", "gathered_dots_constant_queries",
             "segment_matmul_constant_rows", "dots_constant_query", "mix_constant_weights"])
     def test_backward_closure_drops_input_values(self, op, needs_values):
@@ -441,39 +440,31 @@ class TestBackward:
         assert max_relative_error(analytic, numeric) < 1e-5
         assert np.all(analytic[3][1] == 0.0)
 
-    def test_pick_rows_match_fd(self):
-        rng = np.random.default_rng(101)
-        blocks = [rng.normal(size=(5, 2)) for _ in range(3)]
-        which = np.array([2, 0, 2, 2, 0])
-        w = rng.normal(size=(5, 2))
-        got = ad.pick_rows([constant(b) for b in blocks], which).data
-        np.testing.assert_array_equal(got, np.stack(blocks)[which, np.arange(5)])
-
-        def build(*bl):
-            return ad.reduce_sum(ad.mul(ad.tanh(ad.pick_rows(bl, which)), constant(w)))
-
-        analytic, numeric = grads_for(build, blocks)
-        assert max_relative_error(analytic, numeric) < 1e-5
-        assert np.all(analytic[1] == 0.0)   # no row is read from block 1
-        assert np.all(analytic[0][which != 0] == 0.0)
-
     def test_gather_rows_from_match_fd(self):
         rng = np.random.default_rng(102)
-        tables = [rng.normal(size=(n, 2)) for n in (4, 2, 3)]
-        which = np.array([2, 0, 2, 0, 0, 2])
-        index = np.array([1, 3, 1, 0, 3, 2])
-        w = rng.normal(size=(6, 2))
-        got = ad.gather_rows_from([constant(t) for t in tables], which, index).data
-        np.testing.assert_array_equal(got, [tables[p][i] for p, i in zip(which, index)])
+        # tables of three sizes read at arbitrary rows; then equal-shape blocks
+        # read at the identity index with a boolean ``which``, as the
+        # recurrence reads its active rows, so block 2 is never read
+        cases = [([rng.normal(size=(n, 2)) for n in (4, 2, 3)],
+                  np.array([2, 0, 2, 0, 0, 2]), np.array([1, 3, 1, 0, 3, 2])),
+                 ([rng.normal(size=(5, 2)) for _ in range(3)],
+                  np.array([True, False, True, True, False]), np.arange(5))]
+        for tables, which, index in cases:
+            w = rng.normal(size=(len(index), 2))
+            got = ad.gather_rows_from([constant(t) for t in tables], which, index).data
+            np.testing.assert_array_equal(got, [tables[int(p)][i] for p, i in zip(which, index)])
 
-        def build(*tl):
-            return ad.reduce_sum(ad.mul(ad.tanh(ad.gather_rows_from(tl, which, index)),
-                                        constant(w)))
+            def build(*tl):
+                return ad.reduce_sum(ad.mul(ad.tanh(ad.gather_rows_from(tl, which, index)),
+                                            constant(w)))
 
-        analytic, numeric = grads_for(build, tables)
-        assert max_relative_error(analytic, numeric) < 1e-5
-        assert np.all(analytic[1] == 0.0)   # no row is read from table 1
-        assert np.all(analytic[0][[1, 2]] == 0.0)
+            analytic, numeric = grads_for(build, tables)
+            assert max_relative_error(analytic, numeric) < 1e-5
+            # exact zeros for every table row that is never read, and for a
+            # table none of whose rows is read
+            for p, grad in enumerate(analytic):
+                unread = np.setdiff1d(np.arange(len(grad)), index[which == p])
+                assert np.all(grad[unread] == 0.0), p
 
     @pytest.mark.parametrize("op", [
         lambda: ad.dots(constant(np.ones((3, 2))), [constant(np.ones((3, 3)))]),
@@ -484,8 +475,6 @@ class TestBackward:
         lambda: ad.mix(constant(np.ones((2, 1))), [constant(np.ones((3, 4)))]),
         lambda: ad.mix(constant(np.ones((3, 2))), [constant(np.ones((3, 4))),
                                                    constant(np.ones((3, 3)))]),
-        lambda: ad.pick_rows([constant(np.ones((3, 2)))], [0, 0]),
-        lambda: ad.pick_rows([constant(np.ones((3, 2)))], [0, 1, 0]),
         lambda: ad.gather_rows_from([constant(np.ones((3, 2))), constant(np.ones((2, 3)))],
                                     [0, 1], [0, 0]),
         lambda: ad.gather_rows_from([constant(np.ones((3, 2)))], [0, 0], [0]),
@@ -494,7 +483,7 @@ class TestBackward:
                                     [0, 1], [2, 2]),
         lambda: ad.gather_rows_from([], [], []),
     ], ids=["dots-width", "dots-1d", "dots-scalar", "dots-empty", "mix-count", "mix-rows",
-            "mix-ragged", "pick-count", "pick-range", "from-width", "from-count",
+            "mix-ragged", "from-width", "from-count",
             "from-table-range", "from-row-range", "from-no-table"])
     def test_row_primitives_reject_bad_shapes(self, op):
         with pytest.raises(ad.ShapeError):

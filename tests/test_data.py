@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tempkg import data
 from tempkg.data import (DatasetError, TkgDataset, build_true_index, cross_split_repeats,
                          load_dataset, write_dataset)
+from tempkg.synth import SynthSpec, generate_synthetic
 
 from fact_oracles import snapshots_from_quads
 from helpers import active_entities, objects_for, subjects_for, train_dataset
@@ -78,6 +80,21 @@ class TestFactArrays:
         with pytest.raises(TypeError):
             ds.splits["train"][0] = ds.splits["train"][1]
         assert ds.quads["train"].tolist() == [[0, 0, 1, 0], [1, 0, 2, 1]]
+
+    def test_snapshot_views_are_built_on_first_read_only(self, tmp_path, monkeypatch):
+        # constructing, loading and generating build no view: at 200000 steps
+        # the views alone cost seconds
+        built = []
+        snapshot_class = data.Snapshot
+        monkeypatch.setattr(data, "Snapshot", lambda *a: built.append(a[0]) or snapshot_class(*a))
+        ds = train_dataset(3, 1, 200000, [(0, 0, 1, 0), (1, 0, 2, 199999)])
+        write_dataset(ds, tmp_path)
+        load_dataset(tmp_path)
+        generate_synthetic(SynthSpec(10, 2, 6, density=1.0), seed=0)
+        assert built == []
+        small = train_dataset(3, 1, 2, [(0, 0, 1, 0), (1, 0, 2, 1)])
+        assert [snap.time for snap in small.splits["train"]] == [0, 1]
+        assert small.splits is small.splits and built == [0, 1] * 3
 
     @pytest.mark.parametrize("fact, problem", [
         ((5, 0, 1, 0), "entity 5 out of range [0, 5)"),

@@ -54,6 +54,14 @@ def test_filter_index_matches_dict_oracle(seed, static, splits):
             np.testing.assert_array_equal(ids, np.concatenate(expect))
 
 
+@pytest.mark.parametrize("direction", ["objects", "subjects", "head", ""])
+def test_filter_sets_rejects_an_unknown_direction(direction):
+    # a near-miss such as "objects" must not fall through to the subject index
+    index = build_true_index(random_dataset(0))
+    with pytest.raises(ValueError, match=f"unknown query direction {direction!r}"):
+        index.filter_sets(direction, np.array([[0, 0, 1]]), 0)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("policy", [het.WindowPolicy("full_history"),
                                     het.WindowPolicy("strict_past"),
@@ -105,8 +113,10 @@ def test_ted_matches_dict_oracle(seed):
         for oracle in oracles:
             want = [oracle.reference_sets(direction, *query, t) for query in queries]
             for i, tier in enumerate(got):
-                assert tier.dtype == np.int64 and tier.shape[1:] == (3,)
-                expect = np.concatenate([np.column_stack([np.full(len(w[i]), j), w[i]])
+                assert tier.dtype == np.int64 and tier.ndim == 1
+                # query j's (entity, t') tuples as (j * E + entity) * (T + 1) + t'
+                expect = np.concatenate([(j * ds.entity_count + w[i][:, 0])
+                                         * (ds.step_count + 1) + w[i][:, 1]
                                          for j, w in enumerate(want)])
                 np.testing.assert_array_equal(tier, expect)
             for blend in ("tiered", "sum"):

@@ -233,7 +233,7 @@ class TestOneScatterPerLayer:
     def test_one_gather_and_one_segment_matmul_per_layer(self, case, monkeypatch):
         e, r, triples = ORACLE_CASES[case]
         calls = []
-        for name in ("gather_rows", "segment_matmul", "matmul", "concat"):
+        for name in ("gather_rows", "gather_rows_from", "segment_matmul", "matmul", "concat"):
             original = getattr(ad, name)
 
             def spy(*args, _name=name, _original=original):
@@ -244,9 +244,12 @@ class TestOneScatterPerLayer:
         params = make_params(e, r, 3, 2, np.random.default_rng(23))
         encode_one(triples, params, entity_count=e, relation_count=r, layers=2)
         # per layer: the edges' gather and transform, then the self-loop
-        # matmul; an empty snapshot has no edges to gather or transform
-        per_layer = (["gather_rows", "segment_matmul"] if triples else []) + ["matmul"]
-        assert calls == per_layer * 2
+        # matmul; an empty snapshot has no edges to gather or transform.
+        # Layer 0 gathers from the base embedding, layer 1 from the
+        # snapshot's own table
+        edges = lambda gather: [gather, "segment_matmul"] if triples else []
+        assert calls == (edges("gather_rows") + ["matmul"]
+                         + edges("gather_rows_from") + ["matmul"])
 
 
 # (entities, relations, snapshots): the oracle cases as one window, with an

@@ -15,9 +15,11 @@ def dataset_from_train(quads, e=6, r=3, t=8, test_quads=()):
 
 
 def query_tiers(model, direction, s, r, o, t):
-    """The whole-snapshot reference sets of one query, as (entity, t') tuples."""
+    """The whole-snapshot reference sets of one query, as (entity, t') tuples
+    decoded from their codes."""
     one = lambda x: np.array([x], dtype=np.int64)
-    return [tier[:, 1:] for tier in model.reference_sets(direction, one(s), one(r), one(o), t)]
+    return [np.stack(np.divmod(codes, model.step_count + 1), axis=1)
+            for codes in model.reference_sets(direction, one(s), one(r), one(o), t)]
 
 
 def query_scores(model, direction, s, r, o, t, config):

@@ -120,8 +120,9 @@ def decayed_hidden_masked(h, last_seen, pos, lam, b):
 
 def chain_masked(x_steps, held, positions, target_pos, params, prefix):
     """Oracle for temporal._chain: each active step's rows picked with
-    ``pick_rows``, the previous active step kept in a running ``last_seen``
-    array, and every decayed hidden state masked to zero where there is none."""
+    ``gather_rows_from``, the previous active step kept in a running
+    ``last_seen`` array, and every decayed hidden state masked to zero where
+    there is none."""
     lam, b = params["decay.z.lam"], params["decay.z.b"]
     n, dim = x_steps[target_pos].shape
     h = constant(np.zeros((n, dim)))
@@ -132,7 +133,8 @@ def chain_masked(x_steps, held, positions, target_pos, params, prefix):
         if not act.any():
             continue
         zhat = decayed_hidden_masked(h, last_seen, pos_rank[pos], lam, b)
-        h = ad.pick_rows([h, temporal.gru_cell(x_steps[pos], zhat, params, prefix)], act)
+        h = ad.gather_rows_from([h, temporal.gru_cell(x_steps[pos], zhat, params, prefix)],
+                                act, np.arange(n))
         last_seen[act] = pos_rank[pos]
     zhat = decayed_hidden_masked(h, last_seen, len(positions), lam, b)
     return temporal.gru_cell(x_steps[target_pos], zhat, params, prefix)
