@@ -27,13 +27,17 @@ class CheckpointError(ValueError):
 
 def atomic_write(path, data: str | bytes) -> None:
     """Write ``data`` (text as utf-8) through a temp file in the same directory
-    and one rename, so a failed write leaves the old file and no temp file."""
+    and one rename, so a failed write leaves the old file and no temp file.
+    The file gets the mode a plain ``open(path, "w")`` gives a new file."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp made it 0600
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -153,13 +153,17 @@ def _assign(target, renames: dict[str, str], section: str, key: str, raw: str,
 def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse a config file; ``overrides`` are 'section.key' -> raw value."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        items = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as err:  # a repeated key, no section, no '=', a lone '%'
+        raise ConfigError(f"cannot parse config file {path}: {err}") from err
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     config = RunConfig()
-    for section in parser.sections():
+    for section, pairs in items.items():
         target, renames = _section_target(config, section)
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
             _assign(target, renames, section, key, raw, f"[{section}] {key}")
     for dotted, raw in (overrides or {}).items():
         section, _, key = dotted.partition(".")

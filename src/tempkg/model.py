@@ -147,7 +147,6 @@ class WindowContext:
     time: int
     x: Tensor                  # structural (imputed when enabled) at the target
     z: Tensor                  # temporal embeddings; equals x when no encoder runs
-    relation: Tensor           # relation embedding table
 
 
 @dataclass
@@ -196,23 +195,25 @@ class TempModel:
                 self.config.dropout_reference, rng)
         return facts, target_pos
 
-    def encode_context(self, leaves: dict[str, Tensor], t: int, facts: np.ndarray,
-                       target_pos: int,
+    def encode_context(self, leaves: dict[str, Tensor], t: int,
+                       rng: np.random.Generator | None = None,
                        cache: dict[int, StepRecord] | None = None) -> WindowContext:
-        """Context of target step ``t`` from its window's (s, r, o, i) facts.
+        """Context of target step ``t`` from its window's facts, thinned by
+        edge dropout drawn from ``rng`` when one is given.
 
         Without ``cache`` the whole window is encoded in one call. ``cache``
-        maps a step to its ``StepRecord`` and is only valid for undropped
-        windows built from one fixed set of parameters: steps already in it
-        are not encoded again, each new one is encoded in a call of its own,
-        so a record never depends on which steps were cached, and steps
+        maps a step to its ``StepRecord`` and is only valid, without ``rng``,
+        for windows built from one fixed set of parameters: steps already in
+        it are not encoded again, each new one is encoded in a call of its
+        own, so a record never depends on which steps were cached, and steps
         outside this window are evicted, so it holds at most one window.
         """
+        if rng is not None and cache is not None:
+            raise ValueError("a step cache holds undropped steps; pass rng or cache, not both")
         cfg, ds = self.config, self.dataset
         steps, _ = self.window_positions(t)
+        facts, target_pos = self.window_facts(t, rng)
         index = facts[:, 3]
-        if np.any(np.diff(index) < 0) or np.any((index < 0) | (index >= len(steps))):
-            raise ValueError(f"window facts need sorted step indices in [0, {len(steps)})")
         held = np.zeros((len(steps), ds.entity_count), dtype=bool)
         held[index[:, None], facts[:, [0, 2]]] = True
 
@@ -253,7 +254,7 @@ class TempModel:
                                    held, target_pos, leaves, heads=cfg.heads)
         if cfg.positional and cfg.temporal_active:
             z = temporal.add_positional(z, leaves["pos.embed"], t)
-        return WindowContext(t, x_target, z, leaves["relation.embed"])
+        return WindowContext(t, x_target, z)
 
     def _keys_values(self, leaves, records: list[StepRecord], x_target: Tensor,
                      target_pos: int) -> list[tuple[Tensor, Tensor]]:
@@ -291,16 +292,6 @@ class TempModel:
 
     # --- scoring ----------------------------------------------------------------
 
-    def _gate_table(self, tpf: het.TpfTable | None) -> het.TpfTable | None:
-        """The pattern frequencies scoring reads: ``tpf`` for a gated model,
-        which cannot score without them, and None for an ungated one."""
-        if not self.config.gating:
-            return None
-        if tpf is None:
-            raise ValueError("a gated model scores from pattern frequencies; "
-                             "pass its TpfTable")
-        return tpf
-
     def _gate_alphas(self, leaves, freqs: np.ndarray, direction: str):
         """(fixed, candidate) gate columns of one direction from the (m, 7)
         pattern counts: [f_s, f_r, f_sr] feed the object-query gates os/oo,
@@ -313,26 +304,34 @@ class TempModel:
         rows = het.transform_frequencies(rows, self.config.freq_transform)
         return tuple(het.gate_alpha(rows, leaves, gate) for gate in gates)
 
-    def _direction_scores(self, leaves, ctx: WindowContext, freqs, triples: np.ndarray,
-                          r_emb: Tensor, direction: str,
-                          cand_ids: np.ndarray | None) -> Tensor:
-        """Scores of each query of ``triples`` against its row of ``cand_ids``,
-        or against every entity when ``cand_ids`` is None.
+    def _direction_scores(self, leaves, ctx: WindowContext, triples: np.ndarray,
+                          tpf: het.TpfTable | None, cand_ids=(None, None)):
+        """A generator of the object and then the subject scores of each query
+        of ``triples`` against its row of that direction's ``cand_ids`` entry,
+        or every entity where it is None. A gated model, which the call checks
+        has ``tpf``, blends the fixed rows and the candidates as
+        alpha * ctx.x + (1 - alpha) * ctx.z; an ungated one reads ctx.z only."""
+        gating = self.config.gating
+        if gating and tpf is None:
+            raise ValueError("a gated model scores from pattern frequencies; "
+                             "pass its TpfTable")
 
-        Given the snapshot's pattern counts ``freqs`` the fixed rows and the
-        candidates are the gated blends alpha * ctx.x + (1 - alpha) * ctx.z;
-        without them they are ctx.z rows, and ctx.x is not read.
-        """
-        fixed_idx = triples[:, 0] if direction == "object" else triples[:, 2]
-        if freqs is not None:
-            fixed_alpha, cand_alpha = self._gate_alphas(leaves, freqs, direction)
-            fixed = het.blend(fixed_alpha, ad.gather_rows(ctx.x, fixed_idx),
-                              ad.gather_rows(ctx.z, fixed_idx))
-            table, blend = ctx.x, (cand_alpha, ctx.z)
-        else:
-            fixed, table, blend = ad.gather_rows(ctx.z, fixed_idx), ctx.z, None
-        return dec.score_rows(fixed, r_emb, table, cand_ids, self.config.decoder,
-                              direction, blend)
+        def scores():
+            r_emb = ad.gather_rows(leaves["relation.embed"], triples[:, 1])
+            freqs = tpf.frequencies(triples, ctx.time) if gating else None
+            for direction, ids in zip(("object", "subject"), cand_ids):
+                fixed_idx = triples[:, 0] if direction == "object" else triples[:, 2]
+                if gating:
+                    fixed_alpha, cand_alpha = self._gate_alphas(leaves, freqs, direction)
+                    fixed = het.blend(fixed_alpha, ad.gather_rows(ctx.x, fixed_idx),
+                                      ad.gather_rows(ctx.z, fixed_idx))
+                    table, blend = ctx.x, (cand_alpha, ctx.z)
+                else:
+                    fixed, table, blend = ad.gather_rows(ctx.z, fixed_idx), ctx.z, None
+                yield dec.score_rows(fixed, r_emb, table, ids, self.config.decoder,
+                                     direction, blend)
+
+        return scores()
 
     def snapshot_loss(self, leaves: dict[str, Tensor], ctx: WindowContext,
                       triples: np.ndarray, negatives: tuple[np.ndarray, np.ndarray],
@@ -343,18 +342,14 @@ class TempModel:
         slots. Each direction scores one (m, 1 + k) candidate matrix, the
         answer in column 0. A gated model needs ``tpf``.
         """
-        r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
-        tpf = self._gate_table(tpf)
-        freqs = tpf.frequencies(triples, ctx.time) if tpf is not None else None
-        total = None
-        for direction, true_idx, negs in (("object", triples[:, 2], negatives[0]),
-                                          ("subject", triples[:, 0], negatives[1])):
-            cand_ids = np.concatenate([true_idx[:, None], negs], axis=1)
-            scores = self._direction_scores(leaves, ctx, freqs, triples, r_emb,
-                                            direction, cand_ids)
-            loss = dec.query_loss(scores, mode=self.config.loss_mode)
-            total = loss if total is None else ad.add(total, loss)
-        return total
+        cand_ids = [np.concatenate([true_idx[:, None], negs], axis=1)
+                    for true_idx, negs in ((triples[:, 2], negatives[0]),
+                                           (triples[:, 0], negatives[1]))]
+        # lazily: each direction's loss joins the tape before the next scores,
+        # the node order the backward sums follow
+        return ad.add(*(dec.query_loss(scores, mode=self.config.loss_mode)
+                        for scores in self._direction_scores(leaves, ctx, triples, tpf,
+                                                             cand_ids)))
 
     # --- evaluation -----------------------------------------------------------
 
@@ -363,8 +358,7 @@ class TempModel:
         """Off-tape context for inference; training snapshots only, no dropout.
         ``cache`` is passed to ``encode_context``; ``leaves`` are the
         parameters as constants."""
-        facts, target_pos = self.window_facts(t, rng=None)
-        return self.encode_context(leaves, t, facts, target_pos, cache)
+        return self.encode_context(leaves, t, cache=cache)
 
     def snapshot_scorer(self, tpf: het.TpfTable | None = None):
         """Adapter for evaluation.evaluate: scores every entity per query.
@@ -379,15 +373,12 @@ class TempModel:
         """
         cache: dict[int, StepRecord] = {}
         leaves = {name: constant(arr) for name, arr in self.params.items()}
-        tpf = self._gate_table(tpf)
+        self._direction_scores(leaves, None, None, tpf)  # a gated model without tpf raises
 
         def scorer(t: int, triples: np.ndarray):
             ctx = self.eval_context(t, cache, leaves)
-            r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
-            freqs = tpf.frequencies(triples, t) if tpf is not None else None
-            return tuple(self._direction_scores(leaves, ctx, freqs, triples, r_emb,
-                                                direction, None).data
-                         for direction in ("object", "subject"))
+            return tuple(scores.data for scores in self._direction_scores(leaves, ctx,
+                                                                          triples, tpf))
 
         return scorer
 

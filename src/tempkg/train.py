@@ -112,8 +112,7 @@ class _Trainer:
         window, capped positives and negatives, each drawn from a substream
         keyed by (epoch, t), so no other target's draws move them."""
         model, tcfg, seed = self.model, self.config, self.config.seed
-        facts, target_pos = model.window_facts(t, rng=substream(seed, "dropout", epoch, t))
-        ctx = model.encode_context(leaves, t, facts, target_pos)
+        ctx = model.encode_context(leaves, t, substream(seed, "dropout", epoch, t))
         positives = _subsample(model.dataset.splits["train"][t].triples,
                                tcfg.snapshot_cap, substream(seed, "cap", epoch, t))
         negatives = dec.sample_negatives(positives, t, self.negative_index, tcfg.negatives,

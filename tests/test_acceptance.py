@@ -92,8 +92,7 @@ def _model_loss(config, dataset, params, t):
     model = TempModel(config, dataset, params)
     tape = Tape()
     leaves = leaves_on_tape(tape, params)
-    facts, target_pos = model.window_facts(t)
-    ctx = model.encode_context(leaves, t, facts, target_pos)
+    ctx = model.encode_context(leaves, t)
     triples = dataset.splits["train"][t].triples
     rng = np.random.default_rng(0)
     negs = (rng.integers(0, dataset.entity_count, size=(len(triples), 2)),

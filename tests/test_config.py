@@ -176,6 +176,18 @@ sigmas = 1e-5 0.1 10
             load_config(write(tmp_path, f"[{section}]\n{line}\n"))
         assert type(err.value.__cause__) is ValueError
 
+    @pytest.mark.parametrize("text, kind", [
+        ("[model]\ndim = 8\ndim = 16\n", "already exists"),
+        ("dim = 8\n[model]\n", "no section headers"),
+        ("[model]\ndim 8\n", "parsing errors"),
+        ("[dataset]\npath = /data/100%\n", "'%' must be followed"),
+    ], ids=["repeated-key", "key-before-section", "no-equals", "lone-percent"])
+    def test_malformed_file_is_config_error_naming_it(self, tmp_path, text, kind):
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=kind) as err:
+            load_config(path)
+        assert str(path) in str(err.value)
+
     def test_seed_override(self, tmp_path):
         path = write(tmp_path, "[train]\nseed = 1\n")
         cfg = load_config(path, overrides={"train.seed": "42"})

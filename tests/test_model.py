@@ -86,8 +86,9 @@ def snapshot_scorer_per_query(model, tpf=None):
                 ca = None if cand_alpha is None else _row(cand_alpha, i)
                 fixed = blend_rows(fa, _row(ctx.x, fixed_id), _row(ctx.z, fixed_id))
                 cand = blend_rows(ca, ctx.x, ctx.z)
-                scores = direction_rows_per_row(direction, fixed, _row(ctx.relation, r),
-                                                cand, model.config.decoder)
+                scores = direction_rows_per_row(direction, fixed,
+                                                _row(leaves["relation.embed"], r), cand,
+                                                model.config.decoder)
                 rows[i] = scores.data[:, 0]
             out.append(rows)
         return out[0], out[1]
@@ -100,7 +101,7 @@ def snapshot_loss_per_negative(model, leaves, ctx, triples, negatives, tpf):
     score columns are joined into the (m, 1 + k) matrix ``query_loss`` takes."""
     cfg = model.config
     subjects, rels, objects = triples[:, 0], triples[:, 1], triples[:, 2]
-    r_emb = ad.gather_rows(ctx.relation, rels)
+    r_emb = ad.gather_rows(leaves["relation.embed"], rels)
     total = None
     for direction, fixed_idx, true_idx, negs in (
             ("object", subjects, objects, negatives[0]),
@@ -298,10 +299,10 @@ class TestImputation:
         params["decay.x.b"] = np.array([[0.0]])
         model = TempModel(cfg, ds, params)
         t = ds.step_count - 1
-        facts, target_pos = model.window_facts(t)
-        window = [ds.splits["train"][step].triples for step in model.window_positions(t)[0]]
+        steps, target_pos = model.window_positions(t)
+        window = [ds.splits["train"][step].triples for step in steps]
         leaves = {k: constant(v) for k, v in params.items()}
-        ctx = model.encode_context(leaves, t, facts, target_pos)
+        ctx = model.encode_context(leaves, t)
 
         active_now = np.zeros(ds.entity_count, dtype=bool)
         if len(window[target_pos]):
@@ -314,7 +315,7 @@ class TestImputation:
         cfg_off = ModelConfig(variant="temp-gru", decoder="distmult", dim=4, layers=1,
                               window=2, heads=2, imputation=False)
         model_off = TempModel(cfg_off, ds, params)
-        ctx_off = model_off.encode_context(leaves, t, facts, target_pos)
+        ctx_off = model_off.encode_context(leaves, t)
         for e in range(ds.entity_count)[:6]:
             if not active_now[e] and last_active[e] >= 0:
                 stale = encode_per_snapshot(window[last_active[e]], leaves,
@@ -337,15 +338,15 @@ class TestImputation:
         params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 2)
         params["decay.x.lam"] = np.array([[0.3]])
         model = TempModel(cfg, ds, params)
-        facts, target_pos = model.window_facts(t)
-        assert target_pos == {0: 0, 3: 2, 6: len(model.window_positions(t)[0]) - 1}[t]
+        steps, target_pos = model.window_positions(t)
+        assert target_pos == {0: 0, 3: 2, 6: len(steps) - 1}[t]
         weights = np.random.default_rng(3).normal(size=(2, ds.entity_count, cfg.dim))
         results = []
         for impute in (TempModel._impute_target, impute_target_per_position):
             monkeypatch.setattr(TempModel, "_impute_target", impute)
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, facts, target_pos)
+            ctx = model.encode_context(leaves, t)
             loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
                           ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
             results.append((ctx.x.data, ctx.z.data, grads_by_name(tape, leaves, loss,
@@ -377,14 +378,13 @@ class TestSelfAttentionContext:
         params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 2)
         params["decay.z.lam"] = np.array([[0.3]])
         model = TempModel(cfg, ds, params)
-        facts, target_pos = model.window_facts(t)
         weights = np.random.default_rng(4).normal(size=(2, ds.entity_count, cfg.dim))
         results = []
         for encode in (temporal.encode_sa, encode_sa_per_step):
             monkeypatch.setattr(temporal, "encode_sa", encode)
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, facts, target_pos)
+            ctx = model.encode_context(leaves, t)
             loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
                           ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
             results.append((ctx.z.data, grads_by_name(tape, leaves, loss, params)))
@@ -412,14 +412,13 @@ class TestGruContext:
         params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 5)
         params["decay.z.lam"] = np.array([[0.3]])
         model = TempModel(cfg, ds, params)
-        facts, target_pos = model.window_facts(t)
         weights = np.random.default_rng(6).normal(size=(2, ds.entity_count, cfg.dim))
         results = []
         for chain in (temporal._chain, chain_blend):
             monkeypatch.setattr(temporal, "_chain", chain)
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, facts, target_pos)
+            ctx = model.encode_context(leaves, t)
             loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
                           ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
             results.append((ctx.z.data, grads_by_name(tape, leaves, loss, params)))
@@ -461,7 +460,7 @@ class TestWindowContext:
         params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 8)
         model = TempModel(cfg, ds, params)
         t = 4
-        facts, target_pos = model.window_facts(t, rng=np.random.default_rng(9))
+        facts, _ = model.window_facts(t, rng=np.random.default_rng(9))
         steps = len(model.window_positions(t)[0])
         assert cfg.variant == "srgcn" or len(np.unique(facts[:, 3])) < steps
         weights = np.random.default_rng(10).normal(size=(2, ds.entity_count, cfg.dim))
@@ -470,7 +469,7 @@ class TestWindowContext:
             monkeypatch.setattr(rgcn, "encode_snapshot", encode)
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, facts, target_pos)
+            ctx = model.encode_context(leaves, t, rng=np.random.default_rng(9))
             loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
                           ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
             results.append((ctx.x.data, ctx.z.data, grads_by_name(tape, leaves, loss, params)))
@@ -500,26 +499,24 @@ class TestWindowContext:
 
         monkeypatch.setattr(rgcn, "encode_snapshot", spy)
         leaves = {name: constant(arr) for name, arr in model.params.items()}
-        facts, target_pos = model.window_facts(5)
-        model.encode_context(leaves, 5, facts, target_pos)
+        model.encode_context(leaves, 5)
         assert calls == [4]
         calls.clear()
-        model.encode_context(leaves, 5, facts, target_pos, {})
+        model.encode_context(leaves, 5, cache={})
         assert calls == [1] * 4
 
-    @pytest.mark.parametrize("cache", [None, {}])
-    def test_rejects_unsorted_or_outside_facts(self, sparse_dataset, cache):
+    def test_dropout_with_a_cache_rejected(self, sparse_dataset):
+        # a cache holds undropped steps only, so a thinned window cannot use one
         ds = sparse_dataset
         cfg = ModelConfig(variant="temp-gru", decoder="distmult", dim=4, layers=1,
                           window=3)
         model = TempModel(cfg, ds, init_params(cfg, ds.entity_count, ds.relation_count,
                                                ds.step_count, 8))
         leaves = {name: constant(arr) for name, arr in model.params.items()}
-        facts, target_pos = model.window_facts(5)
-        assert facts[0, 3] == 0 and facts[-1, 3] == 3
-        for bad in (facts[::-1], facts + [0, 0, 0, 1], facts - [0, 0, 0, 1]):
-            with pytest.raises(ValueError, match="sorted step indices"):
-                model.encode_context(leaves, 5, bad, target_pos, cache)
+        cache = {}
+        with pytest.raises(ValueError, match="rng or cache"):
+            model.encode_context(leaves, 5, rng=np.random.default_rng(0), cache=cache)
+        assert cache == {}
 
 
 class TestCheckpointRoundTrip:
@@ -553,8 +550,7 @@ class TestTrainingGradients:
         tape = Tape()
         leaves = leaves_on_tape(tape, params)
         t = ds.step_count - 1
-        facts, target_pos = model.window_facts(t)
-        ctx = model.encode_context(leaves, t, facts, target_pos)
+        ctx = model.encode_context(leaves, t)
         triples = ds.splits["train"][t].triples
         rng = np.random.default_rng(0)
         negs = (rng.integers(0, ds.entity_count, size=(len(triples), 3)),
@@ -576,8 +572,7 @@ class TestTrainingGradients:
         tape = Tape()
         leaves = leaves_on_tape(tape, params)
         t = ds.step_count - 1
-        facts, target_pos = model.window_facts(t)
-        ctx = model.encode_context(leaves, t, facts, target_pos)
+        ctx = model.encode_context(leaves, t)
         triples = ds.splits["train"][t].triples
         rng = np.random.default_rng(1)
         negs = (rng.integers(0, ds.entity_count, size=(len(triples), 2)),
@@ -602,7 +597,6 @@ class TestTrainingGradients:
         model = TempModel(cfg, ds, params)
         tpf = compute_tpf(ds)
         t = ds.step_count - 1
-        facts, target_pos = model.window_facts(t)
         triples = ds.splits["train"][t].triples
         rng = np.random.default_rng(2)
         negs = (rng.integers(0, ds.entity_count, size=(len(triples), 4)),
@@ -614,7 +608,7 @@ class TestTrainingGradients:
                         lambda *a: snapshot_loss_per_negative(model, *a)):
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t, facts, target_pos)
+            ctx = model.encode_context(leaves, t)
             loss = loss_fn(leaves, ctx, triples, negs, tpf)
             results.append((loss.item(), grads_by_name(tape, leaves, loss, params)))
         (got_loss, got), (want_loss, want) = results
@@ -661,11 +655,10 @@ def uncached_scores(model, t, triples):
     with every entity passed as an explicit (q, E) candidate id matrix."""
     leaves = {name: constant(arr) for name, arr in model.params.items()}
     ctx = model.eval_context(t, {}, leaves)
-    r_emb = ad.gather_rows(ctx.relation, triples[:, 1])
     ids = np.broadcast_to(np.arange(model.dataset.entity_count),
                           (len(triples), model.dataset.entity_count))
-    return [model._direction_scores(leaves, ctx, None, triples, r_emb, direction, ids).data
-            for direction in ("object", "subject")]
+    return [scores.data for scores in model._direction_scores(leaves, ctx, triples, None,
+                                                              (ids, ids))]
 
 
 class TestSnapshotScorer:
@@ -867,8 +860,7 @@ def test_loss_gathers_no_row_per_candidate(tiny_dataset, monkeypatch, decoder, g
     tape = Tape()
     leaves = leaves_on_tape(tape, model.params)
     t = ds.step_count - 1
-    facts, target_pos = model.window_facts(t)
-    ctx = model.encode_context(leaves, t, facts, target_pos)
+    ctx = model.encode_context(leaves, t)
     triples = ds.splits["train"][t].triples
     negs = (np.zeros((len(triples), 5), dtype=np.int64),
             np.ones((len(triples), 5), dtype=np.int64))
@@ -895,8 +887,7 @@ def test_gated_model_without_frequencies_raises(tiny_dataset):
     tape = Tape()
     leaves = leaves_on_tape(tape, model.params)
     t = ds.step_count - 1
-    facts, target_pos = model.window_facts(t)
-    ctx = model.encode_context(leaves, t, facts, target_pos)
+    ctx = model.encode_context(leaves, t)
     triples = ds.splits["train"][t].triples
     negs = (np.zeros((len(triples), 2), dtype=np.int64),) * 2
     with pytest.raises(ValueError, match="gated model"):
@@ -943,8 +934,7 @@ def test_ungated_loss_never_gathers_structural_rows(tiny_dataset, monkeypatch):
     tape = Tape()
     leaves = leaves_on_tape(tape, model.params)
     t = ds.step_count - 1
-    facts, target_pos = model.window_facts(t)
-    ctx = model.encode_context(leaves, t, facts, target_pos)
+    ctx = model.encode_context(leaves, t)
     assert ctx.x is not ctx.z
     sources = []
     original = ad.gather_rows

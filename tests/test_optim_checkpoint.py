@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -155,6 +156,20 @@ class TestAtomicWrite:
         atomic_write(path, b"\x00\x01")
         assert path.read_bytes() == b"\x00\x01"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_new_file_gets_the_mode_of_a_plain_open(self, tmp_path, umask):
+        saved = os.umask(umask)
+        try:
+            atomic_write(tmp_path / "text.csv", "a,b\n")
+            save_checkpoint(tmp_path / "model.ckpt", {"w": np.zeros(2)})
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(saved)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["text.csv", "model.ckpt", "plain.txt"],
+                                      0o666 & ~umask)
 
 
 class TestCheckpoint:
