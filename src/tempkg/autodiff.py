@@ -259,6 +259,12 @@ def masked_softmax(a, mask: np.ndarray) -> Tensor:
 
     Masked entries behave as if the logit were -inf: they get weight exactly 0
     and receive zero gradient. A row with no unmasked entry is an error.
+
+    ``mask`` has to share the memory order of the logits (both C- or both
+    column-major): the max, the exp and the row check each pass over the
+    mask with ``where``, and against the other order every pass strides
+    across it, which made the softmax 1.5 to 5 times slower at temp-sa shapes.
+    The output does not depend on the mask's order.
     """
     a = _as_tensor(a)
     ad = a.data
@@ -438,7 +444,9 @@ def segment_matmul(x, weights: Sequence, bounds) -> Tensor:
     every block at once: one tape node for any number of blocks.
 
     ``bounds`` starts at 0, never decreases and ends at the row count of
-    ``x``; it has one entry more than ``weights``.
+    ``x``; it has one entry more than ``weights``. Each block's product, and
+    its gradient to ``x``, is written in place into its rows of one output
+    array, so no block makes a temporary.
     """
     x = _as_tensor(x)
     weights = [_as_tensor(w) for w in weights]
@@ -454,13 +462,13 @@ def segment_matmul(x, weights: Sequence, bounds) -> Tensor:
     blocks = list(zip(wd, bounds[:-1].tolist(), bounds[1:].tolist()))
     out = np.empty((xd.shape[0], wd[0].shape[1]), dtype=np.float64)
     for w, lo, hi in blocks:
-        out[lo:hi] = xd[lo:hi] @ w
+        np.matmul(xd[lo:hi], w, out=out[lo:hi])
     shape = xd.shape
 
     def grad_x(g):
         gx = np.empty(shape, dtype=np.float64)
         for w, lo, hi in blocks:
-            gx[lo:hi] = g[lo:hi] @ w.T
+            np.matmul(g[lo:hi], w.T, out=gx[lo:hi])
         return gx
 
     return _result(out, (x, grad_x),

@@ -19,7 +19,8 @@ Scoring works on a whole snapshot: all queries of one step and direction read
 each tier's key ranges in one lookup, are de-duplicated down the tiers with
 one np.unique over query * span + code, and sum their decay scores into
 sparse (tier, query, entity) slots. Only the referenced (query, entity) pairs
-are sorted, by two stable argsorts: on the score, then on a narrow integer
+are sorted, by two argsorts: on the score's rank among the distinct scores
+with the pair's index as the tie-break, then stably on a narrow integer
 group key that numpy radix-sorts. The (q, E) output holds each entity's
 -position in the narrowest signed integer dtype that holds +-2E
 (np.min_scalar_type(-2 * E): int16 up to 16384 entities, int32 above), which
@@ -126,9 +127,14 @@ class TedModel:
             key, group = -np.bincount(slot_pair, scores, len(pairs)), queries
         else:   # slots are tier-major, so a pair's first slot is its best tier
             key, group = -scores[first], queries * 3 + tier[first]
-        # pairs are in entity order within a query and both sorts are stable,
-        # so exact ties keep ascending entity ids; a narrow group key radix-sorts
-        order = np.argsort(key, kind="stable")
+        # pairs are in entity order within a query, so exact ties keep ascending
+        # entity ids: the first sort is on distinct int64 keys, each key's rank
+        # among the distinct keys times n plus the pair's index (exact while
+        # n * n < 2**63, so n < 3e9; n is at most q * entity_count), the second
+        # stable on a narrow group key, which numpy radix-sorts
+        n = len(key)
+        _, rank = np.unique(key, return_inverse=True)
+        order = np.argsort(rank * n + np.arange(n))
         order = order[np.argsort(group[order].astype(np.min_scalar_type(3 * q)),
                                  kind="stable")]
         counts = np.bincount(queries, minlength=q)

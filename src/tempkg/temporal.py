@@ -126,19 +126,24 @@ def encode_sa(x_target: Tensor, kv: list[tuple[Tensor, Tensor]], active: np.ndar
     reshape. ``kv[p]`` is window step p's ``keys_values`` pair, laid out
     alike. The logits of all steps are one ``dots`` of the queries with the
     keys, and the output one ``mix`` of the values by the attention weights.
+
+    ``dots`` returns its (n * heads, W) logits column-major, so the mask is
+    built as the (W, n * heads) step-major array and handed to
+    ``masked_softmax`` transposed, in the logits' memory order; a row-major
+    mask would make every masked pass of the softmax stride across it.
     """
     n, dim = x_target.shape
     if dim % heads:
         raise ValueError(f"embedding dim {dim} not divisible by {heads} heads")
     rows, dh = n * heads, dim // heads
-    mask = active.T.copy()
-    mask[~mask.any(axis=1), target_pos] = True
+    steps = active.copy()
+    steps[target_pos, ~active.any(axis=0)] = True
     offsets = np.abs(np.arange(len(kv)) - target_pos).astype(np.float64).reshape(1, -1)
     penalty = decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
     q = ad.reshape(ad.matmul(x_target, head_weights(params, "wq", heads)), (rows, dh))
     logits = ad.sub(ad.mul(ad.dots(q, [k for k, _ in kv]), 1.0 / np.sqrt(dh)), penalty)
     del q   # off the tape nothing else holds q or the logits: free each once read
-    beta = ad.masked_softmax(logits, np.repeat(mask, heads, axis=0))
+    beta = ad.masked_softmax(logits, np.repeat(steps, heads, axis=1).T)
     del logits
     return ad.reshape(ad.mix(beta, [v for _, v in kv]), (n, dim))
 

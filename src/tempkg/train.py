@@ -113,8 +113,10 @@ class _Trainer:
         keyed by (epoch, t), so no other target's draws move them."""
         model, tcfg, seed = self.model, self.config, self.config.seed
         ctx = model.encode_context(leaves, t, substream(seed, "dropout", epoch, t))
-        positives = _subsample(model.dataset.splits["train"][t].triples,
-                               tcfg.snapshot_cap, substream(seed, "cap", epoch, t))
+        quads = model.dataset.quads["train"]
+        lo, hi = np.searchsorted(quads[:, 3], [t, t + 1])
+        positives = _subsample(quads[lo:hi, :3], tcfg.snapshot_cap,
+                               substream(seed, "cap", epoch, t))
         negatives = dec.sample_negatives(positives, t, self.negative_index, tcfg.negatives,
                                          substream(seed, "negatives", epoch, t),
                                          model.dataset.entity_count, self.shortfall)

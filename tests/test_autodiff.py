@@ -618,6 +618,55 @@ class TestRewriteOracles:
         np.testing.assert_array_equal(grad, want * (w - inner))
         np.testing.assert_array_equal(out[2:5].sum(axis=1), [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("logits_order, mask_order", [("C", "C"), ("C", "F"),
+                                                           ("F", "C"), ("F", "F")])
+    @pytest.mark.parametrize("shape", [(9, 7), (40, 16)])
+    def test_masked_softmax_does_not_depend_on_memory_order(self, shape, logits_order,
+                                                            mask_order):
+        # a row's sum runs in another order for C and F logits past 8 columns,
+        # so each logits order is held to its own result with a C-order mask
+        rng = np.random.default_rng(83)
+        x = rng.normal(scale=5.0, size=shape)
+        x[0, :3] = [800.0, -1000.0, 710.0]
+        x[1, 1] = np.inf                                   # masked out below
+        x[2, 0] = np.nan                                   # masked out below
+        mask = rng.random(shape) < 0.5
+        mask[:, -1] = True
+        mask[1, 1] = mask[2, 0] = False
+        mask[3] = False
+        mask[3, 2] = True                                  # one unmasked entry
+        w = rng.normal(size=shape)
+        x = np.array(x, order=logits_order)
+        out, grad = forward_and_grad(lambda t: ad.masked_softmax(t, np.array(mask, order="C")),
+                                     x, w)
+        got_out, got_grad = forward_and_grad(
+            lambda t: ad.masked_softmax(t, np.array(mask, order=mask_order)), x, w)
+        np.testing.assert_array_equal(got_out, out)
+        np.testing.assert_array_equal(got_grad, grad)
+        if shape[1] < 8:   # one sequential sum per row in either order
+            np.testing.assert_array_equal(out, masked_softmax_neg_inf(x, mask))
+
+    def test_segment_matmul_matches_per_block_products(self):
+        # blocks written in place give every bit of one product per block,
+        # forward and backward, empty blocks included
+        rng = np.random.default_rng(59)
+        sizes = rng.integers(0, 12, size=40)
+        sizes[[0, 7, 39]] = 0
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        x = rng.normal(size=(bounds[-1], 16))
+        ws = [rng.normal(size=(16, 8)) for _ in sizes]
+        w = rng.normal(size=(bounds[-1], 8))
+        tape = Tape()
+        xl, wl = tape.leaf(x), [tape.leaf(a) for a in ws]
+        out = ad.segment_matmul(xl, wl, bounds)
+        grads = tape.backward(ad.reduce_sum(ad.mul(out, constant(w))))
+        blocks = list(zip(ws, bounds[:-1], bounds[1:]))
+        np.testing.assert_array_equal(out.data, np.vstack([x[lo:hi] @ a for a, lo, hi in blocks]))
+        np.testing.assert_array_equal(grads[xl.node_id],
+                                      np.vstack([w[lo:hi] @ a.T for a, lo, hi in blocks]))
+        for leaf, (_, lo, hi) in zip(wl, blocks):
+            np.testing.assert_array_equal(grads[leaf.node_id], x[lo:hi].T @ w[lo:hi])
+
     @pytest.mark.parametrize("rows, index", [
         (5, [3, 3, 3, 0, 3, 1, 3, 3]),            # repeats, in a fixed order
         (4, [2] * 40),                           # one row takes every source

@@ -23,7 +23,7 @@ from gradcheck import scaled_error
 from helpers import train_dataset, window_facts
 from test_decoder import direction_rows_per_row
 from test_rgcn import edge_dropout_per_snapshot, encode_per_snapshot
-from test_temporal import chain_blend, encode_sa_per_step
+from test_temporal import chain_blend, encode_sa_per_step, encode_sa_row_major_mask
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +397,59 @@ class TestSelfAttentionContext:
             vanishing = np.max(np.abs(want)) <= 1e-12
             err = np.max(np.abs(got - want)) if vanishing else scaled_error(got, want)
             assert err <= 1e-12, name
+
+
+class TestAttentionMaskOrder:
+    def sa_model(self, ds, imputation, bidirectional, heads=2):
+        cfg = ModelConfig(variant="temp-sa", decoder="distmult", dim=8, layers=1,
+                          heads=heads, window=4 if bidirectional else 3,
+                          bidirectional=bidirectional, imputation=imputation)
+        params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 2)
+        params["decay.z.lam"] = np.array([[0.3]])
+        return TempModel(cfg, ds, params), params
+
+    @pytest.mark.parametrize("imputation", [False, True])
+    @pytest.mark.parametrize("bidirectional, t", [(False, 0), (False, 6), (True, 3)])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_bit_equal_to_row_major_mask_oracle(self, sparse_dataset, monkeypatch, heads,
+                                                bidirectional, t, imputation):
+        # entity 7 is never active, so its rows take the target-step fallback
+        ds = sparse_dataset
+        model, params = self.sa_model(ds, imputation, bidirectional, heads)
+        weights = np.random.default_rng(8).normal(size=(ds.entity_count, 8))
+        results = []
+        for encode in (temporal.encode_sa, encode_sa_row_major_mask):
+            monkeypatch.setattr(temporal, "encode_sa", encode)
+            tape = Tape()
+            leaves = leaves_on_tape(tape, params)
+            ctx = model.encode_context(leaves, t)
+            loss = ad.reduce_sum(ad.mul(ad.tanh(ctx.z), constant(weights)))
+            results.append((ctx.z.data, grads_by_name(tape, leaves, loss, params)))
+        (z, grads), (want_z, want_grads) = results
+        np.testing.assert_array_equal(z, want_z)
+        assert grads.keys() == want_grads.keys()
+        for name in params:
+            np.testing.assert_array_equal(grads[name], want_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("imputation", [False, True])
+    def test_mask_shares_the_logits_memory_order(self, sparse_dataset, monkeypatch,
+                                                 imputation):
+        model, params = self.sa_model(sparse_dataset, imputation, bidirectional=True)
+        seen = []
+        softmax = ad.masked_softmax
+
+        def spy(logits, mask):
+            seen.append((logits.data.flags.c_contiguous, logits.data.flags.f_contiguous,
+                         mask.flags.c_contiguous, mask.flags.f_contiguous))
+            return softmax(logits, mask)
+
+        monkeypatch.setattr(ad, "masked_softmax", spy)
+        model.encode_context(leaves_on_tape(Tape(), params), 3)
+        model.eval_context(3, {}, {name: constant(a) for name, a in params.items()})
+        assert len(seen) == 2
+        for logits_c, logits_f, mask_c, mask_f in seen:
+            assert logits_f and not logits_c   # the (rows, W) logits of dots, W > 1
+            assert (mask_c, mask_f) == (logits_c, logits_f)
 
 
 class TestGruContext:

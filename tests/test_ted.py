@@ -45,19 +45,24 @@ def brute_force_reference_sets(train_quads, direction, s, r, o, t):
     return tier1, tier2, tier3
 
 
-def brute_force_ranking(train_quads, direction, s, r, o, t, sigma, entity_count):
-    """Exhaustive ordering: tier block first, decay score inside, id tiebreak."""
+def brute_force_ranking(train_quads, direction, s, r, o, t, sigma, entity_count,
+                        blend="tiered"):
+    """Exhaustive ordering, id tiebreak last: tier block first and decay score
+    inside it, or under the "sum" blend referenced entities first by their
+    summed score. Each tier's score adds its steps in ascending order, and the
+    sum adds the tiers best first."""
     tiers = brute_force_reference_sets(train_quads, direction, s, r, o, t)
     key = {}
     for e in range(entity_count):
-        key[e] = (3, 0.0, e)
-    for tier_idx in (2, 1, 0):
-        tier = tiers[tier_idx]
-        for e in range(entity_count):
-            occ = [tt for (ee, tt) in tier if ee == e]
-            if occ:
-                score = sum(np.exp(-sigma * abs(t - tt)) for tt in occ)
-                key[e] = (tier_idx, -score, e)
+        scores = [(i, sum(np.exp(-sigma * abs(t - tt)) for tt in occ))
+                  for i, occ in enumerate(sorted(tt for ee, tt in tier if ee == e)
+                                          for tier in tiers) if occ]
+        if not scores:
+            key[e] = (3, 0.0, e)
+        elif blend == "sum":
+            key[e] = (0, -sum(score for _, score in scores), e)
+        else:
+            key[e] = (scores[0][0], -scores[0][1], e)
     return sorted(range(entity_count), key=lambda e: key[e])
 
 
@@ -175,6 +180,33 @@ class TestRanking:
                 got = np.argsort(-scores).tolist()
                 expect = brute_force_ranking(quads, direction, s, rel, o, t, sigma, e)
                 assert got == expect
+
+    @pytest.mark.parametrize("blend", ["tiered", "sum"])
+    def test_exact_ties_rank_by_entity_id(self, blend):
+        # each subject's facts sit at a pair of steps equally far before and
+        # after the query step (2 and 6, or 0 and 8 plus one more), and most
+        # entities share their steps, so many scores in a row tie exactly with
+        # another; one call ranks all queries
+        e, t = 12, 4
+        quads = sorted({(s, s % 2, (s + k) % e, step) for s in range(e) for k in (1, 2, 5)
+                        for step in ((2, 6) if s % 3 else (0, 8, 3 - s % 2))})
+        ds = dataset_from_train(quads, e=e, r=2, t=9)
+        model, oracle = TedModel(ds), PerQueryTedModel(ds)
+        s, r, o = np.array([(s, r, o) for s in range(e) for r in (0, 1)
+                            for o in range(0, e, 3)]).T
+        config = TedConfig(0.3, blend)
+        for direction in ("object", "subject"):
+            rows = model.rank_scores(direction, s, r, o, t, config)
+            tied = 0
+            for i, row in enumerate(rows):
+                want = oracle.rank_scores(direction, s[i], r[i], o[i], t, config)
+                np.testing.assert_array_equal(row, want)
+                assert np.argsort(-row).tolist() == brute_force_ranking(
+                    quads, direction, s[i], r[i], o[i], t, 0.3, e, blend)
+                scores = model.tier_scores(model.reference_sets(
+                    direction, s[i:i + 1], r[i:i + 1], o[i:i + 1], t), t, 0.3)[2]
+                tied += len(scores) - len(np.unique(scores))
+            assert tied > len(rows)
 
     def test_repeated_runs_identical(self):
         quads = [(0, 0, 1, 0), (0, 1, 2, 1), (2, 0, 3, 2), (1, 2, 0, 3)]

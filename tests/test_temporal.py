@@ -85,6 +85,22 @@ def encode_sa_per_step(x_target, kv, active, target_pos, params, *, heads):
     return ad.reshape(z, (n, dim))
 
 
+def encode_sa_row_major_mask(x_target, kv, active, target_pos, params, *, heads):
+    """Oracle for encode_sa: the same one-pass attention with the mask built
+    entity-major, a row-major (n * heads, W) array against column-major
+    logits."""
+    n, dim = x_target.shape
+    rows, dh = n * heads, dim // heads
+    mask = active.T.copy()
+    mask[~mask.any(axis=1), target_pos] = True
+    offsets = np.abs(np.arange(len(kv)) - target_pos).astype(np.float64).reshape(1, -1)
+    penalty = temporal.decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
+    q = ad.reshape(ad.matmul(x_target, temporal.head_weights(params, "wq", heads)), (rows, dh))
+    logits = ad.sub(ad.mul(ad.dots(q, [k for k, _ in kv]), 1.0 / np.sqrt(dh)), penalty)
+    beta = ad.masked_softmax(logits, np.repeat(mask, heads, axis=0))
+    return ad.reshape(ad.mix(beta, [v for _, v in kv]), (n, dim))
+
+
 def last_seen_loop(held, positions):
     """Oracle for temporal.last_active: a running ``last_seen`` array written
     at each active step, one snapshot of it per step plus the final one."""
@@ -550,6 +566,31 @@ class TestOneAttentionPass:
             assert (got_g is None) == (want_g is None)
             if want_g is not None:
                 assert scaled_error(got_g, want_g) <= 1e-12
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_bit_equal_to_row_major_mask_oracle(self, heads, window):
+        # the mask's memory order changes no bit of the output or of any gradient
+        arrays, xs, active = sa_case(heads, window, "clamped")
+        target = WINDOWS[window][1]
+        weights = np.random.default_rng(34).normal(size=xs[0].shape)
+        results = []
+        for fn in (temporal.encode_sa, encode_sa_row_major_mask):
+            tape = Tape()
+            params = {name: tape.leaf(a) for name, a in arrays.items()}
+            x_leaves = [tape.leaf(x) for x in xs]
+            wk, wv = (temporal.head_weights(params, nm, heads) for nm in ("wk", "wv"))
+            kv = [temporal.keys_values(x, wk, wv, heads) for x in x_leaves]
+            z = fn(x_leaves[target], kv, np.stack(active), target, params, heads=heads)
+            grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
+            leaves = list(params.values()) + x_leaves
+            results.append((z.data, [grads.get(leaf.node_id) for leaf in leaves]))
+        (got_z, got), (want_z, want) = results
+        np.testing.assert_array_equal(got_z, want_z)
+        for got_g, want_g in zip(got, want):
+            assert (got_g is None) == (want_g is None)
+            if want_g is not None:
+                np.testing.assert_array_equal(got_g, want_g)
 
     @pytest.mark.parametrize("window", ["first", "last"])
     def test_gradients_match_fd_with_an_idle_entity(self, window):

@@ -49,6 +49,18 @@ class TestTrainLoop:
         ckpt_b = (tmp_path / "b" / "best.ckpt").read_bytes()
         assert ckpt_a == ckpt_b
 
+    @pytest.mark.parametrize("variant", ["temp-gru", "temp-sa"])
+    def test_training_builds_no_snapshot_views(self, tmp_path, variant):
+        # every step's facts are a slice of the sorted quads, so an epoch with
+        # validation and a checkpoint never builds the per-step Snapshot views
+        dataset = generate_synthetic(SynthSpec(entities=10, relations=2, steps=5,
+                                               density=1.0, periodicity=0.5), seed=6)
+        cfg = small_run_config(variant=variant)
+        cfg.train.snapshot_cap = 4
+        train(cfg, dataset, tmp_path / "run", max_epochs=2)
+        assert (tmp_path / "run" / "best.ckpt").exists()
+        assert "splits" not in dataset.__dict__
+
     def test_loss_decreases_over_epochs(self, small_dataset, tmp_path):
         cfg = small_run_config()
         _, logbook = train(cfg, small_dataset, tmp_path / "run", max_epochs=8)
