@@ -24,7 +24,7 @@ no operation needs a constant selection matrix.
 
 Two primitives keep gathered copies off the tape: ``gathered_dots`` scores
 each query vector against its own candidate rows of a table, and
-``segment_matmul`` transforms contiguous row blocks, each by its own matrix.
+``segment_matmul`` transforms contiguous row blocks, each by one stacked matrix.
 Two more read a list of equal-shape blocks row by row, so no stacked copy
 of the list is made: ``dots`` and ``mix``, each the other's backward.
 ``gather_rows_from`` gathers each row from one of a list of tables.
@@ -439,41 +439,43 @@ def mix(w, blocks: Sequence) -> Tensor:
                    *((b, lambda g, p=p: wd[:, p:p + 1] * g) for p, b in enumerate(blocks)))
 
 
-def segment_matmul(x, weights: Sequence, bounds) -> Tensor:
-    """Row block ``bounds[i]:bounds[i + 1]`` of ``x`` times ``weights[i]``, for
-    every block at once: one tape node for any number of blocks.
+def segment_matmul(x, w, bounds) -> Tensor:
+    """Row block ``bounds[k]:bounds[k + 1]`` of an (N, n) ``x`` times ``w[k]``,
+    for every matrix of a (K, n, m) stack ``w`` at once: one tape node for any K.
 
-    ``bounds`` starts at 0, never decreases and ends at the row count of
-    ``x``; it has one entry more than ``weights``. Each block's product, and
-    its gradient to ``x``, is written in place into its rows of one output
-    array, so no block makes a temporary.
+    ``bounds`` has K + 1 entries, starts at 0, never decreases and ends at N,
+    so a block may be empty. Each block's product and gradients are written
+    in place into its slice of one output array, so no block makes a
+    temporary; an empty block's weight gradient stays zero.
     """
-    x = _as_tensor(x)
-    weights = [_as_tensor(w) for w in weights]
+    x, w = _as_tensor(x), _as_tensor(w)
     bounds = np.asarray(bounds, dtype=np.int64)
-    xd, wd = x.data, [w.data for w in weights]
-    if (xd.ndim != 2 or bounds.shape != (len(wd) + 1,) or bounds[0] != 0
+    xd, wd = x.data, w.data
+    if (xd.ndim != 2 or wd.ndim != 3 or wd.shape[1] != xd.shape[1]
+            or bounds.shape != (len(wd) + 1,) or bounds[0] != 0
             or bounds[-1] != xd.shape[0] or np.any(np.diff(bounds) < 0)):
-        raise ShapeError(f"segment_matmul: bounds {bounds.tolist()} do not split "
-                         f"{x.shape} into {len(wd)} blocks")
-    if not wd or any(w.shape != wd[0].shape or w.shape[0] != xd.shape[1] for w in wd):
-        raise ShapeError(f"segment_matmul: weights {[w.shape for w in wd]} do not "
-                         f"all map {xd.shape[1]} columns")
-    blocks = list(zip(wd, bounds[:-1].tolist(), bounds[1:].tolist()))
-    out = np.empty((xd.shape[0], wd[0].shape[1]), dtype=np.float64)
-    for w, lo, hi in blocks:
-        np.matmul(xd[lo:hi], w, out=out[lo:hi])
-    shape = xd.shape
+        raise ShapeError(f"segment_matmul: bounds {bounds.tolist()} and weights {wd.shape} "
+                         f"do not split {xd.shape} into blocks")
+    blocks = [(k, lo, hi) for k, (lo, hi) in enumerate(zip(bounds[:-1].tolist(),
+                                                           bounds[1:].tolist())) if hi > lo]
+    out = np.empty((xd.shape[0], wd.shape[2]), dtype=np.float64)
+    for k, lo, hi in blocks:
+        np.matmul(xd[lo:hi], wd[k], out=out[lo:hi])
+    x_shape, w_shape = xd.shape, wd.shape
 
     def grad_x(g):
-        gx = np.empty(shape, dtype=np.float64)
-        for w, lo, hi in blocks:
-            np.matmul(g[lo:hi], w.T, out=gx[lo:hi])
+        gx = np.empty(x_shape, dtype=np.float64)
+        for k, lo, hi in blocks:
+            np.matmul(g[lo:hi], wd[k].T, out=gx[lo:hi])
         return gx
 
-    return _result(out, (x, grad_x),
-                   *((w, lambda g, lo=lo, hi=hi: xd[lo:hi].T @ g[lo:hi])
-                     for w, (_, lo, hi) in zip(weights, blocks)))
+    def grad_w(g):
+        gw = np.zeros(w_shape, dtype=np.float64)
+        for k, lo, hi in blocks:
+            np.matmul(xd[lo:hi].T, g[lo:hi], out=gw[k])
+        return gw
+
+    return _result(out, (x, grad_x), (w, grad_w))
 
 
 def scatter_add_rows(src, index, num_rows: int) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 from . import evaluation as ev
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config
-from .data import SPLIT_NAMES, cross_split_repeats, load_dataset, write_dataset
+from .data import GroupedCodes, cross_split_repeats, load_dataset, write_dataset
 from .model import TempModel, param_shapes
 from .synth import generate_synthetic
 from .ted import TedConfig, TedModel
@@ -172,16 +172,18 @@ def cmd_stats(args) -> int:
                f"cross_split_repeats,{cross_split_repeats(dataset)}"]
     atomic_write(os.path.join(args.out, "stats.csv"), "\n".join(summary) + "\n")
 
-    # per-step activity over the union of splits, with a trailing-15 lookback;
-    # row t + 1 of ``active`` marks the entities active at step t
-    active = np.zeros((dataset.step_count + 1, dataset.entity_count), dtype=np.int64)
-    for split in SPLIT_NAMES:
-        s, _, o, t = dataset.quads[split].T
-        active[t + 1, s] = active[t + 1, o] = 1
-    before = np.cumsum(active, axis=0)  # before[t, e]: steps < t at which e was active
+    # per-step activity over the union of splits: each step's distinct active
+    # entities, in entity order, count their active steps in [t - 15, t)
+    s, _, o, when = np.vstack(list(dataset.quads.values())).T
+    steps, entities = dataset.step_count, dataset.entity_count
+    pairs = GroupedCodes((np.tile(when, 2), np.concatenate([s, o])), (steps, entities))
+    step, entity = np.divmod(pairs.codes, entities)
+    history = GroupedCodes((entity, step), (entities, steps), unique=False)  # already distinct
+    recent = history.count((entity,), np.maximum(step - 16, -1), step - 1)
+    cuts = np.searchsorted(step, np.arange(steps + 1)).tolist()
     lines = ["step,active_entities,active_with_recent_history,avg_occurrences_last15"]
-    for t in range(dataset.step_count):
-        occurrences = (before[t] - before[max(0, t - 15)])[active[t + 1] == 1]
+    for t, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        occurrences = recent[lo:hi]
         avg_occ = float(np.mean(occurrences)) if len(occurrences) else 0.0
         lines.append(f"{t},{len(occurrences)},{np.count_nonzero(occurrences)},{avg_occ:.4f}")
     atomic_write(os.path.join(args.out, "activity.csv"), "\n".join(lines) + "\n")

@@ -81,11 +81,13 @@ def substream(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng([seed] + [zlib.crc32(str(t).encode()) for t in tags])
 
 
-def _xavier(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in = shape[0]
-    fan_out = shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def _xavier(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``out`` filled in place with the draws of ``rng.uniform(-limit, limit)``."""
+    limit = np.sqrt(6.0 / (out.shape[0] + out.shape[-1]))
+    rng.random(out=out)
+    out *= 2 * limit
+    out -= limit
+    return out
 
 
 def param_shapes(config: ModelConfig, entity_count: int, relation_count: int,
@@ -97,8 +99,7 @@ def param_shapes(config: ModelConfig, entity_count: int, relation_count: int,
     }
     for l in range(config.layers):
         shapes[f"rgcn.l{l}.self"] = (config.dim, config.dim)
-        for r in range(2 * relation_count):
-            shapes[f"rgcn.l{l}.rel{r}"] = (config.dim, config.dim)
+        shapes[f"rgcn.l{l}.rel"] = (2 * relation_count, config.dim, config.dim)
     if config.variant == "temp-gru":
         prefixes = ["gru.f"] + (["gru.b"] if config.bidirectional else [])
         for prefix in prefixes:
@@ -136,8 +137,12 @@ def init_params(config: ModelConfig, entity_count: int, relation_count: int,
             params[name] = np.full(shape, 0.1 if name.endswith(".lam") else 0.0)
         elif name.endswith((".bz", ".br", ".bh", ".b1", ".b2")):
             params[name] = np.zeros(shape)
+        elif name.endswith(".rel"):   # block k drawn as a (d, d) parameter named {name}{k}
+            params[name] = np.empty(shape)
+            for k, block in enumerate(params[name]):
+                _xavier(block, substream(seed, f"{name}{k}"))
         else:
-            params[name] = _xavier(shape, substream(seed, name))
+            params[name] = _xavier(np.empty(shape), substream(seed, name))
     return params
 
 

@@ -39,8 +39,9 @@ def encode_snapshot(facts: np.ndarray, params: dict[str, Tensor], *, snapshots: 
     Snapshots share no edge, so each is encoded exactly as on its own, and
     one without edges gets the self-loop-only propagation of the base
     embedding. The relation weights are shared across time, so each layer
-    transforms every edge of the window with one ``segment_matmul``, one
-    block per relation; the self-loop term, the activation and the scatter
+    transforms every edge of the window with one ``segment_matmul`` of its
+    (2R, d, d) relation weights, one block per relation direction, empty
+    blocks included; the self-loop term, the activation and the scatter
     stay per snapshot. Layer 0 reads only the base embedding, so its
     self-loop term is computed once and its sources are gathered from it.
     """
@@ -48,8 +49,7 @@ def encode_snapshot(facts: np.ndarray, params: dict[str, Tensor], *, snapshots: 
     edges = with_inverse_edges(facts, relation_count)
     edges = edges[np.argsort(edges[:, 1], kind="stable")]
     src, rel, dst, snap = edges.T
-    rels, starts = np.unique(rel, return_index=True)
-    bounds = np.append(starts, len(edges))
+    bounds = np.searchsorted(rel, np.arange(2 * relation_count + 1))
     # mean over in-neighbors: scale each message by 1/|N_dst^rel| of its snapshot
     _, pair, pair_count = np.unique((rel * snapshots + snap) * entity_count + dst,
                                     return_inverse=True, return_counts=True)
@@ -65,8 +65,7 @@ def encode_snapshot(facts: np.ndarray, params: dict[str, Tensor], *, snapshots: 
         if len(edges):
             sources = (ad.gather_rows(h[0], src) if layer == 0
                        else ad.gather_rows_from(h, snap, src))
-            msgs = ad.mul(ad.segment_matmul(sources, [params[f"rgcn.l{layer}.rel{r}"]
-                                                      for r in rels.tolist()], bounds),
+            msgs = ad.mul(ad.segment_matmul(sources, params[f"rgcn.l{layer}.rel"], bounds),
                           scale)
         loop = ad.matmul(base, w_self) if layer == 0 else None
         out = []

@@ -155,25 +155,24 @@ class TestForward:
     def test_segment_matmul_transforms_each_block(self):
         rng = np.random.default_rng(53)
         x = rng.normal(size=(6, 3))
-        ws = [rng.normal(size=(3, 2)) for _ in range(4)]
+        ws = rng.normal(size=(4, 3, 2))
         bounds = [0, 1, 1, 4, 6]   # a one-row block and an empty block
-        got = ad.segment_matmul(constant(x), [constant(w) for w in ws], bounds).data
+        got = ad.segment_matmul(constant(x), constant(ws), bounds).data
         want = np.vstack([x[lo:hi] @ w for w, lo, hi in zip(ws, bounds[:-1], bounds[1:])])
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("bounds, widths", [
-        ([0, 2], [(3, 2), (3, 2)]),     # one bound too few
-        ([1, 2, 4], [(3, 2), (3, 2)]),  # does not start at 0
-        ([0, 2, 5], [(3, 2), (3, 2)]),  # does not end at the row count
-        ([0, 3, 2, 4], [(3, 2)] * 3),   # decreasing
-        ([0, 2, 4], [(3, 2), (3, 3)]),  # weights of different widths
-        ([0, 2, 4], [(2, 2), (2, 2)]),  # weights do not take 3 columns
-        ([0, 4], []),                   # no weights
+    @pytest.mark.parametrize("bounds, weights", [
+        ([0, 2], (2, 3, 2)),         # one bound too few
+        ([1, 2, 4], (2, 3, 2)),      # does not start at 0
+        ([0, 2, 5], (2, 3, 2)),      # does not end at the row count
+        ([0, 3, 2, 4], (3, 3, 2)),   # decreasing
+        ([0, 2, 4], (2, 2, 2)),      # weights do not take 3 columns
+        ([0, 2, 4], (3, 2)),         # one 2-d weight, not a stack
+        ([0, 4], (0, 3, 2)),         # no weights
     ])
-    def test_segment_matmul_bad_bounds_raise(self, bounds, widths):
+    def test_segment_matmul_bad_bounds_raise(self, bounds, weights):
         with pytest.raises(ad.ShapeError):
-            ad.segment_matmul(constant(np.ones((4, 3))),
-                              [constant(np.ones(w)) for w in widths], bounds)
+            ad.segment_matmul(constant(np.ones((4, 3))), constant(np.ones(weights)), bounds)
 
 
 class TestBackward:
@@ -291,7 +290,7 @@ class TestBackward:
         (lambda h: ad.gather_rows(h, [2, 0, 2]), False),
         (lambda h: ad.mul(h, h), True),
         (lambda h: ad.gathered_dots(h, h, [[2, 0], [1, 1], [0, 2]]), True),
-        (lambda h: ad.segment_matmul(h, [h, constant(np.eye(3))], [0, 1, 3]), True),
+        (lambda h: ad.segment_matmul(h, ad.reshape(h, (1, 3, 3)), [0, 3]), True),
         (lambda h: ad.dots(h, [h, constant(np.eye(3))]), True),
         (lambda h: ad.mix(h, [h, h, constant(np.eye(3))]), True),
         (lambda h: ad.gather_rows_from([constant(np.eye(3)), h], [1, 0, 1, 1], [2, 0, 0, 2]),
@@ -301,13 +300,16 @@ class TestBackward:
         (lambda h: ad.mul(h, constant([[1.0], [0.0], [1.0]])), False),
         (lambda h: ad.matmul(constant(np.eye(3)), h), False),
         (lambda h: ad.gathered_dots(constant(np.eye(3)), h, [[2, 0], [1, 1], [0, 2]]), False),
-        (lambda h: ad.segment_matmul(constant(np.eye(3)), [h], [0, 3]), False),
+        (lambda h: ad.segment_matmul(constant(np.eye(3)), ad.reshape(h, (1, 3, 3)), [0, 3]),
+         False),
+        (lambda h: ad.segment_matmul(h, constant(np.ones((3, 3, 2))), [0, 1, 1, 3]), False),
         (lambda h: ad.dots(constant(np.eye(3)), [h, h]), False),
         (lambda h: ad.mix(constant(np.ones((3, 2))), [h, h]), False),
     ], ids=["add", "sub", "reduce_sum", "columns", "gather_rows", "mul",
             "gathered_dots", "segment_matmul", "dots", "mix", "gather_rows_from",
             "mul_by_constant_mask", "matmul_by_constant", "gathered_dots_constant_queries",
-            "segment_matmul_constant_rows", "dots_constant_query", "mix_constant_weights"])
+            "segment_matmul_constant_rows", "segment_matmul_constant_weights",
+            "dots_constant_query", "mix_constant_weights"])
     def test_backward_closure_drops_input_values(self, op, needs_values):
         # a backward closure holds arrays, never a Tensor, which would tie its
         # tape into a reference cycle; with the cyclic collector off the tape
@@ -394,17 +396,42 @@ class TestBackward:
     def test_segment_matmul_matches_fd(self):
         rng = np.random.default_rng(61)
         x = rng.normal(size=(6, 3))
-        ws = [rng.normal(size=(3, 2)) for _ in range(4)]
+        ws = rng.normal(size=(4, 3, 2))
         bounds = [0, 1, 1, 4, 6]
         w = rng.normal(size=(6, 2))
 
-        def build(xl, *wl):
+        def build(xl, wl):
             return ad.reduce_sum(ad.mul(ad.tanh(ad.segment_matmul(xl, wl, bounds)),
                                         constant(w)))
 
-        analytic, numeric = grads_for(build, [x] + ws)
+        analytic, numeric = grads_for(build, [x, ws])
         assert max_relative_error(analytic, numeric) < 1e-5
-        assert np.all(analytic[2] == 0.0)   # the empty block's weight
+        assert np.all(analytic[1][1] == 0.0)   # the empty block's weight
+
+    @pytest.mark.parametrize("sizes", [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 4, 0)],
+                             ids=["first", "middle", "last", "all_but_one"])
+    def test_segment_matmul_empty_blocks(self, sizes):
+        # empty first, middle and last blocks: the other blocks' rows are
+        # their own products, and an empty block's weight gradient is exactly
+        # zero, while finite differences agree on the whole stack
+        rng = np.random.default_rng(67)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        x = rng.normal(size=(bounds[-1], 3))
+        ws = rng.normal(size=(len(sizes), 3, 2))
+        w = rng.normal(size=(bounds[-1], 2))
+        out = ad.segment_matmul(constant(x), constant(ws), bounds).data
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            np.testing.assert_array_equal(out[lo:hi], x[lo:hi] @ ws[k])
+
+        def build(xl, wl):
+            return ad.reduce_sum(ad.mul(ad.tanh(ad.segment_matmul(xl, wl, bounds)),
+                                        constant(w)))
+
+        analytic, numeric = grads_for(build, [x, ws])
+        assert max_relative_error(analytic, numeric) < 1e-5
+        for k, size in enumerate(sizes):
+            if size == 0:
+                assert np.array_equal(analytic[1][k], np.zeros((3, 2))), k
 
     def test_dots_match_fd(self):
         rng = np.random.default_rng(89)
@@ -654,18 +681,18 @@ class TestRewriteOracles:
         sizes[[0, 7, 39]] = 0
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         x = rng.normal(size=(bounds[-1], 16))
-        ws = [rng.normal(size=(16, 8)) for _ in sizes]
+        ws = rng.normal(size=(len(sizes), 16, 8))
         w = rng.normal(size=(bounds[-1], 8))
         tape = Tape()
-        xl, wl = tape.leaf(x), [tape.leaf(a) for a in ws]
+        xl, wl = tape.leaf(x), tape.leaf(ws)
         out = ad.segment_matmul(xl, wl, bounds)
         grads = tape.backward(ad.reduce_sum(ad.mul(out, constant(w))))
         blocks = list(zip(ws, bounds[:-1], bounds[1:]))
         np.testing.assert_array_equal(out.data, np.vstack([x[lo:hi] @ a for a, lo, hi in blocks]))
         np.testing.assert_array_equal(grads[xl.node_id],
                                       np.vstack([w[lo:hi] @ a.T for a, lo, hi in blocks]))
-        for leaf, (_, lo, hi) in zip(wl, blocks):
-            np.testing.assert_array_equal(grads[leaf.node_id], x[lo:hi].T @ w[lo:hi])
+        np.testing.assert_array_equal(grads[wl.node_id],
+                                      np.stack([x[lo:hi].T @ w[lo:hi] for _, lo, hi in blocks]))
 
     @pytest.mark.parametrize("rows, index", [
         (5, [3, 3, 3, 0, 3, 1, 3, 3]),            # repeats, in a fixed order

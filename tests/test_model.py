@@ -15,7 +15,7 @@ from tempkg.evaluation import evaluate
 from tempkg.heterogeneity import compute_tpf
 from tempkg.optim import AdamState
 from tempkg.model import (VARIANTS, ModelConfig, TempModel, grads_by_name, init_params,
-                          leaves_on_tape, param_shapes)
+                          leaves_on_tape, param_shapes, substream)
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.temporal import decay_column
 
@@ -163,7 +163,37 @@ def impute_target_per_position(model, leaves, x_steps, active, target_pos):
                   ad.mul(g_f, select_rows(nxt)))
 
 
+def xavier_per_name(shape, rng):
+    """Oracle: the Xavier draw of one parameter as ``rng.uniform``, the way
+    each relation matrix was drawn when it was a parameter of its own."""
+    limit = np.sqrt(6.0 / (shape[0] + shape[-1]))
+    return rng.uniform(-limit, limit, size=shape)
+
+
 class TestInit:
+    def test_relation_blocks_keep_their_per_name_draws(self):
+        # block k of rgcn.l{l}.rel is the draw the (d, d) parameter named
+        # rgcn.l{l}.rel{k} had, so stacking moved no seeded value
+        cfg = ModelConfig(variant="temp-sa", dim=8, layers=2, heads=2, gating=True,
+                          positional=True)
+        params = init_params(cfg, 5, 3, 4, seed=9)
+        for l in range(2):
+            stack = params[f"rgcn.l{l}.rel"]
+            assert stack.shape == (6, 8, 8)
+            for k, block in enumerate(stack):
+                want = xavier_per_name((8, 8), substream(9, f"rgcn.l{l}.rel{k}"))
+                assert np.array_equal(block, want), (l, k)
+        for name, arr in params.items():   # every other drawn parameter keeps its draw
+            if not name.startswith("decay.") and not name.endswith((".rel", ".b1", ".b2")):
+                assert np.array_equal(arr, xavier_per_name(arr.shape, substream(9, name))), name
+
+    def test_reference_shape_has_one_relation_stack_per_layer(self):
+        # one (2R, d, d) array per layer, never one name per relation
+        shapes = param_shapes(ModelConfig(), 7128, 230, 365)
+        assert len(shapes) == 17
+        assert not any(name.startswith("rgcn.") and name[-1].isdigit() for name in shapes)
+        assert shapes["rgcn.l0.rel"] == shapes["rgcn.l1.rel"] == (460, 128, 128)
+
     def test_deterministic_and_name_stable(self):
         cfg = ModelConfig(variant="temp-gru", dim=8, layers=1, window=2, heads=2)
         a = init_params(cfg, 5, 2, 4, seed=9)

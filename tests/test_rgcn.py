@@ -15,8 +15,7 @@ def make_params(entity_count, relation_count, dim, layers, rng, tape=None):
     params = {"entity.base": wrap(rng.normal(size=(entity_count, dim)))}
     for l in range(layers):
         params[f"rgcn.l{l}.self"] = wrap(rng.normal(size=(dim, dim)))
-        for r in range(2 * relation_count):
-            params[f"rgcn.l{l}.rel{r}"] = wrap(rng.normal(size=(dim, dim)))
+        params[f"rgcn.l{l}.rel"] = wrap(rng.normal(size=(2 * relation_count, dim, dim)))
     return params
 
 
@@ -29,8 +28,7 @@ def encode_per_snapshot(triples, params, *, entity_count, relation_count, layers
                                     relation_count)
     edges = edges[np.argsort(edges[:, 1], kind="stable")]
     src, rel, dst = edges.T
-    rels, starts = np.unique(rel, return_index=True)
-    bounds = np.append(starts, len(edges))
+    bounds = [np.count_nonzero(rel < r) for r in range(2 * relation_count + 1)]
     # mean over in-neighbors: scale each message by 1/|N_dst^rel|
     _, pair, pair_count = np.unique(rel * entity_count + dst, return_inverse=True,
                                     return_counts=True)
@@ -38,8 +36,7 @@ def encode_per_snapshot(triples, params, *, entity_count, relation_count, layers
     for layer in range(layers):
         total = ad.matmul(h, params[f"rgcn.l{layer}.self"])
         if len(edges):
-            msgs = ad.segment_matmul(ad.gather_rows(h, src),
-                                     [params[f"rgcn.l{layer}.rel{r}"] for r in rels.tolist()],
+            msgs = ad.segment_matmul(ad.gather_rows(h, src), params[f"rgcn.l{layer}.rel"],
                                      bounds)
             total = ad.add(total, ad.scatter_add_rows(ad.mul(msgs, scale), dst,
                                                       entity_count))
@@ -55,7 +52,8 @@ def encode_one(triples, params, **kwargs):
 
 def encode_per_relation(triples, params, *, entity_count, relation_count, layers):
     """Oracle: one gather, transform, scale and scatter per relation group,
-    each added to the running sum on its own."""
+    each added to the running sum on its own. A group's transform is a
+    ``segment_matmul`` whose only non-empty block is its relation's."""
     h = params["entity.base"]
     edges = rgcn.with_inverse_edges(np.asarray(triples, dtype=np.int64).reshape(-1, 3),
                                     relation_count)
@@ -65,7 +63,9 @@ def encode_per_relation(triples, params, *, entity_count, relation_count, layers
         for rel in np.unique(edges[:, 1]).tolist():
             group = edges[edges[:, 1] == rel]
             src, dst = group[:, 0], group[:, 2]
-            msgs = ad.matmul(ad.gather_rows(h, src), params[f"rgcn.l{layer}.rel{rel}"])
+            bounds = [0] * (rel + 1) + [len(group)] * (2 * relation_count - rel)
+            msgs = ad.segment_matmul(ad.gather_rows(h, src), params[f"rgcn.l{layer}.rel"],
+                                     bounds)
             counts = np.bincount(dst, minlength=entity_count).astype(np.float64)
             msgs = ad.mul(msgs, constant(1.0 / counts[dst][:, None]))
             total = ad.add(total, ad.scatter_add_rows(msgs, dst, entity_count))
@@ -106,8 +106,7 @@ class TestEncodeSnapshot:
         rng = np.random.default_rng(1)
         params = make_params(2, 1, 2, 1, rng)
         h0 = params["entity.base"].data
-        w_r = params["rgcn.l0.rel0"].data
-        w_rinv = params["rgcn.l0.rel1"].data
+        w_r, w_rinv = params["rgcn.l0.rel"].data
         w_s = params["rgcn.l0.self"].data
         out = encode([(0, 0, 1)], params, 2, 1, 1)
         np.testing.assert_allclose(out[1], h0[0] @ w_r + h0[1] @ w_s, atol=1e-12)
@@ -122,7 +121,7 @@ class TestEncodeSnapshot:
         base = params["entity.base"].data
         base[1] = base[2] = base[3] = v
         out = encode([(1, 0, 0), (2, 0, 0), (3, 0, 0)], params, 5, 1, 1)
-        expect = v @ params["rgcn.l0.rel0"].data + base[0] @ params["rgcn.l0.self"].data
+        expect = v @ params["rgcn.l0.rel"].data[0] + base[0] @ params["rgcn.l0.self"].data
         np.testing.assert_allclose(out[0], expect, atol=1e-12)
 
     def test_two_layer_brute_force_oracle(self):
@@ -142,7 +141,7 @@ class TestEncodeSnapshot:
                 for rel in range(2 * r):
                     nbrs = [s for (s, rl, o) in edges if o == i and rl == rel]
                     if nbrs:
-                        msg = sum(h[j] @ params[f"rgcn.l{l}.rel{rel}"].data for j in nbrs)
+                        msg = sum(h[j] @ params[f"rgcn.l{l}.rel"].data[rel] for j in nbrs)
                         nxt[i] += msg / len(nbrs)
             h = np.maximum(nxt, 0.0) if l < layers - 1 else nxt
         np.testing.assert_allclose(out, h, atol=1e-10)
@@ -194,7 +193,7 @@ class TestEncodeSnapshot:
         loss = ad.reduce_sum(ad.mul(h, h))
         grads = tape.backward(loss)
         assert params["entity.base"].node_id in grads
-        assert params["rgcn.l0.rel0"].node_id in grads
+        assert params["rgcn.l0.rel"].node_id in grads
 
 
 class TestOneScatterPerLayer:

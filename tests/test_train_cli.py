@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from tempkg import autodiff as ad
+from tempkg.checkpoint import load_checkpoint, save_checkpoint
 from tempkg.cli import main
 from tempkg.config import EvalConfig, RunConfig, TrainConfig
-from tempkg.data import TkgDataset, cross_split_repeats, load_dataset
+from tempkg.data import SPLIT_NAMES, TkgDataset, cross_split_repeats, load_dataset, write_dataset
 from tempkg.evaluation import evaluate
 from tempkg.model import ModelConfig, TempModel, grads_by_name, init_params, leaves_on_tape
 from tempkg.synth import SynthSpec, generate_synthetic
@@ -205,6 +206,22 @@ class TestTapePerTarget:
             "sample with replacement" for epoch in range(3)]
 
 
+def activity_dense(dataset):
+    """Oracle: the lines of ``activity.csv`` from two dense (T + 1, E) tables;
+    row t + 1 of ``active`` marks the entities active at step t."""
+    active = np.zeros((dataset.step_count + 1, dataset.entity_count), dtype=np.int64)
+    for split in SPLIT_NAMES:
+        s, _, o, t = dataset.quads[split].T
+        active[t + 1, s] = active[t + 1, o] = 1
+    before = np.cumsum(active, axis=0)  # before[t, e]: steps < t at which e was active
+    lines = ["step,active_entities,active_with_recent_history,avg_occurrences_last15"]
+    for t in range(dataset.step_count):
+        occurrences = (before[t] - before[max(0, t - 15)])[active[t + 1] == 1]
+        avg_occ = float(np.mean(occurrences)) if len(occurrences) else 0.0
+        lines.append(f"{t},{len(occurrences)},{np.count_nonzero(occurrences)},{avg_occ:.4f}")
+    return lines
+
+
 def run_cli(args):
     return main(args)
 
@@ -297,6 +314,24 @@ split = test
         activity = (out_dir / "activity.csv").read_text().splitlines()
         assert activity[0].startswith("step,active_entities")
         assert len(activity) == 6
+
+    @pytest.mark.parametrize("dataset", [
+        generate_synthetic(SynthSpec(entities=40, relations=3, steps=45, density=0.2,
+                                     periodicity=0.5, period=7), seed=4),
+        # steps 1 and 3 to 19 are empty, entity 6 is never active, entity 5
+        # only in test, and the facts of step 20 repeat across splits
+        TkgDataset(7, 2, 40, {"train": [(0, 0, 1, 0), (0, 1, 2, 2), (1, 0, 2, 20),
+                                        (2, 1, 0, 21), (0, 0, 1, 36)],
+                              "valid": [(1, 0, 2, 20), (3, 1, 4, 22)],
+                              "test": [(5, 0, 0, 37), (4, 1, 5, 39)]}),
+    ], ids=["synth", "sparse"])
+    def test_stats_activity_matches_dense_oracle(self, tmp_path, dataset):
+        write_dataset(dataset, tmp_path / "data")
+        cfg = write_config(tmp_path / "stats.cfg", f"[dataset]\npath = {tmp_path / 'data'}\n")
+        out_dir = tmp_path / "stats"
+        assert run_cli(["stats", "--config", cfg, "--out", str(out_dir)]) == 0
+        want = activity_dense(load_dataset(tmp_path / "data"))
+        assert (out_dir / "activity.csv").read_text() == "\n".join(want) + "\n"
 
     def test_stats_reports_cross_split_repeats(self, tmp_path, synth_config):
         data_dir = self.make_dataset_dir(tmp_path, synth_config)
@@ -446,6 +481,22 @@ heads = 2
 """)
         assert run_cli(["eval", "--config", other, "--out", str(run_dir)]) == 1
         assert "error: " in capsys.readouterr().err
+
+    def test_eval_rejects_a_per_relation_checkpoint(self, tmp_path, synth_config, capsys):
+        # a checkpoint that stores each relation matrix as rgcn.l{l}.rel{r}
+        # does not load; the one-line error names the stacked tensor
+        data_dir = self.make_dataset_dir(tmp_path, synth_config)
+        cfg = self.full_config(tmp_path, data_dir)
+        run_dir = tmp_path / "run"
+        assert run_cli(["train", "--config", cfg, "--out", str(run_dir)]) == 0
+        params = load_checkpoint(run_dir / "best.ckpt")
+        params.update((f"rgcn.l0.rel{r}", w) for r, w in enumerate(params.pop("rgcn.l0.rel")))
+        save_checkpoint(run_dir / "best.ckpt", params)
+        capsys.readouterr()
+        assert run_cli(["eval", "--config", cfg, "--out", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert "rgcn.l0.rel None vs (4, 4, 4)" in err
 
     def test_missing_dataset_path_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "nopath.cfg", "[train]\nseed = 1\n")
