@@ -30,9 +30,17 @@ def decay_accumulate(num_slots, slots, times, t, sigma):
 def adam_update(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):
     """In-place moment update and parameter step. bc1/bc2 are the
     bias-correction denominators 1 - beta^t, computed once per step by the
-    caller."""
+    caller. The temporaries of m = beta1 * m + (1 - beta1) * grad,
+    v = beta2 * v + (1 - beta2) * grad * grad and
+    param -= lr * (m / bc1) / (sqrt(v / bc2) + eps) go into two
+    parameter-sized scratch arrays, each float operation in that order."""
+    s, t = np.empty_like(param), np.empty_like(param)
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(1.0 - beta1, grad, out=s)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.multiply(1.0 - beta2, grad, out=s)
+    v += np.multiply(s, grad, out=s)
+    np.multiply(lr, np.divide(m, bc1, out=s), out=s)
+    np.sqrt(np.divide(v, bc2, out=t), out=t)
+    t += eps
+    param -= np.divide(s, t, out=s)

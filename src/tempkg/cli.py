@@ -104,7 +104,9 @@ def cmd_eval(args) -> int:
                             dataset.relation_count, dataset.step_count)
     found = {name: arr.shape for name, arr in params.items()}
     if found != expected:
-        bad = sorted(n for n in found.keys() | expected.keys() if found.get(n) != expected.get(n))
+        # the configured names first, the checkpoint's extra ones last: only six are shown
+        bad = (sorted(n for n in expected if found.get(n) != expected[n])
+               + sorted(found.keys() - expected.keys()))
         raise ConfigError("checkpoint does not match the configured model; mismatched tensors "
                           "(checkpoint vs config shape): "
                           + ", ".join(f"{n} {found.get(n)} vs {expected.get(n)}" for n in bad[:6]))

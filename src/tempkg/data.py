@@ -61,8 +61,12 @@ class GroupedCodes:
             raise ValueError(f"code space {' x '.join(map(str, sizes))} does not fit in int64")
         self.strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
         self.span = sizes[-1]
-        codes = np.asarray(self.encode(columns), dtype=np.int64)
-        self.codes = np.unique(codes) if unique else np.sort(codes)
+        codes = np.sort(np.asarray(self.encode(columns), dtype=np.int64))
+        if unique:   # a neighbour test on the sorted codes; np.unique hashes int64, far slower
+            first = np.ones(len(codes), dtype=bool)
+            first[1:] = codes[1:] != codes[:-1]
+            codes = codes[first]
+        self.codes = codes
 
     def encode(self, parts):
         """Code of the leading columns: a key's first code, or a fact's code."""

@@ -82,7 +82,7 @@ def substream(seed: int, *tags) -> np.random.Generator:
 
 
 def _xavier(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``out`` filled in place with the draws of ``rng.uniform(-limit, limit)``."""
+    """``out``, contiguous, filled in place with the draws of ``rng.uniform(-limit, limit)``."""
     limit = np.sqrt(6.0 / (out.shape[0] + out.shape[-1]))
     rng.random(out=out)
     out *= 2 * limit
@@ -108,10 +108,8 @@ def param_shapes(config: ModelConfig, entity_count: int, relation_count: int,
             for nm in ("bz", "br", "bh"):
                 shapes[f"{prefix}.{nm}"] = (config.dim,)
     if config.variant == "temp-sa":
-        dh = config.dim // config.heads
-        for k in range(config.heads):
-            for nm in ("wq", "wk", "wv"):
-                shapes[f"sa.h{k}.{nm}"] = (config.dim, dh)
+        for nm in ("wq", "wk", "wv"):
+            shapes[f"sa.{nm}"] = (config.dim, config.heads, config.dim // config.heads)
     if config.gating:
         for g in het.GATE_NAMES:
             shapes[f"gate.{g}.w1"] = (3, 64)
@@ -141,6 +139,11 @@ def init_params(config: ModelConfig, entity_count: int, relation_count: int,
             params[name] = np.empty(shape)
             for k, block in enumerate(params[name]):
                 _xavier(block, substream(seed, f"{name}{k}"))
+        elif name.startswith("sa."):  # head k, [:, k], drawn as a (d, d / heads) sa.h{k}.w*
+            params[name] = np.empty(shape)
+            for k in range(shape[1]):  # the block is strided: draw it contiguous, copy it in
+                params[name][:, k] = _xavier(np.empty((shape[0], shape[2])),
+                                             substream(seed, f"sa.h{k}.{name[3:]}"))
         else:
             params[name] = _xavier(np.empty(shape), substream(seed, name))
     return params
@@ -256,7 +259,7 @@ class TempModel:
         else:
             z = temporal.encode_sa(x_target,
                                    self._keys_values(leaves, records, x_target, target_pos),
-                                   held, target_pos, leaves, heads=cfg.heads)
+                                   held, target_pos, leaves)
         if cfg.positional and cfg.temporal_active:
             z = temporal.add_positional(z, leaves["pos.embed"], t)
         return WindowContext(t, x_target, z)
@@ -266,18 +269,15 @@ class TempModel:
         """Each window step's attention keys and values. A step's pair from its
         raw embedding is projected the first time it is read and kept in its
         record; with imputation the target's pair comes from the imputed rows
-        on every call."""
-        heads = self.config.heads
-        wk, wv = (temporal.head_weights(leaves, nm, heads) for nm in ("wk", "wv"))
-        pairs = []
-        for pos, rec in enumerate(records):
-            if pos == target_pos and self.config.imputation:
-                pairs.append(temporal.keys_values(x_target, wk, wv, heads))
-                continue
-            if rec.kv is None:
-                rec.kv = temporal.keys_values(rec.x, wk, wv, heads)
-            pairs.append(rec.kv)
-        return pairs
+        on every call. One ``keys_values`` call projects all that are missing,
+        so the steps' gradients sum in one (d, d) matrix before each leaf."""
+        if self.config.imputation:   # a record of its own; the raw target's stays as it is
+            records = records[:target_pos] + [StepRecord(x_target)] + records[target_pos + 1:]
+        fresh = [rec for rec in records if rec.kv is None]
+        for rec, kv in zip(fresh, temporal.keys_values([rec.x for rec in fresh],
+                                                       leaves["sa.wk"], leaves["sa.wv"])):
+            rec.kv = kv
+        return [rec.kv for rec in records]
 
     def _impute_target(self, leaves, x_steps, held: np.ndarray, target_pos: int) -> Tensor:
         """Replace stale rows of the target step with decayed blends of each

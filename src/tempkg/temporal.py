@@ -98,20 +98,18 @@ def encode_gru(x_steps: list[Tensor], active: np.ndarray, target_pos: int,
     return z
 
 
-def head_weights(params: dict[str, Tensor], name: str, heads: int) -> Tensor:
-    """The per-head ``sa.h{k}.{name}`` leaves side by side: one (d, d) projection."""
-    return ad.concat([params[f"sa.h{k}.{name}"] for k in range(heads)], axis=1)
-
-
-def keys_values(x: Tensor, wk: Tensor, wv: Tensor, heads: int) -> tuple[Tensor, Tensor]:
-    """A step's attention keys and values, each the (n * heads, d / heads)
-    reshape of x @ wk or x @ wv: head k of entity e is row e * heads + k."""
-    n, dim = x.shape
-    return tuple(ad.reshape(ad.matmul(x, w), (n * heads, dim // heads)) for w in (wk, wv))
+def keys_values(xs: list[Tensor], wk: Tensor, wv: Tensor) -> list[tuple[Tensor, Tensor]]:
+    """Each step embedding's keys and values under the (d, heads, d / heads)
+    projections ``wk`` and ``wv``, each read as (d, d) once for all of ``xs``:
+    the (n * heads, d / heads) reshape of x @ w, head k of entity e in row e * heads + k."""
+    dim, heads, dh = wk.shape
+    wk, wv = (ad.reshape(w, (dim, dim)) for w in (wk, wv))
+    return [tuple(ad.reshape(ad.matmul(x, w), (x.shape[0] * heads, dh)) for w in (wk, wv))
+            for x in xs]
 
 
 def encode_sa(x_target: Tensor, kv: list[tuple[Tensor, Tensor]], active: np.ndarray,
-              target_pos: int, params: dict[str, Tensor], *, heads: int) -> Tensor:
+              target_pos: int, params: dict[str, Tensor]) -> Tensor:
     """Temporal embeddings via decay-penalized, activity-masked attention.
 
     Attention logits combine the scaled query-key product with a penalty
@@ -120,12 +118,13 @@ def encode_sa(x_target: Tensor, kv: list[tuple[Tensor, Tensor]], active: np.ndar
     inactive at every window step falls back to attending only to its own
     target-step representation, which equals the value projection of x_t.
 
-    Every head runs in one pass: the per-head ``sa.h{k}.wq`` leaves are
-    concatenated into one (d, d) query projection of ``x_target``, and head k
-    of entity e is row ``e * heads + k`` of its (n * heads, d / heads)
-    reshape. ``kv[p]`` is window step p's ``keys_values`` pair, laid out
-    alike. The logits of all steps are one ``dots`` of the queries with the
-    keys, and the output one ``mix`` of the values by the attention weights.
+    Every head runs in one pass: the (d, heads, d / heads) leaf ``sa.wq``,
+    whose ``[:, k]`` is head k, is read as one (d, d) query projection of
+    ``x_target``, and head k of entity e is row ``e * heads + k`` of its
+    (n * heads, d / heads) reshape. ``kv[p]`` is window step p's
+    ``keys_values`` pair, laid out alike. The logits of all steps are one
+    ``dots`` of the queries with the keys, and the output one ``mix`` of the
+    values by the attention weights.
 
     ``dots`` returns its (n * heads, W) logits column-major, so the mask is
     built as the (W, n * heads) step-major array and handed to
@@ -133,14 +132,13 @@ def encode_sa(x_target: Tensor, kv: list[tuple[Tensor, Tensor]], active: np.ndar
     mask would make every masked pass of the softmax stride across it.
     """
     n, dim = x_target.shape
-    if dim % heads:
-        raise ValueError(f"embedding dim {dim} not divisible by {heads} heads")
-    rows, dh = n * heads, dim // heads
+    heads, dh = params["sa.wq"].shape[1:]
     steps = active.copy()
     steps[target_pos, ~active.any(axis=0)] = True
     offsets = np.abs(np.arange(len(kv)) - target_pos).astype(np.float64).reshape(1, -1)
     penalty = decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
-    q = ad.reshape(ad.matmul(x_target, head_weights(params, "wq", heads)), (rows, dh))
+    q = ad.reshape(ad.matmul(x_target, ad.reshape(params["sa.wq"], (dim, dim))),
+                   (n * heads, dh))
     logits = ad.sub(ad.mul(ad.dots(q, [k for k, _ in kv]), 1.0 / np.sqrt(dh)), penalty)
     del q   # off the tape nothing else holds q or the logits: free each once read
     beta = ad.masked_softmax(logits, np.repeat(steps, heads, axis=1).T)

@@ -145,6 +145,15 @@ def test_grouped_codes_ranges_and_count():
     assert repeated.count((2,), 0, 3) == 2
 
 
+@pytest.mark.parametrize("codes", [[4, 1, 4, 0, 1, 1, 3], [2, 2, 2], [3], []],
+                         ids=["repeats", "all-equal", "single", "empty"])
+def test_grouped_codes_unique_matches_np_unique(codes):
+    codes = np.array(codes, dtype=np.int64)
+    got = GroupedCodes((codes,), (5,)).codes
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.unique(codes))
+
+
 def test_code_space_overflow_raises():
     """E^2 * R * (T + 1) >= 2^63: every index refuses instead of wrapping."""
     e, r, t = 2 ** 22, 2 ** 10, 2 ** 10

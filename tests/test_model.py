@@ -23,7 +23,8 @@ from gradcheck import scaled_error
 from helpers import train_dataset, window_facts
 from test_decoder import direction_rows_per_row
 from test_rgcn import edge_dropout_per_snapshot, encode_per_snapshot
-from test_temporal import chain_blend, encode_sa_per_step, encode_sa_row_major_mask
+from test_temporal import (chain_blend, encode_sa_per_step, encode_sa_row_major_mask,
+                           keys_values_concat)
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +185,22 @@ class TestInit:
                 want = xavier_per_name((8, 8), substream(9, f"rgcn.l{l}.rel{k}"))
                 assert np.array_equal(block, want), (l, k)
         for name, arr in params.items():   # every other drawn parameter keeps its draw
-            if not name.startswith("decay.") and not name.endswith((".rel", ".b1", ".b2")):
+            if (not name.startswith(("decay.", "sa."))
+                    and not name.endswith((".rel", ".b1", ".b2"))):
                 assert np.array_equal(arr, xavier_per_name(arr.shape, substream(9, name))), name
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_head_blocks_keep_their_per_name_draws(self, heads):
+        # head k of sa.{nm}, its block [:, k, :], is the draw the (d, d / heads)
+        # parameter named sa.h{k}.{nm} had, so stacking moved no seeded value
+        cfg = ModelConfig(variant="temp-sa", dim=8, layers=1, heads=heads)
+        params = init_params(cfg, 5, 3, 4, seed=9)
+        for nm in ("wq", "wk", "wv"):
+            stack = params[f"sa.{nm}"]
+            assert stack.shape == (8, heads, 8 // heads)
+            for k in range(heads):
+                want = xavier_per_name((8, 8 // heads), substream(9, f"sa.h{k}.{nm}"))
+                assert np.array_equal(stack[:, k, :], want), (nm, k)
 
     def test_reference_shape_has_one_relation_stack_per_layer(self):
         # one (2R, d, d) array per layer, never one name per relation
@@ -193,6 +208,14 @@ class TestInit:
         assert len(shapes) == 17
         assert not any(name.startswith("rgcn.") and name[-1].isdigit() for name in shapes)
         assert shapes["rgcn.l0.rel"] == shapes["rgcn.l1.rel"] == (460, 128, 128)
+
+    def test_reference_temp_sa_has_one_stack_per_projection(self):
+        # one (d, heads, d / heads) array each for the query, key and value
+        # projections, never one name per head
+        shapes = param_shapes(ModelConfig(variant="temp-sa"), 7128, 230, 365)
+        sa = {name: shape for name, shape in shapes.items() if name.startswith("sa.")}
+        assert sa == {f"sa.{nm}": (128, 8, 16) for nm in ("wq", "wk", "wv")}
+        assert not any(name.startswith("sa.h") for name in shapes)
 
     def test_deterministic_and_name_stable(self):
         cfg = ModelConfig(variant="temp-gru", dim=8, layers=1, window=2, heads=2)
@@ -429,6 +452,34 @@ class TestSelfAttentionContext:
             assert err <= 1e-12, name
 
 
+    @pytest.mark.parametrize("imputation", [False, True])
+    @pytest.mark.parametrize("heads", [2, 8])
+    def test_running_gradients_bit_equal_to_concat_oracle(self, sparse_dataset, monkeypatch,
+                                                          heads, imputation):
+        # each projection is read as (d, d) once per context, so every step's
+        # gradient sums there before it is added onto the running one, as in
+        # the concatenation of per-head parameters: a batch keeps its bits
+        ds = sparse_dataset
+        cfg = ModelConfig(variant="temp-sa", decoder="distmult", dim=8, layers=1,
+                          heads=heads, window=3, imputation=imputation)
+        params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 2)
+        model = TempModel(cfg, ds, params)
+        weights = np.random.default_rng(5).normal(size=(ds.entity_count, cfg.dim))
+        results = []
+        for keys_values in (temporal.keys_values, keys_values_concat):
+            monkeypatch.setattr(temporal, "keys_values", keys_values)
+            running = {}
+            for t in (6, 5, 4):
+                tape = Tape()
+                leaves = leaves_on_tape(tape, params)
+                ctx = model.encode_context(leaves, t)
+                loss = ad.reduce_sum(ad.mul(ad.tanh(ctx.z), constant(weights)))
+                grads = grads_by_name(tape, leaves, loss, params, running)
+            results.append(grads)
+        for name in params:
+            np.testing.assert_array_equal(results[0][name], results[1][name], err_msg=name)
+
+
 class TestAttentionMaskOrder:
     def sa_model(self, ds, imputation, bidirectional, heads=2):
         cfg = ModelConfig(variant="temp-sa", decoder="distmult", dim=8, layers=1,
@@ -645,6 +696,33 @@ class TestTrainingGradients:
                      "gru.f.wz", "decay.z.lam", "gate.os.w1", "gate.ss.w2"):
             assert np.any(grads[name] != 0.0), f"no gradient reached {name}"
 
+    @pytest.mark.parametrize("imputation", [False, True])
+    def test_temp_sa_step_reaches_every_head_of_every_projection(self, tiny_dataset,
+                                                                  imputation):
+        ds = tiny_dataset
+        cfg = ModelConfig(variant="temp-sa", decoder="complex", dim=4, layers=1,
+                          window=2, heads=2, gating=True, imputation=imputation)
+        params = init_params(cfg, ds.entity_count, ds.relation_count,
+                             ds.step_count, seed=6)
+        model = TempModel(cfg, ds, params)
+        tape = Tape()
+        leaves = leaves_on_tape(tape, params)
+        t = ds.step_count - 1
+        ctx = model.encode_context(leaves, t)
+        triples = ds.splits["train"][t].triples
+        rng = np.random.default_rng(0)
+        negs = (rng.integers(0, ds.entity_count, size=(len(triples), 3)),
+                rng.integers(0, ds.entity_count, size=(len(triples), 3)))
+        loss = model.snapshot_loss(leaves, ctx, triples, negs, compute_tpf(ds))
+        raw = tape.backward(loss)
+        names = [name for name in params if name.startswith("sa.")]
+        assert sorted(names) == ["sa.wk", "sa.wq", "sa.wv"]
+        for name in names:
+            grad = raw[leaves[name].node_id]
+            assert grad.shape == params[name].shape
+            for k in range(cfg.heads):
+                assert np.any(grad[:, k] != 0.0), (name, k)
+
     def test_positional_table_receives_gradient(self, tiny_dataset):
         ds = tiny_dataset
         cfg = ModelConfig(variant="temp-sa", decoder="distmult", dim=4, layers=1,
@@ -852,7 +930,7 @@ class TestSnapshotCache:
         model = scorer_model(eval_dataset, "distmult", False,
                              sa_window(bidirectional, imputation, False))
         heads = model.config.heads
-        weights = {nm: np.concatenate([model.params[f"sa.h{k}.{nm}"] for k in range(heads)],
+        weights = {nm: np.concatenate([model.params[f"sa.{nm}"][:, k] for k in range(heads)],
                                       axis=1) for nm in ("wq", "wk", "wv")}
         calls = []
         matmul = ad.matmul

@@ -114,6 +114,29 @@ class TestKernels:
         np.testing.assert_allclose(v, v_new, rtol=1e-14)
         np.testing.assert_allclose(p, p_new, rtol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(6, 2), (5, 3, 4), (1,)])
+    def test_adam_update_bit_equal_to_temporaries_expression(self, shape):
+        # the whole-array expression the kernel computed before it wrote its
+        # temporaries into two scratch arrays: every float operation in order
+        def adam_with_temporaries(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+        rng = np.random.default_rng(8)
+        p, g, m = (rng.normal(size=shape) for _ in range(3))
+        v = rng.random(shape)
+        g.flat[0] = 0.0
+        states = [[a.copy() for a in (p, m, v)] for _ in range(2)]
+        for fn, (pp, mm, vv) in zip((_kernels.adam_update, adam_with_temporaries), states):
+            for step in (1, 2, 3):
+                fn(pp, g * step, mm, vv, 0.01, 0.9, 0.999, 1e-8,
+                   1 - 0.9 ** step, 1 - 0.999 ** step)
+        for got, want in zip(*states):
+            np.testing.assert_array_equal(got, want)
+
 
 class HalfWriter:
     """A file that writes half of what it is given, then fails."""

@@ -17,9 +17,28 @@ def gru_param_arrays(dim, rng, prefix):
     return p
 
 
+def sa_stacks(arrays, heads, draw):
+    """``arrays`` with sa.wq, sa.wk and sa.wv added as (d, heads, d / heads)
+    stacks: head k's block [:, k, :] is the draw() each per-head parameter
+    sa.h{k}.{wq|wk|wv} took, head by head, in the order it took it."""
+    blocks = {nm: [] for nm in ("wq", "wk", "wv")}
+    for _ in range(heads):
+        for nm in blocks:
+            blocks[nm].append(draw())
+    arrays.update((f"sa.{nm}", np.stack(b, axis=1)) for nm, b in blocks.items())
+    return arrays
+
+
+def head_block(w, k):
+    """Head k, [:, k, :], of a (d, heads, d / heads) projection on the tape:
+    columns k * d / heads onward of its row-major (d, d) view."""
+    dim, heads, dh = w.shape
+    return ad.columns(ad.reshape(w, (dim, heads * dh)), k * dh, (k + 1) * dh)
+
+
 def attention_weights(x_steps, active, target_pos, arrays, head=0):
     """Attention row weights of one head, in plain numpy."""
-    wq, wk = arrays[f"sa.h{head}.wq"], arrays[f"sa.h{head}.wk"]
+    wq, wk = arrays["sa.wq"][:, head], arrays["sa.wk"][:, head]
     lam, b = arrays["decay.z.lam"].item(), arrays["decay.z.b"].item()
     mask = np.stack(active, axis=1)
     mask[~mask.any(axis=1), target_pos] = True
@@ -32,16 +51,17 @@ def attention_weights(x_steps, active, target_pos, arrays, head=0):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def encode_sa_per_head(x_steps, active, target_pos, params, *, heads):
+def encode_sa_per_head(x_steps, active, target_pos, params):
     """Oracle for encode_sa: one query, key and value product and one softmax
     per head and step, the heads' outputs concatenated."""
+    heads = params["sa.wq"].shape[1]
     mask = np.stack(active, axis=1)
     mask[~mask.any(axis=1), target_pos] = True
     offsets = np.abs(np.arange(len(x_steps)) - target_pos).astype(np.float64).reshape(1, -1)
     penalty = temporal.decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
     head_outputs = []
     for k in range(heads):
-        wq, wk, wv = (params[f"sa.h{k}.{nm}"] for nm in ("wq", "wk", "wv"))
+        wq, wk, wv = (head_block(params[f"sa.{nm}"], k) for nm in ("wq", "wk", "wv"))
         scale = 1.0 / np.sqrt(wq.shape[1])
         q = ad.matmul(x_steps[target_pos], wq)
         cols = [ad.mul(ad.reduce_sum(ad.mul(q, ad.matmul(x, wk)), axis=1), scale)
@@ -55,21 +75,20 @@ def encode_sa_per_head(x_steps, active, target_pos, params, *, heads):
     return ad.concat(head_outputs, axis=1)
 
 
-def encode_sa_steps(x_steps, active, target_pos, params, *, heads):
+def encode_sa_steps(x_steps, active, target_pos, params):
     """encode_sa over per-step embeddings and activity rows, each step's keys
     and values projected from its embedding as the window encoder does."""
-    wk, wv = (temporal.head_weights(params, nm, heads) for nm in ("wk", "wv"))
-    kv = [temporal.keys_values(x, wk, wv, heads) for x in x_steps]
-    return temporal.encode_sa(x_steps[target_pos], kv, np.stack(active), target_pos, params,
-                              heads=heads)
+    kv = temporal.keys_values(x_steps, params["sa.wk"], params["sa.wv"])
+    return temporal.encode_sa(x_steps[target_pos], kv, np.stack(active), target_pos, params)
 
 
-def encode_sa_per_step(x_target, kv, active, target_pos, params, *, heads):
+def encode_sa_per_step(x_target, kv, active, target_pos, params):
     """Oracle for encode_sa: one query-key product column and one weighted
     value term per window step, the columns joined by ``concat``."""
     n, dim = x_target.shape
+    heads = params["sa.wq"].shape[1]
     rows, dh = n * heads, dim // heads
-    wq = ad.concat([params[f"sa.h{k}.wq"] for k in range(heads)], axis=1)
+    wq = ad.concat([head_block(params["sa.wq"], k) for k in range(heads)], axis=1)
     mask = np.stack(list(active), axis=1)
     mask[~mask.any(axis=1), target_pos] = True
     offsets = np.abs(np.arange(len(kv)) - target_pos).astype(np.float64).reshape(1, -1)
@@ -85,17 +104,29 @@ def encode_sa_per_step(x_target, kv, active, target_pos, params, *, heads):
     return ad.reshape(z, (n, dim))
 
 
-def encode_sa_row_major_mask(x_target, kv, active, target_pos, params, *, heads):
+def keys_values_concat(xs, wk, wv):
+    """Oracle for keys_values: each projection's heads joined by one
+    ``concat``, as the separate per-head parameters were, and one product of
+    each step with it."""
+    dim, heads, dh = wk.shape
+    wk, wv = (ad.concat([head_block(w, k) for k in range(heads)], axis=1) for w in (wk, wv))
+    return [tuple(ad.reshape(ad.matmul(x, w), (x.shape[0] * heads, dh)) for w in (wk, wv))
+            for x in xs]
+
+
+def encode_sa_row_major_mask(x_target, kv, active, target_pos, params):
     """Oracle for encode_sa: the same one-pass attention with the mask built
     entity-major, a row-major (n * heads, W) array against column-major
     logits."""
     n, dim = x_target.shape
+    heads = params["sa.wq"].shape[1]
     rows, dh = n * heads, dim // heads
+    wq = ad.concat([head_block(params["sa.wq"], k) for k in range(heads)], axis=1)
     mask = active.T.copy()
     mask[~mask.any(axis=1), target_pos] = True
     offsets = np.abs(np.arange(len(kv)) - target_pos).astype(np.float64).reshape(1, -1)
     penalty = temporal.decay_exponent(offsets, params["decay.z.lam"], params["decay.z.b"])
-    q = ad.reshape(ad.matmul(x_target, temporal.head_weights(params, "wq", heads)), (rows, dh))
+    q = ad.reshape(ad.matmul(x_target, wq), (rows, dh))
     logits = ad.sub(ad.mul(ad.dots(q, [k for k, _ in kv]), 1.0 / np.sqrt(dh)), penalty)
     beta = ad.masked_softmax(logits, np.repeat(mask, heads, axis=0))
     return ad.reshape(ad.mix(beta, [v for _, v in kv]), (n, dim))
@@ -389,25 +420,20 @@ class TestEncodeSa:
         self.rng = np.random.default_rng(2)
 
     def arrays_for(self, dim, heads, lam=0.0, b=0.0):
-        arrays = decay_param_arrays(lam, b)
-        dh = dim // heads
-        for k in range(heads):
-            for nm in ("wq", "wk", "wv"):
-                arrays[f"sa.h{k}.{nm}"] = self.rng.normal(size=(dim, dh))
-        return arrays
+        return sa_stacks(decay_param_arrays(lam, b), heads,
+                         lambda: self.rng.normal(size=(dim, dim // heads)))
 
-    def run(self, xs, active, target, arrays, heads):
-        params = as_tensors(arrays)
+    def run(self, xs, active, target, arrays):
         return encode_sa_steps([constant(x) for x in xs], active, target,
-                               params, heads=heads).data
+                               as_tensors(arrays)).data
 
     def test_single_unmasked_step_takes_full_weight(self):
         dim, n = 4, 3
         arrays = self.arrays_for(dim, 1, lam=0.3, b=0.1)
         xs = [self.rng.normal(size=(n, dim)) for _ in range(3)]
         active = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)]
-        out = self.run(xs, active, target=2, arrays=arrays, heads=1)
-        np.testing.assert_allclose(out, xs[1] @ arrays["sa.h0.wv"], atol=1e-12)
+        out = self.run(xs, active, target=2, arrays=arrays)
+        np.testing.assert_allclose(out, xs[1] @ arrays["sa.wv"][:, 0], atol=1e-12)
 
     def test_two_identical_steps_split_evenly(self):
         dim, n = 4, 2
@@ -417,8 +443,8 @@ class TestEncodeSa:
         active = [np.ones(n, dtype=bool)] * 2
         weights = attention_weights(xs, active, 1, arrays)
         np.testing.assert_allclose(weights, 0.5, atol=1e-12)
-        out = self.run(xs, active, target=1, arrays=arrays, heads=1)
-        np.testing.assert_allclose(out, x @ arrays["sa.h0.wv"], atol=1e-12)
+        out = self.run(xs, active, target=1, arrays=arrays)
+        np.testing.assert_allclose(out, x @ arrays["sa.wv"][:, 0], atol=1e-12)
 
     def test_hand_computed_attention(self):
         # 3-step window, d=2, one head, lambda=1, b=0: replicate the logits,
@@ -427,9 +453,9 @@ class TestEncodeSa:
         arrays = self.arrays_for(dim, 1, lam=1.0, b=0.0)
         xs = [self.rng.normal(size=(n, dim)) for _ in range(3)]
         active = [np.ones(n, dtype=bool)] * 3
-        out = self.run(xs, active, target=2, arrays=arrays, heads=1)
+        out = self.run(xs, active, target=2, arrays=arrays)
 
-        wq, wk, wv = (arrays[f"sa.h0.{nm}"] for nm in ("wq", "wk", "wv"))
+        wq, wk, wv = (arrays[f"sa.{nm}"][:, 0] for nm in ("wq", "wk", "wv"))
         q = xs[2] @ wq
         logits = np.stack([(q * (xs[p] @ wk)).sum(axis=1) / np.sqrt(dim)
                            for p in range(3)], axis=1)
@@ -449,8 +475,8 @@ class TestEncodeSa:
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
         mask = np.stack(active, axis=1)
         assert (weights[~mask] == 0).all()
-        out = self.run(xs, active, target=3, arrays=arrays, heads=2)
-        pooled = sum(weights[:, [p]] * (x @ arrays["sa.h0.wv"]) for p, x in enumerate(xs))
+        out = self.run(xs, active, target=3, arrays=arrays)
+        pooled = sum(weights[:, [p]] * (x @ arrays["sa.wv"][:, 0]) for p, x in enumerate(xs))
         np.testing.assert_allclose(out[:, :2], pooled, atol=1e-12)
 
     def test_fully_inactive_entity_falls_back_to_value_projection(self):
@@ -458,9 +484,9 @@ class TestEncodeSa:
         arrays = self.arrays_for(dim, 2, lam=0.5, b=0.2)
         xs = [self.rng.normal(size=(n, dim)) for _ in range(3)]
         active = [np.array([False, True]) for _ in range(3)]
-        out = self.run(xs, active, target=1, arrays=arrays, heads=2)
-        expect_row0 = np.concatenate([xs[1][0] @ arrays["sa.h0.wv"],
-                                      xs[1][0] @ arrays["sa.h1.wv"]])
+        out = self.run(xs, active, target=1, arrays=arrays)
+        expect_row0 = np.concatenate([xs[1][0] @ arrays["sa.wv"][:, 0],
+                                      xs[1][0] @ arrays["sa.wv"][:, 1]])
         np.testing.assert_allclose(out[0], expect_row0, atol=1e-12)
 
     def test_multi_head_concat_layout(self):
@@ -468,16 +494,18 @@ class TestEncodeSa:
         arrays = self.arrays_for(dim, 3, lam=0.0, b=0.0)
         xs = [self.rng.normal(size=(n, dim))]
         active = [np.ones(n, dtype=bool)]
-        out = self.run(xs, active, target=0, arrays=arrays, heads=3)
+        out = self.run(xs, active, target=0, arrays=arrays)
         assert out.shape == (n, dim)
-        np.testing.assert_allclose(out[:, :2], xs[0] @ arrays["sa.h0.wv"], atol=1e-12)
+        np.testing.assert_allclose(out[:, :2], xs[0] @ arrays["sa.wv"][:, 0], atol=1e-12)
 
     def test_indivisible_heads_rejected(self):
-        arrays = self.arrays_for(4, 1)
+        # three heads of width 1 do not tile a dim of 4
+        arrays = sa_stacks(decay_param_arrays(), 3, lambda: np.ones((4, 1)))
         x = constant(np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            temporal.encode_sa(x, [(x, x)], np.ones((1, 2), dtype=bool), 0, as_tensors(arrays),
-                               heads=3)
+            temporal.keys_values([x], constant(arrays["sa.wk"]), constant(arrays["sa.wv"]))
+        with pytest.raises(ValueError):
+            temporal.encode_sa(x, [(x, x)], np.ones((1, 2), dtype=bool), 0, as_tensors(arrays))
 
 
 # (width, target position, entities inactive at every step)
@@ -488,14 +516,12 @@ PENALTIES = {"active": (0.4, 0.3), "clamped": (0.5, -0.7)}
 
 
 def sa_case(heads, window, penalty, seed=30):
-    """Per-head arrays, window embeddings and activity rows for one case."""
+    """Projection stacks, window embeddings and activity rows for one case."""
     width, target, idle = WINDOWS[window]
     rng = np.random.default_rng(seed)
     dim, n = 2 * heads, 5
-    arrays = decay_param_arrays(*PENALTIES[penalty])
-    for k in range(heads):
-        for nm in ("wq", "wk", "wv"):
-            arrays[f"sa.h{k}.{nm}"] = rng.normal(size=(dim, 2))
+    arrays = sa_stacks(decay_param_arrays(*PENALTIES[penalty]), heads,
+                       lambda: rng.normal(size=(dim, 2)))
     xs = [rng.normal(size=(n, dim)) for _ in range(width)]
     active = [rng.random(n) < 0.6 for _ in range(width)]
     for row in active:
@@ -503,13 +529,12 @@ def sa_case(heads, window, penalty, seed=30):
     return arrays, xs, active
 
 
-def vanishing_gradients(window, penalty, heads):
+def vanishing_gradients(window, penalty):
     """Leaves whose gradient is zero analytically: with one step every weight
     is 1, so nothing reaches the logits; with every penalty positive, b
     shifts all logits of a row alike."""
     if WINDOWS[window][0] == 1:
-        return {"decay.z.lam", "decay.z.b"} | {f"sa.h{k}.{nm}" for k in range(heads)
-                                               for nm in ("wq", "wk")}
+        return {"decay.z.lam", "decay.z.b", "sa.wq", "sa.wk"}
     return {"decay.z.b"} if penalty == "active" else set()
 
 
@@ -526,7 +551,7 @@ class TestOneAttentionPass:
             tape = Tape()
             params = {name: tape.leaf(a) for name, a in arrays.items()}
             x_leaves = [tape.leaf(x) for x in xs]
-            z = fn(x_leaves, active, target, params, heads=heads)
+            z = fn(x_leaves, active, target, params)
             grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
             named = {name: grads[leaf.node_id] for name, leaf in params.items()}
             named.update({f"x{p}": grads[leaf.node_id] for p, leaf in enumerate(x_leaves)})
@@ -534,7 +559,7 @@ class TestOneAttentionPass:
         (got_z, got), (want_z, want) = results
         assert scaled_error(got_z, want_z) <= 1e-12
         assert got.keys() == want.keys()
-        vanishing = vanishing_gradients(window, penalty, heads)
+        vanishing = vanishing_gradients(window, penalty)
         for name in want:
             if name in vanishing:
                 assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
@@ -554,9 +579,8 @@ class TestOneAttentionPass:
             tape = Tape()
             params = {name: tape.leaf(a) for name, a in arrays.items()}
             x_leaves = [tape.leaf(x) for x in xs]
-            wk, wv = (temporal.head_weights(params, nm, heads) for nm in ("wk", "wv"))
-            kv = [temporal.keys_values(x, wk, wv, heads) for x in x_leaves]
-            z = fn(x_leaves[target], kv, np.stack(active), target, params, heads=heads)
+            kv = temporal.keys_values(x_leaves, params["sa.wk"], params["sa.wv"])
+            z = fn(x_leaves[target], kv, np.stack(active), target, params)
             grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
             leaves = list(params.values()) + x_leaves
             results.append((z.data, [grads.get(leaf.node_id) for leaf in leaves]))
@@ -579,9 +603,8 @@ class TestOneAttentionPass:
             tape = Tape()
             params = {name: tape.leaf(a) for name, a in arrays.items()}
             x_leaves = [tape.leaf(x) for x in xs]
-            wk, wv = (temporal.head_weights(params, nm, heads) for nm in ("wk", "wv"))
-            kv = [temporal.keys_values(x, wk, wv, heads) for x in x_leaves]
-            z = fn(x_leaves[target], kv, np.stack(active), target, params, heads=heads)
+            kv = temporal.keys_values(x_leaves, params["sa.wk"], params["sa.wv"])
+            z = fn(x_leaves[target], kv, np.stack(active), target, params)
             grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
             leaves = list(params.values()) + x_leaves
             results.append((z.data, [grads.get(leaf.node_id) for leaf in leaves]))
@@ -605,13 +628,13 @@ class TestOneAttentionPass:
         def loss(*flat):
             params = {name: constant(a) for name, a in zip(names, flat)}
             x_steps = [constant(x) for x in flat[len(names):]]
-            z = encode_sa_steps(x_steps, active, target, params, heads=2)
+            z = encode_sa_steps(x_steps, active, target, params)
             return float((np.tanh(z.data) * weights).sum())
 
         tape = Tape()
         params = {name: tape.leaf(arrays[name]) for name in names}
         x_leaves = [tape.leaf(x) for x in xs]
-        z = encode_sa_steps(x_leaves, active, target, params, heads=2)
+        z = encode_sa_steps(x_leaves, active, target, params)
         grads = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(z), constant(weights))))
         leaves = [params[name] for name in names] + x_leaves
         analytic = [grads[leaf.node_id] for leaf in leaves]
@@ -634,8 +657,7 @@ class TestOneAttentionPass:
             return matmul(a, b)
 
         monkeypatch.setattr(ad, "matmul", spy)
-        encode_sa_steps([constant(x) for x in xs], active, width - 1,
-                        as_tensors(arrays), heads=heads)
+        encode_sa_steps([constant(x) for x in xs], active, width - 1, as_tensors(arrays))
         dim = 2 * heads
         assert calls == [(dim, dim)] * (1 + 2 * width)
 

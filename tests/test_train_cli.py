@@ -498,6 +498,41 @@ heads = 2
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
         assert "rgcn.l0.rel None vs (4, 4, 4)" in err
 
+    def sa_config(self, tmp_path, data_dir, heads):
+        with open(self.full_config(tmp_path, data_dir)) as f:
+            text = f.read().replace("temp-gru", "temp-sa").replace("heads = 2", f"heads = {heads}")
+        return write_config(tmp_path / f"sa{heads}.cfg", text)
+
+    def test_eval_rejects_a_per_head_checkpoint(self, tmp_path, synth_config, capsys):
+        # a checkpoint that stores each head's projection as sa.h{k}.{nm}
+        # does not load; the configured stacks lead the one-line error
+        data_dir = self.make_dataset_dir(tmp_path, synth_config)
+        cfg = self.sa_config(tmp_path, data_dir, 2)
+        run_dir = tmp_path / "run"
+        assert run_cli(["train", "--config", cfg, "--out", str(run_dir)]) == 0
+        params = load_checkpoint(run_dir / "best.ckpt")
+        for nm in ("wq", "wk", "wv"):
+            params.update((f"sa.h{k}.{nm}", params[f"sa.{nm}"][:, k].copy()) for k in range(2))
+            del params[f"sa.{nm}"]
+        save_checkpoint(run_dir / "best.ckpt", params)
+        capsys.readouterr()
+        assert run_cli(["eval", "--config", cfg, "--out", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert "sa.wq None vs (4, 2, 2)" in err
+
+    def test_eval_rejects_another_head_count(self, tmp_path, synth_config, capsys):
+        data_dir = self.make_dataset_dir(tmp_path, synth_config)
+        run_dir = tmp_path / "run"
+        assert run_cli(["train", "--config", self.sa_config(tmp_path, data_dir, 2),
+                        "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert run_cli(["eval", "--config", self.sa_config(tmp_path, data_dir, 4),
+                        "--out", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert "sa.wq (4, 2, 2) vs (4, 4, 1)" in err
+
     def test_missing_dataset_path_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "nopath.cfg", "[train]\nseed = 1\n")
         assert run_cli(["stats", "--config", cfg, "--out", str(tmp_path)]) == 1
