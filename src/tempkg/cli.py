@@ -2,7 +2,8 @@
 
 Every command exits 0 on success; any failure prints one machine-parsable
 line ``error: <kind>: <detail>`` on stderr and exits nonzero. Log verbosity
-comes from the TEMPKG_LOG environment variable (debug/info/warning).
+comes from the TEMPKG_LOG environment variable: debug, info, warning (the
+default) or error.
 """
 
 from __future__ import annotations
@@ -26,14 +27,20 @@ from .train import filter_index_for, tpf_table, train
 log = logging.getLogger("tempkg")
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("TEMPKG_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 class UsageError(Exception):
     pass
+
+
+_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING,
+               "error": logging.ERROR}
+
+
+def _setup_logging() -> None:
+    name = (os.environ.get("TEMPKG_LOG") or "warning").lower()
+    if name not in _LOG_LEVELS:
+        raise UsageError(f"TEMPKG_LOG must be one of {', '.join(_LOG_LEVELS)}, got {name!r}")
+    logging.basicConfig(level=_LOG_LEVELS[name],
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,8 +217,8 @@ _COMMANDS = {"train": cmd_train, "eval": cmd_eval, "ted": cmd_ted,
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     try:
+        _setup_logging()
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except Exception as err:  # single-line, machine-parsable failure report

@@ -1,14 +1,14 @@
 """Line-oriented run configuration: ``key = value`` under ``[section]`` headers.
 
-Every key has a documented default; unknown sections or keys are hard errors
-so a misspelled ablation flag fails loudly instead of silently running the
-default.
+Each section is the RunConfig field of its name and each key the field of its
+name, with a documented default; unknown sections or keys are hard errors so a
+misspelled ablation flag fails loudly instead of silently running the default.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .data import DATASET_FORMATS, SPLIT_NAMES, TIME_GRANULARITIES
 from .heterogeneity import WindowPolicy
@@ -47,11 +47,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.lr < float("inf"):
-            raise ValueError(f"train.lr must be positive and finite, got {self.lr}")
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         for name, least in (("negatives", 1), ("batch_snapshots", 1), ("snapshot_cap", 1),
                             ("val_cap", 1), ("patience", 0), ("epochs", 0)):
             if getattr(self, name) < least:
-                raise ValueError(f"train.{name} must be at least {least}")
+                raise ValueError(f"{name} must be at least {least}")
 
 
 FILTER_MODES = ("time_aware", "static")
@@ -90,7 +90,7 @@ class TedSection:
     def __post_init__(self):
         sigmas = self.sigma_list()
         if not sigmas:
-            raise ConfigError(f"ted.sigmas must name at least one sigma, got {self.sigmas!r}")
+            raise ConfigError(f"sigmas must name at least one sigma, got {self.sigmas!r}")
         for sigma in sigmas:
             TedConfig(sigma, self.blend)
         if self.split not in SPLIT_NAMES:
@@ -113,67 +113,55 @@ class RunConfig:
     ted: TedSection = field(default_factory=TedSection)
 
 
-# each config-file section is the RunConfig field of its name; keys renamed
-# onto their dataclass field, by section
-_KEY_RENAMES = {"model": {"loss": "loss_mode"}}
-
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 
 
-def _coerce(raw: str, target_type, where: str):
+def _coerce(raw: str, target_type, key: str):
     if target_type is bool:
         low = raw.strip().lower()
         if low in _BOOL_TRUE:
             return True
         if low in _BOOL_FALSE:
             return False
-        raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
         return target_type(raw)
     except ValueError as err:
-        raise ConfigError(f"{where}: expected {target_type.__name__}, got {raw!r}") from err
+        raise ConfigError(f"{key}: expected {target_type.__name__}, got {raw!r}") from err
 
 
-def _section_target(config: RunConfig, section: str):
-    if section not in {f.name for f in fields(config)}:
-        raise ConfigError(f"unknown config section [{section}]")
-    return getattr(config, section), _KEY_RENAMES.get(section, {})
-
-
-def _assign(target, renames: dict[str, str], section: str, key: str, raw: str,
-            where: str) -> None:
-    """Set one field from its raw text; only dataclass fields are settable."""
-    name = renames.get(key, key)
-    if name not in {f.name for f in fields(target)}:
-        raise ConfigError(f"unknown key '{key}' in section [{section}]")
-    setattr(target, name, _coerce(raw, type(getattr(target, name)), where))
+def _build_section(default, pairs: dict[str, str]):
+    """``default`` with each key, a field name, set from its raw text."""
+    types = {f.name: type(getattr(default, f.name)) for f in fields(default)}
+    values = {}
+    for key, raw in pairs.items():
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r}")
+        values[key] = _coerce(raw, types[key], key)
+    return replace(default, **values)
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse a config file; ``overrides`` are 'section.key' -> raw value."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header names the empty section, so [DEFAULT] is an ordinary section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         read = parser.read(path)
-        items = {section: parser.items(section) for section in parser.sections()}
+        sections = {section: dict(parser.items(section)) for section in parser.sections()}
     except configparser.Error as err:  # a repeated key, no section, no '=', a lone '%'
         raise ConfigError(f"cannot parse config file {path}: {err}") from err
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    config = RunConfig()
-    for section, pairs in items.items():
-        target, renames = _section_target(config, section)
-        for key, raw in pairs:
-            _assign(target, renames, section, key, raw, f"[{section}] {key}")
     for dotted, raw in (overrides or {}).items():
         section, _, key = dotted.partition(".")
-        target, renames = _section_target(config, section)
-        _assign(target, renames, section, key, raw, dotted)
-    for section in fields(config):
+        sections.setdefault(section, {})[key] = raw
+    config = RunConfig()
+    for section, pairs in sections.items():
+        if section not in {f.name for f in fields(config)}:
+            raise ConfigError(f"unknown config section [{section}]")
         try:
-            getattr(config, section.name).__post_init__()
-        except ConfigError:
-            raise
+            setattr(config, section, _build_section(getattr(config, section), pairs))
         except ValueError as err:
-            raise ConfigError(f"[{section.name}] {err}") from err
+            raise ConfigError(f"[{section}] {err}") from err
     return config

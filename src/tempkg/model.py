@@ -40,7 +40,7 @@ class ModelConfig:
     gating: bool = False
     imputation: bool = False
     positional: bool = False
-    loss_mode: str = "cross_entropy"
+    loss: str = "cross_entropy"
     freq_transform: str = "log1p"
     dropout_current: float = 0.5
     dropout_reference: float = 0.2
@@ -50,8 +50,8 @@ class ModelConfig:
             raise ValueError(f"unknown model variant {self.variant!r}")
         if self.decoder not in dec.DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
-        if self.loss_mode not in dec.LOSS_MODES:
-            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
+        if self.loss not in dec.LOSS_MODES:
+            raise ValueError(f"unknown loss mode {self.loss!r}")
         if self.freq_transform not in het.FREQ_TRANSFORMS:
             raise ValueError(f"unknown frequency transform {self.freq_transform!r}")
         if self.dim < 1:
@@ -352,7 +352,7 @@ class TempModel:
                                            (triples[:, 0], negatives[1]))]
         # lazily: each direction's loss joins the tape before the next scores,
         # the node order the backward sums follow
-        return ad.add(*(dec.query_loss(scores, mode=self.config.loss_mode)
+        return ad.add(*(dec.query_loss(scores, mode=self.config.loss)
                         for scores in self._direction_scores(leaves, ctx, triples, tpf,
                                                              cand_ids)))
 

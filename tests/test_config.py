@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from tempkg.config import (FILTER_MODES, ConfigError, EvalConfig, RunConfig, TedSection,
@@ -69,7 +71,7 @@ sigmas = 1e-5 0.1 10
         assert cfg.model.variant == "temp-sa"
         assert cfg.model.dim == 16 and cfg.model.heads == 4
         assert cfg.model.gating is True
-        assert cfg.model.loss_mode == "prob_sum"
+        assert cfg.model.loss == "prob_sum"
         assert cfg.train.lr == 0.01 and cfg.train.epochs == 7
         assert cfg.synth.entities == 30
         assert cfg.ted.sigma_list() == [1e-5, 0.1, 10.0]
@@ -205,7 +207,7 @@ sigmas = 1e-5 0.1 10
     def test_renamed_override_key(self, tmp_path):
         path = write(tmp_path, "[train]\nseed = 1\n")
         cfg = load_config(path, overrides={"model.loss": "prob_sum"})
-        assert cfg.model.loss_mode == "prob_sum"
+        assert cfg.model.loss == "prob_sum"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -230,3 +232,64 @@ def test_closed_set_key_loads_its_values_and_rejects_others(tmp_path, dotted):
         load_config(write(tmp_path, f"[{section}]\n{key} = bogus\n"))
     with pytest.raises(ValueError):
         load_config(write(tmp_path, "[train]\nseed = 1\n"), overrides={dotted: "bogus"})
+
+
+def test_renamed_field_name_is_an_unknown_key(tmp_path):
+    for text, overrides in (("[model]\nloss_mode = prob_sum\n", None),
+                            ("[model]\nloss = prob_sum\nloss_mode = prob_sum\n", None),
+                            ("[train]\nseed = 1\n", {"model.loss_mode": "prob_sum"})):
+        with pytest.raises(ConfigError, match=r"^\[model\] unknown key 'loss_mode'$"):
+            load_config(write(tmp_path, text), overrides=overrides)
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                  "[DEFAULT]\nseed = 3\n[train]\nlr = 0.01\n"],
+                         ids=["alone", "beside-train"])
+def test_default_section_is_an_unknown_section(tmp_path, text):
+    with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("section, key, raw, message", [
+    ("dataset", "format", "xml", "unknown dataset format 'xml'"),
+    ("model", "dim", "0", "embedding dim must be positive"),
+    ("model", "gating", "perhaps", "gating: expected a boolean, got 'perhaps'"),
+    ("train", "lr", "nan", "lr must be positive and finite, got nan"),
+    ("train", "epochs", "many", "epochs: expected int, got 'many'"),
+    ("eval", "filter", "fuzzy", "unknown filter mode 'fuzzy'"),
+    ("synth", "steps", "0", "generator needs at least one entity, relation and step"),
+    ("ted", "split", "vaild", "unknown ted split 'vaild'"),
+])
+def test_each_error_carries_its_section_prefix_once(tmp_path, section, key, raw, message):
+    for text, overrides in ((f"[{section}]\n{key} = {raw}\n", None),
+                            ("[train]\nseed = 1\n", {f"{section}.{key}": raw})):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, text), overrides=overrides)
+        assert str(err.value) == f"[{section}] {message}"
+
+
+def _word_runs(name):
+    """The leading and trailing runs of a name's '_'-separated words, the
+    shapes a shortened alias of a field would take ('loss' for 'loss_mode')."""
+    words = name.split("_")
+    return {"_".join(words[:i]) for i in range(1, len(words))} | \
+        {"_".join(words[i:]) for i in range(1, len(words))}
+
+
+@pytest.mark.parametrize("section", [f.name for f in fields(RunConfig)])
+def test_keys_are_exactly_field_names(tmp_path, section):
+    # each field loads from its own name, and nothing else is a key: a table
+    # of renamed keys cannot come back unnoticed
+    default = getattr(RunConfig(), section)
+    own = {f.name for f in fields(default)}
+    for name in own:
+        text = str(getattr(default, name))
+        assert load_config(write(tmp_path, f"[{section}]\n{name} = {text}\n")) == RunConfig()
+        assert load_config(write(tmp_path, "[train]\nseed = 0\n"),
+                           overrides={f"{section}.{name}": text}) == RunConfig()
+    every_field = {f.name for s in fields(RunConfig) for f in fields(getattr(RunConfig(), s.name))}
+    others = every_field | {n for name in every_field for n in _word_runs(name)} | \
+        {n for n in dir(default) if not n.startswith("_")}
+    for key in sorted(others - own):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] unknown key '{key}'$"):
+            load_config(write(tmp_path, f"[{section}]\n{key} = 1\n"))

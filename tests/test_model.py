@@ -119,7 +119,7 @@ def snapshot_loss_per_negative(model, leaves, ctx, triples, negatives, tpf):
             cand = blend_rows(cand_alpha, ad.gather_rows(ctx.x, ids),
                               ad.gather_rows(ctx.z, ids))
             cols.append(direction_rows_per_row(direction, fixed, r_emb, cand, cfg.decoder))
-        loss = dec.query_loss(ad.concat(cols, axis=1), mode=cfg.loss_mode)
+        loss = dec.query_loss(ad.concat(cols, axis=1), mode=cfg.loss)
         total = loss if total is None else ad.add(total, loss)
     return total
 
@@ -752,7 +752,7 @@ class TestTrainingGradients:
         ds = tiny_dataset
         cfg = ModelConfig(variant="temp-gru", decoder=decoder, dim=4, layers=1,
                           window=2, heads=2, gating=gating, imputation=True,
-                          loss_mode=loss_mode)
+                          loss=loss_mode)
         params = init_params(cfg, ds.entity_count, ds.relation_count,
                              ds.step_count, seed=9)
         model = TempModel(cfg, ds, params)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -537,3 +538,26 @@ heads = 2
         cfg = write_config(tmp_path / "nopath.cfg", "[train]\nseed = 1\n")
         assert run_cli(["stats", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "dataset.path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["loud", "basic_format"])
+    def test_unknown_log_level_fails_on_one_line(self, tmp_path, synth_config, capsys,
+                                                 monkeypatch, value):
+        monkeypatch.setenv("TEMPKG_LOG", value)
+        out_dir = tmp_path / "data"
+        assert run_cli(["synth", "--config", synth_config, "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error: UsageError: TEMPKG_LOG ") and "\n" not in err
+        assert repr(value) in err and captured.out == ""
+        assert not out_dir.exists()
+
+    def test_log_level_comes_from_the_environment(self, tmp_path, synth_config, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.update(kwargs))
+        args = ["synth", "--config", synth_config, "--out", str(tmp_path / "data")]
+        for value, level in (("info", logging.INFO), ("DEBUG", logging.DEBUG),
+                             ("error", logging.ERROR), ("", logging.WARNING)):
+            monkeypatch.setenv("TEMPKG_LOG", value)
+            assert run_cli(args) == 0 and seen["level"] == level, value
+        monkeypatch.delenv("TEMPKG_LOG")
+        assert run_cli(args) == 0 and seen["level"] == logging.WARNING
