@@ -3,7 +3,9 @@
 A dataset is three splits (train/valid/test) over one shared time axis, with
 shared entity and relation vocabularies. Each split is one read-only (n, 4)
 array of distinct (subject, relation, object, time) facts sorted by (time,
-subject, relation, object); its snapshots are views of one step's rows.
+subject, relation, object), normalized through one sorted int64 code per
+fact, so a dataset needs E²·R·T < 2⁶³; its snapshots are views of one
+step's rows.
 
 On-disk layout: a directory with ``train.txt`` / ``valid.txt`` / ``test.txt``,
 one fact per line, four whitespace-separated fields
@@ -105,7 +107,8 @@ def cross_split_repeats(dataset: "TkgDataset") -> int:
 
 def _sorted_facts(split: str, quads, limits) -> np.ndarray:
     """The distinct rows of ``quads`` sorted by (t, s, r, o), read-only; a
-    field outside [0, limit) raises DatasetError naming the split."""
+    field outside [0, limit) raises DatasetError naming the split, and so
+    does a (t, s, r, o) code space that does not fit in int64."""
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     bad = (quads < 0) | (quads >= limits)
     if bad.any():
@@ -113,10 +116,17 @@ def _sorted_facts(split: str, quads, limits) -> np.ndarray:
         field = ("entity", "relation", "entity", "step")[col]
         raise DatasetError(f"split '{split}': {field} {quads[row, col]} "
                            f"out of range [0, {limits[col]})")
-    quads = quads[np.lexsort((quads[:, 2], quads[:, 1], quads[:, 0], quads[:, 3]))]
-    repeat = np.zeros(len(quads), dtype=bool)
-    repeat[1:] = (quads[1:] == quads[:-1]).all(axis=1)
-    quads = quads[~repeat]
+    e, nr, _, steps = limits.tolist()
+    try:   # one sorted, distinct code per fact
+        facts = GroupedCodes((quads[:, 3], *quads[:, :3].T), (steps, e, nr, e))
+    except ValueError as err:
+        raise DatasetError(f"split '{split}': {err}") from None
+    # read the code's digits t, s, r back into their columns, in place; o is what remains
+    codes = facts.codes
+    quads = np.empty((len(codes), 4), dtype=np.int64)
+    for col, stride in zip((3, 0, 1), facts.strides):
+        np.divmod(codes, stride, out=(quads[:, col], codes))
+    quads[:, 2] = codes
     quads.flags.writeable = False
     return quads
 
@@ -125,8 +135,8 @@ class TkgDataset:
     """Facts of each split as ``quads[split]``: distinct (s, r, o, t) rows
     sorted by (t, s, r, o), read-only. The constructor takes them in any
     order, with repeats, and raises DatasetError for an entity, relation or
-    step out of range. ``splits[split]`` holds one Snapshot view per step,
-    built on first read."""
+    step out of range, or for a (t, s, r, o) code space of 2^63 or more.
+    ``splits[split]`` holds one Snapshot view per step, built on first read."""
 
     def __init__(self, entity_count: int, relation_count: int, step_count: int,
                  quads: dict, entity_names: list[str] | None = None,

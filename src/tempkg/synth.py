@@ -7,8 +7,8 @@ guaranteed a training occurrence of the same triple at an earlier step, which
 is the regime where copying answers from recent history pays off.
 
 Each step's facts are one int64 array of codes ``(s·R + r)·E + o``: copies
-are picks from the source step's array, fresh triples come in batches of the
-shortfall, and the split rule is one membership test per step.
+are picks of rows from the source step's array, fresh triples come in
+batches of the shortfall, and the split rule reads each copy's source row.
 """
 
 from __future__ import annotations
@@ -56,34 +56,34 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> TkgDataset:
     rng = np.random.default_rng(seed)
     n = min(spec.facts_per_step(), e * r * e)
     codes = np.empty((steps, n), dtype=np.int64)
-    copies = np.zeros(steps, dtype=np.int64)
+    # sources[t][j]: the row of step t - period that copy j of step t repeats
+    sources = [np.empty(0, dtype=np.int64)] * steps
     for t in range(steps):
         step = np.empty(0, dtype=np.int64)
         if t >= period:
             # decide copy slots first so a full-copy step samples without replacement
-            copies[t] = np.count_nonzero(rng.random(n) < spec.periodicity)
-            step = codes[t - period, rng.choice(n, size=int(copies[t]), replace=False)]
+            copies = np.count_nonzero(rng.random(n) < spec.periodicity)
+            sources[t] = rng.choice(n, size=copies, replace=False)
+            step = codes[t - period, sources[t]]
         while len(step) < n:
             # one draw of exactly the shortfall, in the order the loop drew triples
             # one at a time: the first unseen candidates are the ones it accepted
             s, rel, o = rng.integers(0, np.tile([e, r, e], n - len(step))).reshape(-1, 3).T
             drawn = (s * r + rel) * e + o
-            first = np.sort(np.unique(drawn, return_index=True)[1])
-            step = np.concatenate((step, drawn[first[~np.isin(drawn[first], step)]]))
+            first = np.unique(np.concatenate((step, drawn)), return_index=True)[1]
+            step = np.concatenate((step, drawn[np.sort(first[first >= len(step)]) - len(step)]))
         codes[t] = step
 
     # Split assignment. Early steps (before one period has elapsed) are train
     # only; afterwards each fact draws a split, but a copied fact may leave train
-    # only if its triple is in train `period` steps back, so at full periodicity
-    # every held-out fact recurs verbatim in training history.
+    # only if its source row is in train `period` steps back, so at full
+    # periodicity every held-out fact recurs verbatim in training history.
     u = rng.random(steps * n).reshape(steps, n)
     p_valid, p_test = spec.valid_fraction, spec.test_fraction
     split = np.select([u < p_valid, u < p_valid + p_test], [1, 2], 0)  # SPLIT_NAMES order
     split[:period] = 0
-    copied = np.arange(n) < copies[:, None]
     for t in range(period, steps):
-        source_train = codes[t - period, split[t - period] == 0]
-        split[t, copied[t] & ~np.isin(codes[t], source_train)] = 0
+        split[t, np.flatnonzero(split[t - period, sources[t]])] = 0
 
     quads = np.stack([codes // (r * e), codes // e % r, codes % e,
                       np.broadcast_to(np.arange(steps)[:, None], codes.shape)], axis=-1)

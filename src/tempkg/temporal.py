@@ -66,16 +66,21 @@ def _chain(x_steps, held, positions, target_pos, params, prefix):
 
     ``positions`` are window indices ordered from far to near; the entity
     chain only advances on steps where the entity is active, so an inactive
-    gap only grows the decay distance, never breaks the chain.
+    gap only grows the decay distance, never breaks the chain. The cell runs
+    on each such step's active rows only, and on all rows at the target,
+    where every entity is a candidate.
     """
     lam, b = params["decay.z.lam"], params["decay.z.b"]
     last = last_active(held, positions)
     h = constant(np.zeros(x_steps[target_pos].shape))
     for i, pos in enumerate(positions):
-        if held[pos].any():
-            zhat = _decayed_hidden(h, last[i], i, lam, b)
-            h = ad.gather_rows_from([h, gru_cell(x_steps[pos], zhat, params, prefix)],
-                                    held[pos], np.arange(len(held[pos])))
+        rows = np.flatnonzero(held[pos])
+        if len(rows):
+            zhat = _decayed_hidden(ad.gather_rows(h, rows), last[i, rows], i, lam, b)
+            cell = gru_cell(ad.gather_rows(x_steps[pos], rows), zhat, params, prefix)
+            index = np.arange(len(held[pos]))   # active row rows[k] reads cell row k
+            index[rows] = np.arange(len(rows))
+            h = ad.gather_rows_from([h, cell], held[pos], index)
     zhat = _decayed_hidden(h, last[-1], len(positions), lam, b)
     return gru_cell(x_steps[target_pos], zhat, params, prefix)
 

@@ -11,7 +11,10 @@ at a time. ``loop_generate_synthetic`` builds a corpus one fact at a time from
 tuple sets, the way the package did before it kept each step as an array of
 fact codes. ``snapshots_from_quads`` splits a split's facts into steps and
 deduplicates each step on its own, the way the package stored a split before
-it became one sorted fact array.
+it became one sorted fact array. ``isin_generate_synthetic`` tests each
+step's fresh draws and copies with ``np.isin``, and ``lexsort_sorted_facts``
+orders a split with a four-key ``np.lexsort``, the way the package did before
+both worked on sorted int64 codes.
 """
 
 import math
@@ -19,7 +22,7 @@ from collections import Counter
 
 import numpy as np
 
-from tempkg.data import TkgDataset
+from tempkg.data import SPLIT_NAMES, DatasetError, TkgDataset
 from tempkg.evaluation import (REFERENCE_PAIRINGS, REPLICATION_PAIRINGS, RankingReport,
                                query_records, rank_query)
 from tempkg.heterogeneity import PATTERN_KINDS
@@ -312,3 +315,57 @@ def loop_generate_synthetic(spec, seed):
             split_of[split].append((*tri, t))
 
     return TkgDataset(spec.entities, spec.relations, spec.steps, split_of)
+
+
+def lexsort_sorted_facts(split, quads, limits):
+    """data._sorted_facts with np.lexsort and a row-equality repeat mask."""
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    bad = (quads < 0) | (quads >= limits)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        field = ("entity", "relation", "entity", "step")[col]
+        raise DatasetError(f"split '{split}': {field} {quads[row, col]} "
+                           f"out of range [0, {limits[col]})")
+    quads = quads[np.lexsort((quads[:, 2], quads[:, 1], quads[:, 0], quads[:, 3]))]
+    repeat = np.zeros(len(quads), dtype=bool)
+    repeat[1:] = (quads[1:] == quads[:-1]).all(axis=1)
+    quads = quads[~repeat]
+    quads.flags.writeable = False
+    return quads
+
+
+def isin_generate_synthetic(spec, seed) -> dict[str, np.ndarray]:
+    """synth.generate_synthetic's splits, with np.unique and np.isin over each
+    step's fresh draws and one np.isin per step for the split rule, each
+    normalized by lexsort_sorted_facts."""
+    e, r, steps, period = spec.entities, spec.relations, spec.steps, spec.period
+    rng = np.random.default_rng(seed)
+    n = min(spec.facts_per_step(), e * r * e)
+    codes = np.empty((steps, n), dtype=np.int64)
+    copies = np.zeros(steps, dtype=np.int64)
+    for t in range(steps):
+        step = np.empty(0, dtype=np.int64)
+        if t >= period:
+            copies[t] = np.count_nonzero(rng.random(n) < spec.periodicity)
+            step = codes[t - period, rng.choice(n, size=int(copies[t]), replace=False)]
+        while len(step) < n:
+            s, rel, o = rng.integers(0, np.tile([e, r, e], n - len(step))).reshape(-1, 3).T
+            drawn = (s * r + rel) * e + o
+            first = np.sort(np.unique(drawn, return_index=True)[1])
+            step = np.concatenate((step, drawn[first[~np.isin(drawn[first], step)]]))
+        codes[t] = step
+
+    u = rng.random(steps * n).reshape(steps, n)
+    p_valid, p_test = spec.valid_fraction, spec.test_fraction
+    split = np.select([u < p_valid, u < p_valid + p_test], [1, 2], 0)
+    split[:period] = 0
+    copied = np.arange(n) < copies[:, None]
+    for t in range(period, steps):
+        source_train = codes[t - period, split[t - period] == 0]
+        split[t, copied[t] & ~np.isin(codes[t], source_train)] = 0
+
+    quads = np.stack([codes // (r * e), codes // e % r, codes % e,
+                      np.broadcast_to(np.arange(steps)[:, None], codes.shape)], axis=-1)
+    limits = np.array([e, r, e, steps])
+    return {name: lexsort_sorted_facts(name, quads[split == i], limits)
+            for i, name in enumerate(SPLIT_NAMES)}

@@ -6,7 +6,7 @@ from tempkg.data import (DatasetError, TkgDataset, build_true_index, cross_split
                          load_dataset, write_dataset)
 from tempkg.synth import SynthSpec, generate_synthetic
 
-from fact_oracles import snapshots_from_quads
+from fact_oracles import lexsort_sorted_facts, snapshots_from_quads
 from helpers import active_entities, objects_for, subjects_for, train_dataset
 
 
@@ -70,6 +70,49 @@ class TestFactArrays:
                 np.testing.assert_array_equal(snap.triples, triples)
         assert ds.split_sizes() == {name: len(np.unique(q, axis=0)) for name, q in quads.items()}
         assert not len(ds.splits["train"][2]) and not len(ds.quads["test"])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lexsort_oracle(self, seed):
+        # shuffled facts with repeats as an array, a list, a Fortran-ordered
+        # int32 copy, a split that holds every possible fact and empty splits
+        rng = np.random.default_rng(seed)
+        shuffled = self.random_quads(rng, 80)
+        full = np.array(np.meshgrid(range(6), range(3), range(6), range(7),
+                                    indexing="ij")).reshape(4, -1).T
+        quads = {"shuffled": shuffled, "list": shuffled[:30].tolist(),
+                 "fortran": np.asfortranarray(shuffled[::-1], dtype=np.int32),
+                 "full": np.vstack([full, full[:50]])[rng.permutation(len(full) + 50)],
+                 "empty": np.empty((0, 4), dtype=np.int64), "empty-list": []}
+        ds = TkgDataset(6, 3, 7, quads)
+        limits = np.array([6, 3, 6, 7])
+        for name, given in quads.items():
+            want = lexsort_sorted_facts(name, given, limits)
+            got = ds.quads[name]
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.flags.c_contiguous and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+        assert len(ds.quads["full"]) == 6 * 3 * 6 * 7
+
+    @pytest.mark.parametrize("entities, relations, steps, fits", [
+        (2 ** 21, 2 ** 10, 2 ** 11 - 1, True),     # E^2 R T = 2^63 - 2^52
+        (2 ** 21, 2 ** 10, 2 ** 11, False),        # E^2 R T = 2^63
+        (2 ** 22, 2 ** 10, 2 ** 10, False),
+        (2 ** 32, 1, 1, False),
+    ])
+    def test_code_space_beyond_int64_rejected(self, entities, relations, steps, fits):
+        e, r, t = entities, relations, steps
+        last = (e - 1, r - 1, e - 1, t - 1)
+        quads = {"train": [last, (0, 0, 1, 0), last], "valid": [], "test": []}
+        if fits:
+            ds = TkgDataset(e, r, t, quads)
+            assert ds.quads["train"].tolist() == [[0, 0, 1, 0], list(last)]
+            return
+        with pytest.raises(DatasetError,
+                           match=r"^split 'train': code space .* does not fit in int64"):
+            TkgDataset(e, r, t, quads)
+        # an empty split needs no code, but the dataset's space is refused all the same
+        with pytest.raises(DatasetError, match="code space"):
+            TkgDataset(e, r, t, {"train": []})
 
     def test_fact_arrays_and_views_are_read_only(self):
         ds = train_dataset(3, 1, 2, [(0, 0, 1, 0), (1, 0, 2, 1)])

@@ -7,9 +7,11 @@ import pytest
 
 from fact_oracles import (DictTedModel, DictTpfTable, DictTrueTripleIndex,
                           PerQueryTedModel, counter_cross_split_repeats)
-from helpers import pattern_frequency, query_frequencies, train_dataset
+from helpers import (objects_for, pattern_frequency, query_frequencies, subjects_for,
+                     train_dataset)
 from tempkg import heterogeneity as het
-from tempkg.data import GroupedCodes, TkgDataset, build_true_index, cross_split_repeats
+from tempkg.data import (DatasetError, GroupedCodes, TkgDataset, build_true_index,
+                         cross_split_repeats)
 from tempkg.ted import TedConfig, TedModel
 
 E, R, T = 7, 3, 6
@@ -155,9 +157,17 @@ def test_grouped_codes_unique_matches_np_unique(codes):
 
 
 def test_code_space_overflow_raises():
-    """E^2 * R * (T + 1) >= 2^63: every index refuses instead of wrapping."""
+    """E^2 * R * T >= 2^63: the dataset refuses instead of wrapping. Below
+    that, E^2 * R * (T + 1) >= 2^63: every index keyed by a step in [0, T]
+    refuses, and the filter index, keyed by a step in [0, T), builds."""
     e, r, t = 2 ** 22, 2 ** 10, 2 ** 10
-    ds = train_dataset(e, r, t, [(0, 0, 1, 0), (e - 1, r - 1, 0, 5), (3, 2, e - 2, 5)])
-    for build in (build_true_index, het.compute_tpf, TedModel):
+    with pytest.raises(DatasetError, match="code space"):
+        train_dataset(e, r, t, [(0, 0, 1, 0), (e - 1, r - 1, 0, 5), (3, 2, e - 2, 5)])
+    e, r, t = 2 ** 21, 2 ** 10, 2 ** 11 - 1
+    ds = train_dataset(e, r, t, [(0, 0, 1, 0), (e - 1, r - 1, 0, t - 1), (3, 2, e - 2, 5)])
+    for build in (het.compute_tpf, TedModel):
         with pytest.raises(ValueError, match="code space"):
             build(ds)
+    index = build_true_index(ds)
+    assert objects_for(index, e - 1, r - 1, t - 1).tolist() == [0]
+    assert subjects_for(index, 2, e - 2, 5).tolist() == [3]

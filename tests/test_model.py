@@ -23,7 +23,7 @@ from gradcheck import scaled_error
 from helpers import train_dataset, window_facts
 from test_decoder import direction_rows_per_row
 from test_rgcn import edge_dropout_per_snapshot, encode_per_snapshot
-from test_temporal import (chain_blend, encode_sa_per_step, encode_sa_row_major_mask,
+from test_temporal import (chain_blend, chain_masked, encode_sa_per_step, encode_sa_row_major_mask,
                            keys_values_concat)
 
 
@@ -534,25 +534,22 @@ class TestAttentionMaskOrder:
 
 
 class TestGruContext:
-    @pytest.mark.parametrize("imputation", [False, True])
-    @pytest.mark.parametrize("bidirectional, t", [(False, 0), (False, 6), (True, 3),
-                                                  (True, 6)])
-    def test_matches_blend_oracle(self, sparse_dataset, monkeypatch, bidirectional, t,
-                                  imputation):
-        ds = sparse_dataset
-        cfg = ModelConfig(variant="temp-gru", decoder="distmult", dim=6, layers=1,
-                          window=4 if bidirectional else 3, bidirectional=bidirectional,
-                          imputation=imputation)
-        params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, 5)
+    @staticmethod
+    def assert_matches(oracle, ds, monkeypatch, cfg, t, seed, dropout_seed=None):
+        """``encode_context``'s output and every parameter gradient against the
+        same model with ``temporal._chain`` swapped for ``oracle``, to 1e-12;
+        with edge dropout drawn from ``dropout_seed`` when one is given."""
+        params = init_params(cfg, ds.entity_count, ds.relation_count, ds.step_count, seed)
         params["decay.z.lam"] = np.array([[0.3]])
         model = TempModel(cfg, ds, params)
-        weights = np.random.default_rng(6).normal(size=(2, ds.entity_count, cfg.dim))
+        weights = np.random.default_rng(seed + 1).normal(size=(2, ds.entity_count, cfg.dim))
         results = []
-        for chain in (temporal._chain, chain_blend):
+        for chain in (temporal._chain, oracle):
             monkeypatch.setattr(temporal, "_chain", chain)
             tape = Tape()
             leaves = leaves_on_tape(tape, params)
-            ctx = model.encode_context(leaves, t)
+            rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+            ctx = model.encode_context(leaves, t, rng)
             loss = ad.add(ad.reduce_sum(ad.mul(ctx.x, constant(weights[0]))),
                           ad.reduce_sum(ad.mul(ctx.z, constant(weights[1]))))
             results.append((ctx.z.data, grads_by_name(tape, leaves, loss, params)))
@@ -560,6 +557,28 @@ class TestGruContext:
         assert scaled_error(z, want_z) <= 1e-12
         for name in params:
             assert scaled_error(grads[name], want_grads[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("imputation", [False, True])
+    @pytest.mark.parametrize("bidirectional, t", [(False, 0), (False, 6), (True, 3),
+                                                  (True, 6)])
+    def test_matches_blend_oracle(self, sparse_dataset, monkeypatch, bidirectional, t,
+                                  imputation):
+        cfg = ModelConfig(variant="temp-gru", decoder="distmult", dim=6, layers=1,
+                          window=4 if bidirectional else 3, bidirectional=bidirectional,
+                          imputation=imputation)
+        self.assert_matches(chain_blend, sparse_dataset, monkeypatch, cfg, t, 5)
+
+    @pytest.mark.parametrize("imputation", [False, True])
+    @pytest.mark.parametrize("bidirectional, t", [(False, 6), (True, 3)])
+    def test_matches_full_e_oracle_with_edge_dropout(self, sparse_dataset, monkeypatch,
+                                                     bidirectional, t, imputation):
+        """The cell on each step's active rows against the masked chain that
+        runs it on all E rows, over a window thinned by edge dropout."""
+        cfg = ModelConfig(variant="temp-gru", decoder="distmult", dim=6, layers=2,
+                          window=4 if bidirectional else 3, bidirectional=bidirectional,
+                          imputation=imputation, dropout_current=0.3, dropout_reference=0.3)
+        self.assert_matches(chain_masked, sparse_dataset, monkeypatch, cfg, t, 7,
+                            dropout_seed=9)
 
 
 def encode_window_per_snapshot(facts, params, *, snapshots, **kwargs):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tempkg.cli import main
-from tempkg.data import write_dataset
+from tempkg.data import TkgDataset, write_dataset
 from tempkg.synth import SynthSpec, generate_synthetic
 
-from fact_oracles import loop_generate_synthetic
+from fact_oracles import isin_generate_synthetic, loop_generate_synthetic
 
 DATASET_FILES = ("train.txt", "valid.txt", "test.txt", "stat.txt")
 ORACLE_SPECS = {
@@ -35,6 +35,43 @@ def test_matches_loop_oracle(name, seed):
     assert list(got.quads) == list(want.quads)
     for split, quads in want.quads.items():
         np.testing.assert_array_equal(got.quads[split], quads)
+
+
+# (entities, relations, density, valid_fraction, test_fraction); the first
+# fills the whole code space at every step, 5 * 2 * 5 = 50 facts
+ISIN_SHAPES = [(5, 2, 10.0, 0.2, 0.3), (12, 3, 0.8, 0.1, 0.1), (40, 5, 1.5, 0.5, 0.5)]
+
+
+@pytest.mark.parametrize("shape", ISIN_SHAPES, ids=["full-space", "sparse", "all-held-out"])
+@pytest.mark.parametrize("periodicity", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_matches_isin_oracle(period, periodicity, shape):
+    e, r, density, p_valid, p_test = shape
+    spec = SynthSpec(e, r, 9, density=density, periodicity=periodicity, period=period,
+                     valid_fraction=p_valid, test_fraction=p_test)
+    for seed in (0, 1):
+        got = generate_synthetic(spec, seed)
+        want = isin_generate_synthetic(spec, seed)
+        assert list(got.quads) == list(want)
+        for split, quads in want.items():
+            assert got.quads[split].dtype == np.int64
+            assert np.array_equal(got.quads[split], quads), split
+        assert sum(got.split_sizes().values()) == spec.steps * min(e * r * e, spec.facts_per_step())
+
+
+def test_builds_with_no_isin_or_lexsort(monkeypatch):
+    """Corpora and datasets are built from sorted int64 codes: no per-step
+    membership test, no row lexsort."""
+    calls = []
+    for name in ("isin", "lexsort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _name=name, _real=real, **k:
+                            calls.append(_name) or _real(*a, **k))
+    spec = SynthSpec(30, 4, 12, density=2.0, periodicity=0.5, period=2,
+                     valid_fraction=0.2, test_fraction=0.2)
+    ds = generate_synthetic(spec, 0)
+    TkgDataset(30, 4, 12, {split: quads[::-1] for split, quads in ds.quads.items()})
+    assert calls == []
 
 
 def test_cli_writes_the_loop_oracle_files(tmp_path):
