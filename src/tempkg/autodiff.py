@@ -83,7 +83,6 @@ class Tape:
 
     def __init__(self):
         self._edges: list[tuple[tuple[int, Callable], ...]] = []
-        self._leaf_ids: list[int] = []
 
     def __len__(self) -> int:
         return len(self._edges)
@@ -95,34 +94,22 @@ class Tape:
     def leaf(self, data) -> Tensor:
         """Register a differentiable leaf (a trainable parameter)."""
         arr = np.asarray(data, dtype=np.float64)
-        nid = self._record(())
-        self._leaf_ids.append(nid)
-        return Tensor(arr, self, nid)
+        return Tensor(arr, self, self._record(()))
 
-    def backward(self, loss: Tensor,
-                 start: dict[int, np.ndarray] | None = None) -> dict[int, np.ndarray]:
+    def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Gradients of a scalar loss with respect to every reached leaf.
 
         Returns a map from leaf node id to gradient array; leaves the loss
-        does not depend on are absent. ``start`` maps leaf ids to gradients
-        that earlier tapes left: each is the leaf's gradient before this
-        pass, the loss's contributions are added onto it, and it is returned
-        even when the loss does not reach its leaf. A leaf missing from
-        ``start`` is not seeded at all, so its first contribution is kept
-        as it is, a -0.0 included.
+        does not depend on are absent. Interior gradients are freed as the
+        sweep uses them and nodes after the loss are never reached, so the
+        gradients left at its end are exactly the reached leaves'.
         """
         if loss.tape is not self:
             raise ValueError("loss does not live on this tape")
         if loss.data.shape != ():
             raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
-        leaf_set = set(self._leaf_ids)
-        start = start or {}
-        if not leaf_set.issuperset(start):
-            raise ValueError("start gradients given for nodes that are not leaves")
         grads: list[np.ndarray | None] = [None] * len(self._edges)
         grads[loss.node_id] = np.ones((), dtype=np.float64)
-        for nid, g in start.items():    # a leaf loss adds its start gradient to 1
-            grads[nid] = g if grads[nid] is None else grads[nid] + g
         for nid in range(loss.node_id, -1, -1):
             g, edges = grads[nid], self._edges[nid]
             if g is None or not edges:  # unreached, or a leaf keeping its gradient
@@ -133,7 +120,7 @@ class Tape:
                     continue
                 grads[pid] = pg if grads[pid] is None else grads[pid] + pg
             grads[nid] = None  # free interior gradients as we go
-        return {nid: grads[nid] for nid in self._leaf_ids if grads[nid] is not None}
+        return {nid: g for nid, g in enumerate(grads) if g is not None}
 
 
 def _as_tensor(x) -> Tensor:

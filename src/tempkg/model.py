@@ -393,17 +393,8 @@ def leaves_on_tape(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Tenso
 
 
 def grads_by_name(tape: Tape, leaves: dict[str, Tensor], loss: Tensor,
-                  params: dict[str, np.ndarray],
-                  running: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Backward pass keyed by parameter name; unreached leaves get zeros.
-
-    ``running`` carries gradients from tape to tape, by name: the pass starts
-    each leaf from its entry, and every leaf it reaches is written back to
-    it. It only ever holds reached leaves, never a zero fill.
-    """
-    running = {} if running is None else running
-    raw = tape.backward(loss, {leaves[name].node_id: g for name, g in running.items()})
-    running.update((name, raw[leaf.node_id]) for name, leaf in leaves.items()
-                   if leaf.node_id in raw)
-    return {name: running[name] if name in running else np.zeros(params[name].shape)
-            for name in leaves}
+                  params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Backward pass keyed by parameter name; unreached leaves get zeros."""
+    raw = tape.backward(loss)
+    return {name: raw[leaf.node_id] if leaf.node_id in raw else np.zeros(params[name].shape)
+            for name, leaf in leaves.items()}

@@ -85,7 +85,10 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> TkgDataset:
     for t in range(period, steps):
         split[t, np.flatnonzero(split[t - period, sources[t]])] = 0
 
-    quads = np.stack([codes // (r * e), codes // e % r, codes % e,
-                      np.broadcast_to(np.arange(steps)[:, None], codes.shape)], axis=-1)
-    return TkgDataset(e, r, steps, {name: quads[split == i]
+    def split_quads(i: int) -> np.ndarray:
+        t, j = np.nonzero(split == i)
+        kept = codes[t, j]
+        return np.stack([kept // (r * e), kept // e % r, kept % e, t], axis=1)
+
+    return TkgDataset(e, r, steps, {name: split_quads(i)
                                     for i, name in enumerate(SPLIT_NAMES)})

@@ -122,34 +122,27 @@ class _Trainer:
                                          model.dataset.entity_count, self.shortfall)
         return model.snapshot_loss(leaves, ctx, positives, negatives, self.tpf)
 
-    def target_gradients(self, t: int, epoch: int, running: dict[str, np.ndarray],
-                         ) -> tuple[float, dict[str, np.ndarray]]:
+    def target_gradients(self, t: int, epoch: int) -> tuple[float, dict[str, np.ndarray]]:
         """Loss value of target ``t`` on a tape of its own and every
-        parameter's gradient with its contributions added onto ``running``.
-        The tape is freed on return."""
+        parameter's gradient. The tape is freed on return."""
         tape = Tape()
         leaves = leaves_on_tape(tape, self.model.params)
         loss = self.target_loss(leaves, t, epoch)
-        return loss.item(), grads_by_name(tape, leaves, loss, self.model.params, running)
+        return loss.item(), grads_by_name(tape, leaves, loss, self.model.params)
 
     def batch_gradients(self, batch: list[int], epoch: int,
                         ) -> tuple[float, dict[str, np.ndarray]]:
         """Summed loss and parameter gradients of one batch of targets.
 
-        The targets run in reverse batch order, each backward starting from
-        the leaf gradients the previous one left. That makes every float
-        sum the same as one tape over the whole batch with loss
-        t1 + t2 + ... + tn: that tape's backward visits the nodes of tn
-        first, and the add chain hands each term a gradient of exactly 1.0.
-        The loss values are added in batch order, as that chain adds them.
+        The targets run in batch order, and each one's loss and gradients
+        are added onto the batch's after its own backward.
         """
-        running: dict[str, np.ndarray] = {}
-        values = {}
-        for t in reversed(batch):
-            values[t], grads = self.target_gradients(t, epoch, running)
-        total = values[batch[0]]
+        total, grads = self.target_gradients(batch[0], epoch)
         for t in batch[1:]:
-            total += values[t]
+            loss, more = self.target_gradients(t, epoch)
+            total += loss
+            for name in grads:  # one sum at a time, so no third set of gradients is held
+                grads[name] = grads[name] + more.pop(name)
         return total, grads
 
 

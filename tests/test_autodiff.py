@@ -183,37 +183,25 @@ class TestBackward:
         g = tape.backward(loss)[x.node_id]
         assert g == pytest.approx(6.0)
 
-    def test_start_gradients_carry_across_tapes(self):
-        """Three tapes over the same three leaves, each backward starting from
-        the gradients the last one left: a leaf reached by one tape keeps
-        that tape's gradient unchanged, -0.0 included, a leaf reached again
-        adds onto it, and a leaf no tape reaches is absent."""
-        values = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
-        losses = [(0, [2.0, -0.0]), (1, [-0.0, 3.0]), (0, [1.0, 1.0])]
-        running = {}        # leaf position -> gradient
-        for reached, weights in losses:
-            tape = Tape()
-            leaves = [tape.leaf(v) for v in values]
-            start = {leaves[i].node_id: g for i, g in running.items()}
-            out = tape.backward(ad.reduce_sum(ad.mul(leaves[reached], constant(weights))),
-                                start)
-            for i, g in running.items():
-                if i != reached:
-                    assert out[leaves[i].node_id] is g
-            running = {i: out[leaf.node_id] for i, leaf in enumerate(leaves)
-                       if leaf.node_id in out}
-            assert len(out) == len(running)
-        assert sorted(running) == [0, 1]
-        np.testing.assert_array_equal(running[0], [3.0, 1.0])
-        np.testing.assert_array_equal(running[1], [-0.0, 3.0])
-        assert np.signbit(running[1][0])
-
-    def test_start_gradients_only_for_leaves(self):
+    def test_leaf_loss_returns_one(self):
         tape = Tape()
-        x = tape.leaf(np.ones(2))
+        x = tape.leaf(2.5)
+        ad.mul(x, 3.0)              # recorded after the loss, so never reached
+        assert tape.backward(x) == {x.node_id: 1.0}
+
+    def test_returns_reached_leaves_only(self):
+        """Interior nodes, leaves the loss does not read and nodes recorded
+        after the loss are all absent."""
+        tape = Tape()
+        x, unread = tape.leaf(np.ones(2)), tape.leaf(np.ones(2))
         y = ad.mul(x, 2.0)
-        with pytest.raises(ValueError, match="not leaves"):
-            tape.backward(ad.reduce_sum(y), {y.node_id: np.ones(2)})
+        loss = ad.reduce_sum(ad.tanh(y))
+        later = tape.leaf(np.ones(2))
+        ad.add(loss, ad.reduce_sum(later))
+        grads = tape.backward(loss)
+        assert list(grads) == [x.node_id]
+        assert unread.node_id not in grads and y.node_id not in grads
+        np.testing.assert_allclose(grads[x.node_id], 2.0 * (1.0 - np.tanh(2.0) ** 2))
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()

@@ -21,7 +21,7 @@ from tempkg.train import _Trainer
 
 MID_SPEC = SynthSpec(2000, 50, 60, density=0.035, periodicity=0.5, period=7)
 TARGET = 40
-# tracemalloc peak in bytes of target_gradients(TARGET, 0, {}), seed 0, dim 64
+# tracemalloc peak in bytes of target_gradients(TARGET, 0), seed 0, dim 64
 RECORDED_PEAK = {
     ("temp-gru", False): 59_725_897,
     ("temp-gru", True): 61_757_423,
@@ -43,7 +43,7 @@ def test_target_gradients_peak_within_budget(mid_dataset, variant, imputation):
     trainer = _Trainer(TempModel(cfg, ds, params), TrainConfig(), build_true_index(ds), None)
     tracemalloc.start()
     try:
-        loss, _ = trainer.target_gradients(TARGET, 0, {})
+        loss, _ = trainer.target_gradients(TARGET, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -457,8 +457,8 @@ class TestSelfAttentionContext:
     def test_running_gradients_bit_equal_to_concat_oracle(self, sparse_dataset, monkeypatch,
                                                           heads, imputation):
         # each projection is read as (d, d) once per context, so every step's
-        # gradient sums there before it is added onto the running one, as in
-        # the concatenation of per-head parameters: a batch keeps its bits
+        # gradient sums there before it is added onto the batch's, as in the
+        # concatenation of per-head parameters: a batch keeps its bits
         ds = sparse_dataset
         cfg = ModelConfig(variant="temp-sa", decoder="distmult", dim=8, layers=1,
                           heads=heads, window=3, imputation=imputation)
@@ -468,13 +468,14 @@ class TestSelfAttentionContext:
         results = []
         for keys_values in (temporal.keys_values, keys_values_concat):
             monkeypatch.setattr(temporal, "keys_values", keys_values)
-            running = {}
-            for t in (6, 5, 4):
+            grads = None
+            for t in (4, 5, 6):
                 tape = Tape()
                 leaves = leaves_on_tape(tape, params)
                 ctx = model.encode_context(leaves, t)
                 loss = ad.reduce_sum(ad.mul(ad.tanh(ctx.z), constant(weights)))
-                grads = grads_by_name(tape, leaves, loss, params, running)
+                more = grads_by_name(tape, leaves, loss, params)
+                grads = more if grads is None else {n: g + more[n] for n, g in grads.items()}
             results.append(grads)
         for name in params:
             np.testing.assert_array_equal(results[0][name], results[1][name], err_msg=name)

@@ -9,13 +9,15 @@ from tempkg import autodiff as ad
 from tempkg.checkpoint import load_checkpoint, save_checkpoint
 from tempkg.cli import main
 from tempkg.config import EvalConfig, RunConfig, TrainConfig
-from tempkg.data import SPLIT_NAMES, TkgDataset, cross_split_repeats, load_dataset, write_dataset
+from tempkg.data import (SPLIT_NAMES, TkgDataset, build_true_index, cross_split_repeats,
+                         load_dataset, write_dataset)
 from tempkg.evaluation import evaluate
 from tempkg.model import ModelConfig, TempModel, grads_by_name, init_params, leaves_on_tape
 from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.train import (TrainingError, _Trainer, _validation_mrr, filter_index_for,
                           tpf_table, train)
 
+from gradcheck import scaled_error
 from helpers import objects_for, subjects_for
 
 
@@ -161,17 +163,46 @@ class TestTapePerTarget:
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     def test_log_and_checkpoint_bytes_match_one_tape_batch(self, oracle_dataset, name,
                                                            tmp_path, monkeypatch):
-        """Two epochs with a tape per target write the bytes that one tape per
-        batch writes: every float sum, gradient and loss alike, is the same."""
+        """Two epochs with a tape per target write the log bytes that one tape
+        per batch writes, and a checkpoint within rounding of its: the batch
+        gradient adds the targets' gradients in another order than the one
+        tape's backward does."""
         config = RunConfig()
         config.model = ModelConfig(**ORACLE_MODELS[name])
         config.train = TrainConfig(lr=0.01, negatives=100, batch_snapshots=4, seed=0)
         train(config, oracle_dataset, tmp_path / "per-target", max_epochs=2)
         monkeypatch.setattr(_Trainer, "batch_gradients", one_tape_batch_gradients)
         train(config, oracle_dataset, tmp_path / "one-tape", max_epochs=2)
-        for output in ("training_log.jsonl", "best.ckpt"):
-            got = (tmp_path / "per-target" / output).read_bytes()
-            assert got == (tmp_path / "one-tape" / output).read_bytes(), output
+        log = "training_log.jsonl"
+        assert (tmp_path / "per-target" / log).read_bytes() == \
+            (tmp_path / "one-tape" / log).read_bytes()
+        got = load_checkpoint(tmp_path / "per-target" / "best.ckpt")
+        want = load_checkpoint(tmp_path / "one-tape" / "best.ckpt")
+        assert sorted(got) == sorted(want)
+        for tensor in want:
+            assert scaled_error(got[tensor], want[tensor]) <= 1e-12, tensor
+
+    def test_batch_is_batch_order_sum_of_its_targets(self, oracle_dataset):
+        """A batch's loss and every gradient are its targets', added in batch
+        order, bit for bit."""
+        ds = oracle_dataset
+        model_config = ModelConfig(**ORACLE_MODELS["temp-gru"])
+        params = init_params(model_config, ds.entity_count, ds.relation_count,
+                             ds.step_count, 0)
+        trainer = _Trainer(TempModel(model_config, ds, params),
+                           TrainConfig(negatives=100, seed=0),
+                           build_true_index(ds, splits=("train",)), None)
+        batch, epoch = [9, 10, 11, 12], 1
+        loss, grads = trainer.batch_gradients(batch, epoch)
+        want_loss, want = trainer.target_gradients(batch[0], epoch)
+        for t in batch[1:]:
+            value, more = trainer.target_gradients(t, epoch)
+            want_loss += value
+            want = {name: g + more[name] for name, g in want.items()}
+        assert loss == want_loss
+        assert sorted(grads) == sorted(want) == sorted(params)
+        for name in params:
+            assert grads[name].tobytes() == want[name].tobytes(), name
 
     def test_each_target_runs_its_own_backward(self, small_dataset, tmp_path,
                                                monkeypatch):
@@ -179,9 +210,9 @@ class TestTapePerTarget:
         sizes = {}
         original = ad.Tape.backward
 
-        def spy(tape, loss, start=None):
+        def spy(tape, loss):
             sizes.setdefault(run, []).append(len(tape))
-            return original(tape, loss, start)
+            return original(tape, loss)
 
         monkeypatch.setattr(ad.Tape, "backward", spy)
         cfg = small_run_config()
