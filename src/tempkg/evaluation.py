@@ -98,7 +98,7 @@ def rank_query(scores: np.ndarray, true_entity: int, filtered: np.ndarray) -> in
 def filtered_ranks(scores: np.ndarray, answers: np.ndarray, rows: np.ndarray,
                    ids: np.ndarray) -> np.ndarray:
     """rank_query of every row of a (q, E) score matrix at once; the scores may
-    be of any real dtype, such as TedModel's integer -positions.
+    be of any real dtype, such as TedModel's tie-free integer scores.
 
     ``answers`` holds each row's true entity and (rows, ids) its filtered
     candidate ids, distinct within a row. A rank is 1 + #{j : not score_j <
@@ -111,7 +111,7 @@ def filtered_ranks(scores: np.ndarray, answers: np.ndarray, rows: np.ndarray,
     drop = ids != answers[rows]
     rows, ids = rows[drop], ids[drop]
     not_below = ~(scores[rows, ids] < answer[rows])
-    rivals = (entity_count - 1 - np.count_nonzero(scores < answer[:, None], axis=1)
+    rivals = (entity_count - 1 - np.add.reduce(scores < answer[:, None], axis=1, dtype=np.int32)
               - np.bincount(rows[not_below], minlength=q))
     kept = entity_count - 1 - np.bincount(rows, minlength=q)
     return 1 + np.where(np.isfinite(answer), rivals, kept)
@@ -125,7 +125,7 @@ def rank_snapshots(entity_count: int, quads: np.ndarray, snapshot_scorer,
 
     Rows 2i and 2i + 1 of the report are fact i's object and subject queries;
     ``tpf`` attaches each fact's pattern frequencies. Score rows may be of any
-    real dtype (TedModel returns integer -positions). One warning per call
+    real dtype (TedModel returns tie-free integers). One warning per call
     counts the queries whose answer score is not finite.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
@@ -159,7 +159,7 @@ def evaluate(dataset: TkgDataset, split: str, snapshot_scorer,
     ``snapshot_scorer(t, triples)`` must return (object_scores, subject_scores)
     arrays of shape (len(triples), entity_count) of any real dtype: row i
     scores every candidate completion of triples[i] in the respective
-    direction. TedModel's scorer returns integer -positions, neural scorers
+    direction. TedModel's scorer returns tie-free integers, neural scorers
     float64.
     """
     report = rank_snapshots(dataset.entity_count, dataset.quads[split],

@@ -18,18 +18,18 @@ ascending id order. No randomness anywhere.
 Scoring works on a whole snapshot: all queries of one step and direction read
 each tier's key ranges in one lookup, are de-duplicated down the tiers with
 one np.unique over query * span + code, and sum their decay scores into
-sparse (tier, query, entity) slots. Only the referenced (query, entity) pairs
-are sorted, by two argsorts: on the score's rank among the distinct scores
-with the pair's index as the tie-break, then stably on a narrow integer
-group key that numpy radix-sorts. The (q, E) output holds each entity's
--position in the narrowest signed integer dtype that holds +-2E
-(np.min_scalar_type(-2 * E): int16 up to 16384 entities, int32 above), which
-is exact because positions are integers below E. It is built in two passes:
-one np.repeat of row-local values over runs of cells that end at a referenced
-pair or at a row's last entity, with one in-place subtraction of the entity
-id, puts the unreferenced entities in id order after the referenced ones;
-then the referenced pairs are written in their sorted order. No per-query or
-dense per-tier array is built.
+sparse (tier, query, entity) slots, which start where the pair code changes
+or a tier begins. Only the referenced (query, entity) pairs are sorted, by two
+argsorts: on the score's rank among the distinct scores with the pair's index
+as the tie-break, then stably on a narrow integer group key that numpy
+radix-sorts. The (q, E) output holds integers in the narrowest signed dtype
+that holds -2E (np.min_scalar_type(-2 * E): int8 up to 64 entities, int16 up
+to 16384, int32 above): each row starts as a copy of one fixed row built with
+the model, where unreferenced entity j scores -(E + j), and each referenced
+pair is written at its -position 0 ... -(c - 1) for the query's c referenced
+entities. So no row has ties, the unreferenced entities follow in ascending id
+order, and no value is below -(2E - 1). No per-query or dense per-tier array
+is built.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ class TedModel:
                     GroupedCodes((fixed, codes), (e, span)), GroupedCodes((r, codes), (nr, span)))
 
         self._tiers = {"object": tiers(s, o), "subject": tiers(o, s)}
+        # every score row starts as this row: entity j unreferenced scores -(E + j)
+        self._unreferenced = (-np.arange(e, 2 * e)).astype(np.min_scalar_type(-2 * e))
 
     def reference_sets(self, direction: str, s, r, o, t: int) -> list[np.ndarray]:
         """Three sorted 1-d int64 arrays of deduplicated (query, entity, t')
@@ -100,32 +102,39 @@ class TedModel:
         ``reference_sets`` codes ``tiers``: each slot's tier, its pair code
         query * entity_count + entity, and its score, with slots sorted by
         tier and pair."""
-        tier = np.repeat(np.arange(3), [len(codes) for codes in tiers])
         pair, times = np.divmod(np.concatenate(tiers), self.step_count + 1)
-        new = (np.diff(pair, prepend=-1) != 0) | (np.diff(tier, prepend=-1) != 0)
-        scores = _kernels.decay_accumulate(np.count_nonzero(new), np.cumsum(new) - 1,
-                                           times, t, sigma)
-        return tier[new], pair[new], scores
+        ends = np.cumsum([len(codes) for codes in tiers])
+        # a slot starts where the pair changes or a tier starts
+        new = np.ones(len(pair), dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=new[1:])
+        new[ends[ends < len(pair)]] = True
+        starts = np.flatnonzero(new)
+        scores = _kernels.decay_accumulate(len(starts), np.cumsum(new) - 1, times, t, sigma)
+        return np.searchsorted(ends, starts, side="right"), pair[starts], scores
 
     def rank_scores(self, direction: str, s, r, o, t: int, config: TedConfig,
                     ) -> np.ndarray:
         """(q, entity_count) scores of the queries (s[i], r[i], o[i]) at step t;
         each row's descending order is that query's ranking.
 
-        Scores are -position, so downstream filtered ranking sees no ties, as
-        integers of dtype np.min_scalar_type(-2 * entity_count): int16 up to
-        16384 entities, int32 above (int8 below 65). The rows are built in two
-        passes, one np.repeat of row-local run values less the entity id, then
-        one write of the referenced pairs; no value leaves +-2 * entity_count.
+        No row has ties, so downstream filtered ranking sees none: a query's
+        referenced entity at position k scores -k, and an unreferenced entity
+        j scores -(entity_count + j), below every referenced one and in
+        ascending id order. The integers are of dtype
+        np.min_scalar_type(-2 * entity_count): int16 up to 16384 entities,
+        int32 above (int8 up to 64). Each row is a copy of one fixed row of
+        the unreferenced scores with the referenced pairs written over it.
         """
         q, e = len(s), self.entity_count
         tiers = self.reference_sets(direction, s, r, o, t)
         tier, pair, scores = self.tier_scores(tiers, t, config.sigma)
-        pairs, first, slot_pair = np.unique(pair, return_index=True, return_inverse=True)
-        queries = pairs // e
         if config.blend == "sum":
+            pairs, slot_pair = np.unique(pair, return_inverse=True)
+            queries = pairs // e
             key, group = -np.bincount(slot_pair, scores, len(pairs)), queries
         else:   # slots are tier-major, so a pair's first slot is its best tier
+            pairs, first = np.unique(pair, return_index=True)
+            queries = pairs // e
             key, group = -scores[first], queries * 3 + tier[first]
         # pairs are in entity order within a query, so exact ties keep ascending
         # entity ids: the first sort is on distinct int64 keys, each key's rank
@@ -137,20 +146,13 @@ class TedModel:
         order = np.argsort(rank * n + np.arange(n))
         order = order[np.argsort(group[order].astype(np.min_scalar_type(3 * q)),
                                  kind="stable")]
+        # the sorted pairs are query-major, so a pair's position in its row is
+        # its index in order less the number of pairs of earlier queries
         counts = np.bincount(queries, minlength=q)
-        ends = np.cumsum(counts)
-        # Unreferenced entity j of query i, with k of the query's referenced
-        # pairs above it, sits at position j + k: the run ending at referenced
-        # pair p (index n in pairs) holds n - ends[i] = -k, a run ending at a
-        # row's last entity 0; that entity merges into the sorted pairs after
-        # the row's ends[i] pairs. Every value stays within [-entity_count, 0].
-        dtype = np.min_scalar_type(-2 * e)
-        runs = np.insert(np.arange(len(pairs)) - ends[queries], ends, 0).astype(dtype)
-        flat = np.repeat(runs, np.diff(np.insert(pairs, ends, np.arange(1, q + 1) * e - 1),
-                                       prepend=-1))
-        out = flat.reshape(q, e)
-        out -= np.arange(e, dtype=dtype)
-        flat[pairs[order]] = (ends - counts)[queries[order]] - np.arange(len(order))
+        starts = np.cumsum(counts) - counts
+        out = np.empty((q, e), dtype=self._unreferenced.dtype)
+        out[:] = self._unreferenced
+        out.reshape(-1)[pairs[order]] = starts[queries[order]] - np.arange(n)
         return out
 
     def snapshot_scorer(self, config: TedConfig):

@@ -138,8 +138,11 @@ class PerQueryTedModel(TedModel):
                 tier_of[hit] = tier
                 best_score[hit] = scores[tier][hit]
             order = np.lexsort((np.arange(self.entity_count), -best_score, tier_of))
+        # -position for referenced entities, -(entity_count + j) for the others
         ranks = np.empty(self.entity_count, dtype=np.float64)
         ranks[order] = np.arange(self.entity_count, dtype=np.float64)
+        unreferenced = ~present.any(axis=0)
+        ranks[unreferenced] = self.entity_count + np.flatnonzero(unreferenced)
         return -ranks
 
     def snapshot_scorer(self, config):

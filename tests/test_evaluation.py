@@ -105,6 +105,23 @@ class TestFilteredRanks:
         assert filtered_ranks(scores, answers, rows, ids).tolist() == \
             [rank_query(scores[i], answers[i], ids[rows == i]) for i in range(q)]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8, np.int16, np.int32])
+    def test_any_dtype_matches_rank_query(self, dtype):
+        """Coarse scores tie exactly, and rivals and answers take the dtype's
+        extremes: NaN and +-inf for floats, the least and greatest integer."""
+        rng = np.random.default_rng(np.dtype(dtype).num)
+        q, e = 30, 50
+        special = (self.SPECIAL if dtype == np.float64
+                   else (np.iinfo(dtype).min, np.iinfo(dtype).max))
+        scores = rng.integers(-3, 4, size=(q, e)).astype(dtype)
+        specials = rng.random((q, e)) < 0.15
+        scores[specials] = rng.choice(special, size=int(specials.sum()))
+        answers = rng.integers(0, e, size=q)
+        scores[np.arange(len(special)), answers[:len(special)]] = special
+        rows, ids = np.nonzero(rng.random((q, e)) < 0.3)
+        assert filtered_ranks(scores, answers, rows, ids).tolist() == \
+            [rank_query(scores[i], answers[i], ids[rows == i]) for i in range(q)]
+
     @pytest.mark.parametrize("static", [False, True])
     def test_filter_index_lookup_matches_per_query(self, static):
         """Every test snapshot of a random corpus, and its first fact alone, with

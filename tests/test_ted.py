@@ -302,8 +302,8 @@ class TestScoreRows:
 
     @pytest.mark.parametrize("e, dtype", [(16384, np.int16), (16385, np.int32)])
     def test_dtype_is_the_narrowest_holding_twice_the_entity_count(self, e, dtype):
-        # the last entity is referenced, so a row's end is also a referenced pair
-        ds = dataset_from_train([(0, 0, e - 1, 0), (0, 0, 3, 1), (5, 0, e - 2, 1)],
+        # the last entity is unreferenced, so it scores the row's least value
+        ds = dataset_from_train([(0, 0, e - 2, 0), (0, 0, 3, 1), (5, 0, e - 3, 1)],
                                 e=e, r=1, t=3)
         model, oracle = TedModel(ds), PerQueryTedModel(ds)
         s, r, o = np.array([0, 7]), np.array([0, 0]), np.array([1, 2])
@@ -312,7 +312,7 @@ class TestScoreRows:
             for direction in ("object", "subject"):
                 rows = model.rank_scores(direction, s, r, o, 2, config)
                 assert rows.dtype == dtype
-                assert rows.min() == 1 - e
+                assert rows.min() == 1 - 2 * e
                 for i, row in enumerate(rows):
                     assert np.array_equal(row, oracle.rank_scores(direction, s[i], r[i], o[i],
                                                                    2, config))
@@ -327,3 +327,63 @@ def test_filtered_ranks_of_integer_scores_match_their_float_copy(dtype):
     rows, ids = np.nonzero(rng.random((q, e)) < 0.2)
     got = filtered_ranks(scores, answers, rows, ids)
     assert np.array_equal(got, filtered_ranks(scores.astype(np.float64), answers, rows, ids))
+
+
+class TestFixedFillRows:
+    """Rows at the edges of the fixed fill: every entity referenced, none, an
+    unreferenced answer, and the last int8 entity count; each against the
+    per-query oracle and the brute-force ordering."""
+
+    @staticmethod
+    def assert_rows(quads, e, direction, queries, t, blend, r=3):
+        ds = dataset_from_train(quads, e=e, r=r)
+        model, oracle, config = TedModel(ds), PerQueryTedModel(ds), TedConfig(0.3, blend)
+        s, rel, o = np.array(queries).T
+        rows = model.rank_scores(direction, s, rel, o, t, config)
+        assert rows.dtype == np.min_scalar_type(-2 * e)
+        for row, (qs, qr, qo) in zip(rows, queries):
+            assert np.array_equal(row, oracle.rank_scores(direction, qs, qr, qo, t, config))
+            want = brute_force_ranking(quads, direction, qs, qr, qo, t, 0.3, e, blend)
+            assert np.argsort(-row.astype(np.int64)).tolist() == want
+        return rows
+
+    # object query (0, 0, ?, 3): tier 1 holds 0 and 1, tier 2 holds 2 and 3,
+    # tier 3 holds 4 and 5
+    EVERY = [(0, 0, 0, 1), (0, 0, 1, 2), (0, 1, 2, 1), (0, 1, 3, 2), (3, 0, 4, 1),
+             (5, 0, 5, 2)]
+
+    @pytest.mark.parametrize("blend", ["tiered", "sum"])
+    def test_every_entity_referenced(self, blend):
+        rows = self.assert_rows(self.EVERY, 6, "object", [(0, 0, 1)], 3, blend)
+        assert sorted(rows[0].tolist()) == list(range(-5, 1))
+
+    @pytest.mark.parametrize("blend", ["tiered", "sum"])
+    def test_no_entity_referenced(self, blend):
+        # every fact is at the query's own step, so no tuple is kept
+        quads = [(s, r, o, 3) for s, r, o, _ in self.EVERY]
+        rows = self.assert_rows(quads, 6, "object", [(0, 0, 1), (4, 2, 0)], 3, blend)
+        assert np.array_equal(rows, np.tile(-np.arange(6, 12), (2, 1)))
+
+    @pytest.mark.parametrize("blend", ["tiered", "sum"])
+    def test_unreferenced_answer_behind_lower_unfiltered_ids(self, blend):
+        # object query (0, 0, ?, 3) references 5 and 6 only; answer 4 is not
+        # referenced, filtered ids 1 and 3 are lower and 6 is referenced
+        quads = [(0, 0, 5, 1), (0, 0, 6, 2)]
+        rows = self.assert_rows(quads, 8, "object", [(0, 0, 4)], 3, blend)
+        order = brute_force_ranking(quads, "object", 0, 0, 4, 3, 0.3, 8, blend)
+        kept = [j for j in order if j not in (1, 3, 6)]
+        filtered = np.array([1, 3, 6])
+        got = filtered_ranks(rows, np.array([4]), np.zeros(3, dtype=np.int64), filtered)
+        assert got.tolist() == [kept.index(4) + 1] == [4]
+
+    @pytest.mark.parametrize("e, dtype", [(64, np.int8), (65, np.int16)])
+    @pytest.mark.parametrize("blend", ["tiered", "sum"])
+    def test_int8_edge(self, e, dtype, blend):
+        rng = np.random.default_rng(e)
+        # random facts that never name the last entity, over steps 0-5
+        quads = rng.integers(0, [e - 1, 3, e - 1, 6], size=(40, 4)).tolist()
+        queries = [(0, 0, 1), (3, 1, 2), (e - 2, 2, e - 1)]
+        for direction in ("object", "subject"):
+            rows = self.assert_rows(quads, e, direction, queries, 4, blend)
+            assert rows.dtype == dtype
+            assert rows.min() == 1 - 2 * e
