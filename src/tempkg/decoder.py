@@ -39,8 +39,9 @@ def query_vectors(fixed: Tensor, r: Tensor, decoder: str, direction: str) -> Ten
 
     DistMult and ComplEx are linear in the candidate. ``fixed`` and ``r`` are
     the (m, d) rows of each query's known entity and relation; ``direction``
-    'object' scores (fixed, r, candidate), 'subject' (candidate, r, fixed).
-    On-tape inputs give an on-tape result; constants give a constant.
+    'object' scores (fixed, r, candidate), 'subject' (candidate, r, fixed),
+    which ComplEx scores exactly as (fixed, conj(r), candidate). On-tape
+    inputs give an on-tape result; constants give a constant.
     """
     _check_direction(direction)
     if decoder == "distmult":
@@ -53,12 +54,11 @@ def query_vectors(fixed: Tensor, r: Tensor, decoder: str, direction: str) -> Ten
     half = d // 2
     (f_re, f_im), (r_re, r_im) = ((ad.columns(x, 0, half), ad.columns(x, half, d))
                                   for x in (fixed, r))
-    if direction == "object":   # [r_re s_re - r_im s_im | r_re s_im + r_im s_re]
-        re = ad.sub(ad.mul(r_re, f_re), ad.mul(r_im, f_im))
-        im = ad.add(ad.mul(r_re, f_im), ad.mul(r_im, f_re))
-    else:                       # [r_re o_re + r_im o_im | r_re o_im - r_im o_re]
-        re = ad.add(ad.mul(r_re, f_re), ad.mul(r_im, f_im))
-        im = ad.sub(ad.mul(r_re, f_im), ad.mul(r_im, f_re))
+    if direction == "subject":   # (?, r, o) scores as (o, conj(r), ?)
+        r_im = ad.mul(r_im, -1.0)
+    # [r_re f_re - r_im f_im | r_re f_im + r_im f_re]
+    re = ad.sub(ad.mul(r_re, f_re), ad.mul(r_im, f_im))
+    im = ad.add(ad.mul(r_re, f_im), ad.mul(r_im, f_re))
     return ad.concat([re, im], axis=1)
 
 

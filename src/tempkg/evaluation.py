@@ -78,33 +78,23 @@ class RankingReport:
 
 
 def rank_query(scores: np.ndarray, true_entity: int, filtered: np.ndarray) -> int:
-    """Pessimistic filtered rank of the true entity within a score vector.
-
-    ``filtered`` holds candidate ids to drop; the true answer itself is never
-    dropped. Every kept candidate whose score is not below the answer's counts
-    against it, so ties and non-finite rivals rank ahead; a non-finite answer
-    score ranks behind every kept candidate.
-    """
-    keep = np.ones(len(scores), dtype=bool)
-    if len(filtered):
-        keep[filtered] = False
-    keep[true_entity] = False
-    answer = scores[true_entity]
-    if not np.isfinite(answer):
-        return 1 + int(np.count_nonzero(keep))
-    return 1 + int(np.count_nonzero(~(scores[keep] < answer)))
+    """``filtered_ranks`` on one score row: the rank of ``true_entity``, with
+    ``filtered`` the candidate ids to drop, repeats allowed."""
+    ids = np.unique(np.asarray(filtered, dtype=np.int64))
+    return int(filtered_ranks(np.reshape(scores, (1, -1)), np.array([true_entity]),
+                              np.zeros(len(ids), dtype=np.int64), ids)[0])
 
 
 def filtered_ranks(scores: np.ndarray, answers: np.ndarray, rows: np.ndarray,
                    ids: np.ndarray) -> np.ndarray:
-    """rank_query of every row of a (q, E) score matrix at once; the scores may
-    be of any real dtype, such as TedModel's tie-free integer scores.
+    """Pessimistic filtered rank of each row's true entity in a (q, E) score
+    matrix of any real dtype, such as TedModel's tie-free integer scores.
 
     ``answers`` holds each row's true entity and (rows, ids) its filtered
     candidate ids, distinct within a row. A rank is 1 + #{j : not score_j <
     answer}, less the answer itself and the filtered ids other than the answer
-    that pass the same test; a non-finite answer ranks behind every kept
-    candidate.
+    that pass the same test, so ties and non-finite rivals rank ahead; a
+    non-finite answer ranks behind every kept candidate.
     """
     q, entity_count = scores.shape
     answer = scores[np.arange(q), answers]

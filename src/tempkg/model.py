@@ -174,19 +174,15 @@ class TempModel:
     # --- context construction -------------------------------------------------
 
     def window_positions(self, t: int) -> tuple[list[int], int]:
-        """Time steps of the context window and the target's index within it."""
+        """Time steps of the context window and the target's index within it:
+        ``window`` steps back, or half of that each way when bidirectional,
+        clipped to the dataset's steps; the target alone when no temporal
+        encoder runs."""
         cfg = self.config
-        if not cfg.temporal_active:
-            return [t], 0
-        if cfg.bidirectional:
-            half = cfg.window // 2
-            lo = max(0, t - half)
-            hi = min(self.dataset.step_count - 1, t + half)
-            steps = list(range(lo, hi + 1))
-            return steps, steps.index(t)
-        lo = max(0, t - cfg.window)
-        steps = list(range(lo, t + 1))
-        return steps, len(steps) - 1
+        back = cfg.window if cfg.temporal_active else 0
+        back, ahead = (back // 2, back // 2) if cfg.bidirectional else (back, 0)
+        lo, hi = max(0, t - back), min(self.dataset.step_count - 1, t + ahead)
+        return list(range(lo, hi + 1)), t - lo
 
     def window_facts(self, t: int, rng: np.random.Generator | None = None,
                      ) -> tuple[np.ndarray, int]:
@@ -212,9 +208,12 @@ class TempModel:
         Without ``cache`` the whole window is encoded in one call. ``cache``
         maps a step to its ``StepRecord`` and is only valid, without ``rng``,
         for windows built from one fixed set of parameters: steps already in
-        it are not encoded again, each new one is encoded in a call of its
-        own, so a record never depends on which steps were cached, and steps
-        outside this window are evicted, so it holds at most one window.
+        it are not encoded again, and steps outside this window are evicted,
+        so it holds at most one window. Each new step is encoded in a call of
+        its own, so a record never depends on which steps were cached: numpy
+        sends a one-row product to another BLAS routine, so a one-edge
+        relation block rounds differently once the window's call adds other
+        steps' rows to it (14 of 183 steps of the seed-0 ``eval-sa`` windows).
         """
         if rng is not None and cache is not None:
             raise ValueError("a step cache holds undropped steps; pass rng or cache, not both")

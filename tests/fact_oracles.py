@@ -7,7 +7,9 @@ the package did before every index became one ``data.GroupedCodes``.
 at a time, ``per_positive_sample_negatives`` draws one positive's negatives,
 and ``frequency_bin`` with ``per_query_binned_analysis`` bins one query at a
 time, the way the package did before it worked a snapshot or a record array
-at a time. ``loop_generate_synthetic`` builds a corpus one fact at a time from
+at a time. ``loop_rank_query`` ranks one score row with a keep-mask and a
+count, the way the package did before ``rank_query`` became
+``filtered_ranks`` on one row. ``loop_generate_synthetic`` builds a corpus one fact at a time from
 tuple sets, the way the package did before it kept each step as an array of
 fact codes. ``snapshots_from_quads`` splits a split's facts into steps and
 deduplicates each step on its own, the way the package stored a split before
@@ -24,7 +26,7 @@ import numpy as np
 
 from tempkg.data import SPLIT_NAMES, DatasetError, TkgDataset
 from tempkg.evaluation import (REFERENCE_PAIRINGS, REPLICATION_PAIRINGS, RankingReport,
-                               query_records, rank_query)
+                               query_records)
 from tempkg.heterogeneity import PATTERN_KINDS
 from tempkg.ted import TedModel
 
@@ -201,10 +203,28 @@ def per_positive_sample_negatives(s, r, o, t, index, k, rng, entity_count):
     return out[0], out[1]
 
 
+def loop_rank_query(scores: np.ndarray, true_entity: int, filtered: np.ndarray) -> int:
+    """Pessimistic filtered rank of the true entity within a score vector.
+
+    ``filtered`` holds candidate ids to drop; the true answer itself is never
+    dropped. Every kept candidate whose score is not below the answer's counts
+    against it, so ties and non-finite rivals rank ahead; a non-finite answer
+    score ranks behind every kept candidate.
+    """
+    keep = np.ones(len(scores), dtype=bool)
+    if len(filtered):
+        keep[filtered] = False
+    keep[true_entity] = False
+    answer = scores[true_entity]
+    if not np.isfinite(answer):
+        return 1 + int(np.count_nonzero(keep))
+    return 1 + int(np.count_nonzero(~(scores[keep] < answer)))
+
+
 def per_query_rank_snapshots(entity_count, snapshots, snapshot_scorer, filter_index,
                              tpf=None):
     """evaluation.rank_snapshots over (t, triples) pairs, with one filter
-    lookup and rank_query per query, over a DictTrueTripleIndex."""
+    lookup and loop_rank_query per query, over a DictTrueTripleIndex."""
     directions, quads, ranks, freqs = [], [], [], []
     for t, triples in snapshots:
         obj_scores, sub_scores = snapshot_scorer(t, triples)
@@ -212,8 +232,8 @@ def per_query_rank_snapshots(entity_count, snapshots, snapshot_scorer, filter_in
         for i, (s, r, o) in enumerate(triples.tolist()):
             directions += ["object", "subject"]
             quads += [(s, r, o, t)] * 2
-            ranks += [rank_query(obj_scores[i], o, filter_index.objects_for(s, r, t)),
-                      rank_query(sub_scores[i], s, filter_index.subjects_for(r, o, t))]
+            ranks += [loop_rank_query(obj_scores[i], o, filter_index.objects_for(s, r, t)),
+                      loop_rank_query(sub_scores[i], s, filter_index.subjects_for(r, o, t))]
             if counts is not None:
                 freqs += [counts[i]] * 2
     return RankingReport(entity_count, query_records(

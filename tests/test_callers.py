@@ -10,7 +10,8 @@ PACKAGE = ROOT / "src" / "tempkg"
 CALLER_FILES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 # called from outside any source file: the console script
 ENTRY_POINTS = {"cli.main"}
-# still called only by tests: the benchmark traces it by name (ROADMAP item 6)
+# still called only by tests: filtered_ranks on one row, kept under its name
+# while the benchmark traces it (ROADMAP item 10)
 ONLY_TESTS_CALL = {"evaluation.rank_query"}
 
 

@@ -58,6 +58,23 @@ def score_rows_per_candidate(fixed, r, table, ids, kind, direction, blend=None):
     return ad.reshape(rows, (m, k))
 
 
+def two_formula_complex_query_vectors(fixed, r, direction):
+    """ComplEx query vectors with a formula of their own per direction, as
+    decoder.query_vectors wrote them before subject queries went through the
+    conjugate relation."""
+    d = fixed.shape[-1]
+    half = d // 2
+    (f_re, f_im), (r_re, r_im) = ((ad.columns(x, 0, half), ad.columns(x, half, d))
+                                  for x in (fixed, r))
+    if direction == "object":   # [r_re s_re - r_im s_im | r_re s_im + r_im s_re]
+        re = ad.sub(ad.mul(r_re, f_re), ad.mul(r_im, f_im))
+        im = ad.add(ad.mul(r_re, f_im), ad.mul(r_im, f_re))
+    else:                       # [r_re o_re + r_im o_im | r_re o_im - r_im o_re]
+        re = ad.add(ad.mul(r_re, f_re), ad.mul(r_im, f_im))
+        im = ad.sub(ad.mul(r_re, f_im), ad.mul(r_im, f_re))
+    return ad.concat([re, im], axis=1)
+
+
 def score_one(s, r, o, kind):
     """Scalar score of a single triple of plain vectors, through the training
     scorer with the object as the one candidate."""
@@ -187,6 +204,38 @@ class TestScoreRows:
             off = decoder.query_vectors(constant(fixed), constant(r), kind, direction)
             assert on.tape is tape and off.tape is None
             np.testing.assert_array_equal(on.data, off.data)
+
+    @pytest.mark.parametrize("on_tape", [(True, True), (True, False), (False, True),
+                                         (False, False)])
+    @pytest.mark.parametrize("direction", ["object", "subject"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_complex_matches_two_formula_oracle(self, seed, direction, on_tape):
+        """Subject queries through conj(r) give the two-formula vectors and
+        gradients bit for bit; ``on_tape`` puts (fixed, r) on the tape or not."""
+        rng = np.random.default_rng(seed)
+        m, e, d = 5, 7, 8
+        fixed, r, table = (rng.normal(size=shape) for shape in ((m, d), (m, d), (e, d)))
+        ids = rng.integers(0, e, size=(m, 4))
+        weights = rng.normal(size=ids.shape)
+        results = []
+        for fn in (lambda f, rel: decoder.query_vectors(f, rel, "complex", direction),
+                   lambda f, rel: two_formula_complex_query_vectors(f, rel, direction)):
+            tape = Tape()
+            inputs = [tape.leaf(x) if on else constant(x) for x, on in zip((fixed, r), on_tape)]
+            qv = fn(*inputs)
+            grads = {}
+            if any(on_tape):
+                scores = ad.gathered_dots(qv, tape.leaf(table), ids)
+                found = tape.backward(ad.reduce_sum(ad.mul(ad.tanh(scores), constant(weights))))
+                grads = {name: found[x.node_id] for name, x in zip(("fixed", "r"), inputs)
+                         if x.tape is tape}
+            results.append((qv.data, grads))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_array_equal(got, want)
+        assert got_grads.keys() == want_grads.keys() == {
+            name for name, on in zip(("fixed", "r"), on_tape) if on}
+        for name in want_grads:
+            np.testing.assert_array_equal(got_grads[name], want_grads[name], err_msg=name)
 
     def test_bad_arguments_rejected(self):
         rows = constant(np.ones((2, 4)))

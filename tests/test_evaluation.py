@@ -16,7 +16,7 @@ from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.ted import TedConfig, TedModel
 
 from fact_oracles import (DictTrueTripleIndex, PerQueryTedModel, frequency_bin,
-                          per_query_binned_analysis, per_query_rank_snapshots)
+                          loop_rank_query, per_query_binned_analysis, per_query_rank_snapshots)
 from helpers import objects_for, records, subjects_for
 from test_fact_index import random_dataset
 
@@ -74,8 +74,52 @@ class TestRankQuery:
                 brute_force_rank(scores, true_entity, filtered)
 
 
+class TestRankQueryIsFilteredRanksOnOneRow:
+    """rank_query, filtered_ranks on one row after np.unique of its filter
+    ids, against the keep-mask loop it replaced."""
+
+    SPECIAL = (np.nan, np.inf, -np.inf)
+
+    @staticmethod
+    def random_row(seed, e=20):
+        rng = np.random.default_rng(seed)
+        return rng, rng.integers(-2, 3, size=e).astype(np.float64), int(rng.integers(e))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repeated_filter_ids(self, seed):
+        rng, scores, answer = self.random_row(seed)
+        filtered = rng.integers(0, len(scores), size=3 * len(scores))
+        filtered = filtered[filtered != answer]
+        assert len(np.unique(filtered)) < len(filtered)
+        assert rank_query(scores, answer, filtered) == loop_rank_query(scores, answer, filtered)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_answer_inside_filter(self, seed):
+        rng, scores, answer = self.random_row(seed)
+        filtered = np.append(rng.choice(len(scores), size=5, replace=False), [answer, answer])
+        assert rank_query(scores, answer, filtered) == loop_rank_query(scores, answer, filtered)
+
+    @pytest.mark.parametrize("filtered", [np.empty(0, dtype=np.int64), []])
+    def test_empty_filter(self, filtered):
+        for seed in range(8):
+            _, scores, answer = self.random_row(seed)
+            assert rank_query(scores, answer, filtered) == \
+                loop_rank_query(scores, answer, filtered)
+
+    @pytest.mark.parametrize("answer_score", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_answers_and_rivals(self, answer_score):
+        for seed in range(20):
+            rng, scores, answer = self.random_row(seed)
+            specials = rng.random(len(scores)) < 0.3
+            scores[specials] = rng.choice(self.SPECIAL, size=int(specials.sum()))
+            scores[answer] = answer_score
+            filtered = rng.integers(0, len(scores), size=int(rng.integers(0, 12)))
+            assert rank_query(scores, answer, filtered) == \
+                loop_rank_query(scores, answer, filtered)
+
+
 class TestFilteredRanks:
-    """The whole-snapshot ranks against rank_query, one row at a time."""
+    """The whole-snapshot ranks against loop_rank_query, one row at a time."""
 
     SPECIAL = (np.nan, np.inf, -np.inf)
 
@@ -103,7 +147,7 @@ class TestFilteredRanks:
             ids += sorted(chosen.tolist())
         rows, ids = np.array(rows, dtype=np.int64), np.array(ids, dtype=np.int64)
         assert filtered_ranks(scores, answers, rows, ids).tolist() == \
-            [rank_query(scores[i], answers[i], ids[rows == i]) for i in range(q)]
+            [loop_rank_query(scores[i], answers[i], ids[rows == i]) for i in range(q)]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int8, np.int16, np.int32])
     def test_any_dtype_matches_rank_query(self, dtype):
@@ -120,7 +164,7 @@ class TestFilteredRanks:
         scores[np.arange(len(special)), answers[:len(special)]] = special
         rows, ids = np.nonzero(rng.random((q, e)) < 0.3)
         assert filtered_ranks(scores, answers, rows, ids).tolist() == \
-            [rank_query(scores[i], answers[i], ids[rows == i]) for i in range(q)]
+            [loop_rank_query(scores[i], answers[i], ids[rows == i]) for i in range(q)]
 
     @pytest.mark.parametrize("static", [False, True])
     def test_filter_index_lookup_matches_per_query(self, static):
@@ -140,7 +184,7 @@ class TestFilteredRanks:
                 for direction, col, lookup in (
                         ("object", 2, lambda s, r, o: oracle.objects_for(s, r, t)),
                         ("subject", 0, lambda s, r, o: oracle.subjects_for(r, o, t))):
-                    want = [rank_query(scores[i], query[col], lookup(*query))
+                    want = [loop_rank_query(scores[i], query[col], lookup(*query))
                             for i, query in enumerate(triples.tolist())]
                     got = filtered_ranks(scores, triples[:, col],
                                          *index.filter_sets(direction, triples, t))

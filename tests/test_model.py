@@ -1,5 +1,6 @@
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,6 +292,33 @@ class TestWindows:
         cfg = ModelConfig(variant="srgcn", dim=4, layers=1, window=15)
         model = TempModel(cfg, tiny_dataset, {})
         assert model.window_positions(3) == ([3], 0)
+
+    @staticmethod
+    def three_branch_window_positions(cfg, step_count, t):
+        """The window rule with one return per case, as the model had it."""
+        if not cfg.temporal_active:
+            return [t], 0
+        if cfg.bidirectional:
+            half = cfg.window // 2
+            lo = max(0, t - half)
+            hi = min(step_count - 1, t + half)
+            steps = list(range(lo, hi + 1))
+            return steps, steps.index(t)
+        lo = max(0, t - cfg.window)
+        steps = list(range(lo, t + 1))
+        return steps, len(steps) - 1
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_formula_matches_three_branches(self, variant, bidirectional):
+        for window in range(6):
+            cfg = ModelConfig(variant=variant, dim=4, layers=1, window=window, heads=2,
+                              bidirectional=bidirectional)
+            for step_count in range(1, 9):
+                model = TempModel(cfg, SimpleNamespace(step_count=step_count), {})
+                for t in range(step_count):
+                    assert model.window_positions(t) == \
+                        self.three_branch_window_positions(cfg, step_count, t), (window, t)
 
     @pytest.mark.parametrize("rates", [None, (0.5, 0.2), (1.0, 0.0), (0.0, 0.5)])
     @pytest.mark.parametrize("bidirectional, t", [(False, 0), (False, 4), (False, 6),

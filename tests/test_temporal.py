@@ -337,7 +337,10 @@ class TestChainRowPick:
     holds other rows."""
 
     # (bidirectional, seed) cases whose input gradients differ from the
-    # masked chain's in the last bits
+    # masked chain's in the last bits: exactly the cases with a window step
+    # of one active row (position 0, 2 and 0), whose cell products then have
+    # one row, which numpy sends to another BLAS routine than the masked
+    # chain's full-E products; the five other cases have none
     ROW_ROUNDING = {(False, 2), (False, 3), (True, 2)}
 
     @pytest.mark.parametrize("oracle", ["masked", "blend"])
