@@ -28,6 +28,10 @@ each query vector against its own candidate rows of a table, and
 Two more read a list of equal-shape blocks row by row, so no stacked copy
 of the list is made: ``dots`` and ``mix``, each the other's backward.
 ``gather_rows_from`` gathers each row from one of a list of tables.
+
+Products are row-stable: each output row of ``matmul``, ``segment_matmul`` and
+their input gradients is bit for bit the same in any product holding it.
+Weight gradients (``x.T @ g``) sum over rows and keep no such rule.
 """
 
 from __future__ import annotations
@@ -196,12 +200,22 @@ def mul(a, b) -> Tensor:
                    (b, lambda g: _reduce_to(g * ad, sb)))
 
 
+def _row_product(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w`` (into ``out``), each row rounded as in any product holding it:
+    BLAS does so for a C-contiguous ``w`` and two rows or more, so one is doubled."""
+    w = np.ascontiguousarray(w)
+    if len(x) != 1:
+        return np.matmul(x, w, out=out)
+    return np.positive(np.matmul(np.vstack([x, x]), w)[:1], out=out)   # a copy into out
+
+
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
-    return _result(ad @ bd, (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
+    return _result(_row_product(ad, bd), (a, lambda g: _row_product(g, bd.T)),
+                   (b, lambda g: ad.T @ g))
 
 
 def exp(a) -> Tensor:
@@ -432,8 +446,9 @@ def segment_matmul(x, w, bounds) -> Tensor:
 
     ``bounds`` has K + 1 entries, starts at 0, never decreases and ends at N,
     so a block may be empty. Each block's product and gradients are written
-    in place into its slice of one output array, so no block makes a
-    temporary; an empty block's weight gradient stays zero.
+    in place into its slice of one output array, so no block makes a temporary
+    but a one-row block's product and, for the input gradient, the block's
+    contiguous transpose; an empty block's weight gradient stays zero.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     bounds = np.asarray(bounds, dtype=np.int64)
@@ -447,13 +462,13 @@ def segment_matmul(x, w, bounds) -> Tensor:
                                                            bounds[1:].tolist())) if hi > lo]
     out = np.empty((xd.shape[0], wd.shape[2]), dtype=np.float64)
     for k, lo, hi in blocks:
-        np.matmul(xd[lo:hi], wd[k], out=out[lo:hi])
+        _row_product(xd[lo:hi], wd[k], out=out[lo:hi])
     x_shape, w_shape = xd.shape, wd.shape
 
     def grad_x(g):
         gx = np.empty(x_shape, dtype=np.float64)
         for k, lo, hi in blocks:
-            np.matmul(g[lo:hi], wd[k].T, out=gx[lo:hi])
+            _row_product(g[lo:hi], wd[k].T, out=gx[lo:hi])
         return gx
 
     def grad_w(g):

@@ -203,45 +203,30 @@ class TempModel:
                        rng: np.random.Generator | None = None,
                        cache: dict[int, StepRecord] | None = None) -> WindowContext:
         """Context of target step ``t`` from its window's facts, thinned by
-        edge dropout drawn from ``rng`` when one is given.
-
-        Without ``cache`` the whole window is encoded in one call. ``cache``
-        maps a step to its ``StepRecord`` and is only valid, without ``rng``,
-        for windows built from one fixed set of parameters: steps already in
-        it are not encoded again, and steps outside this window are evicted,
-        so it holds at most one window. Each new step is encoded in a call of
-        its own, so a record never depends on which steps were cached: numpy
-        sends a one-row product to another BLAS routine, so a one-edge
-        relation block rounds differently once the window's call adds other
-        steps' rows to it (14 of 183 steps of the seed-0 ``eval-sa`` windows).
-        """
+        edge dropout drawn from ``rng`` when one is given. The window's steps
+        missing from ``cache`` (all, without one) are encoded in one call, and
+        steps outside it are evicted. A cache serves one fixed set of
+        parameters and no ``rng``; products are row-stable, so no record
+        depends on the steps encoded beside it."""
         if rng is not None and cache is not None:
             raise ValueError("a step cache holds undropped steps; pass rng or cache, not both")
         cfg, ds = self.config, self.dataset
+        cache = {} if cache is None else cache
         steps, _ = self.window_positions(t)
         facts, target_pos = self.window_facts(t, rng)
-        index = facts[:, 3]
         held = np.zeros((len(steps), ds.entity_count), dtype=bool)
-        held[index[:, None], facts[:, [0, 2]]] = True
-
-        def encode(part: np.ndarray, snapshots: int) -> list[Tensor]:
-            return rgcn.encode_snapshot(part, leaves, snapshots=snapshots,
-                                        entity_count=ds.entity_count,
-                                        relation_count=ds.relation_count,
-                                        layers=cfg.layers)
-
-        if cache is None:
-            records = [StepRecord(x) for x in encode(facts, len(steps))]
-        else:
-            for step in [s for s in cache if s not in steps]:
-                del cache[step]
-            bounds = np.searchsorted(index, np.arange(len(steps) + 1))
-            for pos, step in enumerate(steps):
-                if step not in cache:
-                    own = facts[bounds[pos]:bounds[pos + 1]].copy()
-                    own[:, 3] = 0
-                    cache[step] = StepRecord(encode(own, 1)[0])
-            records = [cache[step] for step in steps]
+        held[facts[:, 3:], facts[:, [0, 2]]] = True
+        for step in [s for s in cache if s not in steps]:
+            del cache[step]
+        missing = [pos for pos, step in enumerate(steps) if step not in cache]
+        if missing:   # the missing steps' facts, their step index renumbered 0..k-1
+            part = facts[np.isin(facts[:, 3], missing)]
+            part[:, 3] = np.searchsorted(missing, part[:, 3])
+            xs = rgcn.encode_snapshot(part, leaves, snapshots=len(missing),
+                                      entity_count=ds.entity_count,
+                                      relation_count=ds.relation_count, layers=cfg.layers)
+            cache.update((steps[pos], StepRecord(x)) for pos, x in zip(missing, xs))
+        records = [cache[step] for step in steps]
         x_steps = [rec.x for rec in records]
 
         x_target = x_steps[target_pos]

@@ -32,6 +32,20 @@ def window_facts(window) -> np.ndarray:
     return np.column_stack([np.concatenate(window), index])
 
 
+def cached_encodes(model, times) -> list[list[int]]:
+    """The steps each ``encode_snapshot`` call of an eval cache encodes, one
+    list per call, when ``model`` scores the target steps ``times`` in order:
+    the cache keeps the last window, so a window encodes its steps outside
+    the last one in one call, and a window with none makes no call."""
+    calls, last = [], set()
+    for t in times:
+        steps = model.window_positions(t)[0]
+        if missing := [step for step in steps if step not in last]:
+            calls.append(missing)
+        last = set(steps)
+    return calls
+
+
 def decay_weight(delta_t: float, lam: float, b: float) -> float:
     """Scalar decay weight in (0, 1] for a nonnegative step difference."""
     if delta_t < 0:

@@ -597,6 +597,47 @@ def forward_and_grad(op, x, w):
     return out.data, tape.backward(ad.reduce_sum(ad.mul(out, constant(w))))[xl.node_id]
 
 
+def row_stable(x, w):
+    """x @ w by the row-stable rule: ``w`` C-contiguous, and a one-row ``x``
+    doubled with its first row kept."""
+    w = np.ascontiguousarray(w)
+    return (np.vstack([x, x]) @ w)[:1] if len(x) == 1 else x @ w
+
+
+ROW_STABLE = ("row-stable products (ROADMAP item 14) do not hold on this numpy and BLAS: a "
+              "row of _row_product differs from the same row of a product holding other rows, "
+              "so a step would encode differently in its window's call than on its own")
+
+
+class TestRowStableProducts:
+    """The property every encode rests on, pinned on this numpy and BLAS:
+    each row of ``_row_product`` is bit for bit the same in any product that
+    holds it, for the forward form ``x @ W`` and the input-gradient form
+    ``g @ W.T`` (a transposed view). A BLAS change that breaks it fails here
+    first, before the encoder tests that depend on it."""
+
+    @pytest.mark.parametrize("form", ["x @ W", "g @ W.T"])
+    @pytest.mark.parametrize("d", [16, 64, 128])
+    def test_row_subsets_and_single_rows_match_the_full_product(self, d, form):
+        rng = np.random.default_rng(d)
+        for _ in range(100):
+            n = int(rng.integers(2, 50))
+            x, w = rng.normal(size=(n, d)), rng.normal(size=(d, d))
+            w = w if form == "x @ W" else w.T
+            full = ad._row_product(x, w)
+            rows = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+            np.testing.assert_array_equal(ad._row_product(x[rows], w), full[rows],
+                                          err_msg=ROW_STABLE)
+            # a single row and a block of rows, also written into an output slice
+            lo = int(rng.integers(n - 1))
+            one, block = np.empty((1, d)), np.empty((n - lo, d))
+            ad._row_product(x[lo:lo + 1], w, out=one)
+            ad._row_product(x[lo:], w, out=block)
+            for got, want in ((ad._row_product(x[lo:lo + 1], w), full[lo:lo + 1]),
+                              (one, full[lo:lo + 1]), (block, full[lo:])):
+                np.testing.assert_array_equal(got, want, err_msg=ROW_STABLE)
+
+
 class TestRewriteOracles:
     def test_sigmoid_matches_two_branch_oracle(self):
         rng = np.random.default_rng(71)
@@ -662,8 +703,8 @@ class TestRewriteOracles:
             np.testing.assert_array_equal(out, masked_softmax_neg_inf(x, mask))
 
     def test_segment_matmul_matches_per_block_products(self):
-        # blocks written in place give every bit of one product per block,
-        # forward and backward, empty blocks included
+        # blocks written in place give every bit of one row-stable product per
+        # block, forward and backward, empty blocks included
         rng = np.random.default_rng(59)
         sizes = rng.integers(0, 12, size=40)
         sizes[[0, 7, 39]] = 0
@@ -676,9 +717,10 @@ class TestRewriteOracles:
         out = ad.segment_matmul(xl, wl, bounds)
         grads = tape.backward(ad.reduce_sum(ad.mul(out, constant(w))))
         blocks = list(zip(ws, bounds[:-1], bounds[1:]))
-        np.testing.assert_array_equal(out.data, np.vstack([x[lo:hi] @ a for a, lo, hi in blocks]))
-        np.testing.assert_array_equal(grads[xl.node_id],
-                                      np.vstack([w[lo:hi] @ a.T for a, lo, hi in blocks]))
+        np.testing.assert_array_equal(
+            out.data, np.vstack([row_stable(x[lo:hi], a) for a, lo, hi in blocks]))
+        np.testing.assert_array_equal(
+            grads[xl.node_id], np.vstack([row_stable(w[lo:hi], a.T) for a, lo, hi in blocks]))
         np.testing.assert_array_equal(grads[wl.node_id],
                                       np.stack([x[lo:hi].T @ w[lo:hi] for _, lo, hi in blocks]))
 

@@ -18,6 +18,7 @@ from tempkg.ted import TedConfig, TedModel
 from tempkg.train import train
 
 from fact_oracles import PerQueryTedModel
+from helpers import cached_encodes
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -146,8 +147,9 @@ def test_negative_counter_counts_every_draw_of_a_train_epoch(tmp_path):
 
 def test_encode_counters_of_a_train_epoch(tmp_path):
     """A traced training epoch encodes each target's thinned window in one
-    call and each step its validation reads in a call of its own, and
-    rgcn.edges counts two directed edges per fact encoded."""
+    call and, through the validation scorer's cache, each step its validation
+    reads once, in one call per window with a missing step; rgcn.edges
+    counts two directed edges per fact encoded."""
     tracing = load_tracing()
     spec = SynthSpec(10, 2, 8, density=1.0, periodicity=0.5, valid_fraction=0.3)
     ds = without_train_step(generate_synthetic(spec, seed=6), 3)
@@ -160,17 +162,20 @@ def test_encode_counters_of_a_train_epoch(tmp_path):
     seed = config.train.seed
     target_facts = sum(len(model.window_facts(t, substream(seed, "dropout", 0, t))[0])
                        for t in targets)
-    val_steps = {step for snap in ds.splits["valid"] if len(snap)
-                 for step in model.window_positions(snap.time)[0]}
+    val_times = [snap.time for snap in ds.splits["valid"] if len(snap)]
+    val_steps = {step for t in val_times for step in model.window_positions(t)[0]}
     val_facts = sum(len(ds.splits["train"][step]) for step in val_steps)
     assert 3 in val_steps and len(val_steps) < sum(
-        len(model.window_positions(snap.time)[0]) for snap in ds.splits["valid"] if len(snap))
+        len(model.window_positions(t)[0]) for t in val_times)
+    val_calls = cached_encodes(model, val_times)
+    assert sorted(step for call in val_calls for step in call) == sorted(val_steps)
+    assert 1 < len(val_calls) < len(val_steps)
     tracer = tracing.Tracer()
     with tracer.installed():
         tracer.begin("pass")
         train(config, ds, tmp_path, max_epochs=1)
     calls = [tracer.names[span[0]] for span in tracer.spans]
-    assert calls.count("rgcn.encode_snapshot") == len(targets) + len(val_steps)
+    assert calls.count("rgcn.encode_snapshot") == len(targets) + len(val_calls)
     assert tracer.segments[-1][1]["rgcn.edges"] == 2 * (target_facts + val_facts) > 0
 
 

@@ -21,7 +21,7 @@ from tempkg.synth import SynthSpec, generate_synthetic
 from tempkg.temporal import decay_column
 
 from gradcheck import scaled_error
-from helpers import train_dataset, window_facts
+from helpers import cached_encodes, train_dataset, window_facts
 from test_decoder import direction_rows_per_row
 from test_rgcn import edge_dropout_per_snapshot, encode_per_snapshot
 from test_temporal import (chain_blend, chain_masked, encode_sa_per_step, encode_sa_row_major_mask,
@@ -676,6 +676,7 @@ class TestWindowContext:
         original = rgcn.encode_snapshot
 
         def spy(facts, *args, **kwargs):
+            assert set(facts[:, 3].tolist()) <= set(range(kwargs["snapshots"]))
             calls.append(kwargs["snapshots"])
             return original(facts, *args, **kwargs)
 
@@ -684,8 +685,13 @@ class TestWindowContext:
         model.encode_context(leaves, 5)
         assert calls == [4]
         calls.clear()
-        model.encode_context(leaves, 5, cache={})
-        assert calls == [1] * 4
+        # a cached window encodes its missing steps in one call: steps 0-3,
+        # none, steps 4 and 5 (after evicting 0 and 1), then step 6; each once
+        cache = {}
+        for t in (3, 3, 5, 6):
+            model.encode_context(leaves, t, cache=cache)
+        assert calls == [4, 2, 1] == [len(c) for c in cached_encodes(model, (3, 3, 5, 6))]
+        assert sorted(cache) == [3, 4, 5, 6]
 
     def test_dropout_with_a_cache_rejected(self, sparse_dataset):
         # a cache holds undropped steps only, so a thinned window cannot use one
@@ -900,21 +906,60 @@ class TestSnapshotCache:
         model = scorer_model(eval_dataset, "complex", False, SCORER_MODELS[model_name])
         step_of = {snap.triples.tobytes(): snap.time for snap in eval_dataset.splits["train"]}
         assert len(step_of) == eval_dataset.step_count
-        encoded = []
+        calls = []
         original = rgcn.encode_snapshot
 
         def spy(facts, *args, **kwargs):
-            assert kwargs["snapshots"] == 1
-            encoded.append(step_of[np.ascontiguousarray(facts[:, :3]).tobytes()])
+            # snapshot i of the call is the step whose train facts it holds
+            calls.append([step_of[np.ascontiguousarray(facts[facts[:, 3] == i, :3]).tobytes()]
+                          for i in range(kwargs["snapshots"])])
             return original(facts, *args, **kwargs)
 
         monkeypatch.setattr(rgcn, "encode_snapshot", spy)
         evaluate(eval_dataset, "test", model.snapshot_scorer(None),
                  build_true_index(eval_dataset, ("train", "valid", "test")))
-        touched = {step for snap in eval_dataset.splits["test"] if len(snap)
-                   for step in model.window_positions(snap.time)[0]}
-        assert len(touched) > sum(1 for snap in eval_dataset.splits["test"] if len(snap))
-        assert sorted(encoded) == sorted(touched)
+        times = [snap.time for snap in eval_dataset.splits["test"] if len(snap)]
+        touched = {step for t in times for step in model.window_positions(t)[0]}
+        assert len(touched) > len(times)
+        # one call per window with a missing step, each touched step once
+        assert calls == cached_encodes(model, times)
+        assert sorted(step for call in calls for step in call) == sorted(touched)
+        assert 1 < len(calls) < len(touched)
+
+    def test_cached_records_equal_one_window_encode(self, monkeypatch):
+        # every record the eval cache holds at a test step is bit for bit that
+        # step of one encode_snapshot call over the whole window, whichever
+        # steps were encoded with it; with a one-row product rounded apart,
+        # a one-edge relation block of a step would break this
+        ds = generate_synthetic(SynthSpec(60, 8, 14, density=0.5, periodicity=0.5, period=3,
+                                          test_fraction=0.2), seed=4)
+        cfg = ModelConfig(variant="temp-sa", decoder="complex", dim=16, window=4, heads=2,
+                          imputation=True)
+        model = TempModel(cfg, ds, init_params(cfg, ds.entity_count, ds.relation_count,
+                                               ds.step_count, 0))
+        cached = []
+        original = model.encode_context
+
+        def spy(leaves, t, rng=None, cache=None):
+            ctx = original(leaves, t, rng, cache)
+            cached.append((t, {step: rec.x.data for step, rec in cache.items()}))
+            return ctx
+
+        monkeypatch.setattr(model, "encode_context", spy)
+        evaluate(ds, "test", model.snapshot_scorer(None),
+                 build_true_index(ds, ("train", "valid", "test")))
+        times = [snap.time for snap in ds.splits["test"] if len(snap)]
+        assert [t for t, _ in cached] == times and len(cached_encodes(model, times)) > 1
+        leaves = {name: constant(arr) for name, arr in model.params.items()}
+        for t, records in cached:
+            steps = model.window_positions(t)[0]
+            window = rgcn.encode_snapshot(model.window_facts(t)[0], leaves,
+                                          snapshots=len(steps), entity_count=ds.entity_count,
+                                          relation_count=ds.relation_count, layers=cfg.layers)
+            assert sorted(records) == steps
+            for step, x in zip(steps, window):
+                np.testing.assert_array_equal(records[step], x.data,
+                                              err_msg=f"step {step} of target {t}")
 
     @pytest.mark.parametrize("decoder", ["transe", "complex"])
     def test_evaluate_scores_each_direction_once_with_score_rows(self, eval_dataset,
