@@ -68,18 +68,14 @@ def encode_snapshot(facts: np.ndarray, params: dict[str, Tensor], *, snapshots: 
             msgs = ad.mul(ad.segment_matmul(sources, params[f"rgcn.l{layer}.rel"], bounds),
                           scale)
         loop = ad.matmul(base, w_self) if layer == 0 else None
-        out = []
-        for x, own in zip(h, rows):
-            # a snapshot's nodes are made together, so backward frees its
-            # (E, d) gradients before it moves on to the next snapshot
+        for i, own in enumerate(rows):
+            # a snapshot's nodes are made together, so backward frees its (E, d)
+            # gradients snapshot by snapshot; off the tape, writing h[i] frees its input
+            total = loop if layer == 0 else ad.matmul(h[i], w_self)
             if len(own):
                 mine = msgs if len(own) == len(edges) else ad.gather_rows(msgs, own)
-                scattered = ad.scatter_add_rows(mine, dst[own], entity_count)
-            total = loop if layer == 0 else ad.matmul(x, w_self)
-            if len(own):
-                total = ad.add(total, scattered)
-            out.append(ad.relu(total) if layer < layers - 1 else total)
-        h = out
+                total = ad.add(total, ad.scatter_add_rows(mine, dst[own], entity_count))
+            h[i] = ad.relu(total) if layer < layers - 1 else total
     return h
 
 
